@@ -647,6 +647,8 @@ class Coordinator:
                     merged=merged.cluster_id,
                     m_merge=float(m_merge(cluster_a.father, cluster_b.father)),
                     accuracy_loss=float(fit.loss),
+                    simplex_iterations=fit.iterations,
+                    simplex_evaluations=fit.evaluations,
                     leaves=len(merged.leaves),
                 )
 

@@ -23,7 +23,9 @@ usable derivatives).  The simplex search runs over the mean and a
 log-Cholesky parameterisation of the covariance -- log-diagonal entries
 keep every candidate positive definite -- and starts from the exact
 moment-matched Gaussian, which is also exposed as the cheap ablation
-baseline.
+baseline.  Vertices are scored in that parameter space
+(:func:`repro.numerics.linalg.log_cholesky_l1_losses`); only the vertex
+the search returns is decoded into a :class:`Gaussian`.
 
 The split-side criteria of Algorithm 2 (eq. 6) live here too:
 ``M_split(i, Mix)`` compares a component against its father mixture's
@@ -34,13 +36,18 @@ homes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.numerics.integrate import monte_carlo_l1
+from repro.numerics.linalg import (
+    LOG_PIVOT_CLIP,
+    log_cholesky_index,
+    log_cholesky_l1_losses,
+)
 from repro.numerics.simplex import nelder_mead
 from repro.obs.observer import Observer, ensure_observer
 
@@ -223,9 +230,67 @@ def _unpack_parameters(theta: np.ndarray, dim: int) -> Gaussian:
     log_diag = theta[dim : 2 * dim]
     lower = theta[2 * dim :]
     chol = np.zeros((dim, dim))
-    chol[np.diag_indices(dim)] = np.exp(np.clip(log_diag, -30.0, 30.0))
+    chol[np.diag_indices(dim)] = np.exp(
+        np.clip(log_diag, -LOG_PIVOT_CLIP, LOG_PIVOT_CLIP)
+    )
     chol[np.tril_indices(dim, k=-1)] = lower
     return Gaussian(mean, chol @ chol.T)
+
+
+def _sampled_loss(
+    candidate: Gaussian,
+    total: float,
+    samples: np.ndarray,
+    pair_values: np.ndarray,
+    proposal_values: np.ndarray,
+) -> float:
+    """``l(x)`` of one candidate father on the fixed sample set."""
+    merged_values = total * candidate.pdf(samples)
+    return float(np.mean(np.abs(pair_values - merged_values) / proposal_values))
+
+
+def _vertex_objective(
+    total: float,
+    samples: np.ndarray,
+    pair_values: np.ndarray,
+    proposal_values: np.ndarray,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The simplex objective: ``(m, p)`` parameter rows → ``(m,)`` losses.
+
+    Rows are scored in log-Cholesky space, with no :class:`Gaussian`
+    built.  The few the kernel declines -- non-finite, near-singular or
+    so ill-conditioned that the constructor's regularisation would floor,
+    ridge or refuse them -- are decoded and scored as the ``Gaussian``
+    they stand for, so the search sees the density it would be handed.
+    """
+    dim = samples.shape[1]
+    samples_t = np.ascontiguousarray(samples.T)
+    target = pair_values / proposal_values
+    weight = total / proposal_values
+    factor_index = log_cholesky_index(dim)
+
+    def decoded_loss(theta: np.ndarray) -> float:
+        try:
+            # L Lᵀ may overflow; the constructor then refuses it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = _unpack_parameters(theta, dim)
+        except (ValueError, np.linalg.LinAlgError):
+            return np.inf
+        return _sampled_loss(
+            candidate, total, samples, pair_values, proposal_values
+        )
+
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        losses = log_cholesky_l1_losses(
+            thetas, samples_t, target, weight, factor_index
+        )
+        declined = np.isnan(losses)
+        if declined.any():
+            for row in np.flatnonzero(declined):
+                losses[row] = decoded_loss(thetas[row])
+        return losses
+
+    return objective
 
 
 @dataclass(frozen=True)
@@ -245,6 +310,9 @@ class MergeFit:
         baseline); ``loss <= moment_loss`` up to Monte-Carlo noise.
     iterations:
         Simplex iterations spent.
+    evaluations:
+        Objective evaluations the search made (``0`` for the
+        moment-matching method, which does not search).
     """
 
     component: Gaussian
@@ -252,6 +320,7 @@ class MergeFit:
     loss: float
     moment_loss: float
     iterations: int
+    evaluations: int = 0
 
 
 def fit_merged_component(
@@ -286,8 +355,9 @@ def fit_merged_component(
     observer:
         Optional :class:`~repro.obs.observer.Observer`: the simplex
         search is timed into the ``profile.simplex`` histogram and its
-        iteration count lands in the ``merge.simplex_iterations``
-        counter.
+        iteration and objective-evaluation counts land in the
+        ``merge.simplex_iterations`` / ``merge.simplex_evaluations``
+        counters.
 
     Returns
     -------
@@ -311,8 +381,9 @@ def fit_merged_component(
     )
 
     def loss_of(candidate: Gaussian) -> float:
-        merged_values = total * candidate.pdf(samples)
-        return float(np.mean(np.abs(pair_values - merged_values) / proposal_values))
+        return _sampled_loss(
+            candidate, total, samples, pair_values, proposal_values
+        )
 
     moment_loss = loss_of(moment)
     if method == "moment":
@@ -324,15 +395,7 @@ def fit_merged_component(
             iterations=0,
         )
 
-    dim = comp_i.dim
-
-    def objective(theta: np.ndarray) -> float:
-        try:
-            candidate = _unpack_parameters(theta, dim)
-        except (ValueError, np.linalg.LinAlgError):
-            return np.inf
-        return loss_of(candidate)
-
+    objective = _vertex_objective(total, samples, pair_values, proposal_values)
     with obs.timer("profile.simplex"):
         result = nelder_mead(
             objective,
@@ -340,10 +403,12 @@ def fit_merged_component(
             max_iter=max_iter,
             xtol=1e-5,
             ftol=1e-7,
+            vectorized=True,
         )
     if obs.enabled:
         obs.inc("merge.simplex_iterations", result.iterations)
-    fitted = _unpack_parameters(result.x, dim)
+        obs.inc("merge.simplex_evaluations", result.evaluations)
+    fitted = _unpack_parameters(result.x, comp_i.dim)
     fitted_loss = loss_of(fitted)
     if fitted_loss > moment_loss:
         # The search never accepts a candidate worse than its seed.
@@ -354,4 +419,5 @@ def fit_merged_component(
         loss=fitted_loss,
         moment_loss=moment_loss,
         iterations=result.iterations,
+        evaluations=result.evaluations,
     )

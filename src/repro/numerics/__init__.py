@@ -25,6 +25,8 @@ from repro.numerics.linalg import (
     batch_log_pdf,
     batch_mahalanobis_sq,
     ensure_spd,
+    log_cholesky_index,
+    log_cholesky_l1_losses,
     log_det_spd,
     logsumexp,
     mahalanobis_sq,
@@ -42,6 +44,8 @@ __all__ = [
     "batch_mahalanobis_sq",
     "ensure_spd",
     "l1_density_distance",
+    "log_cholesky_index",
+    "log_cholesky_l1_losses",
     "log_det_spd",
     "logsumexp",
     "mahalanobis_sq",

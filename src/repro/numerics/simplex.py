@@ -79,6 +79,7 @@ def nelder_mead(
     xtol: float = 1e-6,
     ftol: float = 1e-8,
     initial_step: float = 0.05,
+    vectorized: bool = False,
 ) -> NelderMeadResult:
     """Minimise ``objective`` starting from ``x0``.
 
@@ -98,6 +99,12 @@ def nelder_mead(
         and objective value respectively; both must hold.
     initial_step:
         Relative perturbation used to seed the simplex.
+    vectorized:
+        When ``True``, ``objective`` maps ``(m, n)`` parameter rows to
+        ``(m,)`` values.  The initial simplex and each shrink step are
+        then evaluated as one batch; reflection, expansion and
+        contraction depend on each other's outcome and arrive as
+        ``m = 1``.  The search itself is the same either way.
 
     Returns
     -------
@@ -107,12 +114,18 @@ def nelder_mead(
     if x0.size == 0:
         raise ValueError("cannot optimise a zero-dimensional parameter vector")
 
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        if vectorized:
+            values = np.asarray(objective(points), dtype=float)
+        else:
+            values = np.array([float(objective(point)) for point in points])
+        return np.where(np.isfinite(values), values, np.inf)
+
     def safe_eval(x: np.ndarray) -> float:
-        value = float(objective(x))
-        return value if np.isfinite(value) else np.inf
+        return float(evaluate(x[None, :])[0])
 
     simplex = _initial_simplex(x0, initial_step)
-    values = np.array([safe_eval(vertex) for vertex in simplex])
+    values = evaluate(simplex)
     evaluations = values.size
 
     iterations = 0
@@ -122,13 +135,16 @@ def nelder_mead(
         simplex = simplex[order]
         values = values[order]
 
-        x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        f_spread = float(np.abs(values[-1] - values[0]))
-        if x_spread <= xtol and f_spread <= ftol:
+        # The parameter spread costs a pass over the whole simplex and
+        # only matters once the value spread is already inside ``ftol``.
+        if (
+            abs(float(values[-1]) - float(values[0])) <= ftol
+            and float(np.abs(simplex[1:] - simplex[0]).max()) <= xtol
+        ):
             converged = True
             break
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / x0.size
         worst = simplex[-1]
 
         reflected = centroid + ALPHA * (centroid - worst)
@@ -166,11 +182,9 @@ def nelder_mead(
             continue
 
         # Shrink every vertex toward the best one.
-        best = simplex[0]
-        for i in range(1, simplex.shape[0]):
-            simplex[i] = best + SIGMA * (simplex[i] - best)
-            values[i] = safe_eval(simplex[i])
-            evaluations += 1
+        simplex[1:] = simplex[0] + SIGMA * (simplex[1:] - simplex[0])
+        values[1:] = evaluate(simplex[1:])
+        evaluations += values.size - 1
 
     best_index = int(np.argmin(values))
     return NelderMeadResult(

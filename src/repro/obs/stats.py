@@ -74,6 +74,8 @@ class RunSummary:
     weight_updates: int = 0
     deletions: int = 0
     merges: int = 0
+    simplex_iterations: int = 0
+    simplex_evaluations: int = 0
     splits: int = 0
     evictions: int = 0
     # Transport
@@ -169,6 +171,10 @@ def summarize_events(events: Iterable[TraceEvent]) -> RunSummary:
             summary.deletions += 1
         elif type_ == "coord.merge":
             summary.merges += 1
+            summary.simplex_iterations += int(fields.get("simplex_iterations", 0))
+            summary.simplex_evaluations += int(
+                fields.get("simplex_evaluations", 0)
+            )
         elif type_ == "coord.split":
             summary.splits += 1
         elif type_ == "transport.evict":
@@ -324,6 +330,14 @@ def format_summary(summary: RunSummary) -> str:
         f"merges={summary.merges} splits={summary.splits} "
         f"evictions={summary.evictions}"
     )
+    if summary.simplex_evaluations:
+        lines.append(
+            "merge fit: "
+            f"simplex_iterations={summary.simplex_iterations} "
+            f"simplex_evaluations={summary.simplex_evaluations} "
+            f"evaluations_per_merge="
+            f"{summary.simplex_evaluations / summary.merges:.1f}"
+        )
     lines.append(
         "transport: "
         f"sends={summary.sends} "

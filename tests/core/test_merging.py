@@ -173,3 +173,44 @@ class TestMergedComponentFit:
         eigenvalues = np.linalg.eigvalsh(fit.component.covariance)
         assert np.all(eigenvalues > 0.0)
         assert fit.weight == pytest.approx(3.0)
+
+    def test_observer_counts_iterations_and_evaluations(self, rng):
+        from repro.obs.observer import Observer
+
+        observer = Observer()
+        a = Gaussian.spherical(np.array([-1.0, 0.0]), 1.0)
+        b = Gaussian.spherical(np.array([1.5, 0.0]), 0.5)
+        first = fit_merged_component(
+            0.5, a, 0.5, b, n_samples=256, max_iter=30, rng=rng,
+            observer=observer,
+        )
+        second = fit_merged_component(
+            0.3, a, 0.7, b, n_samples=256, max_iter=30, rng=rng,
+            observer=observer,
+        )
+        registry = observer.registry
+        assert first.evaluations > first.iterations > 0
+        assert (
+            registry.counter("merge.simplex_iterations").value
+            == first.iterations + second.iterations
+        )
+        assert (
+            registry.counter("merge.simplex_evaluations").value
+            == first.evaluations + second.evaluations
+        )
+        # profile.simplex ÷ evaluations is the cost of one vertex.
+        assert registry.histogram("profile.simplex").count == 2
+
+    def test_moment_method_leaves_the_simplex_counters_alone(self, rng):
+        from repro.obs.observer import Observer
+
+        observer = Observer()
+        a = Gaussian.spherical(np.array([-1.0]), 1.0)
+        b = Gaussian.spherical(np.array([1.0]), 1.0)
+        fit = fit_merged_component(
+            0.5, a, 0.5, b, method="moment", rng=rng, observer=observer
+        )
+        assert fit.evaluations == 0
+        assert "merge.simplex_evaluations" not in str(
+            observer.registry.snapshot()
+        )

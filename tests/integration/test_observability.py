@@ -172,6 +172,12 @@ class TestTraceReconstructsRun:
             if kind == "counter" and name == "site.chunk_tests"
         )
         assert counted == traced_total
+        # The merge fit's cost counters: trace and registry agree.
+        for field, name in (
+            ("simplex_iterations", "merge.simplex_iterations"),
+            ("simplex_evaluations", "merge.simplex_evaluations"),
+        ):
+            assert getattr(summary, field) == registry.counter(name).value
 
     def test_retransmissions_match_sender_stats(self, lossy_run):
         _, endpoints, coord, _, trace = lossy_run

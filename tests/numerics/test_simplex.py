@@ -88,3 +88,59 @@ class TestAgainstScipy:
         ours = nelder_mead(objective, start, max_iter=2000)
         theirs = minimize(objective, start, method="Nelder-Mead")
         assert ours.fun == pytest.approx(theirs.fun, abs=1e-6)
+
+    def test_vectorized_matches_scipy_too(self):
+        def rows(points: np.ndarray) -> np.ndarray:
+            x, y = points[:, 0], points[:, 1]
+            return x**2 + 3.0 * y**2 + x * y
+
+        start = np.array([4.0, -3.0])
+        ours = nelder_mead(rows, start, max_iter=2000, vectorized=True)
+        theirs = minimize(lambda p: float(rows(p[None, :])[0]), start,
+                          method="Nelder-Mead")
+        assert ours.fun == pytest.approx(theirs.fun, abs=1e-6)
+
+
+class TestVectorized:
+    """``vectorized=True`` batches evaluations; it does not change the search."""
+
+    @staticmethod
+    def ridge(x: np.ndarray) -> float:
+        # Cusps along every axis and a forbidden half-space: reflections,
+        # expansions, both contractions and a shrink all occur.
+        if x[0] < -1.5:
+            return float("inf")
+        return float(np.sum(np.sqrt(np.abs(x))))
+
+    def test_same_search_as_one_point_at_a_time(self):
+        batch_sizes = []
+
+        def rows(points: np.ndarray) -> np.ndarray:
+            batch_sizes.append(points.shape[0])
+            return np.array([self.ridge(point) for point in points])
+
+        start = np.array([-1.2, 1.0, 0.5])
+        scalar = nelder_mead(self.ridge, start, max_iter=400)
+        batched = nelder_mead(rows, start, max_iter=400, vectorized=True)
+        assert np.array_equal(batched.x, scalar.x)
+        assert batched.fun == scalar.fun
+        assert (batched.iterations, batched.evaluations, batched.converged) == (
+            scalar.iterations,
+            scalar.evaluations,
+            scalar.converged,
+        )
+        # The initial simplex is one batch of n + 1, a shrink one batch
+        # of n, everything else arrives alone.
+        assert batch_sizes[0] == start.size + 1
+        assert start.size in batch_sizes[1:]
+        assert set(batch_sizes[1:]) == {1, start.size}
+        assert sum(batch_sizes) == batched.evaluations
+
+    def test_non_finite_rows_become_inf(self):
+        def rows(points: np.ndarray) -> np.ndarray:
+            values = (points[:, 0] - 2.0) ** 2
+            values[points[:, 0] < 0.0] = np.nan
+            return values
+
+        result = nelder_mead(rows, np.array([0.5]), vectorized=True)
+        assert result.x[0] == pytest.approx(2.0, abs=1e-4)

@@ -20,7 +20,10 @@ def make_events() -> list[TraceEvent]:
         ("coord.model_update", {"site": 0}),
         ("coord.weight_update", {"site": 0}),
         ("coord.deletion", {"site": 0}),
-        ("coord.merge", {"a": 1, "b": 2}),
+        (
+            "coord.merge",
+            {"a": 1, "b": 2, "simplex_iterations": 120, "simplex_evaluations": 179},
+        ),
         ("coord.split", {"site": 0}),
         ("transport.evict", {"site": 1}),
         ("transport.send", {"site": 0, "seq": 1}),
@@ -63,6 +66,8 @@ class TestSummarizeEvents:
         assert summary.weight_updates == 1
         assert summary.deletions == 1
         assert summary.merges == 1
+        assert summary.simplex_iterations == 120
+        assert summary.simplex_evaluations == 179
         assert summary.splits == 1
         assert summary.evictions == 1
         assert summary.sends == 1
@@ -108,12 +113,17 @@ class TestFormatSummary:
         assert "sites:" in text
         assert "em: fits=2 iterations=10 mean_iter=5.0" in text
         assert "merges=1 splits=1" in text
+        assert (
+            "merge fit: simplex_iterations=120 simplex_evaluations=179 "
+            "evaluations_per_merge=179.0" in text
+        )
         assert "retransmissions=1" in text
         assert "faults:" in text
 
     def test_fault_section_omitted_when_clean(self):
         text = format_summary(summarize_events([]))
         assert "faults:" not in text
+        assert "merge fit:" not in text
         assert "sites:" not in text
 
 

@@ -25,6 +25,16 @@ class TestTopLevelSurface:
     def test_version(self):
         assert repro.__version__ == "1.2.0"
 
+    def test_packaging_reads_the_version_attribute(self):
+        # One place to bump: pyproject.toml must not carry its own copy.
+        from pathlib import Path
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = pyproject.read_text()
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
+        assert "\nversion = \"" not in text
+
     def test_codec_api_is_exported(self):
         # The 1.2 additions: the wire-codec registry and its types.
         for name in (
