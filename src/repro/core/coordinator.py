@@ -80,12 +80,6 @@ class CoordinatorConfig:
         (``stats.orphan_updates``) and ignored instead of raising.
         Model updates are idempotent either way (a duplicate replaces
         the same leaves), so duplicated deliveries are always safe.
-    index_candidates:
-        The paper's future-work index structure: when set, attach and
-        merge searches prune candidates through a KD-tree over father
-        means, scoring the exact Mahalanobis criterion only on the
-        nearest ``index_candidates`` clusters.  ``None`` (default) keeps
-        the exact linear/quadratic scans.
     """
 
     max_components: int | None = 5
@@ -93,7 +87,6 @@ class CoordinatorConfig:
     merge_samples: int = 1024
     attach_threshold: float = 4.0
     tolerate_loss: bool = False
-    index_candidates: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_components is not None and self.max_components < 1:
@@ -102,8 +95,6 @@ class CoordinatorConfig:
             raise ValueError(f"unknown merge method {self.merge_method!r}")
         if self.attach_threshold <= 0.0:
             raise ValueError("attach_threshold must be positive")
-        if self.index_candidates is not None and self.index_candidates < 1:
-            raise ValueError("index_candidates must be at least 1")
 
 
 @dataclass
@@ -501,31 +492,13 @@ class Coordinator:
         self._site_models.pop(key, None)
         self._remove_leaves(key)
 
-    def _candidate_clusters(
-        self, mean: np.ndarray
-    ) -> list[GlobalCluster]:
-        """Clusters to score exactly: all of them, or the KD-tree's
-        nearest ``index_candidates`` by father mean."""
-        clusters = list(self._clusters.values())
-        for cluster in clusters:
-            if cluster.father is None:
-                cluster.refresh_father()
-        budget = self.config.index_candidates
-        if budget is None or len(clusters) <= budget:
-            return clusters
-        from repro.numerics.kdtree import KDTree
-
-        tree = KDTree(
-            np.stack([cluster.father.mean for cluster in clusters]),
-            clusters,
-        )
-        return [cluster for _, cluster in tree.nearest(mean, k=budget)]
-
     def _attach(self, leaf: Leaf) -> None:
         """Home a leaf: nearest father within threshold, else new cluster."""
         best_cluster: GlobalCluster | None = None
         best_distance = np.inf
-        for cluster in self._candidate_clusters(leaf.gaussian.mean):
+        for cluster in self._clusters.values():
+            if cluster.father is None:
+                cluster.refresh_father()
             distance = leaf.gaussian.symmetric_mahalanobis_sq(cluster.father)
             if distance < best_distance:
                 best_distance = distance
@@ -564,45 +537,12 @@ class Coordinator:
             self._merge_clusters(*best_pair)
 
     def _best_merge_pair(self) -> tuple[int, int] | None:
-        """The cluster pair with the largest ``M_merge``.
-
-        With ``index_candidates`` set, each cluster is only scored
-        against its KD-tree neighbourhood instead of every other
-        cluster.
-        """
+        """The cluster pair with the largest ``M_merge``."""
         ids = list(self._clusters)
         if len(ids) < 2:
             return None
-        budget = self.config.index_candidates
         best_pair: tuple[int, int] | None = None
         best_score = -np.inf
-        if budget is not None and len(ids) > budget + 1:
-            from repro.numerics.kdtree import KDTree
-
-            for cluster in self._clusters.values():
-                if cluster.father is None:
-                    cluster.refresh_father()
-            tree = KDTree(
-                np.stack(
-                    [self._clusters[i].father.mean for i in ids]
-                ),
-                ids,
-            )
-            for a_id in ids:
-                neighbours = tree.nearest(
-                    self._clusters[a_id].father.mean, k=budget + 1
-                )
-                for _, b_id in neighbours:
-                    if b_id == a_id:
-                        continue
-                    score = m_merge(
-                        self._clusters[a_id].father,
-                        self._clusters[b_id].father,
-                    )
-                    if score > best_score:
-                        best_score = score
-                        best_pair = (min(a_id, b_id), max(a_id, b_id))
-            return best_pair
         for a_pos, a_id in enumerate(ids):
             for b_id in ids[a_pos + 1 :]:
                 score = m_merge(

@@ -297,7 +297,6 @@ def snapshot_coordinator(coordinator: Coordinator) -> dict:
             "merge_samples": config.merge_samples,
             "attach_threshold": config.attach_threshold,
             "tolerate_loss": config.tolerate_loss,
-            "index_candidates": config.index_candidates,
         },
         "site_models": [
             {
@@ -331,7 +330,15 @@ def restore_coordinator(
         raise ValueError("payload is not a coordinator checkpoint")
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')}")
-    config = CoordinatorConfig(**payload["config"])
+    # Checkpoints written before the KD-tree index was removed carry its
+    # (never engaged) ``index_candidates`` setting; it is ignored.
+    config = CoordinatorConfig(
+        **{
+            key: value
+            for key, value in payload["config"].items()
+            if key != "index_candidates"
+        }
+    )
     coordinator = Coordinator(
         config, rng=_rng_from_state(payload["rng"]), observer=observer
     )

@@ -178,6 +178,17 @@ class TestCoordinatorCheckpoint:
         with pytest.raises(ValueError, match="not a coordinator"):
             restore_coordinator(payload)
 
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_checkpoint_with_removed_index_key_still_loads(self, budget):
+        """``index_candidates`` (the deleted KD-tree variant) is ignored."""
+        coordinator = self.make_coordinator()
+        payload = snapshot_coordinator(coordinator)
+        assert "index_candidates" not in payload["config"]
+        payload["config"]["index_candidates"] = budget
+        clone = restore_coordinator(payload)
+        assert clone.config == coordinator.config
+        assert clone.global_mixture() == coordinator.global_mixture()
+
     def test_infinite_remerge_scores_survive_json(self, tmp_path):
         import json
 
