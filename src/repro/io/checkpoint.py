@@ -350,14 +350,9 @@ def restore_coordinator(
         )
     max_cluster_id = -1
     for raw in payload["clusters"]:
-        cluster = GlobalCluster(cluster_id=raw["cluster_id"])
-        cluster.father = (
-            Gaussian.from_dict(raw["father"])
-            if raw["father"] is not None
-            else None
-        )
-        for leaf_raw in raw["leaves"]:
-            cluster.leaves.append(
+        cluster = GlobalCluster(
+            cluster_id=raw["cluster_id"],
+            leaves=[
                 Leaf(
                     site_id=leaf_raw["site_id"],
                     model_id=leaf_raw["model_id"],
@@ -366,7 +361,14 @@ def restore_coordinator(
                     weight=leaf_raw["weight"],
                     remerge_score=_none_or_inf(leaf_raw["remerge_score"]),
                 )
-            )
+                for leaf_raw in raw["leaves"]
+            ],
+            father=(
+                Gaussian.from_dict(raw["father"])
+                if raw["father"] is not None
+                else None
+            ),
+        )
         coordinator._clusters[cluster.cluster_id] = cluster
         max_cluster_id = max(max_cluster_id, cluster.cluster_id)
     coordinator._cluster_ids = itertools.count(max_cluster_id + 1)

@@ -1,30 +1,23 @@
-"""Coordinator processing: the global model hierarchy (§5.2, Algorithm 2).
+"""Reference coordinator bookkeeping: every derived value rebuilt on use.
 
-The coordinator receives model synopses from ``r`` remote sites and
-maintains a two-level tree:
+This is ``repro.core.coordinator.Coordinator``'s Algorithm 2 bookkeeping
+as it stood before clusters cached their weight and pooled Gaussian and
+before moment merges stopped going through ``fit_merged_component``:
 
-* **leaves** -- individual Gaussian components shipped by sites, keyed
-  by ``(site_id, model_id, component_index)`` and weighted by the site
-  mixture weight times the model's record counter;
-* **global clusters** (the paper's ``Mix`` nodes) -- groups of leaves,
-  each with a *father* component fitted by the merge machinery of
-  :mod:`repro.core.merging`.
+* ``OracleCluster.weight`` is a Python ``sum`` per access and
+  ``leaf_mixture()`` builds a fresh ``GaussianMixture`` -- and hence a
+  fresh pooled ``Gaussian`` -- per call, including once per scored leaf
+  in ``on_updates``;
+* ``_remove_leaves`` / ``_refresh_fathers`` rebuild every father,
+  touched or not;
+* every merge, moment or simplex, calls ``fit_merged_component`` and so
+  draws its Monte-Carlo sample set from the coordinator's rng.
 
-Simply unioning all site components would give an ``r·K``-component
-global mixture -- correct but unscalable and prone to local maxima, as
-section 5.2 notes.  Instead the coordinator greedily merges the pair of
-global clusters with the largest ``M_merge`` until at most
-``max_components`` remain, fitting each father by minimising the L1
-accuracy loss.
-
-On every site update Algorithm 2 runs: each updated component checks
-``M_split`` against the reciprocal of the ``M_remerge`` value stored
-when it was merged; components that drifted away from their father are
-split out and re-merged into the sibling cluster with the largest
-``M_remerge``.
-
-Sliding-window deletions (section 7) subtract weight from a site model
-and drop it once the weight is non-positive.
+It is kept here, out of ``src/``, as the oracle of
+``tests/core/test_coordinator_identity.py``: the pooled Gaussian is a
+pure function of the leaves, so the cached implementation must agree
+with this one bit for bit after every message.  Configuration, leaves
+and counters are the real classes.
 """
 
 from __future__ import annotations
@@ -34,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.coordinator import CoordinatorConfig, CoordinatorStats, Leaf
 from repro.core.gaussian import Gaussian
 from repro.core.merging import fit_merged_component, m_merge, m_split
 from repro.core.mixture import GaussianMixture
@@ -45,153 +39,29 @@ from repro.core.protocol import (
 )
 from repro.obs.observer import Observer, ensure_observer
 
-__all__ = [
-    "Coordinator",
-    "CoordinatorConfig",
-    "CoordinatorStats",
-    "GlobalCluster",
-    "Leaf",
-]
-
-
-@dataclass(frozen=True, kw_only=True)
-class CoordinatorConfig:
-    """Coordinator tuning knobs.
-
-    Parameters
-    ----------
-    max_components:
-        Upper bound on global clusters; merging kicks in above it.
-        ``None`` disables merging entirely (the naive ``r·K`` union).
-    merge_method:
-        ``"simplex"`` (the paper's downhill-simplex fit of the father
-        component) or ``"moment"`` (exact moment matching -- the cheap
-        ablation).
-    merge_samples:
-        Monte-Carlo budget per accuracy-loss evaluation.
-    attach_threshold:
-        A new leaf joins an existing cluster outright when its
-        symmetrised Mahalanobis distance to the father is below this;
-        otherwise it starts a cluster of its own and the global cap
-        decides whether merging is needed.
-    tolerate_loss:
-        Survive unreliable links: a weight update referring to a model
-        whose announcement was lost is counted
-        (``stats.orphan_updates``) and ignored instead of raising.
-        Model updates are idempotent either way (a duplicate replaces
-        the same leaves), so duplicated deliveries are always safe.
-    """
-
-    max_components: int | None = 5
-    merge_method: str = "simplex"
-    merge_samples: int = 1024
-    attach_threshold: float = 4.0
-    tolerate_loss: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_components is not None and self.max_components < 1:
-            raise ValueError("max_components must be at least 1")
-        if self.merge_method not in ("simplex", "moment"):
-            raise ValueError(f"unknown merge method {self.merge_method!r}")
-        if self.attach_threshold <= 0.0:
-            raise ValueError("attach_threshold must be positive")
+__all__ = ["OracleCluster", "OracleCoordinator"]
 
 
 @dataclass
-class Leaf:
-    """A site component living in the coordinator's tree.
-
-    Attributes
-    ----------
-    site_id / model_id / component_index:
-        Origin of the component.
-    gaussian:
-        The component parameters as shipped.
-    weight:
-        Absolute mass: site mixture weight × model record counter.
-    remerge_score:
-        ``M_remerge(i, Mix)`` stored when the leaf was (re)merged into
-        its current father -- Algorithm 2 compares ``M_split`` against
-        its reciprocal on later updates.
-    """
-
-    site_id: int
-    model_id: int
-    component_index: int
-    gaussian: Gaussian
-    weight: float
-    remerge_score: float = float("inf")
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.site_id, self.model_id, self.component_index)
-
-
-@dataclass
-class GlobalCluster:
-    """A father node: a set of leaves plus its fitted representative.
-
-    The cluster owns what it derives from its leaves -- their total
-    weight and their sub-mixture, whose moment-matched pool
-    :class:`GaussianMixture` caches in turn -- and computes each once per
-    membership change: :meth:`add`, :meth:`remove`, :meth:`remove_model`
-    and :meth:`reweigh` drop both.  ``leaves`` is for reading; a leaf
-    list or leaf weight changed behind the cluster's back leaves the
-    cache stale (:meth:`Coordinator.check_invariants` reports it).
-    """
+class OracleCluster:
+    """A father node: a set of leaves plus its fitted representative."""
 
     cluster_id: int
     leaves: list[Leaf] = field(default_factory=list)
     father: Gaussian | None = None
-    _weight: float | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _mixture: GaussianMixture | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def weight(self) -> float:
-        if self._weight is None:
-            self._weight = float(sum(leaf.weight for leaf in self.leaves))
-        return self._weight
+        return float(sum(leaf.weight for leaf in self.leaves))
 
     def leaf_mixture(self) -> GaussianMixture:
         """Exact sub-mixture of this cluster's leaves."""
-        if self._mixture is None:
-            if not self.leaves:
-                raise ValueError("cluster has no leaves")
-            weights = np.array([leaf.weight for leaf in self.leaves])
-            self._mixture = GaussianMixture(
-                weights, tuple(leaf.gaussian for leaf in self.leaves)
-            )
-        return self._mixture
-
-    def add(self, leaf: Leaf) -> None:
-        self.leaves.append(leaf)
-        self._weight = self._mixture = None
-
-    def remove(self, leaf: Leaf) -> None:
-        self.leaves.remove(leaf)
-        self._weight = self._mixture = None
-
-    def remove_model(self, key: tuple[int, int]) -> None:
-        """Drop every leaf of site model ``key = (site_id, model_id)``."""
-        kept = [
-            leaf for leaf in self.leaves if (leaf.site_id, leaf.model_id) != key
-        ]
-        if len(kept) != len(self.leaves):
-            self.leaves = kept
-            self._weight = self._mixture = None
-
-    def reweigh(
-        self, key: tuple[int, int], mixture: GaussianMixture, count: int
-    ) -> None:
-        """Set the leaves of site model ``key`` to mass ``count``."""
-        for leaf in self.leaves:
-            if (leaf.site_id, leaf.model_id) == key:
-                leaf.weight = float(mixture.weights[leaf.component_index]) * count
-                self._weight = self._mixture = None
+        if not self.leaves:
+            raise ValueError("cluster has no leaves")
+        weights = np.array([leaf.weight for leaf in self.leaves])
+        return GaussianMixture(
+            weights, tuple(leaf.gaussian for leaf in self.leaves)
+        )
 
     def refresh_father(self) -> None:
         """Refit the representative as the leaves' moment-matched pool.
@@ -203,60 +73,8 @@ class GlobalCluster:
         self.father = self.leaf_mixture().pooled_gaussian()
 
 
-@dataclass
-class CoordinatorStats:
-    """Counters for the coordinator-side figures."""
-
-    messages_received: int = 0
-    bytes_received: int = 0
-    model_updates: int = 0
-    weight_updates: int = 0
-    deletions: int = 0
-    merges: int = 0
-    splits: int = 0
-    orphan_updates: int = 0
-
-    def register_message(self, message: Message) -> None:
-        self.messages_received += 1
-        self.bytes_received += message.payload_bytes()
-
-
-def _finite_spd(gaussian: Gaussian) -> bool:
-    if not (
-        np.all(np.isfinite(gaussian.mean))
-        and np.all(np.isfinite(gaussian.covariance))
-    ):
-        return False
-    try:
-        np.linalg.cholesky(gaussian.covariance)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-class Coordinator:
-    """The coordinator site of the CluDistream architecture.
-
-    Parameters
-    ----------
-    config:
-        Tuning knobs; defaults follow the paper (``K = 5`` global
-        components, simplex merge fit).
-    rng:
-        Randomness for the Monte-Carlo accuracy-loss estimates.
-    observer:
-        Optional :class:`~repro.obs.observer.Observer` receiving
-        ``coord.*`` trace events (message handling, Algorithm 2
-        merge/split decisions with their ``M_merge`` scores) and the
-        ``profile.merge_fit`` simplex timer.
-    history:
-        Optional :class:`~repro.obs.history.ModelHistory` recording a
-        pyramidally-retained snapshot of the global model after every
-        handled message (tick = ``message.time``, the originating
-        site's stream position; interleaved site clocks are safe
-        because out-of-order ticks are ignored).  ``None`` (default)
-        records nothing and keeps state byte-identical.
-    """
+class OracleCoordinator:
+    """``Coordinator`` as of the parent commit (see the module docstring)."""
 
     def __init__(
         self,
@@ -270,7 +88,7 @@ class Coordinator:
         self._obs = ensure_observer(observer)
         #: ``(site_id, model_id) -> (mixture, count)`` as last reported.
         self._site_models: dict[tuple[int, int], tuple[GaussianMixture, int]] = {}
-        self._clusters: dict[int, GlobalCluster] = {}
+        self._clusters: dict[int, OracleCluster] = {}
         self._cluster_ids = itertools.count()
         self.stats = CoordinatorStats()
         self.history = history
@@ -284,7 +102,7 @@ class Coordinator:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def clusters(self) -> tuple[GlobalCluster, ...]:
+    def clusters(self) -> tuple[OracleCluster, ...]:
         """Current global clusters (fathers with their leaves)."""
         return tuple(self._clusters.values())
 
@@ -308,87 +126,6 @@ class Coordinator:
                 cluster.refresh_father()
             pairs.append((cluster.weight, cluster.father))
         return GaussianMixture.from_pairs(pairs)
-
-    def landmark_mixture(self) -> GaussianMixture:
-        """Global landmark model: all reported site models, ever.
-
-        The union of every registered ``(site, model)`` mixture weighted
-        by its record counter -- the coordinator-side analogue of
-        :func:`repro.windows.landmark.landmark_mixture`.  Unlike
-        :meth:`global_mixture` (which reflects the merged *current*
-        tree), this spans everything the sites have reported since the
-        landmark, including models whose distribution has long passed.
-        """
-        combined: GaussianMixture | None = None
-        combined_mass = 0.0
-        for mixture, count in self._site_models.values():
-            if count <= 0:
-                continue
-            if combined is None:
-                combined = mixture
-                combined_mass = float(count)
-            else:
-                combined = combined.union(
-                    mixture, combined_mass, float(count)
-                )
-                combined_mass += float(count)
-        if combined is None:
-            raise ValueError("coordinator has received no models yet")
-        return combined
-
-    def full_mixture(self) -> GaussianMixture:
-        """The naive ``r·K`` union of every leaf (section 5.2's baseline)."""
-        leaves = [leaf for cluster in self._clusters.values() for leaf in cluster.leaves]
-        if not leaves:
-            raise ValueError("coordinator has received no models yet")
-        weights = np.array([leaf.weight for leaf in leaves])
-        return GaussianMixture(weights, tuple(leaf.gaussian for leaf in leaves))
-
-    def memory_bytes(self) -> int:
-        """Bytes held in the tree (leaves + fathers + counters)."""
-        total = 0
-        for cluster in self._clusters.values():
-            if cluster.father is not None:
-                total += cluster.father.payload_bytes()
-            total += sum(leaf.gaussian.payload_bytes() + 8 for leaf in cluster.leaves)
-        return total
-
-    def check_invariants(self) -> list[str]:
-        """What is wrong with the tree; empty when nothing is.
-
-        Every cluster's cached weight and leaf mixture (hence its pooled
-        Gaussian) must equal a recomputation from the leaves, every leaf
-        must belong to a registered site model and appear once, cluster
-        weights must be positive and fathers finite and positive
-        definite.  A check for tests and health probes: it costs a full
-        pass over the leaves and is never run on the message path.
-        """
-        problems = []
-        seen: set[tuple[int, int, int]] = set()
-        for cluster in self._clusters.values():
-            name = f"cluster {cluster.cluster_id}"
-            if not cluster.leaves:
-                problems.append(f"{name} has no leaves")
-                continue
-            fresh = GlobalCluster(cluster.cluster_id, list(cluster.leaves))
-            if cluster.weight != fresh.weight:
-                problems.append(f"{name}: cached weight is stale")
-            if cluster.leaf_mixture() != fresh.leaf_mixture() or (
-                cluster.leaf_mixture().pooled_gaussian()
-                != fresh.leaf_mixture().pooled_gaussian()
-            ):
-                problems.append(f"{name}: cached leaf mixture is stale")
-            if not cluster.weight > 0.0:
-                problems.append(f"{name}: weight {cluster.weight} is not positive")
-            for leaf in cluster.leaves:
-                if (leaf.site_id, leaf.model_id) not in self._site_models:
-                    problems.append(f"{name}: leaf {leaf.key} has no site model")
-                if leaf.key in seen:
-                    problems.append(f"{name}: leaf {leaf.key} appears twice")
-                seen.add(leaf.key)
-            if cluster.father is not None and not _finite_spd(cluster.father):
-                problems.append(f"{name}: father is not finite and SPD")
-        return problems
 
     # ------------------------------------------------------------------
     # Message handling
@@ -473,7 +210,11 @@ class Coordinator:
         if new_count <= 0:
             self._drop_model(key)
             return
-        self._reweigh(key, mixture, new_count)
+        self._site_models[key] = (mixture, new_count)
+        for leaf in self._leaves_of(key):
+            index = leaf.component_index
+            leaf.weight = float(mixture.weights[index]) * new_count
+        self._refresh_fathers()
         self.on_updates(message.site_id)
 
     def _on_deletion(self, message: DeletionMessage) -> None:
@@ -495,7 +236,10 @@ class Coordinator:
         if new_count <= 0:
             self._drop_model(key)
             return
-        self._reweigh(key, mixture, new_count)
+        self._site_models[key] = (mixture, new_count)
+        for leaf in self._leaves_of(key):
+            leaf.weight = float(mixture.weights[leaf.component_index]) * new_count
+        self._refresh_fathers()
 
     # ------------------------------------------------------------------
     # Algorithm 2: split / re-merge on updates
@@ -529,7 +273,7 @@ class Coordinator:
                         model=leaf.model_id,
                         cluster=cluster.cluster_id,
                     ):
-                        cluster.remove(leaf)
+                        cluster.leaves.remove(leaf)
                         split_leaves.append(leaf)
                         self.stats.splits += 1
                         if self._obs.enabled:
@@ -555,19 +299,25 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Tree maintenance
     # ------------------------------------------------------------------
-    def _reweigh(
-        self, key: tuple[int, int], mixture: GaussianMixture, count: int
-    ) -> None:
-        self._site_models[key] = (mixture, count)
-        for cluster in self._clusters.values():
-            cluster.reweigh(key, mixture, count)
-        self._refresh_fathers()
+    def _leaves_of(self, key: tuple[int, int]) -> list[Leaf]:
+        return [
+            leaf
+            for cluster in self._clusters.values()
+            for leaf in cluster.leaves
+            if (leaf.site_id, leaf.model_id) == key
+        ]
 
     def _remove_leaves(self, key: tuple[int, int]) -> None:
         for cluster_id, cluster in list(self._clusters.items()):
-            cluster.remove_model(key)
+            cluster.leaves = [
+                leaf
+                for leaf in cluster.leaves
+                if (leaf.site_id, leaf.model_id) != key
+            ]
             if not cluster.leaves:
                 del self._clusters[cluster_id]
+            else:
+                cluster.father = None
         self._refresh_fathers()
 
     def _drop_model(self, key: tuple[int, int]) -> None:
@@ -576,7 +326,7 @@ class Coordinator:
 
     def _attach(self, leaf: Leaf) -> None:
         """Home a leaf: nearest father within threshold, else new cluster."""
-        best_cluster: GlobalCluster | None = None
+        best_cluster: OracleCluster | None = None
         best_distance = np.inf
         for cluster in self._clusters.values():
             if cluster.father is None:
@@ -586,21 +336,22 @@ class Coordinator:
                 best_distance = distance
                 best_cluster = cluster
         if best_cluster is not None and best_distance <= self.config.attach_threshold:
-            best_cluster.add(leaf)
+            best_cluster.leaves.append(leaf)
             leaf.remerge_score = (
                 1.0 / best_distance if best_distance > 0.0 else np.inf
             )
             best_cluster.refresh_father()
         else:
-            cluster = GlobalCluster(next(self._cluster_ids), leaves=[leaf])
+            cluster = OracleCluster(cluster_id=next(self._cluster_ids))
+            cluster.leaves.append(leaf)
             leaf.remerge_score = np.inf
             cluster.refresh_father()
             self._clusters[cluster.cluster_id] = cluster
 
     def _refresh_fathers(self) -> None:
-        """Every father becomes its leaves' pool -- merge-fitted ones too."""
         for cluster in self._clusters.values():
-            cluster.refresh_father()
+            if cluster.leaves:
+                cluster.refresh_father()
 
     def _enforce_component_cap(self) -> None:
         """Greedy merging until at most ``max_components`` clusters remain.
@@ -651,11 +402,9 @@ class Coordinator:
                     method=self.config.merge_method,
                     observer=self._obs,
                 )
-            merged = GlobalCluster(
-                cluster_id=next(self._cluster_ids),
-                leaves=cluster_a.leaves + cluster_b.leaves,
-                father=fit.component,
-            )
+            merged = OracleCluster(cluster_id=next(self._cluster_ids))
+            merged.leaves = cluster_a.leaves + cluster_b.leaves
+            merged.father = fit.component
             for leaf in merged.leaves:
                 distance = leaf.gaussian.symmetric_mahalanobis_sq(merged.father)
                 leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
@@ -674,10 +423,3 @@ class Coordinator:
                     simplex_evaluations=fit.evaluations,
                     leaves=len(merged.leaves),
                 )
-
-    def __repr__(self) -> str:
-        return (
-            f"Coordinator(clusters={self.n_components}, "
-            f"site_models={len(self._site_models)}, "
-            f"messages={self.stats.messages_received})"
-        )
