@@ -35,7 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.gaussian import Gaussian
-from repro.core.merging import fit_merged_component, m_merge, m_split
+from repro.core.merging import (
+    accuracy_loss,
+    fit_merged_component,
+    m_merge,
+    m_split,
+)
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import (
     DeletionMessage,
@@ -52,6 +57,10 @@ __all__ = [
     "GlobalCluster",
     "Leaf",
 ]
+
+#: Seed of the sample stream behind a traced moment merge's
+#: ``accuracy_loss`` (drawn only when an observer is attached).
+TRACE_LOSS_SEED = 0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -640,21 +649,30 @@ class Coordinator:
         with self._obs.span("coord.merge", a=id_a, b=id_b):
             cluster_a = self._clusters.pop(id_a)
             cluster_b = self._clusters.pop(id_b)
+            pair = (
+                cluster_a.weight, cluster_a.father, cluster_b.weight, cluster_b.father
+            )
+            moment = self.config.merge_method == "moment"
             with self._obs.timer("profile.merge_fit"):
-                fit = fit_merged_component(
-                    cluster_a.weight,
-                    cluster_a.father,
-                    cluster_b.weight,
-                    cluster_b.father,
-                    n_samples=self.config.merge_samples,
-                    rng=self._rng,
-                    method=self.config.merge_method,
-                    observer=self._obs,
-                )
+                if moment:
+                    # Exact moment matching needs no samples: no loss is
+                    # estimated and the rng is left alone.
+                    father = cluster_a.father.merge_moments(
+                        cluster_b.father, cluster_a.weight, cluster_b.weight
+                    )
+                else:
+                    fit = fit_merged_component(
+                        *pair,
+                        n_samples=self.config.merge_samples,
+                        rng=self._rng,
+                        method=self.config.merge_method,
+                        observer=self._obs,
+                    )
+                    father = fit.component
             merged = GlobalCluster(
                 cluster_id=next(self._cluster_ids),
                 leaves=cluster_a.leaves + cluster_b.leaves,
-                father=fit.component,
+                father=father,
             )
             for leaf in merged.leaves:
                 distance = leaf.gaussian.symmetric_mahalanobis_sq(merged.father)
@@ -662,6 +680,20 @@ class Coordinator:
             self._clusters[merged.cluster_id] = merged
             self.stats.merges += 1
             if self._obs.enabled:
+                if moment:
+                    # Only the trace wants a moment merge's loss.  Its
+                    # samples come from a stream of their own, so the
+                    # coordinator's state is the same observed or not.
+                    loss = accuracy_loss(
+                        *pair,
+                        father,
+                        n_samples=self.config.merge_samples,
+                        rng=np.random.default_rng(TRACE_LOSS_SEED),
+                    )
+                    iterations = evaluations = 0
+                else:
+                    loss = fit.loss
+                    iterations, evaluations = fit.iterations, fit.evaluations
                 self._obs.inc("coord.merges")
                 self._obs.event(
                     "coord.merge",
@@ -669,9 +701,9 @@ class Coordinator:
                     b=id_b,
                     merged=merged.cluster_id,
                     m_merge=float(m_merge(cluster_a.father, cluster_b.father)),
-                    accuracy_loss=float(fit.loss),
-                    simplex_iterations=fit.iterations,
-                    simplex_evaluations=fit.evaluations,
+                    accuracy_loss=float(loss),
+                    simplex_iterations=iterations,
+                    simplex_evaluations=evaluations,
                     leaves=len(merged.leaves),
                 )
 

@@ -187,18 +187,29 @@ def run_lock_step(messages, cap, method, observed: bool):
         max_components=cap, merge_method=method, merge_samples=128,
         tolerate_loss=True,
     )
-    observer = Observer(sink=RingBufferSink()) if observed else None
+    sink = RingBufferSink()
+    observer = Observer(sink=sink) if observed else None
     coordinator = Coordinator(
         config, rng=np.random.default_rng(RNG_SEED), observer=observer
     )
     oracle = OracleCoordinator(config, rng=np.random.default_rng(RNG_SEED))
+    untouched = np.random.default_rng(RNG_SEED).bit_generator.state
     for message in messages:
         coordinator.handle_message(message)
         oracle.handle_message(message)
         assert_same_state(coordinator, oracle)
         assert coordinator.check_invariants() == []
         state = coordinator._rng.bit_generator.state
-        assert state == oracle._rng.bit_generator.state
+        if method == "simplex":
+            assert state == oracle._rng.bit_generator.state
+        else:
+            assert state == untouched
+    if observed:
+        # The trace keeps its loss estimate, whichever way the father
+        # was fitted.
+        merges = sink.of_type("coord.merge")
+        assert len(merges) == coordinator.stats.merges
+        assert all(0.0 <= e.fields["accuracy_loss"] < np.inf for e in merges)
     return coordinator
 
 
