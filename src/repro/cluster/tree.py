@@ -185,6 +185,9 @@ class TransportTree:
         self._leaves: dict[int, _LeafWiring] = {}
         self._root_id: int | None = None
         self.records_fed = 0
+        #: Something was handed to an edge since :meth:`drain` last
+        #: returned.  While clear, every outbox is known to be empty.
+        self._unsettled = False
         self._federate = federate
         #: Root-side collector (``federate=True`` only); drives the same
         #: rollup the deployed root serves at ``/cluster/health``.
@@ -349,9 +352,7 @@ class TransportTree:
             site_id=node_id,
             config=config if config is not None else self._site_config,
             rng=np.random.default_rng(self._seed + node_id),
-            emit=lambda message: codec_sender.send(
-                message, trace=self._obs.span_context()
-            ),
+            emit=lambda message: self._send(codec_sender, message),
             observer=self._obs,
         )
         wiring = _LeafWiring(
@@ -420,7 +421,8 @@ class TransportTree:
             raise KeyError(f"unknown leaf {leaf_id}")
         leaf.site.process_record(record)
         self.records_fed += 1
-        if self._faults is not None:
+        # With every outbox empty a drain advances nothing.
+        if self._faults is not None and self._unsettled:
             self.drain()
 
     def drain(self, step: float = 0.25, limit: float = 600.0) -> float:
@@ -445,6 +447,7 @@ class TransportTree:
                 )
             self.clock.advance(step)
             spent += step
+        self._unsettled = False
         return spent
 
     def close(self) -> None:
@@ -663,11 +666,15 @@ class TransportTree:
                     uploads = wiring.node.handle_child_message(message)
                     if wiring.uplink_codec is not None:
                         for upload in uploads:
-                            wiring.uplink_codec.send(
-                                upload, trace=obs.span_context()
-                            )
+                            self._send(wiring.uplink_codec, upload)
 
         return deliver
+
+    def _send(self, edge: CodecSender, message) -> None:
+        """Every data message enters an edge here, so :meth:`feed` knows
+        when there is something to drain."""
+        self._unsettled = True
+        edge.send(message, trace=self._obs.span_context())
 
     def _make_uplink(
         self,

@@ -22,6 +22,8 @@ from repro.core.remote import RemoteSiteConfig
 from repro.transport.lossy import FaultConfig
 
 LOSSY = FaultConfig(drop_rate=0.2, duplicate_rate=0.1, delay=0.05)
+#: The fault mix of the e2e ``tree_lossy`` workload.
+MILD = FaultConfig(drop_rate=0.10, duplicate_rate=0.03, reorder_rate=0.03)
 
 
 def fast_tree(faults: FaultConfig | None = None) -> TransportTree:
@@ -328,3 +330,74 @@ class TestWireCodecs:
         np.testing.assert_allclose(
             np.sort(clean.weights), np.sort(faulty.weights), atol=1e-9
         )
+
+
+def build_three_gateways(faults: FaultConfig | None) -> TransportTree:
+    """root(0) <- gateways 1..3, two leaves each, uploading every change."""
+    tree = fast_tree(faults)
+    tree.add_internal(0)
+    for node_id in (1, 2, 3):
+        tree.add_internal(node_id, parent_id=0, upload_threshold=0.0)
+        tree.add_leaf(10 * node_id, parent_id=node_id)
+        tree.add_leaf(10 * node_id + 1, parent_id=node_id)
+    return tree
+
+
+class TestDrainMark:
+    """``feed`` drains only when something was sent since the last
+    drain; that must be indistinguishable from draining every record."""
+
+    def run(self, drain_every_record: bool):
+        tree = build_three_gateways(MILD)
+        rng = np.random.default_rng(8)
+        drains = 0
+        drain = tree.drain
+
+        def counting_drain(*args, **kwargs):
+            nonlocal drains
+            drains += 1
+            return drain(*args, **kwargs)
+
+        tree.drain = counting_drain
+        for center in (0.0, 30.0):
+            for leaf_id in (10, 11, 20, 21, 30, 31):
+                points, _ = mixture_at(center + leaf_id).sample(250, rng)
+                for row in points:
+                    tree.feed(leaf_id, row)
+                    if drain_every_record:
+                        tree.drain()
+        tree.drain()
+        mixture = tree.global_mixture()
+        state = (
+            tree.clock.now,
+            tree.level_stats(),
+            [tree.receiver_stats(node_id) for node_id in (0, 1, 2, 3)],
+            mixture.weights.tobytes(),
+            [(c.mean.tobytes(), c.covariance.tobytes()) for c in mixture.components],
+        )
+        tree.close()
+        return state, drains
+
+    def test_same_run_as_draining_after_every_record(self):
+        marked, marked_drains = self.run(drain_every_record=False)
+        every, every_drains = self.run(drain_every_record=True)
+        assert marked == every
+        assert marked[0] > 0.0  # the lossy links did cost clock time
+        assert every_drains > 3000 and marked_drains < 100
+
+    def test_send_outside_feed_is_drained_by_the_next_feed(self):
+        tree = build_three_gateways(LOSSY)  # delayed links: nothing lands
+        site = tree.sites[0]                # until the clock moves
+        points, _ = mixture_at(0.0).sample(251, np.random.default_rng(3))
+        # Not through feed(): the site trains on the chunk and uploads.
+        site.process_chunk(points[:250])
+        assert site.stats.messages_sent == 1
+        assert tree.receiver_stats(1).delivered == 0
+        tree.feed(10, points[250])
+        assert tree.receiver_stats(1).delivered == 1
+        assert tree.receiver_stats(0).delivered == 1
+        # ... and with nothing outstanding, feeding leaves the clock alone.
+        now = tree.clock.now
+        tree.feed(10, points[250])
+        assert tree.clock.now == now
+        tree.close()
