@@ -403,7 +403,7 @@ def snapshot_aggregator(node, arq: Mapping | None = None) -> dict:
     """Serialise a :class:`~repro.multilayer.tree.InternalNode`.
 
     The snapshot covers the wrapped coordinator, the upload gate (last
-    uploaded mixture, next model id, uplink counters) and, optionally,
+    uploaded mixture, uplink counters) and, optionally,
     the ARQ edge state under ``arq``: ``{"uplink_next_seq": int,
     "cursors": {child_id: next_expected_seq}}``.  With the ARQ state
     restored, a crashed aggregator resumes mid-deployment against peers
@@ -422,7 +422,6 @@ def snapshot_aggregator(node, arq: Mapping | None = None) -> dict:
             if node._last_uploaded is not None
             else None
         ),
-        "next_model_id": node._next_model_id,
         "messages_up": node.messages_up,
         "bytes_up": node.bytes_up,
     }
@@ -442,7 +441,9 @@ def restore_aggregator(payload: Mapping, observer: Observer | None = None):
 
     Returns ``(node, arq)`` where ``arq`` is the dict passed to
     :func:`snapshot_aggregator` (cursor keys back as ints), or ``None``
-    when the snapshot carried no edge state.
+    when the snapshot carried no edge state.  Snapshots written when
+    every upload took a fresh model id carry a ``next_model_id``; it is
+    ignored.
     """
     from repro.multilayer.tree import InternalNode
 
@@ -461,7 +462,6 @@ def restore_aggregator(payload: Mapping, observer: Observer | None = None):
         if payload["last_uploaded"] is not None
         else None
     )
-    node._next_model_id = payload["next_model_id"]
     node.messages_up = payload["messages_up"]
     node.bytes_up = payload["bytes_up"]
     arq = payload.get("arq")

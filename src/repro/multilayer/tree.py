@@ -25,6 +25,9 @@ from repro.core.remote import RemoteSite, RemoteSiteConfig
 
 __all__ = ["InternalNode", "LeafNode", "TreeNetwork", "mixture_change"]
 
+#: The one ``model_id`` an internal node's summaries travel under.
+SUMMARY_MODEL_ID = 0
+
 
 def mixture_change(old: GaussianMixture | None, new: GaussianMixture) -> float:
     """A cheap change score between two mixtures.
@@ -80,6 +83,13 @@ class InternalNode:
     upload_threshold:
         Minimal :func:`mixture_change` score that triggers an upload;
         ``0.0`` uploads on every observable change.
+
+    An upload is the *cumulative* summary of the node's subtree, so it
+    replaces the previous one: every upload goes up under the same
+    ``(node_id, SUMMARY_MODEL_ID)`` key and the parent's model-update
+    path swaps the old leaves for the new ones.  A parent therefore
+    holds one site model per child, and its mass is the sum of its
+    children's current masses.
     """
 
     node_id: int
@@ -87,7 +97,6 @@ class InternalNode:
     parent_id: int | None = None
     upload_threshold: float = 0.05
     _last_uploaded: GaussianMixture | None = field(default=None, repr=False)
-    _next_model_id: int = 0
     messages_up: int = 0
     bytes_up: int = 0
 
@@ -103,7 +112,7 @@ class InternalNode:
         self._last_uploaded = summary
         upload = ModelUpdateMessage(
             site_id=self.node_id,
-            model_id=self._allocate_model_id(),
+            model_id=SUMMARY_MODEL_ID,
             time=message.time,
             mixture=summary,
             count=max(1, round(sum(c.weight for c in self.coordinator.clusters))),
@@ -112,11 +121,6 @@ class InternalNode:
         self.messages_up += 1
         self.bytes_up += upload.payload_bytes()
         return [upload]
-
-    def _allocate_model_id(self) -> int:
-        model_id = self._next_model_id
-        self._next_model_id += 1
-        return model_id
 
 
 class TreeNetwork:

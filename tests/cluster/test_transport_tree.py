@@ -20,6 +20,7 @@ from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSiteConfig
 from repro.transport.lossy import FaultConfig
+from tests.multilayer.test_tree import assert_one_summary_per_child
 
 LOSSY = FaultConfig(drop_rate=0.2, duplicate_rate=0.1, delay=0.05)
 #: The fault mix of the e2e ``tree_lossy`` workload.
@@ -341,6 +342,44 @@ def build_three_gateways(faults: FaultConfig | None) -> TransportTree:
         tree.add_leaf(10 * node_id, parent_id=node_id)
         tree.add_leaf(10 * node_id + 1, parent_id=node_id)
     return tree
+
+
+class TestSummaryReplacesItsPredecessor:
+    @pytest.mark.parametrize("faults", [None, MILD], ids=["loopback", "lossy"])
+    def test_parent_holds_one_model_per_child(self, faults):
+        tree = build_three_gateways(faults)
+        children = [tree.internal(node_id) for node_id in (1, 2, 3)]
+        for round_index, center in enumerate((0.0, 30.0, 60.0)):
+            for child in children:
+                for leaf in (0, 1):
+                    feed_leaf(
+                        tree,
+                        10 * child.node_id + leaf,
+                        center + 7.0 * child.node_id,
+                        250,
+                        seed=10 * round_index + leaf,
+                    )
+            assert_one_summary_per_child(tree.root, children)
+        assert all(child.messages_up >= 3 for child in children)
+        if faults is not None:
+            assert sum(s.retransmissions for s in tree.level_stats()) > 0
+        tree.close()
+
+    def test_snapshot_with_next_model_id_still_loads(self):
+        """Aggregator snapshots written when every upload took a fresh
+        model id carry ``next_model_id``; the key is ignored."""
+        tree = build_three_gateways(None)
+        children = [tree.internal(node_id) for node_id in (1, 2, 3)]
+        for child in children:
+            feed_leaf(tree, 10 * child.node_id, 7.0 * child.node_id, 250, 1)
+        payload = tree.aggregator_snapshot(1)
+        assert "next_model_id" not in payload
+        payload["next_model_id"] = 7
+        children[0] = tree.restore_aggregator(payload)
+        feed_leaf(tree, 11, 60.0, 250, 2)
+        assert children[0].messages_up >= 2
+        assert_one_summary_per_child(tree.root, children)
+        tree.close()
 
 
 class TestDrainMark:

@@ -172,3 +172,48 @@ class TestUploadThreshold:
         for row in points:
             tree.feed(10, row)
         assert gateway.messages_up >= 1
+
+
+def assert_one_summary_per_child(root, children, cap=4):
+    """The replace-in-place contract, seen from a parent coordinator:
+    one site model per child that uploaded, the mass of the children's
+    latest summaries and no more leaves than children x cap."""
+    models = root.coordinator.site_models
+    assert sorted(models) == [(child.node_id, 0) for child in children]
+    mass = sum(cluster.weight for cluster in root.coordinator.clusters)
+    assert mass == pytest.approx(sum(count for _, count in models.values()))
+    # With upload_threshold=0 the latest summary is the current state.
+    assert mass == pytest.approx(
+        sum(
+            max(1, round(sum(c.weight for c in child.coordinator.clusters)))
+            for child in children
+        )
+    )
+    leaves = sum(len(cluster.leaves) for cluster in root.coordinator.clusters)
+    assert leaves <= len(children) * cap
+    assert root.coordinator.check_invariants() == []
+
+
+class TestSummaryReplacesItsPredecessor:
+    def test_parent_holds_one_model_per_child(self):
+        tree = fast_tree()
+        root = tree.add_internal(0)
+        children = [
+            tree.add_internal(node_id, parent_id=0, upload_threshold=0.0)
+            for node_id in (1, 2, 3)
+        ]
+        for child in children:
+            for leaf in (0, 1):
+                tree.add_leaf(10 * child.node_id + leaf, parent_id=child.node_id)
+        rng = np.random.default_rng(4)
+        for round_index, center in enumerate((0.0, 30.0, 60.0)):
+            for child in children:
+                for leaf in (0, 1):
+                    points, _ = mixture_at(center + 7.0 * child.node_id).sample(
+                        250, rng
+                    )
+                    for row in points:
+                        tree.feed(10 * child.node_id + leaf, row)
+            assert all(child.messages_up >= round_index + 1 for child in children)
+            assert_one_summary_per_child(root, children)
+        assert all(child.messages_up >= 3 for child in children)
