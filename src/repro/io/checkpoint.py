@@ -330,15 +330,10 @@ def restore_coordinator(
         raise ValueError("payload is not a coordinator checkpoint")
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')}")
-    # Checkpoints written before the KD-tree index was removed carry its
-    # (never engaged) ``index_candidates`` setting; it is ignored.
-    config = CoordinatorConfig(
-        **{
-            key: value
-            for key, value in payload["config"].items()
-            if key != "index_candidates"
-        }
-    )
+    settings = dict(payload["config"])
+    # Written by checkpoints that predate the KD-tree index's removal.
+    settings.pop("index_candidates", None)
+    config = CoordinatorConfig(**settings)
     coordinator = Coordinator(
         config, rng=_rng_from_state(payload["rng"]), observer=observer
     )
