@@ -75,7 +75,7 @@ def build_messages(ops, seed: int) -> list[Message]:
         if kind == "duplicate" and messages:
             messages.append(messages[-1])
             continue
-        if kind == "model" or kind == "duplicate":
+        if kind in ("model", "duplicate"):  # nothing to duplicate yet: announce
             counts[key] = int(rng.integers(100, 1000))
             messages.append(
                 ModelUpdateMessage(
