@@ -49,6 +49,10 @@ from repro.obs.observer import Observer, ensure_observer
 
 __all__ = ["ModelEntry", "RemoteSite", "RemoteSiteConfig", "SiteStatistics"]
 
+#: NumPy hands out one dtype object for native float64; any other
+#: spelling merely takes ``process_record``'s converting path.
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True, kw_only=True)
 class RemoteSiteConfig:
@@ -311,7 +315,16 @@ class RemoteSite:
         self._rng = rng if rng is not None else np.random.default_rng(site_id)
         self._emit = emit
         self._obs = ensure_observer(observer)
-        self._buffer: list[np.ndarray] = []
+        # The config is frozen, so Theorem 1 is evaluated once, here.
+        self._dim = self.config.dim
+        self._chunk = self.config.chunk
+        #: The chunk being filled: an owned ``(M, d)`` block whose first
+        #: ``_fill`` rows are submitted records.  A full block is handed
+        #: to Algorithm 1 as it is and never written again (the model,
+        #: the hold-out and the history may keep it), so the next record
+        #: starts a fresh one.
+        self._block: np.ndarray | None = None
+        self._fill = 0
         self._current: ModelEntry | None = None
         self._archive: list[ModelEntry] = []
         self._next_model_id = 0
@@ -336,7 +349,7 @@ class RemoteSite:
     @property
     def chunk(self) -> int:
         """Chunk size ``M`` in records."""
-        return self.config.chunk
+        return self._chunk
 
     @property
     def position(self) -> int:
@@ -391,28 +404,46 @@ class RemoteSite:
     def process_record(self, record: np.ndarray) -> list[Message]:
         """Ingest one record; runs Algorithm 1 when a chunk completes.
 
-        Returns the messages emitted by this record (usually empty --
-        at most one chunk boundary can fall on a single record).
+        The record is copied into the site's chunk block, so the caller
+        may reuse its array.  Returns the messages emitted by this
+        record (usually empty -- at most one chunk boundary can fall on
+        a single record).
         """
-        record = np.asarray(record, dtype=float).ravel()
-        if record.size != self.config.dim:
-            raise ValueError(
-                f"record has dimension {record.size}, site expects "
-                f"{self.config.dim}"
-            )
-        if np.isnan(record).any() and not self.config.handle_missing:
-            raise ValueError(
-                "record has missing attributes; enable "
-                "RemoteSiteConfig(handle_missing=True) to accept them"
-            )
-        self._buffer.append(record)
+        dim = self._dim
+        if (
+            type(record) is not np.ndarray
+            or record.dtype is not _FLOAT64
+            or record.shape != (dim,)
+        ):
+            record = np.asarray(record, dtype=float).ravel()
+            if record.size != dim:
+                raise ValueError(
+                    f"record has dimension {record.size}, site expects {dim}"
+                )
+        if not self.config.handle_missing:
+            # argmax treats NaN as the maximum, so the entry it picks is
+            # NaN exactly when some entry is; unlike a sum (of squares)
+            # it cannot overflow into a RuntimeWarning on huge values.
+            largest = record[record.argmax()]
+            if largest != largest:
+                raise ValueError(
+                    "record has missing attributes; enable "
+                    "RemoteSiteConfig(handle_missing=True) to accept them"
+                )
+        block = self._block
+        if block is None:
+            block = self._block = np.empty((self._chunk, dim))
+        fill = self._fill
+        block[fill] = record
         self.stats.records_seen += 1
-        if len(self._buffer) < self.chunk:
+        fill += 1
+        if fill < self._chunk:
+            self._fill = fill
             return []
-        chunk = np.stack(self._buffer)
-        self._buffer = []
-        self._position += chunk.shape[0]
-        return self._handle_chunk(chunk)
+        self._block = None
+        self._fill = 0
+        self._position += fill
+        return self._handle_chunk(block)
 
     def process_stream(self, records: Iterable[np.ndarray]) -> list[Message]:
         """Ingest many records; returns all messages emitted."""
@@ -429,7 +460,7 @@ class RemoteSite:
         the record-by-record path.
         """
         chunk = np.atleast_2d(np.asarray(chunk, dtype=float))
-        if self._buffer:
+        if self._fill:
             raise RuntimeError(
                 "process_chunk cannot be mixed with a partially filled "
                 "record buffer"

@@ -180,7 +180,9 @@ def snapshot_site(site: RemoteSite) -> dict:
         "kind": "remote_site",
         "site_id": site.site_id,
         "config": config_payload,
-        "buffer": [row.tolist() for row in site._buffer],
+        "buffer": (
+            site._block[: site._fill].tolist() if site._fill else []
+        ),
         "current": (
             _model_entry_to_dict(site.current_model)
             if site.current_model is not None
@@ -226,7 +228,16 @@ def restore_site(
         rng=_rng_from_state(payload["rng"]),
         observer=observer,
     )
-    site._buffer = [np.asarray(row, dtype=float) for row in payload["buffer"]]
+    rows = payload["buffer"]
+    if rows:
+        if len(rows) >= site.chunk:
+            raise ValueError(
+                f"checkpoint buffers {len(rows)} records, a chunk is "
+                f"{site.chunk}"
+            )
+        site._block = np.empty((site.chunk, config.dim))
+        site._block[: len(rows)] = rows
+        site._fill = len(rows)
     site._current = (
         _model_entry_from_dict(payload["current"])
         if payload["current"] is not None

@@ -1,0 +1,231 @@
+"""Record ingest into the chunk block is the old list ingest, byte for byte.
+
+``RemoteSite.process_record`` writes each record into a pre-allocated
+``(M, d)`` block instead of appending a row object to a list and
+stacking the list per chunk.  That is a different place to keep the
+same rows and nothing else: driven by the same records,
+``RemoteSite`` and the list-buffer reference kept in
+``tests.core.ingest_oracle`` must raise the same error from the same
+call and, after *every* record, have emitted the same messages and hold
+the same counters, position and checkpoint payload -- whatever the
+record's type, dtype or shape.
+
+``data/site_checkpoint_partial_buffer.json`` was written by the
+list-buffer implementation itself (``python
+tests/core/test_ingest_identity.py --write`` on the commit before the
+block), 7 records into a chunk: the block implementation must reach the
+same bytes at that record, load them, and finish the stream as if it
+had never stopped.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.em import EMConfig
+from repro.core.remote import RemoteSite, RemoteSiteConfig
+from repro.core.serde import get_codec
+from repro.io.checkpoint import restore_site, snapshot_site
+from tests.core.ingest_oracle import OracleSite, oracle_snapshot
+
+FIXTURE = Path(__file__).parent / "data" / "site_checkpoint_partial_buffer.json"
+
+DIM = 2
+CHUNK = 6
+ENCODE = get_codec("cds1").encode
+
+#: Entries a record may hold: ordinary values, zeros, ±inf, NaN,
+#: subnormals and values whose square overflows.
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2e-310, 1e200, -1.7e308)
+entries = st.one_of(*[st.floats(-5.0, 5.0)] * 11, st.sampled_from(SPECIAL))
+
+
+def site_config(handle_missing: bool = False, chunk: int = CHUNK) -> RemoteSiteConfig:
+    return RemoteSiteConfig(
+        dim=DIM,
+        epsilon=0.05,
+        delta=0.05,
+        c_max=3,
+        em=EMConfig(n_components=1, n_init=1, max_iter=5),
+        handle_missing=handle_missing,
+        chunk_override=chunk,
+    )
+
+
+@st.composite
+def records(draw):
+    """One submitted record, in any of the spellings a producer uses."""
+    kind = draw(
+        st.sampled_from(
+            ["f64"] * 12
+            + ["list", "int", "f32", "row", "column", "strided"] * 2
+            + ["short", "long", "text", "none"]
+        )
+    )
+    if kind == "text":
+        return ["a", "b"]
+    if kind == "none":
+        return None
+    size = {"short": DIM - 1, "long": DIM + 1}.get(kind, DIM)
+    values = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    if kind == "list":
+        return values.tolist()
+    if kind == "int":
+        return np.clip(np.nan_to_num(values), -9, 9).astype(np.int64)
+    if kind == "f32":
+        with np.errstate(over="ignore"):
+            return values.astype(np.float32)
+    if kind == "row":
+        return values.reshape(1, DIM)
+    if kind == "column":
+        return values.reshape(DIM, 1)
+    if kind == "strided":
+        return np.repeat(values, 2)[::2]
+    return values
+
+
+def outcome(site: RemoteSite, record):
+    """What one ``process_record`` call did: messages or the error."""
+    try:
+        return "ok", [ENCODE(m) for m in site.process_record(record)]
+    except Exception as error:  # compared, not handled
+        return type(error).__name__, str(error)
+
+
+def assert_same_state(site: RemoteSite, oracle: OracleSite) -> None:
+    assert vars(site.stats) == vars(oracle.stats)
+    assert site.position == oracle.position
+    assert json.dumps(snapshot_site(site)) == json.dumps(oracle_snapshot(oracle))
+
+
+class TestBlockIngestIsListIngest:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stream=st.lists(records(), min_size=CHUNK, max_size=5 * CHUNK),
+        handle_missing=st.booleans(),
+    )
+    def test_every_record_has_the_same_outcome(self, stream, handle_missing):
+        config = site_config(handle_missing)
+        site = RemoteSite(3, config, rng=np.random.default_rng(8))
+        oracle = OracleSite(3, config, rng=np.random.default_rng(8))
+        for record in stream:
+            assert outcome(site, record) == outcome(oracle, record)
+            assert_same_state(site, oracle)
+
+    def test_drifting_stream_record_by_record(self):
+        """Every Algorithm 1 transition, compared after every record."""
+        config = RemoteSiteConfig(
+            dim=DIM,
+            epsilon=0.05,
+            delta=0.05,
+            c_max=3,
+            em=EMConfig(n_components=2, n_init=1, max_iter=20),
+            chunk_override=40,
+        )
+        site = RemoteSite(1, config, rng=np.random.default_rng(4))
+        oracle = OracleSite(1, config, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(17)
+        sent = 0
+        for regime in (0.0, 8.0, 0.0, 16.0, 8.0):
+            for row in rng.normal(regime, 1.0, size=(2 * 40 + 9, DIM)):
+                result = outcome(site, row)
+                assert result == outcome(oracle, row.copy())
+                sent += len(result[1])
+                assert_same_state(site, oracle)
+        assert sent >= 4
+        assert site.stats.n_reactivations >= 1
+        assert site.stats.n_archived >= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(entries, min_size=1, max_size=9),
+        handle_missing=st.booleans(),
+    )
+    def test_nan_rejection_is_isnan_any(self, values, handle_missing):
+        """The one-call check rejects exactly what ``np.isnan(r).any()``
+        does -- and, like it, stays silent on values that overflow when
+        squared or summed (RuntimeWarnings are errors in this suite)."""
+        record = np.array(values)
+        config = RemoteSiteConfig(
+            dim=record.size, handle_missing=handle_missing, chunk_override=10**6
+        )
+        site = RemoteSite(0, config)
+        if np.isnan(record).any() and not handle_missing:
+            with pytest.raises(ValueError, match="missing attributes"):
+                site.process_record(record)
+            assert site.stats.records_seen == 0
+            assert snapshot_site(site)["buffer"] == []
+        else:
+            assert site.process_record(record) == []
+            # Bit-for-bit (NaN included): what was stored is the record.
+            stored = np.array(snapshot_site(site)["buffer"])
+            assert stored.tobytes() == record.tobytes()
+
+
+# ----------------------------------------------------------------------
+# A checkpoint written by the list-buffer implementation
+# ----------------------------------------------------------------------
+_RECORDS = 2 * 40 + 7
+
+
+def partial_workload() -> np.ndarray:
+    rng = np.random.default_rng(31)
+    return np.concatenate(
+        [rng.normal(0.0, 1.0, size=(40, DIM)), rng.normal(9.0, 1.0, size=(120, DIM))]
+    )
+
+
+def fresh_partial_site() -> RemoteSite:
+    config = RemoteSiteConfig(
+        dim=DIM,
+        epsilon=0.05,
+        delta=0.05,
+        em=EMConfig(n_components=2, n_init=1, max_iter=20),
+        chunk_override=40,
+    )
+    return RemoteSite(5, config, rng=np.random.default_rng(77))
+
+
+def snapshot_bytes(site: RemoteSite) -> bytes:
+    return json.dumps(snapshot_site(site), sort_keys=True).encode()
+
+
+class TestListBufferCheckpointLoads:
+    def test_block_site_writes_the_same_bytes_mid_chunk(self):
+        site = fresh_partial_site()
+        site.process_stream(partial_workload()[:_RECORDS])
+        assert len(snapshot_site(site)["buffer"]) == 7
+        assert snapshot_bytes(site) == FIXTURE.read_bytes()
+
+    def test_fixture_round_trips_through_restore(self):
+        restored = restore_site(json.loads(FIXTURE.read_text()))
+        assert snapshot_bytes(restored) == FIXTURE.read_bytes()
+
+    def test_restored_site_finishes_the_stream(self):
+        data = partial_workload()
+        restored = restore_site(json.loads(FIXTURE.read_text()))
+        uninterrupted = fresh_partial_site()
+        uninterrupted.process_stream(data[:_RECORDS])
+        assert [ENCODE(m) for m in restored.process_stream(data[_RECORDS:])] == [
+            ENCODE(m) for m in uninterrupted.process_stream(data[_RECORDS:])
+        ]
+        assert snapshot_bytes(restored) == snapshot_bytes(uninterrupted)
+        assert restored.position == 160
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--write" in sys.argv:
+        site = fresh_partial_site()
+        site.process_stream(partial_workload()[:_RECORDS])
+        FIXTURE.write_bytes(snapshot_bytes(site))
+        print(f"wrote {FIXTURE}")
+    else:
+        print(__doc__)

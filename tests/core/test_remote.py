@@ -169,6 +169,41 @@ class TestMultiTestReactivation:
             assert current.start == previous.end
 
 
+class TestRecordOwnership:
+    """A record belongs to the site from the call that submitted it."""
+
+    @staticmethod
+    def capture_chunks(site: RemoteSite, monkeypatch) -> list[np.ndarray]:
+        seen: list[np.ndarray] = []
+        monkeypatch.setattr(
+            site, "_handle_chunk", lambda chunk: seen.append(chunk) or []
+        )
+        return seen
+
+    def test_producer_may_reuse_its_array(self, site: RemoteSite, monkeypatch):
+        seen = self.capture_chunks(site, monkeypatch)
+        data = stream_of(make_mixture(0.0), site.chunk, 1)
+        scratch = np.empty(2)
+        for row in data:
+            scratch[:] = row  # the river ``learn_one`` idiom: one array
+            site.process_record(scratch)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], data)
+
+    def test_handed_off_chunk_is_never_written_again(
+        self, site: RemoteSite, monkeypatch
+    ):
+        seen = self.capture_chunks(site, monkeypatch)
+        data = stream_of(make_mixture(0.0), 2 * site.chunk, 1)
+        site.process_stream(data[: site.chunk])
+        first = seen[0].copy()
+        site.process_stream(data[site.chunk :])
+        # Algorithm 1, the hold-out and the history may keep a chunk:
+        # the block is fresh per chunk, not a ring.
+        assert np.array_equal(seen[0], first)
+        assert not np.shares_memory(seen[0], seen[1])
+
+
 class TestChunkEntryPoint:
     def test_process_chunk_equivalent_accounting(self, site: RemoteSite):
         chunk = stream_of(make_mixture(0.0), site.chunk, 2)

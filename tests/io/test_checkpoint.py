@@ -11,6 +11,7 @@ from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage
 from repro.core.remote import RemoteSite, RemoteSiteConfig
+from repro.core.serde import get_codec
 from repro.io.checkpoint import (
     load_coordinator,
     load_site,
@@ -64,10 +65,27 @@ class TestSiteCheckpoint:
 
     def test_round_trip_preserves_partial_buffer(self):
         site = make_site()
-        feed(site, 0.0, 450, 1)  # one chunk + 150 buffered
-        clone = restore_site(snapshot_site(site))
-        assert len(clone._buffer) == 150
-        assert np.allclose(np.stack(clone._buffer), np.stack(site._buffer))
+        points, _ = mixture_at(0.0).sample(450, np.random.default_rng(1))
+        site.process_stream(points)  # one chunk + 150 buffered
+        payload = snapshot_site(site)
+        assert payload["buffer"] == points[300:].tolist()
+        clone = restore_site(payload)
+        assert snapshot_site(clone) == payload
+        # The restored rows complete the same chunk as the original's.
+        rest, _ = mixture_at(40.0).sample(150, np.random.default_rng(2))
+        encode = get_codec("cds1").encode
+        assert [encode(m) for m in clone.process_stream(rest)] == [
+            encode(m) for m in site.process_stream(rest)
+        ]
+        assert clone.position == site.position == 600
+
+    def test_buffer_that_does_not_fit_a_chunk_rejected(self):
+        site = make_site()
+        feed(site, 0.0, 10, 1)
+        payload = snapshot_site(site)
+        payload["buffer"] = payload["buffer"] * 30  # 300 rows, M = 300
+        with pytest.raises(ValueError, match="a chunk is 300"):
+            restore_site(payload)
 
     def test_restored_site_continues_identically(self):
         original = make_site()

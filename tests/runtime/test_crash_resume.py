@@ -9,10 +9,14 @@ with datagram-level faults injected.
 
 from __future__ import annotations
 
+import functools
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
@@ -127,6 +131,53 @@ def test_resumed_run_matches_uninterrupted_run(backend, tmp_path):
     assert run_crashed_and_resumed(make_channel, tmp_path) == (
         run_uninterrupted(make_channel)
     )
+
+
+# ----------------------------------------------------------------------
+# A crash at any record, not only on a round or chunk boundary
+# ----------------------------------------------------------------------
+def record_schedule() -> list[tuple[int, np.ndarray]]:
+    """``Runtime.run``'s order: one record per site per round."""
+    streams = make_streams()
+    return [
+        (site_id, streams[site_id][index])
+        for index in range(RECORDS)
+        for site_id in sorted(streams)
+    ]
+
+
+def finish(runtime: Runtime) -> str:
+    runtime.channel.finish()
+    runtime.channel.quiesce()
+    runtime.channel.close()
+    return state_bytes(runtime)
+
+
+@functools.cache
+def stepped_uninterrupted(backend: str) -> str:
+    runtime = CluDistream(fast_config(), seed=0).runtime(CHANNELS[backend]())
+    for site_id, record in record_schedule():
+        runtime.step(site_id, record)
+    return finish(runtime)
+
+
+@pytest.mark.parametrize("backend", sorted(CHANNELS))
+@settings(max_examples=6, deadline=None)
+@given(crash_at=st.integers(1, 2 * RECORDS - 1))
+def test_crash_at_any_record_matches_uninterrupted_run(backend, crash_at):
+    """The sites are checkpointed with partly filled chunk blocks (each
+    at its own fill) and must pick up at the next record."""
+    schedule = record_schedule()
+    crashed = CluDistream(fast_config(), seed=0).runtime(CHANNELS[backend]())
+    for site_id, record in schedule[:crash_at]:
+        crashed.step(site_id, record)
+    with tempfile.TemporaryDirectory() as directory:
+        crashed.checkpoint(directory)
+        crashed.channel.close()
+        resumed = Runtime.resume(directory, CHANNELS[backend]())
+    for site_id, record in schedule[crash_at:]:
+        resumed.step(site_id, record)
+    assert finish(resumed) == stepped_uninterrupted(backend)
 
 
 def test_crash_between_checkpoints_leaves_the_last_snapshot(tmp_path):
