@@ -1,31 +1,29 @@
 """The assembled CluDistream system (paper section 5).
 
 :class:`CluDistream` wires ``r`` :class:`~repro.core.remote.RemoteSite`
-instances to one :class:`~repro.core.coordinator.Coordinator`, in one of
-three transports:
+instances to one :class:`~repro.core.coordinator.Coordinator` and
+drives them through :meth:`CluDistream.runtime`: one
+:class:`~repro.runtime.Runtime` over a pluggable
+:class:`~repro.runtime.Channel`, which decides how messages travel:
 
-* **direct mode** (:meth:`CluDistream.feed`) -- messages are delivered
-  to the coordinator synchronously; ideal for quality experiments where
-  network timing is irrelevant;
-* **simulated mode** (:meth:`CluDistream.run_simulation`) -- sites pump
-  their streams through the discrete-event engine over a star network
-  with latency/bandwidth, and the per-second communication-cost series
-  of Figure 2 is collected on the way;
-* **transport mode** (:meth:`CluDistream.run_over_transport`) -- the
-  wire-format messages travel a :mod:`repro.transport` backend with
-  full reliability semantics (sequence numbers, retransmission,
-  dedupe), surviving seeded drop/duplicate/reorder faults with a final
-  state identical to the loss-free run.  The same stack runs over real
-  asyncio TCP sockets via ``repro.transport.tcp`` and the ``serve`` /
-  ``site`` CLI subcommands.
+* :class:`~repro.runtime.DirectChannel` -- messages are delivered to
+  the coordinator synchronously; ideal for quality experiments where
+  network timing is irrelevant.  :meth:`CluDistream.feed` and
+  :meth:`CluDistream.feed_streams` are shorthands for this channel;
+* :class:`~repro.runtime.SimulatedChannel` -- sites pump their streams
+  through the discrete-event engine over a star network with
+  latency/bandwidth, and the per-second communication-cost series of
+  Figure 2 is collected on the way (``channel.cost_series()``);
+* :class:`~repro.runtime.TransportChannel` -- the wire-format messages
+  travel a :mod:`repro.transport` backend with full reliability
+  semantics (sequence numbers, retransmission, dedupe), surviving
+  seeded drop/duplicate/reorder faults with a final state identical to
+  the loss-free run.  The same stack runs over real asyncio TCP sockets
+  via ``repro.transport.tcp`` and the ``serve`` / ``site`` CLI
+  subcommands.
 
-All three entry points are thin façades over one
-:class:`~repro.runtime.Runtime` driving a pluggable
-:class:`~repro.runtime.Channel` (:class:`~repro.runtime.DirectChannel`,
-:class:`~repro.runtime.SimulatedChannel`,
-:class:`~repro.runtime.TransportChannel` respectively); use
-:meth:`CluDistream.runtime` directly for fault injection, unified
-delivery accounting, or checkpoint/resume.
+Every channel takes fault injection and reports unified delivery
+accounting; the runtime adds checkpoint/resume.
 
 This is the primary public entry point of the library; see
 ``examples/quickstart.py``.
@@ -33,7 +31,6 @@ This is the primary public entry point of the library; see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -45,15 +42,9 @@ from repro.core.mixture import GaussianMixture
 from repro.core.protocol import Message
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.obs.observer import Observer, ensure_observer
-from repro.runtime import (
-    Channel,
-    DirectChannel,
-    Runtime,
-    SimulatedChannel,
-    TransportChannel,
-)
+from repro.runtime import Channel, DirectChannel, Runtime
 
-__all__ = ["CluDistream", "CluDistreamConfig", "SimulationReport"]
+__all__ = ["CluDistream", "CluDistreamConfig"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -71,26 +62,19 @@ class CluDistreamConfig:
         Per-site configuration (shared by all sites).
     coordinator:
         Coordinator configuration.
-    rate:
-        Stream rate per site in records per virtual second (simulated
-        mode only; the paper processes ~1000 updates/s).
-    latency:
-        Site-to-coordinator propagation delay in virtual seconds.
-    bandwidth:
-        Link bandwidth in bytes per virtual second (``None`` =
-        unconstrained).
+    rate / latency / bandwidth:
+        Link model for callers that build a
+        :class:`~repro.runtime.SimulatedChannel` from this config:
+        stream rate per site in records per virtual second (the paper
+        processes ~1000 updates/s), site-to-coordinator propagation
+        delay in virtual seconds, and link bandwidth in bytes per
+        virtual second (``None`` = unconstrained).  Nothing in
+        :class:`CluDistream` itself reads them.
     incremental:
         System-wide escalation policy switch for the site refit ladder
         (DESIGN.md section 14).  ``True`` / ``False`` force
         ``site.em.incremental`` on or off for every site; ``None``
         (default) leaves whatever ``site`` says untouched.
-    wire_codec / quantize / delta_encoding:
-        Wire format for transport mode (DESIGN.md section 15): the
-        codec every edge speaks (``"cds1"`` or ``"cds2"``), the
-        covariance precision shipped by CDS2 (``"f64"``, ``"f32"``,
-        ``"f16"``) and whether CDS2 sends baseline deltas instead of
-        full snapshots.  The defaults reproduce the CDS1 byte
-        accounting exactly.  Direct and simulated modes ignore these.
     """
 
     n_sites: int = 20
@@ -100,26 +84,12 @@ class CluDistreamConfig:
     latency: float = 0.01
     bandwidth: float | None = None
     incremental: bool | None = None
-    wire_codec: str = "cds1"
-    quantize: str = "f64"
-    delta_encoding: bool = False
-
-    def codec_config(self):
-        """The :class:`~repro.core.serde.CodecConfig` these settings name."""
-        from repro.core.serde import CodecConfig
-
-        return CodecConfig(quantize=self.quantize, delta=self.delta_encoding)
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise ValueError("need at least one remote site")
         if self.rate <= 0.0:
             raise ValueError("rate must be positive")
-        # get_codec validates both the codec name and whether the codec
-        # can honour the quantize/delta settings (CDS1 cannot).
-        from repro.core.serde import get_codec
-
-        get_codec(self.wire_codec, self.codec_config())
         if (
             self.incremental is not None
             and self.incremental != self.site.em.incremental
@@ -136,30 +106,6 @@ class CluDistreamConfig:
             )
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    """Summary of one simulated run.
-
-    Attributes
-    ----------
-    duration:
-        Virtual seconds elapsed.
-    records:
-        Total records delivered across all sites.
-    messages / bytes:
-        Network traffic totals.
-    cost_series:
-        Per-second cumulative communication cost ``(times, bytes)`` --
-        the Figure 2 curve.
-    """
-
-    duration: float
-    records: int
-    messages: int
-    bytes: int
-    cost_series: tuple[list[float], list[float]]
-
-
 class CluDistream:
     """The distributed clustering system: ``r`` sites + coordinator.
 
@@ -172,9 +118,9 @@ class CluDistream:
         and sites are independent.
     observer:
         Optional :class:`~repro.obs.observer.Observer`, shared by the
-        coordinator and every site (and forwarded to the transport stack
-        in :meth:`run_over_transport`).  ``None`` keeps the system
-        completely uninstrumented.
+        coordinator and every site (and forwarded to the channel by
+        :meth:`runtime`).  ``None`` keeps the system completely
+        uninstrumented.
     """
 
     def __init__(
@@ -212,9 +158,8 @@ class CluDistream:
     ) -> Runtime:
         """A :class:`~repro.runtime.Runtime` over this system.
 
-        This is the general form of the three mode methods below: pick
-        any :class:`~repro.runtime.Channel` (with fault injection if
-        desired), get unified delivery accounting, and opt into the
+        Pick any :class:`~repro.runtime.Channel` (with fault injection
+        if desired), get unified delivery accounting, and opt into the
         checkpoint/resume lifecycle.  ``channel`` defaults to a fresh
         :class:`~repro.runtime.DirectChannel`.
         """
@@ -269,139 +214,6 @@ class CluDistream:
         # over the shared direct channel (accounting accumulates).
         runtime = self.runtime(self._direct().channel)
         return runtime.run(streams, max_records_per_site).records
-
-    # ------------------------------------------------------------------
-    # Simulated mode
-    # ------------------------------------------------------------------
-    def run_simulation(
-        self,
-        streams: Mapping[int, Iterable[np.ndarray]],
-        max_records_per_site: int,
-        sample_interval: float = 1.0,
-    ) -> SimulationReport:
-        """Run the system on the discrete-event engine.
-
-        Each site consumes its stream at ``config.rate`` records per
-        virtual second; messages traverse the star network with the
-        configured latency/bandwidth; communication cost is sampled
-        every ``sample_interval`` virtual seconds.
-
-        Parameters
-        ----------
-        streams:
-            ``site_id -> record iterable`` (sites without a stream stay
-            idle).
-        max_records_per_site:
-            Stop each site after this many records.
-        sample_interval:
-            Grid period of the cost collector.
-
-        Returns
-        -------
-        SimulationReport
-
-        .. deprecated:: 1.1
-            Use :meth:`runtime` with a
-            :class:`~repro.runtime.SimulatedChannel` instead; this shim
-            will be removed one release after 1.1 (see DESIGN.md §10,
-            "Public API and deprecation policy").
-        """
-        warnings.warn(
-            "CluDistream.run_simulation is deprecated; build a Runtime "
-            "over a SimulatedChannel instead: "
-            "system.runtime(SimulatedChannel(...)).run(streams, n). "
-            "The shim will be removed one release after 1.1.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        channel = SimulatedChannel(
-            rate=self.config.rate,
-            latency=self.config.latency,
-            bandwidth=self.config.bandwidth,
-            sample_interval=sample_interval,
-        )
-        report = self.runtime(channel).run(streams, max_records_per_site)
-        accounting = report.accounting
-        return SimulationReport(
-            duration=report.duration,
-            records=report.records,
-            messages=accounting.attempted,
-            bytes=accounting.payload_bytes,
-            cost_series=channel.cost_series(),
-        )
-
-    # ------------------------------------------------------------------
-    # Transport mode
-    # ------------------------------------------------------------------
-    def run_over_transport(
-        self,
-        streams: Mapping[int, Iterable[np.ndarray]],
-        max_records_per_site: int,
-        transport,
-        clock,
-        reliability=None,
-        drain_step: float = 0.25,
-        drain_limit: float = 600.0,
-        seed: int = 0,
-    ):
-        """Drive the system through a :mod:`repro.transport` backend.
-
-        Sites emit through :class:`~repro.transport.endpoint.SiteEndpoint`
-        objects (serde + reliable delivery) instead of handing messages
-        straight to the coordinator.  After every record the transport is
-        *drained* -- the manual ``clock`` is advanced until every outbox
-        is acknowledged -- so delivery order equals emission order and
-        the final coordinator state is identical across backends: a
-        seeded lossy transport converges to exactly the loopback state
-        (retransmission + dedupe restore the loss-free history).
-
-        Parameters
-        ----------
-        streams / max_records_per_site:
-            As in :meth:`feed_streams`.
-        transport:
-            Any :class:`~repro.transport.base.DatagramTransport`.
-        clock:
-            A :class:`~repro.transport.clock.ManualClock` shared with the
-            transport's fault injector (if any).
-        reliability:
-            Optional :class:`~repro.transport.reliability.ReliabilityConfig`.
-        drain_step / drain_limit:
-            Clock step and safety bound of each drain.
-
-        Returns
-        -------
-        tuple
-            ``(site_endpoints, coordinator_endpoint)`` with all delivery
-            statistics, already closed.
-
-        .. deprecated:: 1.1
-            Use :meth:`runtime` with a
-            :class:`~repro.runtime.TransportChannel` instead; this shim
-            will be removed one release after 1.1 (see DESIGN.md §10,
-            "Public API and deprecation policy").
-        """
-        warnings.warn(
-            "CluDistream.run_over_transport is deprecated; build a "
-            "Runtime over a TransportChannel instead: "
-            "system.runtime(TransportChannel(transport, clock, ...))"
-            ".run(streams, n). The shim will be removed one release "
-            "after 1.1.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        channel = TransportChannel(
-            transport,
-            clock,
-            reliability=reliability,
-            drain_step=drain_step,
-            drain_limit=drain_limit,
-            seed=seed,
-            wire_codec=self.config.wire_codec,
-            codec_config=self.config.codec_config(),
-        )
-        self.runtime(channel).run(streams, max_records_per_site)
-        return channel.endpoints, channel.coordinator_endpoint
 
     # ------------------------------------------------------------------
     # Results

@@ -17,10 +17,10 @@ checkpoint/resume lifecycle built on :mod:`repro.io.checkpoint`:
   uninterrupted run (the crash/resume suite asserts byte-identical
   snapshots on all three channel backends).
 
-``CluDistream.feed`` / ``run_simulation`` / ``run_over_transport`` are
-thin façades over this loop; new execution modes (sharding, async
-batching, alternative wire formats) plug in as new channels without
-touching the drivers.
+``CluDistream.runtime`` builds one of these over an assembled system
+(``CluDistream.feed`` / ``feed_streams`` are its direct-channel
+shorthands); new execution modes (sharding, async batching, alternative
+wire formats) plug in as new channels without touching the driver.
 """
 
 from __future__ import annotations

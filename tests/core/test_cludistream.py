@@ -11,6 +11,7 @@ from repro.core.em import EMConfig
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSiteConfig
+from repro.runtime import SimulatedChannel
 
 
 def fast_config(n_sites: int = 3) -> CluDistreamConfig:
@@ -116,11 +117,13 @@ class TestSimulatedMode:
             0: stream_from(mixture_at(0.0), 500, 1),
             1: stream_from(mixture_at(20.0), 500, 2),
         }
-        report = system.run_simulation(streams, max_records_per_site=500)
+        report = system.runtime(SimulatedChannel(rate=1000.0)).run(
+            streams, max_records_per_site=500
+        )
         assert report.records == 1000
         assert report.duration >= 0.5  # 500 records at 1000/s
-        assert report.messages == system.total_messages_sent()
-        assert report.bytes == system.total_bytes_sent()
+        assert report.accounting.attempted == system.total_messages_sent()
+        assert report.accounting.payload_bytes == system.total_bytes_sent()
 
     def test_simulation_cost_series_is_monotone(self):
         system = CluDistream(fast_config(2), seed=0)
@@ -128,12 +131,13 @@ class TestSimulatedMode:
             0: stream_from(mixture_at(0.0), 2000, 1),
             1: stream_from(mixture_at(20.0), 2000, 2),
         }
-        report = system.run_simulation(
-            streams, max_records_per_site=2000, sample_interval=0.5
+        channel = SimulatedChannel(sample_interval=0.5)
+        report = system.runtime(channel).run(
+            streams, max_records_per_site=2000
         )
-        _, values = report.cost_series
+        _, values = channel.cost_series()
         assert values == sorted(values)
-        assert values[-1] == report.bytes
+        assert values[-1] == report.accounting.payload_bytes
 
     def test_simulation_matches_direct_mode_results(self):
         direct = CluDistream(fast_config(2), seed=0)
@@ -147,7 +151,9 @@ class TestSimulatedMode:
             1: stream_from(mixture_at(20.0), 500, 2),
         }
         direct.feed_streams(streams_a, max_records_per_site=500)
-        simulated.run_simulation(streams_b, max_records_per_site=500)
+        simulated.runtime(SimulatedChannel()).run(
+            streams_b, max_records_per_site=500
+        )
         # Same records, same seeds: identical traffic either way.
         assert direct.total_bytes_sent() == simulated.total_bytes_sent()
 

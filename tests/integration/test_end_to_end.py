@@ -10,6 +10,7 @@ from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSite, RemoteSiteConfig
+from repro.runtime import SimulatedChannel
 from repro.streams.base import take
 from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 from repro.streams.noise import NoiseConfig, NoisyStream
@@ -194,10 +195,13 @@ class TestNetflowWorkload:
             )
             for i in range(2)
         }
-        report = system.run_simulation(streams, max_records_per_site=2000)
+        channel = SimulatedChannel(rate=config.rate)
+        report = system.runtime(channel).run(
+            streams, max_records_per_site=2000
+        )
         assert report.records == 4000
-        assert report.bytes > 0
-        times, values = report.cost_series
+        assert report.accounting.payload_bytes > 0
+        times, values = channel.cost_series()
         assert len(times) == len(values)
         assert values == sorted(values)
 

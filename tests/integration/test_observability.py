@@ -27,6 +27,7 @@ from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
 from repro.obs import JsonlTraceSink, Observer, summarize_trace, to_json
+from repro.runtime import TransportChannel
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.clock import ManualClock
@@ -84,17 +85,22 @@ def traced_run(lossy: bool):
         )
         for site_id in range(N_SITES)
     }
-    endpoints, coordinator_endpoint = system.run_over_transport(
-        streams,
-        max_records_per_site=RECORDS_PER_SITE,
-        transport=transport,
-        clock=clock,
+    channel = TransportChannel(
+        transport,
+        clock,
         reliability=ReliabilityConfig(
             initial_timeout=0.4, jitter=0.1, heartbeat_interval=None
         ),
     )
+    system.runtime(channel).run(streams, max_records_per_site=RECORDS_PER_SITE)
     observer.flush()
-    return system, endpoints, coordinator_endpoint, observer, buffer.getvalue()
+    return (
+        system,
+        channel.endpoints,
+        channel.coordinator_endpoint,
+        observer,
+        buffer.getvalue(),
+    )
 
 
 def export_artifacts(name: str, trace: str, observer: Observer) -> None:

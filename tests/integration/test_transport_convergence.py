@@ -18,6 +18,7 @@ from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
 from repro.evaluation.comm import delivery_report
+from repro.runtime import TransportChannel
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.clock import ManualClock
@@ -74,27 +75,26 @@ def reliability() -> ReliabilityConfig:
     )
 
 
+def run_over(system: CluDistream, transport, clock):
+    """Drive ``system`` over ``transport``; returns its (closed) endpoints."""
+    channel = TransportChannel(transport, clock, reliability=reliability())
+    system.runtime(channel).run(
+        make_streams(), max_records_per_site=RECORDS_PER_SITE
+    )
+    return channel.endpoints, channel.coordinator_endpoint
+
+
 @pytest.fixture(scope="module")
 def runs():
     loopback_system = make_system()
-    loopback_endpoints = loopback_system.run_over_transport(
-        make_streams(),
-        max_records_per_site=RECORDS_PER_SITE,
-        transport=LoopbackTransport(),
-        clock=ManualClock(),
-        reliability=reliability(),
+    loopback_endpoints = run_over(
+        loopback_system, LoopbackTransport(), ManualClock()
     )
 
     lossy_system = make_system()
     clock = ManualClock()
     lossy = LossyTransport(LoopbackTransport(), clock, FAULTS, seed=21)
-    lossy_endpoints = lossy_system.run_over_transport(
-        make_streams(),
-        max_records_per_site=RECORDS_PER_SITE,
-        transport=lossy,
-        clock=clock,
-        reliability=reliability(),
-    )
+    lossy_endpoints = run_over(lossy_system, lossy, clock)
     return loopback_system, loopback_endpoints, lossy_system, lossy, lossy_endpoints
 
 

@@ -1,10 +1,10 @@
-"""The stable public API surface and its deprecation shims.
+"""The stable public API surface.
 
 ``repro``'s top-level namespace is the library's compatibility
 contract (DESIGN.md section 10): everything in ``__all__`` must be
-importable, config constructors are keyword-only, and the legacy
-``run_simulation`` / ``run_over_transport`` entry points warn before
-their removal one release after 1.1.
+importable, config constructors are keyword-only, and the runtime path
+that replaced the removed ``run_simulation`` / ``run_over_transport``
+shims raises no deprecation warning.
 """
 
 from __future__ import annotations
@@ -122,27 +122,6 @@ def _tiny_streams():
 
 
 class TestDeprecationShims:
-    def test_run_simulation_warns_and_still_works(self):
-        system = _tiny_system()
-        with pytest.warns(DeprecationWarning, match="SimulatedChannel"):
-            report = system.run_simulation(
-                _tiny_streams(), max_records_per_site=20
-            )
-        assert report.records == 20
-
-    def test_run_over_transport_warns_and_still_works(self):
-        from repro.transport.clock import ManualClock
-        from repro.transport.loopback import LoopbackTransport
-
-        system = _tiny_system()
-        with pytest.warns(DeprecationWarning, match="TransportChannel"):
-            system.run_over_transport(
-                _tiny_streams(),
-                max_records_per_site=20,
-                transport=LoopbackTransport(),
-                clock=ManualClock(),
-            )
-
     def test_runtime_path_does_not_warn(self):
         system = _tiny_system()
         with warnings.catch_warnings():

@@ -19,6 +19,7 @@ from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
 from repro.obs import JsonlTraceSink, Observer
+from repro.runtime import TransportChannel
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.clock import ManualClock
@@ -97,15 +98,14 @@ def run_once(seed: int) -> tuple[object, str]:
         )
         for site_id in range(N_SITES)
     }
-    system.run_over_transport(
-        streams,
-        max_records_per_site=RECORDS_PER_SITE,
-        transport=lossy,
-        clock=clock,
+    channel = TransportChannel(
+        lossy,
+        clock,
         reliability=ReliabilityConfig(
             initial_timeout=0.4, jitter=0.1, heartbeat_interval=None
         ),
     )
+    system.runtime(channel).run(streams, max_records_per_site=RECORDS_PER_SITE)
     observer.flush()
     return lossy.faults, buffer.getvalue()
 
