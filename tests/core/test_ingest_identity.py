@@ -11,11 +11,11 @@ the same counters, position and checkpoint payload -- whatever the
 record's type, dtype or shape.
 
 ``data/site_checkpoint_partial_buffer.json`` was written by the
-list-buffer implementation itself (``python
-tests/core/test_ingest_identity.py --write`` on the commit before the
-block), 7 records into a chunk: the block implementation must reach the
-same bytes at that record, load them, and finish the stream as if it
-had never stopped.
+list-buffer implementation itself (``PYTHONPATH=<src of ed9cf30>:.
+python tests/core/test_ingest_identity.py --write``, i.e. this file run
+against the commit before the block), 7 records into a chunk: the block
+implementation must reach the same bytes at that record, load them, and
+finish the stream as if it had never stopped.
 """
 
 from __future__ import annotations
@@ -46,13 +46,15 @@ SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2e-310, 1e200, -1.7e308)
 entries = st.one_of(*[st.floats(-5.0, 5.0)] * 11, st.sampled_from(SPECIAL))
 
 
-def site_config(handle_missing: bool = False, chunk: int = CHUNK) -> RemoteSiteConfig:
+def site_config(
+    handle_missing: bool = False, components: int = 1, chunk: int = CHUNK
+) -> RemoteSiteConfig:
     return RemoteSiteConfig(
         dim=DIM,
         epsilon=0.05,
         delta=0.05,
         c_max=3,
-        em=EMConfig(n_components=1, n_init=1, max_iter=5),
+        em=EMConfig(n_components=components, n_init=1, max_iter=20),
         handle_missing=handle_missing,
         chunk_override=chunk,
     )
@@ -120,14 +122,7 @@ class TestBlockIngestIsListIngest:
 
     def test_drifting_stream_record_by_record(self):
         """Every Algorithm 1 transition, compared after every record."""
-        config = RemoteSiteConfig(
-            dim=DIM,
-            epsilon=0.05,
-            delta=0.05,
-            c_max=3,
-            em=EMConfig(n_components=2, n_init=1, max_iter=20),
-            chunk_override=40,
-        )
+        config = site_config(components=2, chunk=40)
         site = RemoteSite(1, config, rng=np.random.default_rng(4))
         oracle = OracleSite(1, config, rng=np.random.default_rng(4))
         rng = np.random.default_rng(17)
@@ -182,13 +177,7 @@ def partial_workload() -> np.ndarray:
 
 
 def fresh_partial_site() -> RemoteSite:
-    config = RemoteSiteConfig(
-        dim=DIM,
-        epsilon=0.05,
-        delta=0.05,
-        em=EMConfig(n_components=2, n_init=1, max_iter=20),
-        chunk_override=40,
-    )
+    config = site_config(components=2, chunk=40)
     return RemoteSite(5, config, rng=np.random.default_rng(77))
 
 
