@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import EMConfig, RemoteSiteConfig
+from repro.cluster import TransportTree
 from repro.core.coordinator import CoordinatorConfig
-from repro.multilayer import TreeNetwork
 from repro.streams import EvolvingGaussianStream, EvolvingStreamConfig
 
 SENSORS_PER_GATEWAY = 3
@@ -26,7 +26,7 @@ RECORDS_PER_SENSOR = 4_000
 
 
 def main() -> None:
-    tree = TreeNetwork(
+    tree = TransportTree(
         site_config=RemoteSiteConfig(
             dim=3,  # e.g. temperature, humidity, particulates
             epsilon=0.05,
@@ -74,7 +74,7 @@ def main() -> None:
             tree.feed(leaf_id, next(iterator))
 
     print("\n=== Traffic per tree level ===")
-    leaf_bytes = sum(leaf.site.stats.bytes_sent for leaf in tree.leaves)
+    leaf_bytes = sum(site.stats.bytes_sent for site in tree.sites)
     print(f"sensor -> gateway: {leaf_bytes} bytes")
     for gateway in gateways:
         print(
@@ -93,9 +93,7 @@ def main() -> None:
 
     gateway_bytes = sum(g.bytes_up for g in gateways)
     gateway_uploads = sum(g.messages_up for g in gateways)
-    leaf_messages = sum(
-        leaf.site.stats.messages_sent for leaf in tree.leaves
-    )
+    leaf_messages = sum(site.stats.messages_sent for site in tree.sites)
     print(
         f"\nStability across the hierarchy: {leaf_messages} leaf model "
         f"updates were absorbed into {gateway_uploads} gateway uploads "

@@ -59,8 +59,6 @@ from repro.core import (
     available_codecs,
     average_log_likelihood,
     chunk_size,
-    decode_message,
-    encode_message,
     fit_em,
     fit_test,
     get_codec,
@@ -81,7 +79,7 @@ from repro.runtime import (
     TransportChannel,
 )
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 #: Bench entry points re-exported lazily (PEP 562): ``repro.bench``
 #: pulls in the stream generators and scenario registry, which plain
@@ -142,8 +140,6 @@ __all__ = [
     "available_codecs",
     "average_log_likelihood",
     "chunk_size",
-    "decode_message",
-    "encode_message",
     "fit_em",
     "fit_test",
     "get_codec",

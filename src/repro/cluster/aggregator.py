@@ -1,7 +1,7 @@
 """One aggregator process of a deployed §7 tree.
 
 :class:`AggregatorServer` is a :class:`~repro.transport.tcp.CoordinatorServer`
-whose delivery path runs an :class:`~repro.multilayer.tree.InternalNode`
+whose delivery path is an :class:`~repro.cluster.hop.AggregatorHop`
 instead of a bare coordinator: every child payload is absorbed into the
 node's local coordinator, and -- when the node is not the root -- the
 resulting uploads (gated on :func:`~repro.multilayer.tree.mixture_change`)
@@ -11,11 +11,6 @@ connection carrying the same ``TPT1`` envelopes through a
 aggregator is indistinguishable from a site; to its children it is
 indistinguishable from the flat coordinator.  That symmetry is the whole
 deployment story: trees of any depth compose out of this one class.
-
-Span contexts ride the envelopes in both directions, so a chunk test at
-a leaf process, the ``cluster.aggregate`` span at its gateway and the
-merge at the root process land on one causally linked trace even though
-each hop lives in a different OS process.
 """
 
 from __future__ import annotations
@@ -25,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.cluster.hop import AggregatorHop
 from repro.core.serde import CodecConfig, get_codec
 from repro.multilayer.tree import InternalNode
 from repro.obs.observer import Observer
@@ -98,8 +94,8 @@ class AggregatorServer(CoordinatorServer):
         )
         self.node = node
         self.level = level
+        self._hop = AggregatorHop(node, level, self.codec, self._obs)
         self._arq = dict(arq) if arq is not None else None
-        self._uplink: ReliableSender | None = None
         self._uplink_wire_codec = uplink_wire_codec
         self._uplink_codec_config = uplink_codec_config
         self._uplink_codec: CodecSender | None = None
@@ -108,10 +104,8 @@ class AggregatorServer(CoordinatorServer):
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         await super().start(host, port)
-        assert self.receiver is not None
-        if self._arq is not None:
-            for child_id, expected in self._arq.get("cursors", {}).items():
-                self.receiver.restore_cursor(int(child_id), int(expected))
+        self._hop.receiver = self.receiver
+        self._hop.restore_cursors(self._arq)
 
     # ------------------------------------------------------------------
     # Uplink to the parent aggregator
@@ -126,7 +120,7 @@ class AggregatorServer(CoordinatorServer):
         if self._arq is not None:
             first_seq = int(self._arq.get("uplink_next_seq", 1))
         self._uplink_writer = writer
-        self._uplink = ReliableSender(
+        uplink = ReliableSender(
             site_id=self.node.node_id,
             transmit=writer.write,
             clock=AsyncioClock(loop),
@@ -135,9 +129,13 @@ class AggregatorServer(CoordinatorServer):
             observer=self._obs,
             first_seq=first_seq,
         )
-        self._uplink_codec = CodecSender(
-            self._uplink,
+        self._uplink_codec = codec_sender = CodecSender(
+            uplink,
             get_codec(self._uplink_wire_codec, self._uplink_codec_config),
+        )
+        self._hop.uplink = uplink
+        self._hop.forward = lambda upload: codec_sender.send(
+            upload, trace=self._obs.span_context()
         )
 
         async def pump_acks() -> None:
@@ -148,8 +146,7 @@ class AggregatorServer(CoordinatorServer):
                     if not chunk:
                         return
                     for envelope in decoder.feed(chunk):
-                        assert self._uplink is not None
-                        self._uplink.handle_envelope(envelope)
+                        uplink.handle_envelope(envelope)
             except (ConnectionResetError, OSError):
                 # Parent went away; finish_uplink notices the dead pump
                 # and reports the loss instead of draining forever.
@@ -159,7 +156,7 @@ class AggregatorServer(CoordinatorServer):
 
     @property
     def uplink(self) -> ReliableSender | None:
-        return self._uplink
+        return self._hop.uplink
 
     @property
     def uplink_codec(self) -> CodecSender | None:
@@ -167,45 +164,38 @@ class AggregatorServer(CoordinatorServer):
 
     def arq_state(self) -> dict:
         """ARQ continuation state for the aggregator checkpoint."""
-        cursors: dict[int, int] = {}
-        if self.receiver is not None:
-            cursors = self.receiver.cursor_snapshot()
-        return {
-            "uplink_next_seq": (
-                self._uplink.last_seq + 1 if self._uplink is not None else 1
-            ),
-            "cursors": cursors,
-        }
+        return self._hop.arq_state()
 
     async def finish_uplink(self, drain_timeout: float = 60.0) -> None:
         """Drain unacked uploads, send DONE upward, close the uplink."""
-        if self._uplink is None:
+        uplink = self.uplink
+        if uplink is None:
             return
         if self._uplink_codec is not None:
             self._uplink_codec.flush()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + drain_timeout
-        while self._uplink.outstanding() > 0:
+        while uplink.outstanding() > 0:
             if self._ack_task is not None and self._ack_task.done():
                 raise ConnectionError(
                     f"aggregator {self.node.node_id}: parent connection "
-                    f"lost with {self._uplink.outstanding()} uploads "
+                    f"lost with {uplink.outstanding()} uploads "
                     "unacknowledged"
                 )
             if loop.time() > deadline:
                 raise TimeoutError(
                     f"aggregator {self.node.node_id}: "
-                    f"{self._uplink.outstanding()} uploads unacknowledged"
+                    f"{uplink.outstanding()} uploads unacknowledged"
                 )
             await asyncio.sleep(0.02)
-        self._uplink.send_done()
+        uplink.send_done()
         assert self._uplink_writer is not None
         await self._uplink_writer.drain()
         # Same reset hazard as the site client: closing with unread
         # acks pending turns into an RST that can destroy the DONE in
         # the parent's receive queue.  Half-close (FIN ordered after
         # DONE) and linger until the parent closes its side.
-        self._uplink.close()
+        uplink.close()
         try:
             self._uplink_writer.write_eof()
             if self._ack_task is not None:
@@ -215,8 +205,8 @@ class AggregatorServer(CoordinatorServer):
 
     async def close(self) -> None:
         await super().close()
-        if self._uplink is not None:
-            self._uplink.close()
+        if self.uplink is not None:
+            self.uplink.close()
         if self._ack_task is not None:
             self._ack_task.cancel()
             await asyncio.gather(self._ack_task, return_exceptions=True)
@@ -231,21 +221,8 @@ class AggregatorServer(CoordinatorServer):
     # Delivery: child payload -> node -> (maybe) parent
     # ------------------------------------------------------------------
     def _deliver(self, child_id: int, payload: bytes, trace=None) -> None:
-        message = self.codec.decode(payload)
+        self._hop.deliver(child_id, payload, trace)
         obs = self._obs
-        with obs.remote_parent(trace):
-            with obs.span(
-                "cluster.aggregate",
-                node=self.node.node_id,
-                child=child_id,
-                level=self.level,
-            ):
-                uploads = self.node.handle_child_message(message)
-                if self._uplink_codec is not None:
-                    for upload in uploads:
-                        self._uplink_codec.send(
-                            upload, trace=obs.span_context()
-                        )
         obs.gauge_set(
             "cluster.node_messages_up",
             float(self.node.messages_up),

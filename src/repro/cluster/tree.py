@@ -1,40 +1,41 @@
 """The §7 tree over the real transport stack, in one process.
 
-:class:`TransportTree` carries the exact semantics of
-:class:`repro.multilayer.tree.TreeNetwork` -- every internal node runs
+:class:`TransportTree` is the paper's tree-structured network: every
+internal node (:class:`~repro.multilayer.tree.InternalNode`) runs
 coordinator merge/split over its children and uploads to its parent only
-on :func:`~repro.multilayer.tree.mixture_change` -- but every tree edge
-is a real :mod:`repro.transport` link: serde-encoded payloads inside
-``TPT1`` envelopes, a :class:`~repro.transport.reliability.ReliableSender`
-per child, a :class:`~repro.transport.reliability.ReliableReceiver` per
-aggregator, and optional seeded fault injection per subnet.  The same
-object therefore backs three jobs:
+on :func:`~repro.multilayer.tree.mixture_change`.  Every tree edge is a
+real :mod:`repro.transport` link -- a
+:class:`~repro.transport.endpoint.SiteEndpoint` per child (serde-encoded
+payloads inside ``TPT1`` envelopes through a reliable sender), a
+:class:`~repro.transport.reliability.ReliableReceiver` per aggregator
+delivering into the one :class:`~repro.cluster.hop.AggregatorHop`, and
+optional seeded fault injection per subnet.  Over loopback (the default)
+delivery is synchronous and the tree is simply the in-memory §7 network.
+The same object therefore backs three jobs:
 
-* the multilayer test suite ported onto the transport stack (loopback
-  and lossy links must reproduce the simulated-network results);
+* the multilayer test suite (loopback and lossy links must produce the
+  same results);
 * the aggregator crash/resume suite (an internal node is snapshotted
   with its ARQ edge state and rebuilt mid-run);
 * the 1000-site soak harness (:mod:`repro.cluster.soak`), which needs
   per-level byte accounting straight off the wire.
 
 Each aggregator owns one *subnet*: the transport instance its children
-(sites or lower aggregators) send into.  Spans adopt the envelope's
-propagated context on delivery and re-propagate from the upload path,
-so a chunk test at a leaf, the aggregation at its gateway and the merge
-at the root land on one causally linked trace.
+(sites or lower aggregators) send into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
+from repro.cluster.hop import AggregatorHop
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.core.serde import CodecConfig, WireCodec, get_codec
+from repro.core.serde import CodecConfig, get_codec
 from repro.io.checkpoint import restore_aggregator, snapshot_aggregator
 from repro.multilayer.tree import InternalNode
 from repro.obs.federation import (
@@ -43,16 +44,13 @@ from repro.obs.federation import (
     TelemetryRelay,
 )
 from repro.obs.observer import Observer, ensure_observer
+from repro.runtime.channel import DrainMark
 from repro.transport.base import DatagramTransport
 from repro.transport.clock import ManualClock
+from repro.transport.endpoint import SiteEndpoint
 from repro.transport.loopback import LoopbackTransport
 from repro.transport.lossy import FaultConfig, LossyTransport
-from repro.transport.reliability import (
-    ReliabilityConfig,
-    ReliableReceiver,
-    ReliableSender,
-)
-from repro.transport.wire import CodecSender
+from repro.transport.reliability import ReliabilityConfig, ReliableReceiver
 
 __all__ = ["LevelStats", "TransportTree"]
 
@@ -96,15 +94,14 @@ class LevelStats:
         }
 
 
-@dataclass
-class _InternalWiring:
-    node: InternalNode
-    level: int
+@dataclass(kw_only=True)
+class _InternalWiring(AggregatorHop):
+    """The hop plus what the in-process tree keeps around it."""
+
+    #: The subnet this aggregator's children send into.
     transport: DatagramTransport
-    receiver: ReliableReceiver
-    decoder: WireCodec
-    uplink: ReliableSender | None = None
-    uplink_codec: CodecSender | None = None
+    #: The uplink edge (``None`` at the root); ``uplink`` is its sender.
+    endpoint: SiteEndpoint | None = None
     uplink_wire_codec: str = "cds1"
     uplink_codec_config: CodecConfig | None = None
     relay: TelemetryRelay | None = None
@@ -114,20 +111,18 @@ class _InternalWiring:
 @dataclass
 class _LeafWiring:
     site: RemoteSite
-    parent_id: int
     level: int
-    sender: ReliableSender
-    codec_sender: CodecSender
+    endpoint: SiteEndpoint
     publisher: FederationPublisher | None = None
 
 
-class TransportTree:
+class TransportTree(DrainMark):
     """A communication tree whose every edge is a transport link.
 
-    The topology API mirrors :class:`~repro.multilayer.tree.TreeNetwork`
-    (:meth:`add_internal` / :meth:`add_leaf` / :meth:`feed` /
-    :meth:`global_mixture`), so the simulated-network suite ports over
-    unchanged.
+    Build the topology with :meth:`add_internal` / :meth:`add_leaf`
+    (parents must exist before their children), then feed leaf streams
+    through :meth:`feed`; :meth:`global_mixture` is the root's view of
+    the union of all leaf streams.
 
     Parameters
     ----------
@@ -170,6 +165,7 @@ class TransportTree:
         wire_codec: str = "cds1",
         codec_config: CodecConfig | None = None,
     ) -> None:
+        super().__init__()
         self._site_config = site_config or RemoteSiteConfig()
         self._coordinator_config = coordinator_config or CoordinatorConfig()
         self._seed = seed
@@ -183,11 +179,10 @@ class TransportTree:
         self._obs = ensure_observer(observer)
         self._internals: dict[int, _InternalWiring] = {}
         self._leaves: dict[int, _LeafWiring] = {}
+        #: Every uplink edge, leaf or aggregator: what a drain scans.
+        self._endpoints: list[SiteEndpoint] = []
         self._root_id: int | None = None
         self.records_fed = 0
-        #: Something was handed to an edge since :meth:`drain` last
-        #: returned.  While clear, every outbox is known to be empty.
-        self._unsettled = False
         self._federate = federate
         #: Root-side collector (``federate=True`` only); drives the same
         #: rollup the deployed root serves at ``/cluster/health``.
@@ -278,11 +273,11 @@ class TransportTree:
         wiring = _InternalWiring(
             node=node,
             level=level,
-            transport=self._make_subnet(node_id),
-            receiver=None,  # type: ignore[arg-type]  (set just below)
             # The subnet decoder starts at the tree-wide codec; adding a
             # cds2 child upgrades it (cds2 decodes cds1 payloads too).
             decoder=get_codec(self._wire_codec),
+            observer=self._obs,
+            transport=self._make_subnet(node_id),
             uplink_wire_codec=uplink_wire_codec,
             uplink_codec_config=uplink_codec_config,
         )
@@ -301,7 +296,9 @@ class TransportTree:
                     w.uplink.stats if w.uplink is not None else None
                 ),
                 codec_stats=lambda w=wiring: (
-                    w.uplink_codec.stats if w.uplink_codec is not None else None
+                    w.endpoint.codec_sender.stats
+                    if w.endpoint is not None
+                    else None
                 ),
                 uplink_codec=uplink_wire_codec,
                 gauges=lambda n=node: {
@@ -312,12 +309,7 @@ class TransportTree:
             )
         wiring.receiver = self._make_receiver(wiring)
         if parent_id is not None:
-            wiring.uplink, wiring.uplink_codec = self._make_uplink(
-                node_id,
-                parent_id,
-                wire_codec=uplink_wire_codec,
-                codec_config=uplink_codec_config,
-            )
+            self._connect_uplink(wiring)
         self._internals[node_id] = wiring
         return node
 
@@ -340,27 +332,23 @@ class TransportTree:
         self._check_new_id(node_id)
         parent = self._require_internal(parent_id)
         edge_codec = wire_codec or self._wire_codec
-        sender, codec_sender = self._make_uplink(
+        endpoint = self._make_endpoint(
             node_id,
-            parent_id,
-            wire_codec=edge_codec,
-            codec_config=(
-                codec_config if codec_config is not None else self._codec_config
-            ),
+            parent,
+            edge_codec,
+            codec_config if codec_config is not None else self._codec_config,
         )
         site = RemoteSite(
             site_id=node_id,
             config=config if config is not None else self._site_config,
             rng=np.random.default_rng(self._seed + node_id),
-            emit=lambda message: self._send(codec_sender, message),
+            emit=self._marking(endpoint.send),
             observer=self._obs,
         )
         wiring = _LeafWiring(
             site=site,
-            parent_id=parent_id,
             level=parent.level + 1,
-            sender=sender,
-            codec_sender=codec_sender,
+            endpoint=endpoint,
         )
         if self._federate:
             assert self.federation is not None
@@ -371,8 +359,8 @@ class TransportTree:
                 node_id,
                 "site",
                 wiring.level,
-                uplink_stats=lambda s=sender: s.stats,
-                codec_stats=lambda cs=codec_sender: cs.stats,
+                uplink_stats=lambda e=endpoint: e.sender.stats,
+                codec_stats=lambda e=endpoint: e.codec_sender.stats,
                 uplink_codec=edge_codec,
                 records=lambda s=site: s.stats.records_seen,
                 gauges=lambda s=site: {"models": len(s.all_models)},
@@ -427,37 +415,15 @@ class TransportTree:
 
     def drain(self, step: float = 0.25, limit: float = 600.0) -> float:
         """Advance the clock until every edge's outbox is empty."""
-        edges: list[tuple[ReliableSender, CodecSender | None]] = [
-            (w.sender, w.codec_sender) for w in self._leaves.values()
-        ]
-        edges += [
-            (w.uplink, w.uplink_codec)
-            for w in self._internals.values()
-            if w.uplink is not None
-        ]
-        spent = 0.0
-        while any(
-            sender.outstanding() or (codec is not None and codec.queued)
-            for sender, codec in edges
-        ):
-            if spent >= limit:
-                raise RuntimeError(
-                    f"tree transport failed to drain within {limit} clock "
-                    "seconds"
-                )
-            self.clock.advance(step)
-            spent += step
-        self._unsettled = False
-        return spent
+        return self._settle(self.clock, self._endpoints, step, limit)
 
     def close(self) -> None:
         """Cancel timers and release transport bindings."""
         for wiring in self._leaves.values():
             wiring.site._emit = None
-            wiring.sender.close()
+        for endpoint in self._endpoints:
+            endpoint.close()
         for wiring in self._internals.values():
-            if wiring.uplink is not None:
-                wiring.uplink.close()
             wiring.transport.close()
 
     # ------------------------------------------------------------------
@@ -475,21 +441,16 @@ class TransportTree:
 
     def level_stats(self) -> tuple[LevelStats, ...]:
         """Per-level wire accounting, level 1 (root's children) down."""
-        per_level: dict[int, list[tuple[ReliableSender, CodecSender]]] = {}
-        for wiring in self._leaves.values():
-            per_level.setdefault(wiring.level, []).append(
-                (wiring.sender, wiring.codec_sender)
-            )
-        for wiring in self._internals.values():
-            if wiring.uplink is not None and wiring.uplink_codec is not None:
-                per_level.setdefault(wiring.level, []).append(
-                    (wiring.uplink, wiring.uplink_codec)
-                )
+        per_level: dict[int, list[SiteEndpoint]] = {}
+        for endpoint in self._endpoints:
+            node_id = endpoint.site_id
+            wiring = self._leaves.get(node_id) or self._internals[node_id]
+            per_level.setdefault(wiring.level, []).append(endpoint)
         records = max(1, self.records_fed)
         stats = []
         for level in sorted(per_level):
-            senders = [s for s, _ in per_level[level]]
-            codecs = [c for _, c in per_level[level]]
+            senders = [e.sender for e in per_level[level]]
+            codecs = [e.codec_sender for e in per_level[level]]
             wire = sum(s.stats.wire_bytes for s in senders)
             model_updates = sum(c.stats.model_updates for c in codecs)
             delta_updates = sum(c.stats.delta_updates for c in codecs)
@@ -545,7 +506,9 @@ class TransportTree:
         ):
             if kind == 0:  # leaf
                 assert wiring.publisher is not None
-                wiring.sender.send_telemetry(wiring.publisher.collect())
+                wiring.endpoint.sender.send_telemetry(
+                    wiring.publisher.collect()
+                )
                 sent += 1
                 continue
             assert wiring.publisher is not None
@@ -568,13 +531,7 @@ class TransportTree:
     def aggregator_snapshot(self, node_id: int) -> dict:
         """Checkpoint one aggregator including its ARQ edge state."""
         wiring = self._require_internal(node_id)
-        arq = {
-            "uplink_next_seq": (
-                wiring.uplink.last_seq + 1 if wiring.uplink is not None else 1
-            ),
-            "cursors": wiring.receiver.cursor_snapshot(),
-        }
-        return snapshot_aggregator(wiring.node, arq=arq)
+        return snapshot_aggregator(wiring.node, arq=wiring.arq_state())
 
     def restore_aggregator(self, payload: Mapping) -> InternalNode:
         """Rebuild one aggregator in place from a snapshot (crash path).
@@ -592,21 +549,16 @@ class TransportTree:
         node, arq = restore_aggregator(payload, observer=self._obs)
         wiring.node = node
         wiring.receiver = self._make_receiver(wiring)
-        if arq is not None:
-            for child_id, expected in arq["cursors"].items():
-                wiring.receiver.restore_cursor(child_id, expected)
-        if wiring.uplink is not None:
-            wiring.uplink.close()
-            assert node.parent_id is not None
+        wiring.restore_cursors(arq)
+        if wiring.endpoint is not None:
+            wiring.endpoint.close()
+            self._endpoints.remove(wiring.endpoint)
             # The rebuilt codec sender starts without delta baselines, so
             # its first uploads go out as full snapshots -- exactly the
             # safe behaviour after losing in-memory codec state.
-            wiring.uplink, wiring.uplink_codec = self._make_uplink(
-                node_id,
-                node.parent_id,
+            self._connect_uplink(
+                wiring,
                 first_seq=arq["uplink_next_seq"] if arq is not None else 1,
-                wire_codec=wiring.uplink_wire_codec,
-                codec_config=wiring.uplink_codec_config,
             )
         return node
 
@@ -640,70 +592,62 @@ class TransportTree:
                     w.relay.add(payload)
 
         receiver = ReliableReceiver(
-            deliver_traced=self._make_deliver(wiring),
+            deliver_traced=wiring.deliver,
             send_ack=wiring.transport.send_to_site,
             clock=self.clock,
             config=self._reliability,
             observer=self._obs,
             on_telemetry=on_telemetry,
+            # What the children negotiated so far (a rebuilt receiver
+            # must keep accepting it); later edges add theirs.
+            accept_codecs={0, wiring.decoder.wire_id},
         )
         wiring.transport.bind_coordinator(receiver.handle_datagram)
         return receiver
 
-    def _make_deliver(
-        self, wiring: _InternalWiring
-    ) -> Callable[[int, bytes, object], None]:
-        def deliver(child_id: int, payload: bytes, trace=None) -> None:
-            message = wiring.decoder.decode(payload)
-            obs = self._obs
-            with obs.remote_parent(trace):
-                with obs.span(
-                    "cluster.aggregate",
-                    node=wiring.node.node_id,
-                    child=child_id,
-                    level=wiring.level,
-                ):
-                    uploads = wiring.node.handle_child_message(message)
-                    if wiring.uplink_codec is not None:
-                        for upload in uploads:
-                            self._send(wiring.uplink_codec, upload)
-
-        return deliver
-
-    def _send(self, edge: CodecSender, message) -> None:
-        """Every data message enters an edge here, so :meth:`feed` knows
-        when there is something to drain."""
-        self._unsettled = True
-        edge.send(message, trace=self._obs.span_context())
-
-    def _make_uplink(
+    def _make_endpoint(
         self,
         node_id: int,
-        parent_id: int,
+        parent: _InternalWiring,
+        wire_codec: str,
+        codec_config: CodecConfig | None,
         first_seq: int = 1,
-        wire_codec: str | None = None,
-        codec_config: CodecConfig | None = None,
-    ) -> tuple[ReliableSender, CodecSender]:
-        parent = self._require_internal(parent_id)
-        sender = ReliableSender(
-            site_id=node_id,
-            transmit=lambda data: parent.transport.send_to_coordinator(
-                node_id, data
-            ),
-            clock=self.clock,
-            config=self._reliability,
+    ) -> SiteEndpoint:
+        """The edge from ``node_id`` up into ``parent``'s subnet."""
+        endpoint = SiteEndpoint(
+            node_id,
+            parent.transport,
+            self.clock,
+            self._reliability,
             rng=np.random.default_rng(self._seed + 70_000 + node_id),
             observer=self._obs,
+            wire_codec=wire_codec,
+            codec_config=codec_config,
             first_seq=first_seq,
         )
-        parent.transport.bind_site(node_id, sender.handle_datagram)
-        codec = get_codec(wire_codec or self._wire_codec, codec_config)
         # Negotiate the edge: the parent's receiver accepts this codec
         # id and its decoder is upgraded if the child speaks CDS2.
-        parent.receiver.accept_codec(codec.wire_id)
-        if codec.wire_id != 0 and parent.decoder.wire_id == 0:
-            parent.decoder = get_codec(wire_codec or self._wire_codec)
-        return sender, CodecSender(sender, codec)
+        wire_id = endpoint.codec_sender.codec.wire_id
+        parent.receiver.accept_codec(wire_id)
+        if wire_id != 0 and parent.decoder.wire_id == 0:
+            parent.decoder = get_codec(wire_codec)
+        self._endpoints.append(endpoint)
+        return endpoint
+
+    def _connect_uplink(self, wiring: _InternalWiring, first_seq: int = 1) -> None:
+        """Give an aggregator its edge to its parent; every upload is a
+        message entering an edge, so it goes through the mark."""
+        assert wiring.node.parent_id is not None
+        endpoint = self._make_endpoint(
+            wiring.node.node_id,
+            self._require_internal(wiring.node.parent_id),
+            wiring.uplink_wire_codec,
+            wiring.uplink_codec_config,
+            first_seq,
+        )
+        wiring.endpoint = endpoint
+        wiring.uplink = endpoint.sender
+        wiring.forward = self._marking(endpoint.send)
 
     def _check_new_id(self, node_id: int) -> None:
         if node_id in self._internals or node_id in self._leaves:

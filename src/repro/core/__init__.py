@@ -25,8 +25,6 @@ from repro.core.serde import (
     CodecStats,
     WireCodec,
     available_codecs,
-    decode_message,
-    encode_message,
     get_codec,
     register_codec,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "available_codecs",
     "average_log_likelihood",
     "chunk_size",
-    "decode_message",
-    "encode_message",
     "fit_em",
     "fit_test",
     "get_codec",

@@ -54,7 +54,6 @@ covariance mode) because their size could not match the accounting.
 from __future__ import annotations
 
 import struct
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
@@ -81,8 +80,6 @@ __all__ = [
     "WireCodec",
     "available_codecs",
     "codec_name_for_wire_id",
-    "decode_message",
-    "encode_message",
     "get_codec",
     "register_codec",
 ]
@@ -847,37 +844,3 @@ def codec_name_for_wire_id(wire_id: int) -> str | None:
     """Registry name for a TPT1 envelope codec id, if known."""
     return _WIRE_IDS.get(wire_id)
 
-
-# ----------------------------------------------------------------------
-# Deprecated 1.1.0 module-function surface (DESIGN.md section 10.3)
-# ----------------------------------------------------------------------
-def encode_message(message: Message) -> bytes:
-    """Deprecated alias for the v1 codec's :meth:`WireCodec.encode`.
-
-    .. deprecated:: 1.2.0
-        Use ``get_codec("cds1").encode(message)`` (or another
-        registered codec) instead.
-    """
-    warnings.warn(
-        "encode_message() is deprecated; use "
-        "repro.core.serde.get_codec('cds1').encode(message) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _encode_cds1(message)
-
-
-def decode_message(payload: bytes) -> Message:
-    """Deprecated alias for the v1 codec's :meth:`WireCodec.decode`.
-
-    .. deprecated:: 1.2.0
-        Use ``get_codec("cds1").decode(payload)`` (or another
-        registered codec) instead.
-    """
-    warnings.warn(
-        "decode_message() is deprecated; use "
-        "repro.core.serde.get_codec('cds1').decode(payload) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decode_cds1(payload)

@@ -1,11 +1,8 @@
 """The one delivery-accounting model every delivery stack reports in.
 
-Historically each execution path kept its own counters with subtly
-different semantics: the simulated star network's ``ChannelStats``
-counted *attempted* sends (``messages`` / ``bytes``), while the
-transport stack's ``DeliveryReport`` distinguished *sent* from
-*delivered* and *payload* from *wire* bytes.  :class:`DeliveryAccounting`
-reconciles them into a single documented model:
+The simulated star network's links, the message-level fault injector
+and the ARQ transport stack all count into (or are projected onto) one
+:class:`DeliveryAccounting`:
 
 ``attempted``
     Application messages the sites offered for transmission.  This is

@@ -41,6 +41,7 @@ from repro.runtime.faults import ChannelFaults, MessageFaultInjector
 __all__ = [
     "Channel",
     "DirectChannel",
+    "DrainMark",
     "SimulatedChannel",
     "TransportChannel",
 ]
@@ -59,6 +60,8 @@ class Channel(ABC):
 
     #: Human-readable backend name (used in traces and reports).
     name: str = "channel"
+    #: The sites ``open`` wired; ``close`` unhooks them.
+    _sites: Sequence[RemoteSite] = ()
 
     @abstractmethod
     def open(
@@ -81,6 +84,8 @@ class Channel(ABC):
 
     def close(self) -> None:
         """Unwire sites and release backend resources."""
+        for site in self._sites:
+            site._emit = None
 
     @abstractmethod
     def accounting(self) -> DeliveryAccounting:
@@ -96,8 +101,8 @@ class DirectChannel(Channel):
     """Synchronous delivery: the paper's idealised lossless uplink.
 
     Messages produced by ``submit`` are applied at the coordinator
-    immediately (through the fault injector, if one is configured), so
-    there is never anything in flight and ``quiesce`` is trivial.
+    immediately (through the fault injector), so there is never
+    anything in flight and ``quiesce`` is trivial.
 
     Parameters
     ----------
@@ -113,24 +118,14 @@ class DirectChannel(Channel):
         self._faults = faults
         self._accounting = DeliveryAccounting()
         self._injector: MessageFaultInjector | None = None
-        self._deliver = None
-        self._obs = ensure_observer(None)
-        self._sites: list[RemoteSite] = []
 
     def open(self, sites, coordinator, observer=None):
-        observer = ensure_observer(observer)
-        self._obs = observer
-
-        def deliver(message: Message) -> None:
-            self._accounting.delivered += 1
-            coordinator.handle_message(message)
-
-        self._deliver = deliver
-        if self._faults is not None and self._faults.any_enabled:
-            self._injector = MessageFaultInjector(
-                self._faults, deliver, self._accounting, observer=observer
-            )
-            self._deliver = self._injector.offer
+        self._injector = MessageFaultInjector(
+            self._faults,
+            coordinator.handle_message,
+            self._accounting,
+            observer=observer,
+        )
         # Delivery happens at emission time, while the site's chunk-test
         # span is still active -- which is exactly what makes
         # coordinator-side spans children of the originating site span
@@ -145,7 +140,7 @@ class DirectChannel(Channel):
         accounting.attempted += 1
         accounting.payload_bytes += payload
         accounting.wire_bytes += payload
-        self._deliver(message)
+        self._injector.offer(message)
 
     def submit(self, site, record):
         return site.process_record(record)
@@ -156,10 +151,6 @@ class DirectChannel(Channel):
 
     def finish(self):
         self.quiesce()
-
-    def close(self):
-        for site in self._sites:
-            site._emit = None
 
     def accounting(self):
         return replace(self._accounting)
@@ -208,7 +199,6 @@ class SimulatedChannel(Channel):
         self._faults = faults
         self._accounting = DeliveryAccounting()
         self._injector: MessageFaultInjector | None = None
-        self._sites: list[RemoteSite] = []
         self._counts: dict[int, int] = {}
         self.engine = None
         self.network = None
@@ -218,21 +208,16 @@ class SimulatedChannel(Channel):
         from repro.simulation.network import StarNetwork
 
         observer = ensure_observer(observer)
-
-        def deliver(message: Message) -> None:
-            self._accounting.delivered += 1
-            coordinator.handle_message(message)
-
-        sink = deliver
-        if self._faults is not None and self._faults.any_enabled:
-            self._injector = MessageFaultInjector(
-                self._faults, deliver, self._accounting, observer=observer
-            )
-            sink = self._injector.offer
+        self._injector = MessageFaultInjector(
+            self._faults,
+            coordinator.handle_message,
+            self._accounting,
+            observer=observer,
+        )
         self.engine = SimulationEngine(observer=observer)
         self.network = StarNetwork(
             self.engine,
-            deliver=sink,
+            deliver=self._injector.offer,
             latency=self._latency,
             bandwidth=self._bandwidth,
             sample_interval=self._sample_interval,
@@ -258,10 +243,6 @@ class SimulatedChannel(Channel):
         self.quiesce()
         self.network.finalize()
 
-    def close(self):
-        for site in self._sites:
-            site._emit = None
-
     def accounting(self):
         accounting = replace(self._accounting)
         if self.network is not None:
@@ -277,20 +258,63 @@ class SimulatedChannel(Channel):
         return self.network.cost.series()
 
 
-class TransportChannel(Channel):
+class DrainMark:
+    """The *unsettled* mark of an in-process driver of ARQ edges.
+
+    :class:`TransportChannel` and :class:`repro.cluster.tree.TransportTree`
+    settle their :class:`~repro.transport.endpoint.SiteEndpoint` edges
+    before the next record, so delivery order equals emission order.
+    With every outbox empty a drain advances nothing, so their
+    per-record paths skip it while the mark is clear.  The contract
+    (DESIGN.md section 17.4):
+
+    * *every* message entering an edge sets the mark, because each one
+      goes through a :meth:`_marking` hook -- a ``site.expire`` outside
+      the per-record call and an aggregator's re-upload from inside a
+      drain included;
+    * only a drain that *returns* clears it: one that raises (a dead
+      link) leaves it set, and the next record raises again;
+    * an explicit :meth:`_settle` always scans.
+
+    A mixin, not a helper object: the per-record path reads the mark as
+    the driver's own attribute, once per record.
+    """
+
+    def __init__(self) -> None:
+        #: A message entered an edge since a drain last returned.  While
+        #: clear, every outbox is known to be empty.
+        self._unsettled = False
+
+    def _marking(self, send):
+        """``send`` as an emit hook that notes there is something to drain."""
+
+        def emit(message: Message) -> None:
+            self._unsettled = True
+            send(message)
+
+        return emit
+
+    def _settle(self, clock, endpoints, step: float, limit: float) -> float:
+        """Advance ``clock`` until every endpoint's outbox is empty."""
+        # Resolved on its module per call, where the e2e benchmark's
+        # recorder patches it.
+        from repro.transport.endpoint import drain
+
+        spent = drain(clock, endpoints, step=step, limit=limit)
+        self._unsettled = False
+        return spent
+
+
+class TransportChannel(DrainMark, Channel):
     """The fault-tolerant ARQ transport stack as a runtime backend.
 
     ``submit`` feeds the site and then, if a message entered an endpoint
-    since the last drain returned, drains the reliable outboxes (the
-    manual clock is advanced until every payload is acknowledged), so
-    delivery order equals emission order and the coordinator converges
-    to the loss-free state whatever the fault pattern -- the property
-    the transport convergence suite pins down.  With every outbox empty
-    a drain advances nothing, so skipping it changes neither the clock
-    nor the delivery schedule; the mark is set by the sites' emit hooks
-    (not by ``submit``'s own messages), so a ``site.expire(...)``
-    between two records rides the next ``submit``.  ``quiesce`` always
-    drains.
+    since the last drain returned (:class:`DrainMark`), drains the
+    reliable outboxes (the manual clock is advanced until every payload
+    is acknowledged), so delivery order equals emission order and the
+    coordinator converges to the loss-free state whatever the fault
+    pattern -- the property the transport convergence suite pins down.
+    ``quiesce`` always drains.
 
     Parameters
     ----------
@@ -330,6 +354,7 @@ class TransportChannel(Channel):
         wire_codec: str = "cds1",
         codec_config=None,
     ) -> None:
+        super().__init__()
         self._transport = transport
         self._clock = clock
         self._reliability = reliability
@@ -340,9 +365,6 @@ class TransportChannel(Channel):
         self._wire_codec = wire_codec
         self._codec_config = codec_config
         self._lossy = None
-        self._sites: list[RemoteSite] = []
-        #: A message entered an endpoint since ``drain`` last returned.
-        self._unsettled = False
         self.endpoints = []
         self.coordinator_endpoint = None
 
@@ -380,15 +402,6 @@ class TransportChannel(Channel):
         for site, endpoint in zip(sites, self.endpoints):
             site._emit = self._marking(endpoint.send)
 
-    def _marking(self, send):
-        """``send`` as an emit hook that notes there is something to drain."""
-
-        def emit(message: Message) -> None:
-            self._unsettled = True
-            send(message)
-
-        return emit
-
     def submit(self, site, record):
         messages = site.process_record(record)
         if self._unsettled:
@@ -399,25 +412,16 @@ class TransportChannel(Channel):
         self._drain()
 
     def _drain(self) -> None:
-        # Resolved on its module per call, where the e2e benchmark's
-        # recorder patches it; a failed drain leaves the mark set.
-        from repro.transport.endpoint import drain
-
-        drain(
-            self._clock,
-            self.endpoints,
-            step=self._drain_step,
-            limit=self._drain_limit,
+        self._settle(
+            self._clock, self.endpoints, self._drain_step, self._drain_limit
         )
-        self._unsettled = False
 
     def finish(self):
         for endpoint in self.endpoints:
             endpoint.finish()
 
     def close(self):
-        for site in self._sites:
-            site._emit = None
+        super().close()
         for endpoint in self.endpoints:
             endpoint.close()
 

@@ -72,9 +72,11 @@ class ChannelFaults:
 class MessageFaultInjector:
     """Message-level adversary between a channel and the coordinator.
 
-    Sits at the delivery boundary: every message the channel would hand
-    to the coordinator passes through :meth:`offer`, which may drop it,
-    deliver it twice, or hold it back so its successor overtakes it.
+    *Is* the delivery boundary of the message-level channels: every
+    message they hand to the coordinator passes through :meth:`offer`
+    and is counted as ``delivered`` when it lands.  With a fault spec,
+    :meth:`offer` may drop it, deliver it twice, or hold it back so its
+    successor overtakes it; without one it is a plain pass-through.
     The random draws mirror :class:`~repro.transport.lossy.LossyTransport`
     (one uniform per enabled fault class per message), so the same seed
     and rates yield the same schedule on every message-level backend.
@@ -82,12 +84,13 @@ class MessageFaultInjector:
     Parameters
     ----------
     config:
-        Fault rates and seed.
+        Fault rates and seed; ``None`` injects nothing.
     deliver:
         The downstream sink (normally ``coordinator.handle_message``).
     accounting:
         The channel's :class:`~repro.runtime.accounting.DeliveryAccounting`;
-        ``dropped`` / ``duplicated`` / ``reordered`` are counted here.
+        ``delivered`` / ``dropped`` / ``duplicated`` / ``reordered`` are
+        counted here.
     observer:
         Optional observer; each injected fault emits the same
         ``fault.drop`` / ``fault.duplicate`` / ``fault.reorder`` trace
@@ -97,13 +100,13 @@ class MessageFaultInjector:
 
     def __init__(
         self,
-        config: ChannelFaults,
+        config: ChannelFaults | None,
         deliver: Callable[[Message], None],
         accounting: DeliveryAccounting,
         observer: Observer | None = None,
     ) -> None:
-        self.config = config
-        self._deliver = deliver
+        self.config = config = config or ChannelFaults()
+        self._sink = deliver
         self._accounting = accounting
         self._obs = ensure_observer(observer)
         self._rng = np.random.default_rng(config.seed)
@@ -155,6 +158,10 @@ class MessageFaultInjector:
             self._deliver(message)
         if held is not None:
             self._deliver_held(held)
+
+    def _deliver(self, message: Message) -> None:
+        self._accounting.delivered += 1
+        self._sink(message)
 
     def flush(self) -> None:
         """Release any held-back message (end of run)."""

@@ -6,10 +6,8 @@ It provides:
 
 * :mod:`repro.simulation.engine` -- a virtual clock and event queue,
 * :mod:`repro.simulation.network` -- star-topology channels between
-  remote sites and the coordinator with latency and exact byte-cost
-  metering,
-* :mod:`repro.simulation.site` -- site processes that pump stream
-  records at a configured rate, and
+  remote sites and the coordinator with latency, bandwidth and exact
+  byte-cost metering, and
 * :mod:`repro.simulation.collector` -- per-second time-series
   collectors ("the total communication cost is collected every second",
   section 6).
@@ -18,12 +16,10 @@ It provides:
 from repro.simulation.collector import TimeSeriesCollector
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.network import NetworkChannel, StarNetwork
-from repro.simulation.site import StreamSiteProcess
 
 __all__ = [
     "NetworkChannel",
     "SimulationEngine",
     "StarNetwork",
-    "StreamSiteProcess",
     "TimeSeriesCollector",
 ]

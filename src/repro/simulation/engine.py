@@ -9,9 +9,7 @@ paper's experiments:
 * **Virtual time.**  The clock only moves when events fire; a million
   simulated seconds cost whatever the callbacks cost, nothing more.
 
-Processes are just callbacks that reschedule themselves; see
-:class:`repro.simulation.site.StreamSiteProcess` for the canonical
-example.
+Processes are just callbacks that reschedule themselves.
 """
 
 from __future__ import annotations

@@ -13,48 +13,23 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.core.protocol import Message
 from repro.obs.observer import Observer, ensure_observer
 from repro.runtime.accounting import DeliveryAccounting
 from repro.simulation.collector import TimeSeriesCollector
 from repro.simulation.engine import SimulationEngine
 
-__all__ = ["ChannelStats", "NetworkChannel", "StarNetwork"]
-
-
-class ChannelStats(DeliveryAccounting):
-    """Per-channel traffic counters, in the unified accounting model.
-
-    A simulated link carries unframed messages, so ``wire_bytes``
-    always equals ``payload_bytes``; ``attempted`` counts *attempted*
-    sends (that is what the sender pays for and what the cost collector
-    meters); ``dropped`` and ``duplicated`` record what the unreliable
-    link then did.  ``messages`` / ``bytes`` are kept as legacy aliases
-    of ``attempted`` / ``payload_bytes``.
-    """
-
-    @property
-    def messages(self) -> int:
-        return self.attempted
-
-    @messages.setter
-    def messages(self, value: int) -> None:
-        self.attempted = value
-
-    @property
-    def bytes(self) -> int:
-        return self.payload_bytes
-
-    @bytes.setter
-    def bytes(self, value: int) -> None:
-        self.payload_bytes = value
-        self.wire_bytes = value
+__all__ = ["NetworkChannel", "StarNetwork"]
 
 
 class NetworkChannel:
     """A one-way site-to-coordinator link.
+
+    The link is reliable; an adversary, where one is wanted, is the
+    :class:`~repro.runtime.faults.MessageFaultInjector` the caller puts
+    behind ``deliver``.  ``stats`` counts *attempted* sends in the
+    unified :class:`~repro.runtime.accounting.DeliveryAccounting` model;
+    messages travel unframed, so ``wire_bytes`` equals ``payload_bytes``.
 
     Parameters
     ----------
@@ -72,16 +47,6 @@ class NetworkChannel:
     collector:
         Optional shared byte-cost collector (metered at send time,
         matching "total communication cost collected every second").
-    drop_rate / duplicate_rate:
-        Unreliable-link model: each transmission is independently lost
-        with ``drop_rate`` probability or delivered twice with
-        ``duplicate_rate`` probability (the duplicate arrives one extra
-        latency later).  Model updates are idempotent at the
-        coordinator, so duplicates are harmless; drops are survivable
-        with :class:`~repro.core.coordinator.CoordinatorConfig`
-        ``tolerate_loss=True``.
-    rng:
-        Randomness for the unreliability model.
     """
 
     def __init__(
@@ -91,29 +56,19 @@ class NetworkChannel:
         latency: float = 0.01,
         bandwidth: float | None = None,
         collector: TimeSeriesCollector | None = None,
-        drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        rng: np.random.Generator | None = None,
         observer: Observer | None = None,
     ) -> None:
         if latency < 0.0:
             raise ValueError("latency must be non-negative")
         if bandwidth is not None and bandwidth <= 0.0:
             raise ValueError("bandwidth must be positive")
-        if not 0.0 <= drop_rate < 1.0:
-            raise ValueError("drop_rate must lie in [0, 1)")
-        if not 0.0 <= duplicate_rate < 1.0:
-            raise ValueError("duplicate_rate must lie in [0, 1)")
         self._engine = engine
         self._deliver = deliver
         self.latency = latency
         self.bandwidth = bandwidth
-        self.drop_rate = drop_rate
-        self.duplicate_rate = duplicate_rate
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self._collector = collector
         self._obs = ensure_observer(observer)
-        self.stats = ChannelStats()
+        self.stats = DeliveryAccounting()
         #: Time the link becomes free; serialises transmissions.
         self._busy_until = 0.0
 
@@ -121,9 +76,7 @@ class NetworkChannel:
         """Transmit ``message``; returns its (scheduled) arrival time.
 
         Transmissions on one channel are serialised: a message must wait
-        for the previous one to finish before occupying the link.  The
-        sender pays for the bytes whether or not the link then drops
-        the message.
+        for the previous one to finish before occupying the link.
         """
         payload = message.payload_bytes()
         now = self._engine.now
@@ -140,21 +93,9 @@ class NetworkChannel:
         # span is active during send) and re-activate it at delivery
         # time, when the event fires outside that span's lifetime.
         trace = self._obs.span_context()
-        if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
-            self.stats.dropped += 1
-            return arrival
         self._engine.schedule_at(
             arrival, lambda: self._deliver_traced(message, trace)
         )
-        if (
-            self.duplicate_rate > 0.0
-            and self._rng.random() < self.duplicate_rate
-        ):
-            self.stats.duplicated += 1
-            self._engine.schedule_at(
-                arrival + self.latency,
-                lambda: self._deliver_traced(message, trace),
-            )
         return arrival
 
     def _deliver_traced(self, message: Message, trace) -> None:
@@ -185,18 +126,12 @@ class StarNetwork:
         latency: float = 0.01,
         bandwidth: float | None = None,
         sample_interval: float = 1.0,
-        drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        seed: int = 0,
         observer: Observer | None = None,
     ) -> None:
         self._engine = engine
         self._deliver = deliver
         self._latency = latency
         self._bandwidth = bandwidth
-        self._drop_rate = drop_rate
-        self._duplicate_rate = duplicate_rate
-        self._seed = seed
         self._obs = ensure_observer(observer)
         self.cost = TimeSeriesCollector(interval=sample_interval)
         self._channels: dict[int, NetworkChannel] = {}
@@ -211,22 +146,9 @@ class StarNetwork:
                 latency=self._latency,
                 bandwidth=self._bandwidth,
                 collector=self.cost,
-                drop_rate=self._drop_rate,
-                duplicate_rate=self._duplicate_rate,
-                rng=np.random.default_rng(self._seed + 90_000 + site_id),
                 observer=self._obs,
             )
         return self._channels[site_id]
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes sent across all channels."""
-        return sum(channel.stats.bytes for channel in self._channels.values())
-
-    @property
-    def total_messages(self) -> int:
-        """Messages sent across all channels."""
-        return sum(channel.stats.messages for channel in self._channels.values())
 
     def accounting(self) -> DeliveryAccounting:
         """Aggregate per-channel counters into one unified accounting."""
@@ -239,9 +161,8 @@ class StarNetwork:
         """Flush the cost collector up to the current clock.
 
         Idempotent: calling it again (at the same or an earlier clock
-        value) changes nothing -- samples, ``total_bytes`` and
-        ``total_messages`` all stay consistent, so report code may
-        finalize defensively without corrupting the series.
+        value) changes nothing, so report code may finalize defensively
+        without corrupting the series.
         """
         now = self._engine.now
         if self._finalized_at is not None and now <= self._finalized_at:

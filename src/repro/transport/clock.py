@@ -1,11 +1,11 @@
 """Clock abstraction for the transport stack.
 
 Retransmission, heartbeats and fault-injected delays all need timers,
-but the transport must run in three very different environments: plain
-synchronous tests (deterministic, manually advanced), the discrete-event
-simulation engine, and an asyncio event loop.  :class:`Clock` is the
-small protocol all three satisfy; the reliability layer only ever calls
-``now`` and ``call_later``.
+but the transport must run in two very different environments: in one
+process on a virtual clock the driver advances (deterministic; every
+test, the runtime channel and the in-process tree) and on an asyncio
+event loop.  :class:`Clock` is the small protocol both satisfy; the
+reliability layer only ever calls ``now`` and ``call_later``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import heapq
 import itertools
 from typing import Callable, Protocol, runtime_checkable
 
-__all__ = ["AsyncioClock", "Clock", "EngineClock", "ManualClock", "TimerHandle"]
+__all__ = ["AsyncioClock", "Clock", "ManualClock", "TimerHandle"]
 
 
 @runtime_checkable
@@ -102,22 +102,6 @@ class ManualClock:
             fired += 1
         self._now = time
         return fired
-
-
-class EngineClock:
-    """Adapter exposing a :class:`~repro.simulation.engine.SimulationEngine`
-    as a transport clock, so transports can ride the simulation's
-    virtual time alongside the star-network channels."""
-
-    def __init__(self, engine) -> None:
-        self._engine = engine
-
-    @property
-    def now(self) -> float:
-        return self._engine.now
-
-    def call_later(self, delay: float, callback: Callable[[], None]):
-        return self._engine.schedule_after(delay, callback)
 
 
 class AsyncioClock:

@@ -1,10 +1,13 @@
 """Endpoints: plugging the transport stack into sites and coordinator.
 
-A :class:`SiteEndpoint` is the thin object a
-:class:`~repro.core.remote.RemoteSite` talks to: its :meth:`send` is
-shaped exactly like the site's ``emit`` hook, serialises the message
-through :mod:`repro.core.serde` and hands the bytes to a
-:class:`~repro.transport.reliability.ReliableSender`.
+A :class:`SiteEndpoint` is *the* in-process uplink edge -- of a
+:class:`~repro.core.remote.RemoteSite` behind a
+:class:`~repro.runtime.channel.TransportChannel`, and of every leaf and
+aggregator of a :class:`~repro.cluster.tree.TransportTree`: its
+:meth:`send` is shaped exactly like the site's ``emit`` hook, serialises
+the message through :mod:`repro.core.serde` and hands the bytes to a
+:class:`~repro.transport.reliability.ReliableSender`.  :func:`drain` is
+the one loop that settles such edges on a manual clock.
 
 A :class:`CoordinatorEndpoint` is the receiving half: datagrams come in
 from the transport, the
@@ -78,6 +81,11 @@ class SiteEndpoint(TransportEndpoint):
         Optional :class:`~repro.obs.observer.Observer`; serialisation is
         timed into the ``profile.serde_encode`` histogram and forwarded
         to the :class:`~repro.transport.reliability.ReliableSender`.
+    wire_codec / codec_config:
+        The edge's serialisation (see :func:`repro.core.serde.get_codec`).
+    first_seq:
+        Sequence number of the first payload; a restored aggregator
+        continues its uplink where the checkpoint left it.
     """
 
     def __init__(
@@ -91,6 +99,7 @@ class SiteEndpoint(TransportEndpoint):
         *,
         wire_codec: str = "cds1",
         codec_config: CodecConfig | None = None,
+        first_seq: int = 1,
     ) -> None:
         self.site_id = site_id
         self._transport = transport
@@ -102,6 +111,7 @@ class SiteEndpoint(TransportEndpoint):
             config=config,
             rng=rng,
             observer=self._obs,
+            first_seq=first_seq,
         )
         self.codec_sender = CodecSender(
             self.sender, get_codec(wire_codec, codec_config)

@@ -16,14 +16,11 @@ import pytest
 from repro.cluster.data import site_records
 from repro.cluster.spec import build_spec
 from repro.cluster.tree import TransportTree
+from repro.core.serde import CodecConfig
 from repro.io.checkpoint import load_aggregator, save_aggregator
 from repro.transport.lossy import FaultConfig
 
-from tests.cluster.test_transport_tree import (
-    LOSSY,
-    build_two_level,
-    feed_leaf,
-)
+from tests.cluster.trees import LOSSY, build_two_level, fast_tree, feed_leaf
 
 
 def run_two_level(
@@ -80,6 +77,21 @@ class TestAggregatorResume:
         tree.restore_aggregator(tree.aggregator_snapshot(1))
         feed_leaf(tree, 11, 60.0, 250, 2)
         assert tree.receiver_stats(0).delivered > root_delivered
+        tree.close()
+
+    def test_restored_node_still_accepts_its_cds2_children(self):
+        """The rebuilt receiver keeps the codec its children negotiated:
+        a CDS2 payload after the restore is applied, not refused."""
+        tree = fast_tree(wire_codec="cds2", codec_config=CodecConfig(delta=True))
+        tree.add_internal(0)
+        tree.add_internal(1, parent_id=0)
+        tree.add_leaf(10, parent_id=1)
+        tree.add_leaf(11, parent_id=1)
+        feed_leaf(tree, 10, 0.0, 250, 1)
+        tree.restore_aggregator(tree.aggregator_snapshot(1))
+        feed_leaf(tree, 11, 60.0, 250, 2)
+        assert tree.receiver_stats(1).delivered == 1  # a fresh receiver
+        assert tree.receiver_stats(0).delivered >= 2
         tree.close()
 
 

@@ -1,11 +1,10 @@
-"""The multilayer tree suite, ported onto the real transport stack.
+"""The §7 tree suite over the transport stack.
 
-These tests mirror ``tests/multilayer/test_tree.py`` but every edge is a
-transport link with ARQ.  They run twice -- over synchronous loopback
-and over a seeded lossy link -- and the §7 properties (summaries reach
-the root, stability suppresses uploads, per-hop byte accounting) must
-hold identically: the reliability layer's whole job is to make faults
-invisible above it.
+Every edge is a transport link with ARQ.  The tests run twice -- over
+synchronous loopback (the in-memory tree) and over a seeded lossy link
+-- and the §7 properties (summaries reach the root, stability
+suppresses uploads, per-hop byte accounting) must hold identically: the
+reliability layer's whole job is to make faults invisible above it.
 """
 
 from __future__ import annotations
@@ -13,67 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.tree import TransportTree
-from repro.core.coordinator import CoordinatorConfig
-from repro.core.em import EMConfig
-from repro.core.gaussian import Gaussian
-from repro.core.mixture import GaussianMixture
-from repro.core.remote import RemoteSiteConfig
 from repro.transport.lossy import FaultConfig
-from tests.multilayer.test_tree import assert_one_summary_per_child
-
-LOSSY = FaultConfig(drop_rate=0.2, duplicate_rate=0.1, delay=0.05)
-#: The fault mix of the e2e ``tree_lossy`` workload.
-MILD = FaultConfig(drop_rate=0.10, duplicate_rate=0.03, reorder_rate=0.03)
-
-
-def fast_tree(faults: FaultConfig | None = None) -> TransportTree:
-    return TransportTree(
-        site_config=RemoteSiteConfig(
-            dim=2,
-            epsilon=0.3,
-            delta=0.05,
-            em=EMConfig(n_components=2, n_init=1, max_iter=25, tol=1e-3),
-            chunk_override=250,
-        ),
-        coordinator_config=CoordinatorConfig(
-            max_components=4, merge_method="moment"
-        ),
-        seed=0,
-        faults=faults,
-    )
-
-
-def mixture_at(center: float) -> GaussianMixture:
-    return GaussianMixture(
-        np.array([0.5, 0.5]),
-        (
-            Gaussian.spherical(np.array([center, 0.0]), 0.3),
-            Gaussian.spherical(np.array([center, 5.0]), 0.3),
-        ),
-    )
-
-
-def build_two_level(faults: FaultConfig | None = None) -> TransportTree:
-    """root(0) <- internal(1), internal(2); two leaves under each."""
-    tree = fast_tree(faults)
-    tree.add_internal(0)
-    tree.add_internal(1, parent_id=0)
-    tree.add_internal(2, parent_id=0)
-    tree.add_leaf(10, parent_id=1)
-    tree.add_leaf(11, parent_id=1)
-    tree.add_leaf(20, parent_id=2)
-    tree.add_leaf(21, parent_id=2)
-    return tree
-
-
-def feed_leaf(
-    tree: TransportTree, leaf_id: int, center: float, n: int, seed: int
-) -> None:
-    points, _ = mixture_at(center).sample(n, np.random.default_rng(seed))
-    for row in points:
-        tree.feed(leaf_id, row)
-    tree.drain()
+from tests.cluster.trees import (
+    LOSSY,
+    MILD,
+    assert_one_summary_per_child,
+    build_three_gateways,
+    build_two_level,
+    fast_tree,
+    feed_leaf,
+)
+from tests.transport import drain_mark_contract as drain_mark
 
 
 @pytest.fixture(params=["loopback", "lossy"])
@@ -100,6 +49,13 @@ class TestTopology:
         tree.add_leaf(1, parent_id=0)
         with pytest.raises(ValueError, match="not an internal node"):
             tree.add_leaf(2, parent_id=1)
+
+    def test_root_property(self):
+        tree = fast_tree()
+        with pytest.raises(ValueError, match="no root"):
+            _ = tree.root
+        root = tree.add_internal(0)
+        assert tree.root is root
 
     def test_unknown_leaf_rejected(self):
         tree = build_two_level()
@@ -221,23 +177,8 @@ class TestUploadThreshold:
 
 class TestWireCodecs:
     def codec_tree(self, wire_codec="cds1", codec_config=None, faults=None):
-        from repro.core.serde import CodecConfig  # noqa: F401 (builder arg)
-
-        tree = TransportTree(
-            site_config=RemoteSiteConfig(
-                dim=2,
-                epsilon=0.3,
-                delta=0.05,
-                em=EMConfig(n_components=2, n_init=1, max_iter=25, tol=1e-3),
-                chunk_override=250,
-            ),
-            coordinator_config=CoordinatorConfig(
-                max_components=4, merge_method="moment"
-            ),
-            seed=0,
-            faults=faults,
-            wire_codec=wire_codec,
-            codec_config=codec_config,
+        tree = fast_tree(
+            faults, wire_codec=wire_codec, codec_config=codec_config
         )
         tree.add_internal(0)
         tree.add_internal(1, parent_id=0)
@@ -333,17 +274,6 @@ class TestWireCodecs:
         )
 
 
-def build_three_gateways(faults: FaultConfig | None) -> TransportTree:
-    """root(0) <- gateways 1..3, two leaves each, uploading every change."""
-    tree = fast_tree(faults)
-    tree.add_internal(0)
-    for node_id in (1, 2, 3):
-        tree.add_internal(node_id, parent_id=0, upload_threshold=0.0)
-        tree.add_leaf(10 * node_id, parent_id=node_id)
-        tree.add_leaf(10 * node_id + 1, parent_id=node_id)
-    return tree
-
-
 class TestSummaryReplacesItsPredecessor:
     @pytest.mark.parametrize("faults", [None, MILD], ids=["loopback", "lossy"])
     def test_parent_holds_one_model_per_child(self, faults):
@@ -384,59 +314,22 @@ class TestSummaryReplacesItsPredecessor:
 
 class TestDrainMark:
     """``feed`` drains only when something was sent since the last
-    drain; that must be indistinguishable from draining every record."""
+    drain: the contract of ``tests/transport/drain_mark_contract.py``,
+    for the tree."""
 
-    def run(self, drain_every_record: bool):
-        tree = build_three_gateways(MILD)
-        rng = np.random.default_rng(8)
-        drains = 0
-        drain = tree.drain
-
-        def counting_drain(*args, **kwargs):
-            nonlocal drains
-            drains += 1
-            return drain(*args, **kwargs)
-
-        tree.drain = counting_drain
-        for center in (0.0, 30.0):
-            for leaf_id in (10, 11, 20, 21, 30, 31):
-                points, _ = mixture_at(center + leaf_id).sample(250, rng)
-                for row in points:
-                    tree.feed(leaf_id, row)
-                    if drain_every_record:
-                        tree.drain()
-        tree.drain()
-        mixture = tree.global_mixture()
-        state = (
-            tree.clock.now,
-            tree.level_stats(),
-            [tree.receiver_stats(node_id) for node_id in (0, 1, 2, 3)],
-            mixture.weights.tobytes(),
-            [(c.mean.tobytes(), c.covariance.tobytes()) for c in mixture.components],
-        )
-        tree.close()
-        return state, drains
-
-    def test_same_run_as_draining_after_every_record(self):
-        marked, marked_drains = self.run(drain_every_record=False)
-        every, every_drains = self.run(drain_every_record=True)
-        assert marked == every
-        assert marked[0] > 0.0  # the lossy links did cost clock time
-        assert every_drains > 3000 and marked_drains < 100
+    def test_same_run_as_draining_after_every_record(self, monkeypatch):
+        drains = drain_mark.count_drains(monkeypatch)
+        for link in sorted(drain_mark.LINKS):
+            drain_mark.check_marked_run_equals_settling_after_every_record(
+                drain_mark.TreeDriver, link, drains
+            )
 
     def test_send_outside_feed_is_drained_by_the_next_feed(self):
-        tree = build_three_gateways(LOSSY)  # delayed links: nothing lands
-        site = tree.sites[0]                # until the clock moves
-        points, _ = mixture_at(0.0).sample(251, np.random.default_rng(3))
-        # Not through feed(): the site trains on the chunk and uploads.
-        site.process_chunk(points[:250])
-        assert site.stats.messages_sent == 1
-        assert tree.receiver_stats(1).delivered == 0
-        tree.feed(10, points[250])
-        assert tree.receiver_stats(1).delivered == 1
-        assert tree.receiver_stats(0).delivered == 1
-        # ... and with nothing outstanding, feeding leaves the clock alone.
-        now = tree.clock.now
-        tree.feed(10, points[250])
-        assert tree.clock.now == now
-        tree.close()
+        drain_mark.check_send_outside_the_record_call_rides_the_next_record(
+            drain_mark.TreeDriver
+        )
+
+    def test_dead_link_still_raises_after_drain_limit(self):
+        drain_mark.check_dead_link_raises_and_leaves_the_mark_set(
+            drain_mark.TreeDriver
+        )

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.tree import TransportTree
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.gaussian import Gaussian
@@ -30,7 +31,6 @@ from repro.core.protocol import (
     WeightUpdateMessage,
 )
 from repro.core.remote import RemoteSiteConfig
-from repro.multilayer.tree import TreeNetwork
 from repro.obs import Observer, RingBufferSink
 from repro.streams import random_mixture
 from tests.core.coordinator_oracle import OracleCoordinator
@@ -123,7 +123,7 @@ def seeded_ops(seed: int, length: int):
 def tree_messages() -> dict[int, list[Message]]:
     """What the root (node 0) and one aggregator (node 1) of a 64-leaf,
     fan-in-8 tree receive: every leaf sees two regimes."""
-    tree = TreeNetwork(
+    tree = TransportTree(
         site_config=RemoteSiteConfig(
             dim=2, epsilon=0.05, delta=1e-3, c_max=2,
             em=EMConfig(n_components=2, n_init=1, max_iter=20),

@@ -22,8 +22,6 @@ from repro.core.serde import (
     WireCodec,
     available_codecs,
     codec_name_for_wire_id,
-    decode_message,
-    encode_message,
     get_codec,
     register_codec,
 )
@@ -222,20 +220,6 @@ class TestRegistry:
     def test_cds1_rejects_delta(self):
         with pytest.raises(ValueError, match="cds2"):
             get_codec("cds1", CodecConfig(delta=True))
-
-
-class TestDeprecatedShims:
-    def test_encode_message_warns_and_matches_cds1(self):
-        message = model_update(full_mixture())
-        with pytest.deprecated_call(match="get_codec"):
-            legacy = encode_message(message)
-        assert legacy == get_codec("cds1").encode(message)
-
-    def test_decode_message_warns_and_round_trips(self):
-        message = model_update(diagonal_mixture())
-        payload = get_codec("cds1").encode(message)
-        with pytest.deprecated_call(match="get_codec"):
-            assert decode_message(payload) == message
 
 
 class TestCDS2RoundTrip:

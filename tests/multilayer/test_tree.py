@@ -1,42 +1,27 @@
-"""Tests for the tree-structured network extension."""
+"""Tests for the tree-structured network extension (paper section 7).
+
+The node semantics (:mod:`repro.multilayer.tree`) on the synchronous
+in-memory network: a :class:`~repro.cluster.tree.TransportTree` over its
+default loopback links, where delivery is synchronous -- nothing here
+ever calls ``drain()``.  ``tests/cluster/test_transport_tree.py`` runs
+the same properties over seeded lossy links as well.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.coordinator import CoordinatorConfig
-from repro.core.em import EMConfig
+from repro.cluster.tree import TransportTree
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
-from repro.core.remote import RemoteSiteConfig
-from repro.multilayer.tree import TreeNetwork, mixture_change
-
-
-def fast_tree() -> TreeNetwork:
-    return TreeNetwork(
-        site_config=RemoteSiteConfig(
-            dim=2,
-            epsilon=0.3,
-            delta=0.05,
-            em=EMConfig(n_components=2, n_init=1, max_iter=25, tol=1e-3),
-            chunk_override=250,
-        ),
-        coordinator_config=CoordinatorConfig(
-            max_components=4, merge_method="moment"
-        ),
-        seed=0,
-    )
-
-
-def mixture_at(center: float) -> GaussianMixture:
-    return GaussianMixture(
-        np.array([0.5, 0.5]),
-        (
-            Gaussian.spherical(np.array([center, 0.0]), 0.3),
-            Gaussian.spherical(np.array([center, 5.0]), 0.3),
-        ),
-    )
+from repro.multilayer.tree import mixture_change
+from tests.cluster.trees import (
+    assert_one_summary_per_child,
+    build_two_level,
+    fast_tree,
+    mixture_at,
+)
 
 
 class TestMixtureChange:
@@ -90,26 +75,15 @@ class TestTopology:
 
 
 class TestStreamProcessing:
-    def build_two_level(self) -> TreeNetwork:
-        """root(0) <- internal(1), internal(2); two leaves under each."""
-        tree = fast_tree()
-        tree.add_internal(0)
-        tree.add_internal(1, parent_id=0)
-        tree.add_internal(2, parent_id=0)
-        tree.add_leaf(10, parent_id=1)
-        tree.add_leaf(11, parent_id=1)
-        tree.add_leaf(20, parent_id=2)
-        tree.add_leaf(21, parent_id=2)
-        return tree
-
-    def feed_leaf(self, tree: TreeNetwork, leaf_id: int, center: float,
+    def feed_leaf(self, tree: TransportTree, leaf_id: int, center: float,
                   n: int, seed: int) -> None:
+        """No ``drain()``: in memory, ``feed`` alone propagates."""
         points, _ = mixture_at(center).sample(n, np.random.default_rng(seed))
         for row in points:
             tree.feed(leaf_id, row)
 
     def test_summaries_propagate_to_the_root(self):
-        tree = self.build_two_level()
+        tree = build_two_level()
         self.feed_leaf(tree, 10, 0.0, 250, 1)
         self.feed_leaf(tree, 20, 40.0, 250, 2)
         mixture = tree.global_mixture()
@@ -118,7 +92,7 @@ class TestStreamProcessing:
         assert means[:, 0].max() > 30.0
 
     def test_internal_nodes_upload_only_on_change(self):
-        tree = self.build_two_level()
+        tree = build_two_level()
         self.feed_leaf(tree, 10, 0.0, 250, 1)
         internal = tree.internals[1]  # node 1
         uploads_after_first = internal.messages_up
@@ -129,16 +103,14 @@ class TestStreamProcessing:
         assert internal.messages_up == uploads_after_first
 
     def test_uplink_bytes_accounted_per_level(self):
-        tree = self.build_two_level()
+        tree = build_two_level()
         self.feed_leaf(tree, 10, 0.0, 250, 1)
         assert tree.total_uplink_bytes() > 0
-        leaf_bytes = sum(
-            leaf.site.stats.bytes_sent for leaf in tree.leaves
-        )
+        leaf_bytes = sum(site.stats.bytes_sent for site in tree.sites)
         assert tree.total_uplink_bytes() >= leaf_bytes
 
     def test_unknown_leaf_rejected(self):
-        tree = self.build_two_level()
+        tree = build_two_level()
         with pytest.raises(KeyError, match="unknown leaf"):
             tree.feed(99, np.zeros(2))
 
@@ -172,26 +144,6 @@ class TestUploadThreshold:
         for row in points:
             tree.feed(10, row)
         assert gateway.messages_up >= 1
-
-
-def assert_one_summary_per_child(root, children, cap=4):
-    """The replace-in-place contract, seen from a parent coordinator:
-    one site model per child that uploaded, the mass of the children's
-    latest summaries and no more leaves than children x cap."""
-    models = root.coordinator.site_models
-    assert sorted(models) == [(child.node_id, 0) for child in children]
-    mass = sum(cluster.weight for cluster in root.coordinator.clusters)
-    assert mass == pytest.approx(sum(count for _, count in models.values()))
-    # With upload_threshold=0 the latest summary is the current state.
-    assert mass == pytest.approx(
-        sum(
-            max(1, round(sum(c.weight for c in child.coordinator.clusters)))
-            for child in children
-        )
-    )
-    leaves = sum(len(cluster.leaves) for cluster in root.coordinator.clusters)
-    assert leaves <= len(children) * cap
-    assert root.coordinator.check_invariants() == []
 
 
 class TestSummaryReplacesItsPredecessor:

@@ -30,6 +30,7 @@ from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.clock import ManualClock
 from repro.transport.loopback import LoopbackTransport
+from tests.transport import drain_mark_contract as drain_mark
 
 RECORDS = 360
 CHUNK = 60
@@ -218,104 +219,25 @@ class TestTransportFaultsHealed:
         assert coordinator_bytes(lossless) == coordinator_bytes(faulty)
 
 
-class LosesUplink(LoopbackTransport):
-    """Loopback that loses the next ``lose`` site -> coordinator datagrams."""
-
-    lose = 0
-
-    def _transmit_to_coordinator(self, site_id: int, data: bytes) -> None:
-        if self.lose > 0:
-            self.lose -= 1
-            return
-        super()._transmit_to_coordinator(site_id, data)
-
-
 class TestTransportDrainMark:
     """``TransportChannel.submit`` drains only when a message entered an
-    endpoint since the last drain -- which must be indistinguishable
-    from draining after every record."""
+    endpoint since the last drain: the contract of
+    ``tests/transport/drain_mark_contract.py``, for the channel."""
 
-    FAULTS = {
-        "loopback": None,
-        "lossy": ChannelFaults(
-            drop_rate=0.10, duplicate_rate=0.03, reorder_rate=0.03, seed=1
-        ),
-    }
-
-    @staticmethod
-    def run(faults, quiesce_every_record: bool):
-        clock = ManualClock()
-        system = CluDistream(fast_config(), seed=0)
-        channel = TransportChannel(LoopbackTransport(), clock, faults=faults)
-        runtime = system.runtime(channel)
-        streams = make_streams()
-        for index in range(RECORDS):
-            for site_id in sorted(streams):
-                runtime.step(site_id, streams[site_id][index])
-                if quiesce_every_record:
-                    channel.quiesce()
-        channel.finish()
-        channel.quiesce()
-        channel.close()
-        return (
-            clock.now,
-            channel.accounting(),
-            channel.coordinator_endpoint.receiver.stats,
-            [endpoint.sender.stats for endpoint in channel.endpoints],
-            coordinator_bytes(system),
+    @pytest.mark.parametrize("link", sorted(drain_mark.LINKS))
+    def test_explicit_quiesce_after_every_submit_changes_nothing(
+        self, link, monkeypatch
+    ):
+        drain_mark.check_marked_run_equals_settling_after_every_record(
+            drain_mark.ChannelDriver, link, drain_mark.count_drains(monkeypatch)
         )
 
-    @pytest.mark.parametrize("link", sorted(FAULTS))
-    def test_explicit_quiesce_after_every_submit_changes_nothing(self, link):
-        marked = self.run(self.FAULTS[link], quiesce_every_record=False)
-        drained = self.run(self.FAULTS[link], quiesce_every_record=True)
-        assert marked == drained
-        accounting = marked[1]
-        assert accounting.delivered == accounting.attempted > 2
-        if link == "lossy":
-            assert marked[0] > 0.0  # the clock really moved
-            assert accounting.retransmissions > 0
-
-    @staticmethod
-    def open_channel(**kwargs):
-        transport = LosesUplink()
-        system = CluDistream(fast_config(), seed=0)
-        channel = TransportChannel(transport, ManualClock(), **kwargs)
-        channel.open(system.sites, system.coordinator)
-        return transport, system, channel
-
     def test_expire_between_submits_rides_the_next_submit(self):
-        transport, system, channel = self.open_channel()
-        site = system.sites[0]
-        records = make_streams()[0]
-        for record in records[:CHUNK]:
-            channel.submit(site, record)
-        key = (0, site.current_model.model_id)
-        assert system.coordinator.site_models[key][1] == CHUNK
-        # The deletion's first transmission is lost, so it is still in
-        # the outbox when the next record arrives -- a record that emits
-        # nothing itself.
-        transport.lose = 1
-        site.expire(key[1], 10)
-        assert channel.endpoints[0].outstanding() == 1
-        assert system.coordinator.site_models[key][1] == CHUNK
-        assert channel.submit(site, records[CHUNK]) == []
-        assert channel.endpoints[0].outstanding() == 0
-        assert system.coordinator.site_models[key][1] == CHUNK - 10
-        channel.close()
+        drain_mark.check_send_outside_the_record_call_rides_the_next_record(
+            drain_mark.ChannelDriver
+        )
 
     def test_dead_link_still_raises_after_drain_limit(self):
-        transport, system, channel = self.open_channel(drain_limit=5.0)
-        site = system.sites[0]
-        records = make_streams()[0]
-        transport.lose = 10**9
-        for record in records[: CHUNK - 1]:
-            channel.submit(site, record)
-        with pytest.raises(RuntimeError, match="failed to drain within 5.0"):
-            channel.submit(site, records[CHUNK - 1])
-        # Nothing was delivered, so the next record tries again.
-        with pytest.raises(RuntimeError, match="failed to drain"):
-            channel.submit(site, records[CHUNK])
-        with pytest.raises(RuntimeError, match="failed to drain"):
-            channel.quiesce()
-        channel.close()
+        drain_mark.check_dead_link_raises_and_leaves_the_mark_set(
+            drain_mark.ChannelDriver
+        )

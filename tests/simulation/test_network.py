@@ -55,9 +55,10 @@ class TestChannel:
         )
         channel.send(message())
         channel.send(message())
-        assert channel.stats.messages == 2
-        assert channel.stats.bytes == 2 * message().payload_bytes()
-        assert collector.total == channel.stats.bytes
+        assert channel.stats.attempted == 2
+        assert channel.stats.payload_bytes == 2 * message().payload_bytes()
+        assert channel.stats.wire_bytes == channel.stats.payload_bytes
+        assert collector.total == channel.stats.payload_bytes
 
     def test_invalid_parameters_rejected(self):
         engine = SimulationEngine()
@@ -83,8 +84,9 @@ class TestStarNetwork:
         network.channel_for(0).send(message(0))
         network.channel_for(1).send(message(1))
         engine.run()
-        assert network.total_messages == 2
-        assert network.total_bytes == 2 * message().payload_bytes()
+        accounting = network.accounting()
+        assert accounting.attempted == 2
+        assert accounting.payload_bytes == 2 * message().payload_bytes()
 
     def test_shared_cost_collector(self):
         engine = SimulationEngine()
@@ -95,7 +97,7 @@ class TestStarNetwork:
         network.channel_for(1).send(message(1))
         engine.run()
         network.finalize()
-        assert network.cost.total == network.total_bytes
+        assert network.cost.total == network.accounting().payload_bytes
 
     def test_finalize_is_idempotent(self):
         """Regression: a second finalize() must not corrupt the series."""
@@ -109,14 +111,12 @@ class TestStarNetwork:
         network.finalize()
         samples = list(network.cost.samples)
         total = network.cost.total
-        messages = network.total_messages
-        total_bytes = network.total_bytes
+        accounting = network.accounting()
 
         network.finalize()  # same clock: must be a no-op
         assert list(network.cost.samples) == samples
         assert network.cost.total == total
-        assert network.total_messages == messages
-        assert network.total_bytes == total_bytes
+        assert network.accounting() == accounting
 
     def test_finalize_after_more_traffic_extends_the_series(self):
         engine = SimulationEngine()

@@ -1,6 +1,13 @@
-"""Tests for the unreliable-link model and loss tolerance."""
+"""Tests for the unreliable-link model and loss tolerance.
+
+The simulated star network's links are reliable; the adversary is the
+seeded :class:`~repro.runtime.faults.MessageFaultInjector` that
+:class:`~repro.runtime.SimulatedChannel` puts at the delivery boundary.
+"""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +16,7 @@ from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage, WeightUpdateMessage
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.network import NetworkChannel
+from repro.runtime import ChannelFaults, SimulatedChannel
 
 
 def weight_message(n: int = 0) -> WeightUpdateMessage:
@@ -29,71 +35,66 @@ def model_message(model_id: int = 0) -> ModelUpdateMessage:
     )
 
 
+def lossy_star(received: list, **faults) -> SimulatedChannel:
+    """The star network with the message-level adversary behind it --
+    the one unreliable-link model -- delivering into ``received``."""
+    channel = SimulatedChannel(latency=0.01, faults=ChannelFaults(**faults))
+    channel.open([], SimpleNamespace(handle_message=received.append))
+    return channel
+
+
 class TestLossyChannel:
     def test_drop_rate_zero_delivers_everything(self):
-        engine = SimulationEngine()
         received = []
-        channel = NetworkChannel(
-            engine, received.append, latency=0.0, drop_rate=0.0
-        )
+        channel = lossy_star(received, drop_rate=0.0)
+        link = channel.network.channel_for(0)
         for i in range(50):
-            channel.send(weight_message(i))
-        engine.run()
+            link.send(weight_message(i))
+        channel.quiesce()
         assert len(received) == 50
-        assert channel.stats.dropped == 0
+        assert channel.accounting().dropped == 0
 
     def test_drops_happen_at_the_configured_rate(self):
-        engine = SimulationEngine()
         received = []
-        channel = NetworkChannel(
-            engine,
-            received.append,
-            latency=0.0,
-            drop_rate=0.3,
-            rng=np.random.default_rng(1),
-        )
+        channel = lossy_star(received, drop_rate=0.3, seed=1)
+        link = channel.network.channel_for(0)
         for i in range(1000):
-            channel.send(weight_message(i))
-        engine.run()
-        assert channel.stats.dropped == pytest.approx(300, abs=60)
-        assert len(received) == 1000 - channel.stats.dropped
+            link.send(weight_message(i))
+        channel.quiesce()
+        dropped = channel.accounting().dropped
+        assert dropped == pytest.approx(300, abs=60)
+        assert len(received) == 1000 - dropped
 
     def test_sender_pays_for_dropped_messages(self):
-        engine = SimulationEngine()
-        channel = NetworkChannel(
-            engine,
-            lambda m: None,
-            latency=0.0,
-            drop_rate=0.99,
-            rng=np.random.default_rng(2),
-        )
+        channel = lossy_star([], drop_rate=0.99, seed=2)
+        link = channel.network.channel_for(0)
         for i in range(100):
-            channel.send(weight_message(i))
+            link.send(weight_message(i))
+        channel.quiesce()
+        accounting = channel.accounting()
+        assert accounting.dropped > 50
         # Byte accounting reflects attempted sends (section 5.3 costs).
-        assert channel.stats.bytes == 100 * weight_message().payload_bytes()
+        assert accounting.attempted == 100
+        assert (
+            accounting.payload_bytes == 100 * weight_message().payload_bytes()
+        )
 
     def test_duplicates_deliver_twice(self):
-        engine = SimulationEngine()
         received = []
-        channel = NetworkChannel(
-            engine,
-            received.append,
-            latency=0.01,
-            duplicate_rate=0.5,
-            rng=np.random.default_rng(3),
-        )
+        channel = lossy_star(received, duplicate_rate=0.5, seed=3)
+        link = channel.network.channel_for(0)
         for i in range(200):
-            channel.send(weight_message(i))
-        engine.run()
-        assert len(received) == 200 + channel.stats.duplicated
-        assert channel.stats.duplicated == pytest.approx(100, abs=30)
+            link.send(weight_message(i))
+        channel.quiesce()
+        duplicated = channel.accounting().duplicated
+        assert len(received) == 200 + duplicated
+        assert duplicated == pytest.approx(100, abs=30)
 
     def test_invalid_rates_rejected(self):
-        engine = SimulationEngine()
         with pytest.raises(ValueError, match="drop_rate"):
-            NetworkChannel(engine, lambda m: None, drop_rate=1.0)
+            ChannelFaults(drop_rate=1.0)
         with pytest.raises(ValueError, match="duplicate_rate"):
-            NetworkChannel(engine, lambda m: None, duplicate_rate=-0.1)
+            ChannelFaults(duplicate_rate=-0.1)
 
 
 class TestCoordinatorLossTolerance:
@@ -124,27 +125,24 @@ class TestCoordinatorLossTolerance:
     def test_survives_lossy_end_to_end(self):
         """A lossy star network with a tolerant coordinator: no crash,
         and the coordinator holds whatever made it through."""
-        engine = SimulationEngine()
         coordinator = Coordinator(
             CoordinatorConfig(
                 max_components=4, merge_method="moment", tolerate_loss=True
             )
         )
-        channel = NetworkChannel(
-            engine,
-            coordinator.handle_message,
-            latency=0.0,
-            drop_rate=0.4,
-            rng=np.random.default_rng(4),
+        channel = SimulatedChannel(
+            latency=0.0, faults=ChannelFaults(drop_rate=0.4, seed=4)
         )
+        channel.open([], coordinator)
+        link = channel.network.channel_for(0)
         for model_id in range(10):
-            channel.send(model_message(model_id))
-            channel.send(
+            link.send(model_message(model_id))
+            link.send(
                 WeightUpdateMessage(
                     site_id=0, model_id=model_id, time=0, count_delta=50
                 )
             )
-        engine.run()
+        channel.quiesce()
         delivered_models = coordinator.stats.model_updates
         assert delivered_models >= 1
         assert coordinator.stats.orphan_updates >= 1

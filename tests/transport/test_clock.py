@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.engine import SimulationEngine
-from repro.transport.clock import EngineClock, ManualClock
+from repro.transport.clock import ManualClock
 
 
 class TestManualClock:
@@ -56,21 +55,3 @@ class TestManualClock:
         with pytest.raises(ValueError):
             clock.advance_to(0.5)
 
-
-class TestEngineClock:
-    def test_rides_the_simulation_engine(self):
-        engine = SimulationEngine()
-        clock = EngineClock(engine)
-        fired = []
-        clock.call_later(0.5, lambda: fired.append(clock.now))
-        engine.run()
-        assert fired == [pytest.approx(0.5)]
-
-    def test_cancel_through_the_engine(self):
-        engine = SimulationEngine()
-        clock = EngineClock(engine)
-        fired = []
-        handle = clock.call_later(0.5, lambda: fired.append(1))
-        handle.cancel()
-        engine.run()
-        assert fired == []
