@@ -235,6 +235,17 @@ class GaussianMixture:
         ``M_split`` / ``M_remerge`` criteria compare components against.
         """
         if not self._pooled:
+            only = self.components[0]
+            if (
+                len(self.components) == 1
+                and not only.diagonal
+                and self.weights[0] == 1.0
+            ):
+                # The pool of one leaf is the leaf: its covariance is
+                # already regularised, so pooling would only re-derive
+                # (and re-factorise) the same matrix.
+                self._pooled.append(only)
+                return only
             means = self._means_matrix()
             covariances = np.stack(
                 [component.covariance for component in self.components]

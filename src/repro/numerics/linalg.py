@@ -82,11 +82,10 @@ def ensure_spd(matrix: np.ndarray) -> np.ndarray:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"covariance must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("covariance contains non-finite entries")
     sym = (arr + arr.T) / 2.0
-    diag = np.diag(sym).copy()
-    np.fill_diagonal(sym, np.maximum(diag, VARIANCE_FLOOR))
+    np.fill_diagonal(sym, np.maximum(sym.diagonal(), VARIANCE_FLOOR))
     return sym
 
 
@@ -103,11 +102,19 @@ def regularize_covariance(
     only possible for pathological (non-finite) input, which
     :func:`ensure_spd` rejects first.
     """
+    return _regularized_factor(matrix, ridge, max_attempts)[0]
+
+
+def _regularized_factor(
+    matrix: np.ndarray, ridge: float, max_attempts: int = 12
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(Σ, L)``: the regularised ``matrix`` and the Cholesky factor
+    that accepted it, so nothing downstream factors ``Σ`` again."""
     sym = ensure_spd(matrix)
     # Scale by the full matrix magnitude, not just the diagonal: a
     # floored diagonal with dominant off-diagonal entries needs a ridge
     # comparable to those entries to become positive definite.
-    scale = max(float(np.mean(np.diag(sym))), float(np.max(np.abs(sym))))
+    scale = max(float(sym.diagonal().mean()), float(np.abs(sym).max()))
     if scale <= 0.0:
         scale = 1.0
     bump = ridge * scale
@@ -115,12 +122,12 @@ def regularize_covariance(
     # Cholesky can numerically succeed on an exactly singular matrix, so
     # a successful factorisation must also keep its pivots well clear of
     # zero before we accept the candidate.
-    pivot_floor = PIVOT_FLOOR * np.sqrt(scale)
+    pivot_floor = PIVOT_FLOOR * math.sqrt(scale)
     for _ in range(max_attempts):
         try:
             factor = np.linalg.cholesky(candidate)
-            if float(np.min(np.diag(factor))) > pivot_floor:
-                return candidate
+            if float(factor.diagonal().min()) > pivot_floor:
+                return candidate, factor
         except np.linalg.LinAlgError:
             pass
         candidate = sym + bump * np.eye(sym.shape[0])
@@ -183,7 +190,7 @@ class SPDFactors:
             from scipy.linalg import solve_triangular
 
             inv = solve_triangular(
-                self.cholesky, np.eye(self.dim), lower=True
+                self.cholesky, np.eye(self.dim), lower=True, check_finite=False
             )
             inv.setflags(write=False)
             self._inverse_cholesky.append(inv)
@@ -193,8 +200,12 @@ class SPDFactors:
         """Solve ``covariance @ x = rhs`` via two triangular solves."""
         from scipy.linalg import solve_triangular
 
-        half = solve_triangular(self.cholesky, rhs, lower=True)
-        return solve_triangular(self.cholesky.T, half, lower=False)
+        half = solve_triangular(
+            self.cholesky, rhs, lower=True, check_finite=False
+        )
+        return solve_triangular(
+            self.cholesky.T, half, lower=False, check_finite=False
+        )
 
     def whiten(self, centered: np.ndarray) -> np.ndarray:
         """Map centred rows ``x - μ`` to whitened coordinates ``L⁻¹(x-μ)ᵀ``.
@@ -212,14 +223,15 @@ class SPDFactors:
         """
         from scipy.linalg import solve_triangular
 
-        return solve_triangular(self.cholesky, centered.T, lower=True)
+        return solve_triangular(
+            self.cholesky, centered.T, lower=True, check_finite=False
+        )
 
 
 def spd_factorize(matrix: np.ndarray, ridge: float = DEFAULT_RIDGE) -> SPDFactors:
     """Regularise ``matrix`` and return its cached Cholesky factors."""
-    cov = regularize_covariance(matrix, ridge=ridge)
-    chol = np.linalg.cholesky(cov)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    cov, chol = _regularized_factor(matrix, ridge)
+    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
     return SPDFactors(covariance=cov, cholesky=chol, log_det=log_det)
 
 

@@ -24,6 +24,8 @@ import pytest
 
 import repro.core.gaussian as gaussian_module
 from repro.core.em import EMConfig
+from repro.core.gaussian import Gaussian
+from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.core.testing import average_log_likelihood
 
@@ -164,6 +166,48 @@ class TestReactivation:
         site.process_chunk(revisit)
         assert site.stats.n_reactivations == before + 1
         assert calls["n"] == 0
+
+
+def count_calls(monkeypatch, owner, name: str) -> dict:
+    """Count calls of ``owner.name`` from here on (the real one runs)."""
+    calls = {"n": 0}
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestFactorOnce:
+    """One Cholesky per ``Gaussian``: the factor that accepts Σ is the
+    factor the component keeps."""
+
+    def test_spd_covariance_is_factorised_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        root = rng.normal(size=(DIM, DIM))
+        covariance = root @ root.T + np.eye(DIM)
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        component = Gaussian(rng.normal(size=DIM), covariance)
+        assert calls["n"] == 1
+        # Everything derived later comes from that one factor.
+        component.factors.inverse_cholesky()
+        component.log_pdf(rng.normal(size=(5, DIM)))
+        assert calls["n"] == 1
+
+    def test_pool_of_one_leaf_is_the_leaf(self, monkeypatch):
+        leaf = Gaussian(np.arange(3.0), np.diag([1.0, 2.0, 3.0]))
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        assert GaussianMixture.single(leaf).pooled_gaussian() is leaf
+        assert calls["n"] == 0
+
+    def test_pool_of_a_diagonal_leaf_is_still_a_full_gaussian(self):
+        leaf = Gaussian(np.zeros(2), np.diag([1.0, 4.0]), diagonal=True)
+        pooled = GaussianMixture.single(leaf).pooled_gaussian()
+        assert not pooled.diagonal
+        assert np.array_equal(pooled.covariance, leaf.covariance)
 
 
 class TestQualityGate:
