@@ -35,11 +35,11 @@ path is bit-for-bit what it was before they existed.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.gaussian import Gaussian
-from repro.core.mixture import GaussianMixture
+from repro.core.mixture import EStep, GaussianMixture
 from repro.core.suffstats import SufficientStats
 from repro.obs.observer import Observer, ensure_observer
 
@@ -205,26 +205,26 @@ def _initial_mixture(
 
 def _m_step(
     data: np.ndarray,
-    responsibilities: np.ndarray,
+    e_step: EStep,
     config: EMConfig,
-    rng: np.random.Generator,
-    mixture: GaussianMixture,
+    global_var: float,
 ) -> GaussianMixture:
     """Re-estimate ``(w, μ, Σ)`` from posteriors (paper step 2b).
 
-    A component whose responsibility mass collapses is re-seeded on the
-    record with the lowest current mixture density -- the standard cure
-    for starvation on tiny chunks.
+    ``e_step`` is the current mixture's density pass over ``data`` and
+    ``global_var`` the chunk's :func:`_chunk_global_var`.  A component
+    whose responsibility mass collapses is re-seeded on the record with
+    the lowest current mixture density -- the standard cure for
+    starvation on tiny chunks.
     """
+    responsibilities = e_step.responsibilities
     n, k = responsibilities.shape
     masses = responsibilities.sum(axis=0)
     weights = masses / n
     components: list[Gaussian] = []
-    global_var = float(np.mean(np.var(data, axis=0))) or 1.0
     starved = masses < MIN_COMPONENT_MASS * n
     if np.any(starved):
-        log_density = mixture.log_pdf(data)
-        worst_order = np.argsort(log_density)
+        worst_order = np.argsort(e_step.log_density)
     reseed_cursor = 0
     for j in range(k):
         if starved[j]:
@@ -253,22 +253,24 @@ def _em_loop(
     data: np.ndarray,
     mixture: GaussianMixture,
     config: EMConfig,
-    rng: np.random.Generator,
 ) -> EMResult:
     """Iterate E/M from ``mixture`` until the ``tol`` criterion holds.
 
     The single driver behind both cold restarts (:func:`_run_single`)
-    and warm refinement (:func:`_refine`); their loop bodies were
-    already identical, so sharing it cannot shift the default path.
+    and warm refinement.  Each iterate gets one density pass: the one
+    whose likelihood decides convergence also gives the next M-step its
+    posteriors, so a fit of ``n`` iterations makes ``n + 1`` passes.
     """
     history: list[float] = []
     previous = -np.inf
     converged = False
     iterations = 0
+    global_var = _chunk_global_var(data)
+    e_step = mixture.e_step(data)
     for iterations in range(1, config.max_iter + 1):
-        responsibilities = mixture.posterior(data)
-        mixture = _m_step(data, responsibilities, config, rng, mixture)
-        current = mixture.average_log_likelihood(data)
+        mixture = _m_step(data, e_step, config, global_var)
+        e_step = mixture.e_step(data)
+        current = e_step.log_likelihood
         history.append(current)
         if np.isfinite(previous) and abs(current - previous) <= config.tol:
             converged = True
@@ -287,7 +289,7 @@ def _run_single(
     data: np.ndarray, config: EMConfig, rng: np.random.Generator
 ) -> EMResult:
     """One EM restart: a cold k-means++ seed fed to the shared loop."""
-    return _em_loop(data, _initial_mixture(data, config, rng), config, rng)
+    return _em_loop(data, _initial_mixture(data, config, rng), config)
 
 
 def fit_em(
@@ -363,8 +365,7 @@ def fit_em(
     with obs.timer("profile.em_fit"):
         if warm_start is not None:
             candidates = [
-                _refine(data, candidate, config, rng)
-                for candidate in warm_start
+                _em_loop(data, candidate, config) for candidate in warm_start
             ]
         else:
             candidates = [
@@ -373,7 +374,7 @@ def fit_em(
             if initial is not None:
                 if initial.dim != data.shape[1]:
                     raise ValueError("warm-start mixture dimension mismatch")
-                candidates.append(_refine(data, initial, config, rng))
+                candidates.append(_em_loop(data, initial, config))
         best = max(candidates, key=lambda result: result.log_likelihood)
     if obs.enabled:
         obs.inc("em.fits")
@@ -390,16 +391,6 @@ def fit_em(
     return best
 
 
-def _refine(
-    data: np.ndarray,
-    mixture: GaussianMixture,
-    config: EMConfig,
-    rng: np.random.Generator,
-) -> EMResult:
-    """EM iterations from an existing mixture instead of a cold seed."""
-    return _em_loop(data, mixture, config, rng)
-
-
 def responsibilities_and_likelihood(
     mixture: GaussianMixture, data: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -408,8 +399,8 @@ def responsibilities_and_likelihood(
     Exposed for the SEM baseline, which interleaves E-steps over live
     records with sufficient-statistics updates.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    return mixture.posterior(data), mixture.average_log_likelihood(data)
+    e_step = mixture.e_step(data)
+    return e_step.responsibilities, e_step.log_likelihood
 
 
 # ----------------------------------------------------------------------
@@ -438,6 +429,11 @@ class IncrementalResult:
         was a no-op, ``1`` for one-pass absorption).
     history:
         Average log likelihood after each pass.
+    e_step:
+        The density pass of ``mixture`` over the chunk that
+        ``log_likelihood`` was read from -- the site takes the updated
+        model's reference statistics from it instead of evaluating the
+        chunk again.
     """
 
     mixture: GaussianMixture
@@ -445,6 +441,7 @@ class IncrementalResult:
     log_likelihood: float
     n_steps: int
     history: tuple[float, ...]
+    e_step: EStep | None = field(default=None, compare=False, repr=False)
 
 
 def _chunk_global_var(data: np.ndarray) -> float:
@@ -521,38 +518,33 @@ def incremental_em(
         )
     obs = ensure_observer(observer)
     with obs.timer("profile.em_incremental"):
-        if config.incremental_steps == 0:
-            result = IncrementalResult(
-                mixture=mixture,
-                stats=stats,
-                log_likelihood=mixture.average_log_likelihood(data),
-                n_steps=0,
-                history=(),
-            )
-        else:
+        # One density pass per iterate: the pass that scores a step's
+        # mixture also gives the next step its posteriors.
+        e_step = mixture.e_step(data)
+        history: list[float] = []
+        if config.incremental_steps:
             global_var = _chunk_global_var(data)
             target = stats.total + float(n)
-            history: list[float] = []
-            current = mixture
             for t in range(config.incremental_steps):
                 eta = (t + 2.0) ** -config.step_alpha
-                responsibilities = current.posterior(data)
                 batch = SufficientStats.from_responsibilities(
-                    data, responsibilities, diagonal=config.diagonal
+                    data, e_step.responsibilities, diagonal=config.diagonal
                 )
                 stats = stats.blend(batch, eta, target=target)
-                current = stats.materialize(
+                mixture = stats.materialize(
                     covariance_ridge=config.covariance_ridge,
                     global_var=global_var,
                 )
-                history.append(current.average_log_likelihood(data))
-            result = IncrementalResult(
-                mixture=current,
-                stats=stats,
-                log_likelihood=history[-1],
-                n_steps=len(history),
-                history=tuple(history),
-            )
+                e_step = mixture.e_step(data)
+                history.append(e_step.log_likelihood)
+        result = IncrementalResult(
+            mixture=mixture,
+            stats=stats,
+            log_likelihood=e_step.log_likelihood,
+            n_steps=len(history),
+            history=tuple(history),
+            e_step=e_step,
+        )
     if obs.enabled:
         obs.inc("em.incremental_updates")
         obs.event(
@@ -572,6 +564,7 @@ def absorb_chunk(
     *,
     stats: SufficientStats | None = None,
     observer: Observer | None = None,
+    e_step: EStep | None = None,
 ) -> IncrementalResult:
     """One-pass absorption of a *passing* chunk: no EM iterations.
 
@@ -580,6 +573,10 @@ def absorb_chunk(
     ``(w, μ, Σ)`` current at the cost of one posterior evaluation --
     the suffstat analogue of "the model absorbs the chunk" in
     Algorithm 1's pass branch.
+
+    ``e_step`` is the density pass of ``mixture`` over ``data`` when the
+    caller already made it (the fit test the chunk just passed); the
+    result carries the pass of the *updated* mixture.
 
     Same ``stats`` convention as :func:`incremental_em`; returns the
     merged statistics so successive passing chunks accumulate exactly.
@@ -591,18 +588,28 @@ def absorb_chunk(
         stats = SufficientStats.from_mixture(
             mixture, float(n), diagonal=config.diagonal
         )
+    if e_step is not None and e_step.weighted.shape != (
+        n,
+        mixture.n_components,
+    ):
+        raise ValueError(
+            f"e_step of shape {e_step.weighted.shape} is not a pass of "
+            f"this {mixture.n_components}-component mixture over {n} records"
+        )
     obs = ensure_observer(observer)
     with obs.timer("profile.em_absorb"):
-        responsibilities = mixture.posterior(data)
+        if e_step is None:
+            e_step = mixture.e_step(data)
         batch = SufficientStats.from_responsibilities(
-            data, responsibilities, diagonal=config.diagonal
+            data, e_step.responsibilities, diagonal=config.diagonal
         )
         stats = stats.merge(batch)
         updated = stats.materialize(
             covariance_ridge=config.covariance_ridge,
             global_var=_chunk_global_var(data),
         )
-        likelihood = updated.average_log_likelihood(data)
+        e_step = updated.e_step(data)
+        likelihood = e_step.log_likelihood
     if obs.enabled:
         obs.inc("em.absorbed_chunks")
         obs.event(
@@ -617,4 +624,5 @@ def absorb_chunk(
         log_likelihood=likelihood,
         n_steps=1,
         history=(likelihood,),
+        e_step=e_step,
     )

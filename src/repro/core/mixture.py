@@ -18,18 +18,94 @@ Like :class:`Gaussian`, mixtures are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.gaussian import BYTES_PER_FLOAT, Gaussian
-from repro.numerics.linalg import batch_log_pdf, logsumexp
+from repro.numerics.linalg import batch_log_pdf, shifted_exp
 
-__all__ = ["GaussianMixture"]
+__all__ = ["EStep", "GaussianMixture"]
 
 #: Log-density floor: records in the far tail of every component clamp
 #: here rather than producing ``-inf`` average log likelihoods.
 LOG_DENSITY_FLOOR = -745.0  # ~ log(smallest positive double)
+
+
+class EStep:
+    """One density pass of a mixture over a chunk (paper section 3.2).
+
+    EM's E-step yields the posteriors ``Pr(j|x)`` and the likelihood
+    from the same ``(n, K)`` matrix ``log(w_j p(x|j))``; so do the fit
+    test and the reference statistics of Algorithm 1.  An ``EStep``
+    holds that matrix and derives from it, each at most once and only
+    when asked, the floored per-record log density, its sharpened
+    max-component form and the responsibilities.
+
+    It is passed from the function that computed it to the next one
+    that needs it (:func:`repro.core.testing.fit_test` →
+    :func:`repro.core.em.absorb_chunk` → the site's reference
+    statistics) and dropped with the chunk.  It is deliberately not
+    cached on the mixture: a memo keyed on the chunk array would go
+    stale under a producer that refills its buffer in place, and
+    archived models would pin ``(n, K)`` matrices.
+
+    Attributes
+    ----------
+    weights:
+        The mixture weights ``(K,)``: the posterior of a record no
+        component can explain.
+    weighted:
+        ``log(w_j p(x_i|j))``, shape ``(n, K)``.
+    """
+
+    def __init__(self, weights: np.ndarray, weighted: np.ndarray) -> None:
+        self.weights = weights
+        self.weighted = weighted
+
+    @cached_property
+    def _scaled(self):
+        return shifted_exp(self.weighted, axis=1)
+
+    @cached_property
+    def log_density(self) -> np.ndarray:
+        """Mixture log density ``log p(x)`` per record (eq. 1), floored
+        at :data:`LOG_DENSITY_FLOOR` so averages stay finite."""
+        peak, finite, _, totals = self._scaled
+        log_density = np.where(
+            finite[:, 0], peak[:, 0] + np.log(totals), -np.inf
+        )
+        return np.maximum(log_density, LOG_DENSITY_FLOOR)
+
+    @cached_property
+    def max_log_density(self) -> np.ndarray:
+        """Maximal ``log(w_j p(x|j))`` per record, floored: the
+        sharpening used in the proof of Theorem 2."""
+        return np.maximum(np.max(self.weighted, axis=1), LOG_DENSITY_FLOOR)
+
+    @cached_property
+    def responsibilities(self) -> np.ndarray:
+        """Posterior membership matrix ``Pr(j|x)`` (eq. 2), shape ``(n, K)``.
+
+        Rows always sum to one.  In the deep tail of every component the
+        computation stays stable: the relatively-closest component wins
+        (a numerically hard assignment); a row whose every weighted log
+        density is ``-inf`` falls back to the mixture weights.
+        """
+        _, finite, scaled, totals = self._scaled
+        with np.errstate(invalid="ignore"):
+            posterior = scaled / totals[:, None]
+        if not finite.all():
+            posterior[~finite[:, 0]] = self.weights
+        return posterior
+
+    @property
+    def log_likelihood(self) -> float:
+        """``AvgPr`` of the chunk under the mixture (Definition 1)."""
+        if self.weighted.shape[0] == 0:
+            raise ValueError("cannot average over an empty data set")
+        return float(np.mean(self.log_density))
 
 
 @dataclass(frozen=True)
@@ -162,6 +238,11 @@ class GaussianMixture:
             log_weights = np.log(self.weights)
         return self.component_log_pdf(points) + log_weights[None, :]
 
+    def e_step(self, points: np.ndarray) -> EStep:
+        """The density pass over ``points`` every likelihood and
+        posterior below is read from -- one call of the batched kernel."""
+        return EStep(self.weights, self.weighted_log_pdf(points))
+
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
         """Mixture log density ``log p(x)`` per row (eq. 1), floored.
 
@@ -169,32 +250,16 @@ class GaussianMixture:
         every component clamp to :data:`LOG_DENSITY_FLOOR` instead of
         ``-inf`` so downstream averages stay finite.
         """
-        weighted = self.weighted_log_pdf(points)
-        log_density = logsumexp(weighted, axis=1)
-        return np.maximum(log_density, LOG_DENSITY_FLOOR)
+        return self.e_step(points).log_density
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         """Mixture density ``p(x)`` per row."""
         return np.exp(self.log_pdf(points))
 
     def posterior(self, points: np.ndarray) -> np.ndarray:
-        """Posterior membership matrix ``Pr(j|x)`` (eq. 2), shape ``(n, K)``.
-
-        Rows always sum to one.  In the deep tail of every component the
-        computation stays stable: the relatively-closest component wins
-        (a numerically hard assignment); a row whose every weighted log
-        density is ``-inf`` falls back to the mixture weights.
-        """
-        weighted = self.weighted_log_pdf(points)
-        peak = np.max(weighted, axis=1, keepdims=True)
-        finite = np.isfinite(peak).ravel()
-        probs = np.exp(weighted - np.where(np.isfinite(peak), peak, 0.0))
-        totals = probs.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            posterior = probs / totals
-        if not np.all(finite):
-            posterior[~finite] = self.weights[None, :]
-        return posterior
+        """Posterior membership matrix ``Pr(j|x)`` (eq. 2), shape ``(n, K)``;
+        see :attr:`EStep.responsibilities`."""
+        return self.e_step(points).responsibilities
 
     def assign(self, points: np.ndarray) -> np.ndarray:
         """Hard assignment: index of the most probable component per row."""
@@ -205,10 +270,7 @@ class GaussianMixture:
     # ------------------------------------------------------------------
     def average_log_likelihood(self, points: np.ndarray) -> float:
         """``AvgPr = (1/|D|) Σ_x log Σ_j w_j p(x|j)`` (Definition 1)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[0] == 0:
-            raise ValueError("cannot average over an empty data set")
-        return float(np.mean(self.log_pdf(points)))
+        return self.e_step(points).log_likelihood
 
     def max_component_log_likelihood(self, points: np.ndarray) -> float:
         """Sharpened average using per-record max component probability.
@@ -221,9 +283,7 @@ class GaussianMixture:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[0] == 0:
             raise ValueError("cannot average over an empty data set")
-        weighted = self.weighted_log_pdf(points)
-        best = np.max(weighted, axis=1)
-        return float(np.mean(np.maximum(best, LOG_DENSITY_FLOOR)))
+        return float(np.mean(self.e_step(points).max_log_density))
 
     # ------------------------------------------------------------------
     # Moments, sampling, combination

@@ -30,7 +30,7 @@ from repro.core.chunking import chunk_size
 from repro.core.em import EMConfig, absorb_chunk, fit_em, incremental_em
 from repro.core.events import EventTable
 from repro.core.gaussian import Gaussian
-from repro.core.mixture import GaussianMixture
+from repro.core.mixture import EStep, GaussianMixture
 from repro.core.suffstats import SufficientStats
 from repro.core.protocol import (
     DeletionMessage,
@@ -41,9 +41,8 @@ from repro.core.protocol import (
 from repro.core.testing import (
     LikelihoodVariant,
     adaptive_threshold,
-    average_log_likelihood,
     fit_test,
-    log_density_spread,
+    reference_statistics,
 )
 from repro.obs.observer import Observer, ensure_observer
 
@@ -538,7 +537,7 @@ class RemoteSite:
         result = self._fit_test(self._current, chunk, target="current")
         if result.fits:
             if self.config.em.incremental:
-                return self._absorb_passing_chunk(chunk)
+                return self._absorb_passing_chunk(chunk, result.e_step)
             self._current.count += chunk.shape[0]
             return []
 
@@ -616,13 +615,17 @@ class RemoteSite:
             )
         return messages
 
-    def _absorb_passing_chunk(self, chunk: np.ndarray) -> list[Message]:
+    def _absorb_passing_chunk(
+        self, chunk: np.ndarray, e_step: EStep | None
+    ) -> list[Message]:
         """Incremental pass branch: fold the chunk into the suffstats.
 
-        One posterior evaluation, zero EM iterations; the reference
-        statistics move with the model so the next fit test judges the
-        *updated* parameters.  Chunks with missing attributes fall back
-        to the classic counter bump (the suffstat E-step has no
+        Zero EM iterations and two density passes over the chunk: the
+        fit test's (``e_step``, whose posteriors the absorption reads)
+        and one under the updated model, from which the reference
+        statistics are taken so the next fit test judges the *updated*
+        parameters.  Chunks with missing attributes fall back to the
+        classic counter bump (the suffstat E-step has no
         marginal-likelihood variant).
         """
         current = self._current
@@ -637,14 +640,14 @@ class RemoteSite:
             self.config.em,
             stats=current.stats,
             observer=self._obs,
+            e_step=e_step,
         )
         current.mixture = result.mixture
         current.stats = result.stats
-        current.reference_likelihood = average_log_likelihood(
-            result.mixture, chunk, self.config.variant
-        )
-        current.reference_std = log_density_spread(
-            result.mixture, chunk, self.config.variant
+        current.reference_likelihood, current.reference_std = (
+            reference_statistics(
+                result.mixture, chunk, self.config.variant, e_step=result.e_step
+            )
         )
         current.reference_size = n
         current.count += n
@@ -805,16 +808,14 @@ class RemoteSite:
         trace event and the full ``ModelUpdateMessage``.
         """
         self.stats.n_clusterings += 1
-        reference = average_log_likelihood(
+        reference, reference_std = reference_statistics(
             mixture, validation, self.config.variant
         )
         self._current = ModelEntry(
             model_id=self._allocate_model_id(),
             mixture=mixture,
             reference_likelihood=reference,
-            reference_std=log_density_spread(
-                mixture, validation, self.config.variant
-            ),
+            reference_std=reference_std,
             reference_size=validation.shape[0],
             count=chunk_len,
             trained_at=self._position,

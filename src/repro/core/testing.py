@@ -37,12 +37,12 @@ verbatim criterion.  See DESIGN.md ("Faithful-intent corrections").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from repro.core.mixture import GaussianMixture
+from repro.core.mixture import EStep, GaussianMixture
 
 __all__ = [
     "FitTestResult",
@@ -51,6 +51,7 @@ __all__ = [
     "average_log_likelihood",
     "fit_test",
     "log_density_spread",
+    "reference_statistics",
 ]
 
 
@@ -64,6 +65,36 @@ class LikelihoodVariant(str, Enum):
 
     MIXTURE = "mixture"
     MAX_COMPONENT = "max_component"
+
+
+def _log_values(
+    mixture: GaussianMixture,
+    data: np.ndarray,
+    variant: LikelihoodVariant,
+    e_step: EStep | None = None,
+) -> tuple[np.ndarray, EStep | None]:
+    """Per-record log values of ``variant``, floored at
+    :data:`~repro.core.mixture.LOG_DENSITY_FLOOR`, and the density pass
+    they were read from.
+
+    ``e_step`` is that pass when the caller already holds it.  Records
+    with NaN attributes are handled transparently: the values switch to
+    *marginal* densities (the observed sub-vectors), per
+    :mod:`repro.core.missing`, and there is no pass to hand on.
+    """
+    max_component = variant is LikelihoodVariant.MAX_COMPONENT
+    if e_step is None:
+        data = np.atleast_2d(np.asarray(data, dtype=float))
+        if np.isnan(data).any():
+            from repro.core.missing import marginal_log_values
+
+            return marginal_log_values(
+                mixture, data, max_component=max_component
+            ), None
+        e_step = mixture.e_step(data)
+    return (
+        e_step.max_log_density if max_component else e_step.log_density
+    ), e_step
 
 
 def average_log_likelihood(
@@ -88,17 +119,13 @@ def average_log_likelihood(
     switches to *marginal* densities (the observed sub-vectors), per
     :mod:`repro.core.missing`.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if np.isnan(data).any():
-        from repro.core.missing import marginal_log_values
+    return _average(_log_values(mixture, data, variant)[0])
 
-        values = marginal_log_values(
-            mixture, data, max_component=variant is LikelihoodVariant.MAX_COMPONENT
-        )
-        return float(np.mean(values))
-    if variant is LikelihoodVariant.MIXTURE:
-        return mixture.average_log_likelihood(data)
-    return mixture.max_component_log_likelihood(data)
+
+def _average(values: np.ndarray) -> float:
+    if values.shape[0] == 0:
+        raise ValueError("cannot average over an empty data set")
+    return float(np.mean(values))
 
 
 def log_density_spread(
@@ -111,23 +138,31 @@ def log_density_spread(
     Estimated on the model's training chunk and stored alongside the
     reference likelihood; feeds :func:`adaptive_threshold`.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[0] < 2:
-        raise ValueError("need at least two records to estimate a spread")
-    if np.isnan(data).any():
-        from repro.core.missing import marginal_log_values
+    return _spread(_log_values(mixture, data, variant)[0])
 
-        values = marginal_log_values(
-            mixture,
-            data,
-            max_component=variant is LikelihoodVariant.MAX_COMPONENT,
-        )
-    elif variant is LikelihoodVariant.MIXTURE:
-        values = mixture.log_pdf(data)
-    else:
-        weighted = mixture.weighted_log_pdf(data)
-        values = np.max(weighted, axis=1)
+
+def _spread(values: np.ndarray) -> float:
+    if values.shape[0] < 2:
+        raise ValueError("need at least two records to estimate a spread")
     return float(np.std(values))
+
+
+def reference_statistics(
+    mixture: GaussianMixture,
+    data: np.ndarray,
+    variant: LikelihoodVariant = LikelihoodVariant.MIXTURE,
+    *,
+    e_step: EStep | None = None,
+) -> tuple[float, float]:
+    """``(AvgPr_0, σ̂)`` of a model on its reference sample.
+
+    :func:`average_log_likelihood` and :func:`log_density_spread` of
+    the same arguments, read from one vector of per-record values --
+    one density pass, or none when the caller hands in the ``e_step``
+    of ``mixture`` over ``data`` it already holds.
+    """
+    values, _ = _log_values(mixture, data, variant, e_step)
+    return _average(values), _spread(values)
 
 
 def adaptive_threshold(
@@ -184,6 +219,12 @@ class FitTestResult:
         ``AvgPr_0`` recorded for the model.
     epsilon:
         The threshold used.
+    e_step:
+        The density pass of the model over the chunk that
+        ``chunk_likelihood`` was read from, for whoever processes the
+        chunk next (:func:`repro.core.em.absorb_chunk`); its
+        responsibilities are not computed unless asked for.  ``None``
+        for a chunk with missing attributes (a marginal test).
     """
 
     fits: bool
@@ -191,6 +232,7 @@ class FitTestResult:
     chunk_likelihood: float
     reference_likelihood: float
     epsilon: float
+    e_step: EStep | None = field(default=None, compare=False, repr=False)
 
 
 def fit_test(
@@ -224,7 +266,8 @@ def fit_test(
         raise ValueError("epsilon must be positive")
     if not np.isfinite(reference_likelihood):
         raise ValueError("reference likelihood must be finite")
-    chunk_likelihood = average_log_likelihood(mixture, chunk, variant)
+    values, e_step = _log_values(mixture, chunk, variant)
+    chunk_likelihood = _average(values)
     j_fit = abs(chunk_likelihood - reference_likelihood)
     return FitTestResult(
         fits=j_fit <= epsilon,
@@ -232,4 +275,5 @@ def fit_test(
         chunk_likelihood=chunk_likelihood,
         reference_likelihood=reference_likelihood,
         epsilon=epsilon,
+        e_step=e_step,
     )

@@ -32,6 +32,7 @@ __all__ = [
     "mahalanobis_sq",
     "regularize_covariance",
     "safe_inverse",
+    "shifted_exp",
     "spd_factorize",
 ]
 
@@ -285,6 +286,27 @@ def mahalanobis_sq(
 # ----------------------------------------------------------------------
 # Batched density kernels (all components at once)
 # ----------------------------------------------------------------------
+def shifted_exp(
+    values: np.ndarray, axis: int = -1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``exp(values - peak)`` along ``axis``, with its sums.
+
+    The part :func:`logsumexp` and a mixture's E-step share: the log
+    density is the peak plus the log of the sums, the responsibilities
+    are the scaled values over the sums.
+
+    Returns ``(peak, finite, scaled, totals)``.  ``peak`` and ``finite``
+    keep ``axis`` with length one; where the true peak is not finite
+    (``finite`` false) ``peak`` is 0, so a slice whose every entry is
+    ``-inf`` gives zeros and a zero total rather than ``nan``.
+    """
+    peak = np.max(values, axis=axis, keepdims=True)
+    finite = np.isfinite(peak)
+    peak = np.where(finite, peak, 0.0)
+    scaled = np.exp(values - peak)
+    return peak, finite, scaled, np.sum(scaled, axis=axis)
+
+
 def logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable ``log Σ exp`` along ``axis``.
 
@@ -293,12 +315,9 @@ def logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     inputs are rejected by the callers (densities are finite).
     """
     values = np.asarray(values, dtype=float)
-    peak = np.max(values, axis=axis, keepdims=True)
-    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    summed = np.sum(np.exp(values - safe_peak), axis=axis)
-    out = np.squeeze(safe_peak, axis=axis) + np.log(summed)
-    finite = np.squeeze(np.isfinite(peak), axis=axis)
-    return np.where(finite, out, -np.inf)
+    peak, finite, _, summed = shifted_exp(values, axis)
+    out = np.squeeze(peak, axis=axis) + np.log(summed)
+    return np.where(np.squeeze(finite, axis=axis), out, -np.inf)
 
 
 def batch_mahalanobis_sq(

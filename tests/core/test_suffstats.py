@@ -11,6 +11,8 @@ incremental path can never silently change clustering decisions.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,14 +57,12 @@ def em_workloads(draw, max_dim: int = 4, max_components: int = 4):
     return data, resp
 
 
-def _reference_mixture(data, resp, config, seed=0):
-    """``_m_step`` needs a mixture only for the starvation re-seed path
-    (never taken here); any valid one of the right shape will do."""
-    rng = np.random.default_rng(seed)
-    mixture = random_mixture(
-        dim=data.shape[1], n_components=resp.shape[1], rng=rng
-    )
-    return _m_step(data, resp, config, rng, mixture)
+def _reference_mixture(data, resp, config):
+    """``_m_step`` reads the posteriors off a density pass; its log
+    density only serves the starvation re-seed (never taken here)."""
+    e_step = SimpleNamespace(responsibilities=resp)
+    global_var = float(np.mean(np.var(data, axis=0))) or 1.0
+    return _m_step(data, e_step, config, global_var)
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
