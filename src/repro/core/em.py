@@ -211,11 +211,10 @@ def _m_step(
 ) -> GaussianMixture:
     """Re-estimate ``(w, μ, Σ)`` from posteriors (paper step 2b).
 
-    ``e_step`` is the current mixture's density pass over ``data`` and
-    ``global_var`` the chunk's :func:`_chunk_global_var`.  A component
-    whose responsibility mass collapses is re-seeded on the record with
-    the lowest current mixture density -- the standard cure for
-    starvation on tiny chunks.
+    ``e_step`` is the current mixture's density pass over ``data``.  A
+    component whose responsibility mass collapses is re-seeded on the
+    record with the lowest current mixture density -- the standard cure
+    for starvation on tiny chunks.
     """
     responsibilities = e_step.responsibilities
     n, k = responsibilities.shape
@@ -256,10 +255,9 @@ def _em_loop(
 ) -> EMResult:
     """Iterate E/M from ``mixture`` until the ``tol`` criterion holds.
 
-    The single driver behind both cold restarts (:func:`_run_single`)
-    and warm refinement.  Each iterate gets one density pass: the one
-    whose likelihood decides convergence also gives the next M-step its
-    posteriors, so a fit of ``n`` iterations makes ``n + 1`` passes.
+    The single driver behind cold restarts and warm refinement.  The
+    density pass whose likelihood decides convergence also gives the next
+    M-step its posteriors: a fit of ``n`` iterations makes ``n + 1`` passes.
     """
     history: list[float] = []
     previous = -np.inf
@@ -283,13 +281,6 @@ def _em_loop(
         converged=converged,
         history=tuple(history),
     )
-
-
-def _run_single(
-    data: np.ndarray, config: EMConfig, rng: np.random.Generator
-) -> EMResult:
-    """One EM restart: a cold k-means++ seed fed to the shared loop."""
-    return _em_loop(data, _initial_mixture(data, config, rng), config)
 
 
 def fit_em(
@@ -369,7 +360,8 @@ def fit_em(
             ]
         else:
             candidates = [
-                _run_single(data, config, rng) for _ in range(config.n_init)
+                _em_loop(data, _initial_mixture(data, config, rng), config)
+                for _ in range(config.n_init)
             ]
             if initial is not None:
                 if initial.dim != data.shape[1]:
@@ -389,18 +381,6 @@ def fit_em(
             history=list(best.history),
         )
     return best
-
-
-def responsibilities_and_likelihood(
-    mixture: GaussianMixture, data: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """One E-step: posteriors plus the current average log likelihood.
-
-    Exposed for the SEM baseline, which interleaves E-steps over live
-    records with sufficient-statistics updates.
-    """
-    e_step = mixture.e_step(data)
-    return e_step.responsibilities, e_step.log_likelihood
 
 
 # ----------------------------------------------------------------------
@@ -430,10 +410,8 @@ class IncrementalResult:
     history:
         Average log likelihood after each pass.
     e_step:
-        The density pass of ``mixture`` over the chunk that
-        ``log_likelihood`` was read from -- the site takes the updated
-        model's reference statistics from it instead of evaluating the
-        chunk again.
+        The density pass of ``mixture`` over the chunk ``log_likelihood``
+        was read from; the site takes the reference statistics from it.
     """
 
     mixture: GaussianMixture
@@ -518,8 +496,7 @@ def incremental_em(
         )
     obs = ensure_observer(observer)
     with obs.timer("profile.em_incremental"):
-        # One density pass per iterate: the pass that scores a step's
-        # mixture also gives the next step its posteriors.
+        # The pass that scores a step's mixture gives the next its posteriors.
         e_step = mixture.e_step(data)
         history: list[float] = []
         if config.incremental_steps:
@@ -574,12 +551,10 @@ def absorb_chunk(
     the suffstat analogue of "the model absorbs the chunk" in
     Algorithm 1's pass branch.
 
-    ``e_step`` is the density pass of ``mixture`` over ``data`` when the
-    caller already made it (the fit test the chunk just passed); the
-    result carries the pass of the *updated* mixture.
-
     Same ``stats`` convention as :func:`incremental_em`; returns the
     merged statistics so successive passing chunks accumulate exactly.
+    ``e_step`` is the density pass of ``mixture`` over ``data`` when the
+    caller already made it (the fit test the chunk just passed).
     """
     config = config or EMConfig()
     data = _validate_chunk(data, mixture)
@@ -588,14 +563,8 @@ def absorb_chunk(
         stats = SufficientStats.from_mixture(
             mixture, float(n), diagonal=config.diagonal
         )
-    if e_step is not None and e_step.weighted.shape != (
-        n,
-        mixture.n_components,
-    ):
-        raise ValueError(
-            f"e_step of shape {e_step.weighted.shape} is not a pass of "
-            f"this {mixture.n_components}-component mixture over {n} records"
-        )
+    if e_step is not None and e_step.weighted.shape != (n, mixture.n_components):
+        raise ValueError("e_step is not a pass of this mixture over this chunk")
     obs = ensure_observer(observer)
     with obs.timer("profile.em_absorb"):
         if e_step is None:

@@ -36,28 +36,14 @@ LOG_DENSITY_FLOOR = -745.0  # ~ log(smallest positive double)
 class EStep:
     """One density pass of a mixture over a chunk (paper section 3.2).
 
-    EM's E-step yields the posteriors ``Pr(j|x)`` and the likelihood
-    from the same ``(n, K)`` matrix ``log(w_j p(x|j))``; so do the fit
-    test and the reference statistics of Algorithm 1.  An ``EStep``
-    holds that matrix and derives from it, each at most once and only
-    when asked, the floored per-record log density, its sharpened
-    max-component form and the responsibilities.
+    The posteriors ``Pr(j|x)`` and the likelihood come from the same
+    matrix ``weighted = log(w_j p(x_i|j))``, shape ``(n, K)``; so do the
+    fit test and a model's reference statistics.  An ``EStep`` holds the
+    matrix and derives each of them at most once, only when asked.
 
-    It is passed from the function that computed it to the next one
-    that needs it (:func:`repro.core.testing.fit_test` →
-    :func:`repro.core.em.absorb_chunk` → the site's reference
-    statistics) and dropped with the chunk.  It is deliberately not
-    cached on the mixture: a memo keyed on the chunk array would go
-    stale under a producer that refills its buffer in place, and
-    archived models would pin ``(n, K)`` matrices.
-
-    Attributes
-    ----------
-    weights:
-        The mixture weights ``(K,)``: the posterior of a record no
-        component can explain.
-    weighted:
-        ``log(w_j p(x_i|j))``, shape ``(n, K)``.
+    It is handed on as an argument and dropped with the chunk, never
+    cached on the mixture: a memo keyed on the chunk array goes stale
+    when a producer refills its buffer in place (DESIGN.md section 10.2).
     """
 
     def __init__(self, weights: np.ndarray, weighted: np.ndarray) -> None:
@@ -70,29 +56,20 @@ class EStep:
 
     @cached_property
     def log_density(self) -> np.ndarray:
-        """Mixture log density ``log p(x)`` per record (eq. 1), floored
-        at :data:`LOG_DENSITY_FLOOR` so averages stay finite."""
+        """Floored mixture log density per record; see
+        :meth:`GaussianMixture.log_pdf`."""
         peak, finite, _, totals = self._scaled
-        log_density = np.where(
-            finite[:, 0], peak[:, 0] + np.log(totals), -np.inf
-        )
+        log_density = np.where(finite[:, 0], peak[:, 0] + np.log(totals), -np.inf)
         return np.maximum(log_density, LOG_DENSITY_FLOOR)
 
     @cached_property
     def max_log_density(self) -> np.ndarray:
-        """Maximal ``log(w_j p(x|j))`` per record, floored: the
-        sharpening used in the proof of Theorem 2."""
+        """Floored maximal ``log(w_j p(x|j))`` per record (Theorem 2)."""
         return np.maximum(np.max(self.weighted, axis=1), LOG_DENSITY_FLOOR)
 
     @cached_property
     def responsibilities(self) -> np.ndarray:
-        """Posterior membership matrix ``Pr(j|x)`` (eq. 2), shape ``(n, K)``.
-
-        Rows always sum to one.  In the deep tail of every component the
-        computation stays stable: the relatively-closest component wins
-        (a numerically hard assignment); a row whose every weighted log
-        density is ``-inf`` falls back to the mixture weights.
-        """
+        """``Pr(j|x)``, shape ``(n, K)``; see :meth:`GaussianMixture.posterior`."""
         _, finite, scaled, totals = self._scaled
         with np.errstate(invalid="ignore"):
             posterior = scaled / totals[:, None]
@@ -100,7 +77,7 @@ class EStep:
             posterior[~finite[:, 0]] = self.weights
         return posterior
 
-    @property
+    @cached_property
     def log_likelihood(self) -> float:
         """``AvgPr`` of the chunk under the mixture (Definition 1)."""
         if self.weighted.shape[0] == 0:
@@ -239,8 +216,8 @@ class GaussianMixture:
         return self.component_log_pdf(points) + log_weights[None, :]
 
     def e_step(self, points: np.ndarray) -> EStep:
-        """The density pass over ``points`` every likelihood and
-        posterior below is read from -- one call of the batched kernel."""
+        """The one density pass over ``points`` that every likelihood
+        and posterior below is read from."""
         return EStep(self.weights, self.weighted_log_pdf(points))
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
@@ -257,8 +234,13 @@ class GaussianMixture:
         return np.exp(self.log_pdf(points))
 
     def posterior(self, points: np.ndarray) -> np.ndarray:
-        """Posterior membership matrix ``Pr(j|x)`` (eq. 2), shape ``(n, K)``;
-        see :attr:`EStep.responsibilities`."""
+        """Posterior membership matrix ``Pr(j|x)`` (eq. 2), shape ``(n, K)``.
+
+        Rows always sum to one.  In the deep tail of every component the
+        computation stays stable: the relatively-closest component wins
+        (a numerically hard assignment); a row whose every weighted log
+        density is ``-inf`` falls back to the mixture weights.
+        """
         return self.e_step(points).responsibilities
 
     def assign(self, points: np.ndarray) -> np.ndarray:
@@ -296,14 +278,8 @@ class GaussianMixture:
         """
         if not self._pooled:
             only = self.components[0]
-            if (
-                len(self.components) == 1
-                and not only.diagonal
-                and self.weights[0] == 1.0
-            ):
-                # The pool of one leaf is the leaf: its covariance is
-                # already regularised, so pooling would only re-derive
-                # (and re-factorise) the same matrix.
+            if len(self.weights) == 1 and self.weights[0] == 1.0 and not only.diagonal:
+                # The pool of one leaf is the leaf: nothing to re-factorise.
                 self._pooled.append(only)
                 return only
             means = self._means_matrix()

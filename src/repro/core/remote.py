@@ -620,12 +620,11 @@ class RemoteSite:
     ) -> list[Message]:
         """Incremental pass branch: fold the chunk into the suffstats.
 
-        Zero EM iterations and two density passes over the chunk: the
-        fit test's (``e_step``, whose posteriors the absorption reads)
-        and one under the updated model, from which the reference
-        statistics are taken so the next fit test judges the *updated*
-        parameters.  Chunks with missing attributes fall back to the
-        classic counter bump (the suffstat E-step has no
+        Zero EM iterations, two density passes: the fit test's ``e_step``
+        gives the absorption its posteriors and the updated model's gives
+        the reference statistics, so the next fit test judges the
+        *updated* parameters.  Chunks with missing attributes fall back
+        to the classic counter bump (the suffstat E-step has no
         marginal-likelihood variant).
         """
         current = self._current
@@ -644,10 +643,8 @@ class RemoteSite:
         )
         current.mixture = result.mixture
         current.stats = result.stats
-        current.reference_likelihood, current.reference_std = (
-            reference_statistics(
-                result.mixture, chunk, self.config.variant, e_step=result.e_step
-            )
+        current.reference_likelihood, current.reference_std = reference_statistics(
+            result.mixture, chunk, self.config.variant, e_step=result.e_step
         )
         current.reference_size = n
         current.count += n

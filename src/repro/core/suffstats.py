@@ -121,7 +121,8 @@ class SufficientStats:
         if diagonal:
             outers = resp.T @ (data**2)
         else:
-            outers = np.einsum("nk,ni,nj->kij", resp, data, data)
+            # Σ_n r_nk x_n x_nᵀ as K products (d, n) @ (n, d) through BLAS.
+            outers = (resp.T[:, None, :] * data.T) @ data
         return cls(counts, sums, outers, diagonal)
 
     @classmethod

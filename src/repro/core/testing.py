@@ -73,28 +73,20 @@ def _log_values(
     variant: LikelihoodVariant,
     e_step: EStep | None = None,
 ) -> tuple[np.ndarray, EStep | None]:
-    """Per-record log values of ``variant``, floored at
-    :data:`~repro.core.mixture.LOG_DENSITY_FLOOR`, and the density pass
-    they were read from.
-
-    ``e_step`` is that pass when the caller already holds it.  Records
-    with NaN attributes are handled transparently: the values switch to
-    *marginal* densities (the observed sub-vectors), per
-    :mod:`repro.core.missing`, and there is no pass to hand on.
-    """
+    """Floored per-record log values of ``variant`` and the density pass
+    they were read from: ``e_step`` when the caller holds it, ``None``
+    for NaN records (marginal densities, :mod:`repro.core.missing`)."""
     max_component = variant is LikelihoodVariant.MAX_COMPONENT
     if e_step is None:
         data = np.atleast_2d(np.asarray(data, dtype=float))
         if np.isnan(data).any():
             from repro.core.missing import marginal_log_values
 
-            return marginal_log_values(
-                mixture, data, max_component=max_component
-            ), None
+            values = marginal_log_values(mixture, data, max_component=max_component)
+            return values, None
         e_step = mixture.e_step(data)
-    return (
-        e_step.max_log_density if max_component else e_step.log_density
-    ), e_step
+    values = e_step.max_log_density if max_component else e_step.log_density
+    return values, e_step
 
 
 def average_log_likelihood(
@@ -154,13 +146,10 @@ def reference_statistics(
     *,
     e_step: EStep | None = None,
 ) -> tuple[float, float]:
-    """``(AvgPr_0, σ̂)`` of a model on its reference sample.
-
-    :func:`average_log_likelihood` and :func:`log_density_spread` of
-    the same arguments, read from one vector of per-record values --
-    one density pass, or none when the caller hands in the ``e_step``
-    of ``mixture`` over ``data`` it already holds.
-    """
+    """``(AvgPr_0, σ̂)``: :func:`average_log_likelihood` and
+    :func:`log_density_spread` read from one vector of per-record values
+    -- one density pass, or none given the ``e_step`` of ``mixture``
+    over ``data``."""
     values, _ = _log_values(mixture, data, variant, e_step)
     return _average(values), _spread(values)
 
@@ -220,11 +209,9 @@ class FitTestResult:
     epsilon:
         The threshold used.
     e_step:
-        The density pass of the model over the chunk that
-        ``chunk_likelihood`` was read from, for whoever processes the
-        chunk next (:func:`repro.core.em.absorb_chunk`); its
-        responsibilities are not computed unless asked for.  ``None``
-        for a chunk with missing attributes (a marginal test).
+        The density pass ``chunk_likelihood`` was read from, for whoever
+        processes the chunk next (:func:`repro.core.em.absorb_chunk`);
+        ``None`` for a chunk with missing attributes (a marginal test).
     """
 
     fits: bool

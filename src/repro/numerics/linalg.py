@@ -138,6 +138,15 @@ def _regularized_factor(
     )
 
 
+def _solve_factor(
+    factor: np.ndarray, rhs: np.ndarray, lower: bool = True
+) -> np.ndarray:
+    """Solve against a validated factor: no finiteness scan (NaN propagates)."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(factor, rhs, lower=lower, check_finite=False)
+
+
 @dataclass(frozen=True)
 class SPDFactors:
     """Cached Cholesky factorisation of a covariance matrix.
@@ -188,25 +197,15 @@ class SPDFactors:
         same archived model never re-factorise anything.
         """
         if not self._inverse_cholesky:
-            from scipy.linalg import solve_triangular
-
-            inv = solve_triangular(
-                self.cholesky, np.eye(self.dim), lower=True, check_finite=False
-            )
+            inv = _solve_factor(self.cholesky, np.eye(self.dim))
             inv.setflags(write=False)
             self._inverse_cholesky.append(inv)
         return self._inverse_cholesky[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``covariance @ x = rhs`` via two triangular solves."""
-        from scipy.linalg import solve_triangular
-
-        half = solve_triangular(
-            self.cholesky, rhs, lower=True, check_finite=False
-        )
-        return solve_triangular(
-            self.cholesky.T, half, lower=False, check_finite=False
-        )
+        half = _solve_factor(self.cholesky, rhs)
+        return _solve_factor(self.cholesky.T, half, lower=False)
 
     def whiten(self, centered: np.ndarray) -> np.ndarray:
         """Map centred rows ``x - μ`` to whitened coordinates ``L⁻¹(x-μ)ᵀ``.
@@ -222,11 +221,7 @@ class SPDFactors:
             Shape ``(d, n)`` whitened coordinates; squared column norms
             are the squared Mahalanobis distances.
         """
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(
-            self.cholesky, centered.T, lower=True, check_finite=False
-        )
+        return _solve_factor(self.cholesky, centered.T)
 
 
 def spd_factorize(matrix: np.ndarray, ridge: float = DEFAULT_RIDGE) -> SPDFactors:
@@ -286,24 +281,17 @@ def mahalanobis_sq(
 # ----------------------------------------------------------------------
 # Batched density kernels (all components at once)
 # ----------------------------------------------------------------------
-def shifted_exp(
-    values: np.ndarray, axis: int = -1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``exp(values - peak)`` along ``axis``, with its sums.
-
-    The part :func:`logsumexp` and a mixture's E-step share: the log
-    density is the peak plus the log of the sums, the responsibilities
-    are the scaled values over the sums.
-
-    Returns ``(peak, finite, scaled, totals)``.  ``peak`` and ``finite``
-    keep ``axis`` with length one; where the true peak is not finite
-    (``finite`` false) ``peak`` is 0, so a slice whose every entry is
-    ``-inf`` gives zeros and a zero total rather than ``nan``.
-    """
+def shifted_exp(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, ...]:
+    """``(peak, finite, scaled, totals)``: ``exp(values - peak)`` along
+    ``axis`` with its sums -- what :func:`logsumexp` and a mixture's
+    E-step share.  ``peak`` and ``finite`` keep ``axis`` with length
+    one; where the true peak is not finite ``peak`` is 0, so an all
+    ``-inf`` slice gives zeros and a zero total rather than ``nan``."""
     peak = np.max(values, axis=axis, keepdims=True)
     finite = np.isfinite(peak)
     peak = np.where(finite, peak, 0.0)
-    scaled = np.exp(values - peak)
+    scaled = values - peak
+    np.exp(scaled, out=scaled)
     return peak, finite, scaled, np.sum(scaled, axis=axis)
 
 

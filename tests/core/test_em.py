@@ -9,7 +9,6 @@ from repro.core.em import (
     EMConfig,
     fit_em,
     kmeans_plus_plus_centers,
-    responsibilities_and_likelihood,
 )
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
@@ -146,10 +145,8 @@ class TestWarmStart:
 class TestEStepHelper:
     def test_returns_posteriors_and_likelihood(self, mixture_2d, rng):
         data, _ = mixture_2d.sample(200, rng)
-        responsibilities, likelihood = responsibilities_and_likelihood(
-            mixture_2d, data
-        )
-        assert responsibilities.shape == (200, 3)
-        assert likelihood == pytest.approx(
+        e_step = mixture_2d.e_step(data)
+        assert e_step.responsibilities.shape == (200, 3)
+        assert e_step.log_likelihood == pytest.approx(
             mixture_2d.average_log_likelihood(data)
         )

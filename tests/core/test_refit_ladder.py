@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 import repro.core.gaussian as gaussian_module
-from repro.core.em import EMConfig
+import repro.core.mixture as mixture_module
+from repro.core.em import EMConfig, fit_em, incremental_em
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
@@ -56,6 +57,19 @@ def regime_chunk(rng: np.random.Generator, offset: float) -> np.ndarray:
     return centers[assignments] + offset + rng.normal(0, 0.5, (CHUNK, DIM))
 
 
+def far_mixture(zero_weight: bool = False) -> GaussianMixture:
+    """Three components nowhere near ``regime_chunk(rng, 0)``: whichever
+    is relatively closest takes every record, the others starve."""
+    weights = [0.0, 0.5, 0.5] if zero_weight else [0.2, 0.3, 0.5]
+    return GaussianMixture(
+        weights,
+        tuple(
+            Gaussian(np.full(DIM, 40.0 + 25.0 * j), np.eye(DIM))
+            for j in range(3)
+        ),
+    )
+
+
 def jump_stream(rng: np.random.Generator) -> list[np.ndarray]:
     """Abrupt basin jumps: the warm rung must flunk the epsilon test."""
     chunks = []
@@ -78,6 +92,19 @@ def run_site(chunks, config, seed: int = 123) -> RemoteSite:
     for chunk in chunks:
         site.process_chunk(chunk)
     return site
+
+
+def count_calls(monkeypatch, owner, name: str) -> dict:
+    """Count calls of ``owner.name`` from here on (the real one runs)."""
+    calls = {"n": 0}
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestEscalation:
@@ -154,31 +181,11 @@ class TestReactivation:
         """Candidate evaluation reuses the archived models' cached
         Cholesky factors: reactivating must cost zero factorisations."""
         site, revisit = self.two_regime_site(make_config())
-        calls = {"n": 0}
-        real = gaussian_module.spd_factorize
-
-        def counting(matrix, *args, **kwargs):
-            calls["n"] += 1
-            return real(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(gaussian_module, "spd_factorize", counting)
+        calls = count_calls(monkeypatch, gaussian_module, "spd_factorize")
         before = site.stats.n_reactivations
         site.process_chunk(revisit)
         assert site.stats.n_reactivations == before + 1
         assert calls["n"] == 0
-
-
-def count_calls(monkeypatch, owner, name: str) -> dict:
-    """Count calls of ``owner.name`` from here on (the real one runs)."""
-    calls = {"n": 0}
-    real = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 class TestFactorOnce:
@@ -208,6 +215,73 @@ class TestFactorOnce:
         pooled = GaussianMixture.single(leaf).pooled_gaussian()
         assert not pooled.diagonal
         assert np.array_equal(pooled.covariance, leaf.covariance)
+
+
+class TestOneDensityPassPerModelAndChunk:
+    """Every consumer of ``log(w_j p(x|j))`` reads the pass the previous
+    one made; the batched kernel runs once per (model, chunk)."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        return count_calls(monkeypatch, mixture_module, "batch_log_pdf")
+
+    def settled_site(self, config) -> tuple[RemoteSite, np.ndarray]:
+        """A site with a model, and a chunk that model explains."""
+        config = dataclasses.replace(config, epsilon=0.5)
+        rng = np.random.default_rng(7)
+        site = RemoteSite(0, config, rng=np.random.default_rng(11))
+        site.process_chunk(regime_chunk(rng, 0.0))
+        return site, regime_chunk(rng, 0.0)
+
+    def test_passing_incremental_chunk_is_two_passes(self, passes):
+        """The fit test's, shared with the absorption, and the updated
+        model's, shared with the reference statistics."""
+        site, chunk = self.settled_site(make_config())
+        passes["n"] = 0
+        site.process_chunk(chunk)
+        assert site.stats.n_absorbed == 1
+        assert passes["n"] == 2
+
+    def test_passing_classic_chunk_is_one_pass(self, passes):
+        classic = dataclasses.replace(make_config().em, incremental=False)
+        site, chunk = self.settled_site(make_config(em=classic))
+        passes["n"] = 0
+        site.process_chunk(chunk)
+        assert site.stats.n_tests_passed == 1
+        assert passes["n"] == 1
+
+    def test_install_takes_both_reference_statistics_from_one_pass(
+        self, passes
+    ):
+        site = RemoteSite(0, make_config(), rng=np.random.default_rng(11))
+        site.process_chunk(regime_chunk(np.random.default_rng(7), 0.0))
+        fit_passes = site._last_fit_iterations + 1
+        assert passes["n"] == fit_passes + 1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_fit_em_is_one_pass_per_iterate(self, passes, warm):
+        data = regime_chunk(np.random.default_rng(7), 0.0)
+        config = make_config().em
+        # Far from the data: the re-seed of the components it starves
+        # reads the same pass as the M-step.
+        result = fit_em(
+            data,
+            config,
+            np.random.default_rng(3),
+            warm_start=far_mixture() if warm else None,
+        )
+        assert result.n_iter > 1
+        assert passes["n"] == result.n_iter + 1
+
+    @pytest.mark.parametrize("steps", [0, 2, 4])
+    def test_incremental_em_is_one_pass_per_iterate(self, passes, steps):
+        rng = np.random.default_rng(7)
+        config = dataclasses.replace(make_config().em, incremental_steps=steps)
+        mixture = fit_em(regime_chunk(rng, 0.0), config, rng).mixture
+        passes["n"] = 0
+        result = incremental_em(regime_chunk(rng, 0.5), mixture, config)
+        assert result.n_steps == steps
+        assert passes["n"] == steps + 1
 
 
 class TestQualityGate:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.em import EMConfig, _m_step, incremental_em
+from repro.core.em import EMConfig, _chunk_global_var, _m_step, incremental_em
 from repro.core.suffstats import SufficientStats
 from repro.streams.synthetic import random_mixture
 
@@ -61,8 +61,7 @@ def _reference_mixture(data, resp, config):
     """``_m_step`` reads the posteriors off a density pass; its log
     density only serves the starvation re-seed (never taken here)."""
     e_step = SimpleNamespace(responsibilities=resp)
-    global_var = float(np.mean(np.var(data, axis=0))) or 1.0
-    return _m_step(data, e_step, config, global_var)
+    return _m_step(data, e_step, config, _chunk_global_var(data))
 
 
 @pytest.mark.parametrize("diagonal", [False, True])

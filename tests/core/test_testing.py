@@ -5,10 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.gaussian import Gaussian
+from repro.core.mixture import LOG_DENSITY_FLOOR, GaussianMixture
 from repro.core.testing import (
     LikelihoodVariant,
+    adaptive_threshold,
     average_log_likelihood,
     fit_test,
+    log_density_spread,
+    reference_statistics,
 )
 
 
@@ -89,7 +94,6 @@ class TestFitTest:
         """Same-distribution chunks rarely fail the adaptive test -- the
         property δ is supposed to control."""
         from repro.core.chunking import chunk_size
-        from repro.core.testing import adaptive_threshold, log_density_spread
 
         epsilon, delta = 0.02, 0.01
         m = chunk_size(2, epsilon, delta)
@@ -106,21 +110,15 @@ class TestFitTest:
         assert failures / trials <= 3 * delta + 0.02
 
     def test_adaptive_threshold_never_below_epsilon(self):
-        from repro.core.testing import adaptive_threshold
-
         assert adaptive_threshold(0.5, 0.01, 0.0, 100) == pytest.approx(0.5)
         assert adaptive_threshold(0.01, 0.01, 2.0, 100) > 0.01
 
     def test_adaptive_threshold_shrinks_with_chunk_size(self):
-        from repro.core.testing import adaptive_threshold
-
         small = adaptive_threshold(1e-6, 0.05, 1.0, 100)
         large = adaptive_threshold(1e-6, 0.05, 1.0, 10_000)
         assert large < small
 
     def test_adaptive_threshold_rejects_bad_parameters(self):
-        from repro.core.testing import adaptive_threshold
-
         with pytest.raises(ValueError):
             adaptive_threshold(0.0, 0.01, 1.0, 10)
         with pytest.raises(ValueError):
@@ -131,14 +129,10 @@ class TestFitTest:
             adaptive_threshold(0.1, 0.01, 1.0, 0)
 
     def test_log_density_spread_positive_on_real_data(self, mixture_2d, rng):
-        from repro.core.testing import log_density_spread
-
         data, _ = mixture_2d.sample(500, rng)
         assert log_density_spread(mixture_2d, data) > 0.0
 
     def test_log_density_spread_needs_two_records(self, mixture_2d):
-        from repro.core.testing import log_density_spread
-
         with pytest.raises(ValueError, match="two records"):
             log_density_spread(mixture_2d, np.zeros((1, 2)))
 
@@ -146,7 +140,6 @@ class TestFitTest:
         self, mixture_2d, rng
     ):
         from repro.core.chunking import chunk_size
-        from repro.core.testing import adaptive_threshold, log_density_spread
 
         epsilon, delta = 0.02, 0.01
         m = chunk_size(2, epsilon, delta)
@@ -157,3 +150,75 @@ class TestFitTest:
         shifted, _ = mixture_2d.sample(m, rng)
         result = fit_test(mixture_2d, shifted + 8.0, reference, threshold)
         assert not result.fits
+
+
+class TestReferenceStatistics:
+    """``AvgPr_0`` and ``σ̂`` describe one vector of per-record values."""
+
+    def outlier_chunk(self, rng) -> tuple[GaussianMixture, np.ndarray]:
+        """50 records of a standard normal, one of them 60 σ out: its
+        log density (-1802) is far below the floor."""
+        mixture = GaussianMixture.single(Gaussian(np.zeros(2), np.eye(2)))
+        data = rng.normal(size=(50, 2))
+        data[0] = [60.0, 0.0]
+        return mixture, data
+
+    def test_max_component_spread_is_of_the_floored_values(self, rng):
+        mixture, data = self.outlier_chunk(rng)
+        maxima = np.max(mixture.weighted_log_pdf(data), axis=1)
+        assert maxima.min() < LOG_DENSITY_FLOOR
+        floored = np.maximum(maxima, LOG_DENSITY_FLOOR)
+        variant = LikelihoodVariant.MAX_COMPONENT
+        spread = log_density_spread(mixture, data, variant)
+        assert spread == float(np.std(floored))
+        assert average_log_likelihood(mixture, data, variant) == float(
+            np.mean(floored)
+        )
+        # The unfloored maxima, which the mean never saw, would widen
+        # the adaptive tolerance several times over.
+        loose = adaptive_threshold(0.02, 0.01, float(np.std(maxima)), 50)
+        assert adaptive_threshold(0.02, 0.01, spread, 50) < loose / 2.0
+
+    def test_variants_agree_on_a_single_component(self, rng):
+        """With K = 1 the maximal component *is* the mixture."""
+        mixture, data = self.outlier_chunk(rng)
+        assert reference_statistics(
+            mixture, data, LikelihoodVariant.MAX_COMPONENT
+        ) == reference_statistics(mixture, data, LikelihoodVariant.MIXTURE)
+
+    @pytest.mark.parametrize("variant", list(LikelihoodVariant))
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_is_the_likelihood_and_the_spread(
+        self, mixture_2d, rng, variant, missing
+    ):
+        data, _ = mixture_2d.sample(120, rng)
+        if missing:
+            data[::7, 1] = np.nan
+        expected = (
+            average_log_likelihood(mixture_2d, data, variant),
+            log_density_spread(mixture_2d, data, variant),
+        )
+        assert reference_statistics(mixture_2d, data, variant) == expected
+        if not missing:
+            handed = reference_statistics(
+                mixture_2d, data, variant, e_step=mixture_2d.e_step(data)
+            )
+            assert handed == expected
+
+    def test_fit_test_hands_on_its_density_pass(self, mixture_2d, rng):
+        data, _ = mixture_2d.sample(80, rng)
+        result = fit_test(mixture_2d, data, -3.0, 0.5)
+        assert result.e_step.log_likelihood == result.chunk_likelihood
+        # A site that only tests never pays for the responsibilities.
+        assert "responsibilities" not in vars(result.e_step)
+        assert np.array_equal(
+            result.e_step.responsibilities, mixture_2d.posterior(data)
+        )
+        # It is not part of the outcome.
+        assert result == fit_test(mixture_2d, data.copy(), -3.0, 0.5)
+        assert "e_step" not in repr(result)
+
+    def test_marginal_test_has_no_pass_to_hand_on(self, mixture_2d, rng):
+        data, _ = mixture_2d.sample(80, rng)
+        data[3, 0] = np.nan
+        assert fit_test(mixture_2d, data, -3.0, 0.5).e_step is None
