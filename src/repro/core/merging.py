@@ -24,8 +24,8 @@ log-Cholesky parameterisation of the covariance -- log-diagonal entries
 keep every candidate positive definite -- and starts from the exact
 moment-matched Gaussian, which is also exposed as the cheap ablation
 baseline.  Vertices are scored in that parameter space
-(:func:`repro.numerics.linalg.log_cholesky_l1_losses`); only the vertex
-the search returns is decoded into a :class:`Gaussian`.
+(:class:`repro.numerics.linalg.LogCholeskyL1Loss`, one per fit); only the
+vertex the search returns is decoded into a :class:`Gaussian`.
 
 The split-side criteria of Algorithm 2 (eq. 6) live here too:
 ``M_split(i, Mix)`` compares a component against its father mixture's
@@ -36,7 +36,7 @@ homes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from repro.core.mixture import GaussianMixture
 from repro.numerics.integrate import monte_carlo_l1
 from repro.numerics.linalg import (
     LOG_PIVOT_CLIP,
+    LogCholeskyL1Loss,
     log_cholesky_index,
-    log_cholesky_l1_losses,
 )
 from repro.numerics.simplex import nelder_mead
 from repro.obs.observer import Observer, ensure_observer
@@ -218,7 +218,7 @@ def _pack_parameters(gaussian: Gaussian) -> np.ndarray:
     parameter vector decodes to a valid (positive definite) covariance.
     """
     d = gaussian.dim
-    chol = np.linalg.cholesky(gaussian.covariance)
+    chol = gaussian.factors.cholesky
     log_diag = np.log(np.diag(chol))
     lower = chol[np.tril_indices(d, k=-1)]
     return np.concatenate([gaussian.mean, log_diag, lower])
@@ -249,48 +249,64 @@ def _sampled_loss(
     return float(np.mean(np.abs(pair_values - merged_values) / proposal_values))
 
 
-def _vertex_objective(
-    total: float,
-    samples: np.ndarray,
-    pair_values: np.ndarray,
-    proposal_values: np.ndarray,
-) -> Callable[[np.ndarray], np.ndarray]:
+class _VertexObjective:
     """The simplex objective: ``(m, p)`` parameter rows → ``(m,)`` losses.
 
-    Rows are scored in log-Cholesky space, with no :class:`Gaussian`
-    built.  The few the kernel declines -- non-finite, near-singular or
-    so ill-conditioned that the constructor's regularisation would floor,
-    ridge or refuse them -- are decoded and scored as the ``Gaussian``
-    they stand for, so the search sees the density it would be handed.
-    """
-    dim = samples.shape[1]
-    samples_t = np.ascontiguousarray(samples.T)
-    target = pair_values / proposal_values
-    weight = total / proposal_values
-    factor_index = log_cholesky_index(dim)
+    Built once per fit.  Rows are scored in log-Cholesky space, with no
+    :class:`Gaussian` built.  The few the kernel declines -- non-finite,
+    near-singular or so ill-conditioned that the constructor's
+    regularisation would floor, ridge or refuse them -- are decoded and
+    scored as the ``Gaussian`` they stand for, so the search sees the
+    density it would be handed.
 
-    def decoded_loss(theta: np.ndarray) -> float:
+    Such rows overflow on the way (``L Lᵀ`` may, and the constructor
+    then refuses it).  Calling the object silences that per call; a
+    search enters the same ``errstate`` once and hands :meth:`score` to
+    the optimiser.
+    """
+
+    def __init__(
+        self,
+        total: float,
+        samples: np.ndarray,
+        pair_values: np.ndarray,
+        proposal_values: np.ndarray,
+    ) -> None:
+        self._total = total
+        self._samples = samples
+        self._pair_values = pair_values
+        self._proposal_values = proposal_values
+        self._kernel = LogCholeskyL1Loss(
+            np.ascontiguousarray(samples.T),
+            pair_values / proposal_values,
+            total / proposal_values,
+            log_cholesky_index(samples.shape[1]),
+        )
+
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.score(thetas)
+
+    def score(self, thetas: np.ndarray) -> np.ndarray:
+        """``__call__`` for a caller already inside its ``errstate``."""
+        losses = self._kernel(thetas)
+        for row, loss in enumerate(losses.tolist()):
+            if loss != loss:  # nan: declined
+                losses[row] = self._decoded_loss(thetas[row])
+        return losses
+
+    def _decoded_loss(self, theta: np.ndarray) -> float:
         try:
-            # L Lᵀ may overflow; the constructor then refuses it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                candidate = _unpack_parameters(theta, dim)
+            candidate = _unpack_parameters(theta, self._samples.shape[1])
         except (ValueError, np.linalg.LinAlgError):
             return np.inf
         return _sampled_loss(
-            candidate, total, samples, pair_values, proposal_values
+            candidate,
+            self._total,
+            self._samples,
+            self._pair_values,
+            self._proposal_values,
         )
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        losses = log_cholesky_l1_losses(
-            thetas, samples_t, target, weight, factor_index
-        )
-        declined = np.isnan(losses)
-        if declined.any():
-            for row in np.flatnonzero(declined):
-                losses[row] = decoded_loss(thetas[row])
-        return losses
-
-    return objective
 
 
 @dataclass(frozen=True)
@@ -395,10 +411,12 @@ def fit_merged_component(
             iterations=0,
         )
 
-    objective = _vertex_objective(total, samples, pair_values, proposal_values)
-    with obs.timer("profile.simplex"):
+    objective = _VertexObjective(total, samples, pair_values, proposal_values)
+    with obs.timer("profile.simplex"), np.errstate(
+        over="ignore", invalid="ignore"
+    ):
         result = nelder_mead(
-            objective,
+            objective.score,
             _pack_parameters(moment),
             max_iter=max_iter,
             xtol=1e-5,

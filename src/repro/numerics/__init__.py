@@ -21,12 +21,12 @@ from repro.numerics.integrate import (
 )
 from repro.numerics.linalg import (
     LOG_2PI,
+    LogCholeskyL1Loss,
     SPDFactors,
     batch_log_pdf,
     batch_mahalanobis_sq,
     ensure_spd,
     log_cholesky_index,
-    log_cholesky_l1_losses,
     log_det_spd,
     logsumexp,
     mahalanobis_sq,
@@ -38,6 +38,7 @@ from repro.numerics.simplex import NelderMeadResult, nelder_mead
 
 __all__ = [
     "LOG_2PI",
+    "LogCholeskyL1Loss",
     "NelderMeadResult",
     "SPDFactors",
     "batch_log_pdf",
@@ -45,7 +46,6 @@ __all__ = [
     "ensure_spd",
     "l1_density_distance",
     "log_cholesky_index",
-    "log_cholesky_l1_losses",
     "log_det_spd",
     "logsumexp",
     "mahalanobis_sq",

@@ -21,12 +21,12 @@ import numpy as np
 
 __all__ = [
     "LOG_2PI",
+    "LogCholeskyL1Loss",
     "SPDFactors",
     "batch_log_pdf",
     "batch_mahalanobis_sq",
     "ensure_spd",
     "log_cholesky_index",
-    "log_cholesky_l1_losses",
     "log_det_spd",
     "logsumexp",
     "mahalanobis_sq",
@@ -55,12 +55,16 @@ PIVOT_FLOOR = 1e-6
 #: decoded pivot lies in ``[e⁻³⁰, e³⁰]``.
 LOG_PIVOT_CLIP = 30.0
 
-#: Largest ``‖L‖_F² ‖L⁻¹‖_F²`` at which :func:`log_cholesky_l1_losses`
+#: Largest ``‖L‖_F² ‖L⁻¹‖_F²`` at which :class:`LogCholeskyL1Loss`
 #: scores a row from ``L`` directly.  Up to here the direct value and
 #: the one through ``Gaussian(μ, L Lᵀ)`` agree to ``O(ε·cond)``: 1e-15
 #: relative around a well-conditioned seed, 1e-11 measured (1e-9
 #: bound) at the gate.
 LOG_CHOLESKY_MAX_CONDITION = 1e6
+
+#: Bytes of ``(d, n)`` workspace a :class:`LogCholeskyL1Loss` owns.  A
+#: batch that needs more is walked in blocks of rows that fit.
+LOG_CHOLESKY_WORKSPACE_BYTES = 1 << 19
 
 # Rows whose smallest pivot² could fall under the variance floor.
 _LOG_PIVOT_MIN = 0.5 * math.log(2.0 * VARIANCE_FLOOR)
@@ -383,86 +387,175 @@ def log_cholesky_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([diag, rows]), np.concatenate([diag, cols])
 
 
-def log_cholesky_l1_losses(
-    thetas: np.ndarray,
-    points_t: np.ndarray,
-    target: np.ndarray,
-    weight: np.ndarray,
-    factor_index: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
+class LogCholeskyL1Loss:
     """``mean_n |target_n - weight_n · N(x_n; μ, L Lᵀ)|`` per parameter row.
 
-    Each of the ``m`` rows of ``thetas`` is a Gaussian in log-Cholesky
-    form ``(μ, log diag L, tril L)``.  The density is evaluated from
-    ``L`` itself: the fixed points are whitened by ``L⁻¹`` (one
-    triangular inverse and one ``(d, d) @ (d, n)`` product per row) and
-    ``log |Σ|`` is twice the sum of the clipped log-diagonal -- ``L Lᵀ``
-    is never formed and nothing is re-factorised.
+    One object scores every vertex of one merge fit: it binds the
+    fit's fixed sample set and owns the workspaces the evaluations
+    reuse, so it lives as long as that fit and is not shared between
+    fits or threads.  Each of the ``m`` rows it is handed is a Gaussian
+    in log-Cholesky form ``(μ, log diag L, tril L)``.  The density is
+    evaluated from ``L`` itself: the fixed points are whitened by
+    ``L⁻¹`` (one triangular inverse and one ``(d, d) @ (d, n)`` product
+    per row) and ``log |Σ|`` is twice the sum of the clipped
+    log-diagonal -- ``L Lᵀ`` is never formed and nothing is
+    re-factorised.
+
+    A row is evaluated when ``Gaussian(μ, L Lᵀ)`` provably denotes the
+    same density to rounding: ``θ`` finite, every pivot² above
+    ``2·VARIANCE_FLOOR``, and ``‖L‖_F² ‖L⁻¹‖_F²`` -- an upper bound on
+    ``cond(Σ)`` -- at most :data:`LOG_CHOLESKY_MAX_CONDITION`.  Beyond
+    that, :func:`regularize_covariance` may floor or ridge ``L Lᵀ`` (its
+    pivot test fails from ``cond(Σ) ≈ 1/PIVOT_FLOOR²``) and
+    re-factorising it loses ``cond(Σ)·ε`` of the factor, so those rows
+    come back ``nan`` and are the caller's to score through that gate.
+
+    Rows are scored independently, which is what lets two bodies share
+    the arithmetic.  A simplex search asks for one vertex at a time
+    nine times in ten, and at ``m = 1`` a batched kernel is all
+    dispatch: the *row body* runs the same operations as 1-D / 2-D
+    calls into kept buffers, allocating nothing that grows with ``n``.
+    The *batch body* takes ``m ≥ 2`` (an initial simplex, a shrink
+    step) through the same workspaces in blocks of rows.  One row
+    returns bit for bit what a batch returns for it, whatever the
+    buffers held before.
+
+    Rows on their way to being declined overflow, and nothing here
+    silences that: call inside ``np.errstate(over="ignore",
+    invalid="ignore")``.
 
     Parameters
     ----------
-    thetas:
-        Parameter rows, shape ``(m, p)`` with ``p = 2d + d(d-1)/2``.
     points_t:
         The evaluation points transposed, shape ``(d, n)``.
     target / weight:
         Shape ``(n,)`` vectors of the loss above.
     factor_index:
-        :func:`log_cholesky_index` of ``d``, built once by the caller.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(m,)`` losses, ``nan`` for the rows not evaluated here.
-        A row is evaluated when ``Gaussian(μ, L Lᵀ)`` provably denotes
-        the same density to rounding: ``θ`` finite, every pivot² above
-        ``2·VARIANCE_FLOOR``, and ``‖L‖_F² ‖L⁻¹‖_F²`` -- an upper bound
-        on ``cond(Σ)`` -- at most :data:`LOG_CHOLESKY_MAX_CONDITION`.
-        Beyond that, :func:`regularize_covariance` may floor or ridge
-        ``L Lᵀ`` (its pivot test fails from ``cond(Σ) ≈ 1/PIVOT_FLOOR²``)
-        and re-factorising it loses ``cond(Σ)·ε`` of the factor, so
-        those rows are the caller's to score through that gate.  Rows
-        are scored independently: a batch returns bit for bit what its
-        rows return one at a time.
+        :func:`log_cholesky_index` of ``d``.
     """
-    from scipy.linalg.lapack import dtrtri
 
-    dim, n_points = points_t.shape
-    with np.errstate(over="ignore", invalid="ignore"):
+    def __init__(
+        self,
+        points_t: np.ndarray,
+        target: np.ndarray,
+        weight: np.ndarray,
+        factor_index: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        from scipy.linalg.lapack import dtrtri
+
+        dim, n_points = points_t.shape
+        self._dtrtri = dtrtri
+        self._points_t = points_t
+        self._target = target
+        self._weight = weight
+        self._log_norm = -0.5 * dim * LOG_2PI
+        # One workspace for both bodies; the row body uses its first row.
+        row_bytes = 8 * n_points * (2 * dim + 1)
+        self._block_rows = max(1, LOG_CHOLESKY_WORKSPACE_BYTES // row_bytes)
+        self._centered = np.empty((self._block_rows, dim, n_points))
+        self._whitened = np.empty_like(self._centered)
+        self._values = np.empty((self._block_rows, n_points))
+        # Where a row's entries of L land in a flattened (d, d).
+        self._scatter = factor_index[0] * dim + factor_index[1]
+        # The row body's own: clipped log-pivots, L's entries in
+        # parameter order, L (its strict upper triangle is never
+        # written, so it stays zero) and L⁻¹ in C order.
+        self._log_diag = np.empty(dim)
+        self._entries = np.empty(self._scatter.size)
+        self._factor = np.zeros((dim, dim))
+        self._factor_flat = self._factor.reshape(-1)
+        self._whitener = np.empty((dim, dim))
+        self._zeros = np.zeros(dim + self._scatter.size)
+
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        """Losses of the ``(m, p)`` rows ``thetas``, shape ``(m,)``;
+        ``nan`` for the rows not evaluated here."""
+        n_rows = thetas.shape[0]
+        if n_rows == 1:
+            return self._row(thetas[0])
+        if n_rows <= self._block_rows:
+            return self._batch(thetas)
+        return np.concatenate(
+            [
+                self(thetas[start : start + self._block_rows])
+                for start in range(0, n_rows, self._block_rows)
+            ]
+        )
+
+    def _row(self, theta: np.ndarray) -> np.ndarray:
+        dim = self._log_diag.size
+        log_diag, entries, whitener = (
+            self._log_diag, self._entries, self._whitener,
+        )
+        np.maximum(theta[dim : 2 * dim], -LOG_PIVOT_CLIP, out=log_diag)
+        np.minimum(log_diag, LOG_PIVOT_CLIP, out=log_diag)
+        entries[dim:] = theta[2 * dim :]
+        np.exp(log_diag, out=entries[:dim])
+        self._factor_flat[self._scatter] = entries
+        whitener[...] = self._dtrtri(self._factor, lower=1)[0]
+        condition = np.einsum("p,p->", entries, entries) * np.einsum(
+            "ij,ij->", whitener, whitener
+        )
+        # The same three gates as the batch body, at the price of one
+        # row: ``0 · x`` is ``nan`` for a non-finite ``x`` and zero
+        # otherwise, so the dot is zero exactly when ``θ`` is finite.
+        if not (
+            condition <= LOG_CHOLESKY_MAX_CONDITION
+            and min(log_diag.tolist()) > _LOG_PIVOT_MIN
+            and self._zeros.dot(theta) == 0.0
+        ):
+            return np.array([np.nan])
+        centered, whitened, values = (
+            self._centered[0], self._whitened[0], self._values[0],
+        )
+        np.subtract(self._points_t, theta[:dim, None], out=centered)
+        np.matmul(whitener, centered, out=whitened)
+        np.einsum("dn,dn->n", whitened, whitened, out=values)
+        values *= -0.5
+        values += self._log_norm - log_diag.sum()
+        np.exp(values, out=values)
+        values *= self._weight
+        np.subtract(self._target, values, out=values)
+        np.abs(values, out=values)
+        return np.add.reduce(values, keepdims=True) / values.size
+
+    def _batch(self, thetas: np.ndarray) -> np.ndarray:
+        n_rows = thetas.shape[0]
+        dim = self._log_diag.size
         log_diag = np.minimum(
             np.maximum(thetas[:, dim : 2 * dim], -LOG_PIVOT_CLIP),
             LOG_PIVOT_CLIP,
         )
         entries = thetas[:, dim:].copy()
         entries[:, :dim] = np.exp(log_diag)
-        whitener = np.zeros((thetas.shape[0], dim, dim))
-        whitener[(slice(None), *factor_index)] = entries
+        whitener = np.zeros((n_rows, dim, dim))
+        whitener.reshape(n_rows, -1)[:, self._scatter] = entries
         for factor in whitener:
-            factor[...] = dtrtri(factor, lower=1)[0]
+            factor[...] = self._dtrtri(factor, lower=1)[0]
         condition = np.einsum("mp,mp->m", entries, entries) * np.einsum(
             "mij,mij->m", whitener, whitener
         )
-        regular = (
+        declined = ~(
             np.isfinite(thetas).all(axis=1)
             & (condition <= LOG_CHOLESKY_MAX_CONDITION)
             & (log_diag.min(axis=1) > _LOG_PIVOT_MIN)
         )
-        if not regular.all():
-            losses = np.full(thetas.shape[0], np.nan)
-            if regular.any():
-                losses[regular] = log_cholesky_l1_losses(
-                    thetas[regular], points_t, target, weight, factor_index
-                )
-            return losses
-        centered = points_t[None, :, :] - thetas[:, :dim, None]
-        whitened = whitener @ centered
-        # From here on one (m, n) buffer is updated in place: at batch
-        # sizes every further temporary costs more than its arithmetic.
-        values = np.einsum("mdn,mdn->mn", whitened, whitened)
+        centered, whitened, values = (
+            self._centered[:n_rows],
+            self._whitened[:n_rows],
+            self._values[:n_rows],
+        )
+        np.subtract(self._points_t, thetas[:, :dim, None], out=centered)
+        np.matmul(whitener, centered, out=whitened)
+        np.einsum("mdn,mdn->mn", whitened, whitened, out=values)
         values *= -0.5
-        values += (-0.5 * dim * LOG_2PI - log_diag.sum(axis=1))[:, None]
+        values += (self._log_norm - log_diag.sum(axis=1))[:, None]
         np.exp(values, out=values)
-        values *= weight
-        np.subtract(target, values, out=values)
+        values *= self._weight
+        np.subtract(self._target, values, out=values)
         np.abs(values, out=values)
-        return values.sum(axis=1) / n_points
+        losses = values.sum(axis=1) / values.shape[1]
+        # Declined rows ran through the arithmetic for nothing: they are
+        # rare, and no row reads another's.
+        losses[declined] = np.nan
+        return losses

@@ -15,6 +15,8 @@ the two on standard test functions.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,6 +74,14 @@ def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
+def _stable_sort(
+    simplex: np.ndarray, values: list[float]
+) -> tuple[np.ndarray, list[float]]:
+    """Vertices and values in ascending value order, ties in input order."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return simplex[order], [values[index] for index in order]
+
+
 def nelder_mead(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -113,83 +123,89 @@ def nelder_mead(
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size == 0:
         raise ValueError("cannot optimise a zero-dimensional parameter vector")
+    n = x0.size
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
+    def evaluate(points: np.ndarray) -> list[float]:
         if vectorized:
             values = np.asarray(objective(points), dtype=float)
         else:
             values = np.array([float(objective(point)) for point in points])
-        return np.where(np.isfinite(values), values, np.inf)
+        return np.where(np.isfinite(values), values, np.inf).tolist()
 
-    def safe_eval(x: np.ndarray) -> float:
-        return float(evaluate(x[None, :])[0])
+    def evaluate_one(x: np.ndarray) -> float:
+        if vectorized:
+            value = float(objective(x[None, :])[0])
+        else:
+            value = float(objective(x))
+        return value if math.isfinite(value) else math.inf
 
+    # The simplex is kept sorted: ``values`` ascends, and vertices of
+    # equal value stand in the order a stable sort of the whole simplex
+    # at the top of every iteration would leave them in.  A batch is
+    # sorted that way; a step that replaces the worst vertex puts the
+    # newcomer where that sort would -- behind every survivor it does
+    # not beat -- and the survivors keep their order.
     simplex = _initial_simplex(x0, initial_step)
-    values = evaluate(simplex)
-    evaluations = values.size
+    simplex, values = _stable_sort(simplex, evaluate(simplex))
+    evaluations = n + 1
 
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-
         # The parameter spread costs a pass over the whole simplex and
         # only matters once the value spread is already inside ``ftol``.
         if (
-            abs(float(values[-1]) - float(values[0])) <= ftol
+            abs(values[-1] - values[0]) <= ftol
             and float(np.abs(simplex[1:] - simplex[0]).max()) <= xtol
         ):
             converged = True
             break
 
-        centroid = simplex[:-1].sum(axis=0) / x0.size
+        centroid = simplex[:-1].sum(axis=0) / n
         worst = simplex[-1]
 
         reflected = centroid + ALPHA * (centroid - worst)
-        f_reflected = safe_eval(reflected)
+        f_reflected = evaluate_one(reflected)
         evaluations += 1
 
         if values[0] <= f_reflected < values[-2]:
-            simplex[-1] = reflected
-            values[-1] = f_reflected
-            continue
-
-        if f_reflected < values[0]:
+            accepted, f_accepted = reflected, f_reflected
+        elif f_reflected < values[0]:
             expanded = centroid + GAMMA * (reflected - centroid)
-            f_expanded = safe_eval(expanded)
+            f_expanded = evaluate_one(expanded)
             evaluations += 1
             if f_expanded < f_reflected:
-                simplex[-1] = expanded
-                values[-1] = f_expanded
+                accepted, f_accepted = expanded, f_expanded
             else:
-                simplex[-1] = reflected
-                values[-1] = f_reflected
-            continue
-
-        # Contraction: outside if the reflection improved on the worst
-        # vertex, inside otherwise.
-        if f_reflected < values[-1]:
-            contracted = centroid + RHO * (reflected - centroid)
+                accepted, f_accepted = reflected, f_reflected
         else:
-            contracted = centroid + RHO * (worst - centroid)
-        f_contracted = safe_eval(contracted)
-        evaluations += 1
-        if f_contracted < min(f_reflected, values[-1]):
-            simplex[-1] = contracted
-            values[-1] = f_contracted
-            continue
+            # Contraction: outside if the reflection improved on the
+            # worst vertex, inside otherwise.
+            if f_reflected < values[-1]:
+                contracted = centroid + RHO * (reflected - centroid)
+            else:
+                contracted = centroid + RHO * (worst - centroid)
+            f_contracted = evaluate_one(contracted)
+            evaluations += 1
+            if f_contracted < min(f_reflected, values[-1]):
+                accepted, f_accepted = contracted, f_contracted
+            else:
+                # Shrink every vertex toward the best one.
+                simplex[1:] = simplex[0] + SIGMA * (simplex[1:] - simplex[0])
+                values[1:] = evaluate(simplex[1:])
+                evaluations += n
+                simplex, values = _stable_sort(simplex, values)
+                continue
 
-        # Shrink every vertex toward the best one.
-        simplex[1:] = simplex[0] + SIGMA * (simplex[1:] - simplex[0])
-        values[1:] = evaluate(simplex[1:])
-        evaluations += values.size - 1
+        slot = bisect_right(values, f_accepted, 0, n)
+        simplex[slot + 1 :] = simplex[slot:-1]
+        simplex[slot] = accepted
+        del values[-1]
+        values.insert(slot, f_accepted)
 
-    best_index = int(np.argmin(values))
     return NelderMeadResult(
-        x=simplex[best_index].copy(),
-        fun=float(values[best_index]),
+        x=simplex[0].copy(),
+        fun=values[0],
         iterations=iterations,
         evaluations=evaluations,
         converged=converged,

@@ -6,7 +6,9 @@ of ``src/``, as the oracle of the kernel-equivalence and
 trajectory-identity suites: every vertex is decoded by
 ``_unpack_parameters`` into ``Gaussian(mean, L Lᵀ)`` -- regularised and
 re-factorised by the constructor -- and scored through ``Gaussian.pdf``,
-and the search evaluates its vertices one at a time.
+and the search evaluates its vertices one at a time.  The search itself
+is the oracle's own too (``tests.numerics.simplex_oracle``), so a change
+to ``repro.numerics.simplex`` moves one side of the comparison only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.merging import (
     _unpack_parameters,
 )
 from repro.core.mixture import GaussianMixture
-from repro.numerics.simplex import nelder_mead
+from tests.numerics.simplex_oracle import nelder_mead
 
 
 def oracle_loss(

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.gaussian as gaussian_module
+import repro.core.merging as merging_module
 from repro.core.gaussian import Gaussian
 from repro.core.merging import (
+    _pack_parameters,
     accuracy_loss,
     fit_merged_component,
     j_merge,
@@ -18,6 +21,8 @@ from repro.core.merging import (
     rank_merge_pairs,
 )
 from repro.core.mixture import GaussianMixture
+from repro.numerics.linalg import LogCholeskyL1Loss
+from tests.core.test_refit_ladder import count_calls
 
 
 def four_component_mixture() -> GaussianMixture:
@@ -214,3 +219,89 @@ class TestMergedComponentFit:
         assert "merge.simplex_evaluations" not in str(
             observer.registry.snapshot()
         )
+
+
+class TestFitComputesOnce:
+    """One Cholesky per ``Gaussian`` holds for a whole simplex fit: the
+    search factorises nothing, builds no ``Gaussian``, and sends every
+    single vertex through the kernel's row body."""
+
+    DIM = 3
+    N_PARAMETERS = 2 * DIM + DIM * (DIM - 1) // 2
+
+    @pytest.fixture
+    def fit(self):
+        """Fits of a well-conditioned pair (built before anything is
+        counted): no vertex is declined, nothing shrinks."""
+        a = Gaussian(
+            np.array([0.0, 1.0, -1.0]),
+            np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+        )
+        b = Gaussian(np.array([1.5, 0.0, 0.5]), np.diag([1.0, 2.0, 0.8]))
+
+        def run(max_iter: int):
+            return fit_merged_component(
+                0.6, a, 0.4, b, n_samples=256, max_iter=max_iter,
+                rng=np.random.default_rng(4),
+            )
+
+        return run
+
+    def test_pack_parameters_reads_the_kept_factor(self, monkeypatch):
+        component = Gaussian(np.zeros(2), np.array([[2.0, 0.6], [0.6, 1.0]]))
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        theta = _pack_parameters(component)
+        assert calls["n"] == 0
+        chol = np.linalg.cholesky(component.covariance)
+        expected = np.concatenate(
+            [component.mean, np.log(np.diag(chol)), chol[np.tril_indices(2, -1)]]
+        )
+        assert np.array_equal(theta, expected)
+
+    def test_cholesky_count_does_not_grow_with_the_search(
+        self, fit, monkeypatch
+    ):
+        counts = {}
+        for max_iter in (5, 80):
+            calls = count_calls(monkeypatch, np.linalg, "cholesky")
+            assert fit(max_iter).iterations == max_iter
+            counts[max_iter] = calls["n"]
+        # The moment-matched seed and the fitted father.
+        assert counts == {5: 2, 80: 2}
+
+    def test_no_gaussian_is_built_inside_the_search(self, fit, monkeypatch):
+        built = count_calls(monkeypatch, gaussian_module, "spd_factorize")
+        inside = []
+        search = merging_module.nelder_mead
+
+        def watched(*args, **kwargs):
+            before = built["n"]
+            result = search(*args, **kwargs)
+            inside.append(built["n"] - before)
+            return result
+
+        monkeypatch.setattr(merging_module, "nelder_mead", watched)
+        result = fit(80)
+        assert result.evaluations > result.iterations == 80
+        assert inside == [0]
+
+    def test_single_vertices_take_the_row_body(self, fit, monkeypatch):
+        """One batch for the initial simplex, then one row at a time --
+        never a batch of one."""
+        rows, batches = [], []
+        row_body, batch_body = LogCholeskyL1Loss._row, LogCholeskyL1Loss._batch
+
+        def counted_row(self, theta):
+            rows.append(theta.shape)
+            return row_body(self, theta)
+
+        def counted_batch(self, thetas):
+            batches.append(thetas.shape[0])
+            return batch_body(self, thetas)
+
+        monkeypatch.setattr(LogCholeskyL1Loss, "_row", counted_row)
+        monkeypatch.setattr(LogCholeskyL1Loss, "_batch", counted_batch)
+        result = fit(80)
+        assert batches == [self.N_PARAMETERS + 1]
+        assert len(rows) == result.evaluations - (self.N_PARAMETERS + 1) > 80
+        assert set(rows) == {(self.N_PARAMETERS,)}
