@@ -38,7 +38,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 import numpy as np
 
-from repro.core.gaussian import Gaussian
 from repro.core.mixture import EStep, GaussianMixture
 from repro.core.suffstats import SufficientStats
 from repro.obs.observer import Observer, ensure_observer
@@ -196,11 +195,12 @@ def _initial_mixture(
     if global_var <= 0.0:
         global_var = 1.0
     variance = max(global_var / max(k, 1), 1e-6)
-    components = tuple(
-        Gaussian.spherical(center, variance, diagonal=config.diagonal)
-        for center in centers
+    return GaussianMixture.from_stacks(
+        np.full(k, 1.0 / k),
+        centers,
+        np.full(centers.shape, variance),
+        config.diagonal,
     )
-    return GaussianMixture(np.full(k, 1.0 / k), components)
 
 
 def _m_step(
@@ -218,34 +218,36 @@ def _m_step(
     """
     responsibilities = e_step.responsibilities
     n, k = responsibilities.shape
+    dim = data.shape[1]
     masses = responsibilities.sum(axis=0)
     weights = masses / n
-    components: list[Gaussian] = []
+    means = np.zeros((k, dim))
+    covariances = np.zeros((k, dim, dim))
     starved = masses < MIN_COMPONENT_MASS * n
-    if np.any(starved):
-        worst_order = np.argsort(e_step.log_density)
-    reseed_cursor = 0
-    for j in range(k):
-        if starved[j]:
-            center = data[worst_order[min(reseed_cursor, n - 1)]]
-            reseed_cursor += 1
-            components.append(
-                Gaussian.spherical(center, global_var, diagonal=config.diagonal)
-            )
-            weights[j] = 1.0 / n
-            continue
+    # The moments stay one product per component: a column of the
+    # posterior against the chunk is not the BLAS kernel (nor the bits)
+    # of the whole posterior against it.
+    for j in np.flatnonzero(~starved):
         resp = responsibilities[:, j]
         mass = masses[j]
-        mean = resp @ data / mass
+        means[j] = mean = resp @ data / mass
         centered = data - mean
         if config.diagonal:
-            variances = resp @ (centered**2) / mass
-            cov = np.diag(variances)
+            covariances[j] = np.diag(resp @ (centered**2) / mass)
         else:
-            cov = (centered * resp[:, None]).T @ centered / mass
-        cov = cov + config.covariance_ridge * global_var * np.eye(data.shape[1])
-        components.append(Gaussian(mean, cov, diagonal=config.diagonal))
-    return GaussianMixture(np.asarray(weights), tuple(components))
+            covariances[j] = (centered * resp[:, None]).T @ centered / mass
+    covariances += config.covariance_ridge * global_var * np.eye(dim)
+    if np.any(starved):
+        # Re-seeded members are spherical, unridged, in the same stack.
+        reseeded = np.flatnonzero(starved)
+        worst_order = np.argsort(e_step.log_density)
+        cursor = np.minimum(np.arange(reseeded.size), n - 1)
+        means[reseeded] = data[worst_order[cursor]]
+        covariances[reseeded] = global_var * np.eye(dim)
+        weights[reseeded] = 1.0 / n
+    return GaussianMixture.from_stacks(
+        weights, means, covariances, config.diagonal
+    )
 
 
 def _em_loop(

@@ -16,7 +16,7 @@ benchmarks can report both variants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.numerics.linalg import (
     SPDFactors,
     mahalanobis_sq,
     spd_factorize,
+    spd_factorize_stack,
 )
 
 __all__ = ["Gaussian", "LOG_2PI"]
@@ -68,16 +69,67 @@ class Gaussian:
             )
         if self.diagonal:
             cov = np.diag(np.diag(cov))
-        factors = spd_factorize(cov)
+        self._adopt(mean, spd_factorize(cov))
+
+    def _adopt(self, mean: np.ndarray, factors: SPDFactors) -> None:
+        """Take ``mean`` and an accepted factorisation, read-only, as this
+        component's state -- the one place a ``Gaussian`` gets its
+        ``(μ, Σ, L)``.  ``factors`` must come from the regulariser in
+        :mod:`repro.numerics.linalg`: every kernel relies on its floors."""
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", factors.covariance)
         object.__setattr__(self, "_factors", factors)
-        self.mean.setflags(write=False)
-        self.covariance.setflags(write=False)
+        mean.setflags(write=False)
+        factors.covariance.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def stack(
+        cls,
+        means: np.ndarray,
+        covariances: np.ndarray,
+        diagonal: bool | Sequence[bool] = False,
+    ) -> tuple[tuple["Gaussian", ...], tuple[np.ndarray, ...]]:
+        """``K`` components regularised and factorised as one stack.
+
+        ``means`` is ``(K, d)``, ``covariances`` ``(K, d, d)`` or ``(K, d)``
+        per-axis variances, ``diagonal`` one flag or one per member.
+        Returns the components -- each bit for bit ``Gaussian(means[j],
+        covariances[j], diagonal)``, as views of shared arrays -- and the
+        ``(means, L⁻¹, log-dets)`` stacks
+        :func:`~repro.numerics.linalg.batch_log_pdf` reads.
+        """
+        means = np.array(means, dtype=float, ndmin=2)
+        covs = np.asarray(covariances, dtype=float)
+        k, dim = means.shape
+        if covs.shape == (k, dim):
+            covs = np.where(np.eye(dim, dtype=bool), covs[:, :, None], 0.0)
+        elif covs.shape != (k, dim, dim):
+            raise ValueError(
+                f"covariance stack {covs.shape} does not match "
+                f"{k} means of dimension {dim}"
+            )
+        flags = np.empty(k, dtype=bool)
+        flags[:] = diagonal
+        if flags.any():
+            keep = np.eye(dim, dtype=bool) | ~flags[:, None, None]
+            covs = np.where(keep, covs, 0.0)
+        covs, chols, log_dets, inverses = spd_factorize_stack(covs)
+        components = []
+        for mean, cov, chol, log_det, inverse, flag in zip(
+            means, covs, chols, log_dets.tolist(), inverses, flags.tolist()
+        ):
+            component = object.__new__(cls)
+            object.__setattr__(component, "diagonal", flag)
+            component._adopt(
+                mean, SPDFactors(cov, chol, log_det, _inverse_cholesky=[inverse])
+            )
+            components.append(component)
+        means.setflags(write=False)
+        return tuple(components), (means, inverses, log_dets)
+
     @classmethod
     def spherical(
         cls, mean: np.ndarray, variance: float, diagonal: bool = False

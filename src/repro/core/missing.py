@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.em import EMConfig, EMResult, kmeans_plus_plus_centers
 from repro.core.gaussian import Gaussian
-from repro.core.mixture import LOG_DENSITY_FLOOR, GaussianMixture
+from repro.core.mixture import EStep, GaussianMixture
 
 __all__ = [
     "average_marginal_log_likelihood",
@@ -152,17 +152,16 @@ def marginal_log_pdf(gaussian: Gaussian, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mixture_marginal_weighted(
-    mixture: GaussianMixture, data: np.ndarray
-) -> np.ndarray:
-    """Matrix of ``log(w_j) + log p(x_obs | j)``, shape ``(n, K)``."""
+def _marginal_e_step(mixture: GaussianMixture, data: np.ndarray) -> EStep:
+    """The density pass over ``log(w_j) + log p(x_obs | j)``, shape
+    ``(n, K)``: the one log-sum-exp, read on marginal densities."""
     with np.errstate(divide="ignore"):
         log_weights = np.log(mixture.weights)
     columns = [
         marginal_log_pdf(component, data) + log_weights[j]
         for j, component in enumerate(mixture.components)
     ]
-    return np.column_stack(columns)
+    return EStep(mixture.weights, np.column_stack(columns))
 
 
 def marginal_log_values(
@@ -174,15 +173,8 @@ def marginal_log_values(
     statistic ``max_j log(w_j p(x_obs|j))`` instead of the full mixture
     log density.
     """
-    weighted = _mixture_marginal_weighted(mixture, data)
-    if max_component:
-        return np.maximum(np.max(weighted, axis=1), LOG_DENSITY_FLOOR)
-    peak = np.max(weighted, axis=1)
-    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    log_density = safe_peak + np.log(
-        np.sum(np.exp(weighted - safe_peak[:, None]), axis=1)
-    )
-    return np.maximum(log_density, LOG_DENSITY_FLOOR)
+    e_step = _marginal_e_step(mixture, data)
+    return e_step.max_log_density if max_component else e_step.log_density
 
 
 def average_marginal_log_likelihood(
@@ -196,16 +188,7 @@ def marginal_posterior(
     mixture: GaussianMixture, data: np.ndarray
 ) -> np.ndarray:
     """Posterior ``Pr(j | x_obs)`` from marginal densities."""
-    weighted = _mixture_marginal_weighted(mixture, data)
-    peak = np.max(weighted, axis=1, keepdims=True)
-    probs = np.exp(weighted - np.where(np.isfinite(peak), peak, 0.0))
-    totals = probs.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        posterior = probs / totals
-    bad = ~np.isfinite(peak).ravel()
-    if bad.any():
-        posterior[bad] = mixture.weights[None, :]
-    return posterior
+    return _marginal_e_step(mixture, data).responsibilities
 
 
 def _m_step_missing(
@@ -319,12 +302,8 @@ def fit_em_missing(
         k = min(config.n_components, data.shape[0])
         centers = kmeans_plus_plus_centers(imputed, k, rng)
         variance = max(float(np.mean(np.var(imputed, axis=0))) / k, 1e-6)
-        mixture = GaussianMixture(
-            np.full(k, 1.0 / k),
-            tuple(
-                Gaussian.spherical(center, variance, diagonal=config.diagonal)
-                for center in centers
-            ),
+        mixture = GaussianMixture.from_stacks(
+            np.full(k, 1.0 / k), centers, np.full((k, dim), variance), config.diagonal
         )
 
     history: list[float] = []

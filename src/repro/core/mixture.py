@@ -18,7 +18,6 @@ Like :class:`Gaussian`, mixtures are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,45 +38,60 @@ class EStep:
     The posteriors ``Pr(j|x)`` and the likelihood come from the same
     matrix ``weighted = log(w_j p(x_i|j))``, shape ``(n, K)``; so do the
     fit test and a model's reference statistics.  An ``EStep`` holds the
-    matrix and derives each of them at most once, only when asked.
+    matrix and its one reduction (:func:`~repro.numerics.linalg.shifted_exp`,
+    over ``K`` contiguous rows) and derives each of them from that only
+    when asked, the two arrays at most once.
 
     It is handed on as an argument and dropped with the chunk, never
     cached on the mixture: a memo keyed on the chunk array goes stale
     when a producer refills its buffer in place (DESIGN.md section 10.2).
     """
 
+    __slots__ = (
+        "weights", "weighted", "_reduced", "_log_density", "_responsibilities"
+    )
+
     def __init__(self, weights: np.ndarray, weighted: np.ndarray) -> None:
         self.weights = weights
         self.weighted = weighted
+        self._reduced = shifted_exp(weighted)
+        self._log_density = self._responsibilities = None
 
-    @cached_property
-    def _scaled(self):
-        return shifted_exp(self.weighted, axis=1)
-
-    @cached_property
+    @property
     def log_density(self) -> np.ndarray:
         """Floored mixture log density per record; see
         :meth:`GaussianMixture.log_pdf`."""
-        peak, finite, _, totals = self._scaled
-        log_density = np.where(finite[:, 0], peak[:, 0] + np.log(totals), -np.inf)
-        return np.maximum(log_density, LOG_DENSITY_FLOOR)
+        if self._log_density is None:
+            peak, finite, _, totals = self._reduced
+            log_density = peak + np.log(totals)
+            if not finite.all():
+                log_density[~finite] = -np.inf
+            self._log_density = np.maximum(
+                log_density, LOG_DENSITY_FLOOR, out=log_density
+            )
+        return self._log_density
 
-    @cached_property
+    @property
     def max_log_density(self) -> np.ndarray:
-        """Floored maximal ``log(w_j p(x|j))`` per record (Theorem 2)."""
-        return np.maximum(np.max(self.weighted, axis=1), LOG_DENSITY_FLOOR)
+        """Floored maximal ``log(w_j p(x|j))`` per record (Theorem 2):
+        the peak the reduction already took."""
+        return np.maximum(self._reduced[0], LOG_DENSITY_FLOOR)
 
-    @cached_property
+    @property
     def responsibilities(self) -> np.ndarray:
-        """``Pr(j|x)``, shape ``(n, K)``; see :meth:`GaussianMixture.posterior`."""
-        _, finite, scaled, totals = self._scaled
-        with np.errstate(invalid="ignore"):
-            posterior = scaled / totals[:, None]
-        if not finite.all():
-            posterior[~finite[:, 0]] = self.weights
-        return posterior
+        """``Pr(j|x)``, shape ``(n, K)`` in C order -- the operand layout
+        the moment products downstream were pinned on; see
+        :meth:`GaussianMixture.posterior`."""
+        if self._responsibilities is None:
+            _, finite, scaled, totals = self._reduced
+            with np.errstate(invalid="ignore"):
+                posterior = np.ascontiguousarray((scaled / totals).T)
+            if not finite.all():
+                posterior[~finite] = self.weights
+            self._responsibilities = posterior
+        return self._responsibilities
 
-    @cached_property
+    @property
     def log_likelihood(self) -> float:
         """``AvgPr`` of the chunk under the mixture (Definition 1)."""
         if self.weighted.shape[0] == 0:
@@ -143,6 +157,23 @@ class GaussianMixture:
     def single(cls, component: Gaussian) -> "GaussianMixture":
         """Mixture containing one component with weight 1."""
         return cls(np.ones(1), (component,))
+
+    @classmethod
+    def from_stacks(
+        cls,
+        weights: np.ndarray,
+        means: np.ndarray,
+        covariances: np.ndarray,
+        diagonal: bool | Sequence[bool] = False,
+    ) -> "GaussianMixture":
+        """Build all ``K`` components at once (:meth:`Gaussian.stack`:
+        one regularise-and-factor for the ``(K, d, d)`` stack) and keep
+        the kernel stack that came with them, so the first density pass
+        has nothing left to assemble."""
+        components, kernel_stack = Gaussian.stack(means, covariances, diagonal)
+        mixture = cls(weights, components)
+        mixture._batch.append(kernel_stack)
+        return mixture
 
     @classmethod
     def from_pairs(
@@ -374,10 +405,13 @@ class GaussianMixture:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "GaussianMixture":
         """Inverse of :meth:`to_dict`."""
-        components = tuple(
-            Gaussian.from_dict(item) for item in payload["components"]
+        items = payload["components"]
+        return cls.from_stacks(
+            np.asarray(payload["weights"], dtype=float),
+            [item["mean"] for item in items],
+            [item["covariance"] for item in items],
+            [bool(item.get("diagonal", False)) for item in items],
         )
-        return cls(np.asarray(payload["weights"], dtype=float), components)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianMixture):

@@ -340,23 +340,23 @@ def _decode_cds1(payload: bytes) -> Message:
         weights = np.frombuffer(body, dtype="<f8", count=k, offset=offset)
         offset += 8 * k
         cov_values = d if diagonal else d * d
-        components = []
-        for _ in range(k):
-            mean = np.frombuffer(body, dtype="<f8", count=d, offset=offset)
-            offset += 8 * d
-            cov_flat = np.frombuffer(
-                body, dtype="<f8", count=cov_values, offset=offset
-            )
-            offset += 8 * cov_values
-            cov = np.diag(cov_flat) if diagonal else cov_flat.reshape(d, d)
-            components.append(Gaussian(mean.copy(), cov, diagonal=diagonal))
+        # Per component: d mean values, then its covariance block.
+        blocks = np.frombuffer(
+            body, dtype="<f8", count=k * (d + cov_values), offset=offset
+        ).reshape(k, d + cov_values)
+        offset += blocks.nbytes
         if offset != len(body):
             raise CodecError("trailing bytes after model update body")
         return ModelUpdateMessage(
             site_id=site_id,
             model_id=model_id,
             time=time,
-            mixture=GaussianMixture(weights.copy(), tuple(components)),
+            mixture=GaussianMixture.from_stacks(
+                weights.copy(),
+                blocks[:, :d],
+                blocks[:, d:] if diagonal else blocks[:, d:].reshape(k, d, d),
+                diagonal,
+            ),
             count=count,
             reference_likelihood=reference,
         )
@@ -433,29 +433,6 @@ class CDS1Codec:
 # ----------------------------------------------------------------------
 # CDS2 -- uint16 shapes, delta synopses, quantized Cholesky factors
 # ----------------------------------------------------------------------
-def _spd_cholesky(covariance: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, with an escalating jitter fallback.
-
-    Site/coordinator covariances are kept SPD by the EM ridge, but a
-    covariance arriving at the wire boundary may sit on the PSD edge;
-    a tiny diagonal lift keeps the factorisation defined without
-    visibly moving the model.
-    """
-    try:
-        return np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError:
-        scale = max(float(np.trace(covariance)) / covariance.shape[0], 1.0)
-        for exponent in range(-12, 0):
-            jitter = scale * 10.0**exponent
-            try:
-                return np.linalg.cholesky(
-                    covariance + jitter * np.eye(covariance.shape[0])
-                )
-            except np.linalg.LinAlgError:
-                continue
-        raise
-
-
 def _quantize_cov(component: Gaussian, quantize: str) -> bytes:
     """Covariance transport block for one component."""
     dtype = _QUANT_DTYPES[quantize]
@@ -464,8 +441,8 @@ def _quantize_cov(component: Gaussian, quantize: str) -> bytes:
     elif quantize == "f64":
         values = np.ascontiguousarray(component.covariance)
     else:
-        factor = _spd_cholesky(component.covariance)
-        values = factor[np.tril_indices(component.dim)]
+        # The factor that accepted this covariance: nothing to refactor.
+        values = component.factors.cholesky[np.tril_indices(component.dim)]
     if quantize == "f16":
         # Clamp into float16's finite range so extreme variances
         # degrade instead of overflowing to inf.
@@ -736,16 +713,14 @@ class CDS2Codec:
         (update_id,) = struct.unpack_from("<I", body, 16)
         offset = 20
 
-        baseline_components: tuple[Gaussian, ...] | None = None
-        changed_mask: list[bool] | None = None
+        components: list[Gaussian | None] = [None] * k
+        shipped = list(range(k))
         if delta:
             (baseline_id,) = struct.unpack_from("<I", body, offset)
             offset += 4
             mask = body[offset : offset + (k + 7) // 8]
             offset += (k + 7) // 8
-            changed_mask = [
-                bool(mask[i // 8] & (1 << (i % 8))) for i in range(k)
-            ]
+            shipped = [i for i in shipped if mask[i // 8] & (1 << (i % 8))]
             cached = self._rx.get(site_id, {}).get(baseline_id)
             if cached is None:
                 raise CodecError(
@@ -758,26 +733,26 @@ class CDS2Codec:
                 raise CodecError(
                     "delta update component count does not match its baseline"
                 )
-            baseline_components = cached.components
+            components = list(cached.components)
 
         weights = np.frombuffer(body, dtype="<f8", count=k, offset=offset)
         offset += 8 * k
         cov_bytes = _cov_block_bytes(d, diagonal, quantize)
-        components: list[Gaussian] = []
-        for i in range(k):
-            if changed_mask is not None and not changed_mask[i]:
-                assert baseline_components is not None
-                components.append(baseline_components[i])
-                continue
-            mean = np.frombuffer(body, dtype="<f8", count=d, offset=offset)
+        means = np.empty((len(shipped), d))
+        covariances = np.empty((len(shipped), d, d))
+        for mean, covariance in zip(means, covariances):
+            mean[...] = np.frombuffer(body, dtype="<f8", count=d, offset=offset)
             offset += 8 * d
-            cov = _dequantize_cov(
+            covariance[...] = _dequantize_cov(
                 body[offset : offset + cov_bytes], d, diagonal, quantize
             )
             offset += cov_bytes
-            components.append(Gaussian(mean.copy(), cov, diagonal=diagonal))
         if offset != len(body):
             raise CodecError("trailing bytes after CDS2 model update body")
+        for i, component in zip(
+            shipped, Gaussian.stack(means, covariances, diagonal)[0]
+        ):
+            components[i] = component
 
         mixture = GaussianMixture(weights.copy(), tuple(components))
         per_site = self._rx.setdefault(site_id, OrderedDict())

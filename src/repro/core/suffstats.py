@@ -31,7 +31,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 
 __all__ = ["SufficientStats"]
@@ -281,17 +280,17 @@ class SufficientStats:
         weights = self.counts / total
         means = self.sums / self.counts[:, None]
         ridge = covariance_ridge * global_var
-        components = []
-        for j in range(self.n_components):
-            mean = means[j]
-            if self.diagonal:
-                variances = self.outers[j] / self.counts[j] - mean**2
-                cov = np.diag(variances + ridge)
-            else:
-                cov = self.outers[j] / self.counts[j] - np.outer(mean, mean)
-                cov = cov + ridge * np.eye(self.dim)
-            components.append(Gaussian(mean, cov, diagonal=self.diagonal))
-        return GaussianMixture(weights, tuple(components))
+        if self.diagonal:
+            covariances = self.outers / self.counts[:, None] - means**2 + ridge
+        else:
+            covariances = (
+                self.outers / self.counts[:, None, None]
+                - means[:, :, None] * means[:, None, :]
+                + ridge * np.eye(self.dim)
+            )
+        return GaussianMixture.from_stacks(
+            weights, means, covariances, self.diagonal
+        )
 
     # ------------------------------------------------------------------
     # Serialisation (checkpoints)

@@ -27,12 +27,9 @@ from repro.numerics.linalg import (
     batch_mahalanobis_sq,
     ensure_spd,
     log_cholesky_index,
-    log_det_spd,
-    logsumexp,
     mahalanobis_sq,
-    regularize_covariance,
-    safe_inverse,
     spd_factorize,
+    spd_factorize_stack,
 )
 from repro.numerics.simplex import NelderMeadResult, nelder_mead
 
@@ -46,13 +43,10 @@ __all__ = [
     "ensure_spd",
     "l1_density_distance",
     "log_cholesky_index",
-    "log_det_spd",
-    "logsumexp",
     "mahalanobis_sq",
     "monte_carlo_l1",
     "nelder_mead",
-    "regularize_covariance",
-    "safe_inverse",
     "spd_factorize",
+    "spd_factorize_stack",
     "trapezoid_grid",
 ]

@@ -5,10 +5,11 @@ ill-conditioned or (through responsibilities collapsing onto a handful of
 records) outright singular.  The paper sidesteps the issue with a
 footnote -- "we can exclude these situations from consideration" -- but a
 production library cannot, so every covariance that enters a density
-computation passes through :func:`regularize_covariance` and is factored
-once by :func:`spd_factorize`.  All downstream quantities (inverse,
-log-determinant, squared Mahalanobis distances) are derived from the
-Cholesky factor, which is both faster and far more numerically stable
+computation is regularised and factored once, by :func:`spd_factorize`
+(one matrix) or :func:`spd_factorize_stack` (a mixture's ``K`` at once).
+All downstream quantities (inverse, log-determinant, squared Mahalanobis
+distances) are derived from the Cholesky factor, which is both faster
+and far more numerically stable
 than forming explicit inverses.
 """
 
@@ -27,13 +28,10 @@ __all__ = [
     "batch_mahalanobis_sq",
     "ensure_spd",
     "log_cholesky_index",
-    "log_det_spd",
-    "logsumexp",
     "mahalanobis_sq",
-    "regularize_covariance",
-    "safe_inverse",
     "shifted_exp",
     "spd_factorize",
+    "spd_factorize_stack",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -47,7 +45,7 @@ DEFAULT_RIDGE = 1e-6
 #: producing infinite densities.
 VARIANCE_FLOOR = 1e-10
 
-#: :func:`regularize_covariance` accepts a Cholesky factor only while its
+#: :func:`spd_factorize` accepts a Cholesky factor only while its
 #: smallest pivot exceeds this fraction of ``sqrt(scale)``.
 PIVOT_FLOOR = 1e-6
 
@@ -70,14 +68,19 @@ LOG_CHOLESKY_WORKSPACE_BYTES = 1 << 19
 _LOG_PIVOT_MIN = 0.5 * math.log(2.0 * VARIANCE_FLOOR)
 
 
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """Writable ``(..., d)`` view of the diagonals of ``(..., d, d)``."""
+    return np.einsum("...ii->...i", stack)
+
+
 def ensure_spd(matrix: np.ndarray) -> np.ndarray:
     """Return a symmetric copy of ``matrix`` with floored diagonal.
 
     Parameters
     ----------
     matrix:
-        Square array, expected to be approximately symmetric (as produced
-        by an EM M-step).
+        Square array, or a stack ``(..., d, d)`` of them, expected to be
+        approximately symmetric (as produced by an EM M-step).
 
     Raises
     ------
@@ -85,70 +88,92 @@ def ensure_spd(matrix: np.ndarray) -> np.ndarray:
         If ``matrix`` is not square or contains non-finite entries.
     """
     arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"covariance must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("covariance contains non-finite entries")
-    sym = (arr + arr.T) / 2.0
-    np.fill_diagonal(sym, np.maximum(sym.diagonal(), VARIANCE_FLOOR))
+    sym = (arr + arr.swapaxes(-2, -1)) / 2.0
+    diagonals = _diagonals(sym)
+    np.maximum(diagonals, VARIANCE_FLOOR, out=diagonals)
     return sym
 
 
-def regularize_covariance(
-    matrix: np.ndarray,
-    ridge: float = DEFAULT_RIDGE,
-    max_attempts: int = 12,
-) -> np.ndarray:
-    """Make ``matrix`` positive definite by adding an escalating ridge.
-
-    The ridge starts at ``ridge * mean(diag)`` and grows by a factor of
-    ten until ``numpy.linalg.cholesky`` succeeds.  With ``max_attempts``
-    of 12 the final ridge exceeds the matrix scale itself, so failure is
-    only possible for pathological (non-finite) input, which
-    :func:`ensure_spd` rejects first.
-    """
-    return _regularized_factor(matrix, ridge, max_attempts)[0]
-
-
-def _regularized_factor(
-    matrix: np.ndarray, ridge: float, max_attempts: int = 12
+def _accepted_factors(
+    stack: np.ndarray, pivot_floor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(Σ, L)``: the regularised ``matrix`` and the Cholesky factor
-    that accepted it, so nothing downstream factors ``Σ`` again."""
-    sym = ensure_spd(matrix)
+    """Cholesky factors of a ``(K, d, d)`` stack from one call, and the
+    indices of the members to reject: not positive definite, or -- since
+    Cholesky can numerically succeed on an exactly singular matrix --
+    factored with a pivot not well clear of zero."""
+    try:
+        factors = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        # The gufunc fails a stack as a whole: find out who, one by one
+        # (the same ``potrf``, the same bits).  Zero pivots are rejected.
+        factors = np.zeros_like(stack)
+        for member, factor in zip(stack, factors) if len(stack) > 1 else ():
+            try:
+                factor[...] = np.linalg.cholesky(member)
+            except np.linalg.LinAlgError:
+                pass
+    accepted = _diagonals(factors).min(axis=-1) > pivot_floor
+    return factors, np.flatnonzero(~accepted)
+
+
+def _regularized_factors(
+    matrices: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(Σ, L)``: ``matrices`` regularised and the Cholesky factors that
+    accepted them, so nothing downstream factors ``Σ`` again.  One matrix
+    or a ``(K, d, d)`` stack: the members share the first attempt (one
+    ``cholesky`` call); a member it rejects gets a ridge of ``ridge``
+    times its scale, escalating alone by a factor of ten until accepted.
+    The eleventh ridge exceeds the matrix scale itself, so failure is
+    only possible for non-finite input, which :func:`ensure_spd` rejects
+    first."""
+    covariances = ensure_spd(matrices)
+    stack = covariances.reshape((-1,) + covariances.shape[-2:])
+    dim = stack.shape[-1]
     # Scale by the full matrix magnitude, not just the diagonal: a
     # floored diagonal with dominant off-diagonal entries needs a ridge
-    # comparable to those entries to become positive definite.
-    scale = max(float(sym.diagonal().mean()), float(np.abs(sym).max()))
-    if scale <= 0.0:
-        scale = 1.0
-    bump = ridge * scale
-    candidate = sym
-    # Cholesky can numerically succeed on an exactly singular matrix, so
-    # a successful factorisation must also keep its pivots well clear of
-    # zero before we accept the candidate.
-    pivot_floor = PIVOT_FLOOR * math.sqrt(scale)
-    for _ in range(max_attempts):
-        try:
-            factor = np.linalg.cholesky(candidate)
-            if float(factor.diagonal().min()) > pivot_floor:
-                return candidate, factor
-        except np.linalg.LinAlgError:
-            pass
-        candidate = sym + bump * np.eye(sym.shape[0])
-        bump *= 10.0
-    raise np.linalg.LinAlgError(
-        "could not regularize covariance into positive definiteness"
+    # comparable to those entries to become positive definite.  (The
+    # floor keeps the diagonal mean, hence the scale, positive.)
+    scale = np.maximum(
+        np.add.reduce(_diagonals(stack), axis=-1) / dim,
+        np.abs(stack).max(axis=(-2, -1)),
     )
+    pivot_floor = PIVOT_FLOOR * np.sqrt(scale)
+    choleskys, rejected = _accepted_factors(stack, pivot_floor)
+    for j in rejected:
+        bump = ridge * scale[j]
+        for _ in range(11):
+            candidate = stack[j] + bump * np.eye(dim)
+            factor, again = _accepted_factors(
+                candidate[None], pivot_floor[j : j + 1]
+            )
+            if not again.size:
+                stack[j], choleskys[j] = candidate, factor[0]
+                break
+            bump *= 10.0
+        else:
+            raise np.linalg.LinAlgError(
+                "could not regularize covariance into positive definiteness"
+            )
+    return covariances, choleskys.reshape(covariances.shape)
 
 
-def _solve_factor(
-    factor: np.ndarray, rhs: np.ndarray, lower: bool = True
-) -> np.ndarray:
-    """Solve against a validated factor: no finiteness scan (NaN propagates)."""
-    from scipy.linalg import solve_triangular
+def _solve_factor(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``L⁻¹ rhs`` for a validated lower factor by LAPACK ``trtrs``
+    itself: no finiteness scan (NaN propagates), no wrapper.  ``trtrs``
+    reads Fortran order, so the C-ordered ``L`` goes in as ``Lᵀ`` with
+    the transposed system asked for -- the call, and the bits, of
+    ``scipy.linalg.solve_triangular``."""
+    from scipy.linalg.lapack import dtrtrs
 
-    return solve_triangular(factor, rhs, lower=lower, check_finite=False)
+    solution, info = dtrtrs(factor.T, rhs, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"trtrs failed on a factor (info={info})")
+    return solution
 
 
 @dataclass(frozen=True)
@@ -206,11 +231,6 @@ class SPDFactors:
             self._inverse_cholesky.append(inv)
         return self._inverse_cholesky[0]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``covariance @ x = rhs`` via two triangular solves."""
-        half = _solve_factor(self.cholesky, rhs)
-        return _solve_factor(self.cholesky.T, half, lower=False)
-
     def whiten(self, centered: np.ndarray) -> np.ndarray:
         """Map centred rows ``x - μ`` to whitened coordinates ``L⁻¹(x-μ)ᵀ``.
 
@@ -230,23 +250,33 @@ class SPDFactors:
 
 def spd_factorize(matrix: np.ndarray, ridge: float = DEFAULT_RIDGE) -> SPDFactors:
     """Regularise ``matrix`` and return its cached Cholesky factors."""
-    cov, chol = _regularized_factor(matrix, ridge)
+    cov, chol = _regularized_factors(matrix, ridge)
     log_det = 2.0 * float(np.log(chol.diagonal()).sum())
     return SPDFactors(covariance=cov, cholesky=chol, log_det=log_det)
 
 
-def log_det_spd(matrix: np.ndarray) -> float:
-    """``log |matrix|`` for a (regularisable) SPD matrix."""
-    return spd_factorize(matrix).log_det
-
-
-def safe_inverse(matrix: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
-    """Numerically safe inverse of a covariance matrix.
-
-    Equivalent to ``numpy.linalg.inv`` after :func:`regularize_covariance`
-    but computed from the Cholesky factor.
-    """
-    return spd_factorize(matrix, ridge=ridge).inverse()
+def spd_factorize_stack(
+    matrices: np.ndarray, ridge: float = DEFAULT_RIDGE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`spd_factorize` of every member of a ``(K, d, d)`` stack, as
+    the read-only stacks ``(Σ, L, log|Σ|, L⁻¹)``: member ``j`` of each is
+    bit for bit what ``spd_factorize(matrices[j])`` holds.  The members
+    share one finiteness scan and one ``cholesky`` call; ``L⁻¹`` is
+    filled in here because it is the whitening stack of
+    :func:`batch_log_pdf`, which a mixture needs at its first density
+    pass anyway."""
+    covariances, choleskys = _regularized_factors(matrices, ridge)
+    log_dets = 2.0 * np.log(_diagonals(choleskys)).sum(axis=-1)
+    identity = np.eye(choleskys.shape[-1])
+    # Each L⁻¹ in Fortran order, as ``trtrs`` returns it and as
+    # ``numpy.stack`` used to keep it: the layout decides the order in
+    # which the kernel's ``einsum`` adds.
+    inverses = np.empty_like(choleskys).transpose(0, 2, 1)
+    for inverse, factor in zip(inverses, choleskys):
+        inverse[...] = _solve_factor(factor, identity)
+    for stack in (covariances, choleskys, log_dets, inverses):
+        stack.setflags(write=False)
+    return covariances, choleskys, log_dets, inverses
 
 
 def mahalanobis_sq(
@@ -285,31 +315,28 @@ def mahalanobis_sq(
 # ----------------------------------------------------------------------
 # Batched density kernels (all components at once)
 # ----------------------------------------------------------------------
-def shifted_exp(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, ...]:
-    """``(peak, finite, scaled, totals)``: ``exp(values - peak)`` along
-    ``axis`` with its sums -- what :func:`logsumexp` and a mixture's
-    E-step share.  ``peak`` and ``finite`` keep ``axis`` with length
-    one; where the true peak is not finite ``peak`` is 0, so an all
-    ``-inf`` slice gives zeros and a zero total rather than ``nan``."""
-    peak = np.max(values, axis=axis, keepdims=True)
-    finite = np.isfinite(peak)
-    peak = np.where(finite, peak, 0.0)
-    scaled = values - peak
-    np.exp(scaled, out=scaled)
-    return peak, finite, scaled, np.sum(scaled, axis=axis)
+def shifted_exp(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(peak, finite, scaled, totals)`` of an ``(n, K)`` matrix of log
+    values: ``exp(values - peak)`` along each row with its sum -- the
+    one log-sum-exp, which a mixture's E-step reads everything from.
+    ``values`` is copied once into ``K`` contiguous rows, so the peak,
+    the shift, the ``exp`` and the sums each run over whole rows;
+    ``scaled`` comes back in that ``(K, n)`` layout.  ``peak`` is the
+    true maximum and ``finite`` says where it is finite; elsewhere the
+    shift is 0, so an all ``-inf`` row of ``values`` gives zeros and a
+    zero total rather than ``nan``.
 
-
-def logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable ``log Σ exp`` along ``axis``.
-
-    Rows whose every entry is ``-inf`` reduce to ``-inf`` (instead of
-    the ``nan`` a naive ``max`` subtraction would produce); ``+inf``
-    inputs are rejected by the callers (densities are finite).
+    The ``K`` rows are added strictly left to right -- for fewer than
+    eight the order of ``numpy.sum`` along the strided axis too; from
+    eight on numpy adds that axis in blocks of eight and the totals
+    differ in the last bits (DESIGN.md section 10.2).
     """
-    values = np.asarray(values, dtype=float)
-    peak, finite, _, summed = shifted_exp(values, axis)
-    out = np.squeeze(peak, axis=axis) + np.log(summed)
-    return np.where(np.squeeze(finite, axis=axis), out, -np.inf)
+    scaled = np.array(values.T, dtype=float, order="C")
+    peak = np.maximum.reduce(scaled, axis=0)
+    finite = np.isfinite(peak)
+    scaled -= peak if finite.all() else np.where(finite, peak, 0.0)
+    np.exp(scaled, out=scaled)
+    return peak, finite, scaled, np.add.reduce(scaled, axis=0)
 
 
 def batch_mahalanobis_sq(
@@ -405,7 +432,7 @@ class LogCholeskyL1Loss:
     same density to rounding: ``θ`` finite, every pivot² above
     ``2·VARIANCE_FLOOR``, and ``‖L‖_F² ‖L⁻¹‖_F²`` -- an upper bound on
     ``cond(Σ)`` -- at most :data:`LOG_CHOLESKY_MAX_CONDITION`.  Beyond
-    that, :func:`regularize_covariance` may floor or ridge ``L Lᵀ`` (its
+    that, :func:`spd_factorize` may floor or ridge ``L Lᵀ`` (its
     pivot test fails from ``cond(Σ) ≈ 1/PIVOT_FLOOR²``) and
     re-factorising it loses ``cond(Σ)·ε`` of the factor, so those rows
     come back ``nan`` and are the caller's to score through that gate.

@@ -99,7 +99,8 @@ def mixtures_and_points(draw):
     """A random mixture -- some Σ near-singular, some weights zero --
     and points from its bulk, its far tail and beyond every density."""
     dim = draw(st.integers(1, 4))
-    k = draw(st.integers(1, 4))
+    # Up to seven: the widest mixture whose row sums add in numpy's order.
+    k = draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     components = []
     for _ in range(k):
@@ -130,11 +131,42 @@ def test_e_step_is_log_pdf_and_posterior(case):
     assert e_step.log_density.tobytes() == log_density.tobytes()
     assert e_step.responsibilities.tobytes() == posterior.tobytes()
     assert e_step.log_likelihood == float(np.mean(log_density))
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.max(mixture.weighted_log_pdf(points), axis=1)
+    assert e_step.max_log_density.tobytes() == np.maximum(peak, -745.0).tobytes()
     # The public views read the same pass.
     with np.errstate(over="ignore", invalid="ignore"):
         assert mixture.log_pdf(points).tobytes() == log_density.tobytes()
         assert mixture.posterior(points).tobytes() == posterior.tobytes()
         assert mixture.average_log_likelihood(points) == e_step.log_likelihood
+
+
+@pytest.mark.parametrize("k", [8, 12, 17])
+def test_wide_mixtures_sum_their_rows_in_another_order(k):
+    """From eight components on the bits may move, by an association and
+    no more: ``numpy.sum`` adds a strided axis of eight or more terms in
+    blocks of eight, the row reduction adds the ``K`` rows strictly left
+    to right.  Each total is a sum of ``K`` non-negative terms, so the
+    two orders differ by at most a few ulp (5 measured at K = 17; 8 is
+    the bound), and so does everything divided by or logged from it.
+    The peak -- a maximum -- is exact at every ``K``."""
+    rng = np.random.default_rng(k)
+    components = tuple(
+        Gaussian(rng.normal(scale=2.0, size=3), np.eye(3) * rng.uniform(0.5, 2.0))
+        for _ in range(k)
+    )
+    mixture = GaussianMixture(rng.random(k) + 0.05, components)
+    points, _ = mixture.sample(400, rng)
+    e_step = mixture.e_step(points)
+    log_density = oracle_log_pdf(mixture, points)
+    posterior = oracle_posterior(mixture, points)
+    for new, old in (
+        (e_step.log_density, log_density),
+        (e_step.responsibilities, posterior),
+    ):
+        assert np.all(np.abs(new - old) <= 8 * np.spacing(np.abs(old)))
+    peak = np.max(mixture.weighted_log_pdf(points), axis=1)
+    assert e_step.max_log_density.tobytes() == np.maximum(peak, -745.0).tobytes()
 
 
 def test_unexplained_row_falls_back_to_the_weights():

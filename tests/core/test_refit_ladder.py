@@ -22,12 +22,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core.em as em_module
 import repro.core.gaussian as gaussian_module
 import repro.core.mixture as mixture_module
 from repro.core.em import EMConfig, fit_em, incremental_em
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
+from repro.core.protocol import ModelUpdateMessage
 from repro.core.remote import RemoteSite, RemoteSiteConfig
+from repro.core.serde import get_codec
+from repro.core.suffstats import SufficientStats
 from repro.core.testing import average_log_likelihood
 
 DIM = 3
@@ -215,6 +219,77 @@ class TestFactorOnce:
         pooled = GaussianMixture.single(leaf).pooled_gaussian()
         assert not pooled.diagonal
         assert np.array_equal(pooled.covariance, leaf.covariance)
+
+
+class TestOneFactorisationPerMixture:
+    """A mixture's ``K`` covariances are one ``(K, d, d)`` stack to the
+    regulariser: one ``cholesky`` call whatever ``K``, and the
+    whitening stack filled by ``trtrs`` itself."""
+
+    @pytest.fixture(params=[2, 5])
+    def fitted(self, request):
+        rng = np.random.default_rng(request.param)
+        centers = rng.normal(scale=6.0, size=(request.param, DIM))
+        data = centers[rng.integers(0, len(centers), 200)] + rng.normal(
+            scale=0.5, size=(200, DIM)
+        )
+        config = EMConfig(n_components=len(centers), n_init=1, max_iter=5)
+        return data, config, fit_em(data, config, rng).mixture
+
+    def test_materialize(self, fitted, monkeypatch):
+        data, _, mixture = fitted
+        stats = SufficientStats.from_mixture(mixture, float(len(data)))
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        stats.materialize(covariance_ridge=1e-6, global_var=1.0)
+        assert calls["n"] == 1
+
+    def test_m_step(self, fitted, monkeypatch):
+        data, config, mixture = fitted
+        e_step = mixture.e_step(data)
+        starving = far_mixture().e_step(data)
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        updated = em_module._m_step(data, e_step, config, 1.0)
+        assert calls["n"] == 1
+        # ... starved members included: they ride in the same stack.
+        reseeded = em_module._m_step(data, starving, make_config().em, 1.0)
+        assert calls["n"] == 2
+        assert updated.n_components == mixture.n_components
+        assert reseeded.n_components == 3
+
+    def test_cds1_decode_and_checkpoint_load(self, fitted, monkeypatch):
+        _, _, mixture = fitted
+        codec = get_codec("cds1")
+        payload = codec.encode(
+            ModelUpdateMessage(
+                site_id=0, model_id=1, time=2, mixture=mixture,
+                count=200, reference_likelihood=-3.0,
+            )
+        )
+        blob = mixture.to_dict()
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        assert codec.decode(payload).mixture == mixture
+        assert calls["n"] == 1
+        assert GaussianMixture.from_dict(blob) == mixture
+        assert calls["n"] == 2
+
+    def test_built_mixtures_hold_their_kernel_stack(self, fitted, monkeypatch):
+        data, _, mixture = fitted
+        stacks = count_calls(monkeypatch, np, "stack")
+        mixture.e_step(data)
+        assert stacks["n"] == 0
+
+    def test_passing_incremental_chunk_never_calls_solve_triangular(
+        self, monkeypatch
+    ):
+        import scipy.linalg
+
+        site, chunk = TestOneDensityPassPerModelAndChunk().settled_site(
+            make_config()
+        )
+        calls = count_calls(monkeypatch, scipy.linalg, "solve_triangular")
+        site.process_chunk(chunk)
+        assert site.stats.n_absorbed == 1
+        assert calls["n"] == 0
 
 
 class TestOneDensityPassPerModelAndChunk:

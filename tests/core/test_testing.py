@@ -210,7 +210,7 @@ class TestReferenceStatistics:
         result = fit_test(mixture_2d, data, -3.0, 0.5)
         assert result.e_step.log_likelihood == result.chunk_likelihood
         # A site that only tests never pays for the responsibilities.
-        assert "responsibilities" not in vars(result.e_step)
+        assert result.e_step._responsibilities is None
         assert np.array_equal(
             result.e_step.responsibilities, mixture_2d.posterior(data)
         )

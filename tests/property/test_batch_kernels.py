@@ -2,8 +2,8 @@
 per-component path.
 
 The vectorised E-step/log-density kernels (`batch_log_pdf`,
-`batch_mahalanobis_sq`, `logsumexp`) replaced a loop of per-component
-``Gaussian.log_pdf`` calls.  These tests pin the agreement to 1e-10
+`batch_mahalanobis_sq`, the E-step's log-sum-exp) replaced a loop of
+per-component ``Gaussian.log_pdf`` calls.  These tests pin the agreement to 1e-10
 absolute across randomly generated SPD covariances -- including
 near-singular ones, where the regularisation path kicks in -- so the
 optimisation can never silently change clustering decisions.
@@ -22,7 +22,6 @@ from repro.core.mixture import LOG_DENSITY_FLOOR, GaussianMixture
 from repro.numerics.linalg import (
     batch_log_pdf,
     batch_mahalanobis_sq,
-    logsumexp,
     mahalanobis_sq,
 )
 
@@ -149,22 +148,6 @@ def test_batched_kernel_near_singular_covariance():
     )
 
 
-def test_logsumexp_matches_naive_on_bounded_values():
-    rng = np.random.default_rng(1)
-    values = rng.uniform(-30.0, 30.0, size=(40, 6))
-    naive = np.log(np.sum(np.exp(values), axis=1))
-    np.testing.assert_allclose(
-        logsumexp(values, axis=1), naive, rtol=0.0, atol=1e-10
-    )
-
-
-def test_logsumexp_all_minus_inf_row():
-    values = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
-    out = logsumexp(values, axis=1)
-    assert out[0] == -np.inf
-    assert out[1] == pytest.approx(0.0, abs=1e-12)
-
-
 def test_batch_log_pdf_single_component_matches_gaussian():
     gaussian = Gaussian(
         np.array([1.0, -2.0]), np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -179,3 +162,81 @@ def test_batch_log_pdf_single_component_matches_gaussian():
     np.testing.assert_allclose(
         batched[:, 0], gaussian.log_pdf(points), rtol=0.0, atol=1e-10
     )
+
+
+@st.composite
+def component_stacks(draw, max_dim: int = 5, max_components: int = 6):
+    """``(means, covariances, diagonal)``: healthy members beside
+    near-singular, singular, indefinite and zero-diagonal ones."""
+    dim = draw(st.integers(1, max_dim))
+    k = draw(st.integers(1, max_components))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covariances = np.empty((k, dim, dim))
+    for j in range(k):
+        root = rng.normal(size=(dim, dim))
+        kind = draw(
+            st.sampled_from(["spd", "spd", "near", "singular", "indefinite", "hollow"])
+        )
+        if kind == "near":
+            root[:, 0] *= 1e-6
+        covariances[j] = root @ root.T + (kind == "spd") * np.eye(dim)
+        if kind == "singular":
+            covariances[j] = np.outer(root[0], root[0])
+        elif kind == "indefinite":
+            covariances[j] = (root + root.T) / 2.0
+        elif kind == "hollow":
+            np.fill_diagonal(covariances[j], 0.0)
+    return rng.normal(scale=5.0, size=(k, dim)), covariances, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_stacks())
+def test_a_stack_of_components_is_its_members_built_alone(case):
+    """``Gaussian.stack`` / ``GaussianMixture.from_stacks`` against the
+    constructor, bit for bit: Σ after the regulariser, ``L``, ``log|Σ|``,
+    ``L⁻¹`` -- and with them every density the kernel stack yields."""
+    means, covariances, diagonal = case
+    components, (kernel_means, whiteners, log_dets) = Gaussian.stack(
+        means, covariances, diagonal
+    )
+    alone = tuple(
+        Gaussian(mean, covariance, diagonal=diagonal)
+        for mean, covariance in zip(means, covariances)
+    )
+    for j, (built, single) in enumerate(zip(components, alone)):
+        assert built == single and built.diagonal is single.diagonal
+        assert built.covariance.tobytes() == single.covariance.tobytes()
+        assert not built.mean.flags.writeable
+        assert not built.covariance.flags.writeable
+        assert built.factors.cholesky.tobytes() == single.factors.cholesky.tobytes()
+        assert built.log_det == single.log_det == log_dets[j]
+        whitener = single.factors.inverse_cholesky()
+        assert built.factors.inverse_cholesky() is not whitener
+        assert np.array_equal(built.factors.inverse_cholesky(), whitener)
+        assert whiteners[j].strides == whitener.strides
+    assert kernel_means.tobytes() == np.stack([c.mean for c in alone]).tobytes()
+    weights = np.full(len(alone), 1.0 / len(alone))
+    points = means + 0.5
+    assert (
+        GaussianMixture.from_stacks(weights, means, covariances, diagonal)
+        .weighted_log_pdf(points)
+        .tobytes()
+        == GaussianMixture(weights, alone).weighted_log_pdf(points).tobytes()
+    )
+
+
+def test_a_stack_takes_variances_and_one_flag_per_member():
+    variances = np.array([[1.0, 4.0], [-1e-3, 2.0]])
+    components, _ = Gaussian.stack(np.zeros((2, 2)), variances, [True, False])
+    for built, row, flag in zip(components, variances, [True, False]):
+        single = Gaussian(np.zeros(2), np.diag(row), diagonal=flag)
+        # A negative variance is floored without leaving a ``-0.0`` behind.
+        assert built.covariance.tobytes() == single.covariance.tobytes()
+    full = np.array([[[2.0, 0.5], [0.5, 1.0]]] * 2)
+    mixed, _ = Gaussian.stack(np.zeros((2, 2)), full, [True, False])
+    assert mixed[0] == Gaussian(np.zeros(2), full[0], diagonal=True)
+    assert mixed[1] == Gaussian(np.zeros(2), full[1])
+    with pytest.raises(ValueError, match="does not match"):
+        Gaussian.stack(np.zeros((2, 2)), np.ones((2, 3, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        Gaussian.stack(np.zeros((2, 2)), np.array([[1.0, np.nan], [1.0, 1.0]]))

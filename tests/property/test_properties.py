@@ -15,7 +15,7 @@ from repro.core.events import EventTable
 from repro.core.gaussian import Gaussian
 from repro.core.merging import m_merge, normalize_scores
 from repro.core.mixture import GaussianMixture
-from repro.numerics.linalg import mahalanobis_sq, regularize_covariance
+from repro.numerics.linalg import mahalanobis_sq, spd_factorize
 from repro.simulation.collector import TimeSeriesCollector
 
 finite_floats = st.floats(
@@ -180,7 +180,7 @@ class TestNumericsProperties:
     @settings(max_examples=50, deadline=None)
     def test_regularize_always_yields_cholesky_able(self, raw):
         assume(np.all(np.isfinite(raw)))
-        fixed = regularize_covariance(raw @ raw.T - 2.0 * np.eye(3))
+        fixed = spd_factorize(raw @ raw.T - 2.0 * np.eye(3)).covariance
         np.linalg.cholesky(fixed)  # must not raise
 
     @given(gaussians(dim=3))

@@ -139,6 +139,21 @@ def drift_one(mixture, index=0):
     return GaussianMixture(np.array(mixture.weights), tuple(components))
 
 
+class KeptFactorTwin(Gaussian):
+    """A component whose ``factors.cholesky`` is a fresh factorisation of
+    its covariance -- what the CDS2 encoder used to compute per call."""
+
+    @property
+    def factors(self):
+        kept = super().factors
+        return type(kept)(
+            kept.covariance, np.linalg.cholesky(kept.covariance), kept.log_det
+        )
+
+    def __init__(self, component: Gaussian) -> None:
+        super().__init__(component.mean, component.covariance, component.diagonal)
+
+
 class TestSerdeProperties:
     @pytest.mark.parametrize("codec_name", ["cds1", "cds2"])
     @given(model_updates())
@@ -154,6 +169,40 @@ class TestSerdeProperties:
         codec = get_codec("cds2", CodecConfig(quantize=quantize))
         decoded = codec.decode(codec.encode(message))
         assert_decodes_to(decoded, message, quantize=quantize)
+
+    @pytest.mark.parametrize("quantize", ["f32", "f16"])
+    @given(model_updates())
+    @settings(max_examples=40, deadline=None)
+    def test_quantized_encode_ships_the_kept_factor(self, quantize, message):
+        """The encoder reads ``component.factors.cholesky`` and factors
+        nothing: the payload is, byte for byte, the one a fresh
+        ``cholesky`` of every shipped covariance would give."""
+        refactored = []
+        real = np.linalg.cholesky
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                np.linalg, "cholesky", lambda a: refactored.append(a) or real(a)
+            )
+            payload = get_codec("cds2", CodecConfig(quantize=quantize)).encode(
+                message
+            )
+        assert refactored == []
+        twin = ModelUpdateMessage(
+            site_id=message.site_id,
+            model_id=message.model_id,
+            time=message.time,
+            mixture=GaussianMixture(
+                message.mixture.weights,
+                tuple(
+                    KeptFactorTwin(component)
+                    for component in message.mixture.components
+                ),
+            ),
+            count=message.count,
+            reference_likelihood=message.reference_likelihood,
+        )
+        codec = get_codec("cds2", CodecConfig(quantize=quantize))
+        assert codec.encode(twin) == payload
 
     @pytest.mark.parametrize("quantize", ["f64", "f32", "f16"])
     @given(model_updates())
