@@ -68,11 +68,6 @@ LOG_CHOLESKY_WORKSPACE_BYTES = 1 << 19
 _LOG_PIVOT_MIN = 0.5 * math.log(2.0 * VARIANCE_FLOOR)
 
 
-def _diagonals(stack: np.ndarray) -> np.ndarray:
-    """Writable ``(..., d)`` view of the diagonals of ``(..., d, d)``."""
-    return np.einsum("...ii->...i", stack)
-
-
 def ensure_spd(matrix: np.ndarray) -> np.ndarray:
     """Return a symmetric copy of ``matrix`` with floored diagonal.
 
@@ -93,7 +88,7 @@ def ensure_spd(matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("covariance contains non-finite entries")
     sym = (arr + arr.swapaxes(-2, -1)) / 2.0
-    diagonals = _diagonals(sym)
+    diagonals = np.einsum("...ii->...i", sym)  # a writable view
     np.maximum(diagonals, VARIANCE_FLOOR, out=diagonals)
     return sym
 
@@ -116,8 +111,8 @@ def _accepted_factors(
                 factor[...] = np.linalg.cholesky(member)
             except np.linalg.LinAlgError:
                 pass
-    accepted = _diagonals(factors).min(axis=-1) > pivot_floor
-    return factors, np.flatnonzero(~accepted)
+    accepted = factors.diagonal(0, -2, -1).min(axis=-1) > pivot_floor
+    return factors, (~accepted).nonzero()[0]
 
 
 def _regularized_factors(
@@ -139,7 +134,7 @@ def _regularized_factors(
     # comparable to those entries to become positive definite.  (The
     # floor keeps the diagonal mean, hence the scale, positive.)
     scale = np.maximum(
-        np.add.reduce(_diagonals(stack), axis=-1) / dim,
+        np.add.reduce(stack.diagonal(0, -2, -1), axis=-1) / dim,
         np.abs(stack).max(axis=(-2, -1)),
     )
     pivot_floor = PIVOT_FLOOR * np.sqrt(scale)
@@ -266,7 +261,7 @@ def spd_factorize_stack(
     :func:`batch_log_pdf`, which a mixture needs at its first density
     pass anyway."""
     covariances, choleskys = _regularized_factors(matrices, ridge)
-    log_dets = 2.0 * np.log(_diagonals(choleskys)).sum(axis=-1)
+    log_dets = 2.0 * np.log(choleskys.diagonal(0, -2, -1)).sum(axis=-1)
     identity = np.eye(choleskys.shape[-1])
     # Each L⁻¹ in Fortran order, as ``trtrs`` returns it and as
     # ``numpy.stack`` used to keep it: the layout decides the order in
