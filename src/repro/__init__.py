@@ -25,11 +25,10 @@ Quickstart::
 
 This top-level namespace is the library's *stable public API*: the
 core model/site/coordinator types, the :class:`Runtime` delivery layer
-with its channel backends, the :class:`Observer` instrumentation
-facade, and the :mod:`repro.bench` entry points (loaded lazily).
-Anything importable from ``repro`` directly follows the deprecation
-policy of ``DESIGN.md`` section 10 -- removal only after at least one
-release of ``DeprecationWarning``.
+with its channel backends and the :class:`Observer` instrumentation
+facade.  Anything importable from ``repro`` directly follows the
+deprecation policy of ``DESIGN.md`` section 10 -- removal only after at
+least one release of ``DeprecationWarning``.
 
 See ``examples/`` for full scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.
@@ -79,12 +78,11 @@ from repro.runtime import (
     TransportChannel,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
-#: Bench entry points re-exported lazily (PEP 562): ``repro.bench``
-#: pulls in the stream generators and scenario registry, which plain
-#: model users should not pay for on ``import repro``.
-_BENCH_EXPORTS = (
+#: The timing suite's names, removed in 1.4.0 without a warning release
+#: (DESIGN.md section 10.3 records the exception).
+_REMOVED_BENCH_NAMES = (
     "BenchConfig",
     "BenchReport",
     "BenchRunner",
@@ -94,18 +92,17 @@ _BENCH_EXPORTS = (
 
 
 def __getattr__(name: str):
-    if name in _BENCH_EXPORTS:
-        import repro.bench as _bench
-
-        return getattr(_bench, name)
+    if name in _REMOVED_BENCH_NAMES:
+        raise AttributeError(
+            f"repro.{name} was removed in 1.4.0 with the repro.bench "
+            "timing suite: measure time with `python3 benchmarks/e2e/"
+            "run.py --workload W`; `repro bench` prints the wire-byte table"
+        )
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
     "AnomalyDetector",
-    "BenchConfig",
-    "BenchReport",
-    "BenchRunner",
     "Channel",
     "ChannelFaults",
     "DeliveryAccounting",
@@ -116,8 +113,6 @@ __all__ = [
     "Runtime",
     "SimulatedChannel",
     "TransportChannel",
-    "compare_benchmarks",
-    "run_bench",
     "CluDistream",
     "CluDistreamConfig",
     "CodecConfig",

@@ -1,95 +1,26 @@
-"""repro.bench: the measured performance baseline.
+"""repro.bench: the codec-cell byte table behind ``BENCH_comm.json``.
 
-A reproducible benchmark subsystem for the CluDistream reproduction:
-
-* :mod:`repro.bench.specs` -- seeded workload builders (same seed,
-  same bits);
-* :mod:`repro.bench.scenarios` -- the registry of hot-path scenarios,
-  including optimised/legacy pairs that measure each vectorised kernel
-  against the implementation it replaced;
-* :mod:`repro.bench.runner` -- the warmup/repeat/trimmed-stats runner
-  (timing via the :mod:`repro.obs` profiling timers) and the
-  ``BENCH_<name>.json`` report format;
-* :mod:`repro.bench.compare` -- the calibration-normalised regression
-  comparator CI runs against the checked-in baseline;
-* :mod:`repro.bench.comm` -- the wire-efficiency family
-  (``repro bench --suite comm``): deterministic bytes/record and
-  holdout-AvgPr measurements per codec cell, stamped into
-  ``BENCH_comm.json``.
-
-Command-line entry point: ``repro bench`` (see ``repro bench --help``);
-:func:`run_bench` is the same thing as a library call.
-
-See ``DESIGN.md`` section 10 for the measurement methodology and the
-public-API/deprecation policy this subsystem is part of.
+Bytes on the wire are an exact function of the stream, so they are
+gated by equality (:mod:`repro.bench.comm`; ``repro bench --baseline
+BENCH_comm.json``).  Nothing here measures time: that is
+``benchmarks/e2e``'s job, and the amount of work a path does is pinned
+by the counting tests (``DESIGN.md`` section 10.1).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.bench.comm import (
     COMM_CELLS,
     CommCell,
+    compare_comm_reports,
     format_comm_report,
     run_comm_bench,
 )
-from repro.bench.compare import (
-    ComparisonReport,
-    ScenarioDelta,
-    compare_benchmarks,
-)
-from repro.bench.runner import (
-    BenchConfig,
-    BenchReport,
-    BenchRunner,
-    ScenarioResult,
-    load_report,
-    trimmed_mean,
-)
-from repro.bench.scenarios import (
-    SCENARIOS,
-    SUITES,
-    Scenario,
-    get_scenario,
-    suite_names,
-)
 
 __all__ = [
-    "BenchConfig",
-    "BenchReport",
-    "BenchRunner",
     "COMM_CELLS",
     "CommCell",
-    "ComparisonReport",
-    "SCENARIOS",
-    "SUITES",
-    "Scenario",
-    "ScenarioDelta",
-    "ScenarioResult",
-    "compare_benchmarks",
+    "compare_comm_reports",
     "format_comm_report",
-    "get_scenario",
-    "load_report",
-    "run_bench",
     "run_comm_bench",
-    "suite_names",
-    "trimmed_mean",
 ]
-
-
-def run_bench(
-    suite: str = "core",
-    scenarios: Iterable[str] | None = None,
-    config: BenchConfig | None = None,
-    progress=None,
-) -> BenchReport:
-    """Run a suite (or an explicit scenario list) and return the report.
-
-    The one-call library equivalent of ``repro bench``: pick scenarios,
-    run them under the warmup/repeat/trim protocol, get a
-    :class:`BenchReport` ready for ``write_json``.
-    """
-    names = tuple(scenarios) if scenarios is not None else suite_names(suite)
-    runner = BenchRunner(config=config)
-    return runner.run(names, suite=suite, progress=progress)

@@ -1,13 +1,12 @@
-"""The ``comm`` bench family: wire bytes per record, not seconds.
+"""The codec cells: wire bytes per record, gated exactly.
 
-Every other scenario in :mod:`repro.bench.scenarios` measures *time*;
-the codec cells here measure *bytes*.  One seeded drift workload -- a
-``K=8``, ``d=8`` full-covariance mixture in which exactly one component
-moves per refit, the steady state the CDS2 delta encoding is designed
-for -- is pushed through a real :class:`~repro.transport.wire.CodecSender`
-over the ARQ reliability layer on a loopback transport, once per codec
-cell (CDS1; CDS2 at f64/f32/f16, each with delta on and off).  Two
-numbers come out per cell:
+One seeded drift workload -- a ``K=8``, ``d=8`` full-covariance mixture
+in which exactly one component moves per refit, the steady state the
+CDS2 delta encoding is designed for -- is pushed over the in-process
+delivery edge (:class:`~repro.transport.endpoint.SiteEndpoint` to
+:class:`~repro.transport.endpoint.CoordinatorEndpoint` on a loopback
+transport), once per codec cell (CDS1; CDS2 at f64/f32/f16, each with
+delta on and off).  Two numbers come out per cell:
 
 * ``bytes_per_record`` -- total encoded wire bytes divided by the
   records the synopses stand in for (the x-axis of the Pareto table in
@@ -17,44 +16,58 @@ numbers come out per cell:
   only admissible while this stays negligible; delta at f64 must cost
   exactly nothing (the decoded model is bit-identical).
 
-Bytes are deterministic under the seed, so the report needs no
-warmup/repeat protocol and no calibration scenario: the document
-reuses the ``repro.bench/v1`` shape with ``bytes_per_record`` stored in
-the ``best``/``trimmed`` slots, which makes ``BENCH_comm.json``
-directly comparable by :func:`repro.bench.compare.compare_benchmarks`
-(raw mode, smaller is better) -- the same gate CI already runs against
-``BENCH_core.json``.
+Bytes are a pure function of the seed -- they depend on neither the
+machine nor the load -- so the document carries no timing slots and no
+machine stamp, and :func:`compare_comm_reports` gates ``BENCH_comm.json``
+by *equality*: a cell that grows **or shrinks** by one byte is a wire
+format change and needs a deliberate restamp
+(``repro bench --json BENCH_comm.json``).  Time is measured elsewhere,
+by ``benchmarks/e2e`` (DESIGN.md section 10.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
 
-from repro.bench.runner import SCHEMA, git_commit, machine_info
-from repro.bench.specs import make_mixture
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage
-from repro.core.serde import CodecConfig, get_codec
+from repro.core.serde import CodecConfig
 from repro.core.testing import average_log_likelihood
+from repro.streams.synthetic import random_mixture
 from repro.transport.clock import ManualClock
+from repro.transport.endpoint import CoordinatorEndpoint, SiteEndpoint
 from repro.transport.loopback import LoopbackTransport
-from repro.transport.reliability import ReliableReceiver, ReliableSender
-from repro.transport.wire import CodecSender
 
 __all__ = [
     "COMM_CELLS",
     "CommCell",
     "CommWorkload",
+    "compare_comm_reports",
     "format_comm_report",
     "run_comm_bench",
 ]
 
+SCHEMA = "repro.bench.comm/v1"
+
 #: The cell every other cell's quality is measured against.
 REFERENCE_CELL = "comm_cds1"
+
+#: What :func:`compare_comm_reports` requires equal, cell by cell.
+EXACT_FIELDS = (
+    "bytes_total",
+    "messages",
+    "delta_updates",
+    "snapshot_updates",
+    "components_shipped",
+)
+
+#: Holdout ``AvgPr`` a cell may lose against :data:`REFERENCE_CELL`.
+MAX_AVG_PR_LOSS = 0.01
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -62,7 +75,6 @@ class CommCell:
     """One codec configuration measured by the comm bench."""
 
     name: str
-    summary: str
     codec: str
     quantize: str = "f64"
     delta: bool = False
@@ -71,50 +83,16 @@ class CommCell:
         return CodecConfig(quantize=self.quantize, delta=self.delta)
 
 
-#: The Pareto sweep: CDS1, then CDS2 across quantisation x delta.
+#: The Pareto sweep: CDS1 snapshots (the v1 wire format), then CDS2
+#: across covariance quantisation (packed Cholesky factors) x delta.
 COMM_CELLS: tuple[CommCell, ...] = (
-    CommCell(
-        name="comm_cds1",
-        summary="CDS1 full snapshots (the v1 wire format)",
-        codec="cds1",
-    ),
-    CommCell(
-        name="comm_cds2_full",
-        summary="CDS2 full snapshots, exact f64 covariances",
-        codec="cds2",
-    ),
-    CommCell(
-        name="comm_cds2_f32",
-        summary="CDS2 snapshots, f32 Cholesky covariances",
-        codec="cds2",
-        quantize="f32",
-    ),
-    CommCell(
-        name="comm_cds2_f16",
-        summary="CDS2 snapshots, f16 Cholesky covariances",
-        codec="cds2",
-        quantize="f16",
-    ),
-    CommCell(
-        name="comm_cds2_delta",
-        summary="CDS2 delta encoding, exact f64 covariances",
-        codec="cds2",
-        delta=True,
-    ),
-    CommCell(
-        name="comm_cds2_f32_delta",
-        summary="CDS2 delta encoding, f32 Cholesky covariances",
-        codec="cds2",
-        quantize="f32",
-        delta=True,
-    ),
-    CommCell(
-        name="comm_cds2_f16_delta",
-        summary="CDS2 delta encoding, f16 Cholesky covariances",
-        codec="cds2",
-        quantize="f16",
-        delta=True,
-    ),
+    CommCell(name="comm_cds1", codec="cds1"),
+    CommCell(name="comm_cds2_full", codec="cds2"),
+    CommCell(name="comm_cds2_f32", codec="cds2", quantize="f32"),
+    CommCell(name="comm_cds2_f16", codec="cds2", quantize="f16"),
+    CommCell(name="comm_cds2_delta", codec="cds2", delta=True),
+    CommCell(name="comm_cds2_f32_delta", codec="cds2", quantize="f32", delta=True),
+    CommCell(name="comm_cds2_f16_delta", codec="cds2", quantize="f16", delta=True),
 )
 
 
@@ -134,11 +112,12 @@ class CommWorkload:
 
     messages: tuple[ModelUpdateMessage, ...]
     holdout: np.ndarray
-    records_per_update: int
+    #: Every argument of :func:`build_workload`, as the report records it.
+    config: dict[str, int]
 
     @property
     def records(self) -> int:
-        return len(self.messages) * self.records_per_update
+        return len(self.messages) * self.config["records_per_update"]
 
 
 def build_workload(
@@ -152,8 +131,11 @@ def build_workload(
 ) -> CommWorkload:
     """Deterministic drift workload: one component moves per update."""
     rng = np.random.default_rng(seed + 9_000)
-    mixture = make_mixture(
-        seed, dim=dim, n_components=n_components, separation=3.0
+    mixture = random_mixture(
+        dim=dim,
+        n_components=n_components,
+        rng=np.random.default_rng(seed),
+        separation=3.0,
     )
     messages = []
     for step in range(updates):
@@ -180,12 +162,19 @@ def build_workload(
     return CommWorkload(
         messages=tuple(messages),
         holdout=points,
-        records_per_update=records_per_update,
+        config={
+            "seed": seed,
+            "updates": updates,
+            "records_per_update": records_per_update,
+            "n_components": n_components,
+            "dim": dim,
+            "holdout": holdout,
+        },
     )
 
 
 def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
-    """Push the workload through one codec cell over loopback ARQ.
+    """Push the workload through one codec cell over the loopback edge.
 
     Loopback delivery is synchronous, so acks return before ``send``
     does and every delta update gets to baseline against its immediate
@@ -195,48 +184,30 @@ def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
     """
     clock = ManualClock()
     transport = LoopbackTransport()
-    encoder = get_codec(cell.codec, cell.config())
-    decoder = get_codec(cell.codec)
-    decoded: list[ModelUpdateMessage] = []
-    receiver = ReliableReceiver(
-        deliver=lambda site_id, payload: decoded.append(
-            decoder.decode(payload)
-        ),
-        send_ack=transport.send_to_site,
-        clock=clock,
-        accept_codecs={0, encoder.wire_id},
+    # Stands where the coordinator would: keeps what the edge decoded.
+    updates: list[ModelUpdateMessage] = []
+    sink = SimpleNamespace(handle_message=updates.append)
+    CoordinatorEndpoint(sink, transport, clock, wire_codec=cell.codec)
+    site = SiteEndpoint(
+        1,
+        transport,
+        clock,
+        wire_codec=cell.codec,
+        codec_config=cell.config(),
     )
-    transport.bind_coordinator(receiver.handle_datagram)
-    sender = ReliableSender(
-        site_id=1,
-        transmit=lambda data: transport.send_to_coordinator(1, data),
-        clock=clock,
-    )
-    transport.bind_site(1, sender.handle_datagram)
-    codec_sender = CodecSender(sender, encoder)
-
     for message in workload.messages:
-        codec_sender.send(message)
-    codec_sender.flush()
-    if sender.outstanding():  # loopback acks synchronously; belt-and-braces
-        raise RuntimeError("loopback comm cell failed to drain")
-    if len(decoded) != len(workload.messages):
+        site.send(message)
+    site.finish()
+    if site.outstanding() or len(updates) != len(workload.messages):
         raise RuntimeError(
-            f"comm cell {cell.name!r} delivered {len(decoded)} of "
+            f"comm cell {cell.name!r} delivered {len(updates)} of "
             f"{len(workload.messages)} updates"
         )
 
-    stats = encoder.stats
-    avg_pr = average_log_likelihood(decoded[-1].mixture, workload.holdout)
-    bytes_per_record = stats.bytes_encoded / workload.records
+    stats = site.codec_sender.stats
+    avg_pr = average_log_likelihood(updates[-1].mixture, workload.holdout)
     return {
-        # `best`/`trimmed` carry bytes/record so compare_benchmarks can
-        # gate this report exactly like a timing report (smaller is
-        # better, deterministic, no calibration needed).
-        "best": bytes_per_record,
-        "trimmed": bytes_per_record,
-        "value": float(stats.bytes_encoded),
-        "bytes_per_record": bytes_per_record,
+        "bytes_per_record": stats.bytes_encoded / workload.records,
         "bytes_total": stats.bytes_encoded,
         "messages": stats.messages,
         "records": workload.records,
@@ -249,83 +220,79 @@ def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
     }
 
 
-def run_comm_bench(
-    seed: int = 0,
-    *,
-    updates: int = 40,
-    records_per_update: int = 250,
-    n_components: int = 8,
-    dim: int = 8,
-    holdout: int = 2000,
-    progress=None,
-) -> dict[str, object]:
-    """Run every cell and assemble the ``BENCH_comm.json`` document."""
-    workload = build_workload(
-        seed,
-        updates=updates,
-        records_per_update=records_per_update,
-        n_components=n_components,
-        dim=dim,
-        holdout=holdout,
-    )
-    scenarios: dict[str, dict[str, object]] = {}
+def run_comm_bench(seed: int = 0, *, progress=None, **shape) -> dict[str, object]:
+    """Run every cell and assemble the ``BENCH_comm.json`` document.
+
+    ``shape`` overrides :func:`build_workload`'s keyword defaults (the
+    tests run a smaller stream than the checked-in one).
+    """
+    workload = build_workload(seed, **shape)
+    cells: dict[str, dict[str, object]] = {}
     for cell in COMM_CELLS:
         if progress is not None:
             progress(f"running {cell.name} ...")
-        scenarios[cell.name] = run_cell(cell, workload)
-    reference = scenarios[REFERENCE_CELL]
-    for entry in scenarios.values():
-        entry["avg_pr_loss"] = float(reference["avg_pr"]) - float(
-            entry["avg_pr"]
+        cells[cell.name] = run_cell(cell, workload)
+    reference = cells[REFERENCE_CELL]
+    for entry in cells.values():
+        entry["avg_pr_loss"] = reference["avg_pr"] - entry["avg_pr"]
+        entry["reduction_vs_cds1"] = (
+            reference["bytes_per_record"] / entry["bytes_per_record"]
         )
-        entry["reduction_vs_cds1"] = float(reference["bytes_per_record"]) / float(
-            entry["bytes_per_record"]
-        )
-    return {
-        "schema": SCHEMA,
-        "suite": "comm",
-        "config": {
-            "seed": seed,
-            "updates": updates,
-            "records_per_update": records_per_update,
-            "n_components": n_components,
-            "dim": dim,
-            "holdout": holdout,
-        },
-        "machine": machine_info(),
-        "commit": git_commit(),
-        "scenarios": scenarios,
-    }
+    return {"schema": SCHEMA, "config": workload.config, "cells": cells}
+
+
+def compare_comm_reports(baseline: Mapping, current: Mapping) -> list[str]:
+    """Every way ``current`` departs from ``baseline``; empty when none.
+
+    Exact in both directions: one line per cell and field that is not
+    *equal* (a missing cell differs in every field), plus one per cell
+    of ``current`` over the ``AvgPr`` loss budget.
+    """
+    for doc in (baseline, current):
+        if (
+            not isinstance(doc, Mapping)
+            or doc.get("schema") != SCHEMA
+            or not isinstance(doc.get("cells"), Mapping)
+        ):
+            raise ValueError(f"not a {SCHEMA} document")
+    problems = []
+    if baseline.get("config") != current.get("config"):
+        problems.append("config: the two reports ran different workloads")
+    old, new = baseline["cells"], current["cells"]
+    for name in sorted(set(old) | set(new)):
+        was, now = old.get(name, {}), new.get(name, {})
+        for field in EXACT_FIELDS:
+            if was.get(field) != now.get(field):
+                problems.append(
+                    f"{name}.{field}: {was.get(field)} -> {now.get(field)}"
+                )
+        loss = now.get("avg_pr_loss", 0.0)
+        if abs(loss) > MAX_AVG_PR_LOSS:
+            problems.append(
+                f"{name}.avg_pr_loss: |{loss}| > {MAX_AVG_PR_LOSS}"
+            )
+    return problems
 
 
 def format_comm_report(doc: Mapping) -> str:
     """Human-readable Pareto table of a comm report document."""
-    config = doc.get("config", {})
-    scenarios = doc.get("scenarios", {})
+    config, cells = doc["config"], doc["cells"]
     lines = [
-        "suite 'comm': {n} codec cells, {u} updates x {r} records "
-        "(K={k}, d={d}, seed {s})".format(
-            n=len(scenarios),
-            u=config.get("updates", "?"),
-            r=config.get("records_per_update", "?"),
-            k=config.get("n_components", "?"),
-            d=config.get("dim", "?"),
-            s=config.get("seed", "?"),
-        )
+        f"{len(cells)} codec cells, {config['updates']} updates x "
+        f"{config['records_per_update']} records (K={config['n_components']}, "
+        f"d={config['dim']}, seed {config['seed']})"
     ]
-    width = max((len(name) for name in scenarios), default=0)
-    header = (
+    width = max(len(name) for name in cells)
+    lines.append(
         f"  {'cell':<{width}}  {'bytes/rec':>9}  {'vs cds1':>8}  "
         f"{'Δ-hit':>6}  {'AvgPr loss':>11}"
     )
-    lines.append(header)
-    for name, entry in scenarios.items():
-        hit = entry.get("delta_hit_rate", 0.0)
+    for name, entry in cells.items():
         lines.append(
             f"  {name:<{width}}  "
-            f"{float(entry['bytes_per_record']):9.2f}  "
-            f"{float(entry.get('reduction_vs_cds1', 1.0)):7.2f}x  "
-            f"{float(hit) * 100:5.0f}%  "
-            f"{float(entry.get('avg_pr_loss', 0.0)):11.6f}"
+            f"{entry['bytes_per_record']:9.2f}  "
+            f"{entry['reduction_vs_cds1']:7.2f}x  "
+            f"{entry['delta_hit_rate'] * 100:5.0f}%  "
+            f"{entry['avg_pr_loss']:11.6f}"
         )
     return "\n".join(lines)

@@ -23,10 +23,10 @@ Three subcommands cover the common workflows without writing code:
 * ``cludistream monitor --url http://127.0.0.1:9464`` -- a refreshing
   terminal dashboard polling a run started with ``--serve-telemetry``
   (or ``--trace trace.jsonl`` to replay a recorded run);
-* ``cludistream bench --suite core --json BENCH_core.json`` -- run the
-  :mod:`repro.bench` performance suite (seeded workloads, trimmed
-  statistics) and optionally gate against a checked-in baseline with
-  ``--baseline BENCH_core.json``.
+* ``cludistream bench --baseline BENCH_comm.json`` -- run the
+  :mod:`repro.bench` codec cells (wire bytes per record, seeded and
+  exact) and require them equal to the checked-in table; ``--json PATH``
+  restamps it.
 
 The same entry point is also installed as ``repro`` (so ``repro
 bench`` works as documented); both names accept every subcommand.
@@ -412,58 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the repro.bench performance suite",
+        help="run the codec cells: wire bytes per record, gated exactly",
     )
-    bench.add_argument(
-        "--suite",
-        default="core",
-        help="scenario suite to run (default: core; 'comm' runs the "
-        "wire-efficiency codec cells instead of timing scenarios)",
-    )
-    bench.add_argument(
-        "--scenarios",
-        default=None,
-        metavar="A,B,...",
-        help="comma-separated scenario names (overrides --suite)",
-    )
-    bench.add_argument("--repeats", type=int, default=7)
-    bench.add_argument("--warmup", type=int, default=2)
-    bench.add_argument(
-        "--trim", type=float, default=0.2,
-        help="fraction trimmed from each tail of the sorted times",
-    )
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--json",
         default=None,
         metavar="PATH",
-        help="write the report to PATH (e.g. BENCH_core.json)",
+        help="write the codec-cell table to PATH (e.g. BENCH_comm.json)",
     )
     bench.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
-        help="compare the run against a baseline report; exit 1 on "
-        "regression",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="allowed slowdown vs --baseline (default: 0.25)",
-    )
-    bench.add_argument(
-        "--compare",
-        nargs=2,
-        default=None,
-        metavar=("BASELINE", "CANDIDATE"),
-        help="compare two existing reports instead of running anything",
-    )
-    bench.add_argument(
-        "--list",
-        action="store_true",
-        help="list registered scenarios and suites, then exit",
+        help="compare the table against a checked-in one; exit 1 naming "
+        "every cell and field that is not equal",
     )
     return parser
 
@@ -1481,28 +1443,22 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     )
 
 
-def _bench_comm(args: argparse.Namespace) -> int:
-    """``repro bench --suite comm``: the wire-efficiency codec cells.
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """``repro bench``: the codec cells behind ``BENCH_comm.json``.
 
-    Bytes per record are deterministic under the seed, so the protocol
-    knobs (``--repeats``/``--warmup``/``--trim``) do not apply; the
-    report document still gates against ``BENCH_comm.json`` through the
-    standard comparator (raw mode -- no calibration scenario, none
-    needed for byte counts).
+    Bytes per record are a pure function of the seed, so the gate is
+    equality, in both directions; time is ``benchmarks/e2e``'s to judge.
     """
     import json
     from pathlib import Path
 
     from repro.bench import (
-        compare_benchmarks,
+        compare_comm_reports,
         format_comm_report,
-        load_report,
         run_comm_bench,
     )
 
-    doc = run_comm_bench(
-        seed=args.seed, progress=lambda line: print(line, flush=True)
-    )
+    doc = run_comm_bench(progress=lambda line: print(line, flush=True))
     print(format_comm_report(doc))
     if args.json:
         path = Path(args.json)
@@ -1510,105 +1466,18 @@ def _bench_comm(args: argparse.Namespace) -> int:
         print(f"report written to {path}")
     if args.baseline:
         try:
-            comparison = compare_benchmarks(
-                load_report(args.baseline),
-                doc,
-                threshold=args.max_regression,
+            problems = compare_comm_reports(
+                json.loads(Path(args.baseline).read_text()), doc
             )
         except (OSError, ValueError) as error:
             print(f"cannot load baseline: {error}", file=sys.stderr)
             return 1
-        print(comparison.format())
-        if comparison.has_regressions:
+        if problems:
+            print("FAIL: differs from " + args.baseline)
+            for line in problems:
+                print("  " + line)
             return 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        SCENARIOS,
-        SUITES,
-        BenchConfig,
-        compare_benchmarks,
-        load_report,
-        run_bench,
-    )
-
-    if args.list:
-        from repro.bench import COMM_CELLS
-
-        print("scenarios:")
-        width = max(len(name) for name in SCENARIOS)
-        for name, scenario in SCENARIOS.items():
-            pair = (
-                f"  [vs {scenario.baseline}]" if scenario.baseline else ""
-            )
-            print(f"  {name:<{width}}  {scenario.summary}{pair}")
-        print("suites:")
-        for suite, names in SUITES.items():
-            print(f"  {suite}: {', '.join(names)}")
-        print(
-            "  comm: "
-            + ", ".join(cell.name for cell in COMM_CELLS)
-            + "  (bytes/record, not seconds)"
-        )
-        return 0
-
-    if args.compare is not None:
-        baseline_path, candidate_path = args.compare
-        try:
-            comparison = compare_benchmarks(
-                load_report(baseline_path),
-                load_report(candidate_path),
-                threshold=args.max_regression,
-            )
-        except (OSError, ValueError) as error:
-            print(f"cannot compare reports: {error}", file=sys.stderr)
-            return 1
-        print(comparison.format())
-        return 1 if comparison.has_regressions else 0
-
-    if args.suite == "comm" and not args.scenarios:
-        return _bench_comm(args)
-
-    scenarios = (
-        [name for name in args.scenarios.split(",") if name]
-        if args.scenarios
-        else None
-    )
-    try:
-        config = BenchConfig(
-            repeats=args.repeats,
-            warmup=args.warmup,
-            trim=args.trim,
-            seed=args.seed,
-        )
-        report = run_bench(
-            suite=args.suite,
-            scenarios=scenarios,
-            config=config,
-            progress=lambda line: print(line, flush=True),
-        )
-    except (KeyError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(report.format())
-    if args.json:
-        path = report.write_json(args.json)
-        print(f"report written to {path}")
-    if args.baseline:
-        try:
-            comparison = compare_benchmarks(
-                load_report(args.baseline),
-                report.to_dict(),
-                threshold=args.max_regression,
-            )
-        except (OSError, ValueError) as error:
-            print(f"cannot load baseline: {error}", file=sys.stderr)
-            return 1
-        print(comparison.format())
-        if comparison.has_regressions:
-            return 1
+        print("PASS: every cell equals " + args.baseline)
     return 0
 
 

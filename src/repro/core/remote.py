@@ -849,9 +849,8 @@ class RemoteSite:
         Archived mixtures are immutable, so the Cholesky/``L⁻¹``
         factors and stacked batch kernels behind each ``fit_test``
         density evaluation are computed once per model and reused
-        across every chunk tested against it (measured by the
-        ``chunk_test_cached`` bench scenario and pinned by a
-        factorization-count regression test).
+        across every chunk tested against it (pinned by the
+        factorisation-count tests of ``tests/core/test_refit_ladder.py``).
 
         Candidate evaluation is bounded: at most ``c_max - 1`` models,
         further capped by ``reactivate_limit``, scanned most recent

@@ -33,6 +33,7 @@ from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.core.serde import get_codec
 from repro.core.suffstats import SufficientStats
 from repro.core.testing import average_log_likelihood
+from repro.streams.synthetic import random_mixture
 
 DIM = 3
 CHUNK = 90
@@ -191,6 +192,22 @@ class TestReactivation:
         assert site.stats.n_reactivations == before + 1
         assert calls["n"] == 0
 
+    def test_multi_test_against_a_deep_archive_never_calls_cholesky(
+        self, monkeypatch
+    ):
+        """``c_max = 4``: the current model and two archived ones are
+        tested on factors they already hold, whichever entry point
+        (single or stacked) built them."""
+        site, revisit = self.two_regime_site(make_config(c_max=4))
+        site.process_chunk(regime_chunk(np.random.default_rng(8), 18.0))
+        assert len(site.all_models) == 3
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        tests = site.stats.n_tests
+        site.process_chunk(revisit)
+        assert site.stats.n_tests == tests + 3
+        assert site.stats.n_reactivations == 1
+        assert calls["n"] == 0
+
 
 class TestFactorOnce:
     """One Cholesky per ``Gaussian``: the factor that accepts Σ is the
@@ -332,6 +349,25 @@ class TestOneDensityPassPerModelAndChunk:
         site.process_chunk(regime_chunk(np.random.default_rng(7), 0.0))
         fit_passes = site._last_fit_iterations + 1
         assert passes["n"] == fit_passes + 1
+
+    def test_density_and_posterior_are_one_batched_pass_each_at_k8(
+        self, passes, monkeypatch
+    ):
+        """No per-component loop behind any reading of the density,
+        at a ``K`` past NumPy's pairwise-summation switch."""
+        rng = np.random.default_rng(5)
+        mixture = random_mixture(dim=4, n_components=8, rng=rng)
+        points, _ = mixture.sample(400, rng)
+        loops = count_calls(monkeypatch, Gaussian, "log_pdf")
+        for reading in (
+            mixture.log_pdf,
+            mixture.posterior,
+            lambda chunk: average_log_likelihood(mixture, chunk),
+        ):
+            passes["n"] = 0
+            reading(points)
+            assert passes["n"] == 1
+        assert loops["n"] == 0
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_fit_em_is_one_pass_per_iterate(self, passes, warm):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.mixture as mixture_module
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.scoring import (
@@ -13,6 +14,7 @@ from repro.core.scoring import (
     calibrate_threshold,
     membership_report,
 )
+from tests.core.test_refit_ladder import count_calls
 
 
 @pytest.fixture
@@ -197,6 +199,19 @@ class TestScoreBatchVectorised:
         loop = self._loop_verdicts(detector, records)
         assert batch == loop
         assert all(verdict.is_anomaly for verdict in batch)
+
+    @pytest.mark.parametrize("n", [1, 50, 2000])
+    def test_density_passes_do_not_grow_with_the_batch(
+        self, model, rng, monkeypatch, n
+    ):
+        """Two kernel calls -- the scores' and the posterior's --
+        however many records: no per-record model call."""
+        reference, _ = model.sample(1000, rng)
+        detector = AnomalyDetector(model, reference)
+        records, _ = model.sample(n, rng)
+        passes = count_calls(monkeypatch, mixture_module, "batch_log_pdf")
+        assert len(detector.score_batch(records)) == n
+        assert passes["n"] == 2
 
     def test_counters_accumulate_like_per_record_calls(self, model, rng):
         reference, _ = model.sample(1000, rng)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -617,25 +619,35 @@ class TestWireCodecFlags:
 
 
 class TestBenchComm:
-    def test_list_mentions_the_comm_suite(self, capsys):
-        status = main(["bench", "--list"])
-        assert status == 0
-        out = capsys.readouterr().out
-        assert "comm:" in out
-        assert "comm_cds2_f32_delta" in out
+    def test_timing_suite_flags_are_gone(self):
+        for removed in (["--list"], ["--suite", "comm"], ["--repeats", "3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bench", *removed])
+            assert excinfo.value.code == 2
 
     def test_comm_suite_runs_and_gates(self, tmp_path, capsys):
-        report = str(tmp_path / "comm.json")
-        status = main(["bench", "--suite", "comm", "--json", report])
+        report = tmp_path / "comm.json"
+        status = main(["bench", "--json", str(report)])
         assert status == 0
         out = capsys.readouterr().out
         assert "bytes/rec" in out
         # Self-comparison against the report just written must pass.
-        status = main(
-            ["bench", "--suite", "comm", "--baseline", report]
-        )
+        status = main(["bench", "--baseline", str(report)])
         assert status == 0
         assert "PASS" in capsys.readouterr().out
+        # The gate is exact in both directions: one byte fewer fails.
+        doc = json.loads(report.read_text())
+        doc["cells"]["comm_cds2_delta"]["bytes_total"] -= 1
+        report.write_text(json.dumps(doc))
+        status = main(["bench", "--baseline", str(report)])
+        assert status == 1
+        assert "comm_cds2_delta.bytes_total" in capsys.readouterr().out
+
+    def test_unreadable_baseline_exits_1(self, tmp_path, capsys):
+        stale = tmp_path / "old.json"
+        stale.write_text('{"schema": "repro.bench/v1", "scenarios": {}}')
+        assert main(["bench", "--baseline", str(stale)]) == 1
+        assert "cannot load baseline" in capsys.readouterr().err
 
 
 class TestHistoryFlags:

@@ -23,7 +23,7 @@ class TestTopLevelSurface:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "1.4.0"
 
     def test_packaging_reads_the_version_attribute(self):
         # One place to bump: pyproject.toml must not carry its own copy.
@@ -60,9 +60,10 @@ class TestTopLevelSurface:
         ):
             assert issubclass(channel, repro.Channel)
 
-    def test_bench_entry_points_are_lazy(self):
-        assert callable(repro.run_bench)
-        assert repro.BenchConfig is not None
+    def test_removed_bench_names_point_at_the_replacement(self):
+        with pytest.raises(AttributeError, match="benchmarks/e2e/run.py"):
+            repro.run_bench
+        assert "run_bench" not in repro.__all__
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
@@ -87,7 +88,6 @@ class TestKeywordOnlyConfigs:
             "repro.streams.netflow:NetflowConfig",
             "repro.streams.drift:DriftConfig",
             "repro.streams.noise:NoiseConfig",
-            "repro.bench:BenchConfig",
         ],
     )
     def test_positional_arguments_rejected(self, qualified):
