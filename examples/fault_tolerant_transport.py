@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import CluDistream, CluDistreamConfig, EMConfig, RemoteSiteConfig
-from repro.evaluation import delivery_report
 from repro.runtime import TransportChannel
 from repro.streams import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport import (
@@ -103,11 +102,7 @@ def run(transport_name: str):
     system.runtime(channel).run(
         make_streams(), max_records_per_site=RECORDS_PER_SITE
     )
-    return (
-        system,
-        lossy,
-        delivery_report(channel.endpoints, channel.coordinator_endpoint),
-    )
+    return system, lossy, channel.accounting()
 
 
 def main() -> None:
@@ -128,8 +123,8 @@ def main() -> None:
     print(
         f"  retransmissions={faulty_report.retransmissions} "
         f"duplicates_suppressed={faulty_report.duplicates_suppressed} "
-        f"delivered={faulty_report.messages_delivered}"
-        f"/{faulty_report.messages_sent}"
+        f"delivered={faulty_report.delivered}"
+        f"/{faulty_report.attempted}"
     )
 
     reference = clean_system.global_mixture()

@@ -24,6 +24,7 @@ from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 
 N_SITES = 8
 RECORDS_PER_SITE = 10_000
+RATE = 1000.0  # records per virtual second, as in the paper
 
 
 def main() -> None:
@@ -37,8 +38,6 @@ def main() -> None:
             chunk_override=1000,
         ),
         coordinator=CoordinatorConfig(max_components=8),
-        rate=1000.0,  # records per virtual second, as in the paper
-        latency=0.01,
     )
     system = CluDistream(config, seed=7)
 
@@ -52,11 +51,9 @@ def main() -> None:
 
     print(
         f"Simulating {N_SITES} collectors x {RECORDS_PER_SITE} flows "
-        f"at {config.rate:.0f} flows/s ..."
+        f"at {RATE:.0f} flows/s ..."
     )
-    channel = SimulatedChannel(
-        rate=config.rate, latency=config.latency, bandwidth=config.bandwidth
-    )
+    channel = SimulatedChannel(rate=RATE, latency=0.01)
     report = system.runtime(channel).run(
         streams, max_records_per_site=RECORDS_PER_SITE
     )

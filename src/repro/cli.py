@@ -1,6 +1,6 @@
 """Command-line interface: ``cludistream``.
 
-Three subcommands cover the common workflows without writing code:
+The subcommands cover the common workflows without writing code:
 
 * ``cludistream chunk-size -d 4 --epsilon 0.02 --delta 0.01`` -- the
   Theorem 1 chunk size for a parameter choice;
@@ -92,22 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--sites", type=int, default=4)
     run.add_argument("--records", type=int, default=8000, help="per site")
-    run.add_argument(
-        "--stream",
-        choices=("synthetic", "netflow"),
-        default="synthetic",
-    )
-    run.add_argument("--clusters", type=int, default=5, help="K")
-    run.add_argument("--epsilon", type=float, default=0.05)
-    run.add_argument("--delta", type=float, default=0.05)
-    run.add_argument("--chunk", type=int, default=1000)
-    run.add_argument("--p-new", type=float, default=0.1, help="P_d")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--incremental",
-        action="store_true",
-        help="enable the incremental EM refit ladder at every site "
-        "(reactivate -> warm-start EM -> cold refit)",
+    _add_model_flags(
+        run, clusters=5, chunk=1000,
+        incremental="at every site (reactivate -> warm-start EM -> cold refit)",
     )
     run.add_argument(
         "--simulate",
@@ -207,20 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     site.add_argument("--port", type=int, required=True)
     site.add_argument("--site-id", type=int, default=0)
     site.add_argument("--records", type=int, default=2000)
-    site.add_argument(
-        "--stream", choices=("synthetic", "netflow"), default="synthetic"
-    )
-    site.add_argument("--clusters", type=int, default=3, help="K")
-    site.add_argument("--dim", type=int, default=4)
-    site.add_argument("--epsilon", type=float, default=0.05)
-    site.add_argument("--delta", type=float, default=0.05)
-    site.add_argument("--chunk", type=int, default=500)
-    site.add_argument("--p-new", type=float, default=0.1, help="P_d")
-    site.add_argument("--seed", type=int, default=0)
-    site.add_argument(
-        "--incremental",
-        action="store_true",
-        help="enable the incremental EM refit ladder on this site",
+    _add_model_flags(
+        site, clusters=3, chunk=500, dim=4, incremental="on this site"
     )
     site.add_argument(
         "--checkpoint-dir",
@@ -270,16 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--records", type=int, default=None,
         help="records per site (default: 2000; soak mode: 300)",
     )
-    cluster.add_argument("--clusters", type=int, default=3, help="K")
-    cluster.add_argument("--dim", type=int, default=2)
-    cluster.add_argument("--epsilon", type=float, default=0.05)
-    cluster.add_argument("--delta", type=float, default=0.05)
-    cluster.add_argument("--chunk", type=int, default=500)
-    cluster.add_argument(
-        "--stream", choices=("synthetic", "netflow"), default="synthetic"
+    _add_model_flags(
+        cluster, clusters=3, chunk=500, dim=2,
+        incremental="at every site (per-node overrides in a JSON spec "
+        "take precedence)",
     )
-    cluster.add_argument("--p-new", type=float, default=0.1, help="P_d")
-    cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--host", default="127.0.0.1")
     cluster.add_argument(
         "--base-port", type=int, default=0,
@@ -294,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--merge-method", choices=("simplex", "moment"), default="simplex",
         help="coordinator merge refit (paper default: simplex)",
-    )
-    cluster.add_argument(
-        "--incremental",
-        action="store_true",
-        help="enable the incremental EM refit ladder at every site "
-        "(per-node overrides in a JSON spec take precedence)",
     )
     cluster.add_argument(
         "--timeout", type=float, default=None,
@@ -338,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_codec_flags(cluster)
     _add_telemetry_flags(cluster)
-    # Bool only: cluster histories keep the library defaults (alpha=2,
-    # l=2); pin different knobs through a JSON spec if needed.
+    # Bool only: ClusterSpec carries ``history`` as a switch, so every
+    # node's store keeps the library defaults (alpha=2, l=2).
     _add_history_flags(cluster, knobs=False)
 
     stats = sub.add_parser(
@@ -430,6 +394,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_model_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    clusters: int,
+    chunk: int,
+    incremental: str,
+    dim: int | None = None,
+) -> None:
+    """The paper's shared (d, K, epsilon, delta, M, P_d) and the stream
+    they describe; ``run`` has no ``--dim`` (4, or 6 for net-flow)."""
+    parser.add_argument(
+        "--stream", choices=("synthetic", "netflow"), default="synthetic"
+    )
+    parser.add_argument("--clusters", type=int, default=clusters, help="K")
+    if dim is not None:
+        parser.add_argument("--dim", type=int, default=dim)
+    parser.add_argument("--epsilon", type=float, default=0.05)
+    parser.add_argument("--delta", type=float, default=0.05)
+    parser.add_argument("--chunk", type=int, default=chunk)
+    parser.add_argument("--p-new", type=float, default=0.1, help="P_d")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--incremental",
+        action="store_true",
+        help=f"enable the incremental EM refit ladder {incremental}",
+    )
+
+
 def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--wire-codec",
@@ -451,12 +443,6 @@ def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
         help="cds2 only: ship only components changed since the last "
         "acknowledged update instead of full snapshots",
     )
-
-
-def _codec_config(args: argparse.Namespace):
-    from repro.core.serde import CodecConfig
-
-    return CodecConfig(quantize=args.quantize, delta=args.delta_encoding)
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
@@ -508,19 +494,83 @@ def _add_history_flags(
     )
 
 
-def _make_history(args: argparse.Namespace, scope: str, gauge_source=None):
-    """A :class:`ModelHistory` from the ``--history`` flags, or ``None``."""
-    if not getattr(args, "history", False):
-        return None
+class _Exit(Exception):
+    """A one-line message for stderr and an exit status; :func:`main`
+    is the one place that prints it.  Status 2 (the default) is a usage
+    error: a flag combination argparse itself cannot reject."""
+
+    def __init__(self, message: str, status: int = 2) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _check_checkpoint_flags(args: argparse.Namespace) -> None:
+    for flag in ("resume", "checkpoint_every"):
+        if getattr(args, flag, None) and not args.checkpoint_dir:
+            raise _Exit(
+                f"--{flag.replace('_', '-')} requires --checkpoint-dir"
+            )
+
+
+def _spec_from_flags(args: argparse.Namespace, **shape):
+    """The deployment the flags describe, as a :class:`ClusterSpec`.
+
+    The one place parsed flags become a deployment: every flag named
+    like a spec field (``--records`` is ``records_per_site``) fills it,
+    a flag the subcommand does not have leaves the spec's default.
+    ``run``, ``site`` and ``serve`` read the node-less spec as a
+    parameter bundle -- ``site_config()``, ``coordinator_config()``,
+    ``wire_codec`` / ``codec_config()``, ``cluster.data.make_stream``;
+    ``cluster`` passes its ``shape`` (sites, fanin, depth, base_port)
+    through :func:`~repro.cluster.build_spec`.
+    """
+    from dataclasses import fields
+
+    from repro.cluster import ClusterSpec, build_spec
+
+    flags = vars(args)
+    if "wire_codec" in flags:
+        # The typed flags must be able to take effect: the spec itself
+        # only applies a spec-wide delta_encoding to its cds2 edges.
+        from repro.core.serde import CodecConfig, get_codec
+
+        try:
+            get_codec(
+                args.wire_codec,
+                CodecConfig(quantize=args.quantize, delta=args.delta_encoding),
+            )
+        except ValueError as error:
+            raise _Exit(f"invalid codec flags: {error}") from None
+    params = {}
+    for field in fields(ClusterSpec):
+        if field.name in ("nodes", "history", "telemetry_interval"):
+            continue  # the first is shape; cluster overlays the others
+        flag = "records" if field.name == "records_per_site" else field.name
+        if flags.get(flag) is not None:
+            params[field.name] = flags[flag]
+    if params.get("stream") == "netflow":
+        params["dim"] = 6
+    elif "stream" in params:
+        params.setdefault("dim", 4)
+    try:
+        return build_spec(**shape, **params) if shape else ClusterSpec(**params)
+    except ValueError as error:
+        raise _Exit(f"invalid topology: {error}") from None
+
+
+def _make_history(args: argparse.Namespace, scope: str):
+    """A :class:`ModelHistory` from the ``--history`` knobs."""
     from repro.obs import ModelHistory
 
-    return ModelHistory(
-        alpha=args.history_alpha,
-        capacity=args.history_capacity,
-        max_bytes=args.history_bytes,
-        scope=scope,
-        gauge_source=gauge_source,
-    )
+    try:
+        return ModelHistory(
+            alpha=args.history_alpha,
+            capacity=args.history_capacity,
+            max_bytes=args.history_bytes,
+            scope=scope,
+        )
+    except ValueError as error:
+        raise _Exit(f"invalid --history settings: {error}") from None
 
 
 def _build_observer(args: argparse.Namespace, extra_sinks: Sequence = ()):
@@ -551,14 +601,68 @@ def _build_observer(args: argparse.Namespace, extra_sinks: Sequence = ()):
 
 
 def _telemetry_setup(args: argparse.Namespace):
-    """Health/span sinks for ``--serve-telemetry``, or ``(None, ())``."""
-    if getattr(args, "serve_telemetry", None) is None:
-        return None, None, ()
+    """Health/span sinks for ``--serve-telemetry``, or ``()``."""
+    if args.serve_telemetry is None:
+        return ()
     from repro.obs import HealthMonitor, SpanCollector
 
-    health = HealthMonitor()
-    spans = SpanCollector()
-    return health, spans, (health, spans)
+    return HealthMonitor(), SpanCollector()
+
+
+def _start_telemetry(
+    args: argparse.Namespace,
+    observer,
+    sinks: tuple,
+    coordinator,
+    sites: Sequence = (),
+    accounting=None,
+):
+    """Wire ``--history`` and start ``--serve-telemetry`` (``run`` and
+    ``serve``): history stores on the coordinator and ``sites``, their
+    observer and health-gauge hooks, then the HTTP server over them.
+
+    Returns the started :class:`TelemetryServer`, or ``None`` without
+    ``--serve-telemetry``.  A resumed node restored its retained history
+    from the checkpoint; fresh stores attach only where none rode along.
+    """
+    health, spans = sinks or (None, None)
+    if args.history:
+        if coordinator.history is None:
+            coordinator.history = _make_history(args, "coordinator")
+        for site in sites:
+            if site.history is None:
+                site.history = _make_history(args, f"site:{site.site_id}")
+                site.history.observer = site._obs
+    if coordinator.history is not None:
+        coordinator.history.observer = coordinator._obs
+        if health is not None:
+            coordinator.history.gauge_source = health.history_gauges
+    if health is None:
+        return None
+    from repro.obs import TelemetryServer, system_snapshot
+
+    health.bind(
+        component_count=lambda: coordinator.n_components,
+        accounting=accounting,
+    )
+    try:
+        server = TelemetryServer(
+            observer,
+            health=health,
+            spans=spans,
+            snapshot=lambda: system_snapshot(
+                sites, coordinator, accounting() if accounting else None
+            ),
+            port=args.serve_telemetry,
+            history=coordinator.history,
+        ).start()
+    except OSError as error:
+        raise _Exit(
+            f"cannot bind telemetry port {args.serve_telemetry}: {error}",
+            status=1,
+        ) from None
+    print(f"telemetry: {server.url}", flush=True)
+    return server
 
 
 def _cmd_chunk_size(args: argparse.Namespace) -> int:
@@ -573,78 +677,26 @@ def _cmd_chunk_size(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_streams(args: argparse.Namespace, dim: int):
-    if args.stream == "netflow":
-        from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
-
-        return {
-            i: NetflowStreamGenerator(
-                NetflowConfig(p_switch=args.p_new),
-                rng=np.random.default_rng(args.seed + 100 + i),
-            )
-            for i in range(args.sites)
-        }
-    from repro.streams.synthetic import (
-        EvolvingGaussianStream,
-        EvolvingStreamConfig,
-    )
-
-    return {
-        i: EvolvingGaussianStream(
-            EvolvingStreamConfig(
-                dim=dim,
-                n_components=args.clusters,
-                p_new_distribution=args.p_new,
-            ),
-            rng=np.random.default_rng(args.seed + 100 + i),
-        )
-        for i in range(args.sites)
-    }
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.cluster import make_stream
     from repro.core.cludistream import CluDistream, CluDistreamConfig
-    from repro.core.coordinator import CoordinatorConfig
-    from repro.core.em import EMConfig
-    from repro.core.remote import RemoteSiteConfig
+    from repro.runtime import DirectChannel, Runtime, SimulatedChannel
 
-    dim = 6 if args.stream == "netflow" else 4
+    _check_checkpoint_flags(args)
+    spec = _spec_from_flags(args)
     config = CluDistreamConfig(
         n_sites=args.sites,
-        site=RemoteSiteConfig(
-            dim=dim,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            em=EMConfig(
-                n_components=args.clusters,
-                n_init=1,
-                max_iter=40,
-                incremental=args.incremental,
-            ),
-            chunk_override=args.chunk,
-        ),
-        coordinator=CoordinatorConfig(max_components=2 * args.clusters),
+        site=spec.site_config(),
+        coordinator=spec.coordinator_config(),
     )
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    health, span_collector, extra_sinks = _telemetry_setup(args)
-    observer = _build_observer(args, extra_sinks)
+    sinks = _telemetry_setup(args)
+    observer = _build_observer(args, sinks)
     system = CluDistream(config, seed=args.seed, observer=observer)
-    streams = _make_streams(args, dim)
+    streams = {i: make_stream(spec, i) for i in range(args.sites)}
     sites = system.sites
     coordinator = system.coordinator
 
-    from repro.runtime import DirectChannel, Runtime, SimulatedChannel
-
-    if args.simulate:
-        channel = SimulatedChannel(
-            rate=config.rate,
-            latency=config.latency,
-            bandwidth=config.bandwidth,
-        )
-    else:
-        channel = DirectChannel()
+    channel = SimulatedChannel() if args.simulate else DirectChannel()
     if args.resume:
         runtime = Runtime.resume(
             args.checkpoint_dir,
@@ -662,51 +714,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
         )
         resumed_at = 0
-    if args.history:
-        # A resumed node restores its retained history from the
-        # checkpoint; attach fresh stores only where none rode along.
-        try:
-            if coordinator.history is None:
-                coordinator.history = _make_history(args, "coordinator")
-            for site in sites:
-                if site.history is None:
-                    site.history = _make_history(
-                        args, f"site:{site.site_id}"
-                    )
-                    site.history.observer = site._obs
-        except ValueError as error:
-            print(f"invalid --history settings: {error}", file=sys.stderr)
-            return 2
-    if coordinator.history is not None:
-        coordinator.history.observer = coordinator._obs
-        if health is not None:
-            coordinator.history.gauge_source = health.history_gauges
-    server = None
-    if health is not None:
-        from repro.obs import TelemetryServer, system_snapshot
-
-        health.bind(
-            component_count=lambda: coordinator.n_components,
-            accounting=runtime.accounting,
-        )
-        try:
-            server = TelemetryServer(
-                observer,
-                health=health,
-                spans=span_collector,
-                snapshot=lambda: system_snapshot(
-                    sites, coordinator, runtime.accounting()
-                ),
-                port=args.serve_telemetry,
-                history=coordinator.history,
-            ).start()
-        except OSError as error:
-            print(
-                f"cannot bind telemetry port {args.serve_telemetry}: {error}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"telemetry: {server.url}", flush=True)
+    server = _start_telemetry(
+        args, observer, sinks, coordinator, sites, runtime.accounting
+    )
+    if server is not None:
         # Record the *bound* endpoint (port 0 resolves at bind time) so
         # checkpoint manifests point at the live server.
         runtime.endpoints["telemetry"] = {
@@ -761,11 +772,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare_comm(args: argparse.Namespace) -> int:
+def _compact_configs(chunk: int):
+    """Site and SEM parameters of the compact reproductions
+    (``compare-comm``, ``report``): K = 5, d = 4, chunk ``M``."""
+    from repro.baselines.sem import SEMConfig
     from repro.core.em import EMConfig
     from repro.core.remote import RemoteSiteConfig
+
+    em = EMConfig(n_components=5, n_init=1, max_iter=40)
+    return (
+        RemoteSiteConfig(
+            dim=4, epsilon=0.05, delta=0.05, em=em, chunk_override=chunk
+        ),
+        SEMConfig(n_components=5, buffer_size=chunk, em=em),
+    )
+
+
+def _figure2(
+    sites: int, records: int, chunk: int, p_new: float, seed: int, samples: int
+):
+    """The Figure 2 comparison: event-driven CluDistream against
+    periodic SEM reporting over identical seeded streams."""
     from repro.baselines.periodic import PeriodicReporterConfig
-    from repro.baselines.sem import SEMConfig
     from repro.evaluation.comm import compare_communication
     from repro.streams.base import take
     from repro.streams.synthetic import (
@@ -777,28 +805,29 @@ def _cmd_compare_comm(args: argparse.Namespace) -> int:
         return {
             i: take(
                 EvolvingGaussianStream(
-                    EvolvingStreamConfig(p_new_distribution=args.p_new),
+                    EvolvingStreamConfig(p_new_distribution=p_new),
                     rng=np.random.default_rng(seed + 31 * i),
                 ),
-                args.records,
+                records,
             )
-            for i in range(args.sites)
+            for i in range(sites)
         }
 
-    em = EMConfig(n_components=5, n_init=1, max_iter=40)
-    comparison = compare_communication(
+    site_config, sem_config = _compact_configs(chunk)
+    return compare_communication(
         make_streams,
-        n_sites=args.sites,
-        records_per_site=args.records,
-        site_config=RemoteSiteConfig(
-            dim=4, epsilon=0.05, delta=0.05, em=em, chunk_override=args.chunk
-        ),
-        periodic_config=PeriodicReporterConfig(
-            period=args.chunk,
-            sem=SEMConfig(n_components=5, buffer_size=args.chunk, em=em),
-        ),
-        sample_every=max(args.chunk, args.records // 8),
-        seed=args.seed,
+        n_sites=sites,
+        records_per_site=records,
+        site_config=site_config,
+        periodic_config=PeriodicReporterConfig(period=chunk, sem=sem_config),
+        sample_every=max(chunk, records // samples),
+        seed=seed,
+    )
+
+
+def _cmd_compare_comm(args: argparse.Namespace) -> int:
+    comparison = _figure2(
+        args.sites, args.records, args.chunk, args.p_new, args.seed, samples=8
     )
     print(f"{'updates':>10}  {'CluDistream (B)':>16}  {'periodic SEM (B)':>16}")
     for position, clu, periodic in zip(
@@ -815,12 +844,9 @@ def _cmd_compare_comm(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.baselines.periodic import PeriodicReporterConfig
-    from repro.baselines.sem import ScalableEM, SEMConfig
+    from repro.baselines.sem import ScalableEM
     from repro.core.chunking import chunk_size
-    from repro.core.em import EMConfig
-    from repro.core.remote import RemoteSite, RemoteSiteConfig
-    from repro.evaluation.comm import compare_communication
+    from repro.core.remote import RemoteSite
     from repro.evaluation.report import ExperimentReport
     from repro.streams.base import take
     from repro.streams.synthetic import (
@@ -830,7 +856,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.windows.horizon import horizon_mixture
 
     chunk = 500
-    em = EMConfig(n_components=5, n_init=1, max_iter=40)
+    site_config, sem_config = _compact_configs(chunk)
     report = ExperimentReport(
         "CluDistream reproduction summary (compact run)"
     )
@@ -853,31 +879,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
 
     # Section 2: communication comparison (Figure 2 shape).
-    def make_streams(seed: int):
-        return {
-            i: take(
-                EvolvingGaussianStream(
-                    EvolvingStreamConfig(p_new_distribution=0.1),
-                    rng=np.random.default_rng(seed + 31 * i),
-                ),
-                args.records,
-            )
-            for i in range(args.sites)
-        }
-
-    comparison = compare_communication(
-        make_streams,
-        n_sites=args.sites,
-        records_per_site=args.records,
-        site_config=RemoteSiteConfig(
-            dim=4, epsilon=0.05, delta=0.05, em=em, chunk_override=chunk
-        ),
-        periodic_config=PeriodicReporterConfig(
-            period=chunk,
-            sem=SEMConfig(n_components=5, buffer_size=chunk, em=em),
-        ),
-        sample_every=max(chunk, args.records // 4),
-        seed=args.seed,
+    comparison = _figure2(
+        args.sites, args.records, chunk, 0.1, args.seed, samples=4
     )
     section = report.section("Communication cost (Figure 2 shape)")
     section.add_series(
@@ -899,17 +902,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     data = take(stream, args.records)
     site = RemoteSite(
-        0,
-        RemoteSiteConfig(
-            dim=4, epsilon=0.05, delta=0.05, em=em, chunk_override=chunk
-        ),
-        rng=np.random.default_rng(args.seed + 8),
+        0, site_config, rng=np.random.default_rng(args.seed + 8)
     )
-    sem = ScalableEM(
-        4,
-        SEMConfig(n_components=5, buffer_size=chunk, em=em),
-        rng=np.random.default_rng(args.seed + 9),
-    )
+    sem = ScalableEM(4, sem_config, rng=np.random.default_rng(args.seed + 9))
     for row in data:
         site.process_record(row)
         sem.process_record(row)
@@ -941,11 +936,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.transport.reliability import ReliabilityConfig
     from repro.transport.tcp import CoordinatorServer
 
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    health, span_collector, extra_sinks = _telemetry_setup(args)
-    observer = _build_observer(args, extra_sinks)
+    _check_checkpoint_flags(args)
+    spec = _spec_from_flags(args)
+    sinks = _telemetry_setup(args)
+    observer = _build_observer(args, sinks)
 
     async def _run() -> int:
         if args.resume:
@@ -961,64 +955,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         else:
+            # --clusters is the global cap itself here, not the 2K that
+            # spec.coordinator_config() derives from a per-site K.
             coordinator = Coordinator(
                 CoordinatorConfig(max_components=args.clusters),
                 observer=observer,
             )
-        if args.history and coordinator.history is None:
-            # A resumed coordinator restores its retained history from
-            # the checkpoint; only attach fresh when none rode along.
-            try:
-                coordinator.history = _make_history(args, "coordinator")
-            except ValueError as error:
-                print(
-                    f"invalid --history settings: {error}", file=sys.stderr
-                )
-                return 2
-        if coordinator.history is not None:
-            coordinator.history.observer = coordinator._obs
-            if health is not None:
-                coordinator.history.gauge_source = health.history_gauges
-        telemetry = None
-        if health is not None:
-            from repro.obs import TelemetryServer, system_snapshot
-
-            health.bind(component_count=lambda: coordinator.n_components)
-            try:
-                telemetry = TelemetryServer(
-                    observer,
-                    health=health,
-                    spans=span_collector,
-                    snapshot=lambda: system_snapshot([], coordinator),
-                    port=args.serve_telemetry,
-                    history=coordinator.history,
-                ).start()
-            except OSError as error:
-                print(
-                    f"cannot bind telemetry port {args.serve_telemetry}: "
-                    f"{error}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"telemetry: {telemetry.url}", flush=True)
+        telemetry = _start_telemetry(args, observer, sinks, coordinator)
         server = CoordinatorServer(
             coordinator,
             expected_sites=args.expected_sites,
             config=ReliabilityConfig(stale_after=args.stale_after),
             observer=observer,
-            wire_codec=args.wire_codec,
-            codec_config=_codec_config(args),
+            wire_codec=spec.wire_codec,
+            codec_config=spec.codec_config(),
         )
         try:
             await server.start(args.host, args.port)
         except OSError as error:
             if telemetry is not None:
                 telemetry.close()
-            print(
-                f"cannot bind {args.host}:{args.port}: {error}",
-                file=sys.stderr,
-            )
-            return 1
+            raise _Exit(
+                f"cannot bind {args.host}:{args.port}: {error}", status=1
+            ) from None
         # The bound port outlives the server object's socket (the
         # manifest is written after close), so read it out now.
         bound_port = server.port
@@ -1092,51 +1051,13 @@ def _cmd_site(args: argparse.Namespace) -> int:
     import asyncio
     from pathlib import Path
 
-    from repro.core.em import EMConfig
-    from repro.core.remote import RemoteSiteConfig
+    from repro.cluster import make_stream
     from repro.streams.base import take
     from repro.transport.tcp import run_site_client
 
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-
-    if args.stream == "netflow":
-        from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
-
-        dim = 6
-        generator = NetflowStreamGenerator(
-            NetflowConfig(p_switch=args.p_new),
-            rng=np.random.default_rng(args.seed + 100 + args.site_id),
-        )
-    else:
-        from repro.streams.synthetic import (
-            EvolvingGaussianStream,
-            EvolvingStreamConfig,
-        )
-
-        dim = args.dim
-        generator = EvolvingGaussianStream(
-            EvolvingStreamConfig(
-                dim=dim,
-                n_components=args.clusters,
-                p_new_distribution=args.p_new,
-            ),
-            rng=np.random.default_rng(args.seed + 100 + args.site_id),
-        )
-    records = take(generator, args.records)
-    config = RemoteSiteConfig(
-        dim=dim,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        em=EMConfig(
-            n_components=args.clusters,
-            n_init=1,
-            max_iter=40,
-            incremental=args.incremental,
-        ),
-        chunk_override=args.chunk,
-    )
+    _check_checkpoint_flags(args)
+    spec = _spec_from_flags(args)
+    records = take(make_stream(spec, args.site_id), args.records)
     observer = _build_observer(args)
     restored = None
     if args.resume:
@@ -1160,21 +1081,20 @@ def _cmd_site(args: argparse.Namespace) -> int:
                 records,
                 args.host,
                 args.port,
-                site_config=config,
+                site_config=spec.site_config(),
                 seed=args.seed,
                 observer=observer,
                 site=restored,
-                wire_codec=args.wire_codec,
-                codec_config=_codec_config(args),
+                wire_codec=spec.wire_codec,
+                codec_config=spec.codec_config(),
             )
         )
     except OSError as error:
-        print(
+        raise _Exit(
             f"site {args.site_id}: cannot reach coordinator at "
             f"{args.host}:{args.port} ({error})",
-            file=sys.stderr,
-        )
-        return 1
+            status=1,
+        ) from None
     finally:
         if observer is not None:
             observer.close()
@@ -1196,14 +1116,17 @@ def _cmd_site(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import build_spec, load_spec, save_spec, soak_spec
+    from dataclasses import replace
+
+    from repro.cluster import load_spec, save_spec, soak_spec
 
     if args.spec:
         try:
             spec = load_spec(args.spec)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"cannot load spec {args.spec}: {error}", file=sys.stderr)
-            return 1
+        except (OSError, ValueError, KeyError, TypeError) as error:
+            raise _Exit(
+                f"cannot load spec {args.spec}: {error}", status=1
+            ) from None
     elif args.soak:
         # Soak defaults are tuned for the 1000-site CI budget (small
         # dim/K, moment merges); shape flags still apply.
@@ -1216,47 +1139,19 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     else:
-        try:
-            spec = build_spec(
-                args.sites if args.sites is not None else 8,
-                args.fanin if args.fanin is not None else 4,
-                depth=args.depth,
-                base_port=args.base_port,
-                host=args.host,
-                seed=args.seed,
-                clusters=args.clusters,
-                dim=6 if args.stream == "netflow" else args.dim,
-                epsilon=args.epsilon,
-                delta=args.delta,
-                chunk=args.chunk,
-                stream=args.stream,
-                records_per_site=(
-                    args.records if args.records is not None else 2000
-                ),
-                p_new=args.p_new,
-                upload_threshold=args.upload_threshold,
-                merge_method=args.merge_method,
-                incremental=args.incremental,
-                wire_codec=args.wire_codec,
-                quantize=args.quantize,
-                delta_encoding=args.delta_encoding,
-            )
-        except ValueError as error:
-            print(f"invalid topology: {error}", file=sys.stderr)
-            return 2
+        spec = _spec_from_flags(
+            args,
+            sites=args.sites if args.sites is not None else 8,
+            fanin=args.fanin if args.fanin is not None else 4,
+            depth=args.depth,
+            base_port=args.base_port,
+        )
 
     if args.telemetry_interval is not None:
         if args.telemetry_interval <= 0:
-            print("invalid --telemetry-interval: must be positive",
-                  file=sys.stderr)
-            return 2
-        from dataclasses import replace
-
+            raise _Exit("invalid --telemetry-interval: must be positive")
         spec = replace(spec, telemetry_interval=args.telemetry_interval)
-
     if args.history and not spec.history:
-        from dataclasses import replace
-
         spec = replace(spec, history=True)
 
     if args.write_spec:
@@ -1385,35 +1280,24 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs import format_summary, summarize_trace
 
     output = args.format or ("json" if args.json else "text")
-    if args.window is not None:
-        from repro.obs import drift_from_trace, format_drift
-
-        t0, t1 = args.window
-        try:
-            report = drift_from_trace(args.trace, t0, t1, scope=args.scope)
-        except FileNotFoundError:
-            print(f"no such trace file: {args.trace}", file=sys.stderr)
-            return 1
-        except ValueError as error:
-            print(f"{args.trace}: {error}", file=sys.stderr)
-            return 1
-        if output == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_drift(report), end="")
-        return 0
     try:
-        summary = summarize_trace(args.trace)
+        if args.window is not None:
+            from repro.obs import drift_from_trace, format_drift
+
+            t0, t1 = args.window
+            report = drift_from_trace(args.trace, t0, t1, scope=args.scope)
+            text = format_drift(report)
+        else:
+            summary = summarize_trace(args.trace)
+            report, text = summary.as_dict(), format_summary(summary)
     except FileNotFoundError:
-        print(f"no such trace file: {args.trace}", file=sys.stderr)
-        return 1
+        raise _Exit(f"no such trace file: {args.trace}", status=1) from None
     except ValueError as error:
-        print(f"{args.trace}: {error}", file=sys.stderr)
-        return 1
+        raise _Exit(f"{args.trace}: {error}", status=1) from None
     if output == "json":
-        print(json.dumps(summary.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(format_summary(summary), end="")
+        print(text, end="")
     return 0
 
 
@@ -1421,18 +1305,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.obs.monitor import run_monitor
 
     if (args.url is None) == (args.trace is None):
-        print(
-            "monitor: exactly one of --url or --trace is required",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Exit("monitor: exactly one of --url or --trace is required")
     if args.cluster and args.url is None:
-        print(
+        raise _Exit(
             "monitor: --cluster needs --url (the federated root's "
-            "telemetry server)",
-            file=sys.stderr,
+            "telemetry server)"
         )
-        return 2
     return run_monitor(
         url=args.url,
         trace=args.trace,
@@ -1500,6 +1378,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _Exit as error:
+        print(error, file=sys.stderr)
+        return error.status
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like any
         # well-behaved CLI.

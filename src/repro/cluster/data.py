@@ -19,10 +19,18 @@ from repro.cluster.spec import ClusterSpec, NodeSpec
 __all__ = ["make_stream", "site_records"]
 
 
-def make_stream(spec: ClusterSpec, node: NodeSpec):
-    """The (infinite) record stream observed by one site node."""
-    kind = spec.node_stream(node)
-    rng = np.random.default_rng(spec.seed + 100 + node.node_id)
+def make_stream(spec: ClusterSpec, node: NodeSpec | int):
+    """The (infinite) record stream observed by one site.
+
+    ``node`` is a site node of ``spec`` or, for a spec read as a bare
+    parameter bundle (``nodes=()``: the flat ``run`` and ``site``
+    commands), just the site id.
+    """
+    if isinstance(node, NodeSpec):
+        kind, site_id = spec.node_stream(node), node.node_id
+    else:
+        kind, site_id = spec.stream, node
+    rng = np.random.default_rng(spec.seed + 100 + site_id)
     if kind == "netflow":
         from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -324,43 +324,15 @@ class ClusterSpec:
     # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        payload = {
-            "format": SPEC_FORMAT,
-            "kind": "cluster_spec",
-            "host": self.host,
-            "seed": self.seed,
-            "clusters": self.clusters,
-            "dim": self.dim,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "chunk": self.chunk,
-            "stream": self.stream,
-            "records_per_site": self.records_per_site,
-            "p_new": self.p_new,
-            "upload_threshold": self.upload_threshold,
-            "merge_method": self.merge_method,
-            "telemetry_interval": self.telemetry_interval,
-            "incremental": self.incremental,
-            "wire_codec": self.wire_codec,
-            "quantize": self.quantize,
-            "delta_encoding": self.delta_encoding,
-            "nodes": [
-                {
-                    "node_id": n.node_id,
-                    "role": n.role,
-                    "parent_id": n.parent_id,
-                    "level": n.level,
-                    "port": n.port,
-                    "upload_threshold": n.upload_threshold,
-                    "stream": n.stream,
-                    "records": n.records,
-                    "incremental": n.incremental,
-                    "wire_codec": n.wire_codec,
-                    "quantize": n.quantize,
-                }
-                for n in self.nodes
-            ],
-        }
+        """JSON form: header, scalar fields in declaration order, nodes."""
+        payload = {"format": SPEC_FORMAT, "kind": "cluster_spec"}
+        for spec in fields(self):
+            if spec.name not in ("nodes", "history"):
+                payload[spec.name] = getattr(self, spec.name)
+        payload["nodes"] = [
+            {spec.name: getattr(node, spec.name) for spec in fields(node)}
+            for node in self.nodes
+        ]
         # Emitted only when enabled so specs written by a pre-history
         # build and by this one compare byte-identical when it is off.
         if self.history:
@@ -376,42 +348,16 @@ class ClusterSpec:
                 f"unsupported cluster spec format {payload.get('format')}"
             )
         nodes = tuple(
-            NodeSpec(
-                node_id=raw["node_id"],
-                role=raw["role"],
-                parent_id=raw.get("parent_id"),
-                level=raw.get("level", 0),
-                port=raw.get("port", 0),
-                upload_threshold=raw.get("upload_threshold"),
-                stream=raw.get("stream"),
-                records=raw.get("records"),
-                incremental=raw.get("incremental"),
-                wire_codec=raw.get("wire_codec"),
-                quantize=raw.get("quantize"),
-            )
-            for raw in payload["nodes"]
+            NodeSpec(**_known_fields(NodeSpec, raw)) for raw in payload["nodes"]
         )
-        return cls(
-            nodes=nodes,
-            host=payload.get("host", "127.0.0.1"),
-            seed=payload.get("seed", 0),
-            clusters=payload.get("clusters", 3),
-            dim=payload.get("dim", 2),
-            epsilon=payload.get("epsilon", 0.05),
-            delta=payload.get("delta", 0.05),
-            chunk=payload.get("chunk", 500),
-            stream=payload.get("stream", "synthetic"),
-            records_per_site=payload.get("records_per_site", 2000),
-            p_new=payload.get("p_new", 0.1),
-            upload_threshold=payload.get("upload_threshold", 0.05),
-            merge_method=payload.get("merge_method", "simplex"),
-            telemetry_interval=payload.get("telemetry_interval", 2.0),
-            incremental=payload.get("incremental", False),
-            wire_codec=payload.get("wire_codec", "cds1"),
-            quantize=payload.get("quantize", "f64"),
-            delta_encoding=payload.get("delta_encoding", False),
-            history=payload.get("history", False),
-        )
+        return cls(**{**_known_fields(cls, payload), "nodes": nodes})
+
+
+def _known_fields(cls: type, raw: Mapping) -> dict:
+    """The entries of ``raw`` that are fields of ``cls``: a key an older
+    spec lacks takes the dataclass default, a key this build does not
+    know is ignored."""
+    return {spec.name: raw[spec.name] for spec in fields(cls) if spec.name in raw}
 
 
 def build_spec(

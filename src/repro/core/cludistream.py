@@ -63,13 +63,11 @@ class CluDistreamConfig:
     coordinator:
         Coordinator configuration.
     rate / latency / bandwidth:
-        Link model for callers that build a
-        :class:`~repro.runtime.SimulatedChannel` from this config:
-        stream rate per site in records per virtual second (the paper
-        processes ~1000 updates/s), site-to-coordinator propagation
-        delay in virtual seconds, and link bandwidth in bytes per
-        virtual second (``None`` = unconstrained).  Nothing in
-        :class:`CluDistream` itself reads them.
+        Deprecated in 1.5.0, removed in the next release: nothing reads
+        them.  The link model belongs to the channel --
+        ``SimulatedChannel(rate=..., latency=..., bandwidth=...)``, whose
+        defaults are these fields' defaults.  Setting one away from its
+        default emits a ``DeprecationWarning``.
     incremental:
         System-wide escalation policy switch for the site refit ladder
         (DESIGN.md section 14).  ``True`` / ``False`` force
@@ -90,6 +88,16 @@ class CluDistreamConfig:
             raise ValueError("need at least one remote site")
         if self.rate <= 0.0:
             raise ValueError("rate must be positive")
+        if (self.rate, self.latency, self.bandwidth) != (1000.0, 0.01, None):
+            import warnings
+
+            warnings.warn(
+                "CluDistreamConfig.rate / latency / bandwidth are deprecated "
+                "and unread; pass them to SimulatedChannel(rate=..., "
+                "latency=..., bandwidth=...) instead",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if (
             self.incremental is not None
             and self.incremental != self.site.em.incremental

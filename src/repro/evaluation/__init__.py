@@ -13,9 +13,7 @@
 
 from repro.evaluation.comm import (
     CommunicationComparison,
-    DeliveryReport,
     compare_communication,
-    delivery_report,
 )
 from repro.evaluation.memory import predicted_site_memory_bytes
 from repro.evaluation.metrics import (
@@ -32,13 +30,11 @@ from repro.evaluation.timing import ThroughputResult, measure_throughput
 
 __all__ = [
     "CommunicationComparison",
-    "DeliveryReport",
     "QualitySeries",
     "adjusted_rand_index",
     "ThroughputResult",
     "averaged_quality",
     "compare_communication",
-    "delivery_report",
     "holdout_quality",
     "matched_mean_error",
     "measure_throughput",

@@ -1,4 +1,4 @@
-"""Communication-cost comparison (Figure 2) and delivery accounting.
+"""Communication-cost comparison (Figure 2).
 
 Runs the event-driven CluDistream sites and the periodic-reporting
 baseline over the *same* per-site record sequences and compares total
@@ -6,18 +6,6 @@ uplink bytes, exposing the cumulative-cost series both for plotting and
 for the shape assertions in the benchmark (CluDistream's curve must
 flatten once the sites have learned their distributions; the periodic
 baseline keeps climbing linearly forever).
-
-:func:`delivery_report` extends the accounting to the
-:mod:`repro.transport` stack: the paper's ``payload_bytes()`` meter
-counts *application* bytes, while a fault-tolerant link additionally
-pays for envelopes, retransmissions, acks and heartbeats --
-:class:`DeliveryReport` makes that overhead explicit.  Its counters
-follow the unified model of
-:class:`~repro.runtime.accounting.DeliveryAccounting` (``messages_sent``
-is *attempted*, ``messages_delivered`` is unique deliveries,
-``payload_bytes ≤ wire_bytes``); :attr:`DeliveryReport.accounting`
-converts a report into that shared shape so transport runs and
-runtime-channel runs meter identically.
 """
 
 from __future__ import annotations
@@ -30,12 +18,7 @@ import numpy as np
 from repro.baselines.periodic import PeriodicReporter, PeriodicReporterConfig
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 
-__all__ = [
-    "CommunicationComparison",
-    "DeliveryReport",
-    "compare_communication",
-    "delivery_report",
-]
+__all__ = ["CommunicationComparison", "compare_communication"]
 
 
 @dataclass(frozen=True)
@@ -138,108 +121,6 @@ def compare_communication(
         cludistream_series=tuple(clu_series),
         periodic_series=tuple(periodic_series),
         positions=tuple(positions),
-    )
-
-
-@dataclass(frozen=True)
-class DeliveryReport:
-    """End-to-end delivery accounting of one transport run.
-
-    Attributes
-    ----------
-    messages_sent / messages_delivered:
-        Unique application messages emitted by sites / applied at the
-        coordinator (equal after a full drain -- exactly-once held).
-    payload_bytes:
-        Application bytes (the paper's ``payload_bytes()`` accounting).
-    wire_bytes:
-        Uplink bytes actually offered to the wire: envelopes,
-        retransmissions, heartbeats and DONE markers included.
-    ack_bytes:
-        Downlink bytes spent on acknowledgements.
-    retransmissions / duplicates_suppressed / out_of_order_buffered:
-        What the reliability layer had to do to deliver exactly once.
-    max_reorder_depth:
-        High-water mark of any single site's reorder buffer -- how far
-        out of order the link actually got.
-    heartbeats:
-        Liveness beacons sent by sites.
-    expired:
-        Payloads abandoned after ``max_attempts`` transmissions (always
-        zero with the default retry-forever configuration).
-    """
-
-    messages_sent: int
-    messages_delivered: int
-    payload_bytes: int
-    wire_bytes: int
-    ack_bytes: int
-    retransmissions: int
-    duplicates_suppressed: int
-    out_of_order_buffered: int
-    max_reorder_depth: int
-    heartbeats: int
-    expired: int
-
-    @property
-    def accounting(self):
-        """This report in the unified :class:`DeliveryAccounting` shape.
-
-        ``messages_sent`` maps to ``attempted`` (each payload is counted
-        once however many times it is retransmitted -- retransmitted
-        *bytes* land in ``wire_bytes``) and ``messages_delivered`` to
-        ``delivered``.  Link-level faults are not visible from endpoint
-        statistics, so ``dropped`` / ``duplicated`` / ``reordered`` stay
-        zero here; :meth:`repro.runtime.TransportChannel.accounting`
-        fills them in from the fault injector when one is attached.
-        """
-        from repro.runtime.accounting import DeliveryAccounting
-
-        return DeliveryAccounting(
-            attempted=self.messages_sent,
-            delivered=self.messages_delivered,
-            payload_bytes=self.payload_bytes,
-            wire_bytes=self.wire_bytes,
-            ack_bytes=self.ack_bytes,
-            retransmissions=self.retransmissions,
-            duplicates_suppressed=self.duplicates_suppressed,
-        )
-
-    @property
-    def overhead_ratio(self) -> float:
-        """Uplink wire bytes per application payload byte (≥ 1)."""
-        return self.accounting.overhead_ratio
-
-    @property
-    def delivered_exactly_once(self) -> bool:
-        """Every emitted message was applied exactly once."""
-        return self.accounting.delivered_exactly_once
-
-
-def delivery_report(site_endpoints, coordinator_endpoint) -> DeliveryReport:
-    """Aggregate sender/receiver statistics into one report.
-
-    Parameters
-    ----------
-    site_endpoints:
-        Iterable of :class:`~repro.transport.endpoint.SiteEndpoint`.
-    coordinator_endpoint:
-        The matching :class:`~repro.transport.endpoint.CoordinatorEndpoint`.
-    """
-    senders = [endpoint.sender.stats for endpoint in site_endpoints]
-    receiver = coordinator_endpoint.receiver.stats
-    return DeliveryReport(
-        messages_sent=sum(s.payloads_sent for s in senders),
-        messages_delivered=receiver.delivered,
-        payload_bytes=sum(s.payload_bytes for s in senders),
-        wire_bytes=sum(s.wire_bytes for s in senders),
-        ack_bytes=receiver.ack_wire_bytes,
-        retransmissions=sum(s.retransmissions for s in senders),
-        duplicates_suppressed=receiver.duplicates_suppressed,
-        out_of_order_buffered=receiver.buffered_out_of_order,
-        max_reorder_depth=receiver.max_reorder_depth,
-        heartbeats=sum(s.heartbeats_sent for s in senders),
-        expired=sum(s.expired for s in senders),
     )
 
 

@@ -67,6 +67,36 @@ class DeliveryAccounting:
     retransmissions: int = 0
     duplicates_suppressed: int = 0
 
+    @classmethod
+    def from_endpoints(
+        cls, site_endpoints, coordinator_endpoint
+    ) -> "DeliveryAccounting":
+        """The ARQ stack's counters in this model: sender statistics of
+        every :class:`~repro.transport.endpoint.SiteEndpoint` summed,
+        receiver statistics of the matching
+        :class:`~repro.transport.endpoint.CoordinatorEndpoint` (``None``
+        before one exists).  A payload counts once in ``attempted``
+        however often it is retransmitted -- retransmitted *bytes* land
+        in ``wire_bytes``.  Link-level faults are not visible from
+        endpoint statistics: ``dropped`` / ``duplicated`` / ``reordered``
+        stay zero here and
+        :meth:`repro.runtime.TransportChannel.accounting` adds them from
+        its fault injector.
+        """
+        senders = [endpoint.sender.stats for endpoint in site_endpoints]
+        accounting = cls(
+            attempted=sum(s.payloads_sent for s in senders),
+            payload_bytes=sum(s.payload_bytes for s in senders),
+            wire_bytes=sum(s.wire_bytes for s in senders),
+            retransmissions=sum(s.retransmissions for s in senders),
+        )
+        if coordinator_endpoint is not None:
+            receiver = coordinator_endpoint.receiver.stats
+            accounting.delivered = receiver.delivered
+            accounting.ack_bytes = receiver.ack_wire_bytes
+            accounting.duplicates_suppressed = receiver.duplicates_suppressed
+        return accounting
+
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------

@@ -426,18 +426,9 @@ class TransportChannel(DrainMark, Channel):
             endpoint.close()
 
     def accounting(self):
-        accounting = DeliveryAccounting()
-        for endpoint in self.endpoints:
-            stats = endpoint.sender.stats
-            accounting.attempted += stats.payloads_sent
-            accounting.payload_bytes += stats.payload_bytes
-            accounting.wire_bytes += stats.wire_bytes
-            accounting.retransmissions += stats.retransmissions
-        if self.coordinator_endpoint is not None:
-            stats = self.coordinator_endpoint.receiver.stats
-            accounting.delivered = stats.delivered
-            accounting.ack_bytes = stats.ack_wire_bytes
-            accounting.duplicates_suppressed = stats.duplicates_suppressed
+        accounting = DeliveryAccounting.from_endpoints(
+            self.endpoints, self.coordinator_endpoint
+        )
         if self._lossy is not None:
             faults = self._lossy.faults
             accounting.dropped = faults.dropped + faults.partition_drops

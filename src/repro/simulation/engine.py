@@ -33,16 +33,6 @@ class ScheduledEvent:
     time: float
     sequence: int
     callback: Callback = field(compare=False)
-    cancelled: list = field(compare=False, default_factory=list)
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        if not self.cancelled:
-            self.cancelled.append(True)
-
-    @property
-    def is_cancelled(self) -> bool:
-        return bool(self.cancelled)
 
 
 class SimulationEngine:
@@ -76,11 +66,6 @@ class SimulationEngine:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Number of queued (non-cancelled) events."""
-        return sum(1 for event in self._queue if not event.is_cancelled)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -101,12 +86,6 @@ class SimulationEngine:
         )
         heapq.heappush(self._queue, event)
         return event
-
-    def schedule_after(self, delay: float, callback: Callback) -> ScheduledEvent:
-        """Queue ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0.0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule_at(self._now + delay, callback)
 
     # ------------------------------------------------------------------
     # Execution
@@ -133,13 +112,7 @@ class SimulationEngine:
         self._running = True
         fired = 0
         try:
-            while self._queue:
-                head = self._queue[0]
-                if head.is_cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if head.time > until:
-                    break
+            while self._queue and self._queue[0].time <= until:
                 self.step()
                 fired += 1
             if self._now < until:
@@ -150,14 +123,12 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Fire the next event; returns ``False`` when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.is_cancelled:
-                continue
-            self._now = event.time
-            event.callback()
-            return True
-        return False
+        if not self._queue:
+            return False
+        event = heapq.heappop(self._queue)
+        self._now = event.time
+        event.callback()
+        return True
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> int:
         """Drain the queue (optionally only up to virtual time ``until``).
@@ -182,11 +153,7 @@ class SimulationEngine:
         try:
             with self._obs.timer("profile.sim_run"):
                 while self._queue and fired < max_events:
-                    head = self._queue[0]
-                    if head.is_cancelled:
-                        heapq.heappop(self._queue)
-                        continue
-                    if until is not None and head.time > until:
+                    if until is not None and self._queue[0].time > until:
                         break
                     self.step()
                     fired += 1

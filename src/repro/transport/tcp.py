@@ -38,7 +38,7 @@ from repro.transport.reliability import (
 )
 from repro.transport.wire import CodecSender
 
-__all__ = ["CoordinatorServer", "SiteRunReport", "run_site_client"]
+__all__ = ["CoordinatorServer", "SiteRunReport", "Uplink", "run_site_client"]
 
 _READ_CHUNK = 1 << 16
 
@@ -92,7 +92,7 @@ class CoordinatorServer:
         self.on_progress = on_progress
         self._obs = ensure_observer(observer)
         self.codec = get_codec(wire_codec, codec_config)
-        self._writers: dict[int, asyncio.StreamWriter] = {}
+        self.writers: dict[int, asyncio.StreamWriter] = {}
         self._server: asyncio.base_events.Server | None = None
         self._done = asyncio.Event()
         self._handlers: set[asyncio.Task] = set()
@@ -135,7 +135,7 @@ class CoordinatorServer:
         self._closing = True
         self._server.close()
         await self._server.wait_closed()
-        for writer in self._writers.values():
+        for writer in self.writers.values():
             if not writer.is_closing():
                 writer.close()
         # Closed transports feed EOF to the per-connection handlers; let
@@ -177,7 +177,7 @@ class CoordinatorServer:
             self.coordinator.handle_message(message)
 
     def _send_ack(self, site_id: int, data: bytes) -> None:
-        writer = self._writers.get(site_id)
+        writer = self.writers.get(site_id)
         if writer is not None and not writer.is_closing():
             writer.write(data)
 
@@ -197,7 +197,7 @@ class CoordinatorServer:
                 for envelope in decoder.feed(chunk):
                     if self._closing:
                         break
-                    self._writers[envelope.site_id] = writer
+                    self.writers[envelope.site_id] = writer
                     self.receiver.handle_envelope(envelope)
                     if self.on_progress is not None:
                         self.on_progress()
@@ -223,6 +223,129 @@ class CoordinatorServer:
             if task is not None:
                 self._handlers.discard(task)
             writer.close()
+
+
+class Uplink:
+    """One node's TCP edge toward its parent.
+
+    Connecting builds the ARQ sender, the codec sender over it and the
+    task pumping the parent's acks back in; :meth:`finish` is the close
+    sequence.  To its parent a site and an interior aggregator are the
+    same thing, so :func:`run_site_client` and
+    :class:`~repro.cluster.aggregator.AggregatorServer` both hold one of
+    these and both end -- and fail -- the same way.
+    """
+
+    def __init__(self, reader, writer, sender, codec_sender, observer) -> None:
+        self.sender: ReliableSender = sender
+        self.codec_sender: CodecSender = codec_sender
+        self.writer: asyncio.StreamWriter = writer
+        self._obs = observer
+        self._ack_task = asyncio.ensure_future(self._pump_acks(reader))
+
+    @classmethod
+    async def connect(
+        cls,
+        site_id: int,
+        host: str,
+        port: int,
+        *,
+        config: ReliabilityConfig | None = None,
+        seed: int = 0,
+        observer: Observer | None = None,
+        wire_codec: str = "cds1",
+        codec_config: CodecConfig | None = None,
+        first_seq: int = 1,
+    ) -> "Uplink":
+        """Open the parent connection; ``first_seq`` continues a
+        checkpointed sequence (the parent's cursor survived us)."""
+        observer = ensure_observer(observer)
+        codec = get_codec(wire_codec, codec_config)
+        reader, writer = await asyncio.open_connection(host, port)
+        sender = ReliableSender(
+            site_id=site_id,
+            transmit=writer.write,
+            clock=AsyncioClock(asyncio.get_running_loop()),
+            config=config,
+            rng=np.random.default_rng(seed + 70_000 + site_id),
+            observer=observer,
+            first_seq=first_seq,
+        )
+        return cls(reader, writer, sender, CodecSender(sender, codec), observer)
+
+    def send(self, message) -> None:
+        """Ship one protocol message under the caller's current span."""
+        self.codec_sender.send(message, trace=self._obs.span_context())
+
+    async def finish(self, drain_timeout: float = 60.0, final=None) -> None:
+        """Drain unacked payloads, send DONE, half-close and linger.
+
+        A parent that closed the connection with payloads unacked is a
+        ``ConnectionError`` at once; one that holds it open without
+        acking is a ``TimeoutError`` after ``drain_timeout``.  ``final``
+        (a zero-arg callable returning a TELEMETRY payload) is sent
+        after the drain and before DONE, so the last report covers
+        every acknowledged upload.
+        """
+        sender = self.sender
+        self.codec_sender.flush()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + drain_timeout
+        while sender.outstanding() > 0:
+            if self._ack_task.done():
+                raise ConnectionError(
+                    f"node {sender.site_id}: parent connection lost with "
+                    f"{sender.outstanding()} payloads unacknowledged"
+                )
+            if loop.time() > deadline:
+                raise TimeoutError(
+                    f"node {sender.site_id}: {sender.outstanding()} "
+                    "payloads still unacknowledged"
+                )
+            await asyncio.sleep(0.02)
+        if final is not None:
+            sender.send_telemetry(final())
+        sender.send_done()
+        await self.writer.drain()
+        # DONE is best-effort on the ARQ layer, so its delivery must be
+        # guaranteed by the close sequence: closing while unread acks
+        # sit in our receive buffer turns the close into a TCP RST,
+        # which can destroy the just-sent DONE in the parent's receive
+        # queue.  Half-close instead -- FIN is ordered after the DONE
+        # bytes -- and linger until the parent has read everything and
+        # closed its side (the ack pump sees EOF).
+        sender.close()
+        try:
+            self.writer.write_eof()
+            await asyncio.wait_for(self._ack_task, drain_timeout)
+        except (OSError, RuntimeError, asyncio.TimeoutError):
+            pass
+
+    async def close(self) -> None:
+        """Release the connection (after :meth:`finish`, or instead of
+        it when the run is abandoned)."""
+        self.sender.close()
+        self._ack_task.cancel()
+        await asyncio.gather(self._ack_task, return_exceptions=True)
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except OSError:
+            pass
+
+    async def _pump_acks(self, reader: asyncio.StreamReader) -> None:
+        decoder = StreamDecoder()
+        try:
+            while True:
+                chunk = await reader.read(_READ_CHUNK)
+                if not chunk:
+                    return
+                for envelope in decoder.feed(chunk):
+                    self.sender.handle_envelope(envelope)
+        except OSError:
+            # Parent went away; finish() notices the dead pump and
+            # reports the loss instead of draining forever.
+            return
 
 
 @dataclass(frozen=True)
@@ -260,8 +383,8 @@ async def run_site_client(
     Streams ``records`` through a :class:`~repro.core.remote.RemoteSite`
     whose emitted synopses travel over the socket with full reliability
     semantics; returns once every message is acknowledged and DONE has
-    been sent.  The optional ``observer`` instruments both the site and
-    its reliable sender.
+    been sent (:meth:`Uplink.finish`).  The optional ``observer``
+    instruments both the site and its reliable sender.
 
     With a ``federation`` publisher, the site piggybacks a telemetry
     report on the uplink every ``telemetry_interval`` seconds (checked
@@ -281,30 +404,29 @@ async def run_site_client(
     """
     observer = ensure_observer(observer)
     loop = asyncio.get_running_loop()
-    reader, writer = await asyncio.open_connection(host, port)
-    sender = ReliableSender(
-        site_id=site_id,
-        transmit=writer.write,
-        clock=AsyncioClock(loop),
+    uplink = await Uplink.connect(
+        site_id,
+        host,
+        port,
         config=config,
-        rng=np.random.default_rng(seed + 70_000 + site_id),
+        seed=seed,
         observer=observer,
+        wire_codec=wire_codec,
+        codec_config=codec_config,
     )
-    codec_sender = CodecSender(sender, get_codec(wire_codec, codec_config))
+    sender = uplink.sender
     if federation is not None:
         federation.bind_uplink(
-            lambda: sender.stats, codec_stats=lambda: codec_sender.stats
+            lambda: sender.stats,
+            codec_stats=lambda: uplink.codec_sender.stats,
         )
         federation.uplink_codec = wire_codec
-    emit = lambda message: codec_sender.send(  # noqa: E731
-        message, trace=observer.span_context()
-    )
     if site is None:
         site = RemoteSite(
             site_id,
             site_config,
             rng=np.random.default_rng(seed + site_id),
-            emit=emit,
+            emit=uplink.send,
             observer=observer,
             history=history,
         )
@@ -313,18 +435,8 @@ async def run_site_client(
             raise ValueError(
                 f"restored site has id {site.site_id}, expected {site_id}"
             )
-        site._emit = emit
+        site._emit = uplink.send
 
-    async def pump_acks() -> None:
-        decoder = StreamDecoder()
-        while True:
-            chunk = await reader.read(_READ_CHUNK)
-            if not chunk:
-                return
-            for envelope in decoder.feed(chunk):
-                sender.handle_envelope(envelope)
-
-    ack_task = asyncio.ensure_future(pump_acks())
     processed = 0
     next_flush = loop.time() + telemetry_interval
     try:
@@ -336,44 +448,15 @@ async def run_site_client(
                 if federation is not None and loop.time() >= next_flush:
                     sender.send_telemetry(federation.collect())
                     next_flush = loop.time() + telemetry_interval
-                await writer.drain()
+                await uplink.writer.drain()
                 await asyncio.sleep(0)
-        codec_sender.flush()
-        deadline = loop.time() + drain_timeout
-        while sender.outstanding() > 0:
-            if loop.time() > deadline:
-                raise TimeoutError(
-                    f"site {site_id}: {sender.outstanding()} messages "
-                    "still unacknowledged"
-                )
-            await asyncio.sleep(0.02)
-        if federation is not None:
-            # Final report: every record processed, all uploads acked.
-            sender.send_telemetry(federation.collect())
-        sender.send_done()
-        await writer.drain()
-        # DONE is best-effort on the ARQ layer, so its delivery must be
-        # guaranteed by the close sequence: closing while unread acks
-        # sit in our receive buffer turns the close into a TCP RST,
-        # which can destroy the just-sent DONE in the coordinator's
-        # receive queue.  Half-close instead -- FIN is ordered after
-        # the DONE bytes -- and linger until the coordinator has read
-        # everything and closed its side (the ack pump sees EOF).
-        sender.close()
-        try:
-            writer.write_eof()
-            await asyncio.wait_for(ack_task, drain_timeout)
-        except (OSError, RuntimeError, asyncio.TimeoutError):
-            pass
+        # Final report: every record processed, all uploads acked.
+        await uplink.finish(
+            drain_timeout,
+            final=federation.collect if federation is not None else None,
+        )
     finally:
-        sender.close()
-        ack_task.cancel()
-        await asyncio.gather(ack_task, return_exceptions=True)
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, OSError):
-            pass
+        await uplink.close()
     return site, SiteRunReport(
         records=processed,
         messages_sent=sender.stats.payloads_sent,

@@ -60,6 +60,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             CluDistreamConfig(rate=0.0)
 
+    @pytest.mark.parametrize(
+        "field", [{"rate": 500.0}, {"latency": 0.5}, {"bandwidth": 1e6}]
+    )
+    def test_link_model_fields_are_deprecated(self, field):
+        """1.5.0: nothing reads them; the channel owns the link model."""
+        with pytest.warns(DeprecationWarning, match="SimulatedChannel"):
+            CluDistreamConfig(**field)
+
+    def test_defaults_do_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            CluDistreamConfig(rate=1000.0, latency=0.01, bandwidth=None)
+
 
 class TestDirectMode:
     def test_feed_delivers_to_coordinator(self):

@@ -1,27 +1,22 @@
-"""Satellites: finite throughput figures and the extended DeliveryReport.
+"""Finite throughput figures.
 
 ``records_per_second`` used to divide by a raw ``time.time`` delta,
 which collapses to zero on fast machines and poisons benchmark JSON
 with ``inf``.  The result now clamps to ``MIN_MEASURABLE_SECONDS`` and
-flags the clamp.  ``DeliveryReport`` additionally surfaces the ARQ
-internals (max reorder-buffer depth, expired payloads) so lossy-run
-reports expose what the reliability layer actually did.
+flags the clamp.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from types import SimpleNamespace
 
-from repro.evaluation.comm import DeliveryReport, delivery_report
 from repro.evaluation.timing import (
     MIN_MEASURABLE_SECONDS,
     ThroughputResult,
     measure_throughput,
 )
 from repro.obs import Observer
-from repro.transport.reliability import ReceiverStats, SenderStats
 
 
 class TestThroughputClamp:
@@ -68,51 +63,3 @@ class TestThroughputClamp:
         assert decoded["clamped"] is True
         assert decoded["records_per_second"] == result.records_per_second
 
-
-class TestDeliveryReportInternals:
-    def make_endpoints(self):
-        sender_a = SenderStats(
-            payloads_sent=10,
-            payload_bytes=1000,
-            wire_bytes=1200,
-            retransmissions=3,
-            heartbeats_sent=2,
-            expired=1,
-        )
-        sender_b = SenderStats(
-            payloads_sent=5,
-            payload_bytes=500,
-            wire_bytes=600,
-            retransmissions=1,
-            heartbeats_sent=0,
-            expired=0,
-        )
-        receiver = ReceiverStats(
-            delivered=14,
-            duplicates_suppressed=2,
-            buffered_out_of_order=4,
-            max_reorder_depth=3,
-        )
-        endpoints = [
-            SimpleNamespace(sender=SimpleNamespace(stats=sender_a)),
-            SimpleNamespace(sender=SimpleNamespace(stats=sender_b)),
-        ]
-        coordinator = SimpleNamespace(receiver=SimpleNamespace(stats=receiver))
-        return endpoints, coordinator
-
-    def test_arq_internals_are_aggregated(self):
-        endpoints, coordinator = self.make_endpoints()
-        report = delivery_report(endpoints, coordinator)
-        assert report.retransmissions == 4
-        assert report.duplicates_suppressed == 2
-        assert report.out_of_order_buffered == 4
-        assert report.max_reorder_depth == 3
-        assert report.heartbeats == 2
-        assert report.expired == 1
-
-    def test_report_is_a_plain_value_object(self):
-        endpoints, coordinator = self.make_endpoints()
-        report = delivery_report(endpoints, coordinator)
-        assert isinstance(report, DeliveryReport)
-        clone = delivery_report(endpoints, coordinator)
-        assert report == clone

@@ -185,7 +185,6 @@ class TestNetflowWorkload:
             coordinator=CoordinatorConfig(
                 max_components=6, merge_method="moment"
             ),
-            rate=1000.0,
         )
         system = CluDistream(config, seed=0)
         streams = {
@@ -195,7 +194,7 @@ class TestNetflowWorkload:
             )
             for i in range(2)
         }
-        channel = SimulatedChannel(rate=config.rate)
+        channel = SimulatedChannel(rate=1000.0)
         report = system.runtime(channel).run(
             streams, max_records_per_site=2000
         )

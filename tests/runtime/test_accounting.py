@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-from repro.evaluation.comm import DeliveryReport
 from repro.runtime.accounting import DeliveryAccounting
 
 
@@ -48,41 +47,3 @@ class TestMerge:
         assert payload["dropped"] == 1
         assert DeliveryAccounting(**payload) == accounting
 
-
-class TestDeliveryReportBridge:
-    def make_report(self, **overrides) -> DeliveryReport:
-        base = dict(
-            messages_sent=10,
-            messages_delivered=10,
-            payload_bytes=1000,
-            wire_bytes=1400,
-            ack_bytes=200,
-            retransmissions=3,
-            duplicates_suppressed=2,
-            out_of_order_buffered=1,
-            max_reorder_depth=1,
-            heartbeats=0,
-            expired=0,
-        )
-        base.update(overrides)
-        return DeliveryReport(**base)
-
-    def test_accounting_maps_the_shared_fields(self):
-        accounting = self.make_report().accounting
-        assert accounting.attempted == 10
-        assert accounting.delivered == 10
-        assert accounting.payload_bytes == 1000
-        assert accounting.wire_bytes == 1400
-        assert accounting.ack_bytes == 200
-        assert accounting.retransmissions == 3
-        assert accounting.duplicates_suppressed == 2
-
-    def test_derived_properties_agree_with_the_accounting(self):
-        report = self.make_report()
-        assert report.overhead_ratio == report.accounting.overhead_ratio
-        assert (
-            report.delivered_exactly_once
-            == report.accounting.delivered_exactly_once
-        )
-        short = self.make_report(messages_delivered=9)
-        assert not short.delivered_exactly_once

@@ -18,7 +18,6 @@ from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
-from repro.evaluation.comm import delivery_report
 from repro.io.checkpoint import snapshot_coordinator
 from repro.runtime import (
     ChannelFaults,
@@ -185,21 +184,6 @@ class TestTransportFaultsHealed:
         # The reliability layer healed every injected fault.
         assert accounting.delivered == accounting.attempted
         assert accounting.delivered_exactly_once
-
-        # Cross-meter consistency: the endpoint-level DeliveryReport
-        # agrees with the channel accounting on every shared field.
-        report = delivery_report(
-            channel.endpoints, channel.coordinator_endpoint
-        ).accounting
-        assert report.attempted == accounting.attempted
-        assert report.delivered == accounting.delivered
-        assert report.payload_bytes == accounting.payload_bytes
-        assert report.wire_bytes == accounting.wire_bytes
-        assert report.ack_bytes == accounting.ack_bytes
-        assert report.retransmissions == accounting.retransmissions
-        assert (
-            report.duplicates_suppressed == accounting.duplicates_suppressed
-        )
 
     def test_faulty_transport_converges_to_lossless_state(self):
         def run(faults):

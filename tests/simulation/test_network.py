@@ -128,8 +128,8 @@ class TestStarNetwork:
         network.finalize()
         first_total = network.cost.total
         # More traffic later: a later finalize picks it up exactly once.
-        engine.schedule_after(
-            2.0, lambda: network.channel_for(0).send(message(0))
+        engine.schedule_at(
+            engine.now + 2.0, lambda: network.channel_for(0).send(message(0))
         )
         engine.run()
         network.finalize()

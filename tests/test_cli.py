@@ -754,3 +754,152 @@ class TestHistoryFlags:
         )
         assert status == 2
         assert "invalid --history settings" in capsys.readouterr().err
+
+
+class TestFlagSurface:
+    """The flag surface is frozen: ``tests/data/cli_flag_surface.json``
+    lists every flag of every subcommand as (option strings, default,
+    type, choices).  Adding, renaming or re-defaulting one is a diff of
+    that file, never a side effect of a refactor."""
+
+    @staticmethod
+    def surface() -> dict:
+        import argparse
+
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return {
+            name: sorted(
+                [
+                    list(action.option_strings) or [action.dest],
+                    action.default,
+                    action.type.__name__ if action.type else None,
+                    list(action.choices) if action.choices else None,
+                ]
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            )
+            for name, parser in subparsers.choices.items()
+        }
+
+    def test_matches_the_checked_in_table(self):
+        from pathlib import Path
+
+        table = json.loads(
+            (Path(__file__).parent / "data" / "cli_flag_surface.json")
+            .read_text()
+        )
+        surface = self.surface()
+        assert list(surface) == list(table)
+        for command, flags in table.items():
+            assert surface[command] == flags, command
+        assert sum(len(flags) for flags in surface.values()) == 111
+
+
+class TestContradictoryFlags:
+    """A flag combination that cannot take effect gets one answer on
+    every subcommand: exit 2 and one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["serve", "--timeout", "1"],
+            ["site", "--port", "1"],
+            ["cluster", "--sites", "2"],
+        ],
+        ids=["serve", "site", "cluster"],
+    )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--quantize", "f32"], "quantization needs --wire-codec cds2"),
+            (["--quantize", "f16"], "quantization needs --wire-codec cds2"),
+            (["--delta-encoding"], "delta needs --wire-codec cds2"),
+        ],
+        ids=["f32", "f16", "delta"],
+    )
+    def test_codec_flags_without_cds2(self, command, flags, message, capsys):
+        assert main(command + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("invalid codec flags: ")
+        assert message in line
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["run", "--checkpoint-every", "3"],
+                "--checkpoint-every requires --checkpoint-dir",
+            ),
+            (["run", "--resume"], "--resume requires --checkpoint-dir"),
+            (["serve", "--resume"], "--resume requires --checkpoint-dir"),
+            (
+                ["site", "--port", "1", "--resume"],
+                "--resume requires --checkpoint-dir",
+            ),
+            (
+                ["cluster", "--telemetry-interval", "0"],
+                "invalid --telemetry-interval: must be positive",
+            ),
+            (
+                ["cluster", "--sites", "0"],
+                "invalid topology: sites must be at least 1",
+            ),
+        ],
+    )
+    def test_usage_errors_are_one_line(self, argv, line, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+    def test_cds2_makes_the_same_flags_legal(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        status = main(
+            ["cluster", "--sites", "2", "--wire-codec", "cds2",
+             "--quantize", "f16", "--delta-encoding",
+             "--write-spec", str(path)]
+        )
+        assert status == 0
+        assert path.exists()
+
+
+class TestSiteAgainstADeadCoordinator:
+    def test_coordinator_closing_mid_run_exits_one(self, capsys):
+        """A peer that reads 100 bytes and closes: the site notices at
+        its drain instead of waiting out the 60 s drain timeout."""
+        import socket
+        import threading
+        import time
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+
+        def read_a_little_and_close():
+            connection, _ = listener.accept()
+            connection.recv(100)
+            connection.close()
+
+        thread = threading.Thread(target=read_a_little_and_close)
+        thread.start()
+        start = time.monotonic()
+        try:
+            status = main(
+                ["site", "--port", str(port), "--records", "200",
+                 "--chunk", "200", "--clusters", "2", "--dim", "2"]
+            )
+        finally:
+            thread.join()
+            listener.close()
+        assert status == 1
+        assert time.monotonic() - start < 10.0
+        err = capsys.readouterr().err
+        assert f"cannot reach coordinator at 127.0.0.1:{port}" in err
+        assert "unacknowledged" in err

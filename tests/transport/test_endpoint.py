@@ -10,7 +10,7 @@ import pytest
 from repro.core.coordinator import Coordinator
 from repro.core.mixture import Gaussian, GaussianMixture
 from repro.core.protocol import ModelUpdateMessage, WeightUpdateMessage
-from repro.evaluation.comm import delivery_report
+from repro.runtime.accounting import DeliveryAccounting
 from repro.transport.clock import ManualClock
 from repro.transport.endpoint import (
     CoordinatorEndpoint,
@@ -180,6 +180,8 @@ class TestConnectSystemAndDrain:
 
 
 class TestDeliveryReport:
+    """``DeliveryAccounting.from_endpoints``: the one delivery meter."""
+
     def test_aggregates_sender_and_receiver_stats(self):
         clock = ManualClock()
         transport = LossyTransport(
@@ -201,9 +203,11 @@ class TestDeliveryReport:
                 site._emit(message)
         drain(clock, endpoints)
 
-        report = delivery_report(endpoints, coordinator_endpoint)
-        assert report.messages_sent == len(messages)
-        assert report.messages_delivered == len(messages)
+        report = DeliveryAccounting.from_endpoints(
+            endpoints, coordinator_endpoint
+        )
+        assert report.attempted == len(messages)
+        assert report.delivered == len(messages)
         assert report.delivered_exactly_once
         assert report.payload_bytes == sum(m.payload_bytes() for m in messages)
         assert report.wire_bytes > report.payload_bytes

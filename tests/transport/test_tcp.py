@@ -5,12 +5,23 @@ from __future__ import annotations
 import asyncio
 
 import numpy as np
+import pytest
 
+from repro.cluster.aggregator import AggregatorServer
 from repro.core.coordinator import Coordinator
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
+from repro.multilayer.tree import InternalNode
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
+from repro.transport.framing import (
+    KIND_ACK,
+    KIND_DATA,
+    KIND_DONE,
+    Envelope,
+    StreamDecoder,
+    encode_envelope,
+)
 from repro.transport.reliability import ReliabilityConfig
 from repro.transport.tcp import CoordinatorServer, run_site_client
 
@@ -96,3 +107,185 @@ class TestTcpEndToEnd:
             return done
 
         assert asyncio.run(scenario()) is False
+
+
+# ----------------------------------------------------------------------
+# Uplink failure paths: the site client and the aggregator uplink run
+# one close sequence and must fail the same way.
+# ----------------------------------------------------------------------
+class ScriptedParent:
+    """A TCP peer that follows a script instead of the ARQ protocol.
+
+    It records every envelope it reads.  ``close_after`` closes the
+    connection after reading that many bytes; ``ack=False`` reads
+    forever and never answers; ``trickle`` keeps writing copies of each
+    ack *without reading* for a while, so the client still has acks
+    arriving (and unread) when it sends DONE and closes.
+    """
+
+    def __init__(self, close_after=None, ack=True, trickle=0):
+        self.close_after = close_after
+        self.ack = ack
+        self.trickle = trickle
+        self.envelopes = []
+        self.reset = False
+        self.eof = asyncio.Event()
+        self._server = None
+
+    async def start(self) -> int:
+        self._server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        return self._server.sockets[0].getsockname()[1]
+
+    async def close(self) -> None:
+        self._server.close()
+        await self._server.wait_closed()
+
+    def kinds(self) -> list[int]:
+        return [envelope.kind for envelope in self.envelopes]
+
+    def first_data_seq(self) -> int:
+        return next(e.seq for e in self.envelopes if e.kind == KIND_DATA)
+
+    async def _handle(self, reader, writer) -> None:
+        decoder = StreamDecoder()
+        try:
+            if self.close_after is not None:
+                await reader.read(self.close_after)
+                return
+            while True:
+                chunk = await reader.read(1 << 16)
+                if not chunk:
+                    return
+                for envelope in decoder.feed(chunk):
+                    self.envelopes.append(envelope)
+                    if not self.ack or envelope.kind != KIND_DATA:
+                        continue
+                    frame = encode_envelope(
+                        Envelope(
+                            kind=KIND_ACK,
+                            site_id=envelope.site_id,
+                            seq=envelope.seq,
+                        )
+                    )
+                    writer.write(frame)
+                    for _ in range(self.trickle):
+                        await writer.drain()
+                        await asyncio.sleep(0.01)
+                        writer.write(frame)
+        except ConnectionError:
+            self.reset = True
+        finally:
+            self.eof.set()
+            writer.close()
+
+
+def one_chunk() -> np.ndarray:
+    """Exactly one chunk: one synopsis goes out with the last record, so
+    nothing is written after it and only the close sequence can notice
+    what the parent did."""
+    return site_records(0, n=100)
+
+
+def make_aggregator(arq=None) -> AggregatorServer:
+    node = InternalNode(node_id=5, coordinator=Coordinator(), parent_id=0)
+    return AggregatorServer(
+        node, expected_children=0, level=1, config=fast_reliability(), arq=arq
+    )
+
+
+async def run_site(port: int, drain_timeout: float):
+    return await run_site_client(
+        0,
+        one_chunk(),
+        "127.0.0.1",
+        port,
+        site_config(),
+        config=fast_reliability(),
+        drain_timeout=drain_timeout,
+    )
+
+
+async def run_aggregator(port: int, drain_timeout: float, arq=None):
+    server = make_aggregator(arq)
+    await server.start()
+    try:
+        await server.connect_uplink("127.0.0.1", port)
+        server.uplink.send_payload(b"upload")
+        await server.finish_uplink(drain_timeout)
+    finally:
+        await server.close()
+
+
+CLIENTS = pytest.mark.parametrize(
+    "client", [run_site, run_aggregator], ids=["site", "aggregator"]
+)
+
+
+def against(parent: ScriptedParent, client, drain_timeout: float, **kwargs):
+    """Run ``client`` against ``parent``; returns (error, seconds)."""
+
+    async def scenario():
+        port = await parent.start()
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        error = None
+        try:
+            await client(port, drain_timeout, **kwargs)
+        except Exception as exc:  # noqa: BLE001  -- the test inspects it
+            error = exc
+        elapsed = loop.time() - start
+        if error is None:
+            await asyncio.wait_for(parent.eof.wait(), 5.0)
+        await parent.close()
+        return error, elapsed
+
+    return asyncio.run(scenario())
+
+
+class TestUplinkFailurePaths:
+    @CLIENTS
+    def test_parent_closing_with_payloads_unacked_is_a_connection_error(
+        self, client
+    ):
+        error, elapsed = against(
+            ScriptedParent(close_after=100), client, drain_timeout=5.0
+        )
+        assert isinstance(error, ConnectionError), repr(error)
+        assert elapsed < 2.0
+
+    @CLIENTS
+    def test_parent_that_never_acks_times_the_drain_out(self, client):
+        error, elapsed = against(
+            ScriptedParent(ack=False), client, drain_timeout=0.5
+        )
+        assert isinstance(error, TimeoutError), repr(error)
+        assert 0.5 <= elapsed < 3.0
+
+    @CLIENTS
+    def test_done_survives_acks_left_unread_at_close(self, client):
+        """The RST hazard: acks keep arriving while the client sends
+        DONE and closes.  Half-close plus linger keeps them from
+        resetting the connection under the parent's unread DONE."""
+        parent = ScriptedParent(trickle=30)
+        error, _ = against(parent, client, drain_timeout=5.0)
+        assert error is None, repr(error)
+        assert not parent.reset
+        assert parent.kinds()[-1] == KIND_DONE
+
+    def test_site_numbers_its_first_envelope_one(self):
+        parent = ScriptedParent()
+        error, _ = against(parent, run_site, drain_timeout=5.0)
+        assert error is None, repr(error)
+        assert parent.first_data_seq() == 1
+
+    def test_resumed_aggregator_continues_its_uplink_sequence(self):
+        parent = ScriptedParent()
+        error, _ = against(
+            parent,
+            run_aggregator,
+            drain_timeout=5.0,
+            arq={"uplink_next_seq": 7, "cursors": {}},
+        )
+        assert error is None, repr(error)
+        assert parent.first_data_seq() == 7
+        assert parent.envelopes[0].seq == 7
