@@ -62,12 +62,6 @@ class CluDistreamConfig:
         Per-site configuration (shared by all sites).
     coordinator:
         Coordinator configuration.
-    rate / latency / bandwidth:
-        Deprecated in 1.5.0, removed in the next release: nothing reads
-        them.  The link model belongs to the channel --
-        ``SimulatedChannel(rate=..., latency=..., bandwidth=...)``, whose
-        defaults are these fields' defaults.  Setting one away from its
-        default emits a ``DeprecationWarning``.
     incremental:
         System-wide escalation policy switch for the site refit ladder
         (DESIGN.md section 14).  ``True`` / ``False`` force
@@ -78,26 +72,11 @@ class CluDistreamConfig:
     n_sites: int = 20
     site: RemoteSiteConfig = field(default_factory=RemoteSiteConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
-    rate: float = 1000.0
-    latency: float = 0.01
-    bandwidth: float | None = None
     incremental: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise ValueError("need at least one remote site")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
-        if (self.rate, self.latency, self.bandwidth) != (1000.0, 0.01, None):
-            import warnings
-
-            warnings.warn(
-                "CluDistreamConfig.rate / latency / bandwidth are deprecated "
-                "and unread; pass them to SimulatedChannel(rate=..., "
-                "latency=..., bandwidth=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if (
             self.incremental is not None
             and self.incremental != self.site.em.incremental

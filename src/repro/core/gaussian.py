@@ -98,8 +98,8 @@ class Gaussian:
         per-axis variances, ``diagonal`` one flag or one per member.
         Returns the components -- each bit for bit ``Gaussian(means[j],
         covariances[j], diagonal)``, as views of shared arrays -- and the
-        ``(means, L⁻¹, log-dets)`` stacks
-        :func:`~repro.numerics.linalg.batch_log_pdf` reads.
+        ``(means, L⁻¹, log-dets)`` stacks a mixture derives the constants
+        of :func:`~repro.numerics.linalg.batch_log_pdf` from.
         """
         means = np.array(means, dtype=float, ndmin=2)
         covs = np.asarray(covariances, dtype=float)

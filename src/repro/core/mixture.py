@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.gaussian import BYTES_PER_FLOAT, Gaussian
-from repro.numerics.linalg import batch_log_pdf, shifted_exp
+from repro.numerics.linalg import LOG_2PI, batch_log_pdf, shifted_exp
 
 __all__ = ["EStep", "GaussianMixture"]
 
@@ -32,15 +32,21 @@ __all__ = ["EStep", "GaussianMixture"]
 LOG_DENSITY_FLOOR = -745.0  # ~ log(smallest positive double)
 
 
+def _records(points: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
 class EStep:
     """One density pass of a mixture over a chunk (paper section 3.2).
 
     The posteriors ``Pr(j|x)`` and the likelihood come from the same
     matrix ``weighted = log(w_j p(x_i|j))``, shape ``(n, K)``; so do the
     fit test and a model's reference statistics.  An ``EStep`` holds the
-    matrix and its one reduction (:func:`~repro.numerics.linalg.shifted_exp`,
-    over ``K`` contiguous rows) and derives each of them from that only
-    when asked, the two arrays at most once.
+    matrix -- from :meth:`GaussianMixture.e_step`, the transposed view of
+    ``K`` contiguous rows -- and its one reduction
+    (:func:`~repro.numerics.linalg.shifted_exp`, over those rows) and
+    derives each of them from that only when asked, the two arrays at
+    most once.
 
     It is handed on as an argument and dropped with the chunk, never
     cached on the mixture: a memo keyed on the chunk array goes stale
@@ -94,9 +100,11 @@ class EStep:
     @property
     def log_likelihood(self) -> float:
         """``AvgPr`` of the chunk under the mixture (Definition 1)."""
-        if self.weighted.shape[0] == 0:
+        n = self.weighted.shape[0]
+        if n == 0:
             raise ValueError("cannot average over an empty data set")
-        return float(np.mean(self.log_density))
+        # ``np.mean``'s own sum and division, without its dispatch.
+        return float(np.add.reduce(self.log_density) / n)
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,7 @@ class GaussianMixture:
     components: tuple[Gaussian, ...]
     _pooled: list = field(default_factory=list, init=False, repr=False, compare=False)
     _batch: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _kernel: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float).ravel()
@@ -169,7 +178,7 @@ class GaussianMixture:
         """Build all ``K`` components at once (:meth:`Gaussian.stack`:
         one regularise-and-factor for the ``(K, d, d)`` stack) and keep
         the kernel stack that came with them, so the first density pass
-        has nothing left to assemble."""
+        has nothing left to assemble (:meth:`_row_kernel`)."""
         components, kernel_stack = Gaussian.stack(means, covariances, diagonal)
         mixture = cls(weights, components)
         mixture._batch.append(kernel_stack)
@@ -205,51 +214,63 @@ class GaussianMixture:
     # ------------------------------------------------------------------
     # Densities and posteriors
     # ------------------------------------------------------------------
-    def _batch_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked ``(means, L⁻¹s, log-dets)`` of all components.
+    def _row_kernel(self) -> tuple[np.ndarray, ...]:
+        """``(whitener_t, shift, constants, log w)``: the constants of
+        :func:`~repro.numerics.linalg.batch_log_pdf`.
 
-        Computed once per mixture and cached (mixtures are immutable),
-        so every density evaluation -- E-step iterations, fit tests,
-        anomaly scoring -- reuses the same Cholesky-derived whitening
-        matrices.  Archived models on a remote site keep their stacks
-        across chunks: the multi-test ``c_max`` path never re-factorises
-        a covariance it has tested before.
+        Derived once per mixture (mixtures are immutable) from the
+        ``(means, L⁻¹, log-dets)`` kernel stack :meth:`from_stacks` kept,
+        or else from the components' cached factors, so every density
+        pass -- E-step iterations, fit tests, anomaly scoring -- is the
+        pass alone.  Archived models on a remote site keep theirs across
+        chunks: the multi-test ``c_max`` path never re-factorises a
+        covariance it has tested before.
         """
-        if not self._batch:
-            means = np.stack([c.mean for c in self.components])
-            inv_chols = np.stack(
-                [c.factors.inverse_cholesky() for c in self.components]
+        if not self._kernel:
+            means, inverses, log_dets = self._batch[0] if self._batch else (
+                np.stack([c.mean for c in self.components]),
+                np.stack([c.factors.inverse_cholesky() for c in self.components]),
+                np.array([c.log_det for c in self.components]),
             )
-            log_dets = np.array([c.log_det for c in self.components])
-            self._batch.append((means, inv_chols, log_dets))
-        return self._batch[0]
+            n_components, dim = means.shape
+            with np.errstate(divide="ignore"):
+                log_weights = np.log(self.weights)
+            self._kernel.append((
+                np.ascontiguousarray(inverses.reshape(n_components * dim, dim)).T,
+                # On the stack as stored: this sum's order follows its strides.
+                np.einsum("kde,ke->kd", inverses, means),
+                dim * LOG_2PI + log_dets,
+                log_weights,
+            ))
+        return self._kernel[0]
 
     def component_log_pdf(self, points: np.ndarray) -> np.ndarray:
-        """Matrix of ``log p(x|j)`` values, shape ``(n, K)``.
+        """Matrix of ``log p(x|j)`` values, shape ``(n, K)``, C order.
 
         Evaluated by the batched kernel
-        :func:`repro.numerics.linalg.batch_log_pdf` -- one einsum over
+        :func:`repro.numerics.linalg.batch_log_pdf` -- one GEMM over
         all ``K`` components instead of ``K`` separate triangular
         solves.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        means, inv_chols, log_dets = self._batch_factors()
-        return batch_log_pdf(points, means, inv_chols, log_dets)
+        whitener_t, shift, constants, _ = self._row_kernel()
+        rows = batch_log_pdf(_records(points), whitener_t, shift, constants)
+        return np.ascontiguousarray(rows.T)
 
     def weighted_log_pdf(self, points: np.ndarray) -> np.ndarray:
-        """Matrix of ``log(w_j p(x|j))`` values, shape ``(n, K)``.
+        """Matrix of ``log(w_j p(x|j))`` values, shape ``(n, K)``, C order.
 
         Zero-weight components contribute ``-inf`` columns, matching the
         convention that they cannot generate data.
         """
-        with np.errstate(divide="ignore"):
-            log_weights = np.log(self.weights)
-        return self.component_log_pdf(points) + log_weights[None, :]
+        rows = batch_log_pdf(_records(points), *self._row_kernel())
+        return np.ascontiguousarray(rows.T)
 
     def e_step(self, points: np.ndarray) -> EStep:
         """The one density pass over ``points`` that every likelihood
-        and posterior below is read from."""
-        return EStep(self.weights, self.weighted_log_pdf(points))
+        and posterior below is read from: the rows of
+        :meth:`weighted_log_pdf`, reduced where they are written."""
+        rows = batch_log_pdf(_records(points), *self._row_kernel())
+        return EStep(self.weights, rows.T)
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
         """Mixture log density ``log p(x)`` per row (eq. 1), floored.
@@ -270,7 +291,8 @@ class GaussianMixture:
         Rows always sum to one.  In the deep tail of every component the
         computation stays stable: the relatively-closest component wins
         (a numerically hard assignment); a row whose every weighted log
-        density is ``-inf`` falls back to the mixture weights.
+        density is ``-inf`` falls back to the mixture weights.  An entry
+        below the smallest normal double is exactly 0, never subnormal.
         """
         return self.e_step(points).responsibilities
 

@@ -115,9 +115,11 @@ def average_log_likelihood(
 
 
 def _average(values: np.ndarray) -> float:
-    if values.shape[0] == 0:
+    n = values.shape[0]
+    if n == 0:
         raise ValueError("cannot average over an empty data set")
-    return float(np.mean(values))
+    # ``np.mean``'s own sum and division, without its dispatch.
+    return float(np.add.reduce(values) / n)
 
 
 def log_density_spread(

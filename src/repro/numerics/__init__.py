@@ -24,7 +24,6 @@ from repro.numerics.linalg import (
     LogCholeskyL1Loss,
     SPDFactors,
     batch_log_pdf,
-    batch_mahalanobis_sq,
     ensure_spd,
     log_cholesky_index,
     mahalanobis_sq,
@@ -39,7 +38,6 @@ __all__ = [
     "NelderMeadResult",
     "SPDFactors",
     "batch_log_pdf",
-    "batch_mahalanobis_sq",
     "ensure_spd",
     "l1_density_distance",
     "log_cholesky_index",

@@ -22,10 +22,10 @@ import numpy as np
 
 __all__ = [
     "LOG_2PI",
+    "LOG_TINY",
     "LogCholeskyL1Loss",
     "SPDFactors",
     "batch_log_pdf",
-    "batch_mahalanobis_sq",
     "ensure_spd",
     "log_cholesky_index",
     "mahalanobis_sq",
@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+#: ``log`` of the smallest normal double: ``exp`` of anything below it is
+#: subnormal or 0 (:func:`shifted_exp` makes it 0).
+LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 #: Default ridge added (relative to the mean diagonal) when a covariance
 #: matrix fails its Cholesky factorisation.
@@ -214,11 +218,11 @@ class SPDFactors:
     def inverse_cholesky(self) -> np.ndarray:
         """Lower-triangular ``L⁻¹``, computed lazily and cached.
 
-        This is the whitening matrix of the batched density kernels
+        This is the whitening matrix of the batched density kernel
         (:func:`batch_log_pdf`): stacking each component's ``L⁻¹`` lets
-        one ``einsum`` evaluate every component's Mahalanobis distance
-        at once, and the cache means repeated chunk tests against the
-        same archived model never re-factorise anything.
+        one GEMM whiten the records against every component at once,
+        and the cache means repeated chunk tests against the same
+        archived model never re-factorise anything.
         """
         if not self._inverse_cholesky:
             inv = _solve_factor(self.cholesky, np.eye(self.dim))
@@ -257,15 +261,15 @@ def spd_factorize_stack(
     the read-only stacks ``(Σ, L, log|Σ|, L⁻¹)``: member ``j`` of each is
     bit for bit what ``spd_factorize(matrices[j])`` holds.  The members
     share one finiteness scan and one ``cholesky`` call; ``L⁻¹`` is
-    filled in here because it is the whitening stack of
-    :func:`batch_log_pdf`, which a mixture needs at its first density
-    pass anyway."""
+    filled in here because the constants of :func:`batch_log_pdf` are
+    derived from it, which a mixture needs at its first density pass
+    anyway."""
     covariances, choleskys = _regularized_factors(matrices, ridge)
     log_dets = 2.0 * np.log(choleskys.diagonal(0, -2, -1)).sum(axis=-1)
     identity = np.eye(choleskys.shape[-1])
     # Each L⁻¹ in Fortran order, as ``trtrs`` returns it and as
     # ``numpy.stack`` used to keep it: the layout decides the order in
-    # which the kernel's ``einsum`` adds.
+    # which the shift's ``einsum`` adds.
     inverses = np.empty_like(choleskys).transpose(0, 2, 1)
     for inverse, factor in zip(inverses, choleskys):
         inverse[...] = _solve_factor(factor, identity)
@@ -314,83 +318,74 @@ def shifted_exp(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(peak, finite, scaled, totals)`` of an ``(n, K)`` matrix of log
     values: ``exp(values - peak)`` along each row with its sum -- the
     one log-sum-exp, which a mixture's E-step reads everything from.
-    ``values`` is copied once into ``K`` contiguous rows, so the peak,
-    the shift, the ``exp`` and the sums each run over whole rows;
-    ``scaled`` comes back in that ``(K, n)`` layout.  ``peak`` is the
-    true maximum and ``finite`` says where it is finite; elsewhere the
-    shift is 0, so an all ``-inf`` row of ``values`` gives zeros and a
-    zero total rather than ``nan``.
+    It reads ``values.T`` -- ``K`` contiguous rows when ``values`` is
+    the row kernel's transposed view (:func:`batch_log_pdf`) -- so the
+    peak, the shift, the ``exp`` and the sums each run over whole rows,
+    and the shift writes ``scaled`` in that ``(K, n)`` layout.  ``peak``
+    is the true maximum and ``finite`` says where it is finite;
+    elsewhere the shift is 0, so an all ``-inf`` row of ``values`` gives
+    zeros and a zero total rather than ``nan``.
+
+    Shifted values below :data:`LOG_TINY` are stored as ``-inf`` before
+    the ``exp``: their terms are exactly 0 instead of subnormal, which
+    ``exp`` is slow to produce.  Every total holds the peak's term 1,
+    beside which such a term rounds away, so the totals keep their bits
+    (DESIGN.md section 10.2); only entries of ``scaled`` under ``tiny``
+    change.
 
     The ``K`` rows are added strictly left to right -- for fewer than
     eight the order of ``numpy.sum`` along the strided axis too; from
     eight on numpy adds that axis in blocks of eight and the totals
     differ in the last bits (DESIGN.md section 10.2).
     """
-    scaled = np.array(values.T, dtype=float, order="C")
-    peak = np.maximum.reduce(scaled, axis=0)
+    rows = values.T
+    peak = np.maximum.reduce(rows, axis=0)
     finite = np.isfinite(peak)
-    scaled -= peak if finite.all() else np.where(finite, peak, 0.0)
+    shift = peak if finite.all() else np.where(finite, peak, 0.0)
+    scaled = np.subtract(rows, shift, order="C")
+    np.putmask(scaled, scaled < LOG_TINY, -np.inf)
     np.exp(scaled, out=scaled)
     return peak, finite, scaled, np.add.reduce(scaled, axis=0)
 
 
-def batch_mahalanobis_sq(
-    points: np.ndarray,
-    means: np.ndarray,
-    inverse_choleskys: np.ndarray,
-) -> np.ndarray:
-    """Squared Mahalanobis distances to ``k`` Gaussians in one pass.
-
-    Parameters
-    ----------
-    points:
-        Records of shape ``(n, d)``.
-    means:
-        Component means, shape ``(k, d)``.
-    inverse_choleskys:
-        Stacked whitening matrices ``L_j⁻¹``, shape ``(k, d, d)``
-        (see :meth:`SPDFactors.inverse_cholesky`).
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(n, k)``: entry ``[i, j]`` is the squared Mahalanobis
-        distance of record ``i`` from component ``j``.
-
-    Notes
-    -----
-    The whitened coordinates are ``L_j⁻¹ x - L_j⁻¹ μ_j``; the shift
-    ``L_j⁻¹ μ_j`` is formed once per component, and the records are
-    whitened against *all* components by one ``(n, d) @ (d, k·d)``
-    matrix product (a single BLAS GEMM) instead of ``k`` triangular
-    solves.  This is the E-step kernel: one call replaces the per-
-    component ``Gaussian.log_pdf`` loop.
-    """
-    points = np.asarray(points, dtype=float)
-    inverse_choleskys = np.asarray(inverse_choleskys, dtype=float)
-    k, d = inverse_choleskys.shape[0], inverse_choleskys.shape[1]
-    shift = np.einsum("kde,ke->kd", inverse_choleskys, means)
-    stacked = np.ascontiguousarray(inverse_choleskys.reshape(k * d, d))
-    whitened = (points @ stacked.T).reshape(points.shape[0], k, d)
-    whitened -= shift[None, :, :]
-    return np.einsum("nkd,nkd->nk", whitened, whitened)
-
-
 def batch_log_pdf(
     points: np.ndarray,
-    means: np.ndarray,
-    inverse_choleskys: np.ndarray,
-    log_dets: np.ndarray,
+    whitener_t: np.ndarray,
+    shift: np.ndarray,
+    constants: np.ndarray,
+    log_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Matrix of per-component log densities, shape ``(n, k)``.
+    """``log p(x|j)``, or ``log(w_j p(x|j))`` given ``log_weights``, as
+    ``K`` contiguous rows: shape ``(K, n)``, C order.
 
-    The batched equivalent of stacking ``k`` ``Gaussian.log_pdf`` calls:
-    ``-0.5 (d log 2π + log |Σ_j| + maha²(x, j))`` for every record and
-    component at once.  ``log_dets`` has shape ``(k,)``.
+    The batched equivalent of ``K`` ``Gaussian.log_pdf`` calls,
+    ``-0.5 (d log 2π + log |Σ_j| + ‖L_j⁻¹x - L_j⁻¹μ_j‖²)``, over
+    constants a mixture derives once (``GaussianMixture._row_kernel``):
+
+    whitener_t:
+        ``(d, K·d)``: the transpose of the C-contiguous ``(K·d, d)``
+        stack of every ``L_j⁻¹``.  The records are whitened against all
+        components by one GEMM, ``points @ whitener_t``; its operand
+        layout picks the BLAS kernel, hence the bits.
+    shift:
+        ``(K, d)``: ``L_j⁻¹ μ_j``.
+    constants:
+        ``(K,)``: ``d log 2π + log |Σ_j|``.
+
+    The squared norms are written straight into the rows, through their
+    ``(n, K)`` transpose: ``einsum``'s own ``(n, K)`` result, in the same
+    order of additions.
     """
-    dim = np.asarray(points).shape[-1]
-    dist_sq = batch_mahalanobis_sq(points, means, inverse_choleskys)
-    return -0.5 * (dim * LOG_2PI + np.asarray(log_dets)[None, :] + dist_sq)
+    n_components, dim = shift.shape
+    whitened = (points @ whitener_t).reshape(points.shape[0], n_components, dim)
+    whitened -= shift
+    rows = np.empty((n_components, points.shape[0]))
+    np.einsum("nkd,nkd->nk", whitened, whitened, out=rows.T)
+    rows += constants[:, None]
+    rows *= -0.5
+    if log_weights is not None:
+        rows += log_weights[:, None]
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ and handed on:
 * ``regularize_covariance`` factors Σ to test it and ``spd_factorize``
   factors the accepted Σ again;
 * ``log_pdf`` and ``posterior`` each evaluate the weighted log-density
-  matrix and reduce it on their own;
+  matrix and reduce it on their own (under the same floor rule: a term
+  whose shifted log is under ``log(tiny)`` is 0, not subnormal);
 * the EM loop and ``incremental_em`` evaluate every iterate twice (the
   likelihood that decides convergence, then the posterior of the same
   mixture), and the M-step's starvation re-seed a third time;
@@ -54,6 +55,7 @@ from repro.core.suffstats import SufficientStats
 from repro.core.testing import FitTestResult, LikelihoodVariant
 from repro.numerics.linalg import (
     DEFAULT_RIDGE,
+    LOG_TINY,
     PIVOT_FLOOR,
     VARIANCE_FLOOR,
     SPDFactors,
@@ -115,12 +117,19 @@ def oracle_spd_factorize(
 # ----------------------------------------------------------------------
 # core.mixture
 # ----------------------------------------------------------------------
+def _floored(shifted: np.ndarray) -> np.ndarray:
+    """The floor rule: a shifted value under ``log(tiny)`` is ``-inf``,
+    so its term is 0 rather than subnormal."""
+    shifted[shifted < LOG_TINY] = -np.inf
+    return shifted
+
+
 def oracle_log_pdf(mixture: GaussianMixture, points: np.ndarray) -> np.ndarray:
     """Floored mixture log density through its own log-sum-exp."""
     values = mixture.weighted_log_pdf(points)
     peak = np.max(values, axis=1, keepdims=True)
     safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    summed = np.sum(np.exp(values - safe_peak), axis=1)
+    summed = np.sum(np.exp(_floored(values - safe_peak)), axis=1)
     out = np.squeeze(safe_peak, axis=1) + np.log(summed)
     finite = np.squeeze(np.isfinite(peak), axis=1)
     return np.maximum(np.where(finite, out, -np.inf), LOG_DENSITY_FLOOR)
@@ -131,7 +140,7 @@ def oracle_posterior(mixture: GaussianMixture, points: np.ndarray) -> np.ndarray
     weighted = mixture.weighted_log_pdf(points)
     peak = np.max(weighted, axis=1, keepdims=True)
     finite = np.isfinite(peak).ravel()
-    probs = np.exp(weighted - np.where(np.isfinite(peak), peak, 0.0))
+    probs = np.exp(_floored(weighted - np.where(np.isfinite(peak), peak, 0.0)))
     totals = probs.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         posterior = probs / totals

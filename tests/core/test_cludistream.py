@@ -27,7 +27,6 @@ def fast_config(n_sites: int = 3) -> CluDistreamConfig:
         coordinator=CoordinatorConfig(
             max_components=4, merge_method="moment"
         ),
-        rate=1000.0,
     )
 
 
@@ -57,15 +56,14 @@ class TestConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             CluDistreamConfig(n_sites=0)
-        with pytest.raises(ValueError):
-            CluDistreamConfig(rate=0.0)
 
     @pytest.mark.parametrize(
         "field", [{"rate": 500.0}, {"latency": 0.5}, {"bandwidth": 1e6}]
     )
-    def test_link_model_fields_are_deprecated(self, field):
-        """1.5.0: nothing reads them; the channel owns the link model."""
-        with pytest.warns(DeprecationWarning, match="SimulatedChannel"):
+    def test_link_model_fields_are_unknown_keywords(self, field):
+        """Deprecated in 1.5.0, gone in 1.6.0: the link model belongs to
+        ``SimulatedChannel(rate=..., latency=..., bandwidth=...)``."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
             CluDistreamConfig(**field)
 
     def test_defaults_do_not_warn(self):
@@ -73,7 +71,7 @@ class TestConfig:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            CluDistreamConfig(rate=1000.0, latency=0.01, bandwidth=None)
+            CluDistreamConfig()
 
 
 class TestDirectMode:

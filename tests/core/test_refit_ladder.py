@@ -369,6 +369,50 @@ class TestOneDensityPassPerModelAndChunk:
             assert passes["n"] == 1
         assert loops["n"] == 0
 
+    def test_pass_derives_no_mixture_constants(self, passes, monkeypatch):
+        """The row kernel's constants (the ``L⁻¹μ`` shift ``einsum``, the
+        whitening stack, ``log w`` under ``errstate``) are derived at a
+        mixture's first pass; from its second on, a fit test's read of
+        the pass is one ``einsum`` (the squared norms), no ``errstate``,
+        no ``log`` of the weights, and no ``(n, K)`` → ``(K, n)`` copy:
+        the reduction reads the kernel's rows where they were written."""
+        rng = np.random.default_rng(5)
+        data = regime_chunk(rng, 0.0)
+        mixture = fit_em(data, make_config().em, rng).mixture
+        chunk = regime_chunk(rng, 0.0)
+        einsums = count_calls(monkeypatch, np, "einsum")
+        errstates = count_calls(monkeypatch, np, "errstate")
+        copies = [
+            count_calls(monkeypatch, np, name)
+            for name in ("array", "ascontiguousarray")
+        ]
+        logged = []
+        log = np.log
+        monkeypatch.setattr(
+            np, "log", lambda x, *a, **k: logged.append(x) or log(x, *a, **k)
+        )
+
+        def read():
+            e_step = mixture.e_step(chunk)
+            return e_step.log_density, e_step.max_log_density, e_step.log_likelihood
+
+        # fit_em made this mixture's first pass (its last iterate's).
+        for _ in range(2):
+            passes["n"] = einsums["n"] = errstates["n"] = 0
+            logged.clear()
+            read()
+            assert passes["n"] == 1
+            assert einsums["n"] == 1
+            assert errstates["n"] == 0
+            assert not any(x is mixture.weights for x in logged)
+            assert sum(count["n"] for count in copies) == 0
+        # A new mixture over the same components derives them once.
+        fresh = GaussianMixture(mixture.weights, mixture.components)
+        for expected in ((2, 1), (1, 0)):
+            einsums["n"] = errstates["n"] = 0
+            fresh.e_step(chunk).log_density
+            assert (einsums["n"], errstates["n"]) == expected
+
     @pytest.mark.parametrize("warm", [False, True])
     def test_fit_em_is_one_pass_per_iterate(self, passes, warm):
         data = regime_chunk(np.random.default_rng(7), 0.0)

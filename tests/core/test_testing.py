@@ -4,17 +4,41 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.gaussian import Gaussian
-from repro.core.mixture import LOG_DENSITY_FLOOR, GaussianMixture
+from repro.core.mixture import LOG_DENSITY_FLOOR, EStep, GaussianMixture
 from repro.core.testing import (
     LikelihoodVariant,
+    _average,
     adaptive_threshold,
     average_log_likelihood,
     fit_test,
     log_density_spread,
     reference_statistics,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=arrays(
+        np.float64,
+        st.integers(1, 1200),
+        elements=st.one_of(
+            st.floats(-800.0, 60.0), st.just(LOG_DENSITY_FLOOR)
+        ),
+    )
+)
+def test_the_average_is_np_mean(values):
+    """``np.add.reduce(values) / n`` is ``np.mean``'s own arithmetic on a
+    float64 vector -- the same pairwise sum, the same division -- for the
+    fit test's average and ``EStep.log_likelihood`` alike."""
+    assert _average(values) == float(np.mean(values))
+    e_step = EStep(np.ones(1), np.zeros((values.size, 1)))
+    e_step._log_density = values
+    assert e_step.log_likelihood == float(np.mean(values))
 
 
 class TestAverageLogLikelihood:

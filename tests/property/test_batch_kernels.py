@@ -1,9 +1,9 @@
 """Property tests: the batched density kernels agree with the
 per-component path.
 
-The vectorised E-step/log-density kernels (`batch_log_pdf`,
-`batch_mahalanobis_sq`, the E-step's log-sum-exp) replaced a loop of
-per-component ``Gaussian.log_pdf`` calls.  These tests pin the agreement to 1e-10
+The vectorised E-step/log-density kernels (`batch_log_pdf`, the
+E-step's log-sum-exp) replaced a loop of per-component
+``Gaussian.log_pdf`` calls.  These tests pin the agreement to 1e-10
 absolute across randomly generated SPD covariances -- including
 near-singular ones, where the regularisation path kicks in -- so the
 optimisation can never silently change clustering decisions.
@@ -19,11 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import LOG_DENSITY_FLOOR, GaussianMixture
-from repro.numerics.linalg import (
-    batch_log_pdf,
-    batch_mahalanobis_sq,
-    mahalanobis_sq,
-)
+from repro.numerics.linalg import LOG_2PI, batch_log_pdf, mahalanobis_sq
+from tests.numerics.density_oracle import batch_mahalanobis_sq
 
 bounded_floats = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -110,6 +107,8 @@ def test_mixture_log_pdf_matches_manual_logsumexp(case):
 @settings(max_examples=100, deadline=None)
 @given(mixtures_with_points())
 def test_batch_mahalanobis_matches_single(case):
+    """The oracle's distance kernel (the row kernel's reference) against
+    one triangular solve per component."""
     mixture, points = case
     inverse_choleskys = np.stack(
         [c.factors.inverse_cholesky() for c in mixture.components]
@@ -153,14 +152,16 @@ def test_batch_log_pdf_single_component_matches_gaussian():
         np.array([1.0, -2.0]), np.array([[2.0, 0.6], [0.6, 1.0]])
     )
     points = np.array([[0.0, 0.0], [1.0, -2.0], [10.0, 10.0]])
-    batched = batch_log_pdf(
+    whitener = gaussian.factors.inverse_cholesky()
+    rows = batch_log_pdf(
         points,
-        gaussian.mean[None, :],
-        gaussian.factors.inverse_cholesky()[None, :, :],
-        np.array([gaussian.log_det]),
+        np.ascontiguousarray(whitener).T,
+        (whitener @ gaussian.mean)[None, :],
+        np.array([2 * LOG_2PI + gaussian.log_det]),
     )
+    assert rows.shape == (1, 3) and rows.flags.c_contiguous
     np.testing.assert_allclose(
-        batched[:, 0], gaussian.log_pdf(points), rtol=0.0, atol=1e-10
+        rows[0], gaussian.log_pdf(points), rtol=0.0, atol=1e-10
     )
 
 
