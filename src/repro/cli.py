@@ -1311,14 +1311,19 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             "monitor: --cluster needs --url (the federated root's "
             "telemetry server)"
         )
-    return run_monitor(
-        url=args.url,
-        trace=args.trace,
-        interval=args.interval,
-        iterations=args.iterations,
-        clear=not args.no_clear,
-        cluster=args.cluster,
-    )
+    try:
+        return run_monitor(
+            url=args.url,
+            trace=args.trace,
+            interval=args.interval,
+            iterations=args.iterations,
+            clear=not args.no_clear,
+            cluster=args.cluster,
+        )
+    except FileNotFoundError:
+        raise _Exit(f"no such trace file: {args.trace}", status=1) from None
+    except ValueError as error:  # a malformed trace (server errors print)
+        raise _Exit(f"{args.trace}: {error}", status=1) from None
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ Each aggregator owns one *subnet*: the transport instance its children
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -42,6 +42,8 @@ from repro.obs.federation import (
     FederationCollector,
     FederationPublisher,
     TelemetryRelay,
+    level_rollup,
+    uplink_report,
 )
 from repro.obs.observer import Observer, ensure_observer
 from repro.runtime.channel import DrainMark
@@ -65,7 +67,9 @@ class LevelStats:
     ``codecs`` lists the wire codecs spoken on this level's edges;
     ``delta_hit_rate`` is the fraction of model updates that shipped as
     CDS2 deltas and ``bytes_saved`` the payload bytes the codec layer
-    avoided versus always-snapshot encoding.
+    avoided versus always-snapshot encoding.  Built by
+    :func:`~repro.obs.federation.level_rollup`, the same rollup behind
+    ``/cluster/health`` ``levels``.
     """
 
     level: int
@@ -80,18 +84,7 @@ class LevelStats:
     bytes_saved: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "edges": self.edges,
-            "messages": self.messages,
-            "payload_bytes": self.payload_bytes,
-            "wire_bytes": self.wire_bytes,
-            "retransmissions": self.retransmissions,
-            "bytes_per_record": self.bytes_per_record,
-            "codecs": list(self.codecs),
-            "delta_hit_rate": self.delta_hit_rate,
-            "bytes_saved": self.bytes_saved,
-        }
+        return {**asdict(self), "codecs": list(self.codecs)}
 
 
 @dataclass(kw_only=True)
@@ -441,38 +434,22 @@ class TransportTree(DrainMark):
 
     def level_stats(self) -> tuple[LevelStats, ...]:
         """Per-level wire accounting, level 1 (root's children) down."""
-        per_level: dict[int, list[SiteEndpoint]] = {}
+        edges = []
         for endpoint in self._endpoints:
             node_id = endpoint.site_id
             wiring = self._leaves.get(node_id) or self._internals[node_id]
-            per_level.setdefault(wiring.level, []).append(endpoint)
-        records = max(1, self.records_fed)
-        stats = []
-        for level in sorted(per_level):
-            senders = [e.sender for e in per_level[level]]
-            codecs = [e.codec_sender for e in per_level[level]]
-            wire = sum(s.stats.wire_bytes for s in senders)
-            model_updates = sum(c.stats.model_updates for c in codecs)
-            delta_updates = sum(c.stats.delta_updates for c in codecs)
-            stats.append(
-                LevelStats(
-                    level=level,
-                    edges=len(senders),
-                    messages=sum(s.stats.payloads_sent for s in senders),
-                    payload_bytes=sum(s.stats.payload_bytes for s in senders),
-                    wire_bytes=wire,
-                    retransmissions=sum(
-                        s.stats.retransmissions for s in senders
-                    ),
-                    bytes_per_record=wire / records,
-                    codecs=tuple(sorted({c.codec.name for c in codecs})),
-                    delta_hit_rate=(
-                        delta_updates / model_updates if model_updates else 0.0
-                    ),
-                    bytes_saved=sum(c.stats.bytes_saved for c in codecs),
-                )
+            codec = endpoint.codec_sender
+            edges.append((
+                wiring.level,
+                uplink_report(endpoint.sender.stats, codec.codec.name, codec.stats),
+            ))
+        return tuple(
+            LevelStats(
+                codecs=tuple(entry.pop("codecs")),
+                **{k: v for k, v in entry.items() if k != "telemetry_bytes"},
             )
-        return tuple(stats)
+            for entry in level_rollup(edges, self.records_fed)
+        )
 
     def receiver_stats(self, node_id: int):
         """Delivery counters of one aggregator's subnet receiver."""

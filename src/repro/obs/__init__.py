@@ -19,9 +19,10 @@ events observable without changing any of them:
   backend, with Chrome trace-event / Perfetto export;
 * :mod:`repro.obs.export` -- Prometheus-style text dump (and parser)
   plus JSON snapshot of a registry;
-* :mod:`repro.obs.health` -- live paper-grounded gauges (AvgPr margin,
-  component count, merge/split churn, bytes-per-record) folded from the
-  trace stream;
+* :mod:`repro.obs.health` -- the one fold over the trace stream
+  (:class:`HealthMonitor`) and its live paper-grounded gauges (AvgPr
+  margin, component count, merge/split churn, bytes-per-record); the
+  run summary, history replay, monitor and federation read views of it;
 * :mod:`repro.obs.history` -- the pyramidal :class:`ModelHistory` store
   behind time-travel queries: ``model_at(t)``, drift analytics and
   gauge series with bounded-memory retention;
@@ -37,12 +38,7 @@ See DESIGN.md ("Observability" and "Live observability") for the
 mapping from paper mechanism to trace event and span.
 """
 
-from repro.obs.export import (
-    json_snapshot,
-    parse_prometheus,
-    to_json,
-    to_prometheus,
-)
+from repro.obs.export import parse_prometheus, to_json, to_prometheus
 from repro.obs.federation import (
     FederationCollector,
     FederationPublisher,
@@ -52,12 +48,7 @@ from repro.obs.federation import (
     publish_process_resources,
     topology_from_spec,
 )
-from repro.obs.health import (
-    HealthMonitor,
-    SiteHealth,
-    publish_cluster_levels,
-    system_snapshot,
-)
+from repro.obs.health import HealthMonitor, SiteHealth, system_snapshot
 from repro.obs.history import (
     ModelHistory,
     coordinator_history_payload,
@@ -138,7 +129,6 @@ __all__ = [
     "SpanRecord",
     "TelemetryRelay",
     "TelemetryServer",
-    "publish_cluster_levels",
     "publish_process_resources",
     "process_resources",
     "TraceEvent",
@@ -151,7 +141,6 @@ __all__ = [
     "format_drift",
     "format_summary",
     "history_from_events",
-    "json_snapshot",
     "site_history_payload",
     "weight_transport",
     "parse_prometheus",

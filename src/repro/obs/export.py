@@ -15,7 +15,7 @@ from typing import Mapping
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
-__all__ = ["json_snapshot", "parse_prometheus", "to_json", "to_prometheus"]
+__all__ = ["parse_prometheus", "to_json", "to_prometheus"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -169,11 +169,6 @@ def parse_prometheus(text: str) -> list[tuple[str, dict[str, str], float]]:
     return samples
 
 
-def json_snapshot(registry: MetricsRegistry) -> dict:
-    """JSON-safe dict of the registry (alias of ``registry.snapshot``)."""
-    return registry.snapshot()
-
-
 def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
     """Serialise the registry snapshot to a JSON string."""
-    return json.dumps(json_snapshot(registry), indent=indent, sort_keys=True)
+    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)

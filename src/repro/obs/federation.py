@@ -40,9 +40,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.obs.health import HealthMonitor
+from repro.obs.health import HealthMonitor, site_rollup
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanCollector, SpanRecord, to_chrome_trace
+from repro.obs.trace import TraceEvent
 
 __all__ = [
     "FederationCollector",
@@ -50,9 +51,11 @@ __all__ = [
     "NodeTelemetry",
     "FederationPublisher",
     "TelemetryRelay",
+    "level_rollup",
     "process_resources",
     "publish_process_resources",
     "topology_from_spec",
+    "uplink_report",
 ]
 
 NODE_TELEMETRY_FORMAT = 1
@@ -191,15 +194,74 @@ class NodeTelemetry:
         )
 
 
-def _sender_stats_dict(stats: object) -> dict:
-    """JSON-safe view of a :class:`~repro.transport.reliability.SenderStats`."""
-    return {
+def uplink_report(
+    stats: object, codec: str | None = None, codec_stats: object | None = None
+) -> dict:
+    """JSON-safe view of one uplink edge.
+
+    ``stats`` is the edge's :class:`~repro.transport.reliability.SenderStats`;
+    with ``codec_stats`` (a :class:`~repro.core.serde.CodecStats`) the
+    wire codec's name and delta/quantization accounting ride along.
+    """
+    uplink = {
         "payloads_sent": getattr(stats, "payloads_sent", 0),
         "payload_bytes": getattr(stats, "payload_bytes", 0),
         "wire_bytes": getattr(stats, "wire_bytes", 0),
         "retransmissions": getattr(stats, "retransmissions", 0),
         "telemetry_bytes": getattr(stats, "telemetry_bytes", 0),
     }
+    if codec_stats is not None:
+        uplink["codec"] = codec
+        uplink["model_updates"] = int(codec_stats.model_updates)
+        uplink["delta_updates"] = int(codec_stats.delta_updates)
+        uplink["delta_hit_rate"] = float(codec_stats.delta_hit_rate)
+        uplink["bytes_saved"] = int(codec_stats.bytes_saved)
+        uplink["coalesced"] = int(codec_stats.coalesced)
+    return uplink
+
+
+def level_rollup(
+    edges: Iterable[tuple[int, Mapping]], records: int
+) -> list[dict]:
+    """Per-level wire accounting over ``(level, uplink report)`` pairs.
+
+    An edge belongs to its *child's* level (a node at level ``L``
+    uplinks into level ``L-1``).  ``bytes_per_record`` divides a level's
+    wire bytes by ``records``, the records fed into the tree.  The one
+    rollup behind :meth:`~repro.cluster.tree.TransportTree.level_stats`
+    (from the senders themselves) and ``/cluster/health`` ``levels``
+    (from the reported uplinks), so the two agree by construction.
+    """
+    per_level: dict[int, list[Mapping]] = {}
+    for level, uplink in edges:
+        per_level.setdefault(level, []).append(uplink)
+    levels = []
+    for level in sorted(per_level):
+        uplinks = per_level[level]
+
+        def total(key: str) -> int:
+            return sum(int(u.get(key, 0)) for u in uplinks)
+
+        entry = {
+            "level": level,
+            "edges": len(uplinks),
+            "messages": total("payloads_sent"),
+            "payload_bytes": total("payload_bytes"),
+            "wire_bytes": total("wire_bytes"),
+            "retransmissions": total("retransmissions"),
+            "telemetry_bytes": total("telemetry_bytes"),
+            "bytes_per_record": total("wire_bytes") / max(1, records),
+        }
+        codecs = sorted({str(u["codec"]) for u in uplinks if u.get("codec")})
+        if codecs:
+            model_updates = total("model_updates")
+            entry["codecs"] = codecs
+            entry["delta_hit_rate"] = (
+                total("delta_updates") / model_updates if model_updates else 0.0
+            )
+            entry["bytes_saved"] = total("bytes_saved")
+        levels.append(entry)
+    return levels
 
 
 # ----------------------------------------------------------------------
@@ -310,19 +372,10 @@ class FederationPublisher:
         elif health is not None:
             records = int(health.get("records", 0))
         uplink: dict = {}
-        if self._uplink_stats is not None:
-            stats = self._uplink_stats()
-            if stats is not None:
-                uplink = _sender_stats_dict(stats)
-        if uplink and self._codec_stats is not None:
-            codec = self._codec_stats()
-            if codec is not None:
-                uplink["codec"] = self.uplink_codec
-                uplink["model_updates"] = int(codec.model_updates)
-                uplink["delta_updates"] = int(codec.delta_updates)
-                uplink["delta_hit_rate"] = float(codec.delta_hit_rate)
-                uplink["bytes_saved"] = int(codec.bytes_saved)
-                uplink["coalesced"] = int(codec.coalesced)
+        stats = self._uplink_stats() if self._uplink_stats is not None else None
+        if stats is not None:
+            codec = self._codec_stats() if self._codec_stats is not None else None
+            uplink = uplink_report(stats, self.uplink_codec, codec)
         span_fields: list[dict] = []
         if self._spans is not None:
             page = self._spans.events_since(self._span_cursor)
@@ -494,7 +547,8 @@ class FederationCollector:
         self.ingested += 1
         for fields in report.spans:
             try:
-                record = SpanRecord.from_event(_FieldsEvent(fields))
+                event = TraceEvent(0, 0.0, "span", dict(fields))
+                record = SpanRecord.from_event(event)
             except (KeyError, ValueError, TypeError):
                 continue
             if record.span_id in self._span_ids:
@@ -537,6 +591,17 @@ class FederationCollector:
             return sorted(int(n["node_id"]) for n in self._topology)
         return sorted(self._reports)
 
+    def _placement(self, node_id: int) -> dict:
+        """Role, level and parent from the static topology (or ``{}``)."""
+        for node in self._topology:
+            if int(node["node_id"]) == node_id:
+                return {
+                    "role": node.get("role"),
+                    "level": node.get("level"),
+                    "parent": node.get("parent_id"),
+                }
+        return {}
+
     def rollup(self) -> dict:
         """The ``/cluster/health`` payload: per-node and per-level."""
         expected = self.expected_nodes()
@@ -560,7 +625,10 @@ class FederationCollector:
                 "live": live,
             },
             "records": total_records,
-            "levels": self._level_rollup(total_records),
+            "levels": level_rollup(
+                [(r.level, r.uplink) for r in self._reports.values() if r.uplink],
+                total_records,
+            ),
             "per_node": per_node,
             "spans_collected": len(self._spans),
             "reports_ingested": self.ingested,
@@ -574,15 +642,7 @@ class FederationCollector:
             "age_seconds": age,
             "live": self.is_live(node_id),
         }
-        topo = next(
-            (n for n in self._topology if int(n["node_id"]) == node_id), None
-        )
-        if topo is not None:
-            entry.update(
-                role=topo.get("role"),
-                level=topo.get("level"),
-                parent=topo.get("parent_id"),
-            )
+        entry.update(self._placement(node_id))
         if report is None:
             entry["status"] = "unreported"
             return entry
@@ -596,12 +656,9 @@ class FederationCollector:
         )
         health = report.health or {}
         entry["status"] = health.get("status", "ok")
-        sites = health.get("sites", [])
-        margins = [s["margin"] for s in sites if s.get("margin") is not None]
-        tests = sum(int(s.get("tests", 0)) for s in sites)
-        passed = sum(int(s.get("tests_passed", 0)) for s in sites)
-        entry["margin"] = min(margins) if margins else None
-        entry["pass_rate"] = passed / tests if tests else None
+        entry["margin"], entry["pass_rate"] = site_rollup(
+            health.get("sites", [])
+        )
         coordinator = health.get("coordinator", {})
         entry["components"] = (
             coordinator.get("components")
@@ -616,66 +673,6 @@ class FederationCollector:
         if report.gauges:
             entry["gauges"] = report.gauges
         return entry
-
-    def _level_rollup(self, total_records: int) -> list[dict]:
-        """Per-level wire accounting from the reported uplink stats.
-
-        A node at level ``L`` uplinks into level ``L-1``, and
-        :class:`~repro.cluster.tree.LevelStats` keys edges by the
-        *child* level -- the same convention holds here, so the two
-        agree exactly on a drained loopback tree (telemetry bytes are
-        excluded from ``wire_bytes`` on both sides).
-        """
-        per_level: dict[int, list[NodeTelemetry]] = {}
-        for report in self._reports.values():
-            if report.uplink:
-                per_level.setdefault(report.level, []).append(report)
-        records = max(1, total_records)
-        levels = []
-        for level in sorted(per_level):
-            reports = per_level[level]
-            wire = sum(int(r.uplink.get("wire_bytes", 0)) for r in reports)
-            entry = {
-                "level": level,
-                "edges": len(reports),
-                "messages": sum(
-                    int(r.uplink.get("payloads_sent", 0)) for r in reports
-                ),
-                "payload_bytes": sum(
-                    int(r.uplink.get("payload_bytes", 0)) for r in reports
-                ),
-                "wire_bytes": wire,
-                "retransmissions": sum(
-                    int(r.uplink.get("retransmissions", 0)) for r in reports
-                ),
-                "telemetry_bytes": sum(
-                    int(r.uplink.get("telemetry_bytes", 0)) for r in reports
-                ),
-                "bytes_per_record": wire / records,
-            }
-            codecs = sorted(
-                {
-                    str(r.uplink["codec"])
-                    for r in reports
-                    if r.uplink.get("codec")
-                }
-            )
-            if codecs:
-                entry["codecs"] = codecs
-                model_updates = sum(
-                    int(r.uplink.get("model_updates", 0)) for r in reports
-                )
-                delta_updates = sum(
-                    int(r.uplink.get("delta_updates", 0)) for r in reports
-                )
-                entry["delta_hit_rate"] = (
-                    delta_updates / model_updates if model_updates else 0.0
-                )
-                entry["bytes_saved"] = sum(
-                    int(r.uplink.get("bytes_saved", 0)) for r in reports
-                )
-            levels.append(entry)
-        return levels
 
     def history_rollup(self) -> dict:
         """The ``/cluster/history`` payload: per-node history rollups.
@@ -720,17 +717,7 @@ class FederationCollector:
         """The ``/cluster/nodes`` payload: topology + endpoints/status."""
         nodes = []
         for node_id in self.expected_nodes():
-            entry: dict = {"node": node_id}
-            topo = next(
-                (n for n in self._topology if int(n["node_id"]) == node_id),
-                None,
-            )
-            if topo is not None:
-                entry.update(
-                    role=topo.get("role"),
-                    level=topo.get("level"),
-                    parent=topo.get("parent_id"),
-                )
+            entry: dict = {"node": node_id, **self._placement(node_id)}
             report = self._reports.get(node_id)
             if report is not None:
                 entry.update(
@@ -748,10 +735,6 @@ class FederationCollector:
     # ------------------------------------------------------------------
     # Cross-process trace assembly
     # ------------------------------------------------------------------
-    @property
-    def last_span_id(self) -> int:
-        return self._next_span_id - 1
-
     def spans_since(
         self, since: int = 0, limit: int | None = None
     ) -> tuple[list[_StoredSpan], int]:
@@ -787,17 +770,6 @@ class FederationCollector:
         trace["lastId"] = last
         trace["count"] = len(page)
         return trace
-
-
-class _FieldsEvent:
-    """Adapter giving raw span field dicts the TraceEvent surface that
-    :meth:`SpanRecord.from_event` expects."""
-
-    __slots__ = ("fields",)
-    type = "span"
-
-    def __init__(self, fields: Mapping) -> None:
-        self.fields = dict(fields)
 
 
 def topology_from_spec(spec: object) -> list[dict]:

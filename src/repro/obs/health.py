@@ -1,45 +1,61 @@
-"""Paper-grounded live health gauges derived from the trace stream.
+"""The one fold over the trace stream, and every view of it.
 
-The trace layer records *what happened*; this module folds that stream
-into *how the system is doing right now*, in the paper's own terms:
+The trace layer records *what happened*.  :class:`HealthMonitor` is the
+only reducer of that stream: one dispatch per event type keeps counts
+per type and per (site, type), plus the few values some output reads.
+Every consumer is a view of that state:
 
-* per-site **AvgPr drift** -- the last fit-test ``J_fit`` against its
-  ``epsilon`` threshold (section 4.2); the margin ``threshold - j_fit``
-  going negative is exactly the signal that a site's distribution has
-  drifted away from its current model;
-* the **global component count** the coordinator maintains (section 6);
-* **merge/split churn** -- how often Algorithm 2 restructures the
-  global model, normalised per processed record;
-* **bytes per record** -- the section 6 communication-cost headline,
-  taken from any :class:`~repro.runtime.accounting.DeliveryAccounting`;
-* **refit-ladder gauges** (DESIGN section 14) -- per-site and
-  cluster-wide refit rate (refits per fit test), per-rung outcome
-  counts (reactivated / warm / cold) and mean refit latency, folded
-  from ``site.refit`` events.
+* :meth:`HealthMonitor.report`, :meth:`~HealthMonitor.publish` and
+  :meth:`~HealthMonitor.history_gauges` -- ``/health``, the ``health.*``
+  gauges in ``/metrics`` and the gauges a history snapshot carries;
+* :func:`repro.obs.stats.summarize_events` -- ``repro stats``;
+* :meth:`HealthMonitor.history` -- the replayed model history behind
+  ``repro stats --window`` and ``repro monitor --trace``;
+* :func:`site_rollup` -- a node's worst margin and pooled pass rate, as
+  the federated root reads them off each node's report.
 
-:class:`HealthMonitor` is a :class:`~repro.obs.trace.TraceSink`, so it
-plugs into a live observer next to the JSONL file sink and stays current
-while a run is in flight -- the telemetry server's ``/health`` endpoint
-is a thin JSON rendering of :meth:`HealthMonitor.report`.  Quantities
-the trace does not carry (live component count, channel accounting) are
-attached with :meth:`HealthMonitor.bind` as zero-argument callables that
-are polled at report time.
+The gauges speak the paper's terms: per-site **AvgPr drift** (the margin
+``epsilon - J_fit`` of section 4.2, negative once a site drifted), the
+**global component count** (section 6), **merge/split churn** per
+record, **bytes per record** (section 6) and the **refit ladder**
+(DESIGN section 14).  What the trace does not carry (live component
+count, channel accounting) is bound with :meth:`HealthMonitor.bind`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.history import ModelHistory
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import TraceEvent, TraceSink
 
-__all__ = [
-    "HealthMonitor",
-    "SiteHealth",
-    "publish_cluster_levels",
-    "system_snapshot",
-]
+__all__ = ["HealthMonitor", "SiteHealth", "site_rollup", "system_snapshot"]
+
+#: Duration buckets for span histograms: 10µs .. 10s, log-spaced.
+_SPAN_BUCKETS = (
+    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0,
+)
+
+_REQUIRED = object()
+
+
+def _field(fields: Mapping, name: str, kind: type = int, default=_REQUIRED):
+    """``kind(fields[name])``; absent or ``None`` answers ``default``.
+
+    A required field that is missing, or a value ``kind`` rejects,
+    raises ``ValueError`` naming the field.
+    """
+    value = fields.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} is not a number: {value!r}") from None
 
 
 @dataclass
@@ -57,6 +73,7 @@ class SiteHealth:
     clusterings: int = 0
     reactivations: int = 0
     archives: int = 0
+    expirations: int = 0
     #: Records the site has chunk-tested so far.
     records: int = 0
     #: Refit-ladder outcomes (DESIGN section 14): every failed fit test
@@ -64,7 +81,7 @@ class SiteHealth:
     refits_reactivated: int = 0
     refits_warm: int = 0
     refits_cold: int = 0
-    #: Total wall-clock seconds spent inside ``site.refit`` spans.
+    #: Total seconds spent inside ``site.refit`` spans.
     refit_seconds: float = 0.0
 
     @property
@@ -95,7 +112,7 @@ class SiteHealth:
 
     @property
     def mean_refit_seconds(self) -> float | None:
-        """Mean wall-clock latency of one refit-ladder resolution."""
+        """Mean latency of one refit-ladder resolution."""
         return self.refit_seconds / self.refits if self.refits else None
 
     def as_dict(self) -> dict:
@@ -122,20 +139,24 @@ class SiteHealth:
         }
 
 
-@dataclass
-class _GlobalHealth:
-    merges: int = 0
-    splits: int = 0
-    model_updates: int = 0
-    weight_updates: int = 0
-    deletions: int = 0
-    records: int = 0
-    events: int = 0
-    last_component_count: int | None = None
+def site_rollup(sites: Iterable[Mapping]) -> tuple[float | None, float | None]:
+    """Worst margin and pooled pass rate over per-site report rows.
+
+    ``sites`` are :meth:`SiteHealth.as_dict` rows -- a live monitor's or
+    the ``"sites"`` of a report shipped by another node -- so a node's
+    drift headline means the same thing wherever it is read.
+    """
+    margins, tests, passed = [], 0, 0
+    for site in sites:
+        if site.get("margin") is not None:
+            margins.append(site["margin"])
+        tests += int(site.get("tests", 0))
+        passed += int(site.get("tests_passed", 0))
+    return (min(margins) if margins else None), (passed / tests if tests else None)
 
 
 class HealthMonitor(TraceSink):
-    """Fold trace events into live, paper-grounded health gauges.
+    """The trace fold: a sink whose state every trace consumer reads.
 
     Use it as an extra observer sink::
 
@@ -145,17 +166,39 @@ class HealthMonitor(TraceSink):
         health.report()        # JSON-safe dict, any time
         health.publish(registry)  # push health.* gauges for /metrics
 
+    or replay a recorded trace with :meth:`replay`.  A malformed event
+    (a missing site id, a non-numeric count) raises ``ValueError``
+    naming the event's ``seq`` and the field.
+
     Thread-safe enough for its purpose: writes come from the run thread,
     reads from the telemetry server thread; folding mutates plain ints
     and floats, so a report taken mid-event is merely one event stale.
     """
 
     def __init__(self) -> None:
-        self._sites: dict[int, SiteHealth] = {}
-        self._global = _GlobalHealth()
+        #: Events per type (``span`` included).
+        self.counts: dict[str, int] = {}
+        self.sites: dict[int, SiteHealth] = {}
+        #: Records the sites tested (plus each site's first clustered chunk).
+        self.records = 0
+        self.em_iterations = 0
+        self.simplex_iterations = 0
+        self.simplex_evaluations = 0
+        self.runtime_records = 0
+        #: Per-span-name duration histograms (seconds).
+        self.span_durations: dict[str, Histogram] = {}
+        self._histories: dict[str | None, ModelHistory] = {}
         #: Optional live probes attached with :meth:`bind`.
         self._component_count: Callable[[], int] | None = None
         self._accounting: Callable[[], object] | None = None
+
+    @classmethod
+    def replay(cls, events: Iterable[TraceEvent]) -> "HealthMonitor":
+        """A fresh monitor with ``events`` folded in."""
+        monitor = cls()
+        for event in events:
+            monitor.write(event)
+        return monitor
 
     # ------------------------------------------------------------------
     # Live probes
@@ -186,47 +229,71 @@ class HealthMonitor(TraceSink):
         return self
 
     # ------------------------------------------------------------------
-    # TraceSink interface
+    # The fold
     # ------------------------------------------------------------------
     def write(self, event: TraceEvent) -> None:
-        fields = event.fields
         type_ = event.type
-        self._global.events += 1
-        if type_ == "site.chunk_test":
-            site = self._site(int(fields["site"]))
+        self.counts[type_] = self.counts.get(type_, 0) + 1
+        try:
+            self._fold(type_, event.fields)
+        except ValueError as error:
+            raise ValueError(
+                f"trace event seq {event.seq} ({type_}): {error}"
+            ) from None
+
+    def _fold(self, type_: str, fields: Mapping) -> None:
+        if type_ == "span":
+            start = _field(fields, "start", float, None)
+            end = _field(fields, "end", float, None)
+            if start is None or end is None:
+                return
+            name = str(fields.get("name", "?"))
+            histogram = self.span_durations.get(name)
+            if histogram is None:
+                histogram = self.span_durations[name] = Histogram(_SPAN_BUCKETS)
+            histogram.observe(max(end - start, 0.0))
+            # Refit latency rides the span record, not the event: span
+            # start/end come from the observer's time source, so
+            # deterministic (manual-clock) traces stay byte-stable while
+            # live runs report real wall time.
+            attrs = fields.get("attrs") or {}
+            if name == "site.refit" and "site" in attrs:
+                self._site(attrs).refit_seconds += end - start
+        elif type_ == "site.chunk_test":
+            site = self._site(fields)
             site.tests += 1
             if fields.get("passed"):
                 site.tests_passed += 1
             site.model_id = fields.get("model", site.model_id)
-            j_fit = fields.get("j_fit")
-            threshold = fields.get("threshold")
-            if j_fit is not None:
-                site.last_j_fit = float(j_fit)
-            if threshold is not None:
-                site.last_threshold = float(threshold)
-            chunk = int(fields.get("chunk", 0))
+            site.last_j_fit = _field(fields, "j_fit", float, site.last_j_fit)
+            site.last_threshold = _field(
+                fields, "threshold", float, site.last_threshold
+            )
+            chunk = _field(fields, "chunk", int, 0)
             site.records += chunk
-            self._global.records += chunk
+            self.records += chunk
         elif type_ == "site.cluster":
-            site = self._site(int(fields["site"]))
+            site = self._site(fields)
             # A site's very first chunk is clustered without a fit test
             # (Algorithm 1); count its records here.  Every later
             # clustering re-uses a chunk already counted by the failed
             # chunk test that triggered it.
             if not site.tests and not site.clusterings:
-                records = int(fields.get("records", 0))
+                records = _field(fields, "records", int, 0)
                 site.records += records
-                self._global.records += records
+                self.records += records
             site.clusterings += 1
             site.model_id = fields.get("model", site.model_id)
         elif type_ == "site.reactivate":
-            site = self._site(int(fields["site"]))
+            site = self._site(fields)
             site.reactivations += 1
             site.model_id = fields.get("model", site.model_id)
         elif type_ == "site.archive":
-            self._site(int(fields["site"])).archives += 1
+            self._site(fields).archives += 1
+        elif type_ == "site.expire":
+            self._site(fields).expirations += 1
         elif type_ == "site.refit":
-            site = self._site(int(fields["site"]))
+            site = self._site(fields)
             outcome = fields.get("outcome")
             if outcome == "reactivated":
                 site.refits_reactivated += 1
@@ -234,63 +301,83 @@ class HealthMonitor(TraceSink):
                 site.refits_warm += 1
             elif outcome == "cold":
                 site.refits_cold += 1
-        elif type_ == "span" and fields.get("name") == "site.refit":
-            # Latency rides the span record, not the event: span
-            # start/end come from the observer's time source, so
-            # deterministic (manual-clock) traces stay byte-stable
-            # while live runs report real wall time.
-            attrs = fields.get("attrs") or {}
-            if "site" in attrs:
-                self._site(int(attrs["site"])).refit_seconds += float(
-                    fields.get("end", 0.0)
-                ) - float(fields.get("start", 0.0))
+        elif type_ == "em.fit":
+            self.em_iterations += _field(fields, "n_iter", int, 0)
         elif type_ == "coord.merge":
-            self._global.merges += 1
-        elif type_ == "coord.split":
-            self._global.splits += 1
-        elif type_ == "coord.model_update":
-            self._global.model_updates += 1
-        elif type_ == "coord.weight_update":
-            self._global.weight_updates += 1
-        elif type_ == "coord.deletion":
-            self._global.deletions += 1
+            self.simplex_iterations += _field(fields, "simplex_iterations", int, 0)
+            self.simplex_evaluations += _field(
+                fields, "simplex_evaluations", int, 0
+            )
+        elif type_ == "runtime.run":
+            self.runtime_records += _field(fields, "records", int, 0)
+        elif type_ == "history.snapshot":
+            scope = fields.get("scope")
+            history = self._histories.get(scope)
+            if history is None:
+                history = self._histories[scope] = ModelHistory(
+                    alpha=_field(fields, "alpha", int, 2),
+                    capacity=_field(fields, "capacity", int, 2),
+                    scope=scope,
+                )
+            history.observe(
+                _field(fields, "tick"), dict(fields.get("payload") or {})
+            )
 
-    def _site(self, site_id: int) -> SiteHealth:
-        if site_id not in self._sites:
-            self._sites[site_id] = SiteHealth(site_id=site_id)
-        return self._sites[site_id]
+    def _site(self, fields: Mapping) -> SiteHealth:
+        site_id = _field(fields, "site")
+        site = self.sites.get(site_id)
+        if site is None:
+            site = self.sites[site_id] = SiteHealth(site_id=site_id)
+        return site
 
     # ------------------------------------------------------------------
-    # Reporting
+    # Views
     # ------------------------------------------------------------------
+    def count(self, type_: str) -> int:
+        """Events of one type seen so far."""
+        return self.counts.get(type_, 0)
+
+    @property
+    def events(self) -> int:
+        return sum(self.counts.values())
+
     @property
     def churn_rate(self) -> float:
         """Merge + split decisions per processed record."""
-        if not self._global.records:
+        if not self.records:
             return 0.0
-        return (self._global.merges + self._global.splits) / self._global.records
+        return (self.count("coord.merge") + self.count("coord.split")) / self.records
 
     def component_count(self) -> int | None:
-        """Current global component count (live probe, else last known)."""
-        if self._component_count is not None:
-            return int(self._component_count())
-        return self._global.last_component_count
-
-    def refit_rate(self) -> float | None:
-        """Cluster-wide fraction of fit tests that entered the ladder."""
-        tests = sum(site.tests for site in self._sites.values())
-        if not tests:
+        """Current global component count from the live probe, if bound."""
+        if self._component_count is None:
             return None
-        refits = sum(site.refits for site in self._sites.values())
-        return refits / tests
+        return int(self._component_count())
 
-    def mean_refit_seconds(self) -> float | None:
-        """Cluster-wide mean wall-clock latency per refit resolution."""
-        refits = sum(site.refits for site in self._sites.values())
-        if not refits:
-            return None
-        seconds = sum(site.refit_seconds for site in self._sites.values())
-        return seconds / refits
+    def _pooled(self) -> SiteHealth:
+        """Every site's ladder counts summed: the cluster-wide rates."""
+        pooled = SiteHealth(site_id=-1)
+        for site in self.sites.values():
+            pooled.tests += site.tests
+            pooled.refits_reactivated += site.refits_reactivated
+            pooled.refits_warm += site.refits_warm
+            pooled.refits_cold += site.refits_cold
+            pooled.refit_seconds += site.refit_seconds
+        return pooled
+
+    def history(self, scope: str | None = None) -> ModelHistory | None:
+        """The model history replayed from ``history.snapshot`` events.
+
+        ``scope`` selects one store; unset, the coordinator's is preferred
+        and the first scope seen answers otherwise.  ``None`` when the
+        trace carried no matching snapshots.
+        """
+        histories = self._histories
+        if scope is None:
+            scope = next(iter(histories), None)
+            if "coordinator" in histories:
+                scope = "coordinator"
+        return histories.get(scope)
 
     def history_gauges(self) -> dict:
         """Compact gauge dict for a model-history snapshot.
@@ -303,57 +390,42 @@ class HealthMonitor(TraceSink):
         replay how close the system sat to its drift threshold over
         time.  ``None`` values are dropped by the history store.
         """
-        margins = [
-            site.margin
-            for site in self._sites.values()
-            if site.margin is not None
-        ]
-        tests = sum(site.tests for site in self._sites.values())
-        passed = sum(site.tests_passed for site in self._sites.values())
+        margin, pass_rate = site_rollup(s.as_dict() for s in self.sites.values())
         return {
-            "avg_pr_margin": min(margins) if margins else None,
-            "pass_rate": passed / tests if tests else None,
+            "avg_pr_margin": margin,
+            "pass_rate": pass_rate,
             "churn_rate": self.churn_rate,
         }
 
     def bytes_per_record(self) -> float | None:
         """Section 6 communication cost: payload bytes per record."""
-        if self._accounting is None or not self._global.records:
+        if self._accounting is None or not self.records:
             return None
-        accounting = self._accounting()
-        payload = getattr(accounting, "payload_bytes", None)
-        if payload is None:
-            return None
-        return payload / self._global.records
+        payload = getattr(self._accounting(), "payload_bytes", None)
+        return None if payload is None else payload / self.records
 
     def report(self) -> dict:
         """JSON-safe snapshot of every gauge, for ``/health``."""
         accounting = self._accounting() if self._accounting is not None else None
+        pooled = self._pooled().as_dict()
         out: dict = {
             "status": "ok",
-            "events": self._global.events,
-            "records": self._global.records,
-            "sites": [
-                self._sites[site_id].as_dict()
-                for site_id in sorted(self._sites)
-            ],
+            "events": self.events,
+            "records": self.records,
+            "sites": [self.sites[site_id].as_dict() for site_id in sorted(self.sites)],
             "coordinator": {
                 "components": self.component_count(),
-                "merges": self._global.merges,
-                "splits": self._global.splits,
-                "model_updates": self._global.model_updates,
-                "weight_updates": self._global.weight_updates,
-                "deletions": self._global.deletions,
+                "merges": self.count("coord.merge"),
+                "splits": self.count("coord.split"),
+                "model_updates": self.count("coord.model_update"),
+                "weight_updates": self.count("coord.weight_update"),
+                "deletions": self.count("coord.deletion"),
                 "churn_rate": self.churn_rate,
             },
             "refits": {
-                "reactivated": sum(
-                    s.refits_reactivated for s in self._sites.values()
-                ),
-                "warm": sum(s.refits_warm for s in self._sites.values()),
-                "cold": sum(s.refits_cold for s in self._sites.values()),
-                "refit_rate": self.refit_rate(),
-                "mean_seconds": self.mean_refit_seconds(),
+                **pooled["refits"],
+                "refit_rate": pooled["refit_rate"],
+                "mean_seconds": pooled["mean_refit_seconds"],
             },
         }
         if accounting is not None:
@@ -365,7 +437,7 @@ class HealthMonitor(TraceSink):
             }
         drifting = [
             site.site_id
-            for site in self._sites.values()
+            for site in self.sites.values()
             if site.margin is not None and site.margin < 0.0
         ]
         if drifting:
@@ -379,40 +451,30 @@ class HealthMonitor(TraceSink):
         Called by the telemetry server right before rendering
         ``/metrics``, so Prometheus scrapes always see current values.
         """
-        for site in self._sites.values():
+        for site in self.sites.values():
             labels = {"site": site.site_id}
-            if site.margin is not None:
-                registry.gauge("health.site_margin", **labels).set(site.margin)
-            if site.last_j_fit is not None:
-                registry.gauge("health.site_j_fit", **labels).set(site.last_j_fit)
-            if site.pass_rate is not None:
-                registry.gauge("health.site_pass_rate", **labels).set(
-                    site.pass_rate
-                )
-            registry.gauge("health.site_records", **labels).set(site.records)
-            if site.refit_rate is not None:
-                registry.gauge("health.site_refit_rate", **labels).set(
-                    site.refit_rate
-                )
-            if site.mean_refit_seconds is not None:
-                registry.gauge("health.site_refit_seconds", **labels).set(
-                    site.mean_refit_seconds
-                )
-        components = self.component_count()
-        if components is not None:
-            registry.gauge("health.components").set(components)
-        registry.gauge("health.merges").set(self._global.merges)
-        registry.gauge("health.splits").set(self._global.splits)
-        registry.gauge("health.churn_rate").set(self.churn_rate)
-        refit_rate = self.refit_rate()
-        if refit_rate is not None:
-            registry.gauge("health.refit_rate").set(refit_rate)
-        mean_refit = self.mean_refit_seconds()
-        if mean_refit is not None:
-            registry.gauge("health.refit_seconds").set(mean_refit)
-        bpr = self.bytes_per_record()
-        if bpr is not None:
-            registry.gauge("health.bytes_per_record").set(bpr)
+            for name, value in (
+                ("site_margin", site.margin),
+                ("site_j_fit", site.last_j_fit),
+                ("site_pass_rate", site.pass_rate),
+                ("site_records", site.records),
+                ("site_refit_rate", site.refit_rate),
+                ("site_refit_seconds", site.mean_refit_seconds),
+            ):
+                if value is not None:
+                    registry.gauge(f"health.{name}", **labels).set(value)
+        pooled = self._pooled()
+        for name, value in (
+            ("components", self.component_count()),
+            ("merges", self.count("coord.merge")),
+            ("splits", self.count("coord.split")),
+            ("churn_rate", self.churn_rate),
+            ("refit_rate", pooled.refit_rate),
+            ("refit_seconds", pooled.mean_refit_seconds),
+            ("bytes_per_record", self.bytes_per_record()),
+        ):
+            if value is not None:
+                registry.gauge(f"health.{name}").set(value)
 
 
 def system_snapshot(
@@ -426,7 +488,8 @@ def system_snapshot(
     Backs the telemetry server's ``/snapshot`` endpoint: per-site
     current model id, archived model ids, stream position and the tail
     of the section 5.1 event table, plus the coordinator's cluster
-    structure and (optionally) the channel's delivery accounting.
+    structure and (optionally) the channel's
+    :class:`~repro.runtime.accounting.DeliveryAccounting`.
     """
     out: dict = {"sites": [], "coordinator": {}}
     for site in sites:
@@ -465,47 +528,5 @@ def system_snapshot(
     if coordinator_history is not None:
         out["coordinator"]["history"] = coordinator_history.summary()
     if accounting is not None:
-        as_dict = getattr(accounting, "as_dict", None)
-        if callable(as_dict):
-            out["accounting"] = as_dict()
-        else:
-            out["accounting"] = {
-                "attempted": getattr(accounting, "attempted", 0),
-                "payload_bytes": getattr(accounting, "payload_bytes", 0),
-                "wire_bytes": getattr(accounting, "wire_bytes", 0),
-                "dropped": getattr(accounting, "dropped", 0),
-                "duplicated": getattr(accounting, "duplicated", 0),
-            }
+        out["accounting"] = accounting.as_dict()
     return out
-
-
-def publish_cluster_levels(
-    registry: MetricsRegistry, levels: Sequence[object]
-) -> None:
-    """Push per-tree-level wire gauges into ``registry``.
-
-    ``levels`` is an iterable of :class:`repro.cluster.tree.LevelStats`
-    (or anything with the same attributes).  Designed as a
-    ``TelemetryServer`` publisher::
-
-        TelemetryServer(obs, publish=(
-            lambda reg: publish_cluster_levels(reg, tree.level_stats()),
-        ))
-
-    so the root's ``/metrics`` endpoint always reports current per-level
-    messages, wire bytes and bytes-per-record for the whole tree.
-    """
-    for stats in levels:
-        labels = {"level": getattr(stats, "level", 0)}
-        registry.gauge("cluster.level_edges", **labels).set(
-            getattr(stats, "edges", 0)
-        )
-        registry.gauge("cluster.level_messages", **labels).set(
-            getattr(stats, "messages", 0)
-        )
-        registry.gauge("cluster.level_wire_bytes", **labels).set(
-            getattr(stats, "wire_bytes", 0)
-        )
-        registry.gauge("cluster.level_bytes_per_record", **labels).set(
-            getattr(stats, "bytes_per_record", 0.0)
-        )

@@ -3,51 +3,54 @@
 The event table answers "which model governed the stream at time t?"
 exactly -- but it grows without bound, and it says nothing about *how*
 the model changed.  :class:`ModelHistory` keeps the CluStream pyramidal
-time frame of :class:`~repro.core.snapshots.PyramidalSnapshotStore`
-loaded with real state: full mixture summaries, event-table positions
-and key health gauges, retained at geometrically-spaced granularities
-so any horizon stays reconstructible within O(α·l·log t) snapshots.
+time frame (Aggarwal et al.; the static strategy section 7 contrasts
+with CluDistream's event table) loaded with real state -- full mixture
+summaries, event-table positions and key health gauges -- so any horizon
+stays reconstructible within O(alpha·l·log t) snapshots, under an
+optional hard byte budget on top.
 
-On top of the store sit the analytical queries served by the
-coordinator API, the telemetry server (``/history``, ``/history/drift``,
-``/history/series``) and the federated root (``/cluster/history``):
-
-* :meth:`ModelHistory.model_at` -- the recorded state at the newest
-  retained snapshot at or before ``t`` (within one snapshot granularity
-  of the exact event-table answer);
-* :meth:`ModelHistory.drift_between` -- component-count delta,
-  weight-transport distance and merge/split churn between two moments;
-* :meth:`ModelHistory.gauge_series` -- a sampled time series of any
-  recorded gauge (component count, AvgPr margin, pass rate).
-
-Memory is bounded twice over: the pyramid's per-order ``α^l + 1`` caps,
-plus an optional hard byte budget that evicts the globally oldest
-snapshots first.  Both eviction streams are metered and visible in
-``/metrics`` via :meth:`ModelHistory.publish`.
+On top sit the analytical queries served by the coordinator API, the
+telemetry server (``/history``, ``/history/drift``, ``/history/series``)
+and the federated root (``/cluster/history``): :meth:`~ModelHistory.model_at`,
+:meth:`~ModelHistory.drift_between` (component-count delta,
+weight-transport distance, merge/split churn) and
+:meth:`~ModelHistory.gauge_series`; :meth:`~ModelHistory.closest` is the
+CluStream answer the section 7 ablation bench scores.
 
 Every stored snapshot is also emitted as a ``history.snapshot`` trace
 event (when an observer is attached), so an offline trace replays into
-the *same* retained set: ``history_from_events`` backs
-``repro stats --window t0 t1``, and a live endpoint and a trace of the
-same run answer drift queries identically.
+the *same* retained set: the trace fold
+(:class:`~repro.obs.health.HealthMonitor`) backs ``repro stats --window
+t0 t1``, and a live endpoint and a trace of the same run answer drift
+queries identically.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from repro.core.snapshots import PyramidalSnapshotStore, Snapshot
 from repro.obs.trace import TraceEvent
 
 __all__ = [
     "ModelHistory",
+    "Snapshot",
     "coordinator_history_payload",
     "drift_report",
     "history_from_events",
     "site_history_payload",
     "weight_transport",
 ]
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """One retained snapshot: a tick, its pyramid order and a payload."""
+
+    tick: int
+    order: int
+    payload: object
 
 
 def weight_transport(
@@ -162,15 +165,22 @@ def coordinator_history_payload(coordinator) -> dict:
     }
 
 
+def _size(payload: object) -> int:
+    return len(json.dumps(payload, separators=(",", ":"), default=float))
+
+
 class ModelHistory:
     """Bounded time-travel store for one site or coordinator.
+
+    One object owns the pyramid retention, the byte budget, both
+    eviction counters and the checkpoint dict.
 
     Parameters
     ----------
     alpha / capacity:
-        Pyramid base and retention exponent ``l`` (per-order cap is
-        ``alpha**capacity + 1`` snapshots); see
-        :class:`~repro.core.snapshots.PyramidalSnapshotStore`.
+        Pyramid base (at least 2) and retention exponent ``l``: order
+        ``i`` holds ticks divisible by ``alpha**i``, at most
+        ``alpha**capacity + 1`` of them.
     max_bytes:
         Optional hard budget on retained payload bytes (JSON size).
         When the pyramid alone exceeds it, the globally oldest
@@ -195,9 +205,14 @@ class ModelHistory:
         scope: str | None = None,
         gauge_source: Callable[[], Mapping] | None = None,
     ) -> None:
+        if alpha < 2:
+            raise ValueError("alpha must be at least 2")
+        if capacity < 0:
+            raise ValueError("capacity must be non-negative")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.store = PyramidalSnapshotStore(alpha=alpha, capacity=capacity)
+        self.alpha = alpha
+        self.capacity = capacity
         self.max_bytes = max_bytes
         self.scope = scope
         self.gauge_source = gauge_source
@@ -205,13 +220,29 @@ class ModelHistory:
         #: ``history.snapshot`` trace events (process state, reattach
         #: after restore).
         self.observer = None
+        self.offered = 0
+        self.stored_total = 0
+        #: Evictions by the per-order cap and by the byte budget.
+        self.evicted_pyramid = 0
         self.evicted_memory = 0
-        self._last_tick = 0
+        self._orders: dict[int, list[Snapshot]] = {}
         self._sizes: dict[int, int] = {}
+        self._last_tick = 0
 
     # ------------------------------------------------------------------
-    # Recording
+    # Retention
     # ------------------------------------------------------------------
+    @property
+    def store(self) -> "ModelHistory":
+        """The retained snapshots' owner -- this object (the retention
+        store and its queries are one class)."""
+        return self
+
+    @property
+    def evicted(self) -> int:
+        """Snapshots evicted so far, by either bound."""
+        return self.evicted_pyramid + self.evicted_memory
+
     @property
     def last_tick(self) -> int:
         """Newest tick ever observed (0 before the first)."""
@@ -223,7 +254,56 @@ class ModelHistory:
         return sum(self._sizes.values())
 
     def __len__(self) -> int:
-        return len(self.store)
+        return sum(len(bucket) for bucket in self._orders.values())
+
+    def order_of(self, tick: int) -> int:
+        """Highest ``i`` with ``alpha**i`` dividing ``tick`` (0 otherwise)."""
+        if tick <= 0:
+            return 0
+        order = 0
+        while tick % self.alpha == 0:
+            tick //= self.alpha
+            order += 1
+        return order
+
+    def _insert(self, tick: int, payload: object) -> list[Snapshot]:
+        """Place one snapshot in its order's bucket; returns the bucket."""
+        order = self.order_of(tick)
+        bucket = self._orders.setdefault(order, [])
+        bucket.append(Snapshot(tick=tick, order=order, payload=payload))
+        self._sizes[tick] = _size(payload)
+        return bucket
+
+    def offer(self, tick: int, payload: object) -> bool:
+        """Retain ``payload`` at ``tick``; returns ``True`` when stored.
+
+        Every positive tick is stored at its natural order; the oldest
+        snapshot of that order beyond the per-order limit is evicted --
+        exactly the CluStream scheme -- and then, under a byte budget,
+        the globally oldest until the store fits (never the last one).
+        """
+        if tick < 0:
+            raise ValueError("ticks must be non-negative")
+        self.offered += 1
+        if tick == 0:
+            return False
+        bucket = self._insert(tick, payload)
+        self.stored_total += 1
+        if len(bucket) > self.alpha**self.capacity + 1:
+            del self._sizes[bucket.pop(0).tick]
+            self.evicted_pyramid += 1
+        while (
+            self.max_bytes is not None
+            and self.bytes > self.max_bytes
+            and len(self) > 1
+        ):
+            oldest = min(
+                (b for b in self._orders.values() if b),
+                key=lambda b: b[0].tick,
+            )
+            del self._sizes[oldest.pop(0).tick]
+            self.evicted_memory += 1
+        return True
 
     def observe(self, tick: int, payload: Mapping) -> bool:
         """Record the state at ``tick``; returns ``True`` when stored.
@@ -243,53 +323,58 @@ class ModelHistory:
                 if value is not None:
                     gauges[name] = value
             payload["gauges"] = gauges
-        size = len(json.dumps(payload, separators=(",", ":"), default=float))
-        if not self.store.offer(tick, payload):
+        if not self.offer(tick, payload):
             return False
-        self._sizes[tick] = size
-        self._reconcile_sizes()
-        while (
-            self.max_bytes is not None
-            and self.bytes > self.max_bytes
-            and len(self.store) > 1
-        ):
-            evicted = self.store.pop_oldest()
-            if evicted is None:
-                break
-            self._sizes.pop(evicted.tick, None)
-            self.evicted_memory += 1
         observer = self.observer
         if observer is not None and observer.enabled:
             observer.event(
                 "history.snapshot",
                 scope=self.scope,
                 tick=tick,
-                alpha=self.store.alpha,
-                capacity=self.store.capacity,
+                alpha=self.alpha,
+                capacity=self.capacity,
                 payload=payload,
             )
         return True
 
-    def _reconcile_sizes(self) -> None:
-        retained = set(self.store.ticks())
-        for tick in [t for t in self._sizes if t not in retained]:
-            del self._sizes[tick]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def snapshots(self) -> list[Snapshot]:
+        """All retained snapshots, sorted by tick."""
+        return sorted(
+            (snapshot for bucket in self._orders.values() for snapshot in bucket),
+            key=lambda snapshot: snapshot.tick,
+        )
+
+    def ticks(self) -> list[int]:
+        """Retained ticks, ascending."""
+        return [snapshot.tick for snapshot in self.snapshots()]
+
+    def closest(self, tick: int) -> Snapshot:
+        """The retained snapshot whose tick is nearest to ``tick``.
+
+        Raises ``ValueError`` if nothing has been stored yet.
+        """
+        retained = self.snapshots()
+        if not retained:
+            raise ValueError("no snapshots retained")
+        return min(retained, key=lambda snapshot: abs(snapshot.tick - tick))
+
     def _lookup(self, t: int) -> Snapshot:
+        """The newest retained snapshot at or before ``t``.
+
+        A later snapshot reflects state the queried moment had not
+        reached yet; when everything retained is newer, the oldest
+        landmark answers rather than refusing (documented degradation).
+        """
         if t < 0:
             raise ValueError(f"query time must be non-negative, got {t}")
-        snapshot = self.store.at_or_before(t)
-        if snapshot is None:
-            # Everything retained is newer: answer with the oldest
-            # landmark rather than refusing (documented degradation).
-            retained = self.store.snapshots()
-            if not retained:
-                raise ValueError("history is empty")
-            snapshot = retained[0]
-        return snapshot
+        retained = self.snapshots()
+        if not retained:
+            raise ValueError("history is empty")
+        earlier = [snapshot for snapshot in retained if snapshot.tick <= t]
+        return earlier[-1] if earlier else retained[0]
 
     def model_at(self, t: int) -> dict:
         """The recorded state at the newest retained tick ≤ ``t``.
@@ -336,7 +421,7 @@ class ModelHistory:
                 f"reversed window [{t0}, {t1}): end precedes start"
             )
         points: list[list] = []
-        for snapshot in self.store.snapshots():
+        for snapshot in self.snapshots():
             if t0 is not None and snapshot.tick < t0:
                 continue
             if t1 is not None and snapshot.tick > t1:
@@ -349,27 +434,27 @@ class ModelHistory:
     def gauge_names(self) -> list[str]:
         """Every gauge name appearing in a retained snapshot."""
         names: set[str] = set()
-        for snapshot in self.store.snapshots():
+        for snapshot in self.snapshots():
             names.update(((snapshot.payload or {}).get("gauges") or {}))
         return sorted(names)
 
     def summary(self) -> dict:
         """The ``/history`` index payload: bounds, accounting, ticks."""
         return {
-            "retained": len(self.store),
-            "offered": self.store.offered,
-            "stored_total": self.store.stored_total,
+            "retained": len(self),
+            "offered": self.offered,
+            "stored_total": self.stored_total,
             "evictions": {
-                "pyramid": self.store.evicted - self.evicted_memory,
+                "pyramid": self.evicted_pyramid,
                 "memory": self.evicted_memory,
             },
             "bytes": self.bytes,
             "max_bytes": self.max_bytes,
-            "alpha": self.store.alpha,
-            "capacity": self.store.capacity,
+            "alpha": self.alpha,
+            "capacity": self.capacity,
             "scope": self.scope,
             "horizon": self._last_tick,
-            "ticks": self.store.ticks(),
+            "ticks": self.ticks(),
             "gauges": self.gauge_names(),
         }
 
@@ -380,18 +465,13 @@ class ModelHistory:
         the component series is capped at ``series_points``), so it can
         ride every TELEMETRY flush without bloating the envelope.
         """
-        series = self.gauge_series("components")
-        return {
-            "retained": len(self.store),
-            "evictions": {
-                "pyramid": self.store.evicted - self.evicted_memory,
-                "memory": self.evicted_memory,
-            },
-            "bytes": self.bytes,
-            "horizon": self._last_tick,
-            "ticks": self.store.ticks(),
-            "components": series[-series_points:],
+        summary = self.summary()
+        rollup = {
+            key: summary[key]
+            for key in ("retained", "evictions", "bytes", "horizon", "ticks")
         }
+        rollup["components"] = self.gauge_series("components")[-series_points:]
+        return rollup
 
     # ------------------------------------------------------------------
     # Metrics
@@ -400,15 +480,15 @@ class ModelHistory:
         """Push ``history.*`` gauges (retention and eviction accounting)."""
         if self.scope is not None and "scope" not in labels:
             labels["scope"] = self.scope
-        registry.gauge("history.retained", **labels).set(len(self.store))
+        registry.gauge("history.retained", **labels).set(len(self))
         registry.gauge("history.bytes", **labels).set(self.bytes)
-        registry.gauge("history.offered", **labels).set(self.store.offered)
-        registry.gauge(
-            "history.evictions", kind="pyramid", **labels
-        ).set(self.store.evicted - self.evicted_memory)
-        registry.gauge(
-            "history.evictions", kind="memory", **labels
-        ).set(self.evicted_memory)
+        registry.gauge("history.offered", **labels).set(self.offered)
+        registry.gauge("history.evictions", kind="pyramid", **labels).set(
+            self.evicted_pyramid
+        )
+        registry.gauge("history.evictions", kind="memory", **labels).set(
+            self.evicted_memory
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -420,36 +500,45 @@ class ModelHistory:
             "scope": self.scope,
             "last_tick": self._last_tick,
             "evicted_memory": self.evicted_memory,
-            "store": self.store.to_dict(),
+            "store": {
+                "alpha": self.alpha,
+                "capacity": self.capacity,
+                "offered": self.offered,
+                "stored_total": self.stored_total,
+                "evicted": self.evicted,
+                "snapshots": [
+                    [snapshot.tick, snapshot.payload]
+                    for snapshot in self.snapshots()
+                ],
+            },
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ModelHistory":
-        """Inverse of :meth:`to_dict`; reattach ``observer`` and
-        ``gauge_source`` afterwards (they are process state)."""
-        store = PyramidalSnapshotStore.from_dict(payload["store"])
+        """Inverse of :meth:`to_dict`: the exact retained set, counters
+        included, is reinstated without re-running retention; reattach
+        ``observer`` and ``gauge_source`` afterwards (process state)."""
+        store = payload["store"]
         history = cls(
-            alpha=store.alpha,
-            capacity=store.capacity,
+            alpha=int(store["alpha"]),
+            capacity=int(store["capacity"]),
             max_bytes=payload.get("max_bytes"),
             scope=payload.get("scope"),
         )
-        history.store = store
+        for tick, item in store["snapshots"]:
+            history._insert(int(tick), item)
         history._last_tick = int(payload.get("last_tick", 0))
+        history.offered = int(store.get("offered", 0))
+        history.stored_total = int(store.get("stored_total", 0))
         history.evicted_memory = int(payload.get("evicted_memory", 0))
-        history._sizes = {
-            snapshot.tick: len(
-                json.dumps(
-                    snapshot.payload, separators=(",", ":"), default=float
-                )
-            )
-            for snapshot in store.snapshots()
-        }
+        history.evicted_pyramid = (
+            int(store.get("evicted", 0)) - history.evicted_memory
+        )
         return history
 
     def __repr__(self) -> str:
         return (
-            f"ModelHistory(scope={self.scope!r}, retained={len(self.store)}, "
+            f"ModelHistory(scope={self.scope!r}, retained={len(self)}, "
             f"horizon={self._last_tick})"
         )
 
@@ -459,28 +548,14 @@ def history_from_events(
 ) -> ModelHistory | None:
     """Replay ``history.snapshot`` trace events into a fresh store.
 
-    The offline half of the live/offline agreement contract: the same
-    snapshots pass through the same retention, so drift queries on the
-    result match the live endpoint's answers for any window inside the
-    trace.  ``scope`` selects one history when a trace carries several
-    (``None`` accepts the first scope seen).  Returns ``None`` when the
-    trace has no matching snapshots.
+    The offline half of the live/offline agreement contract: the trace
+    fold passes the same snapshots through the same retention, so drift
+    queries on the result match the live endpoint's answers for any
+    window inside the trace.  ``scope`` selects one history when a trace
+    carries several; unset, the coordinator's is preferred, else the
+    first scope seen.  Returns ``None`` when the trace has no matching
+    snapshots.
     """
-    history: ModelHistory | None = None
-    for event in events:
-        if event.type != "history.snapshot":
-            continue
-        fields = event.fields
-        event_scope = fields.get("scope")
-        if scope is not None and event_scope != scope:
-            continue
-        if history is None:
-            history = ModelHistory(
-                alpha=int(fields.get("alpha", 2)),
-                capacity=int(fields.get("capacity", 2)),
-                scope=event_scope if scope is None else scope,
-            )
-        elif scope is None and event_scope != history.scope:
-            continue
-        history.observe(int(fields["tick"]), dict(fields.get("payload") or {}))
-    return history
+    from repro.obs.health import HealthMonitor
+
+    return HealthMonitor.replay(events).history(scope)

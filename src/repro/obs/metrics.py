@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Iterator, Mapping
 
 __all__ = [
@@ -117,11 +118,10 @@ class Histogram:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first bound >= value; NaN compares false everywhere and
+        # lands in the overflow bucket.
+        index = bisect_left(self.buckets, value) if value == value else -1
+        self.bucket_counts[index] += 1
 
     @property
     def mean(self) -> float:

@@ -6,9 +6,10 @@ Two data paths feed the same renderer:
   :class:`~repro.obs.server.TelemetryServer` -- ``/health`` for the
   paper-grounded gauges, ``/metrics`` for the latency histograms -- over
   ``urllib`` (no third-party HTTP client);
-* **trace mode** (``--trace``) tails a JSONL trace file, folding the
-  events through a local :class:`~repro.obs.health.HealthMonitor`, so a
-  finished (or crashed) run can be replayed into the exact same tiles.
+* **trace mode** (``--trace``) replays a JSONL trace file through the
+  trace fold (:class:`~repro.obs.health.HealthMonitor`) -- its report
+  and its replayed history, the same replay ``repro stats --window``
+  reads -- so a finished (or crashed) run renders the exact same tiles.
 
 :func:`render_dashboard` is a pure function from the collected state to
 the dashboard string; the tests drive it directly, the CLI wraps it in
@@ -27,7 +28,6 @@ from typing import IO, Sequence
 
 from repro.obs.export import parse_prometheus
 from repro.obs.health import HealthMonitor
-from repro.obs.history import history_from_events
 from repro.obs.metrics import Histogram
 from repro.obs.trace import read_trace
 
@@ -452,38 +452,34 @@ def _collect_from_server(
     return health, samples, _collect_history(base)
 
 
-def _collect_history(base: str) -> dict | None:
-    """Poll the ``/history`` endpoints; ``None`` on a pre-history server.
+def _fetch_json(url: str) -> dict | None:
+    """An optional endpoint's JSON, or ``None`` when it cannot be had.
 
     A 404 (history disabled or an older server) simply drops the pane
     -- the monitor must keep working against any telemetry server.
     """
     try:
-        summary = json.loads(_fetch(f"{base}/history"))
-    except (urllib.error.URLError, ValueError, OSError):
+        return json.loads(_fetch(url))
+    except (OSError, ValueError):
+        return None
+
+
+def _collect_history(base: str) -> dict | None:
+    """Poll the ``/history`` endpoints; ``None`` on a pre-history server."""
+    summary = _fetch_json(f"{base}/history")
+    if summary is None:
         return None
     series: dict = {}
     for name in ("components", "avg_pr_margin"):
-        try:
-            payload = json.loads(
-                _fetch(f"{base}/history/series?name={name}")
-            )
+        payload = _fetch_json(f"{base}/history/series?name={name}")
+        if payload is not None:
             series[name] = payload.get("points") or []
-        except (urllib.error.URLError, ValueError, OSError):
-            continue
     return {"summary": summary, "series": series}
 
 
 def _collect_from_trace(path: str) -> tuple[dict, list, dict | None]:
-    monitor = HealthMonitor()
-    events = list(read_trace(path))
-    for event in events:
-        monitor.write(event)
-    # Prefer the coordinator's history when the trace carries several
-    # scopes; fall back to whichever scope appears first.
-    history = history_from_events(events, scope="coordinator")
-    if history is None:
-        history = history_from_events(events)
+    fold = HealthMonitor.replay(read_trace(path))
+    history = fold.history()
     pane = None
     if history is not None:
         pane = {
@@ -493,21 +489,14 @@ def _collect_from_trace(path: str) -> tuple[dict, list, dict | None]:
                 for name in ("components", "avg_pr_margin")
             },
         }
-    return monitor.report(), [], pane
+    return fold.report(), [], pane
 
 
 def _collect_cluster(url: str) -> tuple[dict, dict | None, dict | None]:
     base = url.rstrip("/")
     cluster = json.loads(_fetch(f"{base}/cluster/health"))
-    try:
-        nodes = json.loads(_fetch(f"{base}/cluster/nodes"))
-    except (urllib.error.URLError, ValueError, OSError):
-        nodes = None
-    try:
-        history = json.loads(_fetch(f"{base}/cluster/history"))
-    except (urllib.error.URLError, ValueError, OSError):
-        history = None
-    return cluster, nodes, history
+    nodes = _fetch_json(f"{base}/cluster/nodes")
+    return cluster, nodes, _fetch_json(f"{base}/cluster/history")
 
 
 def run_monitor(

@@ -94,65 +94,18 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802  (http.server API)
         telemetry: "TelemetryServer" = self.server.telemetry  # type: ignore[attr-defined]
         path, _, query = self.path.partition("?")
-        path = path.rstrip("/") or "/"
+        render = telemetry.route(path.rstrip("/") or "/")
+        if render is None:
+            self.send_error(404, "unknown endpoint")
+            return
         try:
-            since, limit = _paging(query)
-            if path in ("/", "/metrics"):
-                body = telemetry.render_metrics().encode("utf-8")
+            rendered = render(query)
+            if isinstance(rendered, str):
+                body = rendered.encode("utf-8")
                 content_type = "text/plain; version=0.0.4; charset=utf-8"
-            elif path == "/health":
-                body = _json_bytes(telemetry.render_health())
-                content_type = "application/json"
-            elif path == "/snapshot":
-                body = _json_bytes(telemetry.render_snapshot())
-                content_type = "application/json"
-            elif path == "/spans":
-                body = _json_bytes(telemetry.render_spans(since, limit))
-                content_type = "application/json"
-            elif path == "/history" and telemetry.history is not None:
-                body = _json_bytes(
-                    telemetry.render_history(_history_int(query, "t"))
-                )
-                content_type = "application/json"
-            elif (
-                path == "/history/drift" and telemetry.history is not None
-            ):
-                body = _json_bytes(
-                    telemetry.render_history_drift(
-                        _history_int(query, "t0"),
-                        _history_int(query, "t1"),
-                    )
-                )
-                content_type = "application/json"
-            elif (
-                path == "/history/series" and telemetry.history is not None
-            ):
-                body = _json_bytes(
-                    telemetry.render_history_series(
-                        _history_str(query, "name"),
-                        _history_int(query, "t0"),
-                        _history_int(query, "t1"),
-                    )
-                )
-                content_type = "application/json"
-            elif (
-                path == "/cluster/history"
-                and telemetry.federation is not None
-            ):
-                body = _json_bytes(telemetry.render_cluster_history())
-                content_type = "application/json"
-            elif path == "/cluster/health" and telemetry.federation is not None:
-                body = _json_bytes(telemetry.render_cluster_health())
-                content_type = "application/json"
-            elif path == "/cluster/nodes" and telemetry.federation is not None:
-                body = _json_bytes(telemetry.render_cluster_nodes())
-                content_type = "application/json"
-            elif path == "/cluster/spans" and telemetry.federation is not None:
-                body = _json_bytes(telemetry.render_cluster_spans(since, limit))
-                content_type = "application/json"
             else:
-                self.send_error(404, "unknown endpoint")
-                return
+                body = _json_bytes(rendered)
+                content_type = "application/json"
         except ValueError as exc:
             # Bad query ranges (reversed/negative windows) are the
             # client's fault; the message names the offending values.
@@ -240,9 +193,9 @@ class TelemetryServer:
     publish:
         Extra publishers called with the metrics registry right before
         every ``/metrics`` render (after the health monitor publishes),
-        e.g. :func:`repro.obs.health.publish_cluster_levels` bound to a
-        live tree -- lets components push point-in-time gauges without
-        holding a background thread.
+        e.g. :func:`repro.obs.federation.publish_process_resources` --
+        lets components push point-in-time gauges without holding a
+        background thread.
     federation:
         Optional :class:`~repro.obs.federation.FederationCollector`;
         when present the ``/cluster/*`` endpoints come alive (the root
@@ -318,6 +271,39 @@ class TelemetryServer:
     # ------------------------------------------------------------------
     # Renderers (shared with tests; no HTTP required)
     # ------------------------------------------------------------------
+    def route(self, path: str) -> Callable[[str], object] | None:
+        """The renderer behind ``path``, called with the query string;
+        ``None`` for an endpoint this server does not serve.  A ``str``
+        answer is Prometheus text, anything else is served as JSON."""
+        routes: dict[str, Callable[[str], object]] = {
+            "/": lambda query: self.render_metrics(),
+            "/metrics": lambda query: self.render_metrics(),
+            "/health": lambda query: self.render_health(),
+            "/snapshot": lambda query: self.render_snapshot(),
+            "/spans": lambda query: self.render_spans(*_paging(query)),
+        }
+        if self.history is not None:
+            routes["/history"] = lambda query: self.render_history(
+                _history_int(query, "t")
+            )
+            routes["/history/drift"] = lambda query: self.render_history_drift(
+                _history_int(query, "t0"), _history_int(query, "t1")
+            )
+            routes["/history/series"] = lambda query: self.render_history_series(
+                _history_str(query, "name"),
+                _history_int(query, "t0"),
+                _history_int(query, "t1"),
+            )
+        federation = self.federation
+        if federation is not None:
+            routes["/cluster/health"] = lambda query: federation.rollup()
+            routes["/cluster/nodes"] = lambda query: federation.nodes_view()
+            routes["/cluster/history"] = lambda query: federation.history_rollup()
+            routes["/cluster/spans"] = lambda query: federation.render_spans(
+                *_paging(query)
+            )
+        return routes.get(path)
+
     def render_metrics(self) -> str:
         if self.health is not None:
             self.health.publish(self.observer.registry)
@@ -346,14 +332,6 @@ class TelemetryServer:
         trace["count"] = len(records)
         return trace
 
-    def render_cluster_health(self) -> dict:
-        assert self.federation is not None
-        return self.federation.rollup()
-
-    def render_cluster_nodes(self) -> dict:
-        assert self.federation is not None
-        return self.federation.nodes_view()
-
     def render_history(self, t: int | None = None) -> dict:
         assert self.history is not None
         with self.observer.span(
@@ -367,7 +345,7 @@ class TelemetryServer:
         self, t0: int | None = None, t1: int | None = None
     ) -> dict:
         assert self.history is not None
-        ticks = self.history.store.ticks()
+        ticks = self.history.ticks()
         if t0 is None:
             t0 = ticks[0] if ticks else 0
         if t1 is None:
@@ -394,13 +372,3 @@ class TelemetryServer:
                 "t1": t1,
                 "points": self.history.gauge_series(name, t0, t1),
             }
-
-    def render_cluster_history(self) -> dict:
-        assert self.federation is not None
-        return self.federation.history_rollup()
-
-    def render_cluster_spans(
-        self, since: int = 0, limit: int | None = None
-    ) -> dict:
-        assert self.federation is not None
-        return self.federation.render_spans(since, limit)

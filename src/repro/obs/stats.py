@@ -1,11 +1,13 @@
-"""Trace analysis: tail a JSONL trace into a human-readable run summary.
+"""Trace analysis: a JSONL trace as a human-readable run summary.
 
-This is the consumer half of the tracing layer: given the typed events
-emitted during a run (from a file, a ring buffer, or any iterable), it
-reconstructs the counts the paper's figures are built from -- per-site
-chunk-test pass/fail, EM runs, reactivations, model archives,
-coordinator merge/split decisions, and everything the transport had to
-do (sends, retransmissions, heartbeats, duplicate suppressions).
+The consumer half of the tracing layer: the typed events emitted
+during a run (from a file, a ring buffer, or any iterable) pass through
+the one trace fold (:class:`~repro.obs.health.HealthMonitor`), and
+:class:`RunSummary` is its view in the counts the paper's figures are
+built from -- per-site chunk-test pass/fail, EM runs, reactivations,
+model archives, coordinator merge/split decisions, and everything the
+transport had to do (sends, retransmissions, heartbeats, duplicate
+suppressions).
 
 The ``cludistream stats`` CLI subcommand is a thin wrapper over
 :func:`summarize_trace` + :func:`format_summary`; the integration suite
@@ -15,11 +17,11 @@ state the live objects report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable
 
-from repro.obs.history import history_from_events
+from repro.obs.health import HealthMonitor
 from repro.obs.metrics import Histogram
 from repro.obs.trace import TraceEvent, read_trace
 
@@ -34,10 +36,10 @@ __all__ = [
 ]
 
 
-#: Duration buckets for span histograms: 10µs .. 10s, log-spaced.
-_SPAN_BUCKETS = (
-    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0,
-)
+def _count(event_type: str):
+    """A :class:`RunSummary` total that is the number of ``event_type``
+    events in the trace."""
+    return field(default=0, metadata={"count": event_type})
 
 
 @dataclass
@@ -61,56 +63,75 @@ class RunSummary:
     """Everything a trace says about one run.
 
     ``sites`` maps site id to its :class:`SiteSummary`; the remaining
-    attributes are system-wide totals.
+    attributes are system-wide totals.  Built by :meth:`of` from the
+    trace fold.
     """
 
     events: int = 0
     sites: dict[int, SiteSummary] = field(default_factory=dict)
     # EM / profiling
-    em_fits: int = 0
+    em_fits: int = _count("em.fit")
     em_iterations: int = 0
     # Coordinator
-    model_updates: int = 0
-    weight_updates: int = 0
-    deletions: int = 0
-    merges: int = 0
+    model_updates: int = _count("coord.model_update")
+    weight_updates: int = _count("coord.weight_update")
+    deletions: int = _count("coord.deletion")
+    merges: int = _count("coord.merge")
     simplex_iterations: int = 0
     simplex_evaluations: int = 0
-    splits: int = 0
-    evictions: int = 0
+    splits: int = _count("coord.split")
+    evictions: int = _count("transport.evict")
     # Transport
-    sends: int = 0
-    retransmissions: int = 0
-    heartbeats: int = 0
-    delivered: int = 0
-    duplicates_suppressed: int = 0
-    send_expirations: int = 0
+    sends: int = _count("transport.send")
+    retransmissions: int = _count("transport.retransmit")
+    heartbeats: int = _count("transport.heartbeat")
+    delivered: int = _count("transport.deliver")
+    duplicates_suppressed: int = _count("transport.duplicate")
+    send_expirations: int = _count("transport.expired")
     # Fault injection
-    fault_drops: int = 0
-    fault_duplicates: int = 0
-    fault_reorders: int = 0
-    fault_partition_drops: int = 0
+    fault_drops: int = _count("fault.drop")
+    fault_duplicates: int = _count("fault.duplicate")
+    fault_reorders: int = _count("fault.reorder")
+    fault_partition_drops: int = _count("fault.partition")
     # Runtime lifecycle
-    runtime_runs: int = 0
+    runtime_runs: int = _count("runtime.run")
     runtime_records: int = 0
-    runtime_checkpoints: int = 0
-    runtime_resumes: int = 0
+    runtime_checkpoints: int = _count("runtime.checkpoint")
+    runtime_resumes: int = _count("runtime.resume")
     # Model history (time-travel observability)
-    history_snapshots: int = 0
+    history_snapshots: int = _count("history.snapshot")
     # Spans (causal tracing)
-    span_count: int = 0
+    span_count: int = _count("span")
     #: Per-span-name duration histograms (seconds).
     span_durations: dict[str, Histogram] = field(default_factory=dict)
 
-    def site(self, site_id: int) -> SiteSummary:
-        if site_id not in self.sites:
-            self.sites[site_id] = SiteSummary()
-        return self.sites[site_id]
-
-    def span_histogram(self, name: str) -> Histogram:
-        if name not in self.span_durations:
-            self.span_durations[name] = Histogram(_SPAN_BUCKETS)
-        return self.span_durations[name]
+    @classmethod
+    def of(cls, fold: HealthMonitor) -> "RunSummary":
+        """The run summary view of a trace fold."""
+        return cls(
+            events=fold.events,
+            sites={
+                site_id: SiteSummary(
+                    chunk_tests_passed=site.tests_passed,
+                    chunk_tests_failed=site.tests - site.tests_passed,
+                    clusterings=site.clusterings,
+                    reactivations=site.reactivations,
+                    archives=site.archives,
+                    expirations=site.expirations,
+                )
+                for site_id, site in fold.sites.items()
+            },
+            em_iterations=fold.em_iterations,
+            simplex_iterations=fold.simplex_iterations,
+            simplex_evaluations=fold.simplex_evaluations,
+            runtime_records=fold.runtime_records,
+            span_durations=dict(fold.span_durations),
+            **{
+                f.name: fold.count(f.metadata["count"])
+                for f in fields(cls)
+                if "count" in f.metadata
+            },
+        )
 
     @property
     def total_archives(self) -> int:
@@ -141,82 +162,7 @@ class RunSummary:
 
 def summarize_events(events: Iterable[TraceEvent]) -> RunSummary:
     """Fold a stream of trace events into a :class:`RunSummary`."""
-    summary = RunSummary()
-    for event in events:
-        summary.events += 1
-        fields = event.fields
-        type_ = event.type
-        if type_ == "site.chunk_test":
-            site = summary.site(int(fields["site"]))
-            if fields.get("passed"):
-                site.chunk_tests_passed += 1
-            else:
-                site.chunk_tests_failed += 1
-        elif type_ == "site.cluster":
-            summary.site(int(fields["site"])).clusterings += 1
-        elif type_ == "site.reactivate":
-            summary.site(int(fields["site"])).reactivations += 1
-        elif type_ == "site.archive":
-            summary.site(int(fields["site"])).archives += 1
-        elif type_ == "site.expire":
-            summary.site(int(fields["site"])).expirations += 1
-        elif type_ == "em.fit":
-            summary.em_fits += 1
-            summary.em_iterations += int(fields.get("n_iter", 0))
-        elif type_ == "coord.model_update":
-            summary.model_updates += 1
-        elif type_ == "coord.weight_update":
-            summary.weight_updates += 1
-        elif type_ == "coord.deletion":
-            summary.deletions += 1
-        elif type_ == "coord.merge":
-            summary.merges += 1
-            summary.simplex_iterations += int(fields.get("simplex_iterations", 0))
-            summary.simplex_evaluations += int(
-                fields.get("simplex_evaluations", 0)
-            )
-        elif type_ == "coord.split":
-            summary.splits += 1
-        elif type_ == "transport.evict":
-            summary.evictions += 1
-        elif type_ == "transport.send":
-            summary.sends += 1
-        elif type_ == "transport.retransmit":
-            summary.retransmissions += 1
-        elif type_ == "transport.heartbeat":
-            summary.heartbeats += 1
-        elif type_ == "transport.deliver":
-            summary.delivered += 1
-        elif type_ == "transport.duplicate":
-            summary.duplicates_suppressed += 1
-        elif type_ == "transport.expired":
-            summary.send_expirations += 1
-        elif type_ == "fault.drop":
-            summary.fault_drops += 1
-        elif type_ == "fault.duplicate":
-            summary.fault_duplicates += 1
-        elif type_ == "fault.reorder":
-            summary.fault_reorders += 1
-        elif type_ == "fault.partition":
-            summary.fault_partition_drops += 1
-        elif type_ == "runtime.run":
-            summary.runtime_runs += 1
-            summary.runtime_records += int(fields.get("records", 0))
-        elif type_ == "runtime.checkpoint":
-            summary.runtime_checkpoints += 1
-        elif type_ == "runtime.resume":
-            summary.runtime_resumes += 1
-        elif type_ == "history.snapshot":
-            summary.history_snapshots += 1
-        elif type_ == "span":
-            summary.span_count += 1
-            start = fields.get("start")
-            end = fields.get("end")
-            if start is not None and end is not None:
-                summary.span_histogram(str(fields.get("name", "?"))).observe(
-                    max(float(end) - float(start), 0.0)
-                )
-    return summary
+    return RunSummary.of(HealthMonitor.replay(events))
 
 
 def summarize_trace(source: str | Path | IO[str]) -> RunSummary:
@@ -232,13 +178,12 @@ def drift_from_trace(
 ) -> dict:
     """Fold a trace's history snapshots through the live drift analytics.
 
-    Backs ``repro stats --window t0 t1``: the trace's
-    ``history.snapshot`` events replay through the same pyramidal
-    retention (:func:`~repro.obs.history.history_from_events`) and the
-    same :func:`~repro.obs.history.drift_report`, so an offline trace
-    and the live ``/history/drift`` endpoint answer identically for
-    any window the run served.  Prefers the coordinator's history when
-    ``scope`` is unset and the trace carries several.
+    Backs ``repro stats --window t0 t1``: the trace fold replays the
+    ``history.snapshot`` events through the same pyramidal retention
+    and the same :func:`~repro.obs.history.drift_report`, so an offline
+    trace and the live ``/history/drift`` endpoint answer identically
+    for any window the run served.  ``scope`` picks the history as
+    :meth:`~repro.obs.health.HealthMonitor.history` does.
 
     Raises
     ------
@@ -246,12 +191,7 @@ def drift_from_trace(
         When the trace carries no matching history snapshots, or the
         window is negative/reversed (values named in the message).
     """
-    events = list(read_trace(source))
-    history = None
-    if scope is None:
-        history = history_from_events(events, scope="coordinator")
-    if history is None:
-        history = history_from_events(events, scope=scope)
+    history = HealthMonitor.replay(read_trace(source)).history(scope)
     if history is None:
         raise ValueError(
             "trace carries no history.snapshot events"

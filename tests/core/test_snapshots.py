@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.snapshots import PyramidalSnapshotStore
+from repro.obs.history import ModelHistory as PyramidalSnapshotStore
 
 
 class TestOrderOf:

@@ -194,7 +194,7 @@ class TestDriftBetween:
         assert report["churn_total"] == sum(report["churn"].values())
 
     def test_churn_clamps_negative_deltas(self):
-        from repro.core.snapshots import Snapshot
+        from repro.obs.history import Snapshot
 
         s0 = Snapshot(tick=1, order=0, payload={"counters": {"merges": 5}})
         s1 = Snapshot(tick=2, order=0, payload={"counters": {"merges": 2}})

@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.snapshots import PyramidalSnapshotStore
+from repro.obs.history import ModelHistory as PyramidalSnapshotStore
 from repro.obs.history import ModelHistory
 
 
