@@ -5,8 +5,8 @@ Twenty telecom edge collectors each observe a net-flow stream (six
 attributes: source/destination host, source/destination TCP port,
 packet count, data bytes).  Shipping raw flows to the data centre is
 infeasible, so each collector runs CluDistream remote-site processing
-and ships only model synopses.  The run happens on the discrete-event
-simulator with a 1000 records/s ingest rate per site and reports the
+and ships only model synopses.  The run is timed on a virtual clock at
+a 1000 records/s ingest rate per site and reports the
 communication-cost series the paper's Figure 2 plots.
 
 Run:  python examples/network_monitoring.py
@@ -53,7 +53,7 @@ def main() -> None:
         f"Simulating {N_SITES} collectors x {RECORDS_PER_SITE} flows "
         f"at {RATE:.0f} flows/s ..."
     )
-    channel = SimulatedChannel(rate=RATE, latency=0.01)
+    channel = SimulatedChannel(rate=RATE)
     report = system.runtime(channel).run(
         streams, max_records_per_site=RECORDS_PER_SITE
     )

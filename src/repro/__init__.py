@@ -5,7 +5,7 @@ A faithful, production-quality reproduction of *"Distributed Data Stream
 Clustering: A Fast EM-based Approach"* (Zhou, Cao, Yan, Sha, He --
 ICDE 2007).  The library implements the paper's test-and-cluster remote
 sites, merge/split coordinator, the SEM and sampling baselines it
-compares against, the discrete-event simulation its experiments run on,
+compares against, the virtual clock and cost meter of its experiments,
 and the synthetic workloads (including an NFD-like net-flow generator)
 behind every figure of the evaluation.
 
@@ -78,7 +78,7 @@ from repro.runtime import (
     TransportChannel,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 #: The timing suite's names, removed in 1.4.0 without a warning release
 #: (DESIGN.md section 10.3 records the exception).

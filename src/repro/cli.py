@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--simulate",
         action="store_true",
-        help="run on the discrete-event engine (reports virtual time)",
+        help="time the run on a virtual clock (reports virtual time)",
     )
     run.add_argument(
         "--checkpoint-dir",

@@ -283,10 +283,10 @@ class RemoteSite:
         are reproducible per site).
     emit:
         Optional callback invoked with every outgoing
-        :class:`~repro.core.protocol.Message`; the simulation layer
-        plugs the network channel in here.  Messages are also returned
-        by :meth:`process_record` / :meth:`process_chunk` so the site is
-        usable without any simulation harness.
+        :class:`~repro.core.protocol.Message`; a runtime channel plugs
+        its delivery in here.  Messages are also returned by
+        :meth:`process_record` / :meth:`process_chunk` so the site is
+        usable without any channel.
     observer:
         Optional :class:`~repro.obs.observer.Observer` receiving the
         site's trace events (``site.chunk_test``, ``site.cluster``,

@@ -1,7 +1,7 @@
 """The one delivery-accounting model every delivery stack reports in.
 
-The simulated star network's links, the message-level fault injector
-and the ARQ transport stack all count into (or are projected onto) one
+The message-level channels (with their fault injector) and the ARQ
+transport stack all count into (or are projected onto) one
 :class:`DeliveryAccounting`:
 
 ``attempted``

@@ -11,9 +11,9 @@ in flight to land, e.g. before a checkpoint), ``finish`` and ``close``
 
 * :class:`DirectChannel` -- synchronous in-process delivery; messages
   reach the coordinator before ``submit`` returns;
-* :class:`SimulatedChannel` -- the discrete-event star network with
-  latency/bandwidth and the Figure 2 cost collector; ``submit``
-  advances the virtual clock to each record's arrival time;
+* :class:`SimulatedChannel` -- direct delivery on a virtual clock,
+  with the Figure 2 cost collector; ``submit`` advances the clock to
+  each record's time;
 * :class:`TransportChannel` -- the full ARQ transport stack
   (:mod:`repro.transport`); ``submit`` drains the reliable outboxes
   whenever a message entered one since the last drain, so delivery
@@ -27,6 +27,7 @@ its driver or its metering.
 
 from __future__ import annotations
 
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Sequence
@@ -156,28 +157,15 @@ class DirectChannel(Channel):
         return replace(self._accounting)
 
 
-class SimulatedChannel(Channel):
-    """The discrete-event star network as a runtime backend.
+class SimulatedChannel(DirectChannel):
+    """:class:`DirectChannel` on a virtual clock, with the Figure 2 meter.
 
-    ``submit`` advances the simulation clock to the record's arrival
-    time (record ``k`` of every site lands at ``k / rate`` virtual
-    seconds) before feeding the site, so uplink messages are metered at
-    the exact virtual second they are sent -- the Figure 2 cost series
-    falls out unchanged.  Deliveries ride the engine's event queue with
-    the configured latency/bandwidth; ``quiesce`` drains the queue,
-    which is what makes a mid-stream checkpoint consistent.
-
-    Parameters
-    ----------
-    rate:
-        Stream rate per site in records per virtual second.
-    latency / bandwidth / sample_interval:
-        Star-network link model and cost-collector grid, as in
-        :class:`~repro.simulation.network.StarNetwork`.
-    faults:
-        Optional message-level fault spec, applied at the delivery
-        boundary (the sender still pays for dropped messages, matching
-        the unified accounting model).
+    Record ``k`` of every site is at ``k / rate`` virtual seconds:
+    ``submit`` advances the clock there before feeding the site, so each
+    message is metered at the second it is emitted, then delivered as
+    on the direct channel.  ``duration`` is the last record's time and
+    ``sample_interval`` the grid of :meth:`cost_series`.  ``latency``
+    and ``bandwidth`` are deprecated since 1.8.0 and change nothing.
     """
 
     name = "simulated"
@@ -192,41 +180,31 @@ class SimulatedChannel(Channel):
     ) -> None:
         if rate <= 0.0:
             raise ValueError("rate must be positive")
+        if latency != 0.01 or bandwidth is not None:
+            warnings.warn(
+                "SimulatedChannel latency and bandwidth are deprecated and "
+                "change nothing: messages are delivered as they are emitted",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        super().__init__(faults)
         self._rate = rate
-        self._latency = latency
-        self._bandwidth = bandwidth
         self._sample_interval = sample_interval
-        self._faults = faults
-        self._accounting = DeliveryAccounting()
-        self._injector: MessageFaultInjector | None = None
-        self._counts: dict[int, int] = {}
+        self._cost = None
         self.engine = None
-        self.network = None
 
     def open(self, sites, coordinator, observer=None):
+        from repro.simulation.collector import TimeSeriesCollector
         from repro.simulation.engine import SimulationEngine
-        from repro.simulation.network import StarNetwork
 
-        observer = ensure_observer(observer)
-        self._injector = MessageFaultInjector(
-            self._faults,
-            coordinator.handle_message,
-            self._accounting,
-            observer=observer,
-        )
+        super().open(sites, coordinator, observer)
         self.engine = SimulationEngine(observer=observer)
-        self.network = StarNetwork(
-            self.engine,
-            deliver=self._injector.offer,
-            latency=self._latency,
-            bandwidth=self._bandwidth,
-            sample_interval=self._sample_interval,
-            observer=observer,
-        )
-        self._sites = list(sites)
+        self._cost = TimeSeriesCollector(interval=self._sample_interval)
         self._counts = {site.site_id: 0 for site in sites}
-        for site in sites:
-            site._emit = self.network.channel_for(site.site_id).send
+
+    def _on_emit(self, message: Message) -> None:
+        self._cost.add(self.engine.now, message.payload_bytes())
+        super()._on_emit(message)
 
     def submit(self, site, record):
         count = self._counts[site.site_id]
@@ -236,18 +214,11 @@ class SimulatedChannel(Channel):
 
     def quiesce(self):
         self.engine.run()
-        if self._injector is not None:
-            self._injector.flush()
+        super().quiesce()
 
     def finish(self):
-        self.quiesce()
-        self.network.finalize()
-
-    def accounting(self):
-        accounting = replace(self._accounting)
-        if self.network is not None:
-            accounting.merge(self.network.accounting())
-        return accounting
+        super().finish()
+        self._cost.finalize(self.engine.now)
 
     @property
     def duration(self):
@@ -255,7 +226,7 @@ class SimulatedChannel(Channel):
 
     def cost_series(self) -> tuple[list[float], list[float]]:
         """The per-second cumulative communication cost (Figure 2)."""
-        return self.network.cost.series()
+        return self._cost.series() if self._cost is not None else ([], [])
 
 
 class DrainMark:

@@ -4,11 +4,9 @@ One :class:`ChannelFaults` spec configures drop / duplicate / reorder
 faults for *any* runtime channel, so an experiment can flip backends
 without re-describing its adversary:
 
-* the **direct** and **simulated** channels inject at message
-  granularity via :class:`MessageFaultInjector` -- given the same seed
-  and the same message sequence, both make bit-identical fault
-  decisions, so a faulty direct run and a faulty simulated run converge
-  to the same coordinator state;
+* the **direct** channel (and the simulated one, which is the direct
+  channel on a virtual clock) injects at message granularity via
+  :class:`MessageFaultInjector`;
 * the **transport** channel maps the same spec onto a
   :class:`~repro.transport.lossy.LossyTransport` wrapping the backend,
   where faults hit *datagrams* and the ARQ layer heals them -- the

@@ -1,25 +1,13 @@
-"""Discrete-event simulation substrate.
+"""Virtual clock and cost meter of :class:`~repro.runtime.SimulatedChannel`.
 
-The paper drives its experiments with the C++Sim discrete-event
-simulation package; this package is our from-scratch Python equivalent.
-It provides:
-
-* :mod:`repro.simulation.engine` -- a virtual clock and event queue,
-* :mod:`repro.simulation.network` -- star-topology channels between
-  remote sites and the coordinator with latency, bandwidth and exact
-  byte-cost metering, and
-* :mod:`repro.simulation.collector` -- per-second time-series
-  collectors ("the total communication cost is collected every second",
-  section 6).
+All that remains of our stand-in for the paper's C++Sim package, since
+delivery is synchronous: :mod:`repro.simulation.engine` is the virtual
+clock (record ``k`` of a site at ``k / rate`` seconds) and
+:mod:`repro.simulation.collector` samples the communication cost "every
+second" (section 6).
 """
 
 from repro.simulation.collector import TimeSeriesCollector
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.network import NetworkChannel, StarNetwork
 
-__all__ = [
-    "NetworkChannel",
-    "SimulationEngine",
-    "StarNetwork",
-    "TimeSeriesCollector",
-]
+__all__ = ["SimulationEngine", "TimeSeriesCollector"]

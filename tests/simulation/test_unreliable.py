@@ -1,8 +1,10 @@
 """Tests for the unreliable-link model and loss tolerance.
 
-The simulated star network's links are reliable; the adversary is the
-seeded :class:`~repro.runtime.faults.MessageFaultInjector` that
-:class:`~repro.runtime.SimulatedChannel` puts at the delivery boundary.
+The adversary is the seeded
+:class:`~repro.runtime.faults.MessageFaultInjector` that
+:class:`~repro.runtime.DirectChannel` puts at the delivery boundary;
+messages here enter the channel through a site's emit hook, as a
+remote site sends them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage, WeightUpdateMessage
-from repro.runtime import ChannelFaults, SimulatedChannel
+from repro.runtime import ChannelFaults, DirectChannel
 
 
 def weight_message(n: int = 0) -> WeightUpdateMessage:
@@ -35,41 +37,44 @@ def model_message(model_id: int = 0) -> ModelUpdateMessage:
     )
 
 
-def lossy_star(received: list, **faults) -> SimulatedChannel:
-    """The star network with the message-level adversary behind it --
-    the one unreliable-link model -- delivering into ``received``."""
-    channel = SimulatedChannel(latency=0.01, faults=ChannelFaults(**faults))
-    channel.open([], SimpleNamespace(handle_message=received.append))
-    return channel
+def lossy_link(coordinator, **faults):
+    """A direct channel with the message-level adversary behind it --
+    the one unreliable-link model -- delivering into ``coordinator``.
+    Returns the channel and the emit hook it wired into site 0."""
+    site = SimpleNamespace(site_id=0, _emit=None)
+    channel = DirectChannel(faults=ChannelFaults(**faults))
+    channel.open([site], coordinator)
+    return channel, site._emit
+
+
+def collecting(received: list):
+    return SimpleNamespace(handle_message=received.append)
 
 
 class TestLossyChannel:
     def test_drop_rate_zero_delivers_everything(self):
         received = []
-        channel = lossy_star(received, drop_rate=0.0)
-        link = channel.network.channel_for(0)
+        channel, send = lossy_link(collecting(received), drop_rate=0.0)
         for i in range(50):
-            link.send(weight_message(i))
+            send(weight_message(i))
         channel.quiesce()
         assert len(received) == 50
         assert channel.accounting().dropped == 0
 
     def test_drops_happen_at_the_configured_rate(self):
         received = []
-        channel = lossy_star(received, drop_rate=0.3, seed=1)
-        link = channel.network.channel_for(0)
+        channel, send = lossy_link(collecting(received), drop_rate=0.3, seed=1)
         for i in range(1000):
-            link.send(weight_message(i))
+            send(weight_message(i))
         channel.quiesce()
         dropped = channel.accounting().dropped
         assert dropped == pytest.approx(300, abs=60)
         assert len(received) == 1000 - dropped
 
     def test_sender_pays_for_dropped_messages(self):
-        channel = lossy_star([], drop_rate=0.99, seed=2)
-        link = channel.network.channel_for(0)
+        channel, send = lossy_link(collecting([]), drop_rate=0.99, seed=2)
         for i in range(100):
-            link.send(weight_message(i))
+            send(weight_message(i))
         channel.quiesce()
         accounting = channel.accounting()
         assert accounting.dropped > 50
@@ -81,10 +86,11 @@ class TestLossyChannel:
 
     def test_duplicates_deliver_twice(self):
         received = []
-        channel = lossy_star(received, duplicate_rate=0.5, seed=3)
-        link = channel.network.channel_for(0)
+        channel, send = lossy_link(
+            collecting(received), duplicate_rate=0.5, seed=3
+        )
         for i in range(200):
-            link.send(weight_message(i))
+            send(weight_message(i))
         channel.quiesce()
         duplicated = channel.accounting().duplicated
         assert len(received) == 200 + duplicated
@@ -123,21 +129,17 @@ class TestCoordinatorLossTolerance:
         )
 
     def test_survives_lossy_end_to_end(self):
-        """A lossy star network with a tolerant coordinator: no crash,
-        and the coordinator holds whatever made it through."""
+        """A lossy link with a tolerant coordinator: no crash, and the
+        coordinator holds whatever made it through."""
         coordinator = Coordinator(
             CoordinatorConfig(
                 max_components=4, merge_method="moment", tolerate_loss=True
             )
         )
-        channel = SimulatedChannel(
-            latency=0.0, faults=ChannelFaults(drop_rate=0.4, seed=4)
-        )
-        channel.open([], coordinator)
-        link = channel.network.channel_for(0)
+        channel, send = lossy_link(coordinator, drop_rate=0.4, seed=4)
         for model_id in range(10):
-            link.send(model_message(model_id))
-            link.send(
+            send(model_message(model_id))
+            send(
                 WeightUpdateMessage(
                     site_id=0, model_id=model_id, time=0, count_delta=50
                 )
