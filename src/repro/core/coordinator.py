@@ -119,9 +119,10 @@ class Leaf:
     weight:
         Absolute mass: site mixture weight × model record counter.
     remerge_score:
-        ``M_remerge(i, Mix)`` stored when the leaf was (re)merged into
-        its current father -- Algorithm 2 compares ``M_split`` against
-        its reciprocal on later updates.
+        ``M_remerge(i, Mix)`` against the father the leaf was last
+        (re)merged into -- Algorithm 2 compares ``M_split`` against its
+        reciprocal on later updates.  A merge only records that father
+        (:meth:`merged_into`); the score is computed when first read.
     """
 
     site_id: int
@@ -130,10 +131,32 @@ class Leaf:
     gaussian: Gaussian
     weight: float
     remerge_score: float = float("inf")
+    _merged_into: Gaussian | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.site_id, self.model_id, self.component_index)
+
+    def merged_into(self, father: Gaussian) -> None:
+        """Owe ``remerge_score`` against ``father`` until it is read."""
+        self._merged_into = father
+
+
+def _read_remerge_score(leaf: Leaf) -> float:
+    if leaf._merged_into is not None:
+        distance = leaf.gaussian.symmetric_mahalanobis_sq(leaf._merged_into)
+        leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
+    return leaf._remerge_score
+
+
+def _write_remerge_score(leaf: Leaf, score: float) -> None:
+    leaf._remerge_score, leaf._merged_into = score, None
+
+
+# Set after @dataclass, so its __init__, __eq__ and __repr__ use it too.
+Leaf.remerge_score = property(_read_remerge_score, _write_remerge_score)
 
 
 @dataclass
@@ -181,7 +204,9 @@ class GlobalCluster:
         self._weight = self._mixture = None
 
     def remove(self, leaf: Leaf) -> None:
-        self.leaves.remove(leaf)
+        # By identity (``==`` would compute re-merge scores); a leaf not
+        # in the cluster raises ValueError, as ``list.remove`` does.
+        del self.leaves[[id(kept) for kept in self.leaves].index(id(leaf))]
         self._weight = self._mixture = None
 
     def remove_model(self, key: tuple[int, int]) -> None:
@@ -524,12 +549,11 @@ class Coordinator:
             if cluster.father is None:
                 cluster.refresh_father()
             for leaf in list(cluster.leaves):
-                if leaf.site_id != site_id:
+                # An infinite score never splits: skip M_split for it.
+                if leaf.site_id != site_id or not np.isfinite(leaf.remerge_score):
                     continue
                 score = m_split(leaf.gaussian, cluster.leaf_mixture())
-                if np.isfinite(leaf.remerge_score) and score > (
-                    1.0 / leaf.remerge_score
-                ):
+                if score > 1.0 / leaf.remerge_score:
                     with self._obs.span(
                         "coord.split",
                         site=leaf.site_id,
@@ -673,8 +697,7 @@ class Coordinator:
                 father=father,
             )
             for leaf in merged.leaves:
-                distance = leaf.gaussian.symmetric_mahalanobis_sq(merged.father)
-                leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
+                leaf.merged_into(father)
             self._clusters[merged.cluster_id] = merged
             self.stats.merges += 1
             if self._obs.enabled:

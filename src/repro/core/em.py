@@ -182,7 +182,7 @@ def kmeans_plus_plus_centers(
 
 
 def _initial_mixture(
-    data: np.ndarray, config: EMConfig, rng: np.random.Generator
+    data: np.ndarray, config: EMConfig, rng: np.random.Generator, global_var: float
 ) -> GaussianMixture:
     """Seed a mixture: chosen centers, shared spherical covariance."""
     k = min(config.n_components, data.shape[0])
@@ -191,9 +191,6 @@ def _initial_mixture(
     else:
         indices = rng.choice(data.shape[0], size=k, replace=False)
         centers = data[indices]
-    global_var = float(np.mean(np.var(data, axis=0)))
-    if global_var <= 0.0:
-        global_var = 1.0
     variance = max(global_var / max(k, 1), 1e-6)
     return GaussianMixture.from_stacks(
         np.full(k, 1.0 / k),
@@ -254,6 +251,7 @@ def _em_loop(
     data: np.ndarray,
     mixture: GaussianMixture,
     config: EMConfig,
+    global_var: float,
 ) -> EMResult:
     """Iterate E/M from ``mixture`` until the ``tol`` criterion holds.
 
@@ -265,7 +263,6 @@ def _em_loop(
     previous = -np.inf
     converged = False
     iterations = 0
-    global_var = _chunk_global_var(data)
     e_step = mixture.e_step(data)
     for iterations in range(1, config.max_iter + 1):
         mixture = _m_step(data, e_step, config, global_var)
@@ -356,19 +353,20 @@ def fit_em(
 
     obs = ensure_observer(observer)
     with obs.timer("profile.em_fit"):
-        if warm_start is not None:
-            candidates = [
-                _em_loop(data, candidate, config) for candidate in warm_start
-            ]
-        else:
-            candidates = [
-                _em_loop(data, _initial_mixture(data, config, rng), config)
+        global_var = _chunk_global_var(data)  # once, for every start
+        starts = warm_start
+        if starts is None:
+            starts = [
+                _initial_mixture(data, config, rng, global_var)
                 for _ in range(config.n_init)
             ]
             if initial is not None:
                 if initial.dim != data.shape[1]:
                     raise ValueError("warm-start mixture dimension mismatch")
-                candidates.append(_em_loop(data, initial, config))
+                starts.append(initial)
+        candidates = [
+            _em_loop(data, start, config, global_var) for start in starts
+        ]
         best = max(candidates, key=lambda result: result.log_likelihood)
     if obs.enabled:
         obs.inc("em.fits")

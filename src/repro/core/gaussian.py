@@ -223,10 +223,10 @@ class Gaussian:
         criteria; the paper notes it can be derived from the symmetrised
         KL divergence between the components.
         """
-        if other.dim != self.dim:
+        if other.mean.size != self.mean.size:
             raise ValueError("cannot compare Gaussians of different dimension")
         delta = self.mean - other.mean
-        precision_sum = self.precision + other.precision
+        precision_sum = self._factors.inverse() + other._factors.inverse()
         return float(delta @ precision_sum @ delta)
 
     def merge_moments(

@@ -17,6 +17,7 @@ Like :class:`Gaussian`, mixtures are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -138,9 +139,10 @@ class GaussianMixture:
             )
         if weights.size == 0:
             raise ValueError("a mixture needs at least one component")
-        if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and non-negative")
         total = float(weights.sum())
+        # Non-negative with a finite sum is all finite (min is NaN-aware).
+        if not (weights.min() >= 0.0 and math.isfinite(total)):
+            raise ValueError("weights must be finite and non-negative")
         if total <= 0.0:
             raise ValueError("weights must not all be zero")
         dims = {component.dim for component in components}
@@ -335,8 +337,9 @@ class GaussianMixture:
                 # The pool of one leaf is the leaf: nothing to re-factorise.
                 self._pooled.append(only)
                 return only
-            means = self._means_matrix()
-            covariances = np.stack(
+            # ``np.array``: ``np.stack``'s copy, without its checks.
+            means = np.array([component.mean for component in self.components])
+            covariances = np.array(
                 [component.covariance for component in self.components]
             )
             mean = self.weights @ means
@@ -346,9 +349,6 @@ class GaussianMixture:
             ) + np.einsum("k,ki,kj->ij", self.weights, deltas, deltas)
             self._pooled.append(Gaussian(mean, cov))
         return self._pooled[0]
-
-    def _means_matrix(self) -> np.ndarray:
-        return np.stack([component.mean for component in self.components])
 
     def sample(
         self, n: int, rng: np.random.Generator

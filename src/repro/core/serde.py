@@ -53,6 +53,7 @@ covariance mode) because their size could not match the accounting.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -113,6 +114,7 @@ _QUANT_MASK = 0x03 << _QUANT_SHIFT
 #: ships raw covariances (exact); ``f32``/``f16`` ship packed
 #: lower-triangular Cholesky factors in the reduced precision.
 _QUANT_CODES = {"f64": 0, "f32": 1, "f16": 2}
+_QUANT_NAMES = {code: name for name, code in _QUANT_CODES.items()}
 _QUANT_DTYPES = {"f64": "<f8", "f32": "<f4", "f16": "<f2"}
 
 
@@ -433,6 +435,22 @@ class CDS1Codec:
 # ----------------------------------------------------------------------
 # CDS2 -- uint16 shapes, delta synopses, quantized Cholesky factors
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=32)
+def _tril(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(d)``, the packed factor's order, once per ``d``."""
+    indices = np.tril_indices(d)
+    for index in indices:
+        index.setflags(write=False)  # one copy, shared by every caller
+    return indices
+
+
+@functools.lru_cache(maxsize=32)
+def _block_dtype(d: int, diagonal: bool, quantize: str) -> np.dtype:
+    """A shipped component: ``d`` f64 mean values, then its covariance block."""
+    shape = (d,) if diagonal else (d, d) if quantize == "f64" else (d * (d + 1) // 2,)
+    return np.dtype([("mean", "<f8", (d,)), ("cov", _QUANT_DTYPES[quantize], shape)])
+
+
 def _quantize_cov(component: Gaussian, quantize: str) -> bytes:
     """Covariance transport block for one component."""
     dtype = _QUANT_DTYPES[quantize]
@@ -442,7 +460,7 @@ def _quantize_cov(component: Gaussian, quantize: str) -> bytes:
         values = np.ascontiguousarray(component.covariance)
     else:
         # The factor that accepted this covariance: nothing to refactor.
-        values = component.factors.cholesky[np.tril_indices(component.dim)]
+        values = component.factors.cholesky[_tril(component.dim)]
     if quantize == "f16":
         # Clamp into float16's finite range so extreme variances
         # degrade instead of overflowing to inf.
@@ -456,35 +474,29 @@ def _quantize_cov(component: Gaussian, quantize: str) -> bytes:
     return np.ascontiguousarray(values, dtype=dtype).tobytes()
 
 
-def _dequantize_cov(
-    blob: bytes, d: int, diagonal: bool, quantize: str
-) -> np.ndarray:
-    """Reconstruct a covariance matrix from its transport block."""
-    dtype = _QUANT_DTYPES[quantize]
-    values = np.frombuffer(blob, dtype=dtype).astype(np.float64)
+def _dequantize(
+    blocks: np.ndarray, diagonal: bool, quantize: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariances of a stack of :func:`_block_dtype` blocks:
+    ``(m, d)`` per-axis variances when ``diagonal``, else ``(m, d, d)``."""
+    means = blocks["mean"]
+    values = blocks["cov"].astype(np.float64)
     if diagonal:
-        tiny = float(np.finfo(np.float64).tiny)
-        return np.diag(np.maximum(values, tiny))
+        return means, np.maximum(values, float(np.finfo(np.float64).tiny))
     if quantize == "f64":
-        return values.reshape(d, d).copy()
-    factor = np.zeros((d, d))
-    factor[np.tril_indices(d)] = values
+        return means, values
+    d = means.shape[1]
+    factors = np.zeros((len(values), d, d))
+    rows, cols = _tril(d)
+    factors[:, rows, cols] = values
     # A factor diagonal rounded to zero would make the reconstruction
     # singular; the tiniest positive lift keeps it positive definite.
-    diag = factor.diagonal().copy()
-    floor = max(float(np.abs(diag).max()), 1.0) * 1e-7
-    np.fill_diagonal(factor, np.maximum(diag, floor))
-    cov = factor @ factor.T
-    return (cov + cov.T) / 2.0
-
-
-def _cov_block_bytes(d: int, diagonal: bool, quantize: str) -> int:
-    width = np.dtype(_QUANT_DTYPES[quantize]).itemsize
-    if diagonal:
-        return width * d
-    if quantize == "f64":
-        return width * d * d
-    return width * (d * (d + 1) // 2)
+    diag = np.einsum("kii->ki", factors)
+    floor = np.maximum(np.abs(diag).max(axis=1), 1.0) * 1e-7
+    np.maximum(diag, floor[:, None], out=diag)
+    # No ``(Σ + Σᵀ) / 2`` here: ``Gaussian.stack`` symmetrises, and twice
+    # gives the bits of once.
+    return means, factors @ factors.transpose(0, 2, 1)
 
 
 class CDS2Codec:
@@ -631,9 +643,9 @@ class CDS2Codec:
             parts.append(struct.pack("<I", baseline_id))
             parts.append(bytes(mask))
         parts.append(np.asarray(mixture.weights, dtype="<f8").tobytes())
-        cov_bytes = _cov_block_bytes(d, diagonal, quantize)
+        block = _block_dtype(d, diagonal, quantize).itemsize
         for i in shipped:
-            parts.append(reps[i][: 8 * d + cov_bytes])
+            parts.append(reps[i][:block])
         payload = b"".join(parts)
 
         # Remember what the receiver will hold for this update so later
@@ -704,23 +716,34 @@ class CDS2Codec:
         diagonal = bool(flags & _FLAG2_DIAGONAL)
         delta = bool(flags & _FLAG2_DELTA)
         quant_code = (flags & _QUANT_MASK) >> _QUANT_SHIFT
-        quantize = {v: n for n, v in _QUANT_CODES.items()}.get(quant_code)
+        quantize = _QUANT_NAMES.get(quant_code)
         if quantize is None:
             raise CodecError(f"unknown quantization code {quant_code}")
+        if k == 0 or d == 0:
+            raise CodecError(f"model update header has K = {k}, d = {d}")
 
-        (count,) = struct.unpack_from("<q", body, 0)
-        (reference,) = struct.unpack_from("<d", body, 8)
-        (update_id,) = struct.unpack_from("<I", body, 16)
-        offset = 20
+        # The header and the changed-component mask fix the body length
+        # exactly; it is checked before any field is unpacked.
+        offset = 24 + (k + 7) // 8 if delta else 20
+        shipped = np.arange(k)
+        if delta:
+            mask = np.frombuffer(body[24:offset], dtype=np.uint8)
+            shipped = np.flatnonzero(np.unpackbits(mask, count=k, bitorder="little"))
+        try:
+            block = _block_dtype(d, diagonal, quantize)
+        except ValueError:  # over numpy's 2 GiB cap: no payload holds one
+            raise CodecError(f"model update header has d = {d}") from None
+        expected = offset + 8 * k + len(shipped) * block.itemsize
+        if len(body) != expected:
+            raise CodecError(
+                f"CDS2 model update body is {len(body)} bytes; its header "
+                f"(K = {k}, d = {d}, {quantize}) needs {expected}"
+            )
+        count, reference, update_id = struct.unpack_from("<qdI", body)
 
         components: list[Gaussian | None] = [None] * k
-        shipped = list(range(k))
         if delta:
-            (baseline_id,) = struct.unpack_from("<I", body, offset)
-            offset += 4
-            mask = body[offset : offset + (k + 7) // 8]
-            offset += (k + 7) // 8
-            shipped = [i for i in shipped if mask[i // 8] & (1 << (i % 8))]
+            (baseline_id,) = struct.unpack_from("<I", body, 20)
             cached = self._rx.get(site_id, {}).get(baseline_id)
             if cached is None:
                 raise CodecError(
@@ -736,21 +759,12 @@ class CDS2Codec:
             components = list(cached.components)
 
         weights = np.frombuffer(body, dtype="<f8", count=k, offset=offset)
-        offset += 8 * k
-        cov_bytes = _cov_block_bytes(d, diagonal, quantize)
-        means = np.empty((len(shipped), d))
-        covariances = np.empty((len(shipped), d, d))
-        for mean, covariance in zip(means, covariances):
-            mean[...] = np.frombuffer(body, dtype="<f8", count=d, offset=offset)
-            offset += 8 * d
-            covariance[...] = _dequantize_cov(
-                body[offset : offset + cov_bytes], d, diagonal, quantize
-            )
-            offset += cov_bytes
-        if offset != len(body):
-            raise CodecError("trailing bytes after CDS2 model update body")
+        blocks = np.frombuffer(
+            body, dtype=block, count=len(shipped), offset=offset + 8 * k
+        )
+        means, covariances = _dequantize(blocks, diagonal, quantize)
         for i, component in zip(
-            shipped, Gaussian.stack(means, covariances, diagonal)[0]
+            shipped.tolist(), Gaussian.stack(means, covariances, diagonal)[0]
         ):
             components[i] = component
 

@@ -19,11 +19,11 @@ loopback links it is the synchronous in-memory network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.coordinator import Coordinator
+from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import Message, ModelUpdateMessage
 
@@ -31,6 +31,12 @@ __all__ = ["InternalNode", "mixture_change"]
 
 #: The one ``model_id`` an internal node's summaries travel under.
 SUMMARY_MODEL_ID = 0
+
+
+def _mean_gap(a: Gaussian, b: Gaussian) -> float:
+    """``np.linalg.norm(a.mean - b.mean)``: its ``sqrt(v·v)``, undispatched."""
+    gap = a.mean - b.mean
+    return math.sqrt(gap.dot(gap))
 
 
 def mixture_change(old: GaussianMixture | None, new: GaussianMixture) -> float:
@@ -49,9 +55,7 @@ def mixture_change(old: GaussianMixture | None, new: GaussianMixture) -> float:
     for i, old_component in enumerate(old.components):
         best_j = min(
             remaining,
-            key=lambda j: float(
-                np.linalg.norm(old_component.mean - new.components[j].mean)
-            ),
+            key=lambda j: _mean_gap(old_component, new.components[j]),
         )
         remaining.remove(best_j)
         worst = max(

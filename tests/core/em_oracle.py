@@ -280,9 +280,13 @@ def _m_step(
 
 
 def oracle_em_loop(
-    data: np.ndarray, mixture: GaussianMixture, config: EMConfig
+    data: np.ndarray,
+    mixture: GaussianMixture,
+    config: EMConfig,
+    global_var: float | None = None,
 ) -> EMResult:
-    """The E/M loop with two density passes per iterate."""
+    """The E/M loop with two density passes per iterate.  ``global_var``
+    is ignored: every M-step computes the chunk variance itself."""
     history: list[float] = []
     previous = -np.inf
     converged = False

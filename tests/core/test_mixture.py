@@ -60,6 +60,24 @@ class TestConstruction:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]],
+        ids=["nan", "inf", "sum-overflows"],
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        # Finite weights whose sum overflows would normalise to all zeros.
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="finite and non-negative"
+        ):
+            GaussianMixture(
+                np.array(weights),
+                (
+                    Gaussian.spherical(np.zeros(1), 1.0),
+                    Gaussian.spherical(np.ones(1), 1.0),
+                ),
+            )
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="mixed dimensions"):
             GaussianMixture(

@@ -342,6 +342,56 @@ class TestQuantization:
         assert f16 < f32 < full
 
 
+class TestCDS2MalformedModelUpdate:
+    """The header fixes a model update's body length; a body of any other
+    length is a ``CodecError`` naming both sizes, before anything is read."""
+
+    def payload(self) -> bytes:
+        mixture = GaussianMixture(
+            np.array([0.4, 0.6]),
+            (
+                Gaussian(np.zeros(4), np.eye(4)),
+                Gaussian(np.ones(4), 2.0 * np.eye(4)),
+            ),
+        )
+        codec = get_codec("cds2", CodecConfig(quantize="f32"))
+        payload = codec.encode(model_update(mixture))
+        assert len(payload) == 214  # 34 header + 180 body (K = 2, d = 4)
+        return payload
+
+    # Before the check: struct.error at 40 bytes, "buffer is smaller
+    # than requested size" at 60 and 80, "buffer size must be a multiple
+    # of element size" at 211.
+    @pytest.mark.parametrize("cut", [40, 60, 80, 211])
+    def test_truncated_body_raises_codec_error(self, cut):
+        with pytest.raises(CodecError, match=f"is {cut - 34} bytes.*needs 180"):
+            get_codec("cds2").decode(self.payload()[:cut])
+
+    def test_trailing_bytes_raise_codec_error(self):
+        with pytest.raises(CodecError, match="is 181 bytes.*needs 180"):
+            get_codec("cds2").decode(self.payload() + b"\x00")
+
+    def test_truncated_delta_mask_raises_codec_error(self):
+        payload = bytearray(self.payload()[:34 + 20])
+        payload[5] |= 0x02  # delta: baseline id and mask are missing
+        with pytest.raises(CodecError, match="is 20 bytes.*needs"):
+            get_codec("cds2").decode(bytes(payload))
+
+    @pytest.mark.parametrize("field,offset", [("K", 6), ("d", 8)])
+    def test_empty_shape_raises_codec_error(self, field, offset):
+        payload = bytearray(self.payload())
+        struct.pack_into("<H", payload, offset, 0)
+        with pytest.raises(CodecError, match=f"{field} = 0"):
+            get_codec("cds2").decode(bytes(payload))
+
+    def test_a_block_no_payload_can_hold_raises_codec_error(self):
+        payload = bytearray(self.payload())
+        payload[5] &= ~0x0C  # f64: a 65535² covariance block
+        struct.pack_into("<H", payload, 8, 0xFFFF)
+        with pytest.raises(CodecError, match="d = 65535"):
+            get_codec("cds2").decode(bytes(payload))
+
+
 def _delta_flag(payload: bytes) -> bool:
     return bool(payload[5] & 0x02)
 
