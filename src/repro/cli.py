@@ -932,9 +932,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     from pathlib import Path
 
+    from repro.cluster.aggregator import AggregatorServer
+    from repro.cluster.hop import InternalNode
     from repro.core.coordinator import Coordinator, CoordinatorConfig
     from repro.transport.reliability import ReliabilityConfig
-    from repro.transport.tcp import CoordinatorServer
 
     _check_checkpoint_flags(args)
     spec = _spec_from_flags(args)
@@ -962,9 +963,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 observer=observer,
             )
         telemetry = _start_telemetry(args, observer, sinks, coordinator)
-        server = CoordinatorServer(
-            coordinator,
-            expected_sites=args.expected_sites,
+        # The flat coordinator is the root of a one-level tree.
+        server = AggregatorServer(
+            InternalNode(node_id=0, coordinator=coordinator),
+            expected_children=args.expected_sites,
             config=ReliabilityConfig(stale_after=args.stale_after),
             observer=observer,
             wire_codec=spec.wire_codec,

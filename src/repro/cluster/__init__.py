@@ -1,8 +1,10 @@
-"""Deploying the §7 communication tree for real.
+"""The §7 communication tree, in one process and deployed.
 
-Everything below :mod:`repro.multilayer` is *semantics* -- which node
-aggregates what, when an upload happens.  This package is *deployment*:
-
+:mod:`repro.cluster.hop`
+    The node, once: its semantics and the node on the wire.
+:mod:`repro.cluster.aggregator`
+    The node as one TCP server (``serve`` runs the root of a one-level
+    tree).
 :mod:`repro.cluster.spec`
     The tree as declarative data (:class:`ClusterSpec`): topology,
     ports, streams, shared parameters; JSON round-trip for launches
@@ -10,7 +12,7 @@ aggregates what, when an upload happens.  This package is *deployment*:
 :mod:`repro.cluster.tree`
     :class:`TransportTree` -- the whole tree in one process, every edge
     a real ARQ transport link (loopback or seeded-lossy).  Backs the
-    ported multilayer tests, the crash/resume suite and the soak.
+    §7 tree tests, the crash/resume suite and the soak.
 :mod:`repro.cluster.launcher`
     :class:`ClusterLauncher` -- one OS process per node over TCP
     sockets, spawn-safe, with port rendezvous, ordered shutdown and

@@ -1,39 +1,164 @@
-"""The §7 hop: one internal node between its children and its parent.
+"""The §7 node: one internal node between its children and its parent.
 
-"By running the CluDistream between each internal node and its
-children" -- the tree is one site -> coordinator hop applied
-recursively, so the hop exists once.  Whichever link carried a child's
-payload, :class:`~repro.cluster.tree.TransportTree` (in-process
-transport edges) and :class:`~repro.cluster.aggregator.AggregatorServer`
-(one OS process per node, TCP) hand it to :meth:`AggregatorHop.deliver`
-and checkpoint their edges with :meth:`AggregatorHop.arq_state`.
+"A more complex and general distributed streams scenario is the
+tree-structured hierarchy of the communication network.  By running the
+CluDistream between each internal node and its children, we can compute
+the Gaussian mixture model over the union of streams on the leaf nodes."
+
+The tree is one site -> coordinator hop applied recursively, so the node
+exists once.  :class:`InternalNode` is its semantics: what it absorbs,
+when it uploads, what the upload is.  :class:`AggregatorHop` is that
+node on the wire.  Whichever link carried a child's payload,
+:class:`~repro.cluster.tree.TransportTree` (in-process transport edges)
+and :class:`~repro.cluster.aggregator.AggregatorServer` (one OS process
+per node over TCP, the flat ``serve`` coordinator included as the root
+of a one-level tree) hand it to :meth:`AggregatorHop.deliver`, route
+the node's telemetry through it and checkpoint their edges with
+:meth:`AggregatorHop.arq_state`.
+
+Node ids double as message ``site_id`` values on each hop, so the
+standard :mod:`repro.core.protocol` vocabulary and byte accounting work
+unchanged on every level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.core.protocol import Message
+from repro.core.coordinator import Coordinator
+from repro.core.gaussian import Gaussian
+from repro.core.mixture import GaussianMixture
+from repro.core.protocol import Message, ModelUpdateMessage
 from repro.core.serde import WireCodec
-from repro.multilayer.tree import InternalNode
+from repro.obs.federation import (
+    FederationCollector,
+    FederationPublisher,
+    TelemetryRelay,
+)
 from repro.obs.observer import Observer
 from repro.transport.reliability import ReliableReceiver, ReliableSender
 
-__all__ = ["AggregatorHop"]
+if TYPE_CHECKING:
+    from repro.transport.endpoint import SiteEndpoint
+    from repro.transport.tcp import Uplink
+
+__all__ = ["AggregatorHop", "InternalNode", "mixture_change"]
+
+#: The one ``model_id`` an internal node's summaries travel under.
+SUMMARY_MODEL_ID = 0
+
+
+def _mean_gap(a: Gaussian, b: Gaussian) -> float:
+    """``np.linalg.norm(a.mean - b.mean)``: its ``sqrt(v·v)``, undispatched."""
+    gap = a.mean - b.mean
+    return math.sqrt(gap.dot(gap))
+
+
+def mixture_change(old: GaussianMixture | None, new: GaussianMixture) -> float:
+    """A cheap change score between two mixtures.
+
+    Component counts differing scores ``inf`` (a structural change
+    always uploads).  Otherwise components are greedily matched by mean
+    distance and the score is the largest matched symmetric Mahalanobis
+    distance plus the total weight shift -- zero for identical models.
+    """
+    if old is None or old.n_components != new.n_components:
+        return float("inf")
+    remaining = list(range(new.n_components))
+    worst = 0.0
+    weight_shift = 0.0
+    for i, old_component in enumerate(old.components):
+        best_j = min(
+            remaining,
+            key=lambda j: _mean_gap(old_component, new.components[j]),
+        )
+        remaining.remove(best_j)
+        worst = max(
+            worst,
+            old_component.symmetric_mahalanobis_sq(new.components[best_j]),
+        )
+        weight_shift += abs(old.weights[i] - new.weights[best_j])
+    return worst + weight_shift
+
+
+@dataclass
+class InternalNode:
+    """An internal node: coordinator over children, site toward parent.
+
+    Attributes
+    ----------
+    node_id:
+        Used as the ``site_id`` on messages sent up to the parent.
+    coordinator:
+        Aggregates the children's synopses.
+    parent_id:
+        ``None`` at the root, which applies its children's messages and
+        uploads nothing.
+    upload_threshold:
+        Minimal :func:`mixture_change` score that triggers an upload;
+        ``0.0`` uploads on every observable change.
+
+    An upload is the *cumulative* summary of the node's subtree, so it
+    replaces the previous one: every upload goes up under the same
+    ``(node_id, SUMMARY_MODEL_ID)`` key and the parent's model-update
+    path swaps the old leaves for the new ones.  A parent therefore
+    holds one site model per child, and its mass is the sum of its
+    children's current masses.
+    """
+
+    node_id: int
+    coordinator: Coordinator
+    parent_id: int | None = None
+    upload_threshold: float = 0.05
+    _last_uploaded: GaussianMixture | None = field(default=None, repr=False)
+    messages_up: int = 0
+    bytes_up: int = 0
+
+    def handle_child_message(self, message: Message) -> list[Message]:
+        """Absorb a child's message; maybe emit an upload to the parent."""
+        self.coordinator.handle_message(message)
+        if self.parent_id is None:
+            return []
+        try:
+            summary = self.coordinator.global_mixture()
+        except ValueError:
+            return []
+        if mixture_change(self._last_uploaded, summary) < self.upload_threshold:
+            return []
+        self._last_uploaded = summary
+        upload = ModelUpdateMessage(
+            site_id=self.node_id,
+            model_id=SUMMARY_MODEL_ID,
+            time=message.time,
+            mixture=summary,
+            count=max(1, round(sum(c.weight for c in self.coordinator.clusters))),
+            reference_likelihood=0.0,
+        )
+        self.messages_up += 1
+        self.bytes_up += upload.payload_bytes()
+        return [upload]
 
 
 @dataclass
 class AggregatorHop:
-    """An :class:`~repro.multilayer.tree.InternalNode` on the wire.
+    """An :class:`InternalNode` on the wire.
 
     ``level`` is the node's depth (root = 0), stamped on its spans;
     ``decoder`` the codec of the payloads its children send;
-    ``receiver`` their ARQ receiver, once it exists.  ``uplink`` is the
-    ARQ sender toward the parent and ``forward`` the call that ships one
-    upload through it -- both ``None`` at the root, and on a deployed
-    aggregator until its parent connection is up (uploads made before
-    that are gated and counted, not sent).
+    ``receiver`` their ARQ receiver, once it exists.  ``edge`` is the
+    link toward the parent (a TCP :class:`~repro.transport.tcp.Uplink`
+    or an in-process :class:`~repro.transport.endpoint.SiteEndpoint`:
+    its ``sender`` is the ARQ sender, its ``codec_sender`` the codec)
+    and ``forward`` the call that ships one upload through it -- both
+    ``None`` at the root, and on a deployed aggregator until its parent
+    connection is up (uploads made before that are gated and counted,
+    not sent).
+
+    A federated node (:meth:`federate`) also holds its telemetry
+    routing: its ``publisher``, and a ``relay`` for its children's
+    reports -- or, at the root, the ``collector`` they end in.
     """
 
     node: InternalNode
@@ -41,8 +166,16 @@ class AggregatorHop:
     decoder: WireCodec
     observer: Observer
     receiver: ReliableReceiver | None = None
-    uplink: ReliableSender | None = None
+    edge: Uplink | SiteEndpoint | None = None
     forward: Callable[[Message], None] | None = None
+    publisher: FederationPublisher | None = None
+    relay: TelemetryRelay | None = None
+    collector: FederationCollector | None = None
+
+    @property
+    def uplink(self) -> ReliableSender | None:
+        """The ARQ sender toward the parent (``None`` without an edge)."""
+        return self.edge.sender if self.edge is not None else None
 
     def deliver(self, child_id: int, payload: bytes, trace=None) -> None:
         """Absorb one child payload; forward what the node uploads.
@@ -67,6 +200,80 @@ class AggregatorHop:
                     for upload in uploads:
                         self.forward(upload)
 
+    # ------------------------------------------------------------------
+    # Telemetry
+    # ------------------------------------------------------------------
+    def gauges(self) -> dict:
+        """The node gauges every report and snapshot carries."""
+        node = self.node
+        return {
+            "messages_up": node.messages_up,
+            "bytes_up": node.bytes_up,
+            "components": node.coordinator.n_components,
+        }
+
+    def federate(
+        self, collector: FederationCollector | None = None, **probes
+    ) -> FederationPublisher:
+        """Give the node its telemetry routing and publisher.
+
+        The root ingests into ``collector``; any other node relays its
+        children's reports.  ``probes`` are further
+        :class:`~repro.obs.federation.FederationPublisher` arguments
+        (``uplink_codec``, ``health``, ``endpoints``...).
+        """
+        if self.node.parent_id is None:
+            self.collector = collector
+        else:
+            self.relay = TelemetryRelay()
+        self.publisher = FederationPublisher(
+            self.node.node_id,
+            "aggregator",
+            self.level,
+            uplink_stats=lambda: (
+                self.edge.sender.stats if self.edge is not None else None
+            ),
+            codec_stats=lambda: (
+                self.edge.codec_sender.stats if self.edge is not None else None
+            ),
+            gauges=self.gauges,
+            **probes,
+        )
+        return self.publisher
+
+    def on_telemetry(self, _child_id: int, payload: bytes) -> None:
+        """The receiver's TELEMETRY tap: a child's report goes to the
+        collector at the root and to the relay everywhere else."""
+        if self.collector is not None:
+            self.collector.ingest(payload)
+        elif self.relay is not None:
+            self.relay.add(payload)
+
+    def flush_telemetry(self) -> int:
+        """Ship one round of reports; returns the payloads sent.
+
+        The root ingests its own report.  Any other node forwards its
+        relayed payloads first and then its own report -- once its edge
+        is up.
+        """
+        assert self.publisher is not None
+        if self.collector is not None:
+            self.collector.ingest_report(self.publisher.collect_report())
+            return 0
+        uplink = self.uplink
+        if uplink is None:
+            return 0
+        relayed = self.relay.drain() if self.relay is not None else []
+        for payload in relayed:
+            uplink.send_telemetry(payload)
+        # Collected after the relay went out: the report's uplink stats
+        # count those bytes.
+        uplink.send_telemetry(self.publisher.collect())
+        return len(relayed) + 1
+
+    # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
     def arq_state(self) -> dict:
         """ARQ continuation state for the aggregator checkpoint."""
         return {

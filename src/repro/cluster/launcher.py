@@ -203,17 +203,15 @@ async def _aggregator_main(
     import os
 
     from repro.cluster.aggregator import AggregatorServer
+    from repro.cluster.hop import InternalNode
     from repro.core.coordinator import Coordinator
     from repro.io.checkpoint import load_aggregator, save_aggregator
-    from repro.multilayer.tree import InternalNode
     from repro.obs import (
         FederationCollector,
-        FederationPublisher,
         HealthMonitor,
         MultiSink,
         Observer,
         SpanCollector,
-        TelemetryRelay,
         TelemetryServer,
         publish_process_resources,
         topology_from_spec,
@@ -230,21 +228,16 @@ async def _aggregator_main(
         )
     obs = ensure_observer(observer)
 
-    # Federation plumbing: the root collects, everyone else relays.
-    collector = relay = on_telemetry = None
-    if federate:
-        if node_spec.is_root:
-            # Three flush intervals, floored: a worker's event loop can
-            # go quiet for seconds while EM absorbs a chunk's synopses,
-            # and that must read as "busy", not "dead".
-            collector = FederationCollector(
-                topology=topology_from_spec(spec),
-                stale_after=max(3.0 * spec.telemetry_interval, 10.0),
-            )
-            on_telemetry = lambda _child, payload: collector.ingest(payload)  # noqa: E731
-        else:
-            relay = TelemetryRelay()
-            on_telemetry = lambda _child, payload: relay.add(payload)  # noqa: E731
+    # The root of a federated tree collects every node's reports.
+    collector = None
+    if federate and node_spec.is_root:
+        # Three flush intervals, floored: a worker's event loop can go
+        # quiet for seconds while EM absorbs a chunk's synopses, and
+        # that must read as "busy", not "dead".
+        collector = FederationCollector(
+            topology=topology_from_spec(spec),
+            stale_after=max(3.0 * spec.telemetry_interval, 10.0),
+        )
 
     arq = None
     if resume and checkpoint_dir is not None:
@@ -294,7 +287,6 @@ async def _aggregator_main(
         level=node_spec.level,
         observer=observer,
         arq=arq,
-        on_telemetry=on_telemetry,
         wire_codec="cds2" if "cds2" in child_codecs else "cds1",
         uplink_wire_codec=spec.node_wire_codec(node_spec),
         uplink_codec_config=spec.node_codec_config(node_spec),
@@ -311,18 +303,18 @@ async def _aggregator_main(
         )
         return 1
 
+    hop = server.hop
     telemetry = None
     if telemetry_port is not None:
         assert health is not None and spans is not None
         health.bind(component_count=lambda: node.coordinator.n_components)
 
         def _publish(registry) -> None:
-            registry.gauge(
-                "cluster.node_messages_up", node=node_id, level=node_spec.level
-            ).set(node.messages_up)
-            registry.gauge(
-                "cluster.node_bytes_up", node=node_id, level=node_spec.level
-            ).set(node.bytes_up)
+            gauges = hop.gauges()
+            for name in ("messages_up", "bytes_up"):
+                registry.gauge(
+                    f"cluster.node_{name}", node=node_id, level=node_spec.level
+                ).set(gauges[name])
 
         def _snapshot() -> dict:
             return {
@@ -331,9 +323,7 @@ async def _aggregator_main(
                 "children_heard": list(server.receiver.known_sites)
                 if server.receiver is not None
                 else [],
-                "messages_up": node.messages_up,
-                "bytes_up": node.bytes_up,
-                "components": node.coordinator.n_components,
+                **hop.gauges(),
             }
 
         try:
@@ -383,7 +373,7 @@ async def _aggregator_main(
     # The aggregator's own federated self-report, plus the flush loop
     # shipping it (and any relayed child reports) toward the root every
     # telemetry_interval seconds.
-    publisher = flush_task = None
+    flush_task = None
     if federate:
         endpoints: dict = {"tcp": {"host": spec.host, "port": server.port}}
         if telemetry is not None:
@@ -391,26 +381,11 @@ async def _aggregator_main(
                 "host": spec.host,
                 "port": telemetry.port,
             }
-        publisher = FederationPublisher(
-            node_id,
-            "aggregator",
-            node_spec.level,
+        hop.federate(
+            collector,
             health=health,
             spans=spans,
-            uplink_stats=lambda: (
-                server.uplink.stats if server.uplink is not None else None
-            ),
-            codec_stats=lambda: (
-                server.uplink_codec.stats
-                if server.uplink_codec is not None
-                else None
-            ),
             uplink_codec=spec.node_wire_codec(node_spec),
-            gauges=lambda: {
-                "messages_up": node.messages_up,
-                "bytes_up": node.bytes_up,
-                "components": node.coordinator.n_components,
-            },
             endpoints=endpoints,
             pid=os.getpid(),
             history=(
@@ -418,19 +393,10 @@ async def _aggregator_main(
             ),
         )
 
-        def _flush_telemetry() -> None:
-            if collector is not None:
-                # The root ingests its own report directly.
-                collector.ingest_report(publisher.collect_report())
-            elif server.uplink is not None:
-                for payload in relay.drain():
-                    server.uplink.send_telemetry(payload)
-                server.uplink.send_telemetry(publisher.collect())
-
         async def _flush_loop() -> None:
             while True:
                 await asyncio.sleep(spec.telemetry_interval)
-                _flush_telemetry()
+                hop.flush_telemetry()
 
         next_flush = time.monotonic() + spec.telemetry_interval
 
@@ -442,10 +408,10 @@ async def _aggregator_main(
             # the traffic itself -- child telemetry arrivals included.
             nonlocal next_flush
             if time.monotonic() >= next_flush:
-                _flush_telemetry()
+                hop.flush_telemetry()
                 next_flush = time.monotonic() + spec.telemetry_interval
 
-        _flush_telemetry()
+        hop.flush_telemetry()
         server.on_progress = _maybe_flush
         flush_task = asyncio.ensure_future(_flush_loop())
 
@@ -486,10 +452,10 @@ async def _aggregator_main(
     if flush_task is not None:
         flush_task.cancel()
         await asyncio.gather(flush_task, return_exceptions=True)
-    if publisher is not None:
+    if hop.publisher is not None:
         # Final report: children are done, so it covers the whole run
         # -- and it is written before DONE goes up the same stream.
-        _flush_telemetry()
+        hop.flush_telemetry()
     if completed and parent_port is not None:
         try:
             await server.finish_uplink()

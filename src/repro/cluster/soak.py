@@ -2,7 +2,7 @@
 
 The acceptance question for the §7 tree is not "does it run" but "does
 the root see the same stream?": an intermediate aggregator only forwards
-on :func:`~repro.multilayer.tree.mixture_change`, so the root's mixture
+on :func:`~repro.cluster.hop.mixture_change`, so the root's mixture
 is a *summarised* view and could in principle drift arbitrarily far from
 what a flat single-coordinator deployment would have learned from the
 same records.  :func:`run_soak` measures that drift directly:

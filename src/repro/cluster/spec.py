@@ -62,7 +62,7 @@ class NodeSpec:
         actually bound port is surfaced by the launcher and recorded in
         the node's checkpoint manifest).
     upload_threshold:
-        Aggregators only: minimal :func:`repro.multilayer.tree.mixture_change`
+        Aggregators only: minimal :func:`repro.cluster.hop.mixture_change`
         score that triggers an upload to the parent.
     stream / records:
         Sites only: per-node overrides of the spec-wide stream kind and

@@ -1,9 +1,9 @@
 """The §7 tree over the real transport stack, in one process.
 
 :class:`TransportTree` is the paper's tree-structured network: every
-internal node (:class:`~repro.multilayer.tree.InternalNode`) runs
+internal node (:class:`~repro.cluster.hop.InternalNode`) runs
 coordinator merge/split over its children and uploads to its parent only
-on :func:`~repro.multilayer.tree.mixture_change`.  Every tree edge is a
+on :func:`~repro.cluster.hop.mixture_change`.  Every tree edge is a
 real :mod:`repro.transport` link -- a
 :class:`~repro.transport.endpoint.SiteEndpoint` per child (serde-encoded
 payloads inside ``TPT1`` envelopes through a reliable sender), a
@@ -13,8 +13,8 @@ optional seeded fault injection per subnet.  Over loopback (the default)
 delivery is synchronous and the tree is simply the in-memory §7 network.
 The same object therefore backs three jobs:
 
-* the multilayer test suite (loopback and lossy links must produce the
-  same results);
+* the §7 tree suite (loopback and lossy links must produce the same
+  results);
 * the aggregator crash/resume suite (an internal node is snapshotted
   with its ARQ edge state and rebuilt mid-run);
 * the 1000-site soak harness (:mod:`repro.cluster.soak`), which needs
@@ -31,17 +31,15 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.cluster.hop import AggregatorHop
+from repro.cluster.hop import AggregatorHop, InternalNode
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.core.serde import CodecConfig, get_codec
 from repro.io.checkpoint import restore_aggregator, snapshot_aggregator
-from repro.multilayer.tree import InternalNode
 from repro.obs.federation import (
     FederationCollector,
     FederationPublisher,
-    TelemetryRelay,
     level_rollup,
     uplink_report,
 )
@@ -93,12 +91,8 @@ class _InternalWiring(AggregatorHop):
 
     #: The subnet this aggregator's children send into.
     transport: DatagramTransport
-    #: The uplink edge (``None`` at the root); ``uplink`` is its sender.
-    endpoint: SiteEndpoint | None = None
     uplink_wire_codec: str = "cds1"
     uplink_codec_config: CodecConfig | None = None
-    relay: TelemetryRelay | None = None
-    publisher: FederationPublisher | None = None
 
 
 @dataclass
@@ -107,6 +101,10 @@ class _LeafWiring:
     level: int
     endpoint: SiteEndpoint
     publisher: FederationPublisher | None = None
+
+    def flush_telemetry(self) -> int:
+        self.endpoint.sender.send_telemetry(self.publisher.collect())
+        return 1
 
 
 class TransportTree(DrainMark):
@@ -137,7 +135,7 @@ class TransportTree(DrainMark):
         emits ``cluster.aggregate`` spans causally linked across hops.
     federate:
         Give every node a :class:`~repro.obs.federation.FederationPublisher`,
-        every internal node a relay, and the root a
+        every other aggregator a relay, and the root a
         :class:`~repro.obs.federation.FederationCollector` (exposed as
         :attr:`federation`).  :meth:`flush_telemetry` then ships a round
         of reports up the same transport edges -- in TELEMETRY
@@ -279,27 +277,7 @@ class TransportTree(DrainMark):
             self.federation.add_topology_node(
                 node_id, "aggregator", level, parent_id
             )
-            if parent_id is not None:
-                wiring.relay = TelemetryRelay()
-            wiring.publisher = FederationPublisher(
-                node_id,
-                "aggregator",
-                level,
-                uplink_stats=lambda w=wiring: (
-                    w.uplink.stats if w.uplink is not None else None
-                ),
-                codec_stats=lambda w=wiring: (
-                    w.endpoint.codec_sender.stats
-                    if w.endpoint is not None
-                    else None
-                ),
-                uplink_codec=uplink_wire_codec,
-                gauges=lambda n=node: {
-                    "messages_up": n.messages_up,
-                    "bytes_up": n.bytes_up,
-                    "components": n.coordinator.n_components,
-                },
-            )
+            wiring.federate(self.federation, uplink_codec=uplink_wire_codec)
         wiring.receiver = self._make_receiver(wiring)
         if parent_id is not None:
             self._connect_uplink(wiring)
@@ -473,34 +451,11 @@ class TransportTree(DrainMark):
         if not self._federate:
             raise ValueError("tree was not built with federate=True")
         assert self.federation is not None
-        sent = 0
-        entries: list[tuple[int, int, object]] = [
-            (w.level, 0, w) for w in self._leaves.values()
-        ]
-        entries += [(w.level, 1, w) for w in self._internals.values()]
-        for _level, kind, wiring in sorted(
-            entries, key=lambda e: (-e[0], e[1])
-        ):
-            if kind == 0:  # leaf
-                assert wiring.publisher is not None
-                wiring.endpoint.sender.send_telemetry(
-                    wiring.publisher.collect()
-                )
-                sent += 1
-                continue
-            assert wiring.publisher is not None
-            if wiring.uplink is None:  # root
-                self.federation.ingest_report(
-                    wiring.publisher.collect_report()
-                )
-                continue
-            if wiring.relay is not None:
-                for payload in wiring.relay.drain():
-                    wiring.uplink.send_telemetry(payload)
-                    sent += 1
-            wiring.uplink.send_telemetry(wiring.publisher.collect())
-            sent += 1
-        return sent
+        nodes = sorted(
+            [*self._leaves.values(), *self._internals.values()],
+            key=lambda w: (-w.level, isinstance(w, AggregatorHop)),
+        )
+        return sum(wiring.flush_telemetry() for wiring in nodes)
 
     # ------------------------------------------------------------------
     # Crash / resume of one aggregator
@@ -527,9 +482,9 @@ class TransportTree(DrainMark):
         wiring.node = node
         wiring.receiver = self._make_receiver(wiring)
         wiring.restore_cursors(arq)
-        if wiring.endpoint is not None:
-            wiring.endpoint.close()
-            self._endpoints.remove(wiring.endpoint)
+        if wiring.edge is not None:
+            wiring.edge.close()
+            self._endpoints.remove(wiring.edge)
             # The rebuilt codec sender starts without delta baselines, so
             # its first uploads go out as full snapshots -- exactly the
             # safe behaviour after losing in-memory codec state.
@@ -555,26 +510,13 @@ class TransportTree(DrainMark):
         return transport
 
     def _make_receiver(self, wiring: _InternalWiring) -> ReliableReceiver:
-        on_telemetry = None
-        if self._federate:
-            # The root ingests child reports straight into the
-            # collector; interior nodes buffer the raw payloads for the
-            # next flush up their own uplink.  ``wiring`` is captured,
-            # not its fields, so a restored aggregator keeps the tap.
-            def on_telemetry(_child: int, payload: bytes, w=wiring) -> None:
-                if w.node.parent_id is None:
-                    assert self.federation is not None
-                    self.federation.ingest(payload)
-                elif w.relay is not None:
-                    w.relay.add(payload)
-
         receiver = ReliableReceiver(
             deliver_traced=wiring.deliver,
             send_ack=wiring.transport.send_to_site,
             clock=self.clock,
             config=self._reliability,
             observer=self._obs,
-            on_telemetry=on_telemetry,
+            on_telemetry=wiring.on_telemetry,
             # What the children negotiated so far (a rebuilt receiver
             # must keep accepting it); later edges add theirs.
             accept_codecs={0, wiring.decoder.wire_id},
@@ -622,8 +564,7 @@ class TransportTree(DrainMark):
             wiring.uplink_codec_config,
             first_seq,
         )
-        wiring.endpoint = endpoint
-        wiring.uplink = endpoint.sender
+        wiring.edge = endpoint
         wiring.forward = self._marking(endpoint.send)
 
     def _check_new_id(self, node_id: int) -> None:

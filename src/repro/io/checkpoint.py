@@ -406,7 +406,7 @@ def load_coordinator(
 # Aggregator (tree internal node)
 # ----------------------------------------------------------------------
 def snapshot_aggregator(node, arq: Mapping | None = None) -> dict:
-    """Serialise a :class:`~repro.multilayer.tree.InternalNode`.
+    """Serialise a :class:`~repro.cluster.hop.InternalNode`.
 
     The snapshot covers the wrapped coordinator, the upload gate (last
     uploaded mixture, uplink counters) and, optionally,
@@ -451,7 +451,7 @@ def restore_aggregator(payload: Mapping, observer: Observer | None = None):
     every upload took a fresh model id carry a ``next_model_id``; it is
     ignored.
     """
-    from repro.multilayer.tree import InternalNode
+    from repro.cluster.hop import InternalNode
 
     if payload.get("kind") != "aggregator":
         raise ValueError("payload is not an aggregator checkpoint")

@@ -1,228 +1,42 @@
-"""Asyncio TCP transport: the same envelopes over real sockets.
+"""Asyncio TCP transport: the sending side of the same envelopes.
 
-The coordinator runs a :class:`CoordinatorServer`; each site process
-runs :func:`run_site_client`.  On the wire the byte stream is simply a
-concatenation of ``TPT1`` envelopes (the envelope's length field is the
-length prefix), each DATA payload being a ``CDS1``-encoded synopsis
-message -- identical bytes to what the in-process backends carry, so a
-site neither knows nor cares whether it is talking through loopback,
-a fault injector or a socket.
+Each site process runs :func:`run_site_client`; a site and an interior
+aggregator reach their parent through one :class:`Uplink`.  The parent
+is an :class:`~repro.cluster.aggregator.AggregatorServer` -- for a flat
+deployment, the root of a one-level tree.  On the wire the byte stream
+is simply a concatenation of ``TPT1`` envelopes (the envelope's length
+field is the length prefix), each DATA payload being a serde-encoded
+synopsis message -- identical bytes to what the in-process backends
+carry, so a site neither knows nor cares whether it is talking through
+loopback, a fault injector or a socket.
 
 TCP already gives loss-free ordered delivery, but the reliability layer
-stays in the loop: sequence numbers make reconnects and coordinator
-restarts idempotent, acks give sites a positive "your synopsis is
-applied" signal to gate stream completion on, and heartbeats let the
-coordinator flag sites whose process died while holding the socket open.
+stays in the loop: sequence numbers make reconnects and restarts
+idempotent, acks give a site a positive "your synopsis is applied"
+signal to gate stream completion on, and heartbeats let the parent flag
+sites whose process died while holding the socket open.
 """
 
 from __future__ import annotations
 
 import asyncio
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.coordinator import Coordinator
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.core.serde import CodecConfig, get_codec
 from repro.obs.federation import FederationPublisher
 from repro.obs.observer import Observer, ensure_observer
 from repro.transport.clock import AsyncioClock
 from repro.transport.framing import StreamDecoder
-from repro.transport.reliability import (
-    ReliabilityConfig,
-    ReliableReceiver,
-    ReliableSender,
-)
+from repro.transport.reliability import ReliabilityConfig, ReliableSender
 from repro.transport.wire import CodecSender
 
-__all__ = ["CoordinatorServer", "SiteRunReport", "Uplink", "run_site_client"]
+__all__ = ["SiteRunReport", "Uplink", "run_site_client"]
 
 _READ_CHUNK = 1 << 16
-
-
-class CoordinatorServer:
-    """Accepts site connections and feeds a coordinator.
-
-    Parameters
-    ----------
-    coordinator:
-        The coordinator applying delivered messages.
-    expected_sites:
-        Number of distinct sites that must report DONE before
-        :meth:`wait_done` returns; ``None`` serves forever.
-    config:
-        Reliability tuning (heartbeat staleness etc.).
-    observer:
-        Optional :class:`~repro.obs.observer.Observer`, forwarded to the
-        :class:`~repro.transport.reliability.ReliableReceiver`.
-    on_telemetry:
-        Optional ``(site_id, payload)`` callback for TELEMETRY envelopes
-        arriving on any connection -- how a federated aggregator's relay
-        (or the root's collector) taps the uplink without touching the
-        sequenced DATA path.
-    on_progress:
-        Optional zero-arg callback invoked between envelopes while a
-        handler works through a read batch.  One 64 KB read can hold
-        dozens of synopses each costing an EM merge, starving asyncio
-        timer tasks for many seconds -- anything that must keep a
-        cadence while the loop is busy (the federated telemetry flush)
-        hooks in here, with its own time gate.  May also be assigned
-        after construction.
-    """
-
-    def __init__(
-        self,
-        coordinator: Coordinator,
-        expected_sites: int | None = None,
-        config: ReliabilityConfig | None = None,
-        observer: Observer | None = None,
-        on_telemetry=None,
-        on_progress=None,
-        *,
-        wire_codec: str = "cds1",
-        codec_config: CodecConfig | None = None,
-    ) -> None:
-        self.coordinator = coordinator
-        self.expected_sites = expected_sites
-        self.config = config or ReliabilityConfig()
-        self.on_telemetry = on_telemetry
-        self.on_progress = on_progress
-        self._obs = ensure_observer(observer)
-        self.codec = get_codec(wire_codec, codec_config)
-        self.writers: dict[int, asyncio.StreamWriter] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._done = asyncio.Event()
-        self._handlers: set[asyncio.Task] = set()
-        self._closing = False
-        self.receiver: ReliableReceiver | None = None
-
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and start accepting connections (port 0 = ephemeral)."""
-        loop = asyncio.get_running_loop()
-        self.receiver = ReliableReceiver(
-            deliver_traced=self._deliver,
-            send_ack=self._send_ack,
-            clock=AsyncioClock(loop),
-            config=self.config,
-            observer=self._obs,
-            on_telemetry=self.on_telemetry,
-            accept_codecs={0, self.codec.wire_id},
-        )
-        self._server = await asyncio.start_server(self._handle, host, port)
-
-    @property
-    def port(self) -> int:
-        """The actually bound TCP port."""
-        assert self._server is not None
-        return self._server.sockets[0].getsockname()[1]
-
-    async def wait_done(self, timeout: float | None = None) -> bool:
-        """Wait until all expected sites completed; ``False`` on timeout."""
-        try:
-            await asyncio.wait_for(self._done.wait(), timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
-
-    async def close(self) -> None:
-        assert self._server is not None
-        # Handlers poll this between envelopes: an interrupted shutdown
-        # must not wait for the backlog of buffered synopses to be
-        # absorbed at EM-merge speed before the process can exit.
-        self._closing = True
-        self._server.close()
-        await self._server.wait_closed()
-        for writer in self.writers.values():
-            if not writer.is_closing():
-                writer.close()
-        # Closed transports feed EOF to the per-connection handlers; let
-        # them unwind on their own instead of cancelling mid-read (which
-        # asyncio's stream machinery reports noisily at loop shutdown).
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
-
-    def stale_sites(self, stale_after: float | None = None) -> tuple[int, ...]:
-        """Sites silent beyond the staleness timeout."""
-        assert self.receiver is not None
-        return self.receiver.stale_sites(stale_after)
-
-    def request_stop(self) -> None:
-        """Make handlers stop absorbing envelopes.
-
-        Safe to call from a raw ``signal.signal`` handler: handlers
-        check the flag between envelopes, so a stop interrupts even a
-        connection whose buffered backlog would take many EM merges to
-        absorb (an asyncio signal handler would wait for the current
-        chunk's whole batch).  Follow up with :meth:`close`.
-        """
-        self._closing = True
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _check_done(self) -> None:
-        if (
-            self.expected_sites is not None
-            and self.receiver is not None
-            and self.receiver.all_done(self.expected_sites)
-        ):
-            self._done.set()
-
-    def _deliver(self, site_id: int, payload: bytes, trace=None) -> None:
-        message = self.codec.decode(payload)
-        with self._obs.remote_parent(trace):
-            self.coordinator.handle_message(message)
-
-    def _send_ack(self, site_id: int, data: bytes) -> None:
-        writer = self.writers.get(site_id)
-        if writer is not None and not writer.is_closing():
-            writer.write(data)
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        assert self.receiver is not None
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        decoder = StreamDecoder()
-        try:
-            while not self._closing:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                for envelope in decoder.feed(chunk):
-                    if self._closing:
-                        break
-                    self.writers[envelope.site_id] = writer
-                    self.receiver.handle_envelope(envelope)
-                    if self.on_progress is not None:
-                        self.on_progress()
-                # Check completion BEFORE draining acks: a site may
-                # close its socket right after DONE, making the drain
-                # raise -- the DONE is already registered by then and
-                # must still release wait_done().
-                self._check_done()
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            self._check_done()
-        except Exception:  # noqa: BLE001  -- a dead handler stops acks
-            # A handler that dies silently strands every site on this
-            # connection (their sender retransmits forever against a
-            # closed pipe); surface the error instead.
-            import traceback
-
-            print(
-                "coordinator connection handler failed:", file=sys.stderr
-            )
-            traceback.print_exc()
-        finally:
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
 
 
 class Uplink:
@@ -378,7 +192,7 @@ async def run_site_client(
     codec_config: CodecConfig | None = None,
     history=None,
 ) -> tuple[RemoteSite, SiteRunReport]:
-    """Run one remote site against a TCP coordinator.
+    """Run one remote site against a TCP parent.
 
     Streams ``records`` through a :class:`~repro.core.remote.RemoteSite`
     whose emitted synopses travel over the socket with full reliability

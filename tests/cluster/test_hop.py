@@ -1,0 +1,75 @@
+"""The §7 node on its own: the upload gate's change score, and the
+telemetry routing every node holds on its hop.
+
+The node's behaviour inside a tree -- summaries reaching the root,
+stability suppressing uploads, a root uploading nothing -- is
+``test_transport_tree.py``'s, on loopback and lossy links.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cluster.hop import mixture_change
+from repro.core.gaussian import Gaussian
+from repro.core.mixture import GaussianMixture
+from repro.obs import NodeTelemetry
+from tests.cluster.trees import build_two_level, fast_tree, feed_leaf
+
+
+class TestMixtureChange:
+    def test_none_baseline_always_changes(self, mixture_2d):
+        assert mixture_change(None, mixture_2d) == float("inf")
+
+    def test_identical_mixtures_score_zero(self, mixture_2d):
+        assert mixture_change(mixture_2d, mixture_2d) == pytest.approx(0.0)
+
+    def test_component_count_change_is_structural(self, mixture_2d, mixture_1d):
+        single = GaussianMixture.single(mixture_2d.components[0])
+        assert mixture_change(mixture_2d, single) == float("inf")
+
+    def test_moved_component_scores_positive(self, mixture_2d):
+        moved = GaussianMixture(
+            mixture_2d.weights,
+            (
+                Gaussian.spherical(np.array([1.0, 1.0]), 0.5),
+            )
+            + mixture_2d.components[1:],
+        )
+        assert mixture_change(mixture_2d, moved) > 0.1
+
+
+class TestTelemetryRouting:
+    def test_root_collects_and_gateways_relay(self):
+        tree = fast_tree(federate=True)
+        tree.add_internal(0)
+        tree.add_internal(1, parent_id=0)
+        tree.add_leaf(10, parent_id=1)
+        root, gateway = tree._internals[0], tree._internals[1]
+        assert root.collector is tree.federation and root.relay is None
+        assert gateway.collector is None and gateway.relay is not None
+        child_report = NodeTelemetry(
+            node_id=10, role="site", level=2, pid=1, seq=1
+        ).to_payload()
+        gateway.on_telemetry(10, child_report)
+        assert len(gateway.relay) == 1
+        # A gateway forwards what it relayed, then its own report; the
+        # root ingests both, and its own report, sending nothing.
+        assert gateway.flush_telemetry() == 2
+        assert len(gateway.relay) == 0
+        assert root.flush_telemetry() == 0
+        per_node = tree.federation.rollup()["per_node"]
+        assert sorted(entry["node"] for entry in per_node) == [0, 1, 10]
+        tree.close()
+
+    def test_gauges_follow_a_restored_node(self):
+        tree = build_two_level()
+        feed_leaf(tree, 10, 0.0, 250, 1)
+        wiring = tree._internals[1]
+        before = wiring.gauges()
+        assert before["messages_up"] >= 1
+        restored = tree.restore_aggregator(tree.aggregator_snapshot(1))
+        assert wiring.node is restored
+        assert wiring.gauges() == before
+        tree.close()

@@ -3,15 +3,20 @@
 Every edge is a transport link with ARQ.  The tests run twice -- over
 synchronous loopback (the in-memory tree) and over a seeded lossy link
 -- and the §7 properties (summaries reach the root, stability
-suppresses uploads, per-hop byte accounting) must hold identically: the
-reliability layer's whole job is to make faults invisible above it.
+suppresses uploads, a root uploads nothing, per-hop byte accounting)
+must hold identically: the reliability layer's whole job is to make
+faults invisible above it.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.io.checkpoint import snapshot_coordinator
 from repro.transport.lossy import FaultConfig
 from tests.cluster.trees import (
     LOSSY,
@@ -21,8 +26,14 @@ from tests.cluster.trees import (
     build_two_level,
     fast_tree,
     feed_leaf,
+    simplex_root_run,
 )
 from tests.transport import drain_mark_contract as drain_mark
+
+#: The root's ``snapshot_coordinator`` after :func:`simplex_root_run`,
+#: recorded while a root still built, gated and counted uploads to
+#: nobody: not building them changes nothing the root holds.
+SIMPLEX_ROOT = Path(__file__).parent / "data" / "simplex_root.coordinator.json"
 
 
 @pytest.fixture(params=["loopback", "lossy"])
@@ -87,6 +98,22 @@ class TestStreamProcessing:
         assert internal.messages_up == uploads_after_first
         tree.close()
 
+    def test_root_uploads_nothing(self, faults):
+        tree = build_two_level(faults)
+        feed_leaf(tree, 10, 0.0, 250, 1)
+        feed_leaf(tree, 20, 40.0, 250, 2)
+        assert tree.root.coordinator.stats.messages_received >= 2
+        assert tree.root.messages_up == tree.root.bytes_up == 0
+        assert tree.root._last_uploaded is None
+        tree.close()
+
+    def test_root_state_is_the_recorded_one(self):
+        tree = simplex_root_run()
+        snapshot = snapshot_coordinator(tree.root.coordinator)
+        tree.close()
+        assert snapshot["stats"]["merges"] > 0
+        assert json.dumps(snapshot, indent=1) + "\n" == SIMPLEX_ROOT.read_text()
+
     def test_lossy_and_loopback_reach_the_same_mixture(self):
         mixtures = []
         for faults in (None, LOSSY):
@@ -119,10 +146,19 @@ class TestAccounting:
         tree.close()
 
     def test_total_uplink_bytes_covers_all_edges(self, faults):
+        """Exactly the edges that exist: every leaf's and every non-root
+        aggregator's uploads, and nothing for the root."""
         tree = build_two_level(faults)
         feed_leaf(tree, 10, 0.0, 250, 1)
         leaf_bytes = sum(site.stats.bytes_sent for site in tree.sites)
-        assert tree.total_uplink_bytes() >= leaf_bytes > 0
+        gateway_bytes = sum(
+            node.bytes_up for node in tree.internals if node is not tree.root
+        )
+        assert leaf_bytes > 0 and gateway_bytes > 0
+        assert tree.total_uplink_bytes() == leaf_bytes + gateway_bytes
+        assert tree.total_uplink_bytes() == sum(
+            level.payload_bytes for level in tree.level_stats()
+        )
         tree.close()
 
     def test_faults_cost_retransmissions_not_payloads(self):

@@ -1,9 +1,10 @@
 """Small seeded trees shared by the §7 suites (not a test module).
 
-``tests/cluster/test_transport_tree.py``, ``test_aggregator_resume.py``,
-``tests/multilayer/test_tree.py`` and
-``tests/transport/drain_mark_contract.py`` all build their trees and feed
-them from here.
+``tests/cluster/test_transport_tree.py`` (the §7 node semantics, on
+loopback and lossy links), ``test_aggregator_resume.py``,
+``tests/multilayer/test_tree.py`` (the same semantics on loopback links
+without ``drain()``) and ``tests/transport/drain_mark_contract.py`` all
+build their trees and feed them from here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ LOSSY = FaultConfig(drop_rate=0.2, duplicate_rate=0.1, delay=0.05)
 MILD = FaultConfig(drop_rate=0.10, duplicate_rate=0.03, reorder_rate=0.03)
 
 
-def fast_tree(faults: FaultConfig | None = None, **kwargs) -> TransportTree:
+def fast_tree(
+    faults: FaultConfig | None = None,
+    coordinator_config: CoordinatorConfig | None = None,
+    **kwargs,
+) -> TransportTree:
     return TransportTree(
         site_config=RemoteSiteConfig(
             dim=2,
@@ -33,9 +38,8 @@ def fast_tree(faults: FaultConfig | None = None, **kwargs) -> TransportTree:
             em=EMConfig(n_components=2, n_init=1, max_iter=25, tol=1e-3),
             chunk_override=250,
         ),
-        coordinator_config=CoordinatorConfig(
-            max_components=4, merge_method="moment"
-        ),
+        coordinator_config=coordinator_config
+        or CoordinatorConfig(max_components=4, merge_method="moment"),
         seed=0,
         faults=faults,
         **kwargs,
@@ -103,3 +107,27 @@ def assert_one_summary_per_child(root, children, cap=4):
     leaves = sum(len(cluster.leaves) for cluster in root.coordinator.clusters)
     assert leaves <= len(children) * cap
     assert root.coordinator.check_invariants() == []
+
+
+def simplex_root_run() -> TransportTree:
+    """root(0) <- gateways 1, 2 uploading every change, two leaves each,
+    over the ``tree_lossy`` fault mix; every coordinator caps at two
+    components and merges by simplex fit, so the root merges and splits
+    its gateways' summaries."""
+    tree = fast_tree(MILD, CoordinatorConfig(max_components=2))
+    tree.add_internal(0)
+    for node_id in (1, 2):
+        tree.add_internal(node_id, parent_id=0, upload_threshold=0.0)
+        tree.add_leaf(10 * node_id, parent_id=node_id)
+        tree.add_leaf(10 * node_id + 1, parent_id=node_id)
+    for round_index, center in enumerate((0.0, 30.0)):
+        for node_id in (1, 2):
+            for leaf in (0, 1):
+                feed_leaf(
+                    tree,
+                    10 * node_id + leaf,
+                    center + 9.0 * node_id + 3.0 * leaf,
+                    250,
+                    seed=10 * round_index + 2 * node_id + leaf,
+                )
+    return tree

@@ -1,10 +1,12 @@
 """Tests for the tree-structured network extension (paper section 7).
 
-The node semantics (:mod:`repro.multilayer.tree`) on the synchronous
-in-memory network: a :class:`~repro.cluster.tree.TransportTree` over its
-default loopback links, where delivery is synchronous -- nothing here
-ever calls ``drain()``.  ``tests/cluster/test_transport_tree.py`` runs
-the same properties over seeded lossy links as well.
+The node semantics (:class:`repro.cluster.hop.InternalNode`) on the
+synchronous in-memory network: a :class:`~repro.cluster.tree.TransportTree`
+over its default loopback links, where delivery is synchronous -- nothing
+here ever calls ``drain()``.  ``tests/cluster/test_transport_tree.py``
+runs the same properties over seeded lossy links as well, with a drain
+after every feed; ``tests/cluster/test_hop.py`` holds the
+``mixture_change`` tests.
 """
 
 from __future__ import annotations
@@ -13,37 +15,12 @@ import numpy as np
 import pytest
 
 from repro.cluster.tree import TransportTree
-from repro.core.gaussian import Gaussian
-from repro.core.mixture import GaussianMixture
-from repro.multilayer.tree import mixture_change
 from tests.cluster.trees import (
     assert_one_summary_per_child,
     build_two_level,
     fast_tree,
     mixture_at,
 )
-
-
-class TestMixtureChange:
-    def test_none_baseline_always_changes(self, mixture_2d):
-        assert mixture_change(None, mixture_2d) == float("inf")
-
-    def test_identical_mixtures_score_zero(self, mixture_2d):
-        assert mixture_change(mixture_2d, mixture_2d) == pytest.approx(0.0)
-
-    def test_component_count_change_is_structural(self, mixture_2d, mixture_1d):
-        single = GaussianMixture.single(mixture_2d.components[0])
-        assert mixture_change(mixture_2d, single) == float("inf")
-
-    def test_moved_component_scores_positive(self, mixture_2d):
-        moved = GaussianMixture(
-            mixture_2d.weights,
-            (
-                Gaussian.spherical(np.array([1.0, 1.0]), 0.5),
-            )
-            + mixture_2d.components[1:],
-        )
-        assert mixture_change(mixture_2d, moved) > 0.1
 
 
 class TestTopology:

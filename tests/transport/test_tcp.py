@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from repro.cluster.aggregator import AggregatorServer
+from repro.cluster.hop import InternalNode
 from repro.core.coordinator import Coordinator
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
-from repro.multilayer.tree import InternalNode
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.framing import (
@@ -23,7 +23,7 @@ from repro.transport.framing import (
     encode_envelope,
 )
 from repro.transport.reliability import ReliabilityConfig
-from repro.transport.tcp import CoordinatorServer, run_site_client
+from repro.transport.tcp import run_site_client
 
 
 def site_records(site_id: int, n: int = 400, dim: int = 2) -> np.ndarray:
@@ -50,12 +50,19 @@ def fast_reliability() -> ReliabilityConfig:
     )
 
 
+def root_server(coordinator: Coordinator, **kwargs) -> AggregatorServer:
+    """The flat coordinator: the root of a one-level tree."""
+    return AggregatorServer(
+        InternalNode(node_id=0, coordinator=coordinator), **kwargs
+    )
+
+
 class TestTcpEndToEnd:
     def test_two_sites_stream_to_one_server(self):
         async def scenario():
             coordinator = Coordinator()
-            server = CoordinatorServer(
-                coordinator, expected_sites=2, config=fast_reliability()
+            server = root_server(
+                coordinator, expected_children=2, config=fast_reliability()
             )
             await server.start()
             port = server.port
@@ -97,10 +104,13 @@ class TestTcpEndToEnd:
         assert delivered == sum(r.messages_sent for _, r in results)
         assert server.receiver.all_done(2)
         assert server.stale_sites() == ()
+        # A root uploads nothing: it has no parent to upload to.
+        assert server.node.messages_up == server.node.bytes_up == 0
+        assert server.node._last_uploaded is None
 
     def test_wait_done_times_out_with_no_sites(self):
         async def scenario():
-            server = CoordinatorServer(Coordinator(), expected_sites=1)
+            server = root_server(Coordinator(), expected_children=1)
             await server.start()
             done = await server.wait_done(timeout=0.05)
             await server.close()
