@@ -78,7 +78,7 @@ from repro.runtime import (
     TransportChannel,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 #: The timing suite's names, removed in 1.4.0 without a warning release
 #: (DESIGN.md section 10.3 records the exception).
@@ -96,7 +96,7 @@ def __getattr__(name: str):
         raise AttributeError(
             f"repro.{name} was removed in 1.4.0 with the repro.bench "
             "timing suite: measure time with `python3 benchmarks/e2e/"
-            "run.py --workload W`; `repro bench` prints the wire-byte table"
+            "run.py --workload W`; the wire-byte table is BENCH_comm.json"
         )
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

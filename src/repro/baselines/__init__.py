@@ -18,7 +18,7 @@
 from repro.baselines.kmeans import StreamKMeans, StreamKMeansConfig, lloyd_kmeans
 from repro.baselines.periodic import PeriodicReporter, PeriodicReporterConfig
 from repro.baselines.sampling import ReservoirSampler, SamplingEM, SamplingEMConfig
-from repro.baselines.sem import ScalableEM, SEMConfig, SufficientStatistics
+from repro.baselines.sem import ScalableEM, SEMConfig
 
 __all__ = [
     "PeriodicReporter",
@@ -31,5 +31,4 @@ __all__ = [
     "StreamKMeans",
     "StreamKMeansConfig",
     "lloyd_kmeans",
-    "SufficientStatistics",
 ]

@@ -35,65 +35,9 @@ import numpy as np
 from repro.core.em import EMConfig, fit_em
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
+from repro.core.suffstats import SufficientStats
 
-__all__ = ["SEMConfig", "ScalableEM", "SufficientStatistics"]
-
-
-@dataclass
-class SufficientStatistics:
-    """Compressed summary of a block of records (one cluster's discard set).
-
-    Stores raw moments so blocks combine by addition:
-
-    Attributes
-    ----------
-    n:
-        Record count.
-    linear_sum:
-        ``Σ x`` over the block, shape ``(d,)``.
-    outer_sum:
-        ``Σ x xᵀ`` over the block, shape ``(d, d)``.
-    """
-
-    n: float
-    linear_sum: np.ndarray
-    outer_sum: np.ndarray
-
-    @classmethod
-    def empty(cls, dim: int) -> "SufficientStatistics":
-        return cls(
-            n=0.0,
-            linear_sum=np.zeros(dim),
-            outer_sum=np.zeros((dim, dim)),
-        )
-
-    @classmethod
-    def from_records(cls, records: np.ndarray) -> "SufficientStatistics":
-        records = np.atleast_2d(np.asarray(records, dtype=float))
-        return cls(
-            n=float(records.shape[0]),
-            linear_sum=records.sum(axis=0),
-            outer_sum=records.T @ records,
-        )
-
-    def absorb(self, records: np.ndarray) -> None:
-        """Fold a block of records into this summary, in place."""
-        records = np.atleast_2d(np.asarray(records, dtype=float))
-        self.n += records.shape[0]
-        self.linear_sum += records.sum(axis=0)
-        self.outer_sum += records.T @ records
-
-    @property
-    def mean(self) -> np.ndarray:
-        if self.n <= 0:
-            raise ValueError("empty sufficient statistics have no mean")
-        return self.linear_sum / self.n
-
-    @property
-    def scatter(self) -> np.ndarray:
-        """Central second moment ``Σ (x-μ)(x-μ)ᵀ / n``."""
-        mean = self.mean
-        return self.outer_sum / self.n - np.outer(mean, mean)
+__all__ = ["SEMConfig", "ScalableEM"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -151,7 +95,8 @@ class ScalableEM:
         self.config = config or SEMConfig()
         self._rng = rng if rng is not None else np.random.default_rng(17)
         self._buffer: list[np.ndarray] = []
-        self._discard: list[SufficientStatistics] = []
+        #: Per-cluster discard sets, one component each (after a refit).
+        self._discard: SufficientStats | None = None
         self._mixture: GaussianMixture | None = None
         self.records_seen = 0
         self.refits = 0
@@ -172,13 +117,16 @@ class ScalableEM:
     @property
     def compressed(self) -> float:
         """Records folded into discard-set sufficient statistics."""
-        return float(sum(stats.n for stats in self._discard))
+        return self._discard.total if self._discard is not None else 0.0
 
     def memory_bytes(self) -> int:
         """Buffer + sufficient statistics + model parameters, in bytes."""
         buffer_bytes = 8 * self.dim * len(self._buffer)
-        stats_bytes = sum(
-            8 * (1 + self.dim + self.dim * self.dim) for _ in self._discard
+        stats = self._discard
+        stats_bytes = (
+            8 * (stats.counts.size + stats.sums.size + stats.outers.size)
+            if stats is not None
+            else 0
         )
         model_bytes = self._mixture.payload_bytes() if self._mixture else 0
         return buffer_bytes + stats_bytes + model_bytes
@@ -224,29 +172,18 @@ class ScalableEM:
             self._compress(live)
         return self._mixture
 
-    def _active_blocks(self) -> list[SufficientStatistics]:
-        """Discard sets that actually hold records."""
-        return [stats for stats in self._discard if stats.n > 0]
-
-    def _surrogate_records(self) -> tuple[np.ndarray, np.ndarray]:
-        """Discard sets as weighted surrogate records.
-
-        Each sufficient-statistics block contributes its mean with mass
-        ``n`` -- the block-assignment approximation of extended EM.  The
-        block scatter is reintroduced in the M-step via
-        :meth:`_m_step_with_blocks`.
-        """
-        blocks = self._active_blocks()
-        if not blocks:
-            return np.empty((0, self.dim)), np.empty(0)
-        means = np.stack([stats.mean for stats in blocks])
-        masses = np.array([stats.n for stats in blocks])
-        return means, masses
+    def _active_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(counts, sums, outers)`` of the discard sets holding records."""
+        stats = self._discard
+        if stats is None:
+            stats = SufficientStats.zeros(1, self.dim)
+        active = stats.counts > 0
+        return stats.counts[active], stats.sums[active], stats.outers[active]
 
     def _extended_em(self, live: np.ndarray) -> GaussianMixture:
         """EM over live records plus compressed blocks."""
-        surrogate_means, surrogate_masses = self._surrogate_records()
-        if live.shape[0] + surrogate_means.shape[0] < self.config.n_components:
+        blocks = self._active_blocks()
+        if live.shape[0] + blocks[0].size < self.config.n_components:
             raise ValueError("not enough data to fit the SEM mixture")
 
         # Seed: previous model when available, else plain EM on live data.
@@ -255,9 +192,7 @@ class ScalableEM:
 
         mixture = self._mixture
         for _ in range(self.config.em.max_iter):
-            new_mixture = self._m_step_with_blocks(
-                mixture, live, surrogate_means, surrogate_masses
-            )
+            new_mixture = self._m_step_with_blocks(mixture, live, *blocks)
             delta = self._model_shift(mixture, new_mixture)
             mixture = new_mixture
             if delta <= self.config.em.tol:
@@ -268,10 +203,15 @@ class ScalableEM:
         self,
         mixture: GaussianMixture,
         live: np.ndarray,
-        block_means: np.ndarray,
-        block_masses: np.ndarray,
+        block_counts: np.ndarray,
+        block_sums: np.ndarray,
+        block_outers: np.ndarray,
     ) -> GaussianMixture:
-        """One extended E+M step treating blocks as weighted points."""
+        """One extended E+M step treating blocks as weighted points.
+
+        Each block stands in as its mean with mass ``n`` -- the
+        block-assignment approximation of extended EM.
+        """
         k = mixture.n_components
         dim = self.dim
         masses = np.zeros(k)
@@ -284,18 +224,18 @@ class ScalableEM:
             linear += resp.T @ live
             outer += np.einsum("nk,ni,nj->kij", resp, live, live)
 
-        if block_means.shape[0]:
-            resp_blocks = mixture.posterior(block_means)
-            weighted = resp_blocks * block_masses[:, None]
+        if block_counts.size:
+            resp_blocks = mixture.posterior(block_sums / block_counts[:, None])
+            weighted = resp_blocks * block_counts[:, None]
             masses += weighted.sum(axis=0)
             # A block's posterior (evaluated at its mean) distributes its
             # whole raw moments across the clusters: n_b μ_b for the
             # linear term and Σ x xᵀ (which carries the block's internal
             # scatter) for the quadratic term.
-            for b, stats in enumerate(self._active_blocks()):
-                linear += np.outer(resp_blocks[b], stats.linear_sum)
+            for b in range(block_counts.size):
+                linear += np.outer(resp_blocks[b], block_sums[b])
                 for j in range(k):
-                    outer[j] += resp_blocks[b, j] * stats.outer_sum
+                    outer[j] += resp_blocks[b, j] * block_outers[b]
 
         total = masses.sum()
         components = []
@@ -325,11 +265,9 @@ class ScalableEM:
     def _compress(self, live: np.ndarray) -> None:
         """Primary compression: fold confident records into discard sets."""
         assert self._mixture is not None
-        if not self._discard:
-            self._discard = [
-                SufficientStatistics.empty(self.dim)
-                for _ in range(self.config.n_components)
-            ]
+        k = self.config.n_components
+        if self._discard is None:
+            self._discard = SufficientStats.zeros(k, self.dim)
         assignments = self._mixture.assign(live)
         keep: list[np.ndarray] = []
         for j, component in enumerate(self._mixture.components):
@@ -339,7 +277,13 @@ class ScalableEM:
             distances = component.mahalanobis_sq(members)
             confident = distances <= self.config.compression_radius
             if np.any(confident):
-                self._discard[j].absorb(members[confident])
+                one_hot = np.zeros((int(confident.sum()), k))
+                one_hot[:, j] = 1.0
+                self._discard = self._discard.merge(
+                    SufficientStats.from_responsibilities(
+                        members[confident], one_hot
+                    )
+                )
             keep.extend(members[~confident])
         # Retain uncertain records, newest last, within half the buffer.
         budget = self.config.buffer_size // 2

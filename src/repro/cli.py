@@ -22,14 +22,10 @@ The subcommands cover the common workflows without writing code:
   (``--format json`` for the machine-readable twin);
 * ``cludistream monitor --url http://127.0.0.1:9464`` -- a refreshing
   terminal dashboard polling a run started with ``--serve-telemetry``
-  (or ``--trace trace.jsonl`` to replay a recorded run);
-* ``cludistream bench --baseline BENCH_comm.json`` -- run the
-  :mod:`repro.bench` codec cells (wire bytes per record, seeded and
-  exact) and require them equal to the checked-in table; ``--json PATH``
-  restamps it.
+  (or ``--trace trace.jsonl`` to replay a recorded run).
 
 The same entry point is also installed as ``repro`` (so ``repro
-bench`` works as documented); both names accept every subcommand.
+stats`` works as documented); both names accept every subcommand.
 
 ``run``, ``serve`` and ``site`` all take ``--checkpoint-dir`` /
 ``--resume``: the run's state (sites, coordinator, stream position) is
@@ -372,24 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the federated cluster dashboard (tree topology, "
         "per-node health tiles, per-level wire cost) from the root's "
         "/cluster/* endpoints instead of the single-run view",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the codec cells: wire bytes per record, gated exactly",
-    )
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the codec-cell table to PATH (e.g. BENCH_comm.json)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="compare the table against a checked-in one; exit 1 naming "
-        "every cell and field that is not equal",
     )
     return parser
 
@@ -1328,44 +1306,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         raise _Exit(f"{args.trace}: {error}", status=1) from None
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: the codec cells behind ``BENCH_comm.json``.
-
-    Bytes per record are a pure function of the seed, so the gate is
-    equality, in both directions; time is ``benchmarks/e2e``'s to judge.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.bench import (
-        compare_comm_reports,
-        format_comm_report,
-        run_comm_bench,
-    )
-
-    doc = run_comm_bench(progress=lambda line: print(line, flush=True))
-    print(format_comm_report(doc))
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"report written to {path}")
-    if args.baseline:
-        try:
-            problems = compare_comm_reports(
-                json.loads(Path(args.baseline).read_text()), doc
-            )
-        except (OSError, ValueError) as error:
-            print(f"cannot load baseline: {error}", file=sys.stderr)
-            return 1
-        if problems:
-            print("FAIL: differs from " + args.baseline)
-            for line in problems:
-                print("  " + line)
-            return 1
-        print("PASS: every cell equals " + args.baseline)
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = build_parser()
@@ -1381,7 +1321,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "cluster": _cmd_cluster,
         "stats": _cmd_stats,
         "monitor": _cmd_monitor,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

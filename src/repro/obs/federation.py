@@ -112,6 +112,19 @@ def publish_process_resources(registry: MetricsRegistry) -> None:
 # ----------------------------------------------------------------------
 # The federated report
 # ----------------------------------------------------------------------
+#: JSON types an optional report field may decode to; anything else is
+#: a malformed report (``health`` and ``history`` may be ``null``).
+_REPORT_FIELD_TYPES = {
+    "health": (dict, type(None)),
+    "history": (dict, type(None)),
+    "resources": dict,
+    "uplink": dict,
+    "gauges": dict,
+    "endpoints": dict,
+    "spans": list,
+}
+
+
 @dataclass(frozen=True, kw_only=True)
 class NodeTelemetry:
     """One node's self-report, as shipped up the tree.
@@ -177,19 +190,28 @@ class NodeTelemetry:
             raise ValueError(
                 f"unsupported telemetry format {payload.get('format')}"
             )
+        for key in ("node", "level", "pid", "seq", "records"):
+            value = payload.get(key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"telemetry {key!r} is not an integer: {value!r}")
+        for key, kinds in _REPORT_FIELD_TYPES.items():
+            if key in payload and not isinstance(payload[key], kinds):
+                raise ValueError(
+                    f"telemetry {key!r} is a {type(payload[key]).__name__}"
+                )
         return cls(
-            node_id=int(payload["node"]),
+            node_id=payload["node"],
             role=str(payload.get("role", "aggregator")),
-            level=int(payload.get("level", 0)),
-            pid=int(payload.get("pid", 0)),
-            seq=int(payload.get("seq", 0)),
-            records=int(payload.get("records", 0)),
+            level=payload["level"],
+            pid=payload["pid"],
+            seq=payload["seq"],
+            records=payload["records"],
             health=payload.get("health"),
-            resources=dict(payload.get("resources") or {}),
-            uplink=dict(payload.get("uplink") or {}),
-            gauges=dict(payload.get("gauges") or {}),
-            endpoints=dict(payload.get("endpoints") or {}),
-            spans=tuple(payload.get("spans") or ()),
+            resources=payload.get("resources", {}),
+            uplink=payload.get("uplink", {}),
+            gauges=payload.get("gauges", {}),
+            endpoints=payload.get("endpoints", {}),
+            spans=tuple(payload.get("spans", ())),
             history=payload.get("history"),
         )
 

@@ -31,11 +31,7 @@ state is identical to a loss-free run (see
 
 from repro.transport.base import DatagramTransport, LinkStats
 from repro.transport.clock import Clock, ManualClock, TimerHandle
-from repro.transport.endpoint import (
-    CoordinatorEndpoint,
-    SiteEndpoint,
-    TransportEndpoint,
-)
+from repro.transport.endpoint import CoordinatorEndpoint, SiteEndpoint
 from repro.transport.framing import (
     ENVELOPE_BYTES,
     KIND_ACK,
@@ -83,7 +79,6 @@ __all__ = [
     "SiteEndpoint",
     "StreamDecoder",
     "TimerHandle",
-    "TransportEndpoint",
     "decode_envelope",
     "encode_envelope",
 ]

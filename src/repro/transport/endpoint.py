@@ -20,8 +20,6 @@ site's synopses using the paper's own section 7 deletion protocol.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
 from repro.core.coordinator import Coordinator
@@ -40,25 +38,12 @@ from repro.transport.wire import CodecSender
 __all__ = [
     "CoordinatorEndpoint",
     "SiteEndpoint",
-    "TransportEndpoint",
     "connect_system",
     "drain",
 ]
 
 
-class TransportEndpoint(ABC):
-    """What a message producer needs from a transport: ``send``."""
-
-    @abstractmethod
-    def send(self, message: Message) -> None:
-        """Ship one protocol message towards the coordinator."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release timers and transport bindings."""
-
-
-class SiteEndpoint(TransportEndpoint):
+class SiteEndpoint:
     """Site-side endpoint: serde + reliable sender over a transport.
 
     Use ``site._emit = endpoint.send`` (or pass ``emit=endpoint.send``

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.sem import ScalableEM, SEMConfig, SufficientStatistics
+from repro.baselines.sem import ScalableEM, SEMConfig
 from repro.core.em import EMConfig
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
+from repro.core.suffstats import SufficientStats
 
 
 def two_blob_stream(n: int, seed: int, centers=(-5.0, 5.0)):
@@ -31,28 +32,37 @@ def fast_sem(dim: int = 2, buffer_size: int = 500) -> ScalableEM:
     )
 
 
+def one_discard_set(records: np.ndarray) -> SufficientStats:
+    """One cluster's discard set, as SEM folds it: every record is the
+    cluster's own (a one-component ``SufficientStats``)."""
+    return SufficientStats.from_responsibilities(
+        records, np.ones((records.shape[0], 1))
+    )
+
+
 class TestSufficientStatistics:
     def test_from_records_moments(self):
         records = np.array([[1.0, 0.0], [3.0, 2.0]])
-        stats = SufficientStatistics.from_records(records)
-        assert stats.n == 2
-        assert np.allclose(stats.mean, [2.0, 1.0])
-        assert np.allclose(stats.scatter, [[1.0, 1.0], [1.0, 1.0]])
+        stats = one_discard_set(records)
+        assert stats.counts.tolist() == [2.0]
+        mean = stats.sums[0] / stats.counts[0]
+        assert np.allclose(mean, [2.0, 1.0])
+        scatter = stats.outers[0] / stats.counts[0] - np.outer(mean, mean)
+        assert np.allclose(scatter, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_absorb_is_additive(self):
         a = np.random.default_rng(0).normal(size=(50, 3))
         b = np.random.default_rng(1).normal(size=(30, 3))
-        incremental = SufficientStatistics.from_records(a)
-        incremental.absorb(b)
-        direct = SufficientStatistics.from_records(np.vstack([a, b]))
-        assert incremental.n == direct.n
-        assert np.allclose(incremental.linear_sum, direct.linear_sum)
-        assert np.allclose(incremental.outer_sum, direct.outer_sum)
+        incremental = one_discard_set(a).merge(one_discard_set(b))
+        direct = one_discard_set(np.vstack([a, b]))
+        assert incremental.counts.tolist() == direct.counts.tolist()
+        assert np.allclose(incremental.sums, direct.sums)
+        assert np.allclose(incremental.outers, direct.outers)
 
     def test_empty_statistics_have_no_mean(self):
-        stats = SufficientStatistics.empty(2)
-        with pytest.raises(ValueError, match="empty"):
-            _ = stats.mean
+        stats = SufficientStats.zeros(1, 2)
+        with pytest.raises(ValueError, match="starved"):
+            stats.materialize()
 
 
 class TestSEMConfig:

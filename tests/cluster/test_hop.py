@@ -63,6 +63,20 @@ class TestTelemetryRouting:
         assert sorted(entry["node"] for entry in per_node) == [0, 1, 10]
         tree.close()
 
+    def test_root_survives_a_malformed_child_report(self):
+        from tests.obs.test_federation import MALFORMED
+
+        tree = fast_tree(federate=True)
+        tree.add_internal(0)
+        root = tree._internals[0]
+        for payload in MALFORMED.values():
+            root.on_telemetry(10, payload)
+        assert tree.federation.rejected == len(MALFORMED)
+        assert tree.federation.reports == {}
+        assert root.flush_telemetry() == 0
+        assert tree.federation.rollup()["nodes"]["reporting"] == 1
+        tree.close()
+
     def test_gauges_follow_a_restored_node(self):
         tree = build_two_level()
         feed_leaf(tree, 10, 0.0, 250, 1)

@@ -51,6 +51,55 @@ class TestNodeTelemetry:
                 NodeTelemetry.from_payload(junk)
 
 
+def _with(**fields) -> bytes:
+    """A valid second report of node 1 with ``fields`` overwritten."""
+    payload = json.loads(make_report(seq=2, history={"retained": 1}).to_payload())
+    payload.update(fields)
+    return json.dumps(payload).encode()
+
+
+#: Reports that once raised out of ``ingest`` (the first three) or were
+#: stored and then broke ``rollup`` / ``history_rollup`` (the last two).
+MALFORMED = {
+    "no_node": b'{"kind":"node_telemetry","format":1}',
+    "null_level": _with(level=None),
+    "int_spans": _with(spans=5),
+    "list_health": _with(health=[1]),
+    "list_history": _with(history=[3]),
+}
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+    def test_decoding_raises_value_error(self, payload):
+        with pytest.raises(ValueError, match="telemetry"):
+            NodeTelemetry.from_payload(payload)
+
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+    def test_collector_rejects_and_keeps_answering(self, payload):
+        collector = FederationCollector(clock=lambda: 0.0)
+        assert collector.ingest(make_report().to_payload()) is not None
+        assert collector.ingest(payload) is None
+        assert (collector.ingested, collector.rejected) == (1, 1)
+        server = TelemetryServer(Observer(), federation=collector)
+        assert server.route("/cluster/health")("")["nodes"]["reporting"] == 1
+        assert server.route("/cluster/history")("")["nodes"] == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("node", 1.5), ("pid", True), ("seq", "3"), ("records", None),
+         ("resources", []), ("uplink", 7), ("gauges", None),
+         ("endpoints", "x")],
+    )
+    def test_every_typed_field_is_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NodeTelemetry.from_payload(_with(**{field: value}))
+
+    def test_null_health_and_history_stay_allowed(self):
+        report = NodeTelemetry.from_payload(_with(health=None, history=None))
+        assert report.health is None and report.history is None
+
+
 class TestProcessResources:
     def test_gauges_are_positive_on_linux(self):
         resources = process_resources()

@@ -23,7 +23,7 @@ class TestTopLevelSurface:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
     def test_packaging_reads_the_version_attribute(self):
         # One place to bump: pyproject.toml must not carry its own copy.
@@ -63,6 +63,8 @@ class TestTopLevelSurface:
     def test_removed_bench_names_point_at_the_replacement(self):
         with pytest.raises(AttributeError, match="benchmarks/e2e/run.py"):
             repro.run_bench
+        with pytest.raises(AttributeError, match="BENCH_comm.json"):
+            repro.compare_benchmarks
         assert "run_bench" not in repro.__all__
 
     def test_unknown_attribute_raises(self):

@@ -15,7 +15,6 @@ from repro.transport.clock import ManualClock
 from repro.transport.endpoint import (
     CoordinatorEndpoint,
     SiteEndpoint,
-    TransportEndpoint,
     connect_system,
     drain,
 )
@@ -77,7 +76,7 @@ class TestSiteEndpoint:
         endpoint = SiteEndpoint(
             0, LoopbackTransport(), ManualClock(), quiet_config()
         )
-        assert isinstance(endpoint, TransportEndpoint)
+        assert isinstance(endpoint, SiteEndpoint)
         endpoint.close()
 
 
