@@ -52,15 +52,22 @@ def oracle_fit_merged_component(
     rng: np.random.Generator | None = None,
     method: str = "simplex",
     observer=None,
+    *,
+    samples: np.ndarray | None = None,
 ) -> MergeFit:
-    """``fit_merged_component`` with the per-vertex ``Gaussian`` objective."""
+    """``fit_merged_component`` with the per-vertex ``Gaussian`` objective.
+
+    ``samples``, when given, is the sample set already drawn; ``rng`` is
+    then not used.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     total = weight_i + weight_j
     moment = comp_i.merge_moments(comp_j, weight_i, weight_j)
     proposal = GaussianMixture(
         np.array([weight_i / total, weight_j / total]), (comp_i, comp_j)
     )
-    samples, _ = proposal.sample(n_samples, rng)
+    if samples is None:
+        samples, _ = proposal.sample(n_samples, rng)
     proposal_values = proposal.pdf(samples)
     pair_values = _two_component_density(weight_i, comp_i, weight_j, comp_j)(
         samples

@@ -134,22 +134,33 @@ def _drift_run(monkeypatch, fit) -> CluDistream:
     return system
 
 
-def test_drift_run_ends_where_the_oracle_objective_ends(monkeypatch):
+def _drift_end(monkeypatch, fit) -> tuple[CluDistream, GaussianMixture, int]:
+    """:func:`_drift_run`, its final global mixture and the fits it ran.
+
+    The mixture is read while ``fit`` is still the one installed: a
+    father nobody read during the run is searched by this read.
+    """
     calls = []
 
-    def counting_oracle(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return oracle_fit_merged_component(*args, **kwargs)
+        return fit(*args, **kwargs)
 
-    new = _drift_run(monkeypatch, fit_merged_component)
-    old = _drift_run(monkeypatch, counting_oracle)
+    system = _drift_run(monkeypatch, counting)
+    return system, system.global_mixture(), len(calls)
 
-    assert len(calls) == old.coordinator.stats.merges > 0
+
+def test_drift_run_ends_where_the_oracle_objective_ends(monkeypatch):
+    """Both runs search the same fathers -- the ones read -- once each,
+    and no more of them than there were merges."""
+    new, mix_new, new_calls = _drift_end(monkeypatch, fit_merged_component)
+    old, mix_old, old_calls = _drift_end(monkeypatch, oracle_fit_merged_component)
+
+    assert 0 < new_calls == old_calls <= old.coordinator.stats.merges
     assert old.coordinator.stats.splits > 0
     assert new.coordinator.n_components == old.coordinator.n_components
     assert new.coordinator.stats.merges == old.coordinator.stats.merges
     assert new.coordinator.stats.splits == old.coordinator.stats.splits
-    mix_new, mix_old = new.global_mixture(), old.global_mixture()
     np.testing.assert_allclose(
         mix_new.weights, mix_old.weights, rtol=0.0, atol=1e-9
     )

@@ -320,6 +320,7 @@ class TestTelemetryFlags:
     def test_run_with_live_telemetry(self, capsys):
         import json as json_module
         import threading
+        import time
         import urllib.request
 
         # _cmd_run resolves TelemetryServer from the repro.obs package
@@ -327,6 +328,7 @@ class TestTelemetryFlags:
         import repro.obs as obs_module
 
         captured: dict = {}
+        scrapers: list[threading.Thread] = []
         original = obs_module.TelemetryServer
 
         class Probing(original):
@@ -334,15 +336,25 @@ class TestTelemetryFlags:
                 server = super().start()
 
                 def scrape():
+                    # Poll until all 2 x 800 records are in: the second
+                    # chunk's fit test is what sets a site's margin.  The
+                    # run holds the server open for 3 s after the stream
+                    # ends (--telemetry-hold), so the loop ends inside
+                    # the hold; the deadline only bounds a broken run.
                     base = server.url
-                    with urllib.request.urlopen(base + "/health") as r:
-                        captured["health"] = json_module.loads(r.read())
+                    deadline = time.monotonic() + 30.0
+                    while time.monotonic() < deadline:
+                        with urllib.request.urlopen(base + "/health") as r:
+                            captured["health"] = json_module.loads(r.read())
+                        if captured["health"]["records"] >= 1600:
+                            break
+                        time.sleep(0.05)
                     with urllib.request.urlopen(base + "/metrics") as r:
                         captured["metrics"] = r.read().decode()
 
-                # The run holds the server open after the stream ends
-                # (--telemetry-hold); scrape while it is still up.
-                threading.Timer(0.1, scrape).start()
+                scraper = threading.Thread(target=scrape)
+                scraper.start()
+                scrapers.append(scraper)
                 return server
 
         obs_module.TelemetryServer = Probing
@@ -361,6 +373,8 @@ class TestTelemetryFlags:
             )
         finally:
             obs_module.TelemetryServer = original
+        for scraper in scrapers:
+            scraper.join()
         assert status == 0
         assert "telemetry:" in capsys.readouterr().out
         assert captured["health"]["records"] > 0
