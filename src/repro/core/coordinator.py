@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.gaussian import Gaussian
+from repro.core.gaussian import BYTES_PER_FLOAT, Gaussian
 from repro.core.merging import (
+    MergeFit,
+    _draw_merge_samples,
     accuracy_loss,
     fit_merged_component,
     m_merge,
@@ -61,6 +63,35 @@ __all__ = [
 #: Seed of the sample stream behind a traced moment merge's
 #: ``accuracy_loss`` (drawn only when an observer is attached).
 _TRACE_LOSS_SEED = 0
+
+
+class _PendingFit:
+    """A simplex merge: samples drawn at merge time, searched on first
+    read (:meth:`fit`, once, through this module's ``fit_merged_component``)."""
+
+    def __init__(self, pair: tuple, n_samples: int, rng) -> None:
+        self._pair = pair
+        self._samples = _draw_merge_samples(pair, n_samples, rng)
+        self._fit: MergeFit | None = None
+
+    def fit(self, observer: Observer | None = None) -> MergeFit:
+        if self._fit is None:
+            self._fit = fit_merged_component(
+                *self._pair, observer=observer, samples=self._samples
+            )
+            self._samples = None
+        return self._fit
+
+    def payload_bytes(self) -> int:
+        # A searched father is full; a diagonal pair's may stay diagonal.
+        comp_i, comp_j = self._pair[1], self._pair[3]
+        if self._fit is None and not (comp_i.diagonal and comp_j.diagonal):
+            return BYTES_PER_FLOAT * comp_i.dim * (comp_i.dim + 1)
+        return self.fit().component.payload_bytes()
+
+
+def _gaussian(father: Gaussian | _PendingFit) -> Gaussian:
+    return father.fit().component if isinstance(father, _PendingFit) else father
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -131,7 +162,7 @@ class Leaf:
     gaussian: Gaussian
     weight: float
     remerge_score: float = float("inf")
-    _merged_into: Gaussian | None = field(
+    _merged_into: Gaussian | _PendingFit | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -139,14 +170,15 @@ class Leaf:
     def key(self) -> tuple[int, int, int]:
         return (self.site_id, self.model_id, self.component_index)
 
-    def merged_into(self, father: Gaussian) -> None:
+    def merged_into(self, father: Gaussian | _PendingFit) -> None:
         """Owe ``remerge_score`` against ``father`` until it is read."""
         self._merged_into = father
 
 
 def _read_remerge_score(leaf: Leaf) -> float:
     if leaf._merged_into is not None:
-        distance = leaf.gaussian.symmetric_mahalanobis_sq(leaf._merged_into)
+        father = _gaussian(leaf._merged_into)
+        distance = leaf.gaussian.symmetric_mahalanobis_sq(father)
         leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
     return leaf._remerge_score
 
@@ -169,7 +201,8 @@ class GlobalCluster:
     membership change: :meth:`add`, :meth:`remove`, :meth:`remove_model`
     and :meth:`reweigh` drop both.  ``leaves`` is for reading; a leaf
     list or leaf weight changed behind the cluster's back leaves the
-    cache stale (:meth:`Coordinator.check_invariants` reports it).
+    cache stale (:meth:`Coordinator.check_invariants` reports it).  A
+    pending simplex ``father`` is searched when read (DESIGN §17.6).
     """
 
     cluster_id: int
@@ -230,11 +263,26 @@ class GlobalCluster:
     def refresh_father(self) -> None:
         """Refit the representative as the leaves' moment-matched pool.
 
-        Pairwise simplex fits happen at merge time; between merges the
-        father tracks its leaves by exact moment matching, which is the
-        best available zero-communication refresh.
+        Between merges the father tracks its leaves by exact moment
+        matching, the best available zero-communication refresh; a
+        pending simplex father overwritten here is never searched.
         """
         self.father = self.leaf_mixture().pooled_gaussian()
+
+
+def _read_father(cluster: GlobalCluster) -> Gaussian | None:
+    father = cluster._father
+    if isinstance(father, _PendingFit):
+        father = cluster._father = father.fit().component
+    return father
+
+
+def _write_father(cluster: GlobalCluster, father) -> None:
+    cluster._father = father
+
+
+# As for Leaf.remerge_score: the dataclass methods read the property.
+GlobalCluster.father = property(_read_father, _write_father)
 
 
 @dataclass
@@ -382,8 +430,8 @@ class Coordinator:
         """Bytes held in the tree (leaves + fathers + counters)."""
         total = 0
         for cluster in self._clusters.values():
-            if cluster.father is not None:
-                total += cluster.father.payload_bytes()
+            if cluster._father is not None:  # without running a pending fit
+                total += cluster._father.payload_bytes()
             total += sum(leaf.gaussian.payload_bytes() + 8 for leaf in cluster.leaves)
         return total
 
@@ -546,8 +594,6 @@ class Coordinator:
         for cluster in list(self._clusters.values()):
             if len(cluster.leaves) < 2:
                 continue
-            if cluster.father is None:
-                cluster.refresh_father()
             for leaf in list(cluster.leaves):
                 # An infinite score never splits: skip M_split for it.
                 if leaf.site_id != site_id or not np.isfinite(leaf.remerge_score):
@@ -653,17 +699,16 @@ class Coordinator:
         ids = list(self._clusters)
         if len(ids) < 2:
             return None
+        # One property read per father, not one per pair it is in.
+        fathers = [self._clusters[cluster_id].father for cluster_id in ids]
         best_pair: tuple[int, int] | None = None
         best_score = -np.inf
         for a_pos, a_id in enumerate(ids):
-            for b_id in ids[a_pos + 1 :]:
-                score = m_merge(
-                    self._clusters[a_id].father,
-                    self._clusters[b_id].father,
-                )
+            for b_pos in range(a_pos + 1, len(ids)):
+                score = m_merge(fathers[a_pos], fathers[b_pos])
                 if score > best_score:
                     best_score = score
-                    best_pair = (a_id, b_id)
+                    best_pair = (a_id, ids[b_pos])
         return best_pair
 
     def _merge_clusters(self, id_a: int, id_b: int) -> None:
@@ -683,14 +728,11 @@ class Coordinator:
                         cluster_b.father, cluster_a.weight, cluster_b.weight
                     )
                 else:
-                    fit = fit_merged_component(
-                        *pair,
-                        n_samples=self.config.merge_samples,
-                        rng=self._rng,
-                        method=self.config.merge_method,
-                        observer=self._obs,
-                    )
-                    father = fit.component
+                    # Drawn now, searched on first read: at once when the
+                    # trace reports the fit (DESIGN §17.6).
+                    father = _PendingFit(pair, self.config.merge_samples, self._rng)
+                    if self._obs.enabled:
+                        fit = father.fit(self._obs)
             merged = GlobalCluster(
                 cluster_id=next(self._cluster_ids),
                 leaves=cluster_a.leaves + cluster_b.leaves,

@@ -174,6 +174,19 @@ def _two_component_density(
     return density
 
 
+def _proposal(weight_i, comp_i, weight_j, comp_j) -> GaussianMixture:
+    """The normalised two-component sub-mixture the loss samples from."""
+    total = weight_i + weight_j
+    return GaussianMixture(
+        np.array([weight_i / total, weight_j / total]), (comp_i, comp_j)
+    )
+
+
+def _draw_merge_samples(pair: tuple, n_samples: int, rng) -> np.ndarray:
+    """A merge fit's common random numbers: its proposal's draws."""
+    return _proposal(*pair).sample(n_samples, rng)[0]
+
+
 def accuracy_loss(
     weight_i: float,
     comp_i: Gaussian,
@@ -192,9 +205,7 @@ def accuracy_loss(
         raise ValueError("component weights must be positive")
     rng = rng if rng is not None else np.random.default_rng(0)
     total = weight_i + weight_j
-    proposal = GaussianMixture(
-        np.array([weight_i / total, weight_j / total]), (comp_i, comp_j)
-    )
+    proposal = _proposal(weight_i, comp_i, weight_j, comp_j)
 
     pair_density = _two_component_density(weight_i, comp_i, weight_j, comp_j)
 
@@ -349,6 +360,8 @@ def fit_merged_component(
     rng: np.random.Generator | None = None,
     method: str = "simplex",
     observer: Observer | None = None,
+    *,
+    samples: np.ndarray | None = None,
 ) -> MergeFit:
     """Fit the father component of a merge by minimising ``l(x)``.
 
@@ -374,6 +387,9 @@ def fit_merged_component(
         iteration and objective-evaluation counts land in the
         ``merge.simplex_iterations`` / ``merge.simplex_evaluations``
         counters.
+    samples:
+        The sample set, already drawn from ``rng``; ``rng`` is then left
+        untouched (the coordinator draws at merge time, fits on read).
 
     Returns
     -------
@@ -382,19 +398,16 @@ def fit_merged_component(
     if method not in ("simplex", "moment"):
         raise ValueError(f"unknown merge fit method {method!r}")
     obs = ensure_observer(observer)
-    rng = rng if rng is not None else np.random.default_rng(0)
     total = weight_i + weight_j
     moment = comp_i.merge_moments(comp_j, weight_i, weight_j)
 
     # Common random numbers: fix the proposal sample once.
-    proposal = GaussianMixture(
-        np.array([weight_i / total, weight_j / total]), (comp_i, comp_j)
-    )
-    samples, _ = proposal.sample(n_samples, rng)
-    proposal_values = proposal.pdf(samples)
-    pair_values = _two_component_density(weight_i, comp_i, weight_j, comp_j)(
-        samples
-    )
+    pair = (weight_i, comp_i, weight_j, comp_j)
+    if samples is None:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        samples = _draw_merge_samples(pair, n_samples, rng)
+    proposal_values = _proposal(*pair).pdf(samples)
+    pair_values = _two_component_density(*pair)(samples)
 
     def loss_of(candidate: Gaussian) -> float:
         return _sampled_loss(

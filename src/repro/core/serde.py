@@ -335,30 +335,39 @@ def _decode_cds1(payload: bytes) -> Message:
     body = payload[HEADER_BYTES:]
 
     if tag == TAG_MODEL_UPDATE:
+        if k == 0 or d == 0:
+            raise CodecError(f"model update header has K = {k}, d = {d}")
         diagonal = bool(flags & 1)
+        cov_values = d if diagonal else d * d
+        # The header fixes the body length; it is checked before any unpack.
+        expected = 16 + 8 * k + 8 * k * (d + cov_values)
+        if len(body) != expected:
+            raise CodecError(
+                f"CDS1 model update body is {len(body)} bytes; its header "
+                f"(K = {k}, d = {d}) needs {expected}"
+            )
         (count,) = struct.unpack_from("<q", body, 0)
         (reference,) = struct.unpack_from("<d", body, 8)
-        offset = 16
-        weights = np.frombuffer(body, dtype="<f8", count=k, offset=offset)
-        offset += 8 * k
-        cov_values = d if diagonal else d * d
+        weights = np.frombuffer(body, dtype="<f8", count=k, offset=16)
         # Per component: d mean values, then its covariance block.
         blocks = np.frombuffer(
-            body, dtype="<f8", count=k * (d + cov_values), offset=offset
+            body, dtype="<f8", count=k * (d + cov_values), offset=16 + 8 * k
         ).reshape(k, d + cov_values)
-        offset += blocks.nbytes
-        if offset != len(body):
-            raise CodecError("trailing bytes after model update body")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mixture = GaussianMixture.from_stacks(
+                    weights.copy(),
+                    blocks[:, :d],
+                    blocks[:, d:] if diagonal else blocks[:, d:].reshape(k, d, d),
+                    diagonal,
+                )
+        except ValueError as error:  # the constructor names the field
+            raise CodecError(f"model update rejected: {error}") from None
         return ModelUpdateMessage(
             site_id=site_id,
             model_id=model_id,
             time=time,
-            mixture=GaussianMixture.from_stacks(
-                weights.copy(),
-                blocks[:, :d],
-                blocks[:, d:] if diagonal else blocks[:, d:].reshape(k, d, d),
-                diagonal,
-            ),
+            mixture=mixture,
             count=count,
             reference_likelihood=reference,
         )
@@ -762,13 +771,16 @@ class CDS2Codec:
         blocks = np.frombuffer(
             body, dtype=block, count=len(shipped), offset=offset + 8 * k
         )
-        means, covariances = _dequantize(blocks, diagonal, quantize)
-        for i, component in zip(
-            shipped.tolist(), Gaussian.stack(means, covariances, diagonal)[0]
-        ):
-            components[i] = component
-
-        mixture = GaussianMixture(weights.copy(), tuple(components))
+        # Hostile values overflow on the way; the constructors reject them.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                means, covariances = _dequantize(blocks, diagonal, quantize)
+                stack = Gaussian.stack(means, covariances, diagonal)[0]
+            for i, component in zip(shipped.tolist(), stack):
+                components[i] = component
+            mixture = GaussianMixture(weights.copy(), tuple(components))
+        except ValueError as error:  # the constructor names the field
+            raise CodecError(f"model update rejected: {error}") from None
         per_site = self._rx.setdefault(site_id, OrderedDict())
         per_site[update_id] = mixture
         while len(per_site) > self.config.baseline_depth + 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -158,7 +159,8 @@ class TestValidation:
     def test_trailing_garbage_rejected(self):
         codec = get_codec("cds1")
         payload = codec.encode(model_update(full_mixture()))
-        with pytest.raises(ValueError, match="trailing"):
+        # The body-length check names both sizes (it said "trailing").
+        with pytest.raises(CodecError, match="is 232 bytes.*needs 224"):
             codec.decode(payload + b"\x00" * 8)
 
     def test_unknown_tag_rejected(self):
@@ -384,12 +386,83 @@ class TestCDS2MalformedModelUpdate:
         with pytest.raises(CodecError, match=f"{field} = 0"):
             get_codec("cds2").decode(bytes(payload))
 
+    # Before the fix: the mixture / Gaussian constructors' bare
+    # ValueError, and a RuntimeWarning from the factor product.
+    @pytest.mark.parametrize(
+        "offset,fmt,value,field",
+        [
+            (54, "<d", np.nan, "weights"),  # first weight
+            (62, "<d", -0.6, "weights"),  # second weight
+            (102, "<f", np.inf, "covariance"),  # first packed factor entry
+        ],
+        ids=["nan-weight", "negative-weight", "inf-factor"],
+    )
+    def test_rejected_parameters_raise_codec_error(self, offset, fmt, value, field):
+        payload = bytearray(self.payload())
+        struct.pack_into(fmt, payload, offset, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CodecError, match=f"rejected: {field}"):
+                get_codec("cds2").decode(bytes(payload))
+
     def test_a_block_no_payload_can_hold_raises_codec_error(self):
         payload = bytearray(self.payload())
         payload[5] &= ~0x0C  # f64: a 65535² covariance block
         struct.pack_into("<H", payload, 8, 0xFFFF)
         with pytest.raises(CodecError, match="d = 65535"):
             get_codec("cds2").decode(bytes(payload))
+
+
+class TestCDS1MalformedModelUpdate:
+    """A CDS1 model update is held to the same checks: the header fixes
+    the body length, and parameters the mixture constructor rejects are a
+    ``CodecError`` naming the field -- on either codec, since a CDS2
+    endpoint decodes CDS1 too."""
+
+    def payload(self) -> bytes:
+        mixture = GaussianMixture(
+            np.array([0.4, 0.6]),
+            (
+                Gaussian(np.zeros(4), np.eye(4)),
+                Gaussian(np.ones(4), 2.0 * np.eye(4)),
+            ),
+        )
+        payload = get_codec("cds1").encode(model_update(mixture))
+        assert len(payload) == 384  # 32 header + 352 body (K = 2, d = 4)
+        return payload
+
+    # Before the check: struct.error at 4 and 12 body bytes, "buffer is
+    # smaller than requested size" at 20, 100 and 351.
+    @pytest.mark.parametrize("codec", ["cds1", "cds2"])
+    @pytest.mark.parametrize("body", [0, 4, 12, 20, 100, 351])
+    def test_truncated_body_raises_codec_error(self, codec, body):
+        with pytest.raises(CodecError, match=f"is {body} bytes.*needs 352"):
+            get_codec(codec).decode(self.payload()[: 32 + body])
+
+    @pytest.mark.parametrize("field,offset", [("K", 6), ("d", 7)])
+    def test_empty_shape_raises_codec_error(self, field, offset):
+        payload = bytearray(self.payload())
+        payload[offset] = 0
+        with pytest.raises(CodecError, match=f"{field} = 0"):
+            get_codec("cds1").decode(bytes(payload))
+
+    @pytest.mark.parametrize("codec", ["cds1", "cds2"])
+    @pytest.mark.parametrize(
+        "offset,value,field",
+        [
+            (48, np.nan, "weights"),  # first weight
+            (56, -0.6, "weights"),  # second weight
+            (96, np.inf, "covariance"),  # first covariance entry
+        ],
+        ids=["nan-weight", "negative-weight", "inf-covariance"],
+    )
+    def test_rejected_parameters_raise_codec_error(
+        self, codec, offset, value, field
+    ):
+        payload = bytearray(self.payload())
+        struct.pack_into("<d", payload, offset, value)
+        with pytest.raises(CodecError, match=f"rejected: {field}"):
+            get_codec(codec).decode(bytes(payload))
 
 
 def _delta_flag(payload: bytes) -> bool:
