@@ -57,8 +57,15 @@ def ablation() -> dict:
     }
 
 
-def bench_ablation_adaptive_test(benchmark):
+def bench_ablation_adaptive_test(benchmark, claims):
     results = run_once(benchmark, ablation)
+    claims(
+        {
+            f"{name}.{key}": value
+            for name, row in results.items()
+            for key, value in row.items()
+        }
+    )
     print_header(
         "Ablation: adaptive vs verbatim fit test "
         f"(stationary stream of {CHUNKS} chunks, paper defaults)"

@@ -83,8 +83,21 @@ def ablation() -> dict:
     return {"qualities": qualities, "payloads": payloads}
 
 
-def bench_ablation_covariance(benchmark):
+def bench_ablation_covariance(benchmark, claims):
     results = run_once(benchmark, ablation)
+    claims(
+        {
+            **{
+                f"payload_bytes.{name}": value
+                for name, value in results["payloads"].items()
+            },
+            **{
+                f"quality.{workload}.{name}": value
+                for workload, row in results["qualities"].items()
+                for name, value in row.items()
+            },
+        }
+    )
     print_header("Ablation: full vs diagonal covariance")
     payloads = results["payloads"]
     print(

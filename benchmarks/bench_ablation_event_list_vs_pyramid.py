@@ -102,8 +102,9 @@ def ablation() -> dict:
     }
 
 
-def bench_ablation_event_list_vs_pyramid(benchmark):
+def bench_ablation_event_list_vs_pyramid(benchmark, claims):
     results = run_once(benchmark, ablation)
+    claims(results)
     print_header(
         "Ablation: event list (CluDistream) vs pyramidal snapshots (CluStream)"
     )

@@ -49,8 +49,15 @@ def ablation() -> list[dict]:
     return rows
 
 
-def bench_ablation_merge_fit(benchmark):
+def bench_ablation_merge_fit(benchmark, claims):
     rows = run_once(benchmark, ablation)
+    claims(
+        {
+            f"{row['label']}.{key}": row[key]
+            for row in rows
+            for key in ("simplex_loss", "moment_loss", "iterations")
+        }
+    )
     print_header("Ablation: simplex vs moment-matching merge fit (L1 loss)")
     print(f"{'pair':>18}  {'simplex':>10}  {'moment':>10}  {'iters':>6}")
     improvements = []

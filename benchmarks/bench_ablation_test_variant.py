@@ -51,8 +51,15 @@ def ablation() -> dict:
     return stats
 
 
-def bench_ablation_test_variant(benchmark):
+def bench_ablation_test_variant(benchmark, claims):
     stats = run_once(benchmark, ablation)
+    claims(
+        {
+            f"{variant}.{kind}": values
+            for variant, rows in stats.items()
+            for kind, values in rows.items()
+        }
+    )
     print_header("Ablation: J_fit statistic, mixture vs max-component")
     summaries = {}
     for variant, rows in stats.items():

@@ -96,8 +96,22 @@ def ablation() -> dict:
     }
 
 
-def bench_ablation_warm_start(benchmark):
+def bench_ablation_warm_start(benchmark, claims):
     results = run_once(benchmark, ablation)
+    claims(
+        {
+            f"{name}.{key}": row[key]
+            for name, row in results.items()
+            for key in (
+                "quality",
+                "mean_error",
+                "em_runs",
+                "warm_refits",
+                "cold_refits",
+                "absorbed",
+            )
+        }
+    )
     print_header("Ablation: warm-start strategies under gradual drift")
     print(
         f"{'variant':>10}  {'time (s)':>9}  {'quality':>9}  "

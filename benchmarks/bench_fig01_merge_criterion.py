@@ -33,6 +33,12 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(rank_a, rank_b)[0, 1])
 
 
+def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
+    """Kendall rank correlation (tau-a: the scores carry no ties)."""
+    i, j = np.triu_indices(len(a), k=1)
+    return float(np.mean(np.sign(a[i] - a[j]) * np.sign(b[i] - b[j])))
+
+
 def one_panel(data: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Fit K=8 components and score all 28 pairs with both criteria."""
     result = fit_em(data, fast_em(K), np.random.default_rng(seed))
@@ -64,8 +70,15 @@ def figure1() -> dict:
     return results
 
 
-def bench_fig01_merge_criterion(benchmark):
+def bench_fig01_merge_criterion(benchmark, claims):
     results = run_once(benchmark, figure1)
+    recorded = {}
+    for panel, (j_scores, m_scores) in results.items():
+        recorded[f"{panel}.j_merge"] = j_scores
+        recorded[f"{panel}.m_merge"] = m_scores
+        recorded[f"{panel}.spearman"] = spearman(j_scores, m_scores)
+        recorded[f"{panel}.kendall_tau"] = kendall_tau(j_scores, m_scores)
+    claims(recorded)
     print_header(
         "Figure 1: M_merge vs J_merge over the 28 component pairs (K=8)"
     )

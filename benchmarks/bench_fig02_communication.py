@@ -108,8 +108,17 @@ def figure2() -> dict:
     return results
 
 
-def bench_fig02_communication(benchmark):
+def bench_fig02_communication(benchmark, claims):
     results = run_once(benchmark, figure2)
+    recorded = {}
+    for panel, comparison in results.items():
+        recorded[f"{panel}.cludistream_bytes"] = comparison.cludistream_bytes
+        recorded[f"{panel}.periodic_bytes"] = comparison.periodic_bytes
+        recorded[f"{panel}.ratio"] = comparison.ratio
+        recorded[f"{panel}.cludistream_series"] = comparison.cludistream_series
+        recorded[f"{panel}.periodic_series"] = comparison.periodic_series
+        recorded[f"{panel}.positions"] = comparison.positions
+    claims(recorded)
     print_header("Figure 2: cumulative communication cost (bytes)")
     for panel, comparison in results.items():
         print(f"\npanel: {panel}")

@@ -46,10 +46,23 @@ def figure3() -> dict:
     }
 
 
-def bench_fig03_histograms(benchmark):
+def bench_fig03_histograms(benchmark, claims):
     result = run_once(benchmark, figure3)
     centers = result["centers"]
     histograms = result["histograms"]
+    # L1 error of each phase's histogram against every phase's density.
+    l1_errors = [
+        [
+            float(np.abs(counts - result["densities"][phase][:, m]).mean())
+            for m in range(len(histograms))
+        ]
+        for phase, counts in enumerate(histograms)
+    ]
+    recorded = {}
+    for phase, counts in enumerate(histograms):
+        recorded[f"phase{phase + 1}.histogram"] = counts
+        recorded[f"phase{phase + 1}.l1_to_densities"] = l1_errors[phase]
+    claims(recorded)
     print_header("Figure 3: histograms of the 1-d stream (H = 2000)")
     for phase, counts in enumerate(histograms):
         print(f"\ntime point {phase + 1}:")
@@ -59,12 +72,7 @@ def bench_fig03_histograms(benchmark):
             print(f"  {center:+6.2f}  {count:6.3f}  {bar}")
 
     # Each phase's histogram matches its own density best (L1 on bins).
-    for phase, counts in enumerate(histograms):
-        densities = result["densities"][phase]
-        errors = [
-            float(np.abs(counts - densities[:, m]).mean())
-            for m in range(len(histograms))
-        ]
+    for phase, errors in enumerate(l1_errors):
         print(
             f"phase {phase + 1} histogram-vs-density L1 errors: "
             + ", ".join(f"{e:.4f}" for e in errors)

@@ -82,20 +82,35 @@ def figure4() -> dict:
     }
 
 
-def bench_fig04_density_recovery(benchmark):
+def bench_fig04_density_recovery(benchmark, claims):
     result = run_once(benchmark, figure4)
     phases = result["phases"]
+    for label in ("clean", "noisy"):
+        for phase, model in enumerate(result[label]):
+            assert model is not None, f"{label} phase {phase} has no model"
+    # L1 distance of each recovered model to every phase's truth, and
+    # of each clean model to its noisy twin.
+    l1_errors = {
+        label: [
+            [density_l1(model, phases.mixtures[m]) for m in range(phases.n_phases)]
+            for model in result[label]
+        ]
+        for label in ("clean", "noisy")
+    }
+    noise_gaps = [
+        density_l1(result["clean"][phase], result["noisy"][phase])
+        for phase in range(phases.n_phases)
+    ]
+    recorded = {"clean_vs_noisy_l1": noise_gaps}
+    for label, rows in l1_errors.items():
+        for phase, errors in enumerate(rows):
+            recorded[f"{label}.phase{phase + 1}.l1_to_truth"] = errors
+    claims(recorded)
     print_header("Figure 4: recovered densities per phase (L1 distances)")
 
     for label in ("clean", "noisy"):
-        models = result[label]
         print(f"\n{label} run:")
-        for phase, model in enumerate(models):
-            assert model is not None, f"phase {phase} has no model"
-            errors = [
-                density_l1(model, phases.mixtures[m])
-                for m in range(phases.n_phases)
-            ]
+        for phase, errors in enumerate(l1_errors[label]):
             print(
                 f"  phase {phase + 1}: L1 to truth of phases 1-3 = "
                 + ", ".join(f"{e:.3f}" for e in errors)
@@ -105,7 +120,6 @@ def bench_fig04_density_recovery(benchmark):
             assert errors[phase] < 0.6
 
     # Panel (d): noise leaves the captured model close to the clean one.
-    for phase in range(phases.n_phases):
-        gap = density_l1(result["clean"][phase], result["noisy"][phase])
+    for phase, gap in enumerate(noise_gaps):
         print(f"clean-vs-noisy L1, phase {phase + 1}: {gap:.3f}")
         assert gap < 0.6

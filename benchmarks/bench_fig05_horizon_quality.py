@@ -83,13 +83,21 @@ def figure5() -> QualitySeries:
     return series
 
 
-def bench_fig05_horizon_quality(benchmark):
+def bench_fig05_horizon_quality(benchmark, claims):
     series = run_once(benchmark, figure5)
+    positions, clu = series.series("CluDistream")
+    _, sem = series.series("SEM")
+    claims(
+        {
+            "positions": positions,
+            "cludistream_quality": clu,
+            "sem_quality": sem,
+            "cludistream_wins": series.wins("CluDistream", "SEM"),
+        }
+    )
     print_header(
         "Figure 5: average log likelihood of the horizon model over time"
     )
-    positions, clu = series.series("CluDistream")
-    _, sem = series.series("SEM")
     print(f"{'updates':>10}  {'CluDistream':>12}  {'SEM':>12}")
     for position, a, b in zip(positions, clu, sem):
         print(f"{position:>10}  {a:>12.3f}  {b:>12.3f}")

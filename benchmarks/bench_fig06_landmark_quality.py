@@ -101,8 +101,9 @@ def figure6() -> list[dict]:
     return [one_run(seed) for seed in range(N_RUNS)]
 
 
-def bench_fig06_landmark_quality(benchmark):
+def bench_fig06_landmark_quality(benchmark, claims):
     runs = run_once(benchmark, figure6)
+    claims({name: [run[name] for run in runs] for name in runs[0]})
     print_header("Figure 6: landmark-window cluster quality (3-run average)")
     names = list(runs[0])
     means = {}

@@ -121,8 +121,15 @@ def figure7() -> dict:
     return results
 
 
-def bench_fig07_coordinator_quality(benchmark):
+def bench_fig07_coordinator_quality(benchmark, claims):
     results = run_once(benchmark, figure7)
+    claims(
+        {
+            f"{panel}.{name}": value
+            for panel, qualities in results.items()
+            for name, value in qualities.items()
+        }
+    )
     print_header("Figure 7: coordinator quality vs centralized SEM")
     for panel, qualities in results.items():
         print(f"\npanel: {panel}")

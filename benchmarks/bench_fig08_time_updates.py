@@ -20,6 +20,7 @@ from benchmarks.conftest import (
     print_header,
     print_series,
     run_once,
+    site_claims,
 )
 from repro.baselines.sem import ScalableEM, SEMConfig
 from repro.core.remote import RemoteSite
@@ -53,8 +54,10 @@ def data_for(panel: str, n: int) -> np.ndarray:
     return take(stream, n)
 
 
-def time_algorithms(panel: str, dim: int) -> dict:
+def time_algorithms(panel: str, dim: int) -> tuple[dict, dict]:
+    """Wall-clock seconds per update count, and the runs' counters."""
     times = {"CluDistream": [], "SEM": []}
+    counters = {}
     data = data_for(panel, max(UPDATE_COUNTS))
     for n in UPDATE_COUNTS:
         site = RemoteSite(
@@ -66,6 +69,7 @@ def time_algorithms(panel: str, dim: int) -> dict:
             site.process_record, iter(data[:n]), max_records=n
         )
         times["CluDistream"].append(result.seconds)
+        counters.update(site_claims(f"{panel}.n={n}.site", site))
 
         sem = ScalableEM(
             dim,
@@ -76,7 +80,9 @@ def time_algorithms(panel: str, dim: int) -> dict:
             sem.process_record, iter(data[:n]), max_records=n
         )
         times["SEM"].append(result.seconds)
-    return times
+        counters[f"{panel}.n={n}.sem.refits"] = sem.refits
+        counters[f"{panel}.n={n}.sem.memory_bytes"] = sem.memory_bytes()
+    return times, counters
 
 
 def figure8() -> dict:
@@ -86,10 +92,11 @@ def figure8() -> dict:
     }
 
 
-def bench_fig08_time_updates(benchmark):
+def bench_fig08_time_updates(benchmark, claims):
     results = run_once(benchmark, figure8)
+    claims({k: v for _, counters in results.values() for k, v in counters.items()})
     print_header("Figure 8: processing time (s) vs updates")
-    for panel, times in results.items():
+    for panel, (times, _) in results.items():
         print(f"\npanel: {panel}")
         print_series("CluDistream", UPDATE_COUNTS, times["CluDistream"], "10.4f")
         print_series("SEM", UPDATE_COUNTS, times["SEM"], "10.4f")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import print_header, print_series, run_once
+from benchmarks.conftest import print_header, print_series, run_once, site_claims
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.evaluation.timing import measure_throughput
@@ -32,8 +32,10 @@ K_SWEEP = (5, 10, 20)
 D_SWEEP = (4, 8, 16)
 
 
-def run_sweep(ks, ds) -> list[float]:
+def run_sweep(ks, ds) -> tuple[list[float], dict]:
+    """Wall-clock seconds per (K, d) point, and the runs' counters."""
     times = []
+    counters = {}
     for k, d in zip(ks, ds):
         stream = EvolvingGaussianStream(
             EvolvingStreamConfig(
@@ -67,7 +69,8 @@ def run_sweep(ks, ds) -> list[float]:
             site.process_record, iter(data), max_records=UPDATES
         )
         times.append(result.seconds)
-    return times
+        counters.update(site_claims(f"k={k}.d={d}", site))
+    return times, counters
 
 
 def figure9() -> dict:
@@ -77,8 +80,16 @@ def figure9() -> dict:
     }
 
 
-def bench_fig09_time_k_d(benchmark):
-    results = run_once(benchmark, figure9)
+def bench_fig09_time_k_d(benchmark, claims):
+    sweeps = run_once(benchmark, figure9)
+    claims(
+        {
+            f"{label}.{key}": value
+            for label, (_, counters) in sweeps.items()
+            for key, value in counters.items()
+        }
+    )
+    results = {label: times for label, (times, _) in sweeps.items()}
     print_header("Figure 9: processing time (s) vs K and vs d")
     print_series("vary K (d=4)", K_SWEEP, results["vary_k"], "10.4f")
     print_series("vary d (K=5)", D_SWEEP, results["vary_d"], "10.4f")

@@ -105,8 +105,14 @@ def figure10() -> dict:
     return {"updates": memory_vs_updates(), "k": memory_vs_k()}
 
 
-def bench_fig10_memory(benchmark):
+def bench_fig10_memory(benchmark, claims):
     results = run_once(benchmark, figure10)
+    claims(
+        {
+            "memory_vs_updates": results["updates"],
+            **{f"memory_vs_k.d={d}": row for d, row in results["k"].items()},
+        }
+    )
     print_header("Figure 10: remote-site memory usage (bytes)")
     print_series("vs updates (d=4, K=5)", UPDATE_SWEEP, results["updates"], "10.0f")
     for d, row in results["k"].items():

@@ -59,6 +59,7 @@ def figure11() -> dict:
     """Average quality/time over N_SEEDS runs (the paper averages 5)."""
     qualities = np.zeros(len(EPSILONS))
     times = np.zeros(len(EPSILONS))
+    em_runs = [0] * len(EPSILONS)
     sem_quality = 0.0
     chunk_sizes = []
     for seed in range(N_SEEDS):
@@ -77,6 +78,7 @@ def figure11() -> dict:
             )
             times[index] += result.seconds / N_SEEDS
             chunk_sizes.append(site.chunk)
+            em_runs[index] += site.stats.n_clusterings
             qualities[index] += (
                 horizon_mixture(site, SEGMENT).average_log_likelihood(holdout)
                 / N_SEEDS
@@ -96,11 +98,20 @@ def figure11() -> dict:
         "times": times.tolist(),
         "chunks": chunk_sizes,
         "sem": sem_quality,
+        "em_runs": em_runs,
     }
 
 
-def bench_fig11_epsilon(benchmark):
+def bench_fig11_epsilon(benchmark, claims):
     results = run_once(benchmark, figure11)
+    claims(
+        {
+            "chunk_sizes": results["chunks"],
+            "quality": results["qualities"],
+            "sem_quality": results["sem"],
+            "em_runs": results["em_runs"],
+        }
+    )
     print_header("Figure 11: sensitivity to epsilon")
     print(f"{'epsilon':>8}  {'M':>6}  {'quality':>10}  {'time (s)':>10}")
     for eps, m, quality, seconds in zip(

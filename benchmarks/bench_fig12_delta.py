@@ -41,6 +41,7 @@ def figure12() -> dict:
     """Average quality/time over N_SEEDS runs (the paper averages 5)."""
     qualities = np.zeros(len(DELTAS))
     times = np.zeros(len(DELTAS))
+    em_runs = [0] * len(DELTAS)
     sem_quality = 0.0
     chunk_sizes = []
     for seed in range(N_SEEDS):
@@ -70,6 +71,7 @@ def figure12() -> dict:
             )
             times[index] += result.seconds / N_SEEDS
             chunk_sizes.append(site.chunk)
+            em_runs[index] += site.stats.n_clusterings
             qualities[index] += (
                 horizon_mixture(site, SEGMENT).average_log_likelihood(holdout)
                 / N_SEEDS
@@ -89,11 +91,20 @@ def figure12() -> dict:
         "times": times.tolist(),
         "chunks": chunk_sizes,
         "sem": sem_quality,
+        "em_runs": em_runs,
     }
 
 
-def bench_fig12_delta(benchmark):
+def bench_fig12_delta(benchmark, claims):
     results = run_once(benchmark, figure12)
+    claims(
+        {
+            "chunk_sizes": results["chunks"],
+            "quality": results["qualities"],
+            "sem_quality": results["sem"],
+            "em_runs": results["em_runs"],
+        }
+    )
     print_header("Figure 12: sensitivity to delta")
     print(f"{'delta':>8}  {'M':>6}  {'quality':>10}  {'time (s)':>10}")
     for delta, m, quality, seconds in zip(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import make_site_config, print_header, run_once
+from benchmarks.conftest import make_site_config, print_header, run_once, site_claims
 from repro.core.remote import RemoteSite
 from repro.evaluation.timing import measure_throughput
 from repro.streams.synthetic import random_mixture
@@ -47,6 +47,7 @@ def alternating_data() -> np.ndarray:
 def figure13() -> dict:
     data = alternating_data()
     times, clusterings, reactivations = [], [], []
+    counters = {}
     for c_max in C_MAX_SWEEP:
         site = RemoteSite(
             0,
@@ -59,15 +60,18 @@ def figure13() -> dict:
         times.append(result.seconds)
         clusterings.append(site.stats.n_clusterings)
         reactivations.append(site.stats.n_reactivations)
+        counters.update(site_claims(f"c_max={c_max}", site))
     return {
         "times": times,
         "clusterings": clusterings,
         "reactivations": reactivations,
+        "counters": counters,
     }
 
 
-def bench_fig13_cmax(benchmark):
+def bench_fig13_cmax(benchmark, claims):
     results = run_once(benchmark, figure13)
+    claims(results["counters"])
     print_header("Figure 13: sensitivity to c_max (cycle of 4 distributions)")
     print(f"{'c_max':>6}  {'time (s)':>10}  {'EM runs':>8}  {'reactivations':>14}")
     for c_max, seconds, ems, reacts in zip(

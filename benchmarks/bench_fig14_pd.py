@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import make_site_config, print_header, run_once
+from benchmarks.conftest import make_site_config, print_header, run_once, site_claims
 from repro.core.remote import RemoteSite
 from repro.evaluation.timing import measure_throughput
 from repro.streams.base import take
@@ -49,6 +49,7 @@ def figure14() -> dict:
     # sweep point is averaged over REPEATS runs on the same data.
     times = np.zeros(len(PD_SWEEP))
     clusterings = []
+    counters = {}
     for index, p_d in enumerate(PD_SWEEP):
         stream = EvolvingGaussianStream(
             EvolvingStreamConfig(
@@ -72,11 +73,17 @@ def figure14() -> dict:
             )
             times[index] += result.seconds / REPEATS
         clusterings.append(site.stats.n_clusterings)
-    return {"times": times.tolist(), "clusterings": clusterings}
+        counters.update(site_claims(f"p_d={p_d}", site))
+    return {
+        "times": times.tolist(),
+        "clusterings": clusterings,
+        "counters": counters,
+    }
 
 
-def bench_fig14_pd(benchmark):
+def bench_fig14_pd(benchmark, claims):
     results = run_once(benchmark, figure14)
+    claims(results["counters"])
     print_header("Figure 14: processing time vs P_d")
     print(f"{'P_d':>6}  {'time (s)':>10}  {'EM runs':>8}")
     for p_d, seconds, ems in zip(

@@ -90,8 +90,15 @@ def motivation() -> dict:
     return {rate: one_rate(rate, seed=300 + int(rate * 10)) for rate in RATES}
 
 
-def bench_motivation_incomplete_records(benchmark):
+def bench_motivation_incomplete_records(benchmark, claims):
     results = run_once(benchmark, motivation)
+    claims(
+        {
+            f"rate={rate}.{key}": value
+            for rate, row in results.items()
+            for key, value in row.items()
+        }
+    )
     print_header(
         "Motivation: incomplete records -- exact missing-data EM vs fallbacks"
     )

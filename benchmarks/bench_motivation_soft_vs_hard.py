@@ -69,8 +69,15 @@ def motivation() -> dict:
     return {gap: one_gap(gap, seed=100 + int(gap * 10)) for gap in GAPS}
 
 
-def bench_motivation_soft_vs_hard(benchmark):
+def bench_motivation_soft_vs_hard(benchmark, claims):
     results = run_once(benchmark, motivation)
+    claims(
+        {
+            f"gap={gap}.{key}": value
+            for gap, row in results.items()
+            for key, value in row.items()
+        }
+    )
     print_header(
         "Motivation: soft (EM) vs hard (stream k-means) by cluster overlap"
     )

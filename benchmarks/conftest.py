@@ -12,16 +12,24 @@ Workload sizes are scaled down from the paper's (100k updates, r=20)
 to keep the whole suite runnable in minutes; EXPERIMENTS.md records the
 scaling next to each figure's paper-vs-measured summary.
 
-Run:  pytest benchmarks/ --benchmark-only
+Each bench also hands its seeded, non-timing numbers to the ``claims``
+fixture, which checks them against ``benchmarks/paper_claims.json``
+(:mod:`benchmarks.paper.claims`; restamp with
+``PYTHONPATH=src python -m benchmarks.paper.claims``).
+
+Run:  PYTHONPATH=src python -m pytest benchmarks/ --ignore=benchmarks/e2e -o addopts=""
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from benchmarks.paper.claims import Claims
 from repro.core.em import EMConfig
-from repro.core.remote import RemoteSiteConfig
+from repro.core.remote import RemoteSite, RemoteSiteConfig
 
 
 def fast_em(k: int = 5, diagonal: bool = False) -> EMConfig:
@@ -69,9 +77,18 @@ def ascii_bars(values, width: int = 40) -> list[str]:
     return ["#" * int(width * value / peak) for value in values]
 
 
+def site_claims(prefix: str, site: RemoteSite) -> dict[str, int]:
+    """A site's cost counters as claims (``prefix.n_clusterings``, ...)."""
+    return {
+        f"{prefix}.{name}": value
+        for name, value in dataclasses.asdict(site.stats).items()
+    }
+
+
 @pytest.fixture
-def bench_rng() -> np.random.Generator:
-    return np.random.default_rng(20070415)
+def claims(request) -> Claims:
+    """Check the bench's seeded numbers against ``paper_claims.json``."""
+    return Claims(request.module.__name__.rpartition(".")[2], request.config)
 
 
 def run_once(benchmark, func, *args, **kwargs):
