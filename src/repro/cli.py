@@ -7,11 +7,6 @@ The subcommands cover the common workflows without writing code:
 * ``cludistream run --sites 4 --records 8000 --stream synthetic`` --
   run a full distributed system over synthetic or net-flow streams and
   print the per-site and coordinator summary;
-* ``cludistream compare-comm --sites 4 --records 6000`` -- the Figure 2
-  communication comparison against periodic SEM reporting;
-* ``cludistream report -o report.md`` -- run a compact reproduction
-  (communication + quality + parameter math) and write a Markdown
-  summary;
 * ``cludistream serve --expected-sites 2`` / ``cludistream site
   --site-id 0 --port PORT`` -- a real multi-process deployment: the
   coordinator listens on a TCP socket and remote-site processes stream
@@ -121,28 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_flags(run)
     _add_history_flags(run)
-
-    comm = sub.add_parser(
-        "compare-comm",
-        help="communication cost vs periodic SEM reporting (Figure 2)",
-    )
-    comm.add_argument("--sites", type=int, default=4)
-    comm.add_argument("--records", type=int, default=6000, help="per site")
-    comm.add_argument("--chunk", type=int, default=500)
-    comm.add_argument("--p-new", type=float, default=0.1, help="P_d")
-    comm.add_argument("--seed", type=int, default=0)
-
-    report = sub.add_parser(
-        "report",
-        help="run a compact reproduction and write a Markdown summary",
-    )
-    report.add_argument(
-        "-o", "--output", default="cludistream-report.md",
-        help="output path (default: cludistream-report.md)",
-    )
-    report.add_argument("--sites", type=int, default=2)
-    report.add_argument("--records", type=int, default=4000, help="per site")
-    report.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser(
         "serve",
@@ -750,162 +723,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compact_configs(chunk: int):
-    """Site and SEM parameters of the compact reproductions
-    (``compare-comm``, ``report``): K = 5, d = 4, chunk ``M``."""
-    from repro.baselines.sem import SEMConfig
-    from repro.core.em import EMConfig
-    from repro.core.remote import RemoteSiteConfig
-
-    em = EMConfig(n_components=5, n_init=1, max_iter=40)
-    return (
-        RemoteSiteConfig(
-            dim=4, epsilon=0.05, delta=0.05, em=em, chunk_override=chunk
-        ),
-        SEMConfig(n_components=5, buffer_size=chunk, em=em),
-    )
-
-
-def _figure2(
-    sites: int, records: int, chunk: int, p_new: float, seed: int, samples: int
-):
-    """The Figure 2 comparison: event-driven CluDistream against
-    periodic SEM reporting over identical seeded streams."""
-    from repro.baselines.periodic import PeriodicReporterConfig
-    from repro.evaluation.comm import compare_communication
-    from repro.streams.base import take
-    from repro.streams.synthetic import (
-        EvolvingGaussianStream,
-        EvolvingStreamConfig,
-    )
-
-    def make_streams(seed: int):
-        return {
-            i: take(
-                EvolvingGaussianStream(
-                    EvolvingStreamConfig(p_new_distribution=p_new),
-                    rng=np.random.default_rng(seed + 31 * i),
-                ),
-                records,
-            )
-            for i in range(sites)
-        }
-
-    site_config, sem_config = _compact_configs(chunk)
-    return compare_communication(
-        make_streams,
-        n_sites=sites,
-        records_per_site=records,
-        site_config=site_config,
-        periodic_config=PeriodicReporterConfig(period=chunk, sem=sem_config),
-        sample_every=max(chunk, records // samples),
-        seed=seed,
-    )
-
-
-def _cmd_compare_comm(args: argparse.Namespace) -> int:
-    comparison = _figure2(
-        args.sites, args.records, args.chunk, args.p_new, args.seed, samples=8
-    )
-    print(f"{'updates':>10}  {'CluDistream (B)':>16}  {'periodic SEM (B)':>16}")
-    for position, clu, periodic in zip(
-        comparison.positions,
-        comparison.cludistream_series,
-        comparison.periodic_series,
-    ):
-        print(f"{position:>10}  {clu:>16}  {periodic:>16}")
-    print(
-        f"total: {comparison.cludistream_bytes} B vs "
-        f"{comparison.periodic_bytes} B -> {comparison.ratio:.1f}x savings"
-    )
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.baselines.sem import ScalableEM
-    from repro.core.chunking import chunk_size
-    from repro.core.remote import RemoteSite
-    from repro.evaluation.report import ExperimentReport
-    from repro.streams.base import take
-    from repro.streams.synthetic import (
-        EvolvingGaussianStream,
-        EvolvingStreamConfig,
-    )
-    from repro.windows.horizon import horizon_mixture
-
-    chunk = 500
-    site_config, sem_config = _compact_configs(chunk)
-    report = ExperimentReport(
-        "CluDistream reproduction summary (compact run)"
-    )
-
-    # Section 1: Theorem 1 parameter math.
-    section = report.section("Theorem 1 chunk sizes")
-    section.add_text(
-        "Chunk size M = -2d·ln(δ(2-δ))/ε for representative parameters."
-    )
-    section.add_table(
-        ("d", "epsilon", "delta", "M"),
-        [
-            (d, eps, delta, chunk_size(d, eps, delta))
-            for d, eps, delta in (
-                (4, 0.02, 0.01),
-                (4, 0.1, 0.01),
-                (6, 0.02, 0.01),
-            )
-        ],
-    )
-
-    # Section 2: communication comparison (Figure 2 shape).
-    comparison = _figure2(
-        args.sites, args.records, chunk, 0.1, args.seed, samples=4
-    )
-    section = report.section("Communication cost (Figure 2 shape)")
-    section.add_series(
-        "CluDistream bytes", [float(v) for v in comparison.cludistream_series]
-    )
-    section.add_series(
-        "periodic SEM bytes", [float(v) for v in comparison.periodic_series]
-    )
-    section.add_verdict(
-        comparison.ratio > 1.0,
-        f"CluDistream ships {comparison.ratio:.1f}x fewer bytes than "
-        "periodic reporting",
-    )
-
-    # Section 3: quality on an evolving stream (Figure 5 shape).
-    stream = EvolvingGaussianStream(
-        EvolvingStreamConfig(p_new_distribution=0.5, separation=4.0),
-        rng=np.random.default_rng(args.seed + 7),
-    )
-    data = take(stream, args.records)
-    site = RemoteSite(
-        0, site_config, rng=np.random.default_rng(args.seed + 8)
-    )
-    sem = ScalableEM(4, sem_config, rng=np.random.default_rng(args.seed + 9))
-    for row in data:
-        site.process_record(row)
-        sem.process_record(row)
-    holdout, _ = stream.segments[-1].mixture.sample(
-        1000, np.random.default_rng(args.seed + 10)
-    )
-    clu_quality = horizon_mixture(site, 2000).average_log_likelihood(holdout)
-    sem_quality = sem.current_model().average_log_likelihood(holdout)
-    section = report.section("Cluster quality (Figure 5 shape)")
-    section.add_table(
-        ("algorithm", "avg log likelihood"),
-        [("CluDistream (horizon)", clu_quality), ("SEM", sem_quality)],
-    )
-    section.add_verdict(
-        clu_quality > sem_quality,
-        "CluDistream beats SEM on the current distribution",
-    )
-
-    path = report.write(args.output)
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     from pathlib import Path
@@ -1314,8 +1131,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {
         "chunk-size": _cmd_chunk_size,
         "run": _cmd_run,
-        "compare-comm": _cmd_compare_comm,
-        "report": _cmd_report,
         "serve": _cmd_serve,
         "site": _cmd_site,
         "cluster": _cmd_cluster,

@@ -76,25 +76,3 @@ class TestExperimentReport:
     def test_empty_title_rejected(self):
         with pytest.raises(ValueError, match="title"):
             ExperimentReport("")
-
-
-class TestReportCLI:
-    def test_report_subcommand_writes_markdown(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "summary.md"
-        status = main(
-            [
-                "report",
-                "-o", str(out),
-                "--sites", "2",
-                "--records", "2000",
-            ]
-        )
-        assert status == 0
-        content = out.read_text()
-        assert "# CluDistream reproduction summary" in content
-        assert "Theorem 1 chunk sizes" in content
-        assert "Communication cost" in content
-        assert "Cluster quality" in content
-        assert "✅" in content

@@ -72,22 +72,6 @@ class TestRun:
         assert "virtual seconds" in out
 
 
-class TestCompareComm:
-    def test_reports_savings(self, capsys):
-        status = main(
-            [
-                "compare-comm",
-                "--sites", "2",
-                "--records", "2000",
-                "--chunk", "500",
-            ]
-        )
-        assert status == 0
-        out = capsys.readouterr().out
-        assert "x savings" in out
-        assert "CluDistream (B)" in out
-
-
 class TestRunVariants:
     def test_netflow_direct_run(self, capsys):
         from repro.cli import main
@@ -641,6 +625,34 @@ class TestRemovedBench:
             assert excinfo.value.code == 2
 
 
+class TestRemovedSubcommands:
+    """``compare-comm`` and ``report`` re-ran Figs. 2 and 5 at a compact
+    size; the paper benches now check those numbers against
+    ``benchmarks/paper_claims.json``, and the reproduction lives under
+    ``benchmarks/paper/``, outside the package."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare-comm"],
+            ["compare-comm", "--sites", "2", "--p-new", "0.3"],
+            ["report"],
+            ["report", "-o", "summary.md"],
+        ],
+    )
+    def test_both_subcommands_exit_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_the_flag_table_lost_exactly_those_two_entries(self):
+        table = TestFlagSurface.surface()
+        assert "compare-comm" not in table and "report" not in table
+        assert list(table) == [
+            "chunk-size", "run", "serve", "site", "cluster", "stats", "monitor"
+        ]
+
+
 class TestHistoryFlags:
     def test_run_history_knobs_default_off(self):
         args = build_parser().parse_args(["run"])
@@ -787,8 +799,8 @@ class TestFlagSurface:
         assert list(surface) == list(table)
         for command, flags in table.items():
             assert surface[command] == flags, command
-        assert len(surface) == 9
-        assert sum(len(flags) for flags in surface.values()) == 109
+        assert len(surface) == 7
+        assert sum(len(flags) for flags in surface.values()) == 100
 
 
 class TestContradictoryFlags:
