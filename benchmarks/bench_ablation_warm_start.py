@@ -33,8 +33,8 @@ import time
 import numpy as np
 
 from benchmarks.conftest import make_site_config, print_header, run_once
+from benchmarks.paper.evaluation.metrics import matched_mean_error
 from repro.core.remote import RemoteSite
-from repro.evaluation.metrics import matched_mean_error
 from repro.streams.base import take
 from repro.streams.drift import DriftConfig, DriftingGaussianStream
 

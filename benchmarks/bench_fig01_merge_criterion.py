@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import fast_em, print_header, print_series, run_once
+from benchmarks.paper.merging import j_merge, normalize_scores
 from repro.core.em import fit_em
-from repro.core.merging import j_merge, m_merge, normalize_scores
+from repro.core.merging import m_merge
 from repro.streams.base import take
 from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 from repro.streams.synthetic import random_mixture

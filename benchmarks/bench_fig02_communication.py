@@ -26,9 +26,9 @@ from benchmarks.conftest import (
     print_series,
     run_once,
 )
-from repro.baselines.periodic import PeriodicReporterConfig
-from repro.baselines.sem import SEMConfig
-from repro.evaluation.comm import compare_communication
+from benchmarks.paper.baselines.periodic import PeriodicReporterConfig
+from benchmarks.paper.baselines.sem import SEMConfig
+from benchmarks.paper.evaluation.comm import compare_communication
 from repro.streams.base import take
 from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 from repro.streams.synthetic import (

@@ -20,9 +20,9 @@ from benchmarks.conftest import (
     print_header,
     run_once,
 )
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.evaluation.quality import QualitySeries
 from repro.core.remote import RemoteSite
-from repro.evaluation.quality import QualitySeries
 from repro.streams.base import take
 from repro.streams.synthetic import (
     EvolvingGaussianStream,

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import make_site_config, print_header, run_once
-from repro.baselines.sampling import SamplingEM, SamplingEMConfig
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sampling import SamplingEM, SamplingEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSite
 from repro.streams.base import take

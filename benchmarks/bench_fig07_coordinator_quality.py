@@ -20,7 +20,7 @@ from benchmarks.conftest import (
     print_header,
     run_once,
 )
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
 from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.streams.base import interleave, take

@@ -22,9 +22,9 @@ from benchmarks.conftest import (
     run_once,
     site_claims,
 )
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.evaluation.timing import measure_throughput
 from repro.core.remote import RemoteSite
-from repro.evaluation.timing import measure_throughput
 from repro.streams.base import take
 from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 from repro.streams.synthetic import (

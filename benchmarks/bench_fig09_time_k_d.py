@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import print_header, print_series, run_once, site_claims
+from benchmarks.paper.evaluation.timing import measure_throughput
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.evaluation.timing import measure_throughput
 from repro.streams.base import take
 from repro.streams.synthetic import (
     EvolvingGaussianStream,

@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import print_header, print_series, run_once
+from benchmarks.paper.evaluation.memory import predicted_site_memory_bytes
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.evaluation.memory import predicted_site_memory_bytes
 from repro.streams.base import take
 from repro.streams.synthetic import (
     EvolvingGaussianStream,

@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import fast_em, print_header, run_once
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.evaluation.timing import measure_throughput
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.evaluation.timing import measure_throughput
 from repro.streams.base import take
 from repro.streams.synthetic import (
     EvolvingGaussianStream,

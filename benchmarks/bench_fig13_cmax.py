@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import make_site_config, print_header, run_once, site_claims
+from benchmarks.paper.evaluation.timing import measure_throughput
 from repro.core.remote import RemoteSite
-from repro.evaluation.timing import measure_throughput
 from repro.streams.synthetic import random_mixture
 
 C_MAX_SWEEP = (1, 2, 3, 4, 5, 7)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import make_site_config, print_header, run_once, site_claims
+from benchmarks.paper.evaluation.timing import measure_throughput
 from repro.core.remote import RemoteSite
-from repro.evaluation.timing import measure_throughput
 from repro.streams.base import take
 from repro.streams.synthetic import (
     EvolvingGaussianStream,

@@ -22,11 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import fast_em, print_header, run_once
-from repro.baselines.kmeans import StreamKMeans, StreamKMeansConfig
+from benchmarks.paper.baselines.kmeans import StreamKMeans, StreamKMeansConfig
+from benchmarks.paper.evaluation.metrics import adjusted_rand_index
 from repro.core.em import fit_em
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
-from repro.evaluation.metrics import adjusted_rand_index
 
 GAPS = (6.0, 3.0, 2.0, 1.0)  # centre separation in units of σ=1
 N_TRAIN = 6000

@@ -6,7 +6,7 @@ strategy is adopted by many distributed clustering methods, such as
 DBDC."
 
 A :class:`PeriodicReporter` wraps one remote site's
-:class:`~repro.baselines.sem.ScalableEM` instance and ships its current
+:class:`~.sem.ScalableEM` instance and ships its current
 model synopsis to the coordinator every ``period`` records, *whether or
 not anything changed* -- the contrast to CluDistream's event-driven
 stability property.  Messages reuse the
@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
 from repro.core.protocol import Message, ModelUpdateMessage
 
 __all__ = ["PeriodicReporter", "PeriodicReporterConfig"]

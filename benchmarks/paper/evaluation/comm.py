@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.baselines.periodic import PeriodicReporter, PeriodicReporterConfig
+from benchmarks.paper.baselines.periodic import PeriodicReporter, PeriodicReporterConfig
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 
 __all__ = ["CommunicationComparison", "compare_communication"]

@@ -1,19 +1,24 @@
-"""Markdown report generation for experiment results.
+"""The reproduction's numbers as a Markdown report.
 
-The benchmark harness prints figures to stdout; this module renders the
-same kind of data as a self-contained Markdown report -- tables, ASCII
-series and a verdict line per experiment -- so a run can be archived or
-attached to a ticket.  ``cludistream report`` uses it to produce a
-quick reproduction summary without pytest.
+The paper benches print their figures to stdout and record their
+seeded numbers in ``benchmarks/paper_claims.json``; this module renders
+that file as a self-contained Markdown report -- one section per bench,
+a table of its scalar claims and a sparkline per series -- so the
+gated numbers can be read, archived or cited without running a bench::
+
+    PYTHONPATH=src python -m benchmarks.paper.report > claims.md
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["ExperimentReport", "ReportSection", "ascii_series"]
+from benchmarks.paper.claims import BENCH_DIR, load
+
+__all__ = ["ExperimentReport", "ReportSection", "ascii_series", "claims_report"]
 
 
 def ascii_series(
@@ -117,6 +122,8 @@ class ExperimentReport:
         """The full Markdown document."""
         parts = [f"# {self.title}", ""]
         for section in self._sections:
+            if parts[-1]:
+                parts.append("")
             parts.append(f"## {section.title}")
             parts.append("")
             parts.extend(section.lines)
@@ -127,3 +134,25 @@ class ExperimentReport:
         path = Path(path)
         path.write_text(self.render())
         return path
+
+
+def claims_report(claims: Mapping[str, Mapping[str, object]]) -> ExperimentReport:
+    """One section per bench: its scalar claims, then its series."""
+    report = ExperimentReport("CluDistream reproduction: the gated claims")
+    for bench, entry in claims.items():
+        source = (BENCH_DIR / f"{bench}.py").read_text()
+        summary = ast.get_docstring(ast.parse(source)).splitlines()[0]
+        section = report.section(f"{summary.rstrip('.')} (`{bench}`)")
+        scalars = [
+            (key, value) for key, value in entry.items() if not isinstance(value, list)
+        ]
+        if scalars:
+            section.add_table(("claim", "value"), scalars)
+        for key, values in entry.items():
+            if isinstance(values, list):
+                section.add_series(key, [float(value) for value in values])
+    return report
+
+
+if __name__ == "__main__":
+    print(claims_report(load()).render(), end="")

@@ -4,10 +4,12 @@ approach.
 A faithful, production-quality reproduction of *"Distributed Data Stream
 Clustering: A Fast EM-based Approach"* (Zhou, Cao, Yan, Sha, He --
 ICDE 2007).  The library implements the paper's test-and-cluster remote
-sites, merge/split coordinator, the SEM and sampling baselines it
-compares against, the virtual clock and cost meter of its experiments,
-and the synthetic workloads (including an NFD-like net-flow generator)
-behind every figure of the evaluation.
+sites, merge/split coordinator and message protocol, the virtual clock
+and cost meter of its experiments, and the synthetic workloads
+(including an NFD-like net-flow generator) behind every figure of the
+evaluation.  The baselines it is compared against (SEM, sampling EM,
+periodic reporting) belong to the reproduction, not the library: they
+live in ``benchmarks/paper/``.
 
 Quickstart::
 
@@ -31,7 +33,8 @@ deprecation policy of ``DESIGN.md`` section 10 -- removal only after at
 least one release of ``DeprecationWarning``.
 
 See ``examples/`` for full scenarios and ``benchmarks/`` for the
-per-figure reproduction harness.
+per-figure reproduction, whose numbers are checked against
+``benchmarks/paper_claims.json``.
 """
 
 from repro.core import (
@@ -78,7 +81,7 @@ from repro.runtime import (
     TransportChannel,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: The timing suite's names, removed in 1.4.0 without a warning release
 #: (DESIGN.md section 10.3 records the exception).

@@ -10,8 +10,8 @@ with the synopsis-only Mahalanobis criterion (eq. 5)::
     M_merge(i, j) = 1 / ((μ_i - μ_j)ᵀ (Σ_i⁻¹ + Σ_j⁻¹) (μ_i - μ_j))
 
 Figure 1 of the paper argues the two rank component pairs almost
-identically; :func:`j_merge` and :func:`m_merge` are both implemented so
-the benchmark can reproduce that comparison.
+identically; ``J_merge`` lives with that comparison in
+``benchmarks/paper/merging.py``, outside the system.
 
 After choosing the pair with the largest ``M_merge``, the merged
 component ``i'`` is fitted by minimising the L1 accuracy loss::
@@ -36,7 +36,6 @@ homes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,11 +54,9 @@ __all__ = [
     "MergeFit",
     "accuracy_loss",
     "fit_merged_component",
-    "j_merge",
     "m_merge",
     "m_remerge",
     "m_split",
-    "normalize_scores",
     "pairwise_m_merge",
     "rank_merge_pairs",
 ]
@@ -72,20 +69,6 @@ MERGE_SCORE_CAP = 1e12
 # ----------------------------------------------------------------------
 # Pairwise merge criteria
 # ----------------------------------------------------------------------
-def j_merge(
-    mixture: GaussianMixture, i: int, j: int, data: np.ndarray
-) -> float:
-    """SMEM's data-driven criterion ``Σ_x Pr(i|x) Pr(j|x)``.
-
-    Needs raw records, so the coordinator never uses it in production;
-    it exists as the reference for the Figure 1 comparison.
-    """
-    if i == j:
-        raise ValueError("j_merge is defined for distinct components")
-    posterior = mixture.posterior(data)
-    return float(np.sum(posterior[:, i] * posterior[:, j]))
-
-
 def m_merge(component_i: Gaussian, component_j: Gaussian) -> float:
     """Synopsis-only merge criterion of eq. 5 (larger = merge sooner)."""
     distance = component_i.symmetric_mahalanobis_sq(component_j)
@@ -144,20 +127,6 @@ def rank_merge_pairs(mixture: GaussianMixture) -> list[tuple[int, int, float]]:
     ]
     pairs.sort(key=lambda item: item[2], reverse=True)
     return pairs
-
-
-def normalize_scores(scores: Sequence[float]) -> np.ndarray:
-    """Min-max normalisation used in the Figure 1 comparison.
-
-    ``(s - min) / (max - min)``; a constant score list maps to zeros.
-    """
-    arr = np.asarray(scores, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot normalise an empty score list")
-    span = float(arr.max() - arr.min())
-    if span <= 0.0:
-        return np.zeros_like(arr)
-    return (arr - arr.min()) / span
 
 
 # ----------------------------------------------------------------------

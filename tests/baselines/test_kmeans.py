@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.kmeans import (
+from benchmarks.paper.baselines.kmeans import (
     StreamKMeans,
     StreamKMeansConfig,
     lloyd_kmeans,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.periodic import PeriodicReporter, PeriodicReporterConfig
-from repro.baselines.sem import SEMConfig
+from benchmarks.paper.baselines.periodic import PeriodicReporter, PeriodicReporterConfig
+from benchmarks.paper.baselines.sem import SEMConfig
 from repro.core.em import EMConfig
 from repro.core.protocol import ModelUpdateMessage
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.sampling import (
+from benchmarks.paper.baselines.sampling import (
     ReservoirSampler,
     SamplingEM,
     SamplingEMConfig,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
 from repro.core.em import EMConfig
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
 from repro.core.em import EMConfig
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig

@@ -7,16 +7,15 @@ import pytest
 
 import repro.core.gaussian as gaussian_module
 import repro.core.merging as merging_module
+from benchmarks.paper.merging import j_merge, normalize_scores
 from repro.core.gaussian import Gaussian
 from repro.core.merging import (
     _pack_parameters,
     accuracy_loss,
     fit_merged_component,
-    j_merge,
     m_merge,
     m_remerge,
     m_split,
-    normalize_scores,
     pairwise_m_merge,
     rank_merge_pairs,
 )

@@ -5,23 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.periodic import PeriodicReporterConfig
-from repro.baselines.sem import SEMConfig
-from repro.core.em import EMConfig
-from repro.core.gaussian import Gaussian
-from repro.core.mixture import GaussianMixture
-from repro.core.remote import RemoteSiteConfig
-from repro.evaluation.comm import compare_communication
-from repro.evaluation.memory import (
+from benchmarks.paper.baselines.periodic import PeriodicReporterConfig
+from benchmarks.paper.baselines.sem import SEMConfig
+from benchmarks.paper.evaluation.comm import compare_communication
+from benchmarks.paper.evaluation.memory import (
     mixture_parameter_count,
     predicted_site_memory_bytes,
 )
-from repro.evaluation.quality import (
+from benchmarks.paper.evaluation.quality import (
     QualitySeries,
     averaged_quality,
     holdout_quality,
 )
-from repro.evaluation.timing import measure_throughput
+from benchmarks.paper.evaluation.timing import measure_throughput
+from repro.core.em import EMConfig
+from repro.core.gaussian import Gaussian
+from repro.core.mixture import GaussianMixture
+from repro.core.remote import RemoteSiteConfig
 
 
 class TestQuality:

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.em import EMConfig, fit_em
-from repro.core.gaussian import Gaussian
-from repro.core.mixture import GaussianMixture
-from repro.evaluation.metrics import (
+from benchmarks.paper.evaluation.metrics import (
     adjusted_rand_index,
     matched_mean_error,
     weight_recovery_error,
 )
+from repro.core.em import EMConfig, fit_em
+from repro.core.gaussian import Gaussian
+from repro.core.mixture import GaussianMixture
 
 
 class TestAdjustedRandIndex:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.report import ExperimentReport, ascii_series
+from benchmarks.paper.report import ExperimentReport, ascii_series
 
 
 class TestAsciiSeries:
@@ -76,3 +76,17 @@ class TestExperimentReport:
     def test_empty_title_rejected(self):
         with pytest.raises(ValueError, match="title"):
             ExperimentReport("")
+
+
+class TestClaimsReport:
+    def test_one_section_per_recorded_bench(self):
+        from benchmarks.paper.claims import load
+        from benchmarks.paper.report import claims_report
+
+        claims = load()
+        report = claims_report(claims)
+        assert len(report.sections) == len(claims)
+        rendered = report.render()
+        assert "## Figure 2: communication cost" in rendered
+        assert "| nfd.cludistream_bytes" in rendered
+        assert "- nfd.periodic_series: `" in rendered

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from repro.evaluation.timing import (
+from benchmarks.paper.evaluation.timing import (
     MIN_MEASURABLE_SECONDS,
     ThroughputResult,
     measure_throughput,
@@ -27,7 +27,7 @@ class TestThroughputClamp:
 
     def test_sub_resolution_timing_is_flagged(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.evaluation.timing.time.perf_counter", lambda: 5.0
+            "benchmarks.paper.evaluation.timing.time.perf_counter", lambda: 5.0
         )
         result = measure_throughput(
             lambda r: None, iter(range(50)), max_records=50
@@ -45,7 +45,7 @@ class TestThroughputClamp:
 
     def test_benchmark_json_never_non_finite(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.evaluation.timing.time.perf_counter", lambda: 5.0
+            "benchmarks.paper.evaluation.timing.time.perf_counter", lambda: 5.0
         )
         observer = Observer(time_source=lambda: 0.0)
         result = measure_throughput(

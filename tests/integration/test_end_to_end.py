@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.sem import ScalableEM, SEMConfig
+from benchmarks.paper.baselines.sem import ScalableEM, SEMConfig
 from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig

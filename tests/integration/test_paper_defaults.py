@@ -100,7 +100,7 @@ class TestPaperDefaults:
         assert good > bad
 
     def test_memory_within_theorem3_envelope(self, paper_system):
-        from repro.evaluation.memory import predicted_site_memory_bytes
+        from benchmarks.paper.evaluation.memory import predicted_site_memory_bytes
 
         system, _, _ = paper_system
         for site in system.sites:

@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from benchmarks.paper.merging import normalize_scores
 from repro.core.chunking import chunk_size, lemma1_tail_bound
 from repro.core.events import EventTable
 from repro.core.gaussian import Gaussian
-from repro.core.merging import m_merge, normalize_scores
+from repro.core.merging import m_merge
 from repro.core.mixture import GaussianMixture
 from repro.numerics.linalg import mahalanobis_sq, spd_factorize
 from repro.simulation.collector import TimeSeriesCollector
@@ -279,7 +280,7 @@ class TestReservoirProperties:
         st.integers(min_value=0, max_value=500),
     )
     def test_size_invariant(self, capacity, n):
-        from repro.baselines.sampling import ReservoirSampler
+        from benchmarks.paper.baselines.sampling import ReservoirSampler
 
         sampler = ReservoirSampler(capacity, rng=np.random.default_rng(0))
         for i in range(n):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -118,7 +122,6 @@ class TestMultiProcessDemo:
         import os
         import subprocess
         import sys
-        from pathlib import Path
 
         repo = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
@@ -652,6 +655,30 @@ class TestRemovedSubcommands:
             "chunk-size", "run", "serve", "site", "cluster", "stats", "monitor"
         ]
 
+    @pytest.mark.parametrize("name", ["repro.baselines", "repro.evaluation"])
+    def test_the_reproduction_packages_left_the_library(self, name):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
+
+    def test_no_library_module_imports_benchmarks(self):
+        # The edge points one way: the reproduction uses the system.
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(root)}: {name}"
+                    for name in names
+                    if name.partition(".")[0] == "benchmarks"
+                ]
+        assert offenders == []
+
 
 class TestHistoryFlags:
     def test_run_history_knobs_default_off(self):
@@ -789,8 +816,6 @@ class TestFlagSurface:
         }
 
     def test_matches_the_checked_in_table(self):
-        from pathlib import Path
-
         table = json.loads(
             (Path(__file__).parent / "data" / "cli_flag_surface.json")
             .read_text()

@@ -23,7 +23,7 @@ class TestTopLevelSurface:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
 
     def test_packaging_reads_the_version_attribute(self):
         # One place to bump: pyproject.toml must not carry its own copy.
@@ -34,6 +34,17 @@ class TestTopLevelSurface:
         assert 'dynamic = ["version"]' in text
         assert 'version = { attr = "repro.__version__" }' in text
         assert "\nversion = \"" not in text
+
+    def test_installed_metadata_agrees_with_the_version(self):
+        # Build metadata is never tracked: a stale src/repro.egg-info
+        # once made importlib.metadata report 1.0.0 under PYTHONPATH=src.
+        from importlib import metadata
+
+        try:
+            installed = metadata.version("repro")
+        except metadata.PackageNotFoundError:
+            return
+        assert installed == repro.__version__
 
     def test_codec_api_is_exported(self):
         # The 1.2 additions: the wire-codec registry and its types.
@@ -80,10 +91,10 @@ class TestKeywordOnlyConfigs:
             "repro.core.remote:RemoteSiteConfig",
             "repro.core.coordinator:CoordinatorConfig",
             "repro.core.cludistream:CluDistreamConfig",
-            "repro.baselines.sampling:SamplingEMConfig",
-            "repro.baselines.sem:SEMConfig",
-            "repro.baselines.kmeans:StreamKMeansConfig",
-            "repro.baselines.periodic:PeriodicReporterConfig",
+            "benchmarks.paper.baselines.sampling:SamplingEMConfig",
+            "benchmarks.paper.baselines.sem:SEMConfig",
+            "benchmarks.paper.baselines.kmeans:StreamKMeansConfig",
+            "benchmarks.paper.baselines.periodic:PeriodicReporterConfig",
             "repro.transport.reliability:ReliabilityConfig",
             "repro.transport.lossy:FaultConfig",
             "repro.streams.synthetic:EvolvingStreamConfig",
