@@ -11,12 +11,11 @@ gated numbers can be read, archived or cited without running a bench::
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from benchmarks.paper.claims import BENCH_DIR, load
+from benchmarks.paper.claims import load
 
 __all__ = ["ExperimentReport", "ReportSection", "ascii_series", "claims_report"]
 
@@ -140,9 +139,7 @@ def claims_report(claims: Mapping[str, Mapping[str, object]]) -> ExperimentRepor
     """One section per bench: its scalar claims, then its series."""
     report = ExperimentReport("CluDistream reproduction: the gated claims")
     for bench, entry in claims.items():
-        source = (BENCH_DIR / f"{bench}.py").read_text()
-        summary = ast.get_docstring(ast.parse(source)).splitlines()[0]
-        section = report.section(f"{summary.rstrip('.')} (`{bench}`)")
+        section = report.section(f"`{bench}`")
         scalars = [
             (key, value) for key, value in entry.items() if not isinstance(value, list)
         ]

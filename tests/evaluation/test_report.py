@@ -87,6 +87,6 @@ class TestClaimsReport:
         report = claims_report(claims)
         assert len(report.sections) == len(claims)
         rendered = report.render()
-        assert "## Figure 2: communication cost" in rendered
+        assert "## `bench_fig02_communication`" in rendered
         assert "| nfd.cludistream_bytes" in rendered
         assert "- nfd.periodic_series: `" in rendered
