@@ -12,7 +12,6 @@ gated numbers can be read, archived or cited without running a bench::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from benchmarks.paper.claims import load
@@ -50,11 +49,6 @@ class ReportSection:
     title: str
     lines: list[str] = field(default_factory=list)
 
-    def add_text(self, text: str) -> None:
-        """Append a paragraph."""
-        self.lines.append(text)
-        self.lines.append("")
-
     def add_table(
         self, headers: Sequence[str], rows: Sequence[Sequence[object]]
     ) -> None:
@@ -91,12 +85,6 @@ class ReportSection:
             f"- {label}: `{spark}`  ({values[0]:.4g} → {values[-1]:.4g})"
         )
 
-    def add_verdict(self, passed: bool, claim: str) -> None:
-        """Append a ✅/❌ verdict line."""
-        marker = "✅" if passed else "❌"
-        self.lines.append(f"**{marker} {claim}**")
-        self.lines.append("")
-
 
 class ExperimentReport:
     """A whole report: titled sections rendered to Markdown."""
@@ -127,12 +115,6 @@ class ExperimentReport:
             parts.append("")
             parts.extend(section.lines)
         return "\n".join(parts).rstrip() + "\n"
-
-    def write(self, path: str | Path) -> Path:
-        """Render to a file; returns the path."""
-        path = Path(path)
-        path.write_text(self.render())
-        return path
 
 
 def claims_report(claims: Mapping[str, Mapping[str, object]]) -> ExperimentReport:

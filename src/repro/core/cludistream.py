@@ -41,6 +41,7 @@ from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import Message
 from repro.core.remote import RemoteSite, RemoteSiteConfig
+from repro.core.retired import retire_fields
 from repro.obs.observer import Observer, ensure_observer
 from repro.runtime import Channel, DirectChannel, Runtime
 
@@ -63,10 +64,9 @@ class CluDistreamConfig:
     coordinator:
         Coordinator configuration.
     incremental:
-        System-wide escalation policy switch for the site refit ladder
-        (DESIGN.md section 14).  ``True`` / ``False`` force
-        ``site.em.incremental`` on or off for every site; ``None``
-        (default) leaves whatever ``site`` says untouched.
+        Deprecated and inert since 1.12.0, removed in 1.13.0: the refit
+        ladder (DESIGN.md section 14) is switched by
+        ``RemoteSiteConfig(em=EMConfig(incremental=...))``.
     """
 
     n_sites: int = 20
@@ -77,20 +77,10 @@ class CluDistreamConfig:
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise ValueError("need at least one remote site")
-        if (
-            self.incremental is not None
-            and self.incremental != self.site.em.incremental
-        ):
-            from dataclasses import replace
-
-            object.__setattr__(
-                self,
-                "site",
-                replace(
-                    self.site,
-                    em=replace(self.site.em, incremental=self.incremental),
-                ),
-            )
+        retire_fields(
+            self,
+            incremental="use RemoteSiteConfig(em=EMConfig(incremental=...))",
+        )
 
 
 class CluDistream:

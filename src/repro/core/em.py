@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.mixture import EStep, GaussianMixture
+from repro.core.retired import retire_fields
 from repro.core.suffstats import SufficientStats
 from repro.obs.observer import Observer, ensure_observer
 
@@ -55,6 +56,15 @@ __all__ = [
 #: Responsibility mass floor per component; components starving below it
 #: are re-seeded on the record the model currently explains worst.
 MIN_COMPONENT_MASS = 1e-8
+
+#: Cappé–Moulines stepsize exponent ``α`` of :func:`incremental_em`
+#: (``η_t = (t+2)^{-α}``); it must lie in ``(0.5, 1.0]`` for the
+#: stepwise updates to converge.
+STEP_ALPHA = 0.7
+
+#: Stepwise E-M passes :func:`incremental_em` runs over a failing chunk
+#: before the refit ladder judges the warm fit.
+INCREMENTAL_STEPS = 2
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -88,14 +98,10 @@ class EMConfig:
         chunks through the sufficient statistics in one pass.  Off by
         default; the default path is pinned byte-identical to the
         pre-ladder trainer.
-    step_alpha:
-        Cappé–Moulines stepsize exponent ``α`` for
-        :func:`incremental_em` (``η_t = (t+2)^{-α}``).  Must lie in
-        ``(0.5, 1.0]`` for the stepwise updates to converge.
-    incremental_steps:
-        Stepwise E-M passes over a failing chunk before the ladder
-        judges the warm fit.  ``0`` makes warm-start incremental an
-        exact no-op (useful for ablations).
+    step_alpha, incremental_steps:
+        Deprecated and inert since 1.12.0, removed in 1.13.0: the
+        stepwise E-M runs :data:`INCREMENTAL_STEPS` passes with
+        exponent :data:`STEP_ALPHA`.
     """
 
     n_components: int = 5
@@ -106,8 +112,8 @@ class EMConfig:
     covariance_ridge: float = 1e-6
     init: str = "kmeans++"
     incremental: bool = False
-    step_alpha: float = 0.7
-    incremental_steps: int = 2
+    step_alpha: float = STEP_ALPHA
+    incremental_steps: int = INCREMENTAL_STEPS
 
     def __post_init__(self) -> None:
         if self.n_components < 1:
@@ -120,10 +126,13 @@ class EMConfig:
             raise ValueError("n_init must be at least 1")
         if self.init not in ("kmeans++", "random"):
             raise ValueError(f"unknown init strategy {self.init!r}")
-        if not 0.5 < self.step_alpha <= 1.0:
-            raise ValueError("step_alpha must lie in (0.5, 1.0]")
-        if self.incremental_steps < 0:
-            raise ValueError("incremental_steps must be non-negative")
+        retire_fields(
+            self,
+            step_alpha=f"the stepsize exponent is em.STEP_ALPHA = {STEP_ALPHA}",
+            incremental_steps=(
+                f"the pass count is em.INCREMENTAL_STEPS = {INCREMENTAL_STEPS}"
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -405,8 +414,8 @@ class IncrementalResult:
         Average log likelihood of ``mixture`` on the chunk it just
         absorbed (``AvgPr`` of Definition 1).
     n_steps:
-        Stepwise E-M passes actually performed (``0`` when the update
-        was a no-op, ``1`` for one-pass absorption).
+        Stepwise E-M passes performed (:data:`INCREMENTAL_STEPS` for
+        :func:`incremental_em`, ``1`` for one-pass absorption).
     history:
         Average log likelihood after each pass.
     e_step:
@@ -453,13 +462,10 @@ def incremental_em(
 
     Each pass ``t`` runs one E-step under the current mixture, folds the
     chunk's sufficient statistics into the running ones with stepsize
-    ``η_t = (t + 2)^{-config.step_alpha}``, and re-materializes the
-    mixture.  The chunk's mass is absorbed exactly once regardless of
-    how many passes run; only the *parameters* keep moving.
-
-    ``config.incremental_steps == 0`` is an exact no-op: the input
-    mixture and stats come back untouched (the ladder's ablation case,
-    pinned by a property test).
+    ``η_t = (t + 2)^{-α}`` (``α`` = :data:`STEP_ALPHA`), and
+    re-materializes the mixture; :data:`INCREMENTAL_STEPS` passes run.
+    The chunk's mass is absorbed exactly once regardless of how many
+    passes run; only the *parameters* keep moving.
 
     Parameters
     ----------
@@ -469,8 +475,8 @@ def incremental_em(
         Warm-start model -- the site's current model or a reactivation
         candidate.
     config:
-        Uses ``step_alpha``, ``incremental_steps``, ``diagonal`` and
-        ``covariance_ridge``; defaults to :class:`EMConfig`.
+        Uses ``diagonal`` and ``covariance_ridge``; defaults to
+        :class:`EMConfig`.
     stats:
         Running statistics for ``mixture``.  When ``None`` they are
         synthesized from the mixture itself with mass equal to the
@@ -499,21 +505,20 @@ def incremental_em(
         # The pass that scores a step's mixture gives the next its posteriors.
         e_step = mixture.e_step(data)
         history: list[float] = []
-        if config.incremental_steps:
-            global_var = _chunk_global_var(data)
-            target = stats.total + float(n)
-            for t in range(config.incremental_steps):
-                eta = (t + 2.0) ** -config.step_alpha
-                batch = SufficientStats.from_responsibilities(
-                    data, e_step.responsibilities, diagonal=config.diagonal
-                )
-                stats = stats.blend(batch, eta, target=target)
-                mixture = stats.materialize(
-                    covariance_ridge=config.covariance_ridge,
-                    global_var=global_var,
-                )
-                e_step = mixture.e_step(data)
-                history.append(e_step.log_likelihood)
+        global_var = _chunk_global_var(data)
+        target = stats.total + float(n)
+        for t in range(INCREMENTAL_STEPS):
+            eta = (t + 2.0) ** -STEP_ALPHA
+            batch = SufficientStats.from_responsibilities(
+                data, e_step.responsibilities, diagonal=config.diagonal
+            )
+            stats = stats.blend(batch, eta, target=target)
+            mixture = stats.materialize(
+                covariance_ridge=config.covariance_ridge,
+                global_var=global_var,
+            )
+            e_step = mixture.e_step(data)
+            history.append(e_step.log_likelihood)
         result = IncrementalResult(
             mixture=mixture,
             stats=stats,

@@ -31,6 +31,7 @@ from repro.core.em import EMConfig, absorb_chunk, fit_em, incremental_em
 from repro.core.events import EventTable
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import EStep, GaussianMixture
+from repro.core.retired import retire_fields
 from repro.core.suffstats import SufficientStats
 from repro.core.protocol import (
     DeletionMessage,
@@ -91,14 +92,6 @@ class RemoteSiteConfig:
         missing-data variant (:mod:`repro.core.missing`) and the fit
         test evaluates marginal likelihoods.  Off (default), NaN records
         are rejected.
-    auto_k:
-        Inclusive ``(k_min, k_max)`` range for automatic component
-        selection: each clustering sweeps the range and installs the
-        BIC winner (:func:`repro.core.selection.select_k`), so the model
-        size adapts to the data instead of being fixed at
-        ``em.n_components``.  ``None`` (default) keeps the paper's fixed
-        ``K``.  Not combinable with ``handle_missing`` or
-        ``warm_start``.
     reference_holdout:
         Fraction of each training chunk held out to estimate the
         reference statistics ``AvgPr_0`` / ``σ̂`` out of sample.
@@ -108,12 +101,6 @@ class RemoteSiteConfig:
         held-out estimate removes the bias (see DESIGN.md,
         faithful-intent corrections).  ``0.0`` reproduces the paper's
         in-sample reference.
-    reactivate_limit:
-        Cap on archived candidates evaluated per failing chunk, on top
-        of the ``c_max - 1`` budget (most-recent-first).  Each
-        candidate costs a full ``J_fit`` evaluation, so deep archives
-        under churny drift turn the multi-test into its own spike;
-        ``None`` (default) keeps the paper's ``c_max``-only bound.
     archive_limit:
         Retention bound on the archived-model list.  The archive is
         kept in recency-of-use order (reactivating a model moves it to
@@ -130,6 +117,11 @@ class RemoteSiteConfig:
     chunk_override:
         Explicit chunk size ``M``; when ``None`` Theorem 1's formula is
         used.
+    auto_k, reactivate_limit:
+        Deprecated and inert since 1.12.0, removed in 1.13.0.  The
+        reactivation scan is capped by ``c_max`` alone (a cap of ``L``
+        is ``c_max = L + 1``); for a BIC-chosen ``K`` call
+        :func:`repro.core.selection.select_k` on a chunk.
 
     Incremental mode (``em.incremental = True``) replaces the
     fail-path cold restart with the DESIGN.md section 14 refit ladder
@@ -159,8 +151,6 @@ class RemoteSiteConfig:
             raise ValueError("dim must be at least 1")
         if self.c_max < 1:
             raise ValueError("c_max must be at least 1")
-        if self.reactivate_limit is not None and self.reactivate_limit < 0:
-            raise ValueError("reactivate_limit must be non-negative")
         if self.archive_limit is not None and self.archive_limit < 1:
             raise ValueError(
                 f"archive_limit must be at least 1, got {self.archive_limit}"
@@ -173,14 +163,11 @@ class RemoteSiteConfig:
             raise ValueError("chunk_override must be at least 1")
         if not 0.0 <= self.reference_holdout < 1.0:
             raise ValueError("reference_holdout must lie in [0, 1)")
-        if self.auto_k is not None:
-            k_min, k_max = self.auto_k
-            if k_min < 1 or k_max < k_min:
-                raise ValueError("auto_k must satisfy 1 <= k_min <= k_max")
-            if self.handle_missing:
-                raise ValueError("auto_k is not supported with handle_missing")
-            if self.warm_start:
-                raise ValueError("auto_k is not supported with warm_start")
+        retire_fields(
+            self,
+            auto_k="call repro.core.selection.select_k on a chunk",
+            reactivate_limit="use c_max (a cap of L is c_max = L + 1)",
+        )
 
     @property
     def chunk(self) -> int:
@@ -750,16 +737,6 @@ class RemoteSite:
                 result = fit_em_missing(
                     train, self.config.em, self._rng, initial=warm
                 )
-            elif self.config.auto_k is not None:
-                from repro.core.selection import select_k
-
-                result = select_k(
-                    train,
-                    self.config.auto_k,
-                    self.config.em,
-                    self._rng,
-                    initial=warm,
-                ).best
             else:
                 result = fit_em(
                     train,
@@ -853,14 +830,11 @@ class RemoteSite:
         factorisation-count tests of ``tests/core/test_refit_ladder.py``).
 
         Candidate evaluation is bounded: at most ``c_max - 1`` models,
-        further capped by ``reactivate_limit``, scanned most recent
-        first -- each candidate costs a full ``J_fit`` pass over the
-        chunk, so an unbounded scan of a deep archive would turn the
-        multi-test into its own latency spike.
+        scanned most recent first -- each candidate costs a full
+        ``J_fit`` pass over the chunk, so an unbounded scan of a deep
+        archive would turn the multi-test into its own latency spike.
         """
         budget = self.config.c_max - 1
-        if self.config.reactivate_limit is not None:
-            budget = min(budget, self.config.reactivate_limit)
         if budget <= 0 or not self._archive:
             return None
         for entry in reversed(self._archive[-budget:]):

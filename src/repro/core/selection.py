@@ -12,10 +12,10 @@ where ``L`` is the total data log likelihood and ``p`` the number of
 free parameters (``K-1`` weights, ``K·d`` means, ``K·d(d+1)/2`` or
 ``K·d`` covariance values).
 
-Remote sites opt in with ``RemoteSiteConfig(auto_k=(k_min, k_max))``:
-each EM run then sweeps the range and installs the BIC winner, so a
-chunk with three real clusters gets a three-component model even when a
-neighbouring site needed seven.
+:func:`select_k` sweeps a ``(k_min, k_max)`` range on one chunk and
+returns the BIC winner, so a caller can size a site's ``K`` to its data
+(``EMConfig(n_components=...)``): a chunk with three real clusters gets
+a three-component model even when a neighbouring site needed seven.
 """
 
 from __future__ import annotations

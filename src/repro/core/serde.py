@@ -70,6 +70,7 @@ from repro.core.protocol import (
     ModelUpdateMessage,
     WeightUpdateMessage,
 )
+from repro.core.retired import retire_fields
 
 __all__ = [
     "CDS1Codec",
@@ -87,6 +88,11 @@ __all__ = [
 
 MAGIC = b"CDS1"
 CDS2_MAGIC = b"CDS2"
+
+#: Decoded updates per site each end keeps as delta baseline
+#: candidates.  The sender never references a baseline older than this
+#: many updates, so both ends agree by construction.
+BASELINE_DEPTH = 8
 
 TAG_MODEL_UPDATE = 1
 TAG_WEIGHT_UPDATE = 2
@@ -141,22 +147,16 @@ class CodecConfig:
         components that changed since the last update the peer has
         *acknowledged*; a missing or stale baseline falls back to a
         full snapshot.
-    coalesce_window:
-        Maximum unacknowledged payloads in flight before further model
-        updates queue (and coalesce newest-wins per site) instead of
-        transmitting immediately.  ``None`` disables queueing.  Used by
-        the transport-side :class:`repro.transport.wire.CodecSender`.
-    baseline_depth:
-        How many decoded updates per site each end retains as delta
-        baseline candidates.  The sender never references a baseline
-        older than this many updates, so both ends agree by
-        construction.
+    coalesce_window, baseline_depth:
+        Deprecated and inert since 1.12.0, removed in 1.13.0: every
+        message is transmitted as it is sent, and each end keeps
+        :data:`BASELINE_DEPTH` delta baselines per site.
     """
 
     quantize: str = "f64"
     delta: bool = False
     coalesce_window: int | None = None
-    baseline_depth: int = 8
+    baseline_depth: int = BASELINE_DEPTH
 
     def __post_init__(self) -> None:
         if self.quantize not in _QUANT_CODES:
@@ -164,10 +164,13 @@ class CodecConfig:
                 f"unknown quantize mode {self.quantize!r}; "
                 f"expected one of {sorted(_QUANT_CODES)}"
             )
-        if self.coalesce_window is not None and self.coalesce_window < 1:
-            raise ValueError("coalesce_window must be positive or None")
-        if self.baseline_depth < 1:
-            raise ValueError("baseline_depth must be at least 1")
+        retire_fields(
+            self,
+            coalesce_window="no replacement: messages are never queued",
+            baseline_depth=(
+                f"the depth is serde.BASELINE_DEPTH = {BASELINE_DEPTH}"
+            ),
+        )
 
 
 @dataclass
@@ -187,7 +190,6 @@ class CodecStats:
     components_shipped: int = 0
     bytes_encoded: int = 0
     bytes_snapshot: int = 0
-    coalesced: int = 0
 
     @property
     def delta_hit_rate(self) -> float:
@@ -213,7 +215,6 @@ class CodecStats:
             "bytes_snapshot": self.bytes_snapshot,
             "bytes_saved": self.bytes_saved,
             "delta_hit_rate": self.delta_hit_rate,
-            "coalesced": self.coalesced,
         }
 
 
@@ -531,7 +532,7 @@ class CDS2Codec:
     float32/float16).  Counter messages carry ``count_delta`` (int64).
 
     Delta baselines are keyed per sending site: an update may reference
-    any of the previous ``baseline_depth`` updates from the same site,
+    any of the previous :data:`BASELINE_DEPTH` updates from the same site,
     and the *sender* only references updates the receiver has
     cumulatively acknowledged (:meth:`note_acked`), so a baseline lost
     in transit can never be referenced -- the next update simply goes
@@ -612,7 +613,7 @@ class CDS2Codec:
         if baseline is not None:
             baseline_id, baseline_reps = baseline
             stale = (
-                update_id - baseline_id > self.config.baseline_depth
+                update_id - baseline_id > BASELINE_DEPTH
                 or len(baseline_reps) != k
             )
             if not stale:
@@ -661,7 +662,7 @@ class CDS2Codec:
         # deltas can reference it once it is acknowledged.
         per_site = self._sent_reps.setdefault(site_id, OrderedDict())
         per_site[update_id] = reps
-        while len(per_site) > self.config.baseline_depth + 1:
+        while len(per_site) > BASELINE_DEPTH + 1:
             per_site.popitem(last=False)
         self._unbound = (site_id, update_id)
 
@@ -783,7 +784,7 @@ class CDS2Codec:
             raise CodecError(f"model update rejected: {error}") from None
         per_site = self._rx.setdefault(site_id, OrderedDict())
         per_site[update_id] = mixture
-        while len(per_site) > self.config.baseline_depth + 1:
+        while len(per_site) > BASELINE_DEPTH + 1:
             per_site.popitem(last=False)
         return ModelUpdateMessage(
             site_id=site_id,

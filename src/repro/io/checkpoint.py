@@ -54,16 +54,6 @@ FORMAT_VERSION = 1
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-#: Incremental-pipeline EMConfig fields, serialized only when they
-#: differ from the defaults: checkpoints written with the ladder off
-#: stay byte-identical to the pre-ladder format.
-_EM_INCREMENTAL_DEFAULTS = {
-    "incremental": False,
-    "step_alpha": 0.7,
-    "incremental_steps": 2,
-}
-
-
 def _em_config_to_dict(config: EMConfig) -> dict:
     payload = {
         "n_components": config.n_components,
@@ -74,10 +64,10 @@ def _em_config_to_dict(config: EMConfig) -> dict:
         "covariance_ridge": config.covariance_ridge,
         "init": config.init,
     }
-    for key, default in _EM_INCREMENTAL_DEFAULTS.items():
-        value = getattr(config, key)
-        if value != default:
-            payload[key] = value
+    # Written only when on: checkpoints with the ladder off stay
+    # byte-identical to the pre-ladder format.
+    if config.incremental:
+        payload["incremental"] = True
     return payload
 
 
@@ -140,7 +130,7 @@ def _model_entry_from_dict(payload: Mapping) -> ModelEntry:
 # Remote site
 # ----------------------------------------------------------------------
 #: Incremental-only site counters, serialized only when non-zero (see
-#: ``_EM_INCREMENTAL_DEFAULTS`` for the rationale).
+#: ``_em_config_to_dict`` for the rationale).
 _LADDER_STAT_KEYS = ("n_absorbed", "n_warm_refits", "n_cold_refits")
 
 #: Retention counters, likewise serialized only when non-zero:
@@ -165,8 +155,6 @@ def snapshot_site(site: RemoteSite) -> dict:
         "reference_holdout": config.reference_holdout,
         "chunk_override": config.chunk_override,
     }
-    if config.reactivate_limit is not None:
-        config_payload["reactivate_limit"] = config.reactivate_limit
     if config.archive_limit is not None:
         config_payload["archive_limit"] = config.archive_limit
     if config.event_limit is not None:

@@ -238,7 +238,6 @@ def uplink_report(
         uplink["delta_updates"] = int(codec_stats.delta_updates)
         uplink["delta_hit_rate"] = float(codec_stats.delta_hit_rate)
         uplink["bytes_saved"] = int(codec_stats.bytes_saved)
-        uplink["coalesced"] = int(codec_stats.coalesced)
     return uplink
 
 

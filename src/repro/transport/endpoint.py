@@ -116,12 +116,11 @@ class SiteEndpoint:
             self.codec_sender.send(message, trace=self._obs.span_context())
 
     def outstanding(self) -> int:
-        """Messages sent-but-unacked, plus any still queued for coalescing."""
-        return self.sender.outstanding() + self.codec_sender.queued
+        """Messages sent but not yet acknowledged."""
+        return self.sender.outstanding()
 
     def finish(self) -> None:
         """Announce end of stream (best-effort DONE)."""
-        self.codec_sender.flush()
         self.sender.send_done()
 
     def close(self) -> None:

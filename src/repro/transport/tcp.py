@@ -102,7 +102,6 @@ class Uplink:
         every acknowledged upload.
         """
         sender = self.sender
-        self.codec_sender.flush()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + drain_timeout
         while sender.outstanding() > 0:

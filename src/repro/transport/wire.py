@@ -1,43 +1,25 @@
-"""Message-level send path: codec encoding + coalescing over ARQ.
+"""Message-level send path: codec encoding over ARQ.
 
 :class:`CodecSender` is the glue between the protocol vocabulary
 (:mod:`repro.core.protocol` messages) and the byte transport
 (:class:`~repro.transport.reliability.ReliableSender`):
 
 * every outgoing message is encoded by the edge's
-  :class:`~repro.core.serde.WireCodec` at the moment it is actually
-  transmitted (delta codecs are stateful, so encode order must equal
-  send order);
+  :class:`~repro.core.serde.WireCodec` as it is transmitted (delta
+  codecs are stateful, so encode order must equal send order);
 * the codec's ARQ hooks are wired in: each payload is bound to its
   sequence number and the sender's cumulative acks promote delta
-  baselines (``note_sent`` / ``note_acked``);
-* when the codec config sets a ``coalesce_window``, payloads beyond
-  that many unacknowledged sends queue instead of transmitting, and a
-  queued-but-unsent model update is replaced newest-wins by the next
-  model update from the same site -- rapid successive synopses collapse
-  to the latest one before their first transmission attempt.
-
-The queue drains as acks free window slots; :meth:`flush` force-drains
-it (ignoring the window) and must be called before ``send_done``.
+  baselines (``note_sent`` / ``note_acked``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-from repro.core.protocol import Message, ModelUpdateMessage
+from repro.core.protocol import Message
 from repro.core.serde import CodecStats, WireCodec
 from repro.obs.spans import SpanContext
 from repro.transport.reliability import ReliableSender
 
 __all__ = ["CodecSender"]
-
-
-@dataclass
-class _QueueEntry:
-    message: Message
-    trace: SpanContext | None
 
 
 class CodecSender:
@@ -46,7 +28,6 @@ class CodecSender:
     def __init__(self, sender: ReliableSender, codec: WireCodec) -> None:
         self._sender = sender
         self._codec = codec
-        self._queue: deque[_QueueEntry] = deque()
         self._chained_on_ack = sender.on_ack
         sender.on_ack = self._on_ack
 
@@ -58,31 +39,8 @@ class CodecSender:
     def stats(self) -> CodecStats:
         return self._codec.stats
 
-    @property
-    def queued(self) -> int:
-        """Messages held back by the coalescing window."""
-        return len(self._queue)
-
-    def send(self, message: Message, trace: SpanContext | None = None) -> int | None:
-        """Send (or queue) one message; returns its seq, ``None`` if queued."""
-        window = self._codec.config.coalesce_window
-        if window is not None and (
-            self._queue or self._sender.outstanding() >= window
-        ):
-            self._enqueue(message, trace)
-            return None
-        return self._transmit(message, trace)
-
-    def flush(self) -> None:
-        """Transmit everything still queued, ignoring the window."""
-        while self._queue:
-            entry = self._queue.popleft()
-            self._transmit(entry.message, entry.trace)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _transmit(self, message: Message, trace: SpanContext | None) -> int:
+    def send(self, message: Message, trace: SpanContext | None = None) -> int:
+        """Encode and transmit one message; returns its seq."""
         payload = self._codec.encode(message)
         seq = self._sender.send_payload(
             payload, trace=trace, codec=self._codec.wire_id
@@ -90,32 +48,7 @@ class CodecSender:
         self._codec.note_sent(seq)
         return seq
 
-    def _enqueue(self, message: Message, trace: SpanContext | None) -> None:
-        if isinstance(message, ModelUpdateMessage) and self._queue:
-            # Newest-wins per site: a queued, not-yet-transmitted model
-            # update is superseded by this one -- but only when it is
-            # the site's most recent queued message, so per-site order
-            # is preserved for everything else.
-            last = None
-            for index in range(len(self._queue) - 1, -1, -1):
-                if self._queue[index].message.site_id == message.site_id:
-                    last = index
-                    break
-            if last is not None and isinstance(
-                self._queue[last].message, ModelUpdateMessage
-            ):
-                self._queue[last] = _QueueEntry(message, trace)
-                self._codec.stats.coalesced += 1
-                return
-        self._queue.append(_QueueEntry(message, trace))
-
     def _on_ack(self, seq: int) -> None:
         self._codec.note_acked(seq)
-        window = self._codec.config.coalesce_window
-        while self._queue and (
-            window is None or self._sender.outstanding() < window
-        ):
-            entry = self._queue.popleft()
-            self._transmit(entry.message, entry.trace)
         if self._chained_on_ack is not None:
             self._chained_on_ack(seq)

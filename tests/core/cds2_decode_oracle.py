@@ -33,6 +33,7 @@ from repro.core.serde import (
     _QUANT_DTYPES,
     _QUANT_MASK,
     _QUANT_SHIFT,
+    BASELINE_DEPTH,
     CDS2_HEADER_BYTES,
     CDS2Codec,
     CodecError,
@@ -148,7 +149,7 @@ def decode_model_update(codec: CDS2Codec, payload: bytes) -> ModelUpdateMessage:
     mixture = GaussianMixture(weights.copy(), tuple(components))
     per_site = codec._rx.setdefault(site_id, OrderedDict())
     per_site[update_id] = mixture
-    while len(per_site) > codec.config.baseline_depth + 1:
+    while len(per_site) > BASELINE_DEPTH + 1:
         per_site.popitem(last=False)
     return ModelUpdateMessage(
         site_id=site_id,

@@ -42,7 +42,9 @@ import repro.core.em as em_module
 import repro.core.gaussian as gaussian_module
 import repro.core.remote as remote_module
 from repro.core.em import (
+    INCREMENTAL_STEPS,
     MIN_COMPONENT_MASS,
+    STEP_ALPHA,
     EMConfig,
     EMResult,
     IncrementalResult,
@@ -348,36 +350,27 @@ def oracle_incremental_em(
         )
     obs = ensure_observer(observer)
     with obs.timer("profile.em_incremental"):
-        if config.incremental_steps == 0:
-            result = IncrementalResult(
-                mixture=mixture,
-                stats=stats,
-                log_likelihood=_average_log_likelihood(mixture, data),
-                n_steps=0,
-                history=(),
+        global_var = _chunk_global_var(data)
+        target = stats.total + float(n)
+        history: list[float] = []
+        current = mixture
+        for t in range(INCREMENTAL_STEPS):
+            eta = (t + 2.0) ** -STEP_ALPHA
+            responsibilities = oracle_posterior(current, data)
+            batch = moments(data, responsibilities, diagonal=config.diagonal)
+            stats = stats.blend(batch, eta, target=target)
+            current = stats.materialize(
+                covariance_ridge=config.covariance_ridge,
+                global_var=global_var,
             )
-        else:
-            global_var = _chunk_global_var(data)
-            target = stats.total + float(n)
-            history: list[float] = []
-            current = mixture
-            for t in range(config.incremental_steps):
-                eta = (t + 2.0) ** -config.step_alpha
-                responsibilities = oracle_posterior(current, data)
-                batch = moments(data, responsibilities, diagonal=config.diagonal)
-                stats = stats.blend(batch, eta, target=target)
-                current = stats.materialize(
-                    covariance_ridge=config.covariance_ridge,
-                    global_var=global_var,
-                )
-                history.append(_average_log_likelihood(current, data))
-            result = IncrementalResult(
-                mixture=current,
-                stats=stats,
-                log_likelihood=history[-1],
-                n_steps=len(history),
-                history=tuple(history),
-            )
+            history.append(_average_log_likelihood(current, data))
+        result = IncrementalResult(
+            mixture=current,
+            stats=stats,
+            log_likelihood=history[-1],
+            n_steps=len(history),
+            history=tuple(history),
+        )
     if obs.enabled:
         obs.inc("em.incremental_updates")
         obs.event(

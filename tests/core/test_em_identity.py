@@ -266,12 +266,9 @@ def test_warm_fit_reseeds_starved_components_identically(zero_weight):
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
-@pytest.mark.parametrize("steps", [0, 1, 3])
-def test_incremental_em_is_identical_under_one_kernel(diagonal, steps):
+def test_incremental_em_is_identical_under_one_kernel(diagonal):
     rng = np.random.default_rng(12)
-    config = EMConfig(
-        n_components=3, n_init=1, diagonal=diagonal, incremental_steps=steps
-    )
+    config = EMConfig(n_components=3, n_init=1, diagonal=diagonal)
     mixture = fit_em(regime_chunk(rng, 0.0), config, rng).mixture
     drifted = regime_chunk(rng, 0.8)
     kernel = SufficientStats.from_responsibilities
@@ -427,7 +424,6 @@ CLASSIC = {
 
 INCREMENTAL = {
     "plain": dict(),
-    "three_steps": dict(em=dict(incremental_steps=3)),
     "diagonal": dict(em=dict(diagonal=True)),
     "max_component": dict(variant=LikelihoodVariant.MAX_COMPONENT),
     "missing": dict(handle_missing=True),

@@ -25,7 +25,7 @@ import pytest
 import repro.core.em as em_module
 import repro.core.gaussian as gaussian_module
 import repro.core.mixture as mixture_module
-from repro.core.em import EMConfig, fit_em, incremental_em
+from repro.core.em import INCREMENTAL_STEPS, EMConfig, fit_em, incremental_em
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage
@@ -123,12 +123,7 @@ class TestEscalation:
         assert site.stats.n_cold_refits > 0
 
     def test_steady_drift_resolves_warm(self):
-        config = make_config(
-            em=dataclasses.replace(
-                make_config().em, incremental_steps=3
-            )
-        )
-        site = run_site(drift_stream(np.random.default_rng(42)), config)
+        site = run_site(drift_stream(np.random.default_rng(42)), make_config())
         assert site.stats.n_warm_refits > 0
         # Trackable drift is the warm rung's home turf: it should
         # resolve at least as many refits as cold escalation.
@@ -171,10 +166,8 @@ class TestReactivation:
         site.process_chunk(revisit)
         assert site.stats.n_reactivations == before + 1
 
-    def test_reactivate_limit_zero_disables_rung_one(self):
-        site, revisit = self.two_regime_site(
-            make_config(reactivate_limit=0)
-        )
+    def test_c_max_one_disables_rung_one(self):
+        site, revisit = self.two_regime_site(make_config(c_max=1))
         site.process_chunk(revisit)
         assert site.stats.n_reactivations == 0
         # The failed test still resolved -- on a higher rung.
@@ -428,15 +421,14 @@ class TestOneDensityPassPerModelAndChunk:
         assert result.n_iter > 1
         assert passes["n"] == result.n_iter + 1
 
-    @pytest.mark.parametrize("steps", [0, 2, 4])
-    def test_incremental_em_is_one_pass_per_iterate(self, passes, steps):
+    def test_incremental_em_is_one_pass_per_iterate(self, passes):
         rng = np.random.default_rng(7)
-        config = dataclasses.replace(make_config().em, incremental_steps=steps)
+        config = make_config().em
         mixture = fit_em(regime_chunk(rng, 0.0), config, rng).mixture
         passes["n"] = 0
         result = incremental_em(regime_chunk(rng, 0.5), mixture, config)
-        assert result.n_steps == steps
-        assert passes["n"] == steps + 1
+        assert result.n_steps == INCREMENTAL_STEPS
+        assert passes["n"] == INCREMENTAL_STEPS + 1
 
 
 class TestQualityGate:

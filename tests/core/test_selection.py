@@ -8,7 +8,6 @@ import pytest
 from repro.core.em import EMConfig
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
-from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.core.selection import (
     bic_score,
     mixture_free_parameters,
@@ -78,33 +77,3 @@ class TestSelectK:
         result = self.run_selection(1)
         with pytest.raises(ValueError, match="n must"):
             bic_score(result.best, 0, 2, False)
-
-
-class TestAutoKSite:
-    def test_site_adapts_model_size_per_distribution(self):
-        config = RemoteSiteConfig(
-            dim=2,
-            epsilon=0.3,
-            delta=0.05,
-            em=EMConfig(n_components=1, n_init=2, max_iter=40, tol=1e-3),
-            auto_k=(1, 5),
-            chunk_override=600,
-        )
-        site = RemoteSite(0, config, rng=np.random.default_rng(5))
-        two = blobs(2, 0, 1)
-        data2, _ = two.sample(600, np.random.default_rng(2))
-        site.process_stream(data2)
-        assert site.current_model.mixture.n_components == 2
-        # Switch to a four-cluster distribution far away.
-        four = blobs(4, 0, 3)
-        shifted = four.sample(600, np.random.default_rng(4))[0] + 100.0
-        site.process_stream(shifted)
-        assert site.current_model.mixture.n_components == 4
-
-    def test_incompatible_flags_rejected(self):
-        with pytest.raises(ValueError, match="handle_missing"):
-            RemoteSiteConfig(auto_k=(1, 3), handle_missing=True)
-        with pytest.raises(ValueError, match="warm_start"):
-            RemoteSiteConfig(auto_k=(1, 3), warm_start=True)
-        with pytest.raises(ValueError, match="auto_k"):
-            RemoteSiteConfig(auto_k=(0, 3))

@@ -17,6 +17,7 @@ from repro.core.protocol import (
     WeightUpdateMessage,
 )
 from repro.core.serde import (
+    BASELINE_DEPTH,
     CodecConfig,
     CodecError,
     CodecNegotiationError,
@@ -516,19 +517,19 @@ class TestCDS2Delta:
         assert sender.stats.snapshot_updates == 2
 
     def test_stale_baseline_falls_back_to_snapshot(self):
-        sender, receiver = self.make_pair(baseline_depth=2)
+        sender, receiver = self.make_pair()
         base = full_mixture()
         payload = sender.encode(model_update(base))
         sender.note_sent(1)
         sender.note_acked(1)
         receiver.decode(payload)
         mixture = base
-        # Updates 1 and 2 may delta against update 0; update 3 is
-        # beyond baseline_depth=2 and must ship a full snapshot.
-        for step in range(1, 4):
+        # Updates 1 .. BASELINE_DEPTH may delta against update 0; the
+        # next is beyond the depth and must ship a full snapshot.
+        for step in range(1, BASELINE_DEPTH + 2):
             mixture = drifted(mixture, 0)
             payload = sender.encode(model_update(mixture))
-            assert _delta_flag(payload) == (step <= 2)
+            assert _delta_flag(payload) == (step <= BASELINE_DEPTH)
             assert receiver.decode(payload).mixture == mixture
             sender.note_sent(step + 1)  # never acked: baseline stays at 0
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.em import EMConfig, _chunk_global_var, _m_step, incremental_em
+from repro.core.em import EMConfig, _chunk_global_var, _m_step
 from repro.core.suffstats import SufficientStats
 from repro.streams.synthetic import random_mixture
 
@@ -165,20 +165,3 @@ def test_serde_round_trip_exact():
     resp = rng.dirichlet(np.ones(4), size=30)
     stats = SufficientStats.from_responsibilities(data, resp)
     assert SufficientStats.from_dict(stats.to_dict()) == stats
-
-
-def test_zero_incremental_steps_is_a_no_op():
-    rng = np.random.default_rng(5)
-    mixture = random_mixture(dim=3, n_components=3, rng=rng)
-    chunk = mixture.sample(200, rng)[0]
-    config = EMConfig(
-        n_components=3, n_init=1, incremental=True, incremental_steps=0
-    )
-    stats = SufficientStats.from_mixture(mixture, 200.0)
-    result = incremental_em(chunk, mixture, config, stats=stats)
-    assert result.n_steps == 0
-    assert result.mixture is mixture
-    assert result.stats == stats
-    np.testing.assert_allclose(
-        result.log_likelihood, mixture.average_log_likelihood(chunk)
-    )

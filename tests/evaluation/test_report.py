@@ -30,11 +30,11 @@ class TestExperimentReport:
     def test_render_contains_title_and_sections(self):
         report = ExperimentReport("My repro")
         section = report.section("Figure 2")
-        section.add_text("some prose")
+        section.add_series("some series", [1.0, 2.0])
         rendered = report.render()
         assert rendered.startswith("# My repro")
         assert "## Figure 2" in rendered
-        assert "some prose" in rendered
+        assert "some series" in rendered
 
     def test_table_rendering(self):
         report = ExperimentReport("r")
@@ -50,15 +50,6 @@ class TestExperimentReport:
         with pytest.raises(ValueError, match="row width"):
             section.add_table(("a", "b"), [(1,)])
 
-    def test_verdict_markers(self):
-        report = ExperimentReport("r")
-        section = report.section("s")
-        section.add_verdict(True, "we win")
-        section.add_verdict(False, "we lose")
-        rendered = report.render()
-        assert "✅ we win" in rendered
-        assert "❌ we lose" in rendered
-
     def test_series_line(self):
         report = ExperimentReport("r")
         section = report.section("s")
@@ -66,12 +57,6 @@ class TestExperimentReport:
         rendered = report.render()
         assert "- bytes: `" in rendered
         assert "(1 → 8)" in rendered
-
-    def test_write_to_file(self, tmp_path):
-        report = ExperimentReport("r")
-        report.section("s").add_text("hello")
-        path = report.write(tmp_path / "out.md")
-        assert path.read_text().startswith("# r")
 
     def test_empty_title_rejected(self):
         with pytest.raises(ValueError, match="title"):

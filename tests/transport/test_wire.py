@@ -2,8 +2,8 @@
 
 The harness here keeps the datagram service by hand: frames sit in
 in-memory queues until a test explicitly delivers them, so acks (and
-therefore delta-baseline promotions and coalescing-window openings)
-happen exactly when a test says they do.
+therefore delta-baseline promotions) happen exactly when a test says
+they do.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
-from repro.core.protocol import ModelUpdateMessage, WeightUpdateMessage
+from repro.core.protocol import ModelUpdateMessage
 from repro.core.serde import CodecConfig, CodecNegotiationError, get_codec
 from repro.transport.clock import ManualClock
 from repro.transport.reliability import ReliableReceiver, ReliableSender
@@ -85,78 +85,20 @@ class Harness:
         self.deliver_acks()
 
 
-class TestCoalescing:
-    def make(self, window=1):
-        return Harness(
-            codec="cds1", config=CodecConfig(coalesce_window=window)
-        )
-
-    def test_newest_model_update_wins_before_first_transmission(self):
-        edge = self.make(window=1)
-        edge.codec_sender.send(update(1))
-        assert len(edge.uplink) == 1  # window open: transmitted
-        edge.codec_sender.send(update(2))
-        edge.codec_sender.send(update(3))
-        assert edge.codec_sender.queued == 1  # 3 replaced 2 in the queue
-        assert edge.codec_sender.stats.coalesced == 1
-        edge.roundtrip()  # ack 1 drains the queue
-        edge.roundtrip()
-        assert [m.model_id for m in edge.delivered] == [1, 3]
-
-    def test_coalescing_is_per_site(self):
-        edge = self.make(window=1)
-        edge.codec_sender.send(update(1, site_id=1))
-        edge.codec_sender.send(update(2, site_id=1))
-        edge.codec_sender.send(update(3, site_id=2))
-        edge.codec_sender.send(update(4, site_id=1))
-        # Site 1's queued update is superseded by its newer one; site
-        # 2's update in between is untouched (newest-wins is per site).
-        assert edge.codec_sender.queued == 2
-        assert edge.codec_sender.stats.coalesced == 1
-        while edge.uplink or edge.downlink or edge.codec_sender.queued:
-            edge.roundtrip()
-        assert sorted(m.model_id for m in edge.delivered) == [1, 3, 4]
-        assert [m.model_id for m in edge.delivered if m.site_id == 1] == [1, 4]
-
-    def test_counter_messages_are_never_coalesced(self):
-        edge = self.make(window=1)
-        edge.codec_sender.send(update(1))
-        edge.codec_sender.send(
-            WeightUpdateMessage(site_id=1, model_id=1, time=2, count_delta=5)
-        )
-        edge.codec_sender.send(update(2))
-        assert edge.codec_sender.queued == 2
-        assert edge.codec_sender.stats.coalesced == 0
-
-    def test_flush_transmits_the_queue_ignoring_the_window(self):
-        edge = self.make(window=1)
-        for i in range(1, 4):
-            edge.codec_sender.send(update(i))
-        assert len(edge.uplink) == 1
-        assert edge.codec_sender.queued == 1  # 3 already replaced 2
-        edge.codec_sender.flush()
-        assert edge.codec_sender.queued == 0
-        assert len(edge.uplink) == 2
-        edge.roundtrip()
-        assert [m.model_id for m in edge.delivered] == [1, 3]
-
-    def test_no_window_means_direct_transmission(self):
+class TestSend:
+    def test_every_message_transmits_at_once(self):
+        """No queue: unacknowledged payloads never hold a send back."""
         edge = Harness(codec="cds1")
-        for i in range(1, 5):
-            edge.codec_sender.send(update(i))
-        assert edge.codec_sender.queued == 0
+        seqs = [edge.codec_sender.send(update(i)) for i in range(1, 5)]
+        assert seqs == sorted(set(seqs))
         assert len(edge.uplink) == 4
-
-
-def delta_flag(frame_payload: bytes) -> bool:
-    return bool(frame_payload[5] & 0x02)
+        edge.roundtrip()
+        assert [m.model_id for m in edge.delivered] == [1, 2, 3, 4]
 
 
 class TestDeltaOverArq:
     def make(self):
-        return Harness(
-            codec="cds2", config=CodecConfig(delta=True, baseline_depth=4)
-        )
+        return Harness(codec="cds2", config=CodecConfig(delta=True))
 
     def test_ack_promotes_the_baseline(self):
         edge = self.make()
