@@ -8,8 +8,9 @@ more easily), while still beating SEM; (b) processing time decreases as
 δ grows.
 
 Shape targets: chunk size strictly decreasing in δ; quality at δ=0.01
-beats quality at δ=0.1 and everything beats SEM; time at the largest δ
-is below time at the smallest.
+beats quality at δ=0.1 and everything beats SEM; the EM work at the
+largest δ (records clustered, ``em_runs × M``) is not meaningfully
+above the work at the smallest.  The seconds are printed, not gated.
 """
 
 from __future__ import annotations
@@ -97,12 +98,17 @@ def figure12() -> dict:
 
 def bench_fig12_delta(benchmark, claims):
     results = run_once(benchmark, figure12)
+    # The records EM clustered at each δ: the work that sets the time.
+    em_records = [
+        runs * m for runs, m in zip(results["em_runs"], results["chunks"])
+    ]
     claims(
         {
             "chunk_sizes": results["chunks"],
             "quality": results["qualities"],
             "sem_quality": results["sem"],
             "em_runs": results["em_runs"],
+            "em_records": em_records,
         }
     )
     print_header("Figure 12: sensitivity to delta")
@@ -121,7 +127,7 @@ def bench_fig12_delta(benchmark, claims):
     # The paper reports time decreasing with δ.  In this implementation
     # the effect is weak -- smaller chunks mean cheaper but more
     # frequent EM runs, which largely cancels -- so we assert the weak
-    # form: the large-δ end is never meaningfully *slower* than the
-    # small-δ end (see EXPERIMENTS.md).
-    times = results["times"]
-    assert times[-1] <= times[0] * 1.15
+    # form on the work behind the time, which a loaded host cannot
+    # perturb: the large-δ end never clusters meaningfully *more*
+    # records than the small-δ end (see EXPERIMENTS.md).
+    assert em_records[-1] <= em_records[0] * 1.15
