@@ -22,14 +22,19 @@ from repro.cluster.launcher import ClusterLauncher
 from repro.cluster.spec import build_spec
 
 
-def fetch(url: str, path: str, timeout: float = 5.0) -> dict:
-    """GET a JSON endpoint, retrying while the server comes up."""
-    deadline = time.time() + timeout
+def fetch(url: str, path: str, timeout: float = 5.0, patience: float = 30.0) -> dict:
+    """GET a JSON endpoint, retrying while the server comes up.
+
+    Each attempt waits ``timeout`` seconds; a refused, reset or timed-out
+    attempt is retried until ``patience`` seconds have passed, so a root
+    slowed by eleven busy processes on a small machine is not a failure.
+    """
+    deadline = time.time() + patience
     while True:
         try:
             with urllib.request.urlopen(url + path, timeout=timeout) as resp:
                 return json.loads(resp.read())
-        except (urllib.error.URLError, ConnectionError):
+        except (urllib.error.URLError, ConnectionError, TimeoutError):
             if time.time() > deadline:
                 raise
             time.sleep(0.1)
@@ -47,7 +52,10 @@ def live_cluster():
         epsilon=0.3,
         delta=0.1,
         chunk=100,
-        records_per_site=500_000,  # long enough to stay live throughout
+        # Sites stream ~1M records a second between them, so a finite
+        # budget that "should" last can end mid-module and take the root's
+        # server down; this one outlasts any run and shutdown() stops it.
+        records_per_site=10**9,
         p_new=0.0,
         merge_method="moment",
         telemetry_interval=0.25,
