@@ -118,7 +118,7 @@ class AggregatorServer:
         """Bind and start accepting connections (port 0 = ephemeral)."""
         hop = self.hop
         hop.receiver = ReliableReceiver(
-            deliver_traced=hop.deliver,
+            deliver=hop.deliver,
             send_ack=self._send_ack,
             clock=AsyncioClock(asyncio.get_running_loop()),
             config=self.config,

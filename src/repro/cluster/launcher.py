@@ -45,6 +45,13 @@ __all__ = [
 #: Manifest written next to each aggregator checkpoint.
 NODE_MANIFEST_FORMAT = 1
 
+#: Seconds to wait for each aggregator's port rendezvous.
+START_TIMEOUT = 30.0
+
+#: Seconds :meth:`ClusterLauncher.shutdown` lets a worker exit after
+#: SIGTERM (and again after SIGKILL).
+SHUTDOWN_GRACE = 10.0
+
 
 class ClusterLaunchError(RuntimeError):
     """A worker failed to come up (bind/connect failure, startup timeout)."""
@@ -549,8 +556,6 @@ class ClusterLauncher:
     resume:
         Restart aggregators from checkpoints in ``checkpoint_dir``,
         including their ARQ edge state.
-    start_timeout:
-        Seconds to wait for each aggregator's port rendezvous.
     """
 
     def __init__(
@@ -559,7 +564,6 @@ class ClusterLauncher:
         serve_telemetry: int | None = None,
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
-        start_timeout: float = 30.0,
         federate: bool | None = None,
     ) -> None:
         if not spec.nodes:
@@ -573,7 +577,6 @@ class ClusterLauncher:
             str(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self.resume = resume
-        self.start_timeout = start_timeout
         self.handles: dict[int, NodeHandle] = {}
         self.ports: dict[int, int] = {}
         self.telemetry_port: int | None = None
@@ -663,8 +666,9 @@ class ClusterLauncher:
             handle.process.join(timeout)
         return self._collect()
 
-    def shutdown(self, grace: float = 10.0) -> ClusterResult:
-        """SIGTERM fan-out, leaves first; SIGKILL stragglers after ``grace``."""
+    def shutdown(self) -> ClusterResult:
+        """SIGTERM fan-out, leaves first; SIGKILL stragglers after
+        :data:`SHUTDOWN_GRACE`."""
         by_depth = sorted(
             self.handles.values(),
             key=lambda h: (h.spec.role != "site", -h.spec.level),
@@ -672,10 +676,10 @@ class ClusterLauncher:
         for handle in by_depth:
             if handle.alive:
                 handle.process.terminate()
-            handle.process.join(grace)
+            handle.process.join(SHUTDOWN_GRACE)
             if handle.alive:
                 handle.process.kill()
-                handle.process.join(grace)
+                handle.process.join(SHUTDOWN_GRACE)
         return self._collect()
 
     def alive(self) -> tuple[int, ...]:
@@ -718,13 +722,13 @@ class ClusterLauncher:
         import queue as queue_module
         import time
 
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + START_TIMEOUT
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ClusterLaunchError(
                     f"aggregator {node_id} did not report within "
-                    f"{self.start_timeout:.0f}s"
+                    f"{START_TIMEOUT:.0f}s"
                 )
             try:
                 event = self._events.get(timeout=min(remaining, 0.5))

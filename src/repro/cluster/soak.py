@@ -47,6 +47,10 @@ from repro.transport.lossy import FaultConfig
 
 __all__ = ["SoakReport", "run_soak", "soak_spec"]
 
+#: Held-out records drawn per site (after the fed prefix) for the
+#: pooled evaluation sample.
+HOLDOUT_PER_SITE = 2
+
 
 @dataclass(frozen=True)
 class SoakReport:
@@ -146,7 +150,6 @@ def soak_spec(
 def run_soak(
     spec: ClusterSpec | None = None,
     tolerance: float = 0.5,
-    holdout_per_site: int = 2,
     faults: FaultConfig | None = None,
     observer: Observer | None = None,
     progress=None,
@@ -162,9 +165,6 @@ def run_soak(
         Maximum acceptable |avg-log-likelihood| gap between the tree
         root's mixture and the flat reference, in nats per holdout
         record.
-    holdout_per_site:
-        Held-out records drawn per site (after the fed prefix) for the
-        pooled evaluation sample.
     faults:
         Optional seeded fault injection on every tree subnet -- the
         flat reference stays loss-free, which is the point: ARQ must
@@ -222,7 +222,7 @@ def run_soak(
     holdout_records = []
     for node_id in budgets:
         stream = tree_streams[node_id]
-        for _ in range(holdout_per_site):
+        for _ in range(HOLDOUT_PER_SITE):
             holdout_records.append(next(stream))
     holdout = np.asarray(holdout_records)
 

@@ -511,7 +511,7 @@ class TransportTree(DrainMark):
 
     def _make_receiver(self, wiring: _InternalWiring) -> ReliableReceiver:
         receiver = ReliableReceiver(
-            deliver_traced=wiring.deliver,
+            deliver=wiring.deliver,
             send_ack=wiring.transport.send_to_site,
             clock=self.clock,
             config=self._reliability,

@@ -41,7 +41,6 @@ from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import Message
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.core.retired import retire_fields
 from repro.obs.observer import Observer, ensure_observer
 from repro.runtime import Channel, DirectChannel, Runtime
 
@@ -63,24 +62,15 @@ class CluDistreamConfig:
         Per-site configuration (shared by all sites).
     coordinator:
         Coordinator configuration.
-    incremental:
-        Deprecated and inert since 1.12.0, removed in 1.13.0: the refit
-        ladder (DESIGN.md section 14) is switched by
-        ``RemoteSiteConfig(em=EMConfig(incremental=...))``.
     """
 
     n_sites: int = 20
     site: RemoteSiteConfig = field(default_factory=RemoteSiteConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
-    incremental: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise ValueError("need at least one remote site")
-        retire_fields(
-            self,
-            incremental="use RemoteSiteConfig(em=EMConfig(incremental=...))",
-        )
 
 
 class CluDistream:

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.mixture import EStep, GaussianMixture
-from repro.core.retired import retire_fields
 from repro.core.suffstats import SufficientStats
 from repro.obs.observer import Observer, ensure_observer
 
@@ -98,10 +97,6 @@ class EMConfig:
         chunks through the sufficient statistics in one pass.  Off by
         default; the default path is pinned byte-identical to the
         pre-ladder trainer.
-    step_alpha, incremental_steps:
-        Deprecated and inert since 1.12.0, removed in 1.13.0: the
-        stepwise E-M runs :data:`INCREMENTAL_STEPS` passes with
-        exponent :data:`STEP_ALPHA`.
     """
 
     n_components: int = 5
@@ -112,8 +107,6 @@ class EMConfig:
     covariance_ridge: float = 1e-6
     init: str = "kmeans++"
     incremental: bool = False
-    step_alpha: float = STEP_ALPHA
-    incremental_steps: int = INCREMENTAL_STEPS
 
     def __post_init__(self) -> None:
         if self.n_components < 1:
@@ -126,13 +119,6 @@ class EMConfig:
             raise ValueError("n_init must be at least 1")
         if self.init not in ("kmeans++", "random"):
             raise ValueError(f"unknown init strategy {self.init!r}")
-        retire_fields(
-            self,
-            step_alpha=f"the stepsize exponent is em.STEP_ALPHA = {STEP_ALPHA}",
-            incremental_steps=(
-                f"the pass count is em.INCREMENTAL_STEPS = {INCREMENTAL_STEPS}"
-            ),
-        )
 
 
 @dataclass(frozen=True)

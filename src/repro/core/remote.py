@@ -31,7 +31,6 @@ from repro.core.em import EMConfig, absorb_chunk, fit_em, incremental_em
 from repro.core.events import EventTable
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import EStep, GaussianMixture
-from repro.core.retired import retire_fields
 from repro.core.suffstats import SufficientStats
 from repro.core.protocol import (
     DeletionMessage,
@@ -117,11 +116,6 @@ class RemoteSiteConfig:
     chunk_override:
         Explicit chunk size ``M``; when ``None`` Theorem 1's formula is
         used.
-    auto_k, reactivate_limit:
-        Deprecated and inert since 1.12.0, removed in 1.13.0.  The
-        reactivation scan is capped by ``c_max`` alone (a cap of ``L``
-        is ``c_max = L + 1``); for a BIC-chosen ``K`` call
-        :func:`repro.core.selection.select_k` on a chunk.
 
     Incremental mode (``em.incremental = True``) replaces the
     fail-path cold restart with the DESIGN.md section 14 refit ladder
@@ -139,9 +133,7 @@ class RemoteSiteConfig:
     warm_start: bool = False
     adaptive_test: bool = True
     handle_missing: bool = False
-    auto_k: tuple[int, int] | None = None
     reference_holdout: float = 0.25
-    reactivate_limit: int | None = None
     archive_limit: int | None = None
     event_limit: int | None = None
     chunk_override: int | None = None
@@ -163,11 +155,6 @@ class RemoteSiteConfig:
             raise ValueError("chunk_override must be at least 1")
         if not 0.0 <= self.reference_holdout < 1.0:
             raise ValueError("reference_holdout must lie in [0, 1)")
-        retire_fields(
-            self,
-            auto_k="call repro.core.selection.select_k on a chunk",
-            reactivate_limit="use c_max (a cap of L is c_max = L + 1)",
-        )
 
     @property
     def chunk(self) -> int:

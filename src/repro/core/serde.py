@@ -70,7 +70,6 @@ from repro.core.protocol import (
     ModelUpdateMessage,
     WeightUpdateMessage,
 )
-from repro.core.retired import retire_fields
 
 __all__ = [
     "CDS1Codec",
@@ -147,16 +146,10 @@ class CodecConfig:
         components that changed since the last update the peer has
         *acknowledged*; a missing or stale baseline falls back to a
         full snapshot.
-    coalesce_window, baseline_depth:
-        Deprecated and inert since 1.12.0, removed in 1.13.0: every
-        message is transmitted as it is sent, and each end keeps
-        :data:`BASELINE_DEPTH` delta baselines per site.
     """
 
     quantize: str = "f64"
     delta: bool = False
-    coalesce_window: int | None = None
-    baseline_depth: int = BASELINE_DEPTH
 
     def __post_init__(self) -> None:
         if self.quantize not in _QUANT_CODES:
@@ -164,13 +157,6 @@ class CodecConfig:
                 f"unknown quantize mode {self.quantize!r}; "
                 f"expected one of {sorted(_QUANT_CODES)}"
             )
-        retire_fields(
-            self,
-            coalesce_window="no replacement: messages are never queued",
-            baseline_depth=(
-                f"the depth is serde.BASELINE_DEPTH = {BASELINE_DEPTH}"
-            ),
-        )
 
 
 @dataclass
@@ -374,18 +360,26 @@ def _decode_cds1(payload: bytes) -> Message:
         )
 
     if tag in (TAG_WEIGHT_UPDATE, TAG_DELETION):
-        if len(body) != 8:
-            raise CodecError("bad body size for a counter message")
-        (count_delta,) = struct.unpack("<q", body)
-        cls = WeightUpdateMessage if tag == TAG_WEIGHT_UPDATE else DeletionMessage
-        return cls(
-            site_id=site_id,
-            model_id=model_id,
-            time=time,
-            count_delta=count_delta,
-        )
+        return _decode_counter(tag, body, site_id, model_id, time)
 
     raise CodecError(f"unknown message tag {tag}")
+
+
+def _decode_counter(
+    tag: int, body: bytes, site_id: int, model_id: int, time: int
+) -> Message:
+    """A weight-update or deletion message; its body is the int64
+    ``count_delta`` in both wire formats."""
+    if len(body) != 8:
+        raise CodecError("bad body size for a counter message")
+    (count_delta,) = struct.unpack("<q", body)
+    cls = WeightUpdateMessage if tag == TAG_WEIGHT_UPDATE else DeletionMessage
+    return cls(
+        site_id=site_id,
+        model_id=model_id,
+        time=time,
+        count_delta=count_delta,
+    )
 
 
 class CDS1Codec:
@@ -706,20 +700,7 @@ class CDS2Codec:
         body = payload[CDS2_HEADER_BYTES:]
 
         if tag in (TAG_WEIGHT_UPDATE, TAG_DELETION):
-            if len(body) != 8:
-                raise CodecError("bad body size for a counter message")
-            (count_delta,) = struct.unpack("<q", body)
-            cls = (
-                WeightUpdateMessage
-                if tag == TAG_WEIGHT_UPDATE
-                else DeletionMessage
-            )
-            return cls(
-                site_id=site_id,
-                model_id=model_id,
-                time=time,
-                count_delta=count_delta,
-            )
+            return _decode_counter(tag, body, site_id, model_id, time)
         if tag != TAG_MODEL_UPDATE:
             raise CodecError(f"unknown message tag {tag}")
 

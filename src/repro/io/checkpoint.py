@@ -50,6 +50,17 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+#: Config keys that checkpoints from older builds carry and this build
+#: drops on restore, per config section.  The site's
+#: ``reactivate_limit`` and the EM's ``step_alpha`` /
+#: ``incremental_steps`` left in 1.13.0; the coordinator's
+#: ``index_candidates`` left with the KD-tree index.
+_DROPPED_KEYS = {
+    "site": ("reactivate_limit",),
+    "em": ("step_alpha", "incremental_steps"),
+    "coordinator": ("index_candidates",),
+}
+
 
 # ----------------------------------------------------------------------
 # Shared helpers
@@ -71,8 +82,10 @@ def _em_config_to_dict(config: EMConfig) -> dict:
     return payload
 
 
-def _em_config_from_dict(payload: Mapping) -> EMConfig:
-    return EMConfig(**payload)
+def _settings(section: str, payload: Mapping) -> dict:
+    """A config section's keys, less those :data:`_DROPPED_KEYS` drops."""
+    dropped = _DROPPED_KEYS[section]
+    return {key: value for key, value in payload.items() if key not in dropped}
 
 
 def _rng_state(rng: np.random.Generator) -> dict:
@@ -206,8 +219,8 @@ def restore_site(
         raise ValueError("payload is not a remote-site checkpoint")
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')}")
-    raw = dict(payload["config"])
-    raw["em"] = _em_config_from_dict(raw["em"])
+    raw = _settings("site", payload["config"])
+    raw["em"] = EMConfig(**_settings("em", raw["em"]))
     raw["variant"] = LikelihoodVariant(raw["variant"])
     config = RemoteSiteConfig(**raw)
     site = RemoteSite(
@@ -329,10 +342,7 @@ def restore_coordinator(
         raise ValueError("payload is not a coordinator checkpoint")
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')}")
-    settings = dict(payload["config"])
-    # Written by checkpoints that predate the KD-tree index's removal.
-    settings.pop("index_candidates", None)
-    config = CoordinatorConfig(**settings)
+    config = CoordinatorConfig(**_settings("coordinator", payload["config"]))
     coordinator = Coordinator(
         config, rng=_rng_from_state(payload["rng"]), observer=observer
     )

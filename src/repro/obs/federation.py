@@ -60,6 +60,10 @@ __all__ = [
 
 NODE_TELEMETRY_FORMAT = 1
 
+#: Bound on reassembled span records a :class:`FederationCollector`
+#: keeps for ``/cluster/spans``.
+SPAN_CAPACITY = 65536
+
 
 # ----------------------------------------------------------------------
 # Process-resource gauges (stdlib only)
@@ -479,8 +483,6 @@ class FederationCollector:
         Seconds of report silence after which a node counts as not
         live.  Pick roughly three flush intervals: one lost report must
         not flap liveness, a dead process must show within a few.
-    span_capacity:
-        Bound on reassembled span records kept for ``/cluster/spans``.
     clock:
         Wall-clock source for report ages (injectable for tests).
     """
@@ -489,19 +491,15 @@ class FederationCollector:
         self,
         topology: Iterable[Mapping] | None = None,
         stale_after: float = 6.0,
-        span_capacity: int = 65536,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if stale_after <= 0.0:
             raise ValueError("stale_after must be positive")
-        if span_capacity < 1:
-            raise ValueError("span_capacity must be at least 1")
         self.stale_after = stale_after
         self._clock = clock
         self._topology: list[dict] = [dict(n) for n in topology or ()]
         self._reports: dict[int, NodeTelemetry] = {}
         self._received_at: dict[int, float] = {}
-        self._span_capacity = span_capacity
         self._spans: deque[_StoredSpan] = deque()
         self._span_ids: set[int] = set()
         self._next_span_id = 1
@@ -574,7 +572,7 @@ class FederationCollector:
                 continue
             if record.span_id in self._span_ids:
                 continue
-            if len(self._spans) >= self._span_capacity:
+            if len(self._spans) >= SPAN_CAPACITY:
                 evicted = self._spans.popleft()
                 self._span_ids.discard(evicted.record.span_id)
             self._spans.append(

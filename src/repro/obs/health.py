@@ -40,6 +40,9 @@ _SPAN_BUCKETS = (
 
 _REQUIRED = object()
 
+#: Event-table entries per site in :func:`system_snapshot`.
+EVENT_TAIL = 5
+
 
 def _field(fields: Mapping, name: str, kind: type = int, default=_REQUIRED):
     """``kind(fields[name])``; absent or ``None`` answers ``default``.
@@ -481,13 +484,12 @@ def system_snapshot(
     sites: Sequence[object],
     coordinator: object,
     accounting: object | None = None,
-    event_tail: int = 5,
 ) -> dict:
     """Introspect live site/coordinator objects into a JSON-safe dict.
 
     Backs the telemetry server's ``/snapshot`` endpoint: per-site
-    current model id, archived model ids, stream position and the tail
-    of the section 5.1 event table, plus the coordinator's cluster
+    current model id, archived model ids, stream position and the last
+    :data:`EVENT_TAIL` entries of the section 5.1 event table, plus the coordinator's cluster
     structure and (optionally) the channel's
     :class:`~repro.runtime.accounting.DeliveryAccounting`.
     """
@@ -500,7 +502,7 @@ def system_snapshot(
             records = list(getattr(events, "records", ()))
             tail = [
                 {"start": r.start, "end": r.end, "model": r.model_id}
-                for r in records[-event_tail:]
+                for r in records[-EVENT_TAIL:]
             ]
         entry = {
             "site": getattr(site, "site_id", None),

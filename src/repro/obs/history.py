@@ -43,6 +43,10 @@ __all__ = [
     "weight_transport",
 ]
 
+#: Points of the component series a
+#: :meth:`ModelHistory.federated_summary` keeps (the most recent ones).
+SERIES_POINTS = 32
+
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -458,11 +462,11 @@ class ModelHistory:
             "gauges": self.gauge_names(),
         }
 
-    def federated_summary(self, series_points: int = 32) -> dict:
+    def federated_summary(self) -> dict:
         """Compact per-node rollup shipped in telemetry reports.
 
         Bounded by construction (the retained set is O(α·l·log t) and
-        the component series is capped at ``series_points``), so it can
+        the component series is capped at :data:`SERIES_POINTS`), so it can
         ride every TELEMETRY flush without bloating the envelope.
         """
         summary = self.summary()
@@ -470,7 +474,7 @@ class ModelHistory:
             key: summary[key]
             for key in ("retained", "evictions", "bytes", "horizon", "ticks")
         }
-        rollup["components"] = self.gauge_series("components")[-series_points:]
+        rollup["components"] = self.gauge_series("components")[-SERIES_POINTS:]
         return rollup
 
     # ------------------------------------------------------------------

@@ -166,8 +166,8 @@ class RingBufferSink(TraceSink):
 class LoggingTraceSink(TraceSink):
     """Forward each event to a :mod:`logging` logger at DEBUG."""
 
-    def __init__(self, logger: logging.Logger | None = None) -> None:
-        self._logger = logger if logger is not None else logging.getLogger("repro.obs")
+    def __init__(self) -> None:
+        self._logger = logging.getLogger("repro.obs")
 
     def write(self, event: TraceEvent) -> None:
         if self._logger.isEnabledFor(logging.DEBUG):

@@ -165,7 +165,7 @@ class SimulatedChannel(DirectChannel):
     message is metered at the second it is emitted, then delivered as
     on the direct channel.  ``duration`` is the last record's time and
     ``sample_interval`` the grid of :meth:`cost_series`.  ``latency``
-    and ``bandwidth`` are deprecated since 1.8.0 and change nothing.
+    is deprecated since 1.8.0 and changes nothing.
     """
 
     name = "simulated"
@@ -174,16 +174,15 @@ class SimulatedChannel(DirectChannel):
         self,
         rate: float = 1000.0,
         latency: float = 0.01,
-        bandwidth: float | None = None,
         sample_interval: float = 1.0,
         faults: ChannelFaults | None = None,
     ) -> None:
         if rate <= 0.0:
             raise ValueError("rate must be positive")
-        if latency != 0.01 or bandwidth is not None:
+        if latency != 0.01:
             warnings.warn(
-                "SimulatedChannel latency and bandwidth are deprecated and "
-                "change nothing: messages are delivered as they are emitted",
+                "SimulatedChannel latency is deprecated and changes "
+                "nothing: messages are delivered as they are emitted",
                 DeprecationWarning,
                 stacklevel=2,
             )

@@ -165,7 +165,7 @@ class CoordinatorEndpoint:
         self._obs = ensure_observer(observer)
         self.codec = get_codec(wire_codec, codec_config)
         self.receiver = ReliableReceiver(
-            deliver_traced=self._deliver,
+            deliver=self._deliver,
             send_ack=transport.send_to_site,
             clock=clock,
             config=config,

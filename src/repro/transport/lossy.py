@@ -91,11 +91,10 @@ class LossyTransport(DatagramTransport):
         registered on this wrapper are installed on ``inner``.
     clock:
         Timer service used for delayed deliveries.
-    uplink_faults / downlink_faults:
-        Fault models per direction; ``downlink_faults`` defaults to the
-        uplink model (a symmetric bad link).
-    rng / seed:
-        Randomness; pass ``rng`` to share a generator, else ``seed``.
+    faults:
+        Fault model of both directions (a symmetric bad link).
+    seed:
+        Seed of the generator every fault draw comes from.
     observer:
         Optional :class:`~repro.obs.observer.Observer`; every injected
         fault emits a ``fault.drop`` / ``fault.partition`` /
@@ -109,20 +108,15 @@ class LossyTransport(DatagramTransport):
         self,
         inner: DatagramTransport,
         clock: Clock,
-        uplink_faults: FaultConfig,
-        downlink_faults: FaultConfig | None = None,
-        rng: np.random.Generator | None = None,
+        faults: FaultConfig,
         seed: int = 0,
         observer: Observer | None = None,
     ) -> None:
         super().__init__()
         self._inner = inner
         self._clock = clock
-        self._uplink_faults = uplink_faults
-        self._downlink_faults = (
-            downlink_faults if downlink_faults is not None else uplink_faults
-        )
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+        self._config = faults
+        self._rng = np.random.default_rng(seed)
         self._obs = ensure_observer(observer)
         self.faults = FaultStats()
 
@@ -139,19 +133,18 @@ class LossyTransport(DatagramTransport):
 
     def _transmit_to_coordinator(self, site_id: int, data: bytes) -> None:
         self._inject(
-            self._uplink_faults,
             lambda: self._inner.send_to_coordinator(site_id, data),
             direction="uplink",
         )
 
     def _transmit_to_site(self, site_id: int, data: bytes) -> None:
         self._inject(
-            self._downlink_faults,
             lambda: self._inner.send_to_site(site_id, data),
             direction="downlink",
         )
 
-    def _inject(self, faults: FaultConfig, forward, direction: str) -> None:
+    def _inject(self, forward, direction: str) -> None:
+        faults = self._config
         obs = self._obs
         self.faults.offered += 1
         if faults.partitioned_at(self._clock.now):

@@ -474,8 +474,10 @@ class ReliableReceiver:
     Parameters
     ----------
     deliver:
-        Callback receiving ``(site_id, payload)`` exactly once per
-        payload, in per-site sequence order.
+        Callback receiving ``(site_id, payload, trace)`` exactly once
+        per payload, in per-site sequence order; ``trace`` is the span
+        context propagated in the envelope header (``None`` when the
+        sender had no active span).
     send_ack:
         Callback putting one encoded ack envelope on the downlink of a
         site: ``send_ack(site_id, data)``.
@@ -487,12 +489,6 @@ class ReliableReceiver:
         Optional :class:`~repro.obs.observer.Observer` emitting
         ``transport.deliver`` / ``transport.duplicate`` trace events and
         tracking the reorder-buffer high-water gauge.
-    deliver_traced:
-        Keyword-only alternative to ``deliver`` receiving
-        ``(site_id, payload, trace)`` where ``trace`` is the span
-        context propagated in the envelope header (``None`` when the
-        sender had no active span).  Exactly one of ``deliver`` /
-        ``deliver_traced`` must be given.
     on_telemetry:
         Optional keyword-only callback receiving ``(site_id, payload)``
         for every TELEMETRY envelope -- best-effort federation freight,
@@ -503,28 +499,16 @@ class ReliableReceiver:
 
     def __init__(
         self,
-        deliver: Callable[[int, bytes], None] | None = None,
-        send_ack: Callable[[int, bytes], None] | None = None,
-        clock: Clock | None = None,
+        deliver: Callable[[int, bytes, SpanContext | None], None],
+        send_ack: Callable[[int, bytes], None],
+        clock: Clock,
         config: ReliabilityConfig | None = None,
         observer: Observer | None = None,
         *,
-        deliver_traced: Callable[[int, bytes, SpanContext | None], None] | None = None,
         on_telemetry: Callable[[int, bytes], None] | None = None,
         accept_codecs: Iterable[int] = (0,),
     ) -> None:
-        if send_ack is None or clock is None:
-            raise TypeError("send_ack and clock are required")
-        if (deliver is None) == (deliver_traced is None):
-            raise TypeError(
-                "exactly one of deliver / deliver_traced must be provided"
-            )
-        if deliver_traced is not None:
-            self._deliver = deliver_traced
-        else:
-            assert deliver is not None
-            plain = deliver
-            self._deliver = lambda site_id, payload, trace: plain(site_id, payload)
+        self._deliver = deliver
         self._send_ack = send_ack
         self._clock = clock
         self.config = config or ReliabilityConfig()

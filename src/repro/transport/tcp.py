@@ -38,6 +38,10 @@ __all__ = ["SiteRunReport", "Uplink", "run_site_client"]
 
 _READ_CHUNK = 1 << 16
 
+#: Records :func:`run_site_client` processes between yields to the
+#: event loop (acks absorbed, writer drained, telemetry checked).
+_YIELD_EVERY = 64
+
 
 class Uplink:
     """One node's TCP edge toward its parent.
@@ -181,7 +185,6 @@ async def run_site_client(
     site_config: RemoteSiteConfig | None = None,
     config: ReliabilityConfig | None = None,
     seed: int = 0,
-    yield_every: int = 64,
     drain_timeout: float = 60.0,
     observer: Observer | None = None,
     site: RemoteSite | None = None,
@@ -201,7 +204,7 @@ async def run_site_client(
 
     With a ``federation`` publisher, the site piggybacks a telemetry
     report on the uplink every ``telemetry_interval`` seconds (checked
-    at the ``yield_every`` drain points) plus one final report right
+    every :data:`_YIELD_EVERY` records) plus one final report right
     before DONE, so the last snapshot the tree sees covers the whole
     run.  Telemetry rides in unsequenced TELEMETRY envelopes and never
     perturbs the DATA stream or its accounting.
@@ -256,7 +259,7 @@ async def run_site_client(
         for record in records:
             site.process_record(record)
             processed += 1
-            if processed % yield_every == 0:
+            if processed % _YIELD_EVERY == 0:
                 # Let the reader task absorb acks and the writer flush.
                 if federation is not None and loop.time() >= next_flush:
                     sender.send_telemetry(federation.collect())

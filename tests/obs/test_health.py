@@ -9,7 +9,12 @@ from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
-from repro.obs.health import HealthMonitor, SiteHealth, system_snapshot
+from repro.obs.health import (
+    EVENT_TAIL,
+    HealthMonitor,
+    SiteHealth,
+    system_snapshot,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.trace import TraceEvent
@@ -268,6 +273,6 @@ class TestSystemSnapshot:
             all_models = ()
             events = FakeEvents()
 
-        snapshot = system_snapshot([FakeSite()], object(), event_tail=3)
+        snapshot = system_snapshot([FakeSite()], object())
         tail = snapshot["sites"][0]["event_table_tail"]
-        assert [e["start"] for e in tail] == [7, 8, 9]
+        assert [e["start"] for e in tail] == list(range(10 - EVENT_TAIL, 10))

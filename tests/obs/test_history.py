@@ -13,6 +13,7 @@ from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.obs.history import (
+    SERIES_POINTS,
     ModelHistory,
     drift_report,
     history_from_events,
@@ -285,14 +286,15 @@ class TestSummaries:
         assert "components" in summary["gauges"]
 
     def test_federated_summary_caps_the_series(self):
-        history = filled_history(200)
-        rollup = history.federated_summary(series_points=8)
-        assert len(rollup["components"]) <= 8
-        assert rollup["retained"] == len(history)
-        assert rollup["horizon"] == 200
-        # The series keeps the most recent points.
+        history = filled_history(400)
+        rollup = history.federated_summary()
         full = history.gauge_series("components")
-        assert rollup["components"] == full[-8:]
+        assert len(full) > SERIES_POINTS
+        assert len(rollup["components"]) == SERIES_POINTS
+        assert rollup["retained"] == len(history)
+        assert rollup["horizon"] == 400
+        # The series keeps the most recent points.
+        assert rollup["components"] == full[-SERIES_POINTS:]
 
     def test_publish_pushes_retention_gauges(self):
         history = filled_history(40, scope="site:1")

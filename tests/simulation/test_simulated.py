@@ -147,11 +147,11 @@ class TestCostMeter:
 class TestLinkModel:
     @pytest.mark.parametrize(
         "link",
-        [{"latency": 0.5}, {"latency": 0.0}, {"bandwidth": 1e6}],
-        ids=["latency", "zero-latency", "bandwidth"],
+        [{"latency": 0.5}, {"latency": 0.0}],
+        ids=["latency", "zero-latency"],
     )
     def test_link_model_arguments_warn(self, link):
-        with pytest.warns(DeprecationWarning, match="latency and bandwidth"):
+        with pytest.warns(DeprecationWarning, match="latency is deprecated"):
             SimulatedChannel(**link)
 
     def test_defaults_do_not_warn(self):
@@ -168,4 +168,4 @@ class TestLinkModel:
             channel.finish()
             return channel.cost_series(), channel.duration, len(received)
 
-        assert series(latency=0.5, bandwidth=1.0) == series()
+        assert series(latency=0.5) == series()

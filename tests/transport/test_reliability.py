@@ -149,7 +149,7 @@ class TestReceiver:
         delivered: list[tuple[int, bytes]] = []
         acks: list[tuple[int, int]] = []
         receiver = ReliableReceiver(
-            deliver=lambda site, payload: delivered.append((site, payload)),
+            deliver=lambda site, payload, trace: delivered.append((site, payload)),
             send_ack=lambda site, data: acks.append(
                 (site, decode_envelope(data).seq)
             ),
@@ -251,7 +251,7 @@ class TestEndToEndArq:
 
         sender_holder: list[ReliableSender] = []
         receiver = ReliableReceiver(
-            deliver=lambda site, payload: delivered.append(payload),
+            deliver=lambda site, payload, trace: delivered.append(payload),
             # The ack path drops 30% too.
             send_ack=lambda site, data: (
                 None

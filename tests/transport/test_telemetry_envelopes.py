@@ -118,7 +118,7 @@ class TestReceiverSide:
         delivered: list[tuple[int, bytes]] = []
         acks: list[bytes] = []
         receiver = ReliableReceiver(
-            deliver=lambda site, payload: delivered.append((site, payload)),
+            deliver=lambda site, payload, trace: delivered.append((site, payload)),
             send_ack=lambda site, data: acks.append(data),
             clock=clock,
             config=quiet_config(),

@@ -51,7 +51,7 @@ class Harness:
         self.delivered = []
         decoder = get_codec("cds2")
         self.receiver = ReliableReceiver(
-            deliver=lambda site, payload: self.delivered.append(
+            deliver=lambda site, payload, trace: self.delivered.append(
                 decoder.decode(payload)
             ),
             send_ack=lambda site, data: self.downlink.append(data),
