@@ -101,19 +101,15 @@ class ChangeDetector:
         """Stream indices of all detected changes, in order."""
         return [event.position for event in self.changes]
 
-    def matches(
-        self, true_positions: list[int], tolerance: int | None = None
-    ) -> tuple[int, int, int]:
+    def matches(self, true_positions: list[int]) -> tuple[int, int, int]:
         """Score detections against ground truth change points.
 
         Parameters
         ----------
         true_positions:
             Record indices where the generating distribution actually
-            changed.
-        tolerance:
-            Maximal |detected - true| to count as a hit; defaults to one
-            chunk (the detector's resolution).
+            changed.  A detection within one chunk (the detector's
+            resolution) of a true position is a hit.
 
         Returns
         -------
@@ -121,7 +117,7 @@ class ChangeDetector:
             ``(hits, misses, false_alarms)`` -- each true change point
             matches at most one detection and vice versa.
         """
-        tolerance = tolerance if tolerance is not None else self.site.chunk
+        tolerance = self.site.chunk
         detections = self.detected_positions()
         unmatched = set(range(len(detections)))
         hits = 0

@@ -725,6 +725,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
     from pathlib import Path
 
     from repro.cluster.aggregator import AggregatorServer
@@ -779,7 +780,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # manifest is written after close), so read it out now.
         bound_port = server.port
         print(f"listening on {args.host}:{bound_port}", flush=True)
-        completed = await server.wait_done(timeout=args.timeout)
+        # SIGTERM and Ctrl-C end the wait like the timeout does, so the
+        # checkpoint below is still written.  A raw handler, as in a
+        # launcher aggregator: the event loop can be busy for seconds
+        # absorbing one chunk's synopses.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+
+        def _on_signal(*_: object) -> None:
+            server.request_stop()
+            loop.call_soon_threadsafe(stop.set)
+
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, _on_signal)
+        done = asyncio.ensure_future(server.wait_done(timeout=args.timeout))
+        stopped = asyncio.ensure_future(stop.wait())
+        await asyncio.wait((done, stopped), return_when=asyncio.FIRST_COMPLETED)
+        completed = done.done() and done.result() and not stopped.done()
+        for task in (done, stopped):
+            task.cancel()
+        await asyncio.gather(done, stopped, return_exceptions=True)
         stale = server.stale_sites()
         await server.close()
         if telemetry is not None:
@@ -828,7 +848,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if stale:
             print(f"stale sites: {sorted(stale)}")
         if not completed:
-            print("timed out waiting for sites", flush=True)
+            reason = "stopped by signal" if stop.is_set() else "timed out"
+            print(f"{reason} waiting for sites", flush=True)
             return 1
         for weight, component in sorted(
             coordinator.global_mixture(), key=lambda pair: pair[0], reverse=True
@@ -837,9 +858,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("all sites completed", flush=True)
         return 0
 
+    handlers = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)}
     try:
         return asyncio.run(_run())
     finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
         if observer is not None:
             observer.close()
 
@@ -1032,14 +1056,13 @@ def _run_cluster_launch(spec, args: argparse.Namespace) -> int:
             f"telemetry: http://{spec.host}:{launcher.telemetry_port}",
             flush=True,
         )
-        if launcher.federate:
-            print(
-                "cluster view: "
-                f"http://{spec.host}:{launcher.telemetry_port}"
-                "/cluster/health (watch with "
-                "'cludistream monitor --cluster --url ...')",
-                flush=True,
-            )
+        print(
+            "cluster view: "
+            f"http://{spec.host}:{launcher.telemetry_port}"
+            "/cluster/health (watch with "
+            "'cludistream monitor --cluster --url ...')",
+            flush=True,
+        )
 
     try:
         result = launcher.wait(timeout=args.timeout)

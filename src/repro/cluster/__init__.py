@@ -36,7 +36,6 @@ from repro.cluster.spec import (
     build_spec,
     load_spec,
     save_spec,
-    with_ports,
 )
 from repro.cluster.tree import LevelStats, TransportTree
 
@@ -57,5 +56,4 @@ __all__ = [
     "save_spec",
     "site_records",
     "soak_spec",
-    "with_ports",
 ]

@@ -86,10 +86,6 @@ class ClusterResult:
     exit_codes: dict[int, int | None] = field(default_factory=dict)
     root_summary: dict | None = None
 
-    @property
-    def ok(self) -> bool:
-        return all(code == 0 for code in self.exit_codes.values())
-
 
 # ----------------------------------------------------------------------
 # Worker processes (module level: must be picklable under spawn)
@@ -174,7 +170,6 @@ def _aggregator_worker(
     telemetry_port: int | None,
     checkpoint_dir: str | None,
     resume: bool,
-    federate: bool,
 ) -> None:
     _worker_signals()
     spec = ClusterSpec.from_dict(spec_payload)
@@ -187,7 +182,6 @@ def _aggregator_worker(
             telemetry_port,
             Path(checkpoint_dir) if checkpoint_dir else None,
             resume,
-            federate,
         )
     )
     sys.exit(code)
@@ -205,8 +199,13 @@ async def _aggregator_main(
     telemetry_port: int | None,
     checkpoint_dir: Path | None,
     resume: bool,
-    federate: bool = False,
 ) -> int:
+    """Serve one aggregator until its children finish or it is stopped.
+
+    ``telemetry_port`` is the one telemetry switch: an aggregator that
+    serves telemetry also federates -- it reports up the tree, and the
+    root collects every node's reports.
+    """
     import os
 
     from repro.cluster.aggregator import AggregatorServer
@@ -228,7 +227,8 @@ async def _aggregator_main(
     node_id = node_spec.node_id
     health = spans = None
     observer = None
-    if telemetry_port is not None or federate:
+    federate = telemetry_port is not None
+    if federate:
         health, spans = HealthMonitor(), SpanCollector()
         observer = Observer(
             sink=MultiSink([health, spans]), span_origin=node_id
@@ -312,7 +312,7 @@ async def _aggregator_main(
 
     hop = server.hop
     telemetry = None
-    if telemetry_port is not None:
+    if federate:
         assert health is not None and spans is not None
         health.bind(component_count=lambda: node.coordinator.n_components)
 
@@ -382,12 +382,10 @@ async def _aggregator_main(
     # telemetry_interval seconds.
     flush_task = None
     if federate:
-        endpoints: dict = {"tcp": {"host": spec.host, "port": server.port}}
-        if telemetry is not None:
-            endpoints["telemetry"] = {
-                "host": spec.host,
-                "port": telemetry.port,
-            }
+        endpoints = {
+            "tcp": {"host": spec.host, "port": server.port},
+            "telemetry": {"host": spec.host, "port": telemetry.port},
+        }
         hop.federate(
             collector,
             health=health,
@@ -542,14 +540,10 @@ class ClusterLauncher:
         When not ``None``, the root aggregator serves live telemetry on
         this port (``0`` = ephemeral; read back from
         :attr:`telemetry_port` after :meth:`launch`), every other
-        aggregator serves on an ephemeral port of its own, and -- unless
-        ``federate=False`` -- the whole tree federates: each node ships
-        telemetry reports up the existing ARQ edges, so the root also
-        serves ``/cluster/health``, ``/cluster/nodes`` and
-        ``/cluster/spans``.
-    federate:
-        Tri-state: ``None`` (default) federates exactly when
-        ``serve_telemetry`` is set; ``True`` / ``False`` force it.
+        aggregator serves on an ephemeral port of its own, and the
+        whole tree federates: each node ships telemetry reports up the
+        existing ARQ edges, so the root also serves ``/cluster/health``,
+        ``/cluster/nodes`` and ``/cluster/spans``.
     checkpoint_dir:
         When set, every aggregator writes its checkpoint and an
         endpoint manifest here on exit (and on SIGTERM).
@@ -564,15 +558,11 @@ class ClusterLauncher:
         serve_telemetry: int | None = None,
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
-        federate: bool | None = None,
     ) -> None:
         if not spec.nodes:
             raise ValueError("cannot launch an empty spec")
         self.spec = spec
         self.serve_telemetry = serve_telemetry
-        self.federate = (
-            serve_telemetry is not None if federate is None else federate
-        )
         self.checkpoint_dir = (
             str(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -622,7 +612,6 @@ class ClusterLauncher:
                         telemetry,
                         self.checkpoint_dir,
                         self.resume,
-                        self.federate,
                     ),
                     name=f"aggregator-{agg.node_id}",
                 )
@@ -643,7 +632,7 @@ class ClusterLauncher:
                         site.node_id,
                         self.spec.host,
                         self.ports[site.parent_id],
-                        self.federate,
+                        self.serve_telemetry is not None,
                     ),
                     name=f"site-{site.node_id}",
                 )

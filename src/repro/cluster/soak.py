@@ -42,7 +42,6 @@ from repro.cluster.spec import ClusterSpec, build_spec
 from repro.cluster.tree import LevelStats, TransportTree
 from repro.core.coordinator import Coordinator
 from repro.core.remote import RemoteSite
-from repro.obs.observer import Observer
 from repro.transport.lossy import FaultConfig
 
 __all__ = ["SoakReport", "run_soak", "soak_spec"]
@@ -151,7 +150,6 @@ def run_soak(
     spec: ClusterSpec | None = None,
     tolerance: float = 0.5,
     faults: FaultConfig | None = None,
-    observer: Observer | None = None,
     progress=None,
 ) -> SoakReport:
     """Drive the spec through a tree and a flat reference; compare roots.
@@ -169,9 +167,6 @@ def run_soak(
         Optional seeded fault injection on every tree subnet -- the
         flat reference stays loss-free, which is the point: ARQ must
         hide the faults from the clustering result.
-    observer:
-        Shared observer; span/gauge traffic from 100k+ records is
-        substantial, leave unset for plain runs.
     progress:
         Optional callable invoked as ``progress(done, total)`` once per
         feeding round.
@@ -179,7 +174,7 @@ def run_soak(
     spec = spec if spec is not None else soak_spec()
     started = time.perf_counter()
 
-    tree = TransportTree.from_spec(spec, faults=faults, observer=observer)
+    tree = TransportTree.from_spec(spec, faults=faults)
 
     # Flat reference: same site seeds, same coordinator seed as the
     # root, every emit applied directly -- the §4/§5 deployment the

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -33,7 +33,6 @@ __all__ = [
     "build_spec",
     "load_spec",
     "save_spec",
-    "with_ports",
 ]
 
 SPEC_FORMAT = 1
@@ -461,12 +460,3 @@ def save_spec(spec: ClusterSpec, path: str | Path) -> Path:
 def load_spec(path: str | Path) -> ClusterSpec:
     """Read a spec written by :func:`save_spec`."""
     return ClusterSpec.from_dict(json.loads(Path(path).read_text()))
-
-
-def with_ports(spec: ClusterSpec, ports: Mapping[int, int]) -> ClusterSpec:
-    """A copy of ``spec`` with aggregator ``ports`` filled in."""
-    nodes = tuple(
-        replace(node, port=ports.get(node.node_id, node.port))
-        for node in spec.nodes
-    )
-    return replace(spec, nodes=nodes)

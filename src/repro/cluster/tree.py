@@ -192,18 +192,14 @@ class TransportTree(DrainMark):
         spec,
         faults: FaultConfig | None = None,
         observer: Observer | None = None,
-        reliability: ReliabilityConfig | None = None,
-        federate: bool = False,
     ) -> "TransportTree":
         """Instantiate a :class:`~repro.cluster.spec.ClusterSpec` in-process."""
         tree = cls(
             site_config=spec.site_config(),
             coordinator_config=spec.coordinator_config(),
             seed=spec.seed,
-            reliability=reliability,
             faults=faults,
             observer=observer,
-            federate=federate,
             wire_codec=spec.wire_codec,
             codec_config=spec.codec_config(),
         )
@@ -355,9 +351,6 @@ class TransportTree(DrainMark):
     @property
     def sites(self) -> tuple[RemoteSite, ...]:
         return tuple(w.site for w in self._leaves.values())
-
-    def internal(self, node_id: int) -> InternalNode:
-        return self._require_internal(node_id).node
 
     @property
     def depth(self) -> int:

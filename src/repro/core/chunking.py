@@ -16,6 +16,7 @@ tests, and provides the chunk iterator that feeds Algorithm 1.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,7 +89,7 @@ def window_error_bound(dim: int, epsilon: float, delta: float) -> float:
 def iter_chunks(
     records: Iterable[np.ndarray],
     chunk: int,
-    drop_last: bool = True,
+    drop_last: bool | None = None,
 ) -> Iterator[np.ndarray]:
     """Group a record iterable into ``(chunk, d)`` arrays.
 
@@ -102,20 +103,36 @@ def iter_chunks(
         When ``True`` (the streaming default) a trailing partial chunk
         is held back -- Algorithm 1 only ever acts on full chunks.  Set
         ``False`` for batch replays that must not lose records.
+        Deprecated since 1.14.0: the trailing partial chunk is always
+        held back; ``numpy.array_split`` keeps it.
 
-    Yields
-    ------
-    numpy.ndarray
+    Returns
+    -------
+    Iterator[numpy.ndarray]
         Arrays of shape ``(chunk, d)`` (the final one may be shorter
         when ``drop_last`` is ``False``).
     """
     if chunk < 1:
         raise ValueError("chunk size must be at least 1")
+    if drop_last is not None:
+        warnings.warn(
+            "iter_chunks(drop_last=) is deprecated and will be removed in "
+            "1.15.0: a trailing partial chunk is always held back; use "
+            "numpy.array_split to keep it",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    return _chunks(records, chunk, keep_tail=drop_last is False)
+
+
+def _chunks(
+    records: Iterable[np.ndarray], chunk: int, keep_tail: bool
+) -> Iterator[np.ndarray]:
     buffer: list[np.ndarray] = []
     for record in records:
         buffer.append(np.asarray(record, dtype=float))
         if len(buffer) == chunk:
             yield np.stack(buffer)
             buffer = []
-    if buffer and not drop_last:
+    if buffer and keep_tail:
         yield np.stack(buffer)

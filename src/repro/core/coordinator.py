@@ -30,6 +30,7 @@ and drop it once the weight is non-positive.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,7 +338,8 @@ class Coordinator:
         handled message (tick = ``message.time``, the originating
         site's stream position; interleaved site clocks are safe
         because out-of-order ticks are ignored).  ``None`` (default)
-        records nothing and keeps state byte-identical.
+        records nothing and keeps state byte-identical.  Deprecated
+        since 1.14.0: assign :attr:`history` after construction.
     """
 
     def __init__(
@@ -357,6 +359,12 @@ class Coordinator:
         self.stats = CoordinatorStats()
         self.history = history
         if history is not None:
+            warnings.warn(
+                "Coordinator(history=) is deprecated and will be removed "
+                "in 1.15.0: assign coordinator.history after construction",
+                DeprecationWarning,
+                stacklevel=2,
+            )
             if history.scope is None:
                 history.scope = "coordinator"
             if history.observer is None:

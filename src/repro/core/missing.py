@@ -47,18 +47,12 @@ __all__ = [
     "average_marginal_log_likelihood",
     "fit_em_missing",
     "group_by_pattern",
-    "has_missing",
     "marginal_log_pdf",
     "mean_impute",
 ]
 
 #: Responsibility mass floor (matches the complete-data trainer).
 MIN_COMPONENT_MASS = 1e-8
-
-
-def has_missing(data: np.ndarray) -> bool:
-    """Whether ``data`` contains any NaN entries."""
-    return bool(np.isnan(np.asarray(data, dtype=float)).any())
 
 
 @dataclass(frozen=True)
@@ -78,10 +72,6 @@ class PatternGroup:
     observed: np.ndarray
     indices: np.ndarray
     rows: np.ndarray
-
-    @property
-    def n_observed(self) -> int:
-        return int(self.observed.sum())
 
 
 def group_by_pattern(data: np.ndarray) -> list[PatternGroup]:

@@ -20,6 +20,7 @@ a three-component model even when a neighbouring site needed seven.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +100,20 @@ def select_k(
         restarts (``fit_em(initial=...)``), so an adapted previous
         model competes with -- and usually undercuts the cost of --
         cold fits, while BIC still gets to move ``K`` when the data
-        says so.
+        says so.  Deprecated since 1.14.0: refine a previous model with
+        ``fit_em(initial=...)``.
 
     Returns
     -------
     KSelectionResult
     """
+    if initial is not None:
+        warnings.warn(
+            "select_k(initial=) is deprecated and will be removed in "
+            "1.15.0: refine a previous model with fit_em(initial=...)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     k_min, k_max = k_range
     if k_min < 1 or k_max < k_min:
         raise ValueError("k_range must satisfy 1 <= k_min <= k_max")

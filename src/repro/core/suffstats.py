@@ -89,12 +89,12 @@ class SufficientStats:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def zeros(cls, k: int, dim: int, diagonal: bool = False) -> "SufficientStats":
-        """Empty accumulators for ``k`` components in ``dim`` dimensions."""
+    def zeros(cls, k: int, dim: int) -> "SufficientStats":
+        """Empty full-covariance accumulators for ``k`` components in
+        ``dim`` dimensions."""
         if k < 1 or dim < 1:
             raise ValueError("k and dim must be positive")
-        shape = (k, dim) if diagonal else (k, dim, dim)
-        return cls(np.zeros(k), np.zeros((k, dim)), np.zeros(shape), diagonal)
+        return cls(np.zeros(k), np.zeros((k, dim)), np.zeros((k, dim, dim)))
 
     @classmethod
     def from_responsibilities(

@@ -15,7 +15,6 @@ the rest of the library has no hidden dependencies on SciPy internals.
 """
 
 from repro.numerics.integrate import (
-    l1_density_distance,
     monte_carlo_l1,
     trapezoid_grid,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SPDFactors",
     "batch_log_pdf",
     "ensure_spd",
-    "l1_density_distance",
     "log_cholesky_index",
     "mahalanobis_sq",
     "monte_carlo_l1",

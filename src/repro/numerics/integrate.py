@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["l1_density_distance", "monte_carlo_l1", "trapezoid_grid"]
+__all__ = ["monte_carlo_l1", "trapezoid_grid"]
 
 Density = Callable[[np.ndarray], np.ndarray]
 
@@ -121,16 +121,3 @@ def monte_carlo_l1(
         raise ValueError("proposal density must be positive at its samples")
     integrand = np.abs(density_a(samples) - density_b(samples))
     return float(np.mean(integrand / weights))
-
-
-def l1_density_distance(
-    density_a: Density,
-    density_b: Density,
-    lower: Sequence[float],
-    upper: Sequence[float],
-    points_per_dim: int = 101,
-) -> float:
-    """Convenience alias of :func:`trapezoid_grid` with the same contract."""
-    return trapezoid_grid(
-        density_a, density_b, lower, upper, points_per_dim=points_per_dim
-    )

@@ -40,8 +40,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 #: subnormal or 0 (:func:`shifted_exp` makes it 0).
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 
-#: Default ridge added (relative to the mean diagonal) when a covariance
-#: matrix fails its Cholesky factorisation.
+#: Ridge added (relative to the mean diagonal) when a covariance matrix
+#: fails its Cholesky factorisation.
 DEFAULT_RIDGE = 1e-6
 
 #: Hard floor on covariance diagonal entries.  Prevents zero-variance
@@ -119,17 +119,15 @@ def _accepted_factors(
     return factors, (~accepted).nonzero()[0]
 
 
-def _regularized_factors(
-    matrices: np.ndarray, ridge: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _regularized_factors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Σ, L)``: ``matrices`` regularised and the Cholesky factors that
     accepted them, so nothing downstream factors ``Σ`` again.  One matrix
     or a ``(K, d, d)`` stack: the members share the first attempt (one
-    ``cholesky`` call); a member it rejects gets a ridge of ``ridge``
-    times its scale, escalating alone by a factor of ten until accepted.
-    The eleventh ridge exceeds the matrix scale itself, so failure is
-    only possible for non-finite input, which :func:`ensure_spd` rejects
-    first."""
+    ``cholesky`` call); a member it rejects gets a ridge of
+    :data:`DEFAULT_RIDGE` times its scale, escalating alone by a factor
+    of ten until accepted.  The eleventh ridge exceeds the matrix scale
+    itself, so failure is only possible for non-finite input, which
+    :func:`ensure_spd` rejects first."""
     covariances = ensure_spd(matrices)
     stack = covariances.reshape((-1,) + covariances.shape[-2:])
     dim = stack.shape[-1]
@@ -144,7 +142,7 @@ def _regularized_factors(
     pivot_floor = PIVOT_FLOOR * np.sqrt(scale)
     choleskys, rejected = _accepted_factors(stack, pivot_floor)
     for j in rejected:
-        bump = ridge * scale[j]
+        bump = DEFAULT_RIDGE * scale[j]
         for _ in range(11):
             candidate = stack[j] + bump * np.eye(dim)
             factor, again = _accepted_factors(
@@ -247,15 +245,16 @@ class SPDFactors:
         return _solve_factor(self.cholesky, centered.T)
 
 
-def spd_factorize(matrix: np.ndarray, ridge: float = DEFAULT_RIDGE) -> SPDFactors:
-    """Regularise ``matrix`` and return its cached Cholesky factors."""
-    cov, chol = _regularized_factors(matrix, ridge)
+def spd_factorize(matrix: np.ndarray) -> SPDFactors:
+    """Regularise ``matrix`` (:data:`DEFAULT_RIDGE`) and return its
+    cached Cholesky factors."""
+    cov, chol = _regularized_factors(matrix)
     log_det = 2.0 * float(np.log(chol.diagonal()).sum())
     return SPDFactors(covariance=cov, cholesky=chol, log_det=log_det)
 
 
 def spd_factorize_stack(
-    matrices: np.ndarray, ridge: float = DEFAULT_RIDGE
+    matrices: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`spd_factorize` of every member of a ``(K, d, d)`` stack, as
     the read-only stacks ``(Σ, L, log|Σ|, L⁻¹)``: member ``j`` of each is
@@ -264,7 +263,7 @@ def spd_factorize_stack(
     filled in here because the constants of :func:`batch_log_pdf` are
     derived from it, which a mixture needs at its first density pass
     anyway."""
-    covariances, choleskys = _regularized_factors(matrices, ridge)
+    covariances, choleskys = _regularized_factors(matrices)
     log_dets = 2.0 * np.log(choleskys.diagonal(0, -2, -1)).sum(axis=-1)
     identity = np.eye(choleskys.shape[-1])
     # Each L⁻¹ in Fortran order, as ``trtrs`` returns it and as

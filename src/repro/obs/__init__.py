@@ -38,7 +38,7 @@ See DESIGN.md ("Observability" and "Live observability") for the
 mapping from paper mechanism to trace event and span.
 """
 
-from repro.obs.export import parse_prometheus, to_json, to_prometheus
+from repro.obs.export import parse_prometheus, to_prometheus
 from repro.obs.federation import (
     FederationCollector,
     FederationPublisher,
@@ -53,7 +53,6 @@ from repro.obs.history import (
     ModelHistory,
     coordinator_history_payload,
     drift_report,
-    history_from_events,
     site_history_payload,
     weight_transport,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "ensure_observer",
     "format_drift",
     "format_summary",
-    "history_from_events",
     "site_history_payload",
     "weight_transport",
     "parse_prometheus",
@@ -154,6 +152,5 @@ __all__ = [
     "summarize_trace",
     "system_snapshot",
     "to_chrome_trace",
-    "to_json",
     "to_prometheus",
 ]

@@ -1,21 +1,20 @@
-"""Registry exporters: Prometheus text format and JSON snapshots.
+"""Registry exporter: the Prometheus text exposition format.
 
-Neither exporter needs any third-party client library -- the text dump
-follows the Prometheus exposition format closely enough for a scrape
-endpoint or a ``textfile`` collector, and the JSON snapshot is the
-machine-readable twin used by benchmarks and the CI artifact upload.
+No third-party client library is needed -- the text dump follows the
+exposition format closely enough for a scrape endpoint or a
+``textfile`` collector.  The JSON twin is
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Mapping
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
-__all__ = ["parse_prometheus", "to_json", "to_prometheus"]
+__all__ = ["parse_prometheus", "to_prometheus"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -167,8 +166,3 @@ def parse_prometheus(text: str) -> list[tuple[str, dict[str, str], float]]:
             ) from error
         samples.append((match.group("name"), labels, value))
     return samples
-
-
-def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
-    """Serialise the registry snapshot to a JSON string."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)

@@ -361,11 +361,6 @@ class FederationPublisher:
         self._span_cursor = 0
         self._seq = 0
 
-    @property
-    def flushes(self) -> int:
-        """Number of reports collected so far."""
-        return self._seq
-
     def bind_uplink(
         self,
         probe: Callable[[], object | None],
@@ -590,11 +585,6 @@ class FederationCollector:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    @property
-    def reports(self) -> dict[int, NodeTelemetry]:
-        """Latest report per node id (live mapping; treat as read-only)."""
-        return self._reports
-
     def age(self, node_id: int) -> float | None:
         """Seconds since the node's last report (``None`` if never)."""
         at = self._received_at.get(node_id)

@@ -31,14 +31,11 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from repro.obs.trace import TraceEvent
-
 __all__ = [
     "ModelHistory",
     "Snapshot",
     "coordinator_history_payload",
     "drift_report",
-    "history_from_events",
     "site_history_payload",
     "weight_transport",
 ]
@@ -236,12 +233,6 @@ class ModelHistory:
     # ------------------------------------------------------------------
     # Retention
     # ------------------------------------------------------------------
-    @property
-    def store(self) -> "ModelHistory":
-        """The retained snapshots' owner -- this object (the retention
-        store and its queries are one class)."""
-        return self
-
     @property
     def evicted(self) -> int:
         """Snapshots evicted so far, by either bound."""
@@ -545,21 +536,3 @@ class ModelHistory:
             f"ModelHistory(scope={self.scope!r}, retained={len(self)}, "
             f"horizon={self._last_tick})"
         )
-
-
-def history_from_events(
-    events: Iterable[TraceEvent], scope: str | None = None
-) -> ModelHistory | None:
-    """Replay ``history.snapshot`` trace events into a fresh store.
-
-    The offline half of the live/offline agreement contract: the trace
-    fold passes the same snapshots through the same retention, so drift
-    queries on the result match the live endpoint's answers for any
-    window inside the trace.  ``scope`` selects one history when a trace
-    carries several; unset, the coordinator's is preferred, else the
-    first scope seen.  Returns ``None`` when the trace has no matching
-    snapshots.
-    """
-    from repro.obs.health import HealthMonitor
-
-    return HealthMonitor.replay(events).history(scope)

@@ -78,9 +78,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def max(self, value: float) -> None:
         """Keep the running maximum (high-water-mark gauges)."""
         if value > self.value:
@@ -185,9 +182,6 @@ class _NullGauge(Gauge):
         pass
 
     def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:  # noqa: ARG002
         pass
 
     def max(self, value: float) -> None:  # noqa: ARG002

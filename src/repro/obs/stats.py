@@ -133,14 +133,6 @@ class RunSummary:
             },
         )
 
-    @property
-    def total_archives(self) -> int:
-        return sum(s.archives for s in self.sites.values())
-
-    @property
-    def total_chunk_tests(self) -> int:
-        return sum(s.chunk_tests for s in self.sites.values())
-
     def as_dict(self) -> dict:
         """JSON-safe rendering, backing ``repro stats --format json``."""
         out = asdict(self)

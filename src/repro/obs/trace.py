@@ -152,10 +152,6 @@ class RingBufferSink(TraceSink):
     def events(self) -> tuple[TraceEvent, ...]:
         return tuple(self._events)
 
-    def of_type(self, type_: str) -> tuple[TraceEvent, ...]:
-        """Events whose type equals ``type_``."""
-        return tuple(e for e in self._events if e.type == type_)
-
     def __len__(self) -> int:
         return len(self._events)
 

@@ -47,6 +47,10 @@ __all__ = [
     "TransportChannel",
 ]
 
+#: Clock step and safety bound of each :class:`TransportChannel` drain.
+DRAIN_STEP = 0.25
+DRAIN_LIMIT = 600.0
+
 
 class Channel(ABC):
     """What the runtime needs from a delivery backend.
@@ -296,7 +300,8 @@ class TransportChannel(DrainMark, Channel):
     reliability:
         Optional :class:`~repro.transport.reliability.ReliabilityConfig`.
     drain_step / drain_limit:
-        Clock step and safety bound of each drain.
+        Deprecated since 1.14.0; every drain uses :data:`DRAIN_STEP`
+        and :data:`DRAIN_LIMIT`.
     seed:
         Base seed for per-site retransmission jitter.
     faults:
@@ -317,8 +322,8 @@ class TransportChannel(DrainMark, Channel):
         transport,
         clock,
         reliability=None,
-        drain_step: float = 0.25,
-        drain_limit: float = 600.0,
+        drain_step: float | None = None,
+        drain_limit: float | None = None,
         seed: int = 0,
         faults: ChannelFaults | None = None,
         wire_codec: str = "cds1",
@@ -328,8 +333,16 @@ class TransportChannel(DrainMark, Channel):
         self._transport = transport
         self._clock = clock
         self._reliability = reliability
-        self._drain_step = drain_step
-        self._drain_limit = drain_limit
+        if drain_step is not None or drain_limit is not None:
+            warnings.warn(
+                "TransportChannel(drain_step=, drain_limit=) is deprecated "
+                "and will be removed in 1.15.0: every drain uses "
+                "repro.runtime.channel.DRAIN_STEP / DRAIN_LIMIT",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        self._drain_step = DRAIN_STEP if drain_step is None else drain_step
+        self._drain_limit = DRAIN_LIMIT if drain_limit is None else drain_limit
         self._seed = seed
         self._faults = faults
         self._wire_codec = wire_codec

@@ -9,7 +9,6 @@ throughput series).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 __all__ = ["Sample", "TimeSeriesCollector"]
@@ -69,14 +68,6 @@ class TimeSeriesCollector:
     def finalize(self, time: float) -> None:
         """Emit all remaining grid samples up to ``time``."""
         self._flush(time)
-
-    def value_at(self, time: float) -> float:
-        """Sampled cumulative value at grid time ``time`` (0 before data)."""
-        if not self._samples:
-            return 0.0
-        times = [sample.time for sample in self._samples]
-        index = bisect_right(times, time) - 1
-        return self._samples[index].value if index >= 0 else 0.0
 
     def series(self) -> tuple[list[float], list[float]]:
         """The sampled series as parallel ``(times, values)`` lists."""

@@ -19,11 +19,9 @@ from repro.streams.drift import DriftConfig, DriftingGaussianStream
 from repro.streams.base import (
     LabeledStream,
     StreamSegment,
-    collect,
     interleave,
     take,
 )
-from repro.streams.missing import MissingValueStream
 from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 from repro.streams.noise import NoiseConfig, NoisyStream
 from repro.streams.synthetic import (
@@ -39,14 +37,12 @@ __all__ = [
     "EvolvingGaussianStream",
     "EvolvingStreamConfig",
     "LabeledStream",
-    "MissingValueStream",
     "NetflowConfig",
     "NetflowStreamGenerator",
     "NoiseConfig",
     "NoisyStream",
     "StreamSegment",
     "VisualStreamPhases",
-    "collect",
     "interleave",
     "one_dimensional_phases",
     "random_mixture",

@@ -20,7 +20,6 @@ from repro.core.mixture import GaussianMixture
 __all__ = [
     "LabeledStream",
     "StreamSegment",
-    "collect",
     "interleave",
     "take",
 ]
@@ -84,10 +83,6 @@ class LabeledStream:
                 return segment
         return None
 
-    def n_distributions(self) -> int:
-        """Distinct generating distributions seen so far."""
-        return len({segment.segment_id for segment in self._segments})
-
 
 def take(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
     """Materialise the next ``n`` records as an ``(n, d)`` array.
@@ -108,14 +103,6 @@ def take(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
                 f"stream exhausted after {len(rows)} of {n} records"
             )
         rows.append(np.asarray(record, dtype=float))
-    return np.stack(rows)
-
-
-def collect(stream: Iterable[np.ndarray]) -> np.ndarray:
-    """Materialise an entire finite stream as an ``(n, d)`` array."""
-    rows = [np.asarray(record, dtype=float) for record in stream]
-    if not rows:
-        raise ValueError("stream produced no records")
     return np.stack(rows)
 
 

@@ -253,16 +253,3 @@ class NetflowStreamGenerator:
         """Materialise the next ``n`` records as an ``(n, 6)`` array."""
         rows = [next(self._iterator) for _ in range(n)]
         return np.stack(rows)
-
-
-def normalize_block(records: np.ndarray) -> np.ndarray:
-    """Per-attribute min-max normalisation of a record block.
-
-    Provided for users feeding *real* flow data through the same
-    pipeline; the synthetic generator already emits normalised records.
-    """
-    records = np.atleast_2d(np.asarray(records, dtype=float))
-    lows = records.min(axis=0)
-    spans = records.max(axis=0) - lows
-    spans[spans <= 0.0] = 1.0
-    return (records - lows) / spans

@@ -71,13 +71,6 @@ class VisualStreamPhases:
             for row in self.phase_data(phase, rng):
                 yield row
 
-    def phase_of(self, index: int) -> int:
-        """Ground-truth phase of record ``index``."""
-        if not 0 <= index < self.total_records:
-            raise IndexError(f"record {index} outside the stream")
-        return index // self.horizon
-
-
 def one_dimensional_phases(
     horizon: int = 2000, repeats: int = 1
 ) -> VisualStreamPhases:

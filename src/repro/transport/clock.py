@@ -59,19 +59,14 @@ class ManualClock:
     transport tests.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._sequence = itertools.count()
         self._heap: list[tuple[float, int, _ManualTimer]] = []
 
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of scheduled, non-cancelled timers."""
-        return sum(1 for _, _, timer in self._heap if not timer.cancelled)
 
     def call_later(
         self, delay: float, callback: Callable[[], None]

@@ -14,8 +14,7 @@ from the transport, the
 :class:`~repro.transport.reliability.ReliableReceiver` dedupes/orders
 them, and surviving payloads are decoded back into protocol messages
 and applied via ``Coordinator.handle_message``.  It also turns the
-heartbeat stream into staleness information and can *evict* a dead
-site's synopses using the paper's own section 7 deletion protocol.
+heartbeat stream into staleness information.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coordinator import Coordinator
-from repro.core.protocol import DeletionMessage, Message
+from repro.core.protocol import Message
 from repro.core.serde import CodecConfig, get_codec
 from repro.obs.observer import Observer, ensure_observer
 from repro.transport.base import DatagramTransport
@@ -145,7 +144,6 @@ class CoordinatorEndpoint:
         Optional :class:`~repro.obs.observer.Observer`; deserialisation
         is timed into ``profile.serde_decode`` and forwarded to the
         :class:`~repro.transport.reliability.ReliableReceiver`.
-        Evictions emit ``transport.evict`` trace events.
     """
 
     def __init__(
@@ -161,7 +159,6 @@ class CoordinatorEndpoint:
     ) -> None:
         self.coordinator = coordinator
         self._transport = transport
-        self._clock = clock
         self._obs = ensure_observer(observer)
         self.codec = get_codec(wire_codec, codec_config)
         self.receiver = ReliableReceiver(
@@ -173,8 +170,6 @@ class CoordinatorEndpoint:
             accept_codecs={0, self.codec.wire_id},
         )
         transport.bind_coordinator(self.receiver.handle_datagram)
-        #: Sites evicted by :meth:`evict_stale` (they may come back).
-        self.evicted: set[int] = set()
 
     def _deliver(self, site_id: int, payload: bytes, trace=None) -> None:
         with self._obs.timer("profile.serde_decode"):
@@ -184,8 +179,6 @@ class CoordinatorEndpoint:
         # to the originating site's chunk-test span.
         with self._obs.remote_parent(trace):
             self.coordinator.handle_message(message)
-        # A site that talks again after an eviction is alive after all.
-        self.evicted.discard(site_id)
 
     # ------------------------------------------------------------------
     # Staleness
@@ -193,45 +186,6 @@ class CoordinatorEndpoint:
     def stale_sites(self, stale_after: float | None = None) -> tuple[int, ...]:
         """Sites silent beyond the staleness timeout (and not DONE)."""
         return self.receiver.stale_sites(stale_after)
-
-    def evict_stale(self, stale_after: float | None = None) -> tuple[int, ...]:
-        """Remove every stale site's synopses from the global model.
-
-        Reuses the paper's sliding-window deletion protocol: for each
-        registered model of a stale site, a synthetic
-        :class:`~repro.core.protocol.DeletionMessage` carrying the
-        model's full remaining weight is applied, which drops the model
-        and its leaves.  Returns the evicted site ids.  If the site
-        resumes talking, its next model update simply re-registers it.
-        """
-        stale = self.stale_sites(stale_after)
-        obs = self._obs
-        for site_id in stale:
-            evicted_models = 0
-            for (owner, model_id), (_, count) in list(
-                self.coordinator.site_models.items()
-            ):
-                if owner != site_id or count <= 0:
-                    continue
-                self.coordinator.handle_message(
-                    DeletionMessage(
-                        site_id=owner,
-                        model_id=model_id,
-                        time=0,
-                        count_delta=count,
-                    )
-                )
-                evicted_models += 1
-            self.evicted.add(site_id)
-            if obs.enabled:
-                obs.inc("transport.evictions")
-                obs.event(
-                    "transport.evict",
-                    site=site_id,
-                    models=evicted_models,
-                    last_seen=self.receiver.last_seen(site_id),
-                )
-        return stale
 
     def close(self) -> None:
         self._transport.bind_coordinator(lambda data: None)

@@ -234,8 +234,3 @@ class StreamDecoder:
             del self._buffer[:total]
             envelopes.append(decode_envelope(frame))
         return envelopes
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete envelope."""
-        return len(self._buffer)

@@ -549,11 +549,6 @@ class ReliableReceiver:
             if not cursor.done and now - cursor.last_seen > timeout
         )
 
-    def site_done(self, site_id: int) -> bool:
-        """``True`` once ``site_id`` sent DONE and all its data arrived."""
-        cursor = self._cursors.get(site_id)
-        return cursor is not None and cursor.done
-
     # ------------------------------------------------------------------
     # Cursor checkpointing
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ def run_two_level(
         payload = tree.aggregator_snapshot(1)
         if via_file is not None:
             path = save_aggregator(
-                tree.internal(1), via_file / "agg-1.json",
+                tree._internals[1].node, via_file / "agg-1.json",
                 arq={"uplink_next_seq": payload["arq"]["uplink_next_seq"],
                      "cursors": payload["arq"]["cursors"]},
             )

@@ -72,7 +72,7 @@ class TestTelemetryRouting:
         for payload in MALFORMED.values():
             root.on_telemetry(10, payload)
         assert tree.federation.rejected == len(MALFORMED)
-        assert tree.federation.reports == {}
+        assert tree.federation.rollup()["nodes"]["reporting"] == 0
         assert root.flush_telemetry() == 0
         assert tree.federation.rollup()["nodes"]["reporting"] == 1
         tree.close()

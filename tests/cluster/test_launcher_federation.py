@@ -62,7 +62,7 @@ def live_cluster():
     )
     launcher = ClusterLauncher(spec, serve_telemetry=0)
     launcher.launch()
-    assert launcher.federate
+    assert launcher.telemetry_port
     url = f"http://127.0.0.1:{launcher.telemetry_port}"
     try:
         yield spec, url
@@ -193,7 +193,7 @@ class TestAggregatorTelemetryEndpoints:
             result = launcher.wait(timeout=120.0)
         finally:
             launcher.shutdown()
-        assert result.ok, result.exit_codes
+        assert set(result.exit_codes.values()) == {0}, result.exit_codes
         ports = set()
         for agg in spec.aggregators:
             manifest = json.loads(

@@ -10,7 +10,6 @@ from repro.cluster.spec import (
     build_spec,
     load_spec,
     save_spec,
-    with_ports,
 )
 
 
@@ -155,15 +154,6 @@ class TestSerialisation:
         payload["format"] = 99
         with pytest.raises(ValueError, match="format"):
             ClusterSpec.from_dict(payload)
-
-    def test_with_ports_fills_aggregators(self):
-        spec = build_spec(4, 2)
-        bound = with_ports(spec, {0: 9000, 1: 9001, 2: 9002})
-        assert {a.node_id: a.port for a in bound.aggregators} == {
-            0: 9000, 1: 9001, 2: 9002,
-        }
-        # Original spec untouched.
-        assert all(a.port == 0 for a in spec.aggregators)
 
 
 class TestWireCodecs:

@@ -88,7 +88,7 @@ class TestStreamProcessing:
     def test_internal_nodes_upload_only_on_change(self, faults):
         tree = build_two_level(faults)
         feed_leaf(tree, 10, 0.0, 250, 1)
-        internal = tree.internal(1)
+        internal = tree._internals[1].node
         uploads_after_first = internal.messages_up
         assert uploads_after_first >= 1
         # A stable continuation generates no new leaf messages, hence
@@ -314,7 +314,7 @@ class TestSummaryReplacesItsPredecessor:
     @pytest.mark.parametrize("faults", [None, MILD], ids=["loopback", "lossy"])
     def test_parent_holds_one_model_per_child(self, faults):
         tree = build_three_gateways(faults)
-        children = [tree.internal(node_id) for node_id in (1, 2, 3)]
+        children = [tree._internals[node_id].node for node_id in (1, 2, 3)]
         for round_index, center in enumerate((0.0, 30.0, 60.0)):
             for child in children:
                 for leaf in (0, 1):
@@ -335,7 +335,7 @@ class TestSummaryReplacesItsPredecessor:
         """Aggregator snapshots written when every upload took a fresh
         model id carry ``next_model_id``; the key is ignored."""
         tree = build_three_gateways(None)
-        children = [tree.internal(node_id) for node_id in (1, 2, 3)]
+        children = [tree._internals[node_id].node for node_id in (1, 2, 3)]
         for child in children:
             feed_leaf(tree, 10 * child.node_id, 7.0 * child.node_id, 250, 1)
         payload = tree.aggregator_snapshot(1)

@@ -467,8 +467,8 @@ def oracle_model_path(moments=einsum_moments) -> Iterator[None]:
     def absorb(*args, **kwargs):
         return oracle_absorb_chunk(*args, moments=moments, **kwargs)
 
-    def factorize(matrix, ridge=DEFAULT_RIDGE):
-        return SPDFactors(*oracle_spd_factorize(matrix, ridge))
+    def factorize(matrix):
+        return SPDFactors(*oracle_spd_factorize(matrix))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gaussian_module, "spd_factorize", factorize)

@@ -88,7 +88,8 @@ class TestIterChunks:
 
     def test_keeps_trailing_partial_when_asked(self):
         records = [np.array([float(i)]) for i in range(10)]
-        chunks = list(iter_chunks(records, 4, drop_last=False))
+        with pytest.warns(DeprecationWarning, match="drop_last"):
+            chunks = list(iter_chunks(records, 4, drop_last=False))
         assert len(chunks) == 3
         assert chunks[-1].shape == (2, 1)
 

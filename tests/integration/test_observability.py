@@ -26,7 +26,7 @@ import pytest
 from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
-from repro.obs import JsonlTraceSink, Observer, summarize_trace, to_json
+from repro.obs import JsonlTraceSink, Observer, summarize_trace
 from repro.runtime import TransportChannel
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
@@ -111,7 +111,8 @@ def export_artifacts(name: str, trace: str, observer: Observer) -> None:
     root.mkdir(parents=True, exist_ok=True)
     (root / f"{name}.trace.jsonl").write_text(trace, encoding="utf-8")
     (root / f"{name}.metrics.json").write_text(
-        to_json(observer.registry), encoding="utf-8"
+        json.dumps(observer.registry.snapshot(), indent=2, sort_keys=True),
+        encoding="utf-8",
     )
 
 
@@ -171,7 +172,7 @@ class TestTraceReconstructsRun:
         system, _, _, observer, trace = loopback_run
         summary = summarize_trace(io.StringIO(trace))
         registry = observer.registry
-        traced_total = summary.total_chunk_tests
+        traced_total = sum(s.chunk_tests for s in summary.sites.values())
         counted = sum(
             metric.value
             for kind, name, _, metric in registry.collect()

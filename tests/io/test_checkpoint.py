@@ -262,7 +262,7 @@ class TestHistoryCheckpoint:
         assert clone.history is not None
         assert clone.history.scope == site.history.scope
         assert clone.history.summary() == site.history.summary()
-        tick = site.history.store.ticks()[-1]
+        tick = site.history.ticks()[-1]
         assert clone.history.model_at(tick) == site.history.model_at(tick)
         # The restored store keeps recording where the old one stopped.
         feed(clone, 40.0, 300, 3)
@@ -278,4 +278,4 @@ class TestHistoryCheckpoint:
             payload = json.load(handle)
         assert payload["history"]["store"]["snapshots"]
         clone = load_site(path)
-        assert clone.history.store.ticks() == site.history.store.ticks()
+        assert clone.history.ticks() == site.history.ticks()

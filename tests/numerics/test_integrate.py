@@ -8,7 +8,6 @@ import pytest
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.numerics.integrate import (
-    l1_density_distance,
     monte_carlo_l1,
     trapezoid_grid,
 )
@@ -71,14 +70,6 @@ class TestTrapezoidGrid:
             trapezoid_grid(
                 a.pdf, a.pdf, [-5] * 4, [5] * 4, points_per_dim=101
             )
-
-    def test_alias_matches(self):
-        a = gaussian_density(0.0, 1.0)
-        b = gaussian_density(0.5, 1.0)
-        assert l1_density_distance(a, b, [-8.0], [8.0]) == pytest.approx(
-            trapezoid_grid(a, b, [-8.0], [8.0])
-        )
-
 
 class TestMonteCarlo:
     def test_agrees_with_grid_estimate(self):

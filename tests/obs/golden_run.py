@@ -45,7 +45,6 @@ from repro.obs import (
     MultiSink,
     NodeTelemetry,
     Observer,
-    history_from_events,
     read_trace,
     to_prometheus,
 )
@@ -253,7 +252,7 @@ def views() -> dict[str, str]:
     tree.close()
 
     for scope in ("coordinator", "site:0"):
-        history = history_from_events(read_trace(TRACE), scope=scope)
+        history = HealthMonitor.replay(read_trace(TRACE)).history(scope)
         name = scope.replace(":", "")
         out[f"history.{name}.json"] = _json(history.to_dict())
     return out

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs.export import parse_prometheus, to_json, to_prometheus
+from repro.obs.export import parse_prometheus, to_prometheus
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -52,7 +52,7 @@ class TestPrometheus:
 
 class TestJson:
     def test_round_trips_through_json(self):
-        text = to_json(populated_registry())
+        text = json.dumps(populated_registry().snapshot())
         snapshot = json.loads(text)
         assert snapshot["counters"][0]["name"] == "site.chunk_tests"
         assert snapshot["counters"][0]["labels"] == {

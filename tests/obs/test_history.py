@@ -16,9 +16,9 @@ from repro.obs.history import (
     SERIES_POINTS,
     ModelHistory,
     drift_report,
-    history_from_events,
     weight_transport,
 )
+from repro.obs.health import HealthMonitor
 from repro.obs.observer import Observer
 from repro.obs.trace import RingBufferSink
 
@@ -90,7 +90,7 @@ class TestObserve:
             gauge_source=lambda: {"margin": 0.25, "pass_rate": None}
         )
         history.observe(1, {"gauges": {"components": 2}})
-        (snapshot,) = history.store.snapshots()
+        (snapshot,) = history.snapshots()
         assert snapshot.payload["gauges"] == {"components": 2, "margin": 0.25}
 
     def test_max_bytes_validated_naming_value(self):
@@ -110,10 +110,10 @@ class TestObserve:
         # The two streams partition the store's total eviction count.
         assert (
             summary["evictions"]["pyramid"] + summary["evictions"]["memory"]
-            == history.store.evicted
+            == history.evicted
         )
         # Memory eviction drops the globally oldest snapshots first.
-        assert min(history.store.ticks()) > min(unbounded.store.ticks())
+        assert min(history.ticks()) > min(unbounded.ticks())
 
     def test_budget_never_empties_the_store(self):
         history = ModelHistory(max_bytes=1)
@@ -135,13 +135,13 @@ class TestObserve:
         history.observer = Observer(sink=sink)
         history.observe(5, payload_at(5))
         history.observe(5, payload_at(5))  # ignored: no event either
-        events = sink.of_type("history.snapshot")
+        events = [e for e in sink.events if e.type == "history.snapshot"]
         assert len(events) == 1
         fields = events[0].fields
         assert fields["scope"] == "site:3"
         assert fields["tick"] == 5
-        assert fields["alpha"] == history.store.alpha
-        assert fields["capacity"] == history.store.capacity
+        assert fields["alpha"] == history.alpha
+        assert fields["capacity"] == history.capacity
         assert fields["payload"]["components"] == payload_at(5)["components"]
 
 
@@ -259,7 +259,7 @@ class TestRetentionBound:
         orders = math.floor(math.log(n, alpha)) + 1
         assert len(history) <= (alpha**capacity + 1) * orders
         # It still spans the stream: landmarks survive near the origin.
-        ticks = history.store.ticks()
+        ticks = history.ticks()
         assert ticks[-1] == n
         assert ticks[0] <= alpha**orders
         summary = history.summary()
@@ -267,7 +267,7 @@ class TestRetentionBound:
         assert summary["retained"] == len(history)
         assert (
             summary["stored_total"]
-            == summary["retained"] + history.store.evicted
+            == summary["retained"] + history.evicted
         )
 
 
@@ -282,7 +282,7 @@ class TestSummaries:
         }
         assert summary["scope"] == "coordinator"
         assert summary["horizon"] == 40
-        assert summary["ticks"] == history.store.ticks()
+        assert summary["ticks"] == history.ticks()
         assert "components" in summary["gauges"]
 
     def test_federated_summary_caps_the_series(self):
@@ -313,7 +313,7 @@ class TestSummaries:
         memory = registry.gauge(
             "history.evictions", kind="memory", scope="site:1"
         ).value
-        assert pyramid + memory == history.store.evicted
+        assert pyramid + memory == history.evicted
 
 
 class TestCheckpoint:
@@ -330,7 +330,7 @@ class TestCheckpoint:
         history = filled_history(32)
         wire = json.loads(json.dumps(history.to_dict()))
         clone = ModelHistory.from_dict(wire)
-        assert clone.store.ticks() == history.store.ticks()
+        assert clone.ticks() == history.ticks()
 
     def test_process_state_is_not_checkpointed(self):
         history = filled_history(8, gauge_source=lambda: {"margin": 1.0})
@@ -345,7 +345,7 @@ class TestCheckpoint:
         for tick in range(41, 201):
             clone.observe(tick, payload_at(tick))
         reference = filled_history(200)
-        assert clone.store.ticks() == reference.store.ticks()
+        assert clone.ticks() == reference.ticks()
 
 
 class TestTraceReplay:
@@ -355,10 +355,10 @@ class TestTraceReplay:
         live.observer = Observer(sink=sink)
         for tick in range(1, 101):
             live.observe(tick, payload_at(tick))
-        offline = history_from_events(sink.events)
+        offline = HealthMonitor.replay(sink.events).history()
         assert offline is not None
         assert offline.scope == "coordinator"
-        assert offline.store.ticks() == live.store.ticks()
+        assert offline.ticks() == live.ticks()
         assert offline.drift_between(10, 90) == live.drift_between(10, 90)
         assert offline.gauge_series("components") == live.gauge_series(
             "components"
@@ -374,9 +374,9 @@ class TestTraceReplay:
         for tick in range(1, 21):
             site.observe(tick, payload_at(tick))
             coord.observe(tick, payload_at(tick + 100))
-        replayed = history_from_events(sink.events, scope="site:0")
-        assert replayed.store.ticks() == site.store.ticks()
-        (first,) = replayed.store.snapshots()[:1]
+        replayed = HealthMonitor.replay(sink.events).history("site:0")
+        assert replayed.ticks() == site.ticks()
+        (first,) = replayed.snapshots()[:1]
         assert first.payload["model"] == payload_at(first.tick)["model"]
 
     def test_unscoped_replay_locks_to_the_first_scope_seen(self):
@@ -389,17 +389,17 @@ class TestTraceReplay:
         first.observe(1, payload_at(1))
         second.observe(1, payload_at(1))
         first.observe(2, payload_at(2))
-        replayed = history_from_events(sink.events)
+        replayed = HealthMonitor.replay(sink.events).history()
         assert replayed.scope == "site:1"
-        assert replayed.store.ticks() == [1, 2]
+        assert replayed.ticks() == [1, 2]
 
     def test_no_matching_events_answers_none(self):
-        assert history_from_events([]) is None
+        assert HealthMonitor.replay([]).history() is None
         sink = RingBufferSink()
         history = ModelHistory(scope="site:0")
         history.observer = Observer(sink=sink)
         history.observe(1, payload_at(1))
-        assert history_from_events(sink.events, scope="site:9") is None
+        assert HealthMonitor.replay(sink.events).history("site:9") is None
 
 
 def make_mixture(center: float) -> GaussianMixture:
@@ -440,7 +440,7 @@ class TestSiteIntegration:
         feed(site, 0.0, site.chunk * 3, 1)
         assert site.history.scope == "site:0"
         assert site.history.last_tick == site.position
-        assert site.history.store.offered == 3
+        assert site.history.offered == 3
 
     def test_model_at_agrees_with_the_event_table(self):
         # The acceptance contract: the recorded model id at each
@@ -451,7 +451,7 @@ class TestSiteIntegration:
             feed(site, center, site.chunk * 2, seed)
         assert len(site.events) >= 2
         checked = 0
-        for snapshot in site.history.store.snapshots():
+        for snapshot in site.history.snapshots():
             exact = site.events.model_at(snapshot.tick - 1)
             if exact is None:
                 continue  # the reigning model has no closed entry yet
@@ -463,7 +463,7 @@ class TestSiteIntegration:
         site = make_history_site()
         feed(site, 0.0, site.chunk * 6, 1)
         history = site.history
-        ticks = history.store.ticks()
+        ticks = history.ticks()
         for t in range(site.chunk, site.position + 1, site.chunk):
             answer = history.model_at(t)
             gap = t - answer["tick"]

@@ -34,7 +34,7 @@ class TestGauge:
         gauge = Gauge()
         gauge.set(5.0)
         gauge.inc(2.0)
-        gauge.dec(3.0)
+        gauge.inc(-3.0)
         assert gauge.value == 4.0
 
     def test_max_keeps_high_water_mark(self):

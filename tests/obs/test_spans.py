@@ -183,7 +183,7 @@ class TestObserverSpans:
         observer = Observer(sink=sink)
         with observer.span("site.chunk_test", site=0):
             pass
-        [event] = sink.of_type("span")
+        [event] = [e for e in sink.events if e.type == "span"]
         assert event.fields["name"] == "site.chunk_test"
 
     def test_null_observer_span_api_is_inert(self):

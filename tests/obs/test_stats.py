@@ -54,8 +54,7 @@ class TestSummarizeEvents:
         assert site0.archives == 1
         assert site0.expirations == 1
         assert summary.sites[1].reactivations == 1
-        assert summary.total_chunk_tests == 3
-        assert summary.total_archives == 1
+        assert sum(s.chunk_tests for s in summary.sites.values()) == 3
 
     def test_system_wide_counts(self):
         summary = summarize_events(make_events())
@@ -91,7 +90,7 @@ class TestSummarizeEvents:
     def test_empty_trace(self):
         summary = summarize_events([])
         assert summary.events == 0
-        assert summary.total_chunk_tests == 0
+        assert summary.sites == {}
 
 
 class TestSummarizeTrace:

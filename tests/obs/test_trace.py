@@ -78,13 +78,6 @@ class TestRingBufferSink:
         assert [e.seq for e in sink.events] == [3, 4, 5]
         assert len(sink) == 3
 
-    def test_of_type_filters(self):
-        sink = RingBufferSink()
-        sink.write(event(seq=1, type_="a"))
-        sink.write(event(seq=2, type_="b"))
-        sink.write(event(seq=3, type_="a"))
-        assert [e.seq for e in sink.of_type("a")] == [1, 3]
-
     def test_clear_and_capacity_validation(self):
         sink = RingBufferSink()
         sink.write(event())

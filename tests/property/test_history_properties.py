@@ -85,6 +85,6 @@ def test_history_byte_budget_holds(n, max_bytes, alpha):
     summary = history.summary()
     assert (
         summary["evictions"]["pyramid"] + summary["evictions"]["memory"]
-        == history.store.evicted
+        == history.evicted
     )
     assert summary["bytes"] == history.bytes

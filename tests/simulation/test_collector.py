@@ -33,12 +33,11 @@ class TestCollector:
         assert values == sorted(values)
 
     def test_value_at_grid_lookup(self):
+        # Each grid time holds the total observed up to it.
         collector = TimeSeriesCollector(interval=1.0)
         collector.add(0.5, 10.0)
         collector.finalize(3.0)
-        assert collector.value_at(0.5) == 0.0
-        assert collector.value_at(1.0) == 10.0
-        assert collector.value_at(2.7) == 10.0
+        assert collector.series() == ([1.0, 2.0, 3.0], [10.0, 10.0, 10.0])
 
     def test_out_of_order_observations_rejected(self):
         collector = TimeSeriesCollector(interval=1.0)

@@ -10,7 +10,6 @@ from repro.core.mixture import GaussianMixture
 from repro.streams.base import (
     LabeledStream,
     StreamSegment,
-    collect,
     interleave,
     take,
 )
@@ -43,15 +42,6 @@ class TestTakeAndCollect:
         with pytest.raises(ValueError, match="positive"):
             take(iter([]), 0)
 
-    def test_collect_whole_stream(self):
-        data = collect(iter(np.ones((5, 3))))
-        assert data.shape == (5, 3)
-
-    def test_collect_empty_stream_rejected(self):
-        with pytest.raises(ValueError, match="no records"):
-            collect(iter([]))
-
-
 class TestInterleave:
     def test_round_robin_order(self):
         a = [np.array([1.0]), np.array([3.0])]
@@ -83,10 +73,3 @@ class TestLabeledStream:
         assert stream.segment_at(50).segment_id == 0
         assert stream.segment_at(150).segment_id == 1
         assert stream.segment_at(500) is None
-
-    def test_n_distributions_counts_distinct_ids(self):
-        stream = LabeledStream(iter([]))
-        stream._note_segment(segment(0, 10, 0))
-        stream._note_segment(segment(10, 20, 0))
-        stream._note_segment(segment(20, 30, 1))
-        assert stream.n_distributions() == 2

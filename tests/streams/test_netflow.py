@@ -11,7 +11,6 @@ from repro.streams.netflow import (
     SERVICE_PORTS,
     NetflowConfig,
     NetflowStreamGenerator,
-    normalize_block,
 )
 
 
@@ -99,17 +98,3 @@ class TestGenerator:
         generator = NetflowStreamGenerator(rng=np.random.default_rng(8))
         block = generator.snapshot(50)
         assert block.shape == (50, 6)
-
-
-class TestNormalizeBlock:
-    def test_output_in_unit_interval(self, rng):
-        raw = rng.normal(100.0, 25.0, size=(200, 4))
-        normalised = normalize_block(raw)
-        assert normalised.min() == pytest.approx(0.0)
-        assert normalised.max() == pytest.approx(1.0)
-
-    def test_constant_attribute_handled(self):
-        raw = np.column_stack([np.ones(10), np.arange(10.0)])
-        normalised = normalize_block(raw)
-        assert np.all(np.isfinite(normalised))
-        assert np.allclose(normalised[:, 0], 0.0)

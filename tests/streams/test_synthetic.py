@@ -89,7 +89,7 @@ class TestEvolvingStream:
         )
         stream = EvolvingGaussianStream(config, np.random.default_rng(2))
         take(stream, 500)
-        assert stream.n_distributions() == 1
+        assert len({s.segment_id for s in stream.segments}) == 1
 
     def test_pd_one_changes_every_segment(self):
         config = EvolvingStreamConfig(
@@ -97,7 +97,7 @@ class TestEvolvingStream:
         )
         stream = EvolvingGaussianStream(config, np.random.default_rng(2))
         take(stream, 500)
-        assert stream.n_distributions() == len(stream.segments)
+        assert len({s.segment_id for s in stream.segments}) == len(stream.segments)
 
     def test_change_frequency_tracks_pd(self):
         config = EvolvingStreamConfig(
@@ -105,7 +105,7 @@ class TestEvolvingStream:
         )
         stream = EvolvingGaussianStream(config, np.random.default_rng(3))
         take(stream, 5000)  # 500 segments
-        changes = stream.n_distributions() - 1
+        changes = len({s.segment_id for s in stream.segments}) - 1
         rate = changes / (len(stream.segments) - 1)
         assert rate == pytest.approx(0.3, abs=0.07)
 

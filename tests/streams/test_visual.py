@@ -44,15 +44,6 @@ class TestVisualStreamPhases:
         assert len(records) == 300
         assert records[0].shape == (1,)
 
-    def test_phase_of_maps_records_to_phases(self):
-        phases = one_dimensional_phases(horizon=100)
-        assert phases.phase_of(0) == 0
-        assert phases.phase_of(99) == 0
-        assert phases.phase_of(100) == 1
-        assert phases.phase_of(299) == 2
-        with pytest.raises(IndexError):
-            phases.phase_of(300)
-
     def test_repeats_cycle_the_phases(self):
         phases = one_dimensional_phases(horizon=50, repeats=2)
         assert phases.n_phases == 6

@@ -485,6 +485,41 @@ class TestServeEndpointManifest:
             "port": port,
         }
 
+    def test_sigterm_still_writes_the_checkpoint(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        server = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro.cli", "serve",
+                "--port", "0",
+                "--timeout", "120",
+                "--checkpoint-dir", str(tmp_path),
+            ],
+            cwd=repo,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("listening on 127.0.0.1:"), banner
+            server.send_signal(signal.SIGTERM)
+            output, _ = server.communicate(timeout=10)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 1, output
+        assert "stopped by signal waiting for sites" in output
+        assert (tmp_path / "coordinator.json").exists()
+        assert (tmp_path / "manifest.json").exists()
+
 
 class TestClusterCommand:
     def test_parser_defaults(self):

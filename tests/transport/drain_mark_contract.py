@@ -22,10 +22,12 @@ Not a test module.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.runtime.channel as channel_module
 import repro.transport.endpoint as endpoint_module
 from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
@@ -76,9 +78,8 @@ class ChannelDriver:
             ),
             seed=0,
         )
-        self.channel = TransportChannel(
-            transport, self.clock, drain_limit=DRAIN_LIMIT
-        )
+        with mock.patch.object(channel_module, "DRAIN_LIMIT", DRAIN_LIMIT):
+            self.channel = TransportChannel(transport, self.clock)
         self.channel.open(self.system.sites, self.system.coordinator)
         #: One site and what ``feed`` takes to address it.
         self.site = self.key = self.system.sites[0]

@@ -32,7 +32,6 @@ class TestManualClock:
         handle.cancel()
         clock.advance(2.0)
         assert fired == []
-        assert clock.pending == 0
 
     def test_callback_may_reschedule_itself(self):
         clock = ManualClock()

@@ -108,31 +108,14 @@ class TestCoordinatorEndpoint:
         site_endpoint.send(WeightUpdateMessage(site_id=1, model_id=0, time=2, count_delta=5))
         assert coordinator_endpoint.stale_sites() == ()
 
-    def test_evict_stale_drops_the_sites_synopses(self):
-        clock, coordinator, coordinator_endpoint, site_endpoint = self.make_pair()
-        site_endpoint.send(model_update(1, model_id=0, count=100))
-        site_endpoint.send(model_update(1, model_id=1, count=50))
-        assert len(coordinator.site_models) == 2
-        clock.advance(10.0)
-        assert coordinator_endpoint.evict_stale() == (1,)
-        assert coordinator.site_models == {}
-        assert coordinator_endpoint.evicted == {1}
-
-    def test_eviction_is_undone_when_the_site_talks_again(self):
-        clock, coordinator, coordinator_endpoint, site_endpoint = self.make_pair()
-        site_endpoint.send(model_update(1))
-        clock.advance(10.0)
-        coordinator_endpoint.evict_stale()
-        site_endpoint.send(model_update(1, count=70))
-        assert coordinator_endpoint.evicted == set()
-        assert coordinator.site_models[(1, 0)][1] == 70
-
     def test_done_sites_are_not_evicted(self):
+        # A site that sent DONE is never stale, however long it is
+        # silent, and its synopses stay in the global model.
         clock, coordinator, coordinator_endpoint, site_endpoint = self.make_pair()
         site_endpoint.send(model_update(1))
         site_endpoint.finish()
         clock.advance(100.0)
-        assert coordinator_endpoint.evict_stale() == ()
+        assert coordinator_endpoint.stale_sites() == ()
         assert (1, 0) in coordinator.site_models
 
 

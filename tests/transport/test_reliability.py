@@ -224,7 +224,7 @@ class TestReceiver:
         clock, _, _, receiver = self.make(stale_after=5.0)
         receiver.handle_datagram(self.data(1, 1, b"a"))
         receiver.handle_envelope(Envelope(kind=4, site_id=1, seq=1))
-        assert receiver.site_done(1)
+        assert receiver.all_done(1)
         clock.advance(100.0)
         assert receiver.stale_sites() == ()
         assert receiver.all_done(1)
@@ -234,9 +234,9 @@ class TestReceiver:
         _, delivered, _, receiver = self.make()
         receiver.handle_datagram(self.data(1, 2, b"b"))
         receiver.handle_envelope(Envelope(kind=4, site_id=1, seq=2))
-        assert not receiver.site_done(1)  # seq 1 still missing
+        assert not receiver.all_done(1)  # seq 1 still missing
         receiver.handle_datagram(self.data(1, 1, b"a"))
-        assert receiver.site_done(1)
+        assert receiver.all_done(1)
         assert [p for _, p in delivered] == [b"a", b"b"]
 
 
