@@ -291,13 +291,14 @@ class RemoteSite:
         # The config is frozen, so Theorem 1 is evaluated once, here.
         self._dim = self.config.dim
         self._chunk = self.config.chunk
-        #: The chunk being filled: an owned ``(M, d)`` block whose first
-        #: ``_fill`` rows are submitted records.  A full block is handed
-        #: to Algorithm 1 as it is and never written again (the model,
+        #: The chunk being filled: the float64 bytes of the submitted
+        #: records, row after row.  A full buffer is handed to Algorithm
+        #: 1 as an ``(M, d)`` view and never written again (the model,
         #: the hold-out and the history may keep it), so the next record
         #: starts a fresh one.
-        self._block: np.ndarray | None = None
-        self._fill = 0
+        self._rows = bytearray()
+        self._chunk_bytes = 8 * self._dim * self._chunk
+        self._rejects_nan = not self.config.handle_missing
         self._current: ModelEntry | None = None
         self._archive: list[ModelEntry] = []
         self._next_model_id = 0
@@ -377,10 +378,10 @@ class RemoteSite:
     def process_record(self, record: np.ndarray) -> list[Message]:
         """Ingest one record; runs Algorithm 1 when a chunk completes.
 
-        The record is copied into the site's chunk block, so the caller
-        may reuse its array.  Returns the messages emitted by this
-        record (usually empty -- at most one chunk boundary can fall on
-        a single record).
+        The record's bytes are copied into the site's chunk buffer, so
+        the caller may reuse its array.  Returns the messages emitted by
+        this record (usually empty -- at most one chunk boundary can
+        fall on a single record).
         """
         dim = self._dim
         if (
@@ -393,30 +394,21 @@ class RemoteSite:
                 raise ValueError(
                     f"record has dimension {record.size}, site expects {dim}"
                 )
-        if not self.config.handle_missing:
-            # argmax treats NaN as the maximum, so the entry it picks is
-            # NaN exactly when some entry is; unlike a sum (of squares)
-            # it cannot overflow into a RuntimeWarning on huge values.
-            largest = record[record.argmax()]
-            if largest != largest:
-                raise ValueError(
-                    "record has missing attributes; enable "
-                    "RemoteSiteConfig(handle_missing=True) to accept them"
-                )
-        block = self._block
-        if block is None:
-            block = self._block = np.empty((self._chunk, dim))
-        fill = self._fill
-        block[fill] = record
+        if self._rejects_nan:
+            # A float sum is NaN when an entry is NaN (or the row holds
+            # both infinities, hence the exact rescan); it overflows to
+            # inf silently, so no RuntimeWarning can fire.
+            total = sum(record.tolist())
+            if total != total:
+                self._screen_missing(record)
+        rows = self._rows
+        rows += record.tobytes()
         self.stats.records_seen += 1
-        fill += 1
-        if fill < self._chunk:
-            self._fill = fill
+        if len(rows) < self._chunk_bytes:
             return []
-        self._block = None
-        self._fill = 0
-        self._position += fill
-        return self._handle_chunk(block)
+        self._rows = bytearray()
+        self._position += self._chunk
+        return self._handle_chunk(np.frombuffer(rows).reshape(self._chunk, dim))
 
     def process_stream(self, records: Iterable[np.ndarray]) -> list[Message]:
         """Ingest many records; returns all messages emitted."""
@@ -424,6 +416,14 @@ class RemoteSite:
         for record in records:
             messages.extend(self.process_record(record))
         return messages
+
+    def _screen_missing(self, rows: np.ndarray) -> None:
+        """The NaN rule for a record, a chunk or a restored buffer."""
+        if self._rejects_nan and np.isnan(rows).any():
+            raise ValueError(
+                "record has missing attributes; enable "
+                "RemoteSiteConfig(handle_missing=True) to accept them"
+            )
 
     def process_chunk(self, chunk: np.ndarray) -> list[Message]:
         """Run Algorithm 1 on a whole chunk at once.
@@ -433,11 +433,12 @@ class RemoteSite:
         the record-by-record path.
         """
         chunk = np.atleast_2d(np.asarray(chunk, dtype=float))
-        if self._fill:
+        if self._rows:
             raise RuntimeError(
                 "process_chunk cannot be mixed with a partially filled "
                 "record buffer"
             )
+        self._screen_missing(chunk)
         self.stats.records_seen += chunk.shape[0]
         self._position += chunk.shape[0]
         return self._handle_chunk(chunk)

@@ -181,9 +181,7 @@ def snapshot_site(site: RemoteSite) -> dict:
         "kind": "remote_site",
         "site_id": site.site_id,
         "config": config_payload,
-        "buffer": (
-            site._block[: site._fill].tolist() if site._fill else []
-        ),
+        "buffer": np.frombuffer(site._rows).reshape(-1, config.dim).tolist(),
         "current": (
             _model_entry_to_dict(site.current_model)
             if site.current_model is not None
@@ -230,15 +228,14 @@ def restore_site(
         observer=observer,
     )
     rows = payload["buffer"]
-    if rows:
-        if len(rows) >= site.chunk:
-            raise ValueError(
-                f"checkpoint buffers {len(rows)} records, a chunk is "
-                f"{site.chunk}"
-            )
-        site._block = np.empty((site.chunk, config.dim))
-        site._block[: len(rows)] = rows
-        site._fill = len(rows)
+    if len(rows) >= site.chunk or any(len(row) != config.dim for row in rows):
+        raise ValueError(
+            f"checkpoint buffers {len(rows)} records, a chunk is {site.chunk} "
+            f"records of {config.dim} values"
+        )
+    block = np.array(rows, dtype=float).reshape(-1, config.dim)
+    site._screen_missing(block)
+    site._rows = bytearray(block.tobytes())
     site._current = (
         _model_entry_from_dict(payload["current"])
         if payload["current"] is not None

@@ -1,9 +1,10 @@
-"""Record ingest into the chunk block is the old list ingest, byte for byte.
+"""Record ingest into the chunk buffer is the old list ingest, byte for byte.
 
-``RemoteSite.process_record`` writes each record into a pre-allocated
-``(M, d)`` block instead of appending a row object to a list and
-stacking the list per chunk.  That is a different place to keep the
-same rows and nothing else: driven by the same records,
+``RemoteSite.process_record`` appends each record's float64 bytes to a
+per-chunk ``bytearray`` (viewed as the ``(M, d)`` chunk at the
+boundary) instead of appending a row object to a list and stacking the
+list per chunk.  That is a different place to keep the same rows and
+nothing else: driven by the same records,
 ``RemoteSite`` and the list-buffer reference kept in
 ``tests.core.ingest_oracle`` must raise the same error from the same
 call and, after *every* record, have emitted the same messages and hold
@@ -13,19 +14,20 @@ record's type, dtype or shape.
 ``data/site_checkpoint_partial_buffer.json`` was written by the
 list-buffer implementation itself (``PYTHONPATH=<src of ed9cf30>:.
 python tests/core/test_ingest_identity.py --write``, i.e. this file run
-against the commit before the block), 7 records into a chunk: the block
-implementation must reach the same bytes at that record, load them, and
-finish the stream as if it had never stopped.
+against the commit before the chunk buffer), 7 records into a chunk:
+the buffer implementation must reach the same bytes at that record,
+load them, and finish the stream as if it had never stopped.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.em import EMConfig
@@ -142,8 +144,18 @@ class TestBlockIngestIsListIngest:
         values=st.lists(entries, min_size=1, max_size=9),
         handle_missing=st.booleans(),
     )
+    # The float-sum screen's edges: both infinities (a NaN sum, so the
+    # exact rescan), sums that overflow, NaN first or last.
+    @example(values=[np.inf, -np.inf], handle_missing=False)
+    @example(values=[1.0, -np.inf, 2.0, np.inf, 3.0], handle_missing=False)
+    @example(values=[1.7e308, 1.7e308], handle_missing=False)
+    @example(values=[-1.7e308, -1.7e308, -1.7e308, 1.0, 2.0], handle_missing=False)
+    @example(values=[np.nan], handle_missing=False)
+    @example(values=[np.nan, 1.0, 2.0, 3.0, 4.0], handle_missing=False)
+    @example(values=[1.0, 2.0, 3.0, 4.0, np.nan], handle_missing=False)
+    @example(values=[np.inf, 1.0, 2.0, -np.inf, np.nan], handle_missing=False)
     def test_nan_rejection_is_isnan_any(self, values, handle_missing):
-        """The one-call check rejects exactly what ``np.isnan(r).any()``
+        """The float-sum screen rejects exactly what ``np.isnan(r).any()``
         does -- and, like it, stays silent on values that overflow when
         squared or summed (RuntimeWarnings are errors in this suite)."""
         record = np.array(values)
@@ -161,6 +173,80 @@ class TestBlockIngestIsListIngest:
             # Bit-for-bit (NaN included): what was stored is the record.
             stored = np.array(snapshot_site(site)["buffer"])
             assert stored.tobytes() == record.tobytes()
+
+
+class TestNanScreen:
+    """The sum screen decides alone unless the sum is NaN; then the
+    exact rescan does, and only it may reject."""
+
+    class CountingSite(RemoteSite):
+        rescans = 0
+
+        def _screen_missing(self, rows):
+            self.rescans += 1
+            super()._screen_missing(rows)
+
+    @pytest.mark.parametrize(
+        "values, rescans",
+        [
+            ([np.inf, -np.inf], 1),
+            ([-np.inf, 3.0, 4.0, 5.0, np.inf], 1),
+            ([1.7e308, 1.7e308], 0),
+            ([-1.7e308, -1.7e308, 1.0, 2.0, 3.0], 0),
+            ([np.inf, np.inf], 0),
+        ],
+    )
+    def test_infinite_rows_accepted_without_a_warning(self, values, rescans):
+        record = np.array(values)
+        site = self.CountingSite(
+            0, RemoteSiteConfig(dim=record.size, chunk_override=10**6)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert site.process_record(record) == []
+        assert site.rescans == rescans
+        assert site.stats.records_seen == 1
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_nan_first_or_last_rejected_with_the_state_untouched(self, dim, where):
+        site = self.CountingSite(0, RemoteSiteConfig(dim=dim, chunk_override=3))
+        site.process_record(np.ones(dim))
+        before = json.dumps(snapshot_site(site))
+        record = np.arange(1.0, dim + 1.0)
+        record[where] = np.nan
+        with pytest.raises(ValueError, match="missing attributes"):
+            site.process_record(record)
+        assert site.rescans == 1
+        assert json.dumps(snapshot_site(site)) == before
+        assert site.stats.records_seen == 1
+
+
+class TestHandedOffChunk:
+    """What Algorithm 1 receives at a boundary: an ``(M, d)`` float64,
+    C-ordered, writeable array that no later record writes into."""
+
+    class CapturingSite(RemoteSite):
+        def _handle_chunk(self, chunk):
+            self.seen = [*getattr(self, "seen", []), chunk]
+            return []
+
+    def test_chunk_layout_and_ownership(self):
+        site = self.CapturingSite(0, site_config())
+        data = np.random.default_rng(3).normal(size=(3 * CHUNK + 2, DIM))
+        site.process_stream(data[:CHUNK])
+        (first,) = site.seen
+        assert first.shape == (CHUNK, DIM)
+        assert first.dtype == np.float64
+        assert first.flags.c_contiguous and first.flags.writeable
+        kept = first.copy()
+        site.process_stream(data[CHUNK:])
+        assert len(site.seen) == 3
+        assert np.array_equal(first, kept)
+        assert np.array_equal(np.concatenate(site.seen), data[: 3 * CHUNK])
+        assert not any(
+            np.shares_memory(a, b) for a, b in zip(site.seen, site.seen[1:])
+        )
 
 
 # ----------------------------------------------------------------------

@@ -218,6 +218,29 @@ class TestChunkEntryPoint:
         with pytest.raises(RuntimeError, match="partially filled"):
             site.process_chunk(np.zeros((10, 2)))
 
+    def test_nan_chunk_rejected_before_any_test(self, site: RemoteSite):
+        """The chunk entry point keeps the record path's NaN rule: a
+        NaN chunk must not reach the marginal-likelihood fit test."""
+        site.process_chunk(stream_of(make_mixture(0.0), site.chunk, 2))
+        before = vars(site.stats).copy()
+        chunk = stream_of(make_mixture(0.0), site.chunk, 3)
+        chunk[5, 1] = np.nan
+        with pytest.raises(ValueError, match="missing attributes"):
+            site.process_chunk(chunk)
+        assert vars(site.stats) == before
+        assert site.position == site.chunk
+
+    def test_nan_chunk_on_a_fresh_site_emits_nothing(self, site: RemoteSite):
+        sent = []
+        fresh = RemoteSite(1, site.config, emit=sent.append)
+        chunk = stream_of(make_mixture(0.0), site.chunk, 2)
+        chunk[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="missing attributes"):
+            fresh.process_chunk(chunk)
+        assert sent == []
+        assert fresh.current_model is None
+        assert fresh.position == fresh.stats.records_seen == 0
+
 
 class TestExpire:
     def test_expire_emits_deletion_and_reduces_counter(

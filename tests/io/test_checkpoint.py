@@ -87,6 +87,27 @@ class TestSiteCheckpoint:
         with pytest.raises(ValueError, match="a chunk is 300"):
             restore_site(payload)
 
+    def test_buffer_row_of_the_wrong_width_rejected(self):
+        site = make_site()
+        feed(site, 0.0, 10, 1)
+        payload = snapshot_site(site)
+        payload["buffer"][3] = [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="records of 2 values"):
+            restore_site(payload)
+
+    def test_buffer_row_with_nan_rejected_when_the_site_rejects_nan(self):
+        """A restored buffer meets the record path's NaN rule: the chunk
+        it would complete must not pass through the marginal test."""
+        site = make_site()
+        feed(site, 0.0, 10, 1)
+        payload = snapshot_site(site)
+        payload["buffer"][4][0] = float("nan")
+        with pytest.raises(ValueError, match="missing attributes"):
+            restore_site(payload)
+        payload["config"]["handle_missing"] = True
+        restored = snapshot_site(restore_site(payload))["buffer"]
+        assert np.isnan(restored[4][0]) and len(restored) == 10
+
     def test_restored_site_continues_identically(self):
         original = make_site()
         feed(original, 0.0, 600, 1)

@@ -165,7 +165,7 @@ def stepped_uninterrupted(backend: str) -> str:
 @settings(max_examples=6, deadline=None)
 @given(crash_at=st.integers(1, 2 * RECORDS - 1))
 def test_crash_at_any_record_matches_uninterrupted_run(backend, crash_at):
-    """The sites are checkpointed with partly filled chunk blocks (each
+    """The sites are checkpointed with partly filled chunk buffers (each
     at its own fill) and must pick up at the next record."""
     schedule = record_schedule()
     crashed = CluDistream(fast_config(), seed=0).runtime(CHANNELS[backend]())
