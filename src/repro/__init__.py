@@ -81,7 +81,7 @@ from repro.runtime import (
     TransportChannel,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 #: The timing suite's names, removed in 1.4.0 without a warning release
 #: (DESIGN.md section 10.3 records the exception).

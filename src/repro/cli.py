@@ -378,8 +378,9 @@ def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
         "--wire-codec",
         choices=("cds1", "cds2"),
         default="cds1",
-        help="wire codec for transport edges (DESIGN.md section 15; "
-        "both ends of an edge must agree, default: cds1)",
+        help="wire codec of the edges this node sends on; every receiver "
+        "decodes cds1 and cds2, so serve ignores it (DESIGN.md section 15, "
+        "default: cds1)",
     )
     parser.add_argument(
         "--quantize",
@@ -734,7 +735,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.transport.reliability import ReliabilityConfig
 
     _check_checkpoint_flags(args)
-    spec = _spec_from_flags(args)
+    _spec_from_flags(args)  # the flags' own checks, as on site / cluster
+    for flag, default in (
+        ("wire_codec", "cds1"), ("quantize", "f64"), ("delta_encoding", False)
+    ):
+        if getattr(args, flag) != default:
+            print(
+                f"note: serve --{flag.replace('_', '-')} configures nothing "
+                "since 1.15.0 (the server decodes what each site sends) "
+                "and is removed in 1.16.0",
+                file=sys.stderr,
+            )
     sinks = _telemetry_setup(args)
     observer = _build_observer(args, sinks)
 
@@ -765,8 +776,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             expected_children=args.expected_sites,
             config=ReliabilityConfig(stale_after=args.stale_after),
             observer=observer,
-            wire_codec=spec.wire_codec,
-            codec_config=spec.codec_config(),
         )
         try:
             await server.start(args.host, args.port)
@@ -776,14 +785,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise _Exit(
                 f"cannot bind {args.host}:{args.port}: {error}", status=1
             ) from None
-        # The bound port outlives the server object's socket (the
-        # manifest is written after close), so read it out now.
-        bound_port = server.port
-        print(f"listening on {args.host}:{bound_port}", flush=True)
         # SIGTERM and Ctrl-C end the wait like the timeout does, so the
         # checkpoint below is still written.  A raw handler, as in a
         # launcher aggregator: the event loop can be busy for seconds
-        # absorbing one chunk's synopses.
+        # absorbing one chunk's synopses.  It is installed before the
+        # banner, which tells a caller the signal is safe to send.
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
 
@@ -793,6 +799,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, _on_signal)
+        # The bound port outlives the server object's socket (the
+        # manifest is written after close), so read it out now.
+        bound_port = server.port
+        print(f"listening on {args.host}:{bound_port}", flush=True)
         done = asyncio.ensure_future(server.wait_done(timeout=args.timeout))
         stopped = asyncio.ensure_future(stop.wait())
         await asyncio.wait((done, stopped), return_when=asyncio.FIRST_COMPLETED)

@@ -23,7 +23,7 @@ import sys
 from typing import Mapping
 
 from repro.cluster.hop import AggregatorHop, InternalNode
-from repro.core.serde import CodecConfig, get_codec
+from repro.core.serde import CodecConfig
 from repro.obs.observer import Observer, ensure_observer
 from repro.transport.clock import AsyncioClock
 from repro.transport.framing import StreamDecoder
@@ -70,12 +70,11 @@ class AggregatorServer:
         cadence while the loop is busy (the federated telemetry flush)
         hooks in here, with its own time gate.  May also be assigned
         after construction.
-    wire_codec / codec_config:
-        Codec for *downlink* payloads from children.
     uplink_wire_codec / uplink_codec_config:
-        Codec spoken on the uplink edge to the parent -- the two ends of
-        every edge negotiate independently, so a mixed-codec tree just
-        passes each node's spec values here.
+        Codec spoken on the uplink edge to the parent.  The sender owns
+        each edge's format: the node decodes whatever its children send
+        (CDS1 or CDS2), so a mixed-codec tree just passes each node's
+        spec values here.
 
     Telemetry from children reaches the hop's tap
     (:meth:`~repro.cluster.hop.AggregatorHop.on_telemetry`); route it
@@ -92,8 +91,6 @@ class AggregatorServer:
         arq: Mapping | None = None,
         on_progress=None,
         *,
-        wire_codec: str = "cds1",
-        codec_config: CodecConfig | None = None,
         uplink_wire_codec: str = "cds1",
         uplink_codec_config: CodecConfig | None = None,
     ) -> None:
@@ -102,9 +99,7 @@ class AggregatorServer:
         self.config = config or ReliabilityConfig()
         self.on_progress = on_progress
         self._obs = ensure_observer(observer)
-        self.hop = AggregatorHop(
-            node, level, get_codec(wire_codec, codec_config), self._obs
-        )
+        self.hop = AggregatorHop(node, level, self._obs)
         self._arq = dict(arq) if arq is not None else None
         self._uplink_wire_codec = uplink_wire_codec
         self._uplink_codec_config = uplink_codec_config
@@ -124,7 +119,6 @@ class AggregatorServer:
             config=self.config,
             observer=self._obs,
             on_telemetry=hop.on_telemetry,
-            accept_codecs={0, hop.decoder.wire_id},
         )
         hop.restore_cursors(self._arq)
         self._server = await asyncio.start_server(self._handle, host, port)

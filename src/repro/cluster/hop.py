@@ -31,7 +31,7 @@ from repro.core.coordinator import Coordinator
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import Message, ModelUpdateMessage
-from repro.core.serde import WireCodec
+from repro.core.serde import CDS2Codec
 from repro.obs.federation import (
     FederationCollector,
     FederationPublisher,
@@ -146,8 +146,9 @@ class AggregatorHop:
     """An :class:`InternalNode` on the wire.
 
     ``level`` is the node's depth (root = 0), stamped on its spans;
-    ``decoder`` the codec of the payloads its children send;
-    ``receiver`` their ARQ receiver, once it exists.  ``edge`` is the
+    ``decoder`` reads its children's payloads, CDS1 or CDS2 (each
+    child's sender picks), with a per-child baseline cache;
+    ``receiver`` is their ARQ receiver, once it exists.  ``edge`` is the
     link toward the parent (a TCP :class:`~repro.transport.tcp.Uplink`
     or an in-process :class:`~repro.transport.endpoint.SiteEndpoint`:
     its ``sender`` is the ARQ sender, its ``codec_sender`` the codec)
@@ -163,8 +164,8 @@ class AggregatorHop:
 
     node: InternalNode
     level: int
-    decoder: WireCodec
     observer: Observer
+    decoder: CDS2Codec = field(default_factory=CDS2Codec, init=False)
     receiver: ReliableReceiver | None = None
     edge: Uplink | SiteEndpoint | None = None
     forward: Callable[[Message], None] | None = None

@@ -283,18 +283,12 @@ async def _aggregator_main(
         if health is not None:
             history.gauge_source = health.history_gauges
 
-    children = spec.children(node_id)
-    # Downlink decode: accept CDS2 iff some child's uplink edge speaks
-    # it (a CDS2 decoder also understands CDS1 payloads, so a mixed
-    # subnet needs only the wider codec).
-    child_codecs = {spec.node_wire_codec(child) for child in children}
     server = AggregatorServer(
         node,
-        expected_children=len(children),
+        expected_children=len(spec.children(node_id)),
         level=node_spec.level,
         observer=observer,
         arq=arq,
-        wire_codec="cds2" if "cds2" in child_codecs else "cds1",
         uplink_wire_codec=spec.node_wire_codec(node_spec),
         uplink_codec_config=spec.node_codec_config(node_spec),
     )
@@ -420,15 +414,6 @@ async def _aggregator_main(
         server.on_progress = _maybe_flush
         flush_task = asyncio.ensure_future(_flush_loop())
 
-    events.put(
-        {
-            "event": "listening",
-            "node_id": node_id,
-            "port": server.port,
-            "telemetry_port": telemetry.port if telemetry is not None else None,
-        }
-    )
-
     # Serve until every child reported DONE -- or the launcher asks us
     # to stop (SIGTERM arrives leaves-first, so by the time it reaches
     # an aggregator its children are already down).  A *raw* signal
@@ -442,7 +427,17 @@ async def _aggregator_main(
         server.request_stop()
         loop.call_soon_threadsafe(stop.set)
 
+    # Installed before the node says it is listening: a SIGTERM in
+    # between would otherwise kill it with no checkpoint written.
     signal.signal(signal.SIGTERM, _on_sigterm)
+    events.put(
+        {
+            "event": "listening",
+            "node_id": node_id,
+            "port": server.port,
+            "telemetry_port": telemetry.port if telemetry is not None else None,
+        }
+    )
     done_task = asyncio.ensure_future(server.wait_done())
     stop_task = asyncio.ensure_future(stop.wait())
     await asyncio.wait(

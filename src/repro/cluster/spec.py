@@ -74,9 +74,9 @@ class NodeSpec:
     wire_codec / quantize:
         Per-node override of the wire codec spoken on this node's
         *uplink* edge (``None`` = use the spec default).  A mixed tree
-        is legal: each edge negotiates independently, so one WAN-facing
-        aggregator can run ``cds2`` with ``f16`` quantization while LAN
-        leaves stay on ``cds1``.
+        is legal: the sender owns each edge's format and every receiver
+        decodes both, so one WAN-facing aggregator can run ``cds2`` with
+        ``f16`` quantization while LAN leaves stay on ``cds1``.
     """
 
     node_id: int

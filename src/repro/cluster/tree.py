@@ -35,7 +35,7 @@ from repro.cluster.hop import AggregatorHop, InternalNode
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.core.serde import CodecConfig, get_codec
+from repro.core.serde import CodecConfig
 from repro.io.checkpoint import restore_aggregator, snapshot_aggregator
 from repro.obs.federation import (
     FederationCollector,
@@ -260,9 +260,6 @@ class TransportTree(DrainMark):
         wiring = _InternalWiring(
             node=node,
             level=level,
-            # The subnet decoder starts at the tree-wide codec; adding a
-            # cds2 child upgrades it (cds2 decodes cds1 payloads too).
-            decoder=get_codec(self._wire_codec),
             observer=self._obs,
             transport=self._make_subnet(node_id),
             uplink_wire_codec=uplink_wire_codec,
@@ -510,9 +507,6 @@ class TransportTree(DrainMark):
             config=self._reliability,
             observer=self._obs,
             on_telemetry=wiring.on_telemetry,
-            # What the children negotiated so far (a rebuilt receiver
-            # must keep accepting it); later edges add theirs.
-            accept_codecs={0, wiring.decoder.wire_id},
         )
         wiring.transport.bind_coordinator(receiver.handle_datagram)
         return receiver
@@ -537,12 +531,6 @@ class TransportTree(DrainMark):
             codec_config=codec_config,
             first_seq=first_seq,
         )
-        # Negotiate the edge: the parent's receiver accepts this codec
-        # id and its decoder is upgraded if the child speaks CDS2.
-        wire_id = endpoint.codec_sender.codec.wire_id
-        parent.receiver.accept_codec(wire_id)
-        if wire_id != 0 and parent.decoder.wire_id == 0:
-            parent.decoder = get_codec(wire_codec)
         self._endpoints.append(endpoint)
         return endpoint
 

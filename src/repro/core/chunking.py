@@ -16,7 +16,6 @@ tests, and provides the chunk iterator that feeds Algorithm 1.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -86,12 +85,11 @@ def window_error_bound(dim: int, epsilon: float, delta: float) -> float:
     return chunk_size(dim, epsilon, delta) / 2.0
 
 
-def iter_chunks(
-    records: Iterable[np.ndarray],
-    chunk: int,
-    drop_last: bool | None = None,
-) -> Iterator[np.ndarray]:
+def iter_chunks(records: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
     """Group a record iterable into ``(chunk, d)`` arrays.
+
+    A trailing partial chunk is held back -- Algorithm 1 only ever acts
+    on full chunks; ``numpy.array_split`` keeps it.
 
     Parameters
     ----------
@@ -99,40 +97,21 @@ def iter_chunks(
         Iterable of ``(d,)`` record vectors (e.g. a stream generator).
     chunk:
         Records per chunk (Theorem 1's ``M``).
-    drop_last:
-        When ``True`` (the streaming default) a trailing partial chunk
-        is held back -- Algorithm 1 only ever acts on full chunks.  Set
-        ``False`` for batch replays that must not lose records.
-        Deprecated since 1.14.0: the trailing partial chunk is always
-        held back; ``numpy.array_split`` keeps it.
 
     Returns
     -------
     Iterator[numpy.ndarray]
-        Arrays of shape ``(chunk, d)`` (the final one may be shorter
-        when ``drop_last`` is ``False``).
+        Arrays of shape ``(chunk, d)``.
     """
     if chunk < 1:
         raise ValueError("chunk size must be at least 1")
-    if drop_last is not None:
-        warnings.warn(
-            "iter_chunks(drop_last=) is deprecated and will be removed in "
-            "1.15.0: a trailing partial chunk is always held back; use "
-            "numpy.array_split to keep it",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _chunks(records, chunk, keep_tail=drop_last is False)
+    return _chunks(records, chunk)
 
 
-def _chunks(
-    records: Iterable[np.ndarray], chunk: int, keep_tail: bool
-) -> Iterator[np.ndarray]:
+def _chunks(records: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
     buffer: list[np.ndarray] = []
     for record in records:
         buffer.append(np.asarray(record, dtype=float))
         if len(buffer) == chunk:
             yield np.stack(buffer)
             buffer = []
-    if buffer and keep_tail:
-        yield np.stack(buffer)

@@ -30,7 +30,6 @@ and drop it once the weight is non-positive.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,14 +331,13 @@ class Coordinator:
         ``coord.*`` trace events (message handling, Algorithm 2
         merge/split decisions with their ``M_merge`` scores) and the
         ``profile.merge_fit`` simplex timer.
-    history:
-        Optional :class:`~repro.obs.history.ModelHistory` recording a
-        pyramidally-retained snapshot of the global model after every
-        handled message (tick = ``message.time``, the originating
-        site's stream position; interleaved site clocks are safe
-        because out-of-order ticks are ignored).  ``None`` (default)
-        records nothing and keeps state byte-identical.  Deprecated
-        since 1.14.0: assign :attr:`history` after construction.
+
+    Assign a :class:`~repro.obs.history.ModelHistory` to :attr:`history`
+    to record a pyramidally-retained snapshot of the global model after
+    every handled message (tick = ``message.time``, the originating
+    site's stream position; interleaved site clocks are safe because
+    out-of-order ticks are ignored).  ``None`` (default) records nothing
+    and keeps state byte-identical.
     """
 
     def __init__(
@@ -347,7 +345,6 @@ class Coordinator:
         config: CoordinatorConfig | None = None,
         rng: np.random.Generator | None = None,
         observer: Observer | None = None,
-        history=None,
     ) -> None:
         self.config = config or CoordinatorConfig()
         self._rng = rng if rng is not None else np.random.default_rng(7)
@@ -357,18 +354,7 @@ class Coordinator:
         self._clusters: dict[int, GlobalCluster] = {}
         self._cluster_ids = itertools.count()
         self.stats = CoordinatorStats()
-        self.history = history
-        if history is not None:
-            warnings.warn(
-                "Coordinator(history=) is deprecated and will be removed "
-                "in 1.15.0: assign coordinator.history after construction",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if history.scope is None:
-                history.scope = "coordinator"
-            if history.observer is None:
-                history.observer = self._obs
+        self.history = None
 
     # ------------------------------------------------------------------
     # Introspection

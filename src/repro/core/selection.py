@@ -20,13 +20,11 @@ a three-component model even when a neighbouring site needed seven.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.em import EMConfig, EMResult, fit_em
-from repro.core.mixture import GaussianMixture
 
 __all__ = ["KSelectionResult", "bic_score", "mixture_free_parameters", "select_k"]
 
@@ -78,7 +76,6 @@ def select_k(
     k_range: tuple[int, int],
     config: EMConfig | None = None,
     rng: np.random.Generator | None = None,
-    initial: GaussianMixture | None = None,
 ) -> KSelectionResult:
     """Fit every ``K`` in ``k_range`` (inclusive) and keep the BIC winner.
 
@@ -93,27 +90,11 @@ def select_k(
         candidate.
     rng:
         Randomness shared across candidates.
-    initial:
-        Optional warm-start mixture: the model-count choice under warm
-        start.  When its ``K`` falls inside ``k_range`` the sweep at
-        that ``K`` refines it as one extra candidate next to the cold
-        restarts (``fit_em(initial=...)``), so an adapted previous
-        model competes with -- and usually undercuts the cost of --
-        cold fits, while BIC still gets to move ``K`` when the data
-        says so.  Deprecated since 1.14.0: refine a previous model with
-        ``fit_em(initial=...)``.
 
     Returns
     -------
     KSelectionResult
     """
-    if initial is not None:
-        warnings.warn(
-            "select_k(initial=) is deprecated and will be removed in "
-            "1.15.0: refine a previous model with fit_em(initial=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     k_min, k_max = k_range
     if k_min < 1 or k_max < k_min:
         raise ValueError("k_range must satisfy 1 <= k_min <= k_max")
@@ -132,10 +113,7 @@ def select_k(
     best_score = np.inf
     for k in range(k_min, k_max + 1):
         candidate_config = replace(config, n_components=k)
-        warm = initial if (
-            initial is not None and initial.n_components == k
-        ) else None
-        result = fit_em(data, candidate_config, rng, initial=warm)
+        result = fit_em(data, candidate_config, rng)
         score = bic_score(result, n, dim, config.diagonal)
         scores[k] = score
         if score < best_score:

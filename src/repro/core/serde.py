@@ -14,8 +14,8 @@ encodings that prove it, organised as pluggable codecs:
   updates (only components changed since the last *acknowledged*
   baseline go on the wire), and optional quantized covariance Cholesky
   factors (float32/float16).  See DESIGN.md section 15 for the byte
-  layouts, negotiation rules, baseline invariants, and the quantization
-  error bound.
+  layouts, the codec id announcement, baseline invariants, and the
+  quantization error bound.
 
 Codecs are obtained from the registry::
 
@@ -80,7 +80,6 @@ __all__ = [
     "CodecStats",
     "WireCodec",
     "available_codecs",
-    "codec_name_for_wire_id",
     "get_codec",
     "register_codec",
 ]
@@ -128,7 +127,8 @@ class CodecError(ValueError):
 
 
 class CodecNegotiationError(CodecError):
-    """A peer sent bytes in a wire format this endpoint did not enable."""
+    """Nothing raises this since 1.15.0: every receiver decodes CDS1 and
+    CDS2.  Deprecated; removed in 1.16.0."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -421,12 +421,6 @@ class CDS1Codec:
         return payload
 
     def decode(self, payload: bytes) -> Message:
-        if payload[:4] == CDS2_MAGIC:
-            raise CodecNegotiationError(
-                "peer sent a CDS2 payload but this endpoint only accepts "
-                "CDS1; enable the cds2 codec on both ends "
-                "(--wire-codec cds2) before mixing wire formats"
-            )
         return _decode_cds1(payload)
 
     def note_sent(self, seq: int) -> None:
@@ -687,8 +681,8 @@ class CDS2Codec:
     # -- decoding -------------------------------------------------------
     def decode(self, payload: bytes) -> Message:
         if payload[:4] == MAGIC:
-            # Cross-version safety: a CDS2 endpoint always understands
-            # the v1 format exactly.
+            # Every receiver decodes with this codec, so a CDS1 sender's
+            # payloads land here and decode exactly.
             return _decode_cds1(payload)
         if len(payload) < CDS2_HEADER_BYTES:
             raise CodecError("payload shorter than the CDS2 message header")
@@ -819,11 +813,7 @@ def available_codecs() -> tuple[str, ...]:
 register_codec("cds1", CDS1Codec)
 register_codec("cds2", CDS2Codec)
 
-#: Envelope codec ids (TPT1 negotiation) back to registry names.
-_WIRE_IDS = {CDS1Codec.wire_id: "cds1", CDS2Codec.wire_id: "cds2"}
-
-
-def codec_name_for_wire_id(wire_id: int) -> str | None:
-    """Registry name for a TPT1 envelope codec id, if known."""
-    return _WIRE_IDS.get(wire_id)
+#: TPT1 envelope codec ids a receiver decodes: its ``CDS2Codec`` reads
+#: CDS1 payloads too, so the sender alone picks the format.
+WIRE_IDS = frozenset({CDS1Codec.wire_id, CDS2Codec.wire_id})
 

@@ -299,9 +299,6 @@ class TransportChannel(DrainMark, Channel):
         transport's timers.
     reliability:
         Optional :class:`~repro.transport.reliability.ReliabilityConfig`.
-    drain_step / drain_limit:
-        Deprecated since 1.14.0; every drain uses :data:`DRAIN_STEP`
-        and :data:`DRAIN_LIMIT`.
     seed:
         Base seed for per-site retransmission jitter.
     faults:
@@ -310,7 +307,7 @@ class TransportChannel(DrainMark, Channel):
         :class:`~repro.transport.lossy.LossyTransport` wrapping
         ``transport``, and the ARQ layer heals every injected fault.
     wire_codec / codec_config:
-        Wire codec for every edge (see
+        Wire codec every site sends in (see
         :func:`repro.core.serde.get_codec`); the default keeps the CDS1
         byte accounting of previous releases.
     """
@@ -322,8 +319,6 @@ class TransportChannel(DrainMark, Channel):
         transport,
         clock,
         reliability=None,
-        drain_step: float | None = None,
-        drain_limit: float | None = None,
         seed: int = 0,
         faults: ChannelFaults | None = None,
         wire_codec: str = "cds1",
@@ -333,16 +328,6 @@ class TransportChannel(DrainMark, Channel):
         self._transport = transport
         self._clock = clock
         self._reliability = reliability
-        if drain_step is not None or drain_limit is not None:
-            warnings.warn(
-                "TransportChannel(drain_step=, drain_limit=) is deprecated "
-                "and will be removed in 1.15.0: every drain uses "
-                "repro.runtime.channel.DRAIN_STEP / DRAIN_LIMIT",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._drain_step = DRAIN_STEP if drain_step is None else drain_step
-        self._drain_limit = DRAIN_LIMIT if drain_limit is None else drain_limit
         self._seed = seed
         self._faults = faults
         self._wire_codec = wire_codec
@@ -395,9 +380,7 @@ class TransportChannel(DrainMark, Channel):
         self._drain()
 
     def _drain(self) -> None:
-        self._settle(
-            self._clock, self.endpoints, self._drain_step, self._drain_limit
-        )
+        self._settle(self._clock, self.endpoints, DRAIN_STEP, DRAIN_LIMIT)
 
     def finish(self):
         for endpoint in self.endpoints:

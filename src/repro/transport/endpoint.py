@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.coordinator import Coordinator
 from repro.core.protocol import Message
-from repro.core.serde import CodecConfig, get_codec
+from repro.core.serde import CDS2Codec, CodecConfig, get_codec
 from repro.obs.observer import Observer, ensure_observer
 from repro.transport.base import DatagramTransport
 from repro.transport.clock import Clock, ManualClock
@@ -144,6 +144,9 @@ class CoordinatorEndpoint:
         Optional :class:`~repro.obs.observer.Observer`; deserialisation
         is timed into ``profile.serde_decode`` and forwarded to the
         :class:`~repro.transport.reliability.ReliableReceiver`.
+
+    Payloads decode with one :class:`~repro.core.serde.CDS2Codec`, which
+    reads CDS1 and CDS2 alike: the sender picks the wire format.
     """
 
     def __init__(
@@ -153,21 +156,17 @@ class CoordinatorEndpoint:
         clock: Clock,
         config: ReliabilityConfig | None = None,
         observer: Observer | None = None,
-        *,
-        wire_codec: str = "cds1",
-        codec_config: CodecConfig | None = None,
     ) -> None:
         self.coordinator = coordinator
         self._transport = transport
         self._obs = ensure_observer(observer)
-        self.codec = get_codec(wire_codec, codec_config)
+        self.codec = CDS2Codec()
         self.receiver = ReliableReceiver(
             deliver=self._deliver,
             send_ack=transport.send_to_site,
             clock=clock,
             config=config,
             observer=self._obs,
-            accept_codecs={0, self.codec.wire_id},
         )
         transport.bind_coordinator(self.receiver.handle_datagram)
 
@@ -212,8 +211,8 @@ def connect_system(
     binds a :class:`CoordinatorEndpoint`; returns both so callers can
     inspect stats, drain outboxes and close everything down.  The
     optional ``observer`` is shared by every endpoint, and the optional
-    ``wire_codec``/``codec_config`` select the serialisation for every
-    edge (see :func:`repro.core.serde.get_codec`).
+    ``wire_codec``/``codec_config`` select every site's serialisation
+    (see :func:`repro.core.serde.get_codec`).
     """
     observer = ensure_observer(observer)
     coordinator_endpoint = CoordinatorEndpoint(
@@ -222,8 +221,6 @@ def connect_system(
         clock,
         config,
         observer=observer,
-        wire_codec=wire_codec,
-        codec_config=codec_config,
     )
     endpoints: list[SiteEndpoint] = []
     for site in sites:

@@ -86,7 +86,8 @@ _PAYLOAD_KINDS = (KIND_DATA, KIND_TELEMETRY)
 FLAG_TRACE = 0x01
 
 #: Flags bit 1: a 1-byte wire-codec id follows the (optional) trace
-#: context -- the codec-negotiation announcement for non-CDS1 payloads.
+#: context -- it announces a non-CDS1 payload's codec; the receiver
+#: checks it against :data:`repro.core.serde.WIRE_IDS`.
 FLAG_CODEC = 0x02
 
 _ENVELOPE = struct.Struct("<4sBBiQI")

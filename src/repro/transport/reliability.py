@@ -24,11 +24,11 @@ in per-site send order**, provided the link is not partitioned forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from repro.core.serde import CodecNegotiationError, codec_name_for_wire_id
+from repro.core.serde import WIRE_IDS, CodecError
 from repro.transport.clock import Clock, TimerHandle
 from repro.obs.observer import Observer, ensure_observer
 from repro.obs.spans import Span, SpanContext
@@ -506,7 +506,6 @@ class ReliableReceiver:
         observer: Observer | None = None,
         *,
         on_telemetry: Callable[[int, bytes], None] | None = None,
-        accept_codecs: Iterable[int] = (0,),
     ) -> None:
         self._deliver = deliver
         self._send_ack = send_ack
@@ -514,13 +513,8 @@ class ReliableReceiver:
         self.config = config or ReliabilityConfig()
         self._obs = ensure_observer(observer)
         self._on_telemetry = on_telemetry
-        self._accept_codecs = frozenset(accept_codecs)
         self._cursors: dict[int, _SiteCursor] = {}
         self.stats = ReceiverStats()
-
-    def accept_codec(self, wire_id: int) -> None:
-        """Negotiate one more wire codec id (a new edge attaching)."""
-        self._accept_codecs = self._accept_codecs | {int(wire_id)}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -618,13 +612,10 @@ class ReliableReceiver:
         # ACK envelopes never arrive on the uplink; ignore if they do.
 
     def _on_data(self, envelope: Envelope, cursor: _SiteCursor) -> None:
-        if envelope.codec not in self._accept_codecs:
-            name = codec_name_for_wire_id(envelope.codec)
-            raise CodecNegotiationError(
-                f"site {envelope.site_id} sent a payload in wire codec "
-                f"{name or envelope.codec!r} which this endpoint did not "
-                "negotiate; configure the same --wire-codec on both ends "
-                "of the edge"
+        if envelope.codec not in WIRE_IDS:
+            raise CodecError(
+                f"site {envelope.site_id} sent a payload announcing "
+                f"unknown wire codec id {envelope.codec}"
             )
         seq = envelope.seq
         obs = self._obs

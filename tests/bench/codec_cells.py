@@ -161,7 +161,7 @@ def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
     Loopback delivery is synchronous, so acks return before ``send``
     does and every delta update gets to baseline against its immediate
     predecessor -- the steady state of a healthy edge.  The decode side
-    runs the negotiated receiver codec, so ``avg_pr`` reflects what the
+    is the coordinator's own receiver, so ``avg_pr`` reflects what the
     coordinator would actually see, quantisation loss included.
     """
     clock = ManualClock()
@@ -169,7 +169,7 @@ def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
     # Stands where the coordinator would: keeps what the edge decoded.
     updates: list[ModelUpdateMessage] = []
     sink = SimpleNamespace(handle_message=updates.append)
-    CoordinatorEndpoint(sink, transport, clock, wire_codec=cell.codec)
+    CoordinatorEndpoint(sink, transport, clock)
     site = SiteEndpoint(
         1,
         transport,

@@ -80,8 +80,8 @@ class TestAggregatorResume:
         tree.close()
 
     def test_restored_node_still_accepts_its_cds2_children(self):
-        """The rebuilt receiver keeps the codec its children negotiated:
-        a CDS2 payload after the restore is applied, not refused."""
+        """The rebuilt receiver decodes what its children send: a CDS2
+        payload after the restore is applied, not refused."""
         tree = fast_tree(wire_codec="cds2", codec_config=CodecConfig(delta=True))
         tree.add_internal(0)
         tree.add_internal(1, parent_id=0)

@@ -86,13 +86,6 @@ class TestIterChunks:
         chunks = list(iter_chunks(records, 4))
         assert len(chunks) == 2
 
-    def test_keeps_trailing_partial_when_asked(self):
-        records = [np.array([float(i)]) for i in range(10)]
-        with pytest.warns(DeprecationWarning, match="drop_last"):
-            chunks = list(iter_chunks(records, 4, drop_last=False))
-        assert len(chunks) == 3
-        assert chunks[-1].shape == (2, 1)
-
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk size"):
             list(iter_chunks([], 0))

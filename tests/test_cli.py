@@ -520,6 +520,54 @@ class TestServeEndpointManifest:
         assert (tmp_path / "coordinator.json").exists()
         assert (tmp_path / "manifest.json").exists()
 
+    @pytest.fixture
+    def keep_signals(self):
+        """``serve`` installs process-wide handlers; put the test
+        process's own back afterwards."""
+        import signal
+
+        saved = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)}
+        yield
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+
+    def test_the_banner_comes_after_the_signal_handler(
+        self, monkeypatch, keep_signals
+    ):
+        # The banner tells a caller SIGTERM is safe to send.
+        import builtins
+        import signal
+
+        import repro.cli as cli
+
+        at_banner = []
+
+        def spy(*args, **kwargs):
+            if str(args[0]).startswith("listening on"):
+                at_banner.append(signal.getsignal(signal.SIGTERM))
+            builtins.print(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "print", spy, raising=False)
+        assert main(["serve", "--port", "0", "--timeout", "0.2"]) == 1
+        (handler,) = at_banner
+        assert callable(handler)
+        assert handler.__qualname__.startswith("_cmd_serve.")
+
+    def test_receiver_codec_flags_configure_nothing(self, capsys, keep_signals):
+        status = main(
+            [
+                "serve", "--port", "0", "--timeout", "0.2",
+                "--wire-codec", "cds2", "--quantize", "f32",
+                "--delta-encoding",
+            ]
+        )
+        assert status == 1  # no site came: the flags changed nothing else
+        notes = capsys.readouterr().err.splitlines()
+        assert [line.split()[2] for line in notes] == [
+            "--wire-codec", "--quantize", "--delta-encoding"
+        ]
+        assert all("configures nothing" in line for line in notes)
+
 
 class TestClusterCommand:
     def test_parser_defaults(self):

@@ -23,7 +23,7 @@ class TestTopLevelSurface:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.14.0"
+        assert repro.__version__ == "1.15.0"
 
     def test_packaging_reads_the_version_attribute(self):
         # One place to bump: pyproject.toml must not carry its own copy.
@@ -159,70 +159,32 @@ class TestDeprecationShims:
         assert report.records == 20
 
 
-def _history_keyword():
-    from repro.obs.history import ModelHistory
-
-    history = ModelHistory()
-    coordinator = repro.Coordinator(history=history)
-    return coordinator.history is history and history.scope == "coordinator"
-
-
-def _initial_keyword():
-    truth = repro.GaussianMixture(
-        np.array([0.5, 0.5]),
-        (
-            repro.Gaussian.spherical(np.array([-4.0, 0.0]), 0.5),
-            repro.Gaussian.spherical(np.array([4.0, 0.0]), 0.5),
-        ),
-    )
-    data, _ = truth.sample(400, np.random.default_rng(0))
-    result = repro.select_k(
-        data,
-        (1, 2),
-        repro.EMConfig(n_init=1, max_iter=20),
-        np.random.default_rng(1),
-        initial=truth,
-    )
-    return result.best_k == 2 and sorted(result.scores) == [1, 2]
-
-
-def _drain_keyword(name):
+def _transport_channel(**keyword):
     from repro.transport.clock import ManualClock
     from repro.transport.loopback import LoopbackTransport
 
-    clock = ManualClock()
-    channel = repro.TransportChannel(LoopbackTransport(), clock, **{name: 7.0})
-    return getattr(channel, f"_{name}") == 7.0
+    return repro.TransportChannel(LoopbackTransport(), ManualClock(), **keyword)
 
 
-def _drop_last_keyword():
-    records = [np.array([float(i)]) for i in range(10)]
-    return len(list(repro.iter_chunks(records, 4, drop_last=False))) == 3
-
-
-class TestDeprecatedKeywords:
-    """1.14.0 warns for the top-level keywords nothing sets; 1.15.0
-    deletes them (DESIGN.md section 10.3)."""
+class TestRemovedKeywords:
+    """1.14.0 warned for the top-level keywords nothing sets; 1.15.0
+    deletes them, so each is an unknown keyword (DESIGN.md section
+    10.3)."""
 
     @pytest.mark.parametrize(
-        "use, replacement",
+        "use, name",
         [
-            (_history_keyword, "assign coordinator.history"),
-            (_initial_keyword, "fit_em(initial=...)"),
-            (lambda: _drain_keyword("drain_step"), "DRAIN_STEP"),
-            (lambda: _drain_keyword("drain_limit"), "DRAIN_LIMIT"),
-            (_drop_last_keyword, "numpy.array_split"),
+            (lambda: repro.Coordinator(history=None), "history"),
+            (
+                lambda: repro.select_k(np.zeros((4, 1)), (1, 2), initial=None),
+                "initial",
+            ),
+            (lambda: _transport_channel(drain_step=7.0), "drain_step"),
+            (lambda: _transport_channel(drain_limit=7.0), "drain_limit"),
+            (lambda: repro.iter_chunks([], 4, drop_last=False), "drop_last"),
         ],
         ids=["history", "initial", "drain_step", "drain_limit", "drop_last"],
     )
-    def test_one_warning_names_the_replacement(self, use, replacement):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            unchanged = use()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert replacement in str(deprecations[0].message)
-        assert deprecations[0].filename == __file__
-        assert unchanged
+    def test_a_removed_name_is_an_unknown_keyword(self, use, name):
+        with pytest.raises(TypeError, match=name):
+            use()

@@ -78,8 +78,7 @@ class ChannelDriver:
             ),
             seed=0,
         )
-        with mock.patch.object(channel_module, "DRAIN_LIMIT", DRAIN_LIMIT):
-            self.channel = TransportChannel(transport, self.clock)
+        self.channel = TransportChannel(transport, self.clock)
         self.channel.open(self.system.sites, self.system.coordinator)
         #: One site and what ``feed`` takes to address it.
         self.site = self.key = self.system.sites[0]
@@ -105,11 +104,15 @@ class ChannelDriver:
         for rows in zip(*streams):
             yield from zip(self.system.sites, rows)
 
+    # Every drain reads the module constant, so the short limit is
+    # patched in around each call that may drain.
     def feed(self, site, record) -> None:
-        self.channel.submit(site, record)
+        with mock.patch.object(channel_module, "DRAIN_LIMIT", DRAIN_LIMIT):
+            self.channel.submit(site, record)
 
     def settle(self) -> None:
-        self.channel.quiesce()
+        with mock.patch.object(channel_module, "DRAIN_LIMIT", DRAIN_LIMIT):
+            self.channel.quiesce()
 
     def sent(self) -> int:
         return self.channel.accounting().attempted

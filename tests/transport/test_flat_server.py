@@ -31,12 +31,13 @@ from repro.cluster.hop import InternalNode
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
+from repro.core.serde import CodecConfig
 from repro.io.checkpoint import snapshot_coordinator
 from repro.obs import Observer, RingBufferSink
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.reliability import ReliabilityConfig
-from repro.transport.tcp import run_site_client
+from repro.transport.tcp import SiteRunReport, run_site_client
 
 DATA = Path(__file__).parent / "data"
 COORDINATOR = DATA / "flat_server.coordinator.json"
@@ -59,11 +60,14 @@ def root_server(coordinator: Coordinator, observer):
     )
 
 
-def run(make_server, observer=None) -> Coordinator:
+def run(
+    make_server, observer=None, **client
+) -> tuple[Coordinator, SiteRunReport]:
     """Stream one seeded site into ``make_server(coordinator, observer)``.
 
     A two-component cap at the coordinator, so updates merge (by simplex
-    fit) and split.
+    fit) and split.  ``client`` holds further ``run_site_client``
+    arguments (its wire codec).
     """
     records = take(
         EvolvingGaussianStream(
@@ -85,21 +89,21 @@ def run(make_server, observer=None) -> Coordinator:
         chunk_override=100,
     )
 
-    async def scenario() -> Coordinator:
+    async def scenario() -> tuple[Coordinator, SiteRunReport]:
         coordinator = Coordinator(
             CoordinatorConfig(max_components=2), observer=observer
         )
         server = make_server(coordinator, observer)
         await server.start()
         try:
-            await run_site_client(
+            _, report = await run_site_client(
                 0, records, "127.0.0.1", server.port, site_config,
-                config=RELIABILITY,
+                config=RELIABILITY, **client,
             )
             assert await server.wait_done(timeout=30.0)
         finally:
             await server.close()
-        return coordinator
+        return coordinator, report
 
     return asyncio.run(scenario())
 
@@ -107,7 +111,7 @@ def run(make_server, observer=None) -> Coordinator:
 def observed(make_server) -> tuple[Coordinator, list[str], RingBufferSink]:
     sink = RingBufferSink()
     observer = Observer(sink=sink)
-    coordinator = run(make_server, observer)
+    coordinator, _ = run(make_server, observer)
     kinds = {
         f"span:{event.fields['name']}" if event.type == "span" else event.type
         for event in sink.events
@@ -123,10 +127,22 @@ def as_text(payload: object) -> str:
 
 
 def test_root_server_reproduces_the_flat_server_state():
-    coordinator = run(root_server)
+    coordinator, _ = run(root_server)
     assert as_text(snapshot_coordinator(coordinator)) == COORDINATOR.read_text()
     assert coordinator.stats.merges > 0
     assert coordinator.check_invariants() == []
+
+
+def test_a_cds2_delta_site_reaches_the_same_state_as_a_cds1_site():
+    """The sender owns the wire format: a server built with no codec
+    setting decodes a CDS2 site with delta encoding into the state the
+    recorded CDS1 run reached."""
+    coordinator, report = run(
+        root_server, wire_codec="cds2", codec_config=CodecConfig(delta=True)
+    )
+    assert as_text(snapshot_coordinator(coordinator)) == COORDINATOR.read_text()
+    # A CDS1 payload is exactly its accounted size; these were not CDS1.
+    assert report.payload_bytes != coordinator.stats.bytes_received
 
 
 def test_an_observer_sees_one_new_span_the_roots_aggregate():
@@ -150,7 +166,7 @@ def test_an_observer_sees_one_new_span_the_roots_aggregate():
 
 def record(make_server) -> None:
     DATA.mkdir(exist_ok=True)
-    COORDINATOR.write_text(as_text(snapshot_coordinator(run(make_server))))
+    COORDINATOR.write_text(as_text(snapshot_coordinator(run(make_server)[0])))
     # The flat server's view: everything but the root's aggregate span.
     kinds = observed(make_server)[1]
     OBSERVED.write_text(

@@ -14,8 +14,9 @@ import pytest
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage
-from repro.core.serde import CodecConfig, CodecNegotiationError, get_codec
+from repro.core.serde import CodecConfig, CodecError, get_codec
 from repro.transport.clock import ManualClock
+from repro.transport.framing import KIND_DATA, Envelope, encode_envelope
 from repro.transport.reliability import ReliableReceiver, ReliableSender
 from repro.transport.wire import CodecSender
 
@@ -44,7 +45,7 @@ def update(model_id: int, shift: float = 0.0, site_id: int = 1):
 class Harness:
     """One edge with hand-cranked datagram delivery."""
 
-    def __init__(self, codec="cds1", config=None, accept=(0, 2)):
+    def __init__(self, codec="cds1", config=None):
         self.clock = ManualClock()
         self.uplink: list[bytes] = []
         self.downlink: list[bytes] = []
@@ -56,7 +57,6 @@ class Harness:
             ),
             send_ack=lambda site, data: self.downlink.append(data),
             clock=self.clock,
-            accept_codecs=accept,
         )
         self.sender = ReliableSender(
             site_id=1,
@@ -147,21 +147,21 @@ class TestDeltaOverArq:
 
 
 class TestNegotiation:
-    def test_unnegotiated_codec_is_rejected_with_a_clear_error(self):
-        edge = Harness(codec="cds2", accept=(0,))
-        edge.codec_sender.send(update(1))
-        with pytest.raises(CodecNegotiationError, match="--wire-codec"):
-            edge.deliver_data()
+    """The sender picks the codec; the receiver only checks the id."""
 
-    def test_accept_codec_negotiates_a_new_edge(self):
-        edge = Harness(codec="cds2", accept=(0,))
-        edge.receiver.accept_codec(2)
-        edge.codec_sender.send(update(1))
-        edge.roundtrip()
-        assert [m.model_id for m in edge.delivered] == [1]
+    def test_unknown_codec_id_is_rejected_naming_it(self):
+        edge = Harness()
+        payload = get_codec("cds1").encode(update(1))
+        frame = encode_envelope(
+            Envelope(kind=KIND_DATA, site_id=1, seq=1, payload=payload, codec=7)
+        )
+        with pytest.raises(CodecError, match="codec id 7"):
+            edge.receiver.handle_datagram(frame)
+        assert edge.delivered == []
+        assert edge.receiver.stats.delivered == 0
 
     def test_cds1_payloads_carry_codec_zero(self):
-        edge = Harness(codec="cds1", accept=(0,))
+        edge = Harness(codec="cds1")
         edge.codec_sender.send(update(1))
         edge.roundtrip()
         assert [m.model_id for m in edge.delivered] == [1]
