@@ -43,7 +43,6 @@ from repro.core import (
     CluDistreamConfig,
     CodecConfig,
     CodecError,
-    CodecNegotiationError,
     CodecStats,
     Coordinator,
     CoordinatorConfig,
@@ -81,7 +80,7 @@ from repro.runtime import (
     TransportChannel,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 #: The timing suite's names, removed in 1.4.0 without a warning release
 #: (DESIGN.md section 10.3 records the exception).
@@ -120,7 +119,6 @@ __all__ = [
     "CluDistreamConfig",
     "CodecConfig",
     "CodecError",
-    "CodecNegotiationError",
     "CodecStats",
     "Coordinator",
     "CoordinatorConfig",

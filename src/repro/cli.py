@@ -143,15 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="save the coordinator state to DIR/coordinator.json when "
-        "the server exits (even on timeout)",
+        help="save the root's state and ARQ cursors to "
+        "DIR/aggregator-0.json when the server exits (even on timeout)",
     )
     serve.add_argument(
         "--resume",
         action="store_true",
-        help="start from the coordinator checkpoint in --checkpoint-dir",
+        help="start from the checkpoint in --checkpoint-dir; replayed "
+        "updates a site already delivered are suppressed",
     )
-    _add_codec_flags(serve)
     _add_telemetry_flags(serve)
     _add_history_flags(serve)
 
@@ -170,13 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="save the site state to DIR/site-<id>.json after the run",
+        help="save the site state to DIR/site-<id>.json and its uplink "
+        "sequence to DIR/site-<id>.manifest.json after the run",
     )
     site.add_argument(
         "--resume",
         action="store_true",
         help="restore the site from --checkpoint-dir and stream only "
-        "the records beyond its recorded position",
+        "the records beyond its recorded position, continuing its "
+        "uplink sequence",
     )
     _add_codec_flags(site)
 
@@ -379,8 +381,7 @@ def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
         choices=("cds1", "cds2"),
         default="cds1",
         help="wire codec of the edges this node sends on; every receiver "
-        "decodes cds1 and cds2, so serve ignores it (DESIGN.md section 15, "
-        "default: cds1)",
+        "decodes cds1 and cds2 (DESIGN.md section 15, default: cds1)",
     )
     parser.add_argument(
         "--quantize",
@@ -470,10 +471,10 @@ def _spec_from_flags(args: argparse.Namespace, **shape):
     The one place parsed flags become a deployment: every flag named
     like a spec field (``--records`` is ``records_per_site``) fills it,
     a flag the subcommand does not have leaves the spec's default.
-    ``run``, ``site`` and ``serve`` read the node-less spec as a
-    parameter bundle -- ``site_config()``, ``coordinator_config()``,
-    ``wire_codec`` / ``codec_config()``, ``cluster.data.make_stream``;
-    ``cluster`` passes its ``shape`` (sites, fanin, depth, base_port)
+    ``run`` and ``site`` read the node-less spec as a parameter bundle
+    -- ``site_config()``, ``coordinator_config()``, ``wire_codec`` /
+    ``codec_config()``, ``cluster.data.make_stream``; ``cluster`` and
+    ``serve`` pass their ``shape`` (sites, fanin, depth, base_port)
     through :func:`~repro.cluster.build_spec`.
     """
     from dataclasses import fields
@@ -525,40 +526,33 @@ def _make_history(args: argparse.Namespace, scope: str):
         raise _Exit(f"invalid --history settings: {error}") from None
 
 
-def _build_observer(args: argparse.Namespace, extra_sinks: Sequence = ()):
-    """Observer from the global flags, or ``None`` when tracing is off.
-
-    ``--trace-file`` installs a JSONL sink; ``--log-level debug``
-    additionally mirrors every event to the ``repro.obs`` logger.
-    ``extra_sinks`` (e.g. a live :class:`~repro.obs.health.HealthMonitor`
-    or :class:`~repro.obs.spans.SpanCollector`) also force a live
-    observer.
-    """
-    from repro.obs import (
-        JsonlTraceSink,
-        LoggingTraceSink,
-        MultiSink,
-        Observer,
-    )
+def _trace_sinks(args: argparse.Namespace) -> list:
+    """The global flags' trace sinks: ``--trace-file`` installs a JSONL
+    sink; ``--log-level debug`` mirrors every event to the
+    ``repro.obs`` logger."""
+    from repro.obs import JsonlTraceSink, LoggingTraceSink
 
     sinks: list = []
     if args.trace_file:
         sinks.append(JsonlTraceSink(args.trace_file))
     if args.log_level == "debug":
         sinks.append(LoggingTraceSink())
-    sinks.extend(extra_sinks)
+    return sinks
+
+
+def _build_observer(args: argparse.Namespace, extra_sinks: Sequence = ()):
+    """Observer over :func:`_trace_sinks`, or ``None`` when tracing is off.
+
+    ``extra_sinks`` (e.g. a live :class:`~repro.obs.health.HealthMonitor`
+    or :class:`~repro.obs.spans.SpanCollector`) also force a live
+    observer.
+    """
+    from repro.obs import MultiSink, Observer
+
+    sinks = _trace_sinks(args) + list(extra_sinks)
     if not sinks:
         return None
     return Observer(sink=sinks[0] if len(sinks) == 1 else MultiSink(sinks))
-
-
-def _telemetry_setup(args: argparse.Namespace):
-    """Health/span sinks for ``--serve-telemetry``, or ``()``."""
-    if args.serve_telemetry is None:
-        return ()
-    from repro.obs import HealthMonitor, SpanCollector
-
-    return HealthMonitor(), SpanCollector()
 
 
 def _start_telemetry(
@@ -566,12 +560,12 @@ def _start_telemetry(
     observer,
     sinks: tuple,
     coordinator,
-    sites: Sequence = (),
-    accounting=None,
+    sites: Sequence,
+    accounting,
 ):
-    """Wire ``--history`` and start ``--serve-telemetry`` (``run`` and
-    ``serve``): history stores on the coordinator and ``sites``, their
-    observer and health-gauge hooks, then the HTTP server over them.
+    """Wire ``--history`` and start ``--serve-telemetry`` for ``run``:
+    history stores on the coordinator and ``sites``, their observer and
+    health-gauge hooks, then the HTTP server over them.
 
     Returns the started :class:`TelemetryServer`, or ``None`` without
     ``--serve-telemetry``.  A resumed node restored its retained history
@@ -602,9 +596,7 @@ def _start_telemetry(
             observer,
             health=health,
             spans=spans,
-            snapshot=lambda: system_snapshot(
-                sites, coordinator, accounting() if accounting else None
-            ),
+            snapshot=lambda: system_snapshot(sites, coordinator, accounting()),
             port=args.serve_telemetry,
             history=coordinator.history,
         ).start()
@@ -641,7 +633,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         site=spec.site_config(),
         coordinator=spec.coordinator_config(),
     )
-    sinks = _telemetry_setup(args)
+    sinks = ()
+    if args.serve_telemetry is not None:
+        from repro.obs import HealthMonitor, SpanCollector
+
+        sinks = (HealthMonitor(), SpanCollector())
     observer = _build_observer(args, sinks)
     system = CluDistream(config, seed=args.seed, observer=observer)
     streams = {i: make_stream(spec, i) for i in range(args.sites)}
@@ -726,160 +722,85 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import signal
     from pathlib import Path
 
-    from repro.cluster.aggregator import AggregatorServer
-    from repro.cluster.hop import InternalNode
-    from repro.core.coordinator import Coordinator, CoordinatorConfig
+    from repro.cluster.aggregator import run_aggregator
+    from repro.core.coordinator import CoordinatorConfig
     from repro.transport.reliability import ReliabilityConfig
 
     _check_checkpoint_flags(args)
-    _spec_from_flags(args)  # the flags' own checks, as on site / cluster
-    for flag, default in (
-        ("wire_codec", "cds1"), ("quantize", "f64"), ("delta_encoding", False)
-    ):
-        if getattr(args, flag) != default:
-            print(
-                f"note: serve --{flag.replace('_', '-')} configures nothing "
-                "since 1.15.0 (the server decodes what each site sends) "
-                "and is removed in 1.16.0",
-                file=sys.stderr,
-            )
-    sinks = _telemetry_setup(args)
-    observer = _build_observer(args, sinks)
+    # The flat coordinator is the root of a one-level tree.
+    spec = _spec_from_flags(
+        args, sites=args.expected_sites, fanin=2, depth=1, base_port=args.port
+    )
+    sinks = _trace_sinks(args)
+    events: dict = {}
 
-    async def _run() -> int:
-        if args.resume:
-            from repro.io.checkpoint import load_coordinator
-
-            coordinator = load_coordinator(
-                Path(args.checkpoint_dir) / "coordinator.json",
-                observer=observer,
-            )
-            print(
-                f"resumed coordinator from {args.checkpoint_dir} "
-                f"(clusters={coordinator.n_components})",
-                flush=True,
-            )
-        else:
-            # --clusters is the global cap itself here, not the 2K that
-            # spec.coordinator_config() derives from a per-site K.
-            coordinator = Coordinator(
-                CoordinatorConfig(max_components=args.clusters),
-                observer=observer,
-            )
-        telemetry = _start_telemetry(args, observer, sinks, coordinator)
-        # The flat coordinator is the root of a one-level tree.
-        server = AggregatorServer(
-            InternalNode(node_id=0, coordinator=coordinator),
-            expected_children=args.expected_sites,
-            config=ReliabilityConfig(stale_after=args.stale_after),
-            observer=observer,
-        )
-        try:
-            await server.start(args.host, args.port)
-        except OSError as error:
-            if telemetry is not None:
-                telemetry.close()
-            raise _Exit(
-                f"cannot bind {args.host}:{args.port}: {error}", status=1
-            ) from None
-        # SIGTERM and Ctrl-C end the wait like the timeout does, so the
-        # checkpoint below is still written.  A raw handler, as in a
-        # launcher aggregator: the event loop can be busy for seconds
-        # absorbing one chunk's synopses.  It is installed before the
-        # banner, which tells a caller the signal is safe to send.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        def _on_signal(*_: object) -> None:
-            server.request_stop()
-            loop.call_soon_threadsafe(stop.set)
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, _on_signal)
-        # The bound port outlives the server object's socket (the
-        # manifest is written after close), so read it out now.
-        bound_port = server.port
-        print(f"listening on {args.host}:{bound_port}", flush=True)
-        done = asyncio.ensure_future(server.wait_done(timeout=args.timeout))
-        stopped = asyncio.ensure_future(stop.wait())
-        await asyncio.wait((done, stopped), return_when=asyncio.FIRST_COMPLETED)
-        completed = done.done() and done.result() and not stopped.done()
-        for task in (done, stopped):
-            task.cancel()
-        await asyncio.gather(done, stopped, return_exceptions=True)
-        stale = server.stale_sites()
-        await server.close()
-        if telemetry is not None:
-            if args.telemetry_hold > 0.0:
-                await asyncio.sleep(args.telemetry_hold)
-            telemetry.close()
-        if args.checkpoint_dir:
-            import json
-
-            from repro.io.checkpoint import save_coordinator
-
-            target = Path(args.checkpoint_dir)
-            target.mkdir(parents=True, exist_ok=True)
-            save_coordinator(coordinator, target / "coordinator.json")
-            endpoints = {"tcp": {"host": args.host, "port": bound_port}}
-            if telemetry is not None:
-                endpoints["telemetry"] = {
-                    "port": telemetry.port,
-                    "url": telemetry.url,
-                }
-            (target / "manifest.json").write_text(
-                json.dumps(
-                    {
-                        "format": 1,
-                        "kind": "coordinator_server",
-                        "endpoints": endpoints,
-                    },
-                    indent=2,
+    def report(event: dict) -> None:
+        events[event["event"]] = event
+        if event["event"] == "listening":
+            if event["telemetry_port"] is not None:
+                print(
+                    f"telemetry: http://{args.host}:{event['telemetry_port']}",
+                    flush=True,
                 )
-            )
-            print(f"coordinator checkpoint written to {target}")
-        stats = server.receiver.stats
-        print(
-            f"coordinator: clusters={coordinator.n_components} "
-            f"messages={coordinator.stats.messages_received} "
-            f"payload_bytes={coordinator.stats.bytes_received} "
-            f"merges={coordinator.stats.merges} "
-            f"splits={coordinator.stats.splits}"
-        )
-        print(
-            f"delivery: delivered={stats.delivered} "
-            f"dupes_suppressed={stats.duplicates_suppressed} "
-            f"acks={stats.acks_sent} "
-            f"wire_bytes={stats.wire_bytes_received}"
-        )
-        if stale:
-            print(f"stale sites: {sorted(stale)}")
-        if not completed:
-            reason = "stopped by signal" if stop.is_set() else "timed out"
-            print(f"{reason} waiting for sites", flush=True)
-            return 1
-        for weight, component in sorted(
-            coordinator.global_mixture(), key=lambda pair: pair[0], reverse=True
-        ):
-            print(f"  w={weight:.3f}  mean={np.round(component.mean, 2)}")
-        print("all sites completed", flush=True)
-        return 0
+            print(f"listening on {args.host}:{event['port']}", flush=True)
 
-    handlers = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)}
     try:
-        return asyncio.run(_run())
+        asyncio.run(
+            run_aggregator(
+                spec,
+                spec.root,
+                report,
+                telemetry_port=args.serve_telemetry,
+                checkpoint_dir=(
+                    Path(args.checkpoint_dir) if args.checkpoint_dir else None
+                ),
+                resume=args.resume,
+                # --clusters is the global cap itself here, not the 2K
+                # that spec.coordinator_config() derives from a per-site K.
+                coordinator_config=CoordinatorConfig(
+                    max_components=args.clusters
+                ),
+                reliability=ReliabilityConfig(stale_after=args.stale_after),
+                history=(
+                    _make_history(args, "coordinator") if args.history else None
+                ),
+                sinks=sinks,
+                timeout=args.timeout,
+                telemetry_hold=args.telemetry_hold,
+            )
+        )
     finally:
-        for signum, handler in handlers.items():
-            signal.signal(signum, handler)
-        if observer is not None:
-            observer.close()
+        for sink in sinks:
+            sink.close()
+    if "error" in events:
+        raise _Exit(events["error"]["error"], status=1)
+    result = events["result"]
+    if args.checkpoint_dir:
+        print(f"checkpoint written to {args.checkpoint_dir}")
+    for line in ("coordinator", "delivery"):
+        counters = " ".join(f"{k}={v}" for k, v in result[line].items())
+        print(f"{line}: {counters}")
+    if result["stale_sites"]:
+        print(f"stale sites: {result['stale_sites']}")
+    if not result["completed"]:
+        reason = "stopped by signal" if result["stopped"] else "timed out"
+        print(f"{reason} waiting for sites", flush=True)
+        return 1
+    for weight, mean in sorted(
+        zip(result["weights"], result["means"]),
+        key=lambda pair: pair[0],
+        reverse=True,
+    ):
+        print(f"  w={weight:.3f}  mean={np.round(np.asarray(mean), 2)}")
+    print("all sites completed", flush=True)
+    return 0
 
 
 def _cmd_site(args: argparse.Namespace) -> int:
     import asyncio
+    import json
     from pathlib import Path
 
     from repro.cluster import make_stream
@@ -890,13 +811,15 @@ def _cmd_site(args: argparse.Namespace) -> int:
     spec = _spec_from_flags(args)
     records = take(make_stream(spec, args.site_id), args.records)
     observer = _build_observer(args)
-    restored = None
+    restored, first_seq = None, 1
+    target = Path(args.checkpoint_dir) if args.checkpoint_dir else None
+    if target is not None:
+        manifest = target / f"site-{args.site_id}.manifest.json"
     if args.resume:
         from repro.io.checkpoint import load_site
 
         restored = load_site(
-            Path(args.checkpoint_dir) / f"site-{args.site_id}.json",
-            observer=observer,
+            target / f"site-{args.site_id}.json", observer=observer
         )
         # The seeded generator replays the original stream; hand the
         # restored site only the records beyond its recorded position.
@@ -905,6 +828,11 @@ def _cmd_site(args: argparse.Namespace) -> int:
             f"site {args.site_id}: resumed at position "
             f"{restored.position} ({len(records)} records left)"
         )
+        # Continue the uplink's sequence: the parent's cursor for this
+        # site survived its own restart.  A 1.15.0 site directory has
+        # no manifest and starts again at 1.
+        if manifest.exists():
+            first_seq = json.loads(manifest.read_text())["uplink_next_seq"]
     try:
         site, report = asyncio.run(
             run_site_client(
@@ -918,6 +846,7 @@ def _cmd_site(args: argparse.Namespace) -> int:
                 site=restored,
                 wire_codec=spec.wire_codec,
                 codec_config=spec.codec_config(),
+                first_seq=first_seq,
             )
         )
     except OSError as error:
@@ -929,12 +858,20 @@ def _cmd_site(args: argparse.Namespace) -> int:
     finally:
         if observer is not None:
             observer.close()
-    if args.checkpoint_dir:
+    if target is not None:
         from repro.io.checkpoint import save_site
 
-        target = Path(args.checkpoint_dir)
         target.mkdir(parents=True, exist_ok=True)
         save_site(site, target / f"site-{args.site_id}.json")
+        # Each DATA payload took one sequence number; retransmissions
+        # reuse theirs.
+        next_seq = first_seq + report.messages_sent
+        manifest.write_text(
+            json.dumps(
+                {"format": 1, "kind": "site", "site_id": args.site_id,
+                 "uplink_next_seq": next_seq}
+            )
+        )
         print(f"site checkpoint written to {target}")
     print(
         f"site {args.site_id}: records={report.records} "

@@ -3,8 +3,8 @@
 :mod:`repro.cluster.hop`
     The node, once: its semantics and the node on the wire.
 :mod:`repro.cluster.aggregator`
-    The node as one TCP server (``serve`` runs the root of a one-level
-    tree).
+    The node as one TCP server, and :func:`run_aggregator`, the one
+    aggregator process (``serve`` runs it for a one-level tree's root).
 :mod:`repro.cluster.spec`
     The tree as declarative data (:class:`ClusterSpec`): topology,
     ports, streams, shared parameters; JSON round-trip for launches

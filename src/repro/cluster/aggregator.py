@@ -11,18 +11,26 @@ connection carrying the same ``TPT1`` envelopes through the
 :class:`~repro.transport.tcp.Uplink` a site process uses.  To its parent
 an aggregator is indistinguishable from a site.
 
-The flat coordinator is the root of a one-level tree: ``cludistream
-serve`` runs this class around a root :class:`~repro.cluster.hop.InternalNode`,
-so trees of any depth -- depth one included -- compose out of it.
+:func:`run_aggregator` is the whole aggregator process around it: the
+body every :class:`~repro.cluster.launcher.ClusterLauncher` worker runs.
+The flat coordinator is the root of a one-level tree, so ``cludistream
+serve`` runs the same body, and trees of any depth -- depth one
+included -- compose out of it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import signal
 import sys
-from typing import Mapping
+import time
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 from repro.cluster.hop import AggregatorHop, InternalNode
+from repro.cluster.spec import ClusterSpec, NodeSpec, aggregator_rng
+from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.serde import CodecConfig
 from repro.obs.observer import Observer, ensure_observer
 from repro.transport.clock import AsyncioClock
@@ -34,7 +42,10 @@ from repro.transport.reliability import (
 )
 from repro.transport.tcp import _READ_CHUNK, Uplink
 
-__all__ = ["AggregatorServer"]
+__all__ = ["AggregatorServer", "run_aggregator"]
+
+#: Format of the endpoint manifest written next to each checkpoint.
+NODE_MANIFEST_FORMAT = 1
 
 
 class AggregatorServer:
@@ -272,3 +283,376 @@ class AggregatorServer:
             if task is not None:
                 self._handlers.discard(task)
             writer.close()
+
+
+async def run_aggregator(
+    spec: ClusterSpec,
+    node_spec: NodeSpec,
+    report: Callable[[dict], None],
+    parent_port: int | None = None,
+    telemetry_port: int | None = None,
+    checkpoint_dir: Path | None = None,
+    resume: bool = False,
+    *,
+    coordinator_config: CoordinatorConfig | None = None,
+    reliability: ReliabilityConfig | None = None,
+    history=None,
+    sinks: Sequence = (),
+    timeout: float | None = None,
+    telemetry_hold: float = 0.0,
+) -> int:
+    """Serve one aggregator until its children finish or it is stopped.
+
+    Builds or resumes the node, binds, serves telemetry, connects the
+    uplink to ``parent_port``, waits, finishes the uplink and writes
+    ``aggregator-<id>.json`` (with the ARQ cursors) and
+    ``node-<id>.manifest.json``.  Returns the exit status.  ``report``
+    receives the ``listening`` dict once the stop handler is in (or an
+    ``error`` dict instead) and, at the root, the ``result`` dict.
+
+    ``telemetry_port`` is the one telemetry switch: an aggregator that
+    serves telemetry also federates -- it reports up the tree, and the
+    root collects every node's reports.  ``coordinator_config`` defaults
+    to the spec's, ``history`` to a fresh store when ``spec.history``;
+    ``sinks`` are extra trace sinks and ``telemetry_hold`` keeps
+    telemetry up that many seconds after the run.  SIGTERM stops the
+    wait, as does SIGINT unless the process ignores it (launcher
+    workers do); the previous handlers are back when this returns.
+    """
+    import os
+
+    from repro.io.checkpoint import (
+        load_aggregator,
+        load_coordinator,
+        save_aggregator,
+    )
+    from repro.obs import (
+        FederationCollector,
+        HealthMonitor,
+        ModelHistory,
+        MultiSink,
+        SpanCollector,
+        TelemetryServer,
+        publish_process_resources,
+        system_snapshot,
+        topology_from_spec,
+    )
+
+    node_id = node_spec.node_id
+    health = spans = None
+    federate = telemetry_port is not None
+    if federate:
+        health, spans = HealthMonitor(), SpanCollector()
+        sinks = (health, spans, *sinks)
+    observer = None
+    if sinks:
+        observer = Observer(sink=MultiSink(list(sinks)), span_origin=node_id)
+    obs = ensure_observer(observer)
+
+    # The root of a federated tree collects every node's reports.
+    collector = None
+    if federate and node_spec.is_root:
+        # Three flush intervals, floored: a worker's event loop can go
+        # quiet for seconds while EM absorbs a chunk's synopses, and
+        # that must read as "busy", not "dead".
+        collector = FederationCollector(
+            topology=topology_from_spec(spec),
+            stale_after=max(3.0 * spec.telemetry_interval, 10.0),
+        )
+
+    node = arq = None
+    if resume and checkpoint_dir is not None:
+        path = checkpoint_dir / f"aggregator-{node_id}.json"
+        legacy = checkpoint_dir / "coordinator.json"
+        if path.exists():
+            node, arq = load_aggregator(path, observer=obs)
+        elif node_spec.is_root and legacy.exists():
+            print(
+                f"note: {legacy} is a 1.15.0 serve checkpoint; resuming "
+                "it without ARQ state (this reader is removed in 1.17.0)",
+                file=sys.stderr,
+            )
+            coordinator = load_coordinator(legacy, observer=obs)
+            node = InternalNode(node_id=node_id, coordinator=coordinator)
+        else:
+            print(
+                f"aggregator {node_id}: no checkpoint at {path}, "
+                "starting fresh",
+                file=sys.stderr,
+            )
+    if node is None:
+        node = InternalNode(
+            node_id=node_id,
+            coordinator=Coordinator(
+                coordinator_config or spec.coordinator_config(),
+                rng=aggregator_rng(spec.seed, node_id),
+                observer=obs,
+            ),
+            parent_id=node_spec.parent_id,
+            upload_threshold=spec.node_upload_threshold(node_spec),
+        )
+    if node.coordinator.history is None:
+        # A resumed coordinator restores its retained history from the
+        # checkpoint; only attach a fresh store when none rode along.
+        if history is None and spec.history:
+            history = ModelHistory(scope="coordinator", gauge_source=None)
+        node.coordinator.history = history
+    history = node.coordinator.history
+    if history is not None:
+        history.observer = obs
+        if health is not None:
+            history.gauge_source = health.history_gauges
+
+    server = AggregatorServer(
+        node,
+        expected_children=len(spec.children(node_id)),
+        level=node_spec.level,
+        config=reliability,
+        observer=observer,
+        arq=arq,
+        uplink_wire_codec=spec.node_wire_codec(node_spec),
+        uplink_codec_config=spec.node_codec_config(node_spec),
+    )
+
+    def _fail(error: str) -> int:
+        report({"event": "error", "node_id": node_id, "error": error})
+        return 1
+
+    try:
+        await server.start(spec.host, node_spec.port)
+    except OSError as exc:
+        return _fail(f"cannot bind {spec.host}:{node_spec.port}: {exc}")
+
+    hop = server.hop
+    telemetry = None
+    if federate:
+        assert health is not None and spans is not None
+        health.bind(component_count=lambda: node.coordinator.n_components)
+
+        def _publish(registry) -> None:
+            gauges = hop.gauges()
+            for name in ("messages_up", "bytes_up"):
+                registry.gauge(
+                    f"cluster.node_{name}", node=node_id, level=node_spec.level
+                ).set(gauges[name])
+
+        def _snapshot() -> dict:
+            return {
+                "node_id": node_id,
+                "level": node_spec.level,
+                "children_heard": list(server.receiver.known_sites),
+                **hop.gauges(),
+                "coordinator": system_snapshot((), node.coordinator)[
+                    "coordinator"
+                ],
+            }
+
+        try:
+            telemetry = TelemetryServer(
+                obs,
+                health=health,
+                spans=spans,
+                snapshot=_snapshot,
+                host=spec.host,
+                port=telemetry_port,
+                publish=(_publish, publish_process_resources),
+                federation=collector,
+                history=history,
+            ).start()
+        except OSError as exc:
+            await server.close()
+            return _fail(f"cannot bind telemetry port {telemetry_port}: {exc}")
+
+    if parent_port is not None:
+        try:
+            await server.connect_uplink(spec.host, parent_port, seed=spec.seed)
+        except (ConnectionRefusedError, OSError) as exc:
+            await server.close()
+            if telemetry is not None:
+                telemetry.close()
+            return _fail(
+                f"cannot reach parent at {spec.host}:{parent_port}: {exc}"
+            )
+
+    # The aggregator's own federated self-report, plus the flush loop
+    # shipping it (and any relayed child reports) toward the root every
+    # telemetry_interval seconds.
+    flush_task = None
+    if federate:
+        endpoints = {
+            "tcp": {"host": spec.host, "port": server.port},
+            "telemetry": {"host": spec.host, "port": telemetry.port},
+        }
+        hop.federate(
+            collector,
+            health=health,
+            spans=spans,
+            uplink_codec=spec.node_wire_codec(node_spec),
+            endpoints=endpoints,
+            pid=os.getpid(),
+            history=(
+                history.federated_summary if history is not None else None
+            ),
+        )
+
+        async def _flush_loop() -> None:
+            while True:
+                await asyncio.sleep(spec.telemetry_interval)
+                hop.flush_telemetry()
+
+        next_flush = time.monotonic() + spec.telemetry_interval
+
+        def _maybe_flush() -> None:
+            # Time-gated flush driven off the envelope-handling path.
+            # The async loop above covers idle stretches, but a busy
+            # aggregator can starve asyncio timers for minutes (one
+            # read batch = many EM merges), so the cadence must ride
+            # the traffic itself -- child telemetry arrivals included.
+            nonlocal next_flush
+            if time.monotonic() >= next_flush:
+                hop.flush_telemetry()
+                next_flush = time.monotonic() + spec.telemetry_interval
+
+        hop.flush_telemetry()
+        server.on_progress = _maybe_flush
+        flush_task = asyncio.ensure_future(_flush_loop())
+
+    # Serve until every child reported DONE, the timeout passes, or a
+    # signal asks us to stop (the launcher's SIGTERM arrives leaves
+    # first, so by then this node's children are already down).  A
+    # *raw* signal handler, not loop.add_signal_handler: it must flip
+    # the server's stop flag between bytecodes, because the event loop
+    # itself can be busy for many seconds absorbing one chunk's batch
+    # of synopses.
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+
+    def _on_stop(*_: object) -> None:
+        server.request_stop()
+        loop.call_soon_threadsafe(stop.set)
+
+    signums = [signal.SIGTERM]
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        signums.append(signal.SIGINT)
+    # Installed before the node says it is listening: a signal in
+    # between would otherwise kill it with no checkpoint written.
+    previous = {signum: signal.signal(signum, _on_stop) for signum in signums}
+    try:
+        report(
+            {
+                "event": "listening",
+                "node_id": node_id,
+                "port": server.port,
+                "telemetry_port": (
+                    telemetry.port if telemetry is not None else None
+                ),
+            }
+        )
+        done_task = asyncio.ensure_future(server.wait_done(timeout))
+        stop_task = asyncio.ensure_future(stop.wait())
+        await asyncio.wait(
+            (done_task, stop_task), return_when=asyncio.FIRST_COMPLETED
+        )
+        completed = (
+            done_task.done() and done_task.result() and not stop_task.done()
+        )
+        for task in (done_task, stop_task):
+            task.cancel()
+        await asyncio.gather(done_task, stop_task, return_exceptions=True)
+
+        code = 0
+        if flush_task is not None:
+            flush_task.cancel()
+            await asyncio.gather(flush_task, return_exceptions=True)
+        if hop.publisher is not None:
+            # Final report: children are done, so it covers the whole
+            # run -- and it is written before DONE goes up the stream.
+            hop.flush_telemetry()
+        if completed and parent_port is not None:
+            try:
+                await server.finish_uplink()
+            except (TimeoutError, OSError) as exc:
+                print(f"aggregator {node_id}: {exc}", file=sys.stderr)
+                code = 1
+
+        if checkpoint_dir is not None:
+            checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            save_aggregator(
+                node,
+                checkpoint_dir / f"aggregator-{node_id}.json",
+                arq=server.arq_state(),
+            )
+            _write_node_manifest(
+                checkpoint_dir, spec, node_spec, server.port,
+                telemetry.port if telemetry is not None else None,
+            )
+
+        if node_spec.is_root:
+            report(_root_result(server, completed, stop.is_set()))
+
+        await server.close()
+        if telemetry is not None:
+            if telemetry_hold > 0.0:
+                await asyncio.sleep(telemetry_hold)
+            telemetry.close()
+        return code
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+def _root_result(server: AggregatorServer, completed: bool, stopped: bool):
+    """The root's ``result`` event: the global mixture, the coordinator
+    and delivery counters, and how the wait ended."""
+    node, delivery = server.node, server.receiver.stats
+    stats = node.coordinator.stats
+    try:
+        mixture = list(node.coordinator.global_mixture())
+    except ValueError:  # nothing applied yet
+        mixture = []
+    return {
+        "event": "result",
+        "node_id": node.node_id,
+        "components": len(mixture),
+        "weights": [float(weight) for weight, _ in mixture],
+        "means": [component.mean.tolist() for _, component in mixture],
+        "completed": completed,
+        "stopped": stopped,
+        "stale_sites": sorted(server.stale_sites()),
+        "coordinator": {
+            "clusters": node.coordinator.n_components,
+            "messages": stats.messages_received,
+            "payload_bytes": stats.bytes_received,
+            "merges": stats.merges,
+            "splits": stats.splits,
+        },
+        "delivery": {
+            "delivered": delivery.delivered,
+            "dupes_suppressed": delivery.duplicates_suppressed,
+            "acks": delivery.acks_sent,
+            "wire_bytes": delivery.wire_bytes_received,
+        },
+    }
+
+
+def _write_node_manifest(
+    checkpoint_dir: Path,
+    spec: ClusterSpec,
+    node_spec: NodeSpec,
+    port: int,
+    telemetry_port: int | None,
+) -> None:
+    endpoints: dict = {"tcp": {"host": spec.host, "port": port}}
+    if telemetry_port is not None:
+        endpoints["telemetry"] = {"host": spec.host, "port": telemetry_port}
+    manifest = {
+        "format": NODE_MANIFEST_FORMAT,
+        "kind": "cluster_node",
+        "node_id": node_spec.node_id,
+        "role": node_spec.role,
+        "level": node_spec.level,
+        "parent_id": node_spec.parent_id,
+        "endpoints": endpoints,
+    }
+    path = checkpoint_dir / f"node-{node_spec.node_id}.manifest.json"
+    path.write_text(json.dumps(manifest, indent=2))

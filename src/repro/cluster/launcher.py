@@ -1,7 +1,7 @@
 """Deploying a :class:`~repro.cluster.spec.ClusterSpec` as real processes.
 
 :class:`ClusterLauncher` turns the declarative tree into running OS
-processes: one per aggregator (an :class:`~repro.cluster.aggregator.AggregatorServer`
+processes: one per aggregator (:func:`~repro.cluster.aggregator.run_aggregator`
 on an asyncio loop) and one per site (:func:`~repro.transport.tcp.run_site_client`
 streaming its seeded records).  All workers use the ``spawn`` start
 method -- nothing inherits the launcher's interpreter state, so a worker
@@ -25,13 +25,10 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Mapping
-
-import numpy as np
 
 from repro.cluster.spec import ClusterSpec, NodeSpec
 
@@ -41,9 +38,6 @@ __all__ = [
     "ClusterResult",
     "NodeHandle",
 ]
-
-#: Manifest written next to each aggregator checkpoint.
-NODE_MANIFEST_FORMAT = 1
 
 #: Seconds to wait for each aggregator's port rendezvous.
 START_TIMEOUT = 30.0
@@ -172,353 +166,21 @@ def _aggregator_worker(
     resume: bool,
 ) -> None:
     _worker_signals()
+    from repro.cluster.aggregator import run_aggregator
+
     spec = ClusterSpec.from_dict(spec_payload)
     code = asyncio.run(
-        _aggregator_main(
+        run_aggregator(
             spec,
             spec.node(node_id),
+            events.put,
             parent_port,
-            events,
             telemetry_port,
             Path(checkpoint_dir) if checkpoint_dir else None,
             resume,
         )
     )
     sys.exit(code)
-
-
-def _checkpoint_path(checkpoint_dir: Path, node_id: int) -> Path:
-    return checkpoint_dir / f"aggregator-{node_id}.json"
-
-
-async def _aggregator_main(
-    spec: ClusterSpec,
-    node_spec: NodeSpec,
-    parent_port: int | None,
-    events,
-    telemetry_port: int | None,
-    checkpoint_dir: Path | None,
-    resume: bool,
-) -> int:
-    """Serve one aggregator until its children finish or it is stopped.
-
-    ``telemetry_port`` is the one telemetry switch: an aggregator that
-    serves telemetry also federates -- it reports up the tree, and the
-    root collects every node's reports.
-    """
-    import os
-
-    from repro.cluster.aggregator import AggregatorServer
-    from repro.cluster.hop import InternalNode
-    from repro.core.coordinator import Coordinator
-    from repro.io.checkpoint import load_aggregator, save_aggregator
-    from repro.obs import (
-        FederationCollector,
-        HealthMonitor,
-        MultiSink,
-        Observer,
-        SpanCollector,
-        TelemetryServer,
-        publish_process_resources,
-        topology_from_spec,
-    )
-    from repro.obs.observer import ensure_observer
-
-    node_id = node_spec.node_id
-    health = spans = None
-    observer = None
-    federate = telemetry_port is not None
-    if federate:
-        health, spans = HealthMonitor(), SpanCollector()
-        observer = Observer(
-            sink=MultiSink([health, spans]), span_origin=node_id
-        )
-    obs = ensure_observer(observer)
-
-    # The root of a federated tree collects every node's reports.
-    collector = None
-    if federate and node_spec.is_root:
-        # Three flush intervals, floored: a worker's event loop can go
-        # quiet for seconds while EM absorbs a chunk's synopses, and
-        # that must read as "busy", not "dead".
-        collector = FederationCollector(
-            topology=topology_from_spec(spec),
-            stale_after=max(3.0 * spec.telemetry_interval, 10.0),
-        )
-
-    arq = None
-    if resume and checkpoint_dir is not None:
-        path = _checkpoint_path(checkpoint_dir, node_id)
-        if path.exists():
-            node, arq = load_aggregator(path, observer=obs)
-        else:
-            print(
-                f"aggregator {node_id}: no checkpoint at {path}, "
-                "starting fresh",
-                file=sys.stderr,
-            )
-            resume = False
-    if not resume or checkpoint_dir is None or arq is None:
-        node = InternalNode(
-            node_id=node_id,
-            coordinator=Coordinator(
-                spec.coordinator_config(),
-                rng=np.random.default_rng(spec.seed + 50_000 + node_id),
-                observer=obs,
-            ),
-            parent_id=node_spec.parent_id,
-            upload_threshold=spec.node_upload_threshold(node_spec),
-        )
-    if spec.history and node.coordinator.history is None:
-        # A resumed coordinator restores its retained history from the
-        # checkpoint; only attach a fresh store when none rode along.
-        from repro.obs import ModelHistory
-
-        node.coordinator.history = ModelHistory(
-            scope="coordinator", gauge_source=None
-        )
-    history = node.coordinator.history
-    if history is not None:
-        history.observer = obs
-        if health is not None:
-            history.gauge_source = health.history_gauges
-
-    server = AggregatorServer(
-        node,
-        expected_children=len(spec.children(node_id)),
-        level=node_spec.level,
-        observer=observer,
-        arq=arq,
-        uplink_wire_codec=spec.node_wire_codec(node_spec),
-        uplink_codec_config=spec.node_codec_config(node_spec),
-    )
-    try:
-        await server.start(spec.host, node_spec.port)
-    except OSError as exc:
-        events.put(
-            {
-                "event": "error",
-                "node_id": node_id,
-                "error": f"cannot bind {spec.host}:{node_spec.port}: {exc}",
-            }
-        )
-        return 1
-
-    hop = server.hop
-    telemetry = None
-    if federate:
-        assert health is not None and spans is not None
-        health.bind(component_count=lambda: node.coordinator.n_components)
-
-        def _publish(registry) -> None:
-            gauges = hop.gauges()
-            for name in ("messages_up", "bytes_up"):
-                registry.gauge(
-                    f"cluster.node_{name}", node=node_id, level=node_spec.level
-                ).set(gauges[name])
-
-        def _snapshot() -> dict:
-            return {
-                "node_id": node_id,
-                "level": node_spec.level,
-                "children_heard": list(server.receiver.known_sites)
-                if server.receiver is not None
-                else [],
-                **hop.gauges(),
-            }
-
-        try:
-            telemetry = TelemetryServer(
-                obs,
-                health=health,
-                spans=spans,
-                snapshot=_snapshot,
-                host=spec.host,
-                port=telemetry_port,
-                publish=(_publish, publish_process_resources),
-                federation=collector,
-                history=history,
-            ).start()
-        except OSError as exc:
-            await server.close()
-            events.put(
-                {
-                    "event": "error",
-                    "node_id": node_id,
-                    "error": (
-                        f"cannot bind telemetry port {telemetry_port}: {exc}"
-                    ),
-                }
-            )
-            return 1
-
-    if parent_port is not None:
-        try:
-            await server.connect_uplink(spec.host, parent_port, seed=spec.seed)
-        except (ConnectionRefusedError, OSError) as exc:
-            await server.close()
-            if telemetry is not None:
-                telemetry.close()
-            events.put(
-                {
-                    "event": "error",
-                    "node_id": node_id,
-                    "error": (
-                        f"cannot reach parent at {spec.host}:{parent_port}: "
-                        f"{exc}"
-                    ),
-                }
-            )
-            return 1
-
-    # The aggregator's own federated self-report, plus the flush loop
-    # shipping it (and any relayed child reports) toward the root every
-    # telemetry_interval seconds.
-    flush_task = None
-    if federate:
-        endpoints = {
-            "tcp": {"host": spec.host, "port": server.port},
-            "telemetry": {"host": spec.host, "port": telemetry.port},
-        }
-        hop.federate(
-            collector,
-            health=health,
-            spans=spans,
-            uplink_codec=spec.node_wire_codec(node_spec),
-            endpoints=endpoints,
-            pid=os.getpid(),
-            history=(
-                history.federated_summary if history is not None else None
-            ),
-        )
-
-        async def _flush_loop() -> None:
-            while True:
-                await asyncio.sleep(spec.telemetry_interval)
-                hop.flush_telemetry()
-
-        next_flush = time.monotonic() + spec.telemetry_interval
-
-        def _maybe_flush() -> None:
-            # Time-gated flush driven off the envelope-handling path.
-            # The async loop above covers idle stretches, but a busy
-            # aggregator can starve asyncio timers for minutes (one
-            # read batch = many EM merges), so the cadence must ride
-            # the traffic itself -- child telemetry arrivals included.
-            nonlocal next_flush
-            if time.monotonic() >= next_flush:
-                hop.flush_telemetry()
-                next_flush = time.monotonic() + spec.telemetry_interval
-
-        hop.flush_telemetry()
-        server.on_progress = _maybe_flush
-        flush_task = asyncio.ensure_future(_flush_loop())
-
-    # Serve until every child reported DONE -- or the launcher asks us
-    # to stop (SIGTERM arrives leaves-first, so by the time it reaches
-    # an aggregator its children are already down).  A *raw* signal
-    # handler, not loop.add_signal_handler: it must flip the server's
-    # stop flag between bytecodes, because the event loop itself can be
-    # busy for many seconds absorbing one chunk's batch of synopses.
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-
-    def _on_sigterm(*_: object) -> None:
-        server.request_stop()
-        loop.call_soon_threadsafe(stop.set)
-
-    # Installed before the node says it is listening: a SIGTERM in
-    # between would otherwise kill it with no checkpoint written.
-    signal.signal(signal.SIGTERM, _on_sigterm)
-    events.put(
-        {
-            "event": "listening",
-            "node_id": node_id,
-            "port": server.port,
-            "telemetry_port": telemetry.port if telemetry is not None else None,
-        }
-    )
-    done_task = asyncio.ensure_future(server.wait_done())
-    stop_task = asyncio.ensure_future(stop.wait())
-    await asyncio.wait(
-        (done_task, stop_task), return_when=asyncio.FIRST_COMPLETED
-    )
-    completed = done_task.done() and not stop_task.done()
-    for task in (done_task, stop_task):
-        task.cancel()
-    await asyncio.gather(done_task, stop_task, return_exceptions=True)
-
-    code = 0
-    if flush_task is not None:
-        flush_task.cancel()
-        await asyncio.gather(flush_task, return_exceptions=True)
-    if hop.publisher is not None:
-        # Final report: children are done, so it covers the whole run
-        # -- and it is written before DONE goes up the same stream.
-        hop.flush_telemetry()
-    if completed and parent_port is not None:
-        try:
-            await server.finish_uplink()
-        except (TimeoutError, OSError) as exc:
-            print(f"aggregator {node_id}: {exc}", file=sys.stderr)
-            code = 1
-
-    if checkpoint_dir is not None:
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        save_aggregator(
-            node, _checkpoint_path(checkpoint_dir, node_id),
-            arq=server.arq_state(),
-        )
-        _write_node_manifest(
-            checkpoint_dir, spec, node_spec, server.port,
-            telemetry.port if telemetry is not None else None,
-        )
-
-    if node_spec.is_root:
-        try:
-            mixture = node.coordinator.global_mixture()
-            summary = {
-                "components": mixture.n_components,
-                "weights": [float(w) for w in mixture.weights],
-            }
-        except ValueError:
-            summary = {"components": 0, "weights": []}
-        summary.update(
-            messages_up=node.messages_up,
-            bytes_up=node.bytes_up,
-            completed=completed,
-        )
-        events.put({"event": "result", "node_id": node_id, **summary})
-
-    await server.close()
-    if telemetry is not None:
-        telemetry.close()
-    return code
-
-
-def _write_node_manifest(
-    checkpoint_dir: Path,
-    spec: ClusterSpec,
-    node_spec: NodeSpec,
-    port: int,
-    telemetry_port: int | None,
-) -> None:
-    import json
-
-    endpoints: dict = {"tcp": {"host": spec.host, "port": port}}
-    if telemetry_port is not None:
-        endpoints["telemetry"] = {"host": spec.host, "port": telemetry_port}
-    manifest = {
-        "format": NODE_MANIFEST_FORMAT,
-        "kind": "cluster_node",
-        "node_id": node_spec.node_id,
-        "role": node_spec.role,
-        "level": node_spec.level,
-        "parent_id": node_spec.parent_id,
-        "endpoints": endpoints,
-    }
-    path = checkpoint_dir / f"node-{node_spec.node_id}.manifest.json"
-    path.write_text(json.dumps(manifest, indent=2))
 
 
 # ----------------------------------------------------------------------

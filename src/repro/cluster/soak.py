@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.data import make_stream
-from repro.cluster.spec import ClusterSpec, build_spec
+from repro.cluster.spec import ClusterSpec, aggregator_rng, build_spec
 from repro.cluster.tree import LevelStats, TransportTree
 from repro.core.coordinator import Coordinator
 from repro.core.remote import RemoteSite
@@ -181,7 +181,7 @@ def run_soak(
     # paper's tree is allowed to summarise but not distort.
     flat_coordinator = Coordinator(
         spec.coordinator_config(),
-        rng=np.random.default_rng(spec.seed + 50_000 + spec.root.node_id),
+        rng=aggregator_rng(spec.seed, spec.root.node_id),
     )
     flat_sites: dict[int, RemoteSite] = {}
     for node in spec.site_nodes:

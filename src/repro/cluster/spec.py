@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
@@ -30,6 +32,7 @@ from repro.core.serde import CodecConfig, available_codecs, get_codec
 __all__ = [
     "ClusterSpec",
     "NodeSpec",
+    "aggregator_rng",
     "build_spec",
     "load_spec",
     "save_spec",
@@ -350,6 +353,14 @@ class ClusterSpec:
             NodeSpec(**_known_fields(NodeSpec, raw)) for raw in payload["nodes"]
         )
         return cls(**{**_known_fields(cls, payload), "nodes": nodes})
+
+
+def aggregator_rng(seed: int, node_id: int) -> np.random.Generator:
+    """The merge-fit sample stream of aggregator ``node_id``'s
+    coordinator: one rule for the in-process tree, every deployed
+    aggregator (``serve``'s root included) and the soak's flat
+    reference, which stands in for the root."""
+    return np.random.default_rng(seed + 50_000 + node_id)
 
 
 def _known_fields(cls: type, raw: Mapping) -> dict:

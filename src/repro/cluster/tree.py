@@ -32,6 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.cluster.hop import AggregatorHop, InternalNode
+from repro.cluster.spec import aggregator_rng
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSite, RemoteSiteConfig
@@ -247,7 +248,7 @@ class TransportTree(DrainMark):
             node_id=node_id,
             coordinator=Coordinator(
                 self._coordinator_config,
-                rng=np.random.default_rng(self._seed + 50_000 + node_id),
+                rng=aggregator_rng(self._seed, node_id),
                 observer=self._obs,
             ),
             parent_id=parent_id,

@@ -21,7 +21,6 @@ from repro.core.selection import select_k
 from repro.core.serde import (
     CodecConfig,
     CodecError,
-    CodecNegotiationError,
     CodecStats,
     WireCodec,
     available_codecs,
@@ -43,7 +42,6 @@ __all__ = [
     "CluDistreamConfig",
     "CodecConfig",
     "CodecError",
-    "CodecNegotiationError",
     "CodecStats",
     "Coordinator",
     "CoordinatorConfig",

@@ -76,7 +76,6 @@ __all__ = [
     "CDS2Codec",
     "CodecConfig",
     "CodecError",
-    "CodecNegotiationError",
     "CodecStats",
     "WireCodec",
     "available_codecs",
@@ -124,11 +123,6 @@ _QUANT_DTYPES = {"f64": "<f8", "f32": "<f4", "f16": "<f2"}
 
 class CodecError(ValueError):
     """A payload could not be decoded by this codec."""
-
-
-class CodecNegotiationError(CodecError):
-    """Nothing raises this since 1.15.0: every receiver decodes CDS1 and
-    CDS2.  Deprecated; removed in 1.16.0."""
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -193,6 +193,7 @@ async def run_site_client(
     wire_codec: str = "cds1",
     codec_config: CodecConfig | None = None,
     history=None,
+    first_seq: int = 1,
 ) -> tuple[RemoteSite, SiteRunReport]:
     """Run one remote site against a TCP parent.
 
@@ -217,6 +218,10 @@ async def run_site_client(
     ``history`` (a :class:`~repro.obs.history.ModelHistory`) attaches a
     pyramidal time-travel store to the site it builds; ignored when a
     prebuilt ``site`` is passed (a restored site carries its own).
+
+    ``first_seq`` continues a checkpointed uplink sequence, so a parent
+    that kept its cursor for this site (a resumed aggregator) applies
+    the restored site's uploads instead of suppressing them.
     """
     observer = ensure_observer(observer)
     loop = asyncio.get_running_loop()
@@ -229,6 +234,7 @@ async def run_site_client(
         observer=observer,
         wire_codec=wire_codec,
         codec_config=codec_config,
+        first_seq=first_seq,
     )
     sender = uplink.sender
     if federation is not None:

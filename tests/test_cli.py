@@ -478,8 +478,10 @@ class TestServeEndpointManifest:
         )
         port = int(banner.rsplit(":", 1)[1])
         assert port > 0
-        manifest = json_module.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["kind"] == "coordinator_server"
+        manifest = json_module.loads(
+            (tmp_path / "node-0.manifest.json").read_text()
+        )
+        assert manifest["kind"] == "cluster_node"
         assert manifest["endpoints"]["tcp"] == {
             "host": "127.0.0.1",
             "port": port,
@@ -517,8 +519,8 @@ class TestServeEndpointManifest:
                 server.wait()
         assert server.returncode == 1, output
         assert "stopped by signal waiting for sites" in output
-        assert (tmp_path / "coordinator.json").exists()
-        assert (tmp_path / "manifest.json").exists()
+        assert (tmp_path / "aggregator-0.json").exists()
+        assert (tmp_path / "node-0.manifest.json").exists()
 
     @pytest.fixture
     def keep_signals(self):
@@ -551,22 +553,53 @@ class TestServeEndpointManifest:
         assert main(["serve", "--port", "0", "--timeout", "0.2"]) == 1
         (handler,) = at_banner
         assert callable(handler)
-        assert handler.__qualname__.startswith("_cmd_serve.")
+        assert handler.__qualname__.startswith("run_aggregator.")
 
-    def test_receiver_codec_flags_configure_nothing(self, capsys, keep_signals):
-        status = main(
+
+class TestServeTelemetry:
+    def test_serve_is_a_federating_root(self):
+        """``serve --serve-telemetry`` is a one-level tree's root: its
+        ``/snapshot`` is the node's with the coordinator section, and
+        ``/cluster/health`` lists the expected sites, which a plain
+        ``site`` never reports."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from urllib.request import urlopen
+
+        repo = Path(__file__).resolve().parents[1]
+        server = subprocess.Popen(
             [
-                "serve", "--port", "0", "--timeout", "0.2",
-                "--wire-codec", "cds2", "--quantize", "f32",
-                "--delta-encoding",
-            ]
+                sys.executable, "-u", "-m", "repro.cli", "serve",
+                "--port", "0", "--expected-sites", "2",
+                "--serve-telemetry", "0", "--timeout", "60",
+            ],
+            cwd=repo,
+            env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
         )
-        assert status == 1  # no site came: the flags changed nothing else
-        notes = capsys.readouterr().err.splitlines()
-        assert [line.split()[2] for line in notes] == [
-            "--wire-codec", "--quantize", "--delta-encoding"
-        ]
-        assert all("configures nothing" in line for line in notes)
+        try:
+            url = server.stdout.readline().strip()
+            assert url.startswith("telemetry: http://127.0.0.1:"), url
+            assert server.stdout.readline().startswith("listening on")
+            base = url.split(" ", 1)[1]
+            snapshot = json.load(urlopen(f"{base}/snapshot", timeout=10))
+            health = json.load(urlopen(f"{base}/cluster/health", timeout=10))
+            server.send_signal(signal.SIGTERM)
+            server.communicate(timeout=10)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert snapshot["node_id"] == 0
+        assert snapshot["coordinator"]["clusters"] == 0
+        assert health["status"] == "degraded"
+        assert health["nodes"]["expected"] == 3
+        sites = [n for n in health["per_node"] if n["role"] == "site"]
+        assert [n["status"] for n in sites] == ["unreported"] * 2
 
 
 class TestClusterCommand:
@@ -676,9 +709,9 @@ class TestCheckpointResume:
 
 
 class TestWireCodecFlags:
-    @pytest.mark.parametrize("command", ["serve", "site", "cluster"])
+    @pytest.mark.parametrize("command", ["site", "cluster"])
     def test_defaults_to_cds1(self, command):
-        base = {"serve": [], "site": ["--port", "9999"], "cluster": []}
+        base = {"site": ["--port", "9999"], "cluster": []}
         args = build_parser().parse_args([command] + base[command])
         assert args.wire_codec == "cds1"
         assert args.quantize == "f64"
@@ -695,11 +728,15 @@ class TestWireCodecFlags:
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--wire-codec", "zstd"])
+            build_parser().parse_args(["site", "--wire-codec", "zstd"])
+        # serve sends nothing, so it has no codec flags since 1.16.0.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--wire-codec", "cds2"])
+        assert excinfo.value.code == 2
 
     def test_unknown_quantize_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--quantize", "f8"])
+            build_parser().parse_args(["site", "--quantize", "f8"])
 
 
 class TestRemovedBench:
@@ -908,7 +945,7 @@ class TestFlagSurface:
         for command, flags in table.items():
             assert surface[command] == flags, command
         assert len(surface) == 7
-        assert sum(len(flags) for flags in surface.values()) == 100
+        assert sum(len(flags) for flags in surface.values()) == 97
 
 
 class TestContradictoryFlags:
@@ -918,11 +955,10 @@ class TestContradictoryFlags:
     @pytest.mark.parametrize(
         "command",
         [
-            ["serve", "--timeout", "1"],
             ["site", "--port", "1"],
             ["cluster", "--sites", "2"],
         ],
-        ids=["serve", "site", "cluster"],
+        ids=["site", "cluster"],
     )
     @pytest.mark.parametrize(
         "flags, message",

@@ -170,10 +170,3 @@ def test_cluster_builds_what_the_parent_built(flags, tmp_path):
         same_first_records(
             make_stream(spec, node), parent_stream(args, spec.dim, node.node_id)
         )
-
-
-def test_serve_takes_its_codec_from_the_spec():
-    args = parse(["serve", "--wire-codec", "cds2", "--quantize", "f32"])
-    spec = _spec_from_flags(args)
-    assert spec.wire_codec == "cds2"
-    assert spec.codec_config() == CodecConfig(quantize="f32", delta=False)

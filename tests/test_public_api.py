@@ -23,7 +23,7 @@ class TestTopLevelSurface:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.15.0"
+        assert repro.__version__ == "1.16.0"
 
     def test_packaging_reads_the_version_attribute(self):
         # One place to bump: pyproject.toml must not carry its own copy.
@@ -53,7 +53,6 @@ class TestTopLevelSurface:
             "CodecConfig",
             "CodecStats",
             "CodecError",
-            "CodecNegotiationError",
             "get_codec",
             "register_codec",
             "available_codecs",
