@@ -66,8 +66,8 @@ _TRACE_LOSS_SEED = 0
 
 
 class _PendingFit:
-    """A simplex merge: samples drawn at merge time, searched on first
-    read (:meth:`fit`, once, through this module's ``fit_merged_component``)."""
+    """A simplex merge: samples drawn at merge time, searched on the first
+    read of its father (:meth:`fit`, once, via ``fit_merged_component``)."""
 
     def __init__(self, pair: tuple, n_samples: int, rng) -> None:
         self._pair = pair
@@ -88,10 +88,6 @@ class _PendingFit:
         if self._fit is None and not (comp_i.diagonal and comp_j.diagonal):
             return BYTES_PER_FLOAT * comp_i.dim * (comp_i.dim + 1)
         return self.fit().component.payload_bytes()
-
-
-def _gaussian(father: Gaussian | _PendingFit) -> Gaussian:
-    return father.fit().component if isinstance(father, _PendingFit) else father
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -150,10 +146,10 @@ class Leaf:
     weight:
         Absolute mass: site mixture weight × model record counter.
     remerge_score:
-        ``M_remerge(i, Mix)`` against the father the leaf was last
-        (re)merged into -- Algorithm 2 compares ``M_split`` against its
-        reciprocal on later updates.  A merge only records that father
-        (:meth:`merged_into`); the score is computed when first read.
+        ``M_remerge(i, Mix)`` at the leaf's last (re)merge, against the pool
+        ``M_split`` reads (a moment merge: its father).  Algorithm 2 compares
+        ``M_split`` against its reciprocal.  A merge only records that
+        Gaussian (:meth:`merged_into`); the score is computed when first read.
     """
 
     site_id: int
@@ -162,7 +158,7 @@ class Leaf:
     gaussian: Gaussian
     weight: float
     remerge_score: float = float("inf")
-    _merged_into: Gaussian | _PendingFit | None = field(
+    _merged_into: Gaussian | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -170,15 +166,14 @@ class Leaf:
     def key(self) -> tuple[int, int, int]:
         return (self.site_id, self.model_id, self.component_index)
 
-    def merged_into(self, father: Gaussian | _PendingFit) -> None:
-        """Owe ``remerge_score`` against ``father`` until it is read."""
-        self._merged_into = father
+    def merged_into(self, reference: Gaussian) -> None:
+        """Owe ``remerge_score`` against ``reference`` until it is read."""
+        self._merged_into = reference
 
 
 def _read_remerge_score(leaf: Leaf) -> float:
     if leaf._merged_into is not None:
-        father = _gaussian(leaf._merged_into)
-        distance = leaf.gaussian.symmetric_mahalanobis_sq(father)
+        distance = leaf.gaussian.symmetric_mahalanobis_sq(leaf._merged_into)
         leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
     return leaf._remerge_score
 
@@ -732,8 +727,10 @@ class Coordinator:
                 leaves=cluster_a.leaves + cluster_b.leaves,
                 father=father,
             )
+            # Owe against the pool M_split reads (DESIGN §17.5).
+            reference = father if moment else merged.leaf_mixture().pooled_gaussian()
             for leaf in merged.leaves:
-                leaf.merged_into(father)
+                leaf.merged_into(reference)
             self._clusters[merged.cluster_id] = merged
             self.stats.merges += 1
             if self._obs.enabled:
