@@ -30,9 +30,9 @@ from tests.cluster.trees import (
 )
 from tests.transport import drain_mark_contract as drain_mark
 
-#: The root's ``snapshot_coordinator`` after :func:`simplex_root_run`,
-#: recorded while a root still built, gated and counted uploads to
-#: nobody: not building them changes nothing the root holds.
+#: The root's ``snapshot_coordinator`` after :func:`simplex_root_run`.
+#: Re-record it (only for a deliberate state change) with
+#: ``PYTHONPATH=src python -m tests.cluster.test_transport_tree``.
 SIMPLEX_ROOT = Path(__file__).parent / "data" / "simplex_root.coordinator.json"
 
 
@@ -369,3 +369,11 @@ class TestDrainMark:
         drain_mark.check_dead_link_raises_and_leaves_the_mark_set(
             drain_mark.TreeDriver
         )
+
+
+if __name__ == "__main__":
+    tree = simplex_root_run()
+    snapshot = snapshot_coordinator(tree.root.coordinator)
+    tree.close()
+    SIMPLEX_ROOT.write_text(json.dumps(snapshot, indent=1) + "\n")
+    print(f"wrote {SIMPLEX_ROOT}")

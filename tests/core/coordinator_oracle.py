@@ -11,7 +11,11 @@ before moment merges stopped going through ``fit_merged_component``:
 * ``_remove_leaves`` / ``_refresh_fathers`` rebuild every father,
   touched or not;
 * every merge, moment or simplex, calls ``fit_merged_component`` and so
-  draws its Monte-Carlo sample set from the coordinator's rng.
+  draws its Monte-Carlo sample set from the coordinator's rng;
+* every merge computes its leaves' ``M_remerge`` at once: against a
+  fresh pool of the merged leaves for a simplex merge (the Gaussian
+  ``M_split`` is measured against), against the father for a moment
+  merge.
 
 It is kept here, out of ``src/``, as the oracle of
 ``tests/core/test_coordinator_identity.py``: the pooled Gaussian is a
@@ -405,8 +409,12 @@ class OracleCoordinator:
             merged = OracleCluster(cluster_id=next(self._cluster_ids))
             merged.leaves = cluster_a.leaves + cluster_b.leaves
             merged.father = fit.component
+            if self.config.merge_method == "moment":
+                reference = merged.father
+            else:
+                reference = merged.leaf_mixture().pooled_gaussian()
             for leaf in merged.leaves:
-                distance = leaf.gaussian.symmetric_mahalanobis_sq(merged.father)
+                distance = leaf.gaussian.symmetric_mahalanobis_sq(reference)
                 leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
             self._clusters[merged.cluster_id] = merged
             self.stats.merges += 1

@@ -2,12 +2,13 @@
 
 A simplex merge draws its common random numbers from the coordinator's
 generator when it merges, and runs its downhill-simplex search the first
-time the merged father -- or a re-merge score owed against it -- is read.
-The search is a function of the pair and the drawn samples alone, so
-*when* it runs cannot move a bit: the fixture below was written by the
-coordinator that fitted every father at merge time, and a coordinator
-that fits on read must reproduce it byte for byte, with snapshots taken
-while fits are still pending.
+time the merged father is read.  Its leaves owe their re-merge scores
+against the merged leaves' pool, so reading one searches nothing.  The
+search is a function of the pair and the drawn samples alone, so *when*
+it runs cannot move a bit: the fixture below was written by the
+coordinator that fitted every father and scored every leaf at merge
+time, and a coordinator that fits on read must reproduce it byte for
+byte, with snapshots taken while fits are still pending.
 
 Re-record the fixture (only for a deliberate state change) with
 ``PYTHONPATH=src python -m tests.core.test_merge_fit_on_read``.
@@ -141,22 +142,24 @@ def test_a_father_read_twice_is_searched_once(monkeypatch):
     first = cluster.father
     assert len(calls) == 1
     assert cluster.father is first
-    assert [leaf.remerge_score for leaf in cluster.leaves]  # owed: same fit
+    assert [leaf.remerge_score for leaf in cluster.leaves]  # owed: no fit
     _text(coordinator)
     coordinator.global_mixture()
     assert len(calls) == 1
     assert coordinator.memory_bytes() == size
 
 
-def test_an_owed_score_read_first_runs_the_one_search(monkeypatch):
+def test_reading_an_owed_score_runs_no_search(monkeypatch):
     calls = counting(monkeypatch)
     _, cluster = pending_merge()
     score = cluster.leaves[0].remerge_score
-    assert len(calls) == 1
-    father = cluster.father
-    assert len(calls) == 1
-    expected = 1.0 / cluster.leaves[0].gaussian.symmetric_mahalanobis_sq(father)
+    assert calls == []
+    pool = cluster.leaf_mixture().pooled_gaussian()
+    expected = 1.0 / cluster.leaves[0].gaussian.symmetric_mahalanobis_sq(pool)
     assert score == expected
+    # Reading the father then runs exactly one search.
+    cluster.father
+    assert len(calls) == 1
 
 
 def test_an_observed_merge_searches_at_once(monkeypatch):
@@ -173,10 +176,10 @@ def test_the_drift_run_searches_only_the_fathers_it_reads(monkeypatch):
     system = _drift_run(monkeypatch, coordinator_module.fit_merged_component)
     during = len(calls)
     system.global_mixture()
-    # 28 fathers are read while the messages are handled and one more by
-    # the final read; the other 14 are overwritten (or left) unread.
+    # 9 fathers are read while the messages are handled and none by the
+    # final read; the other 15 are overwritten unread.
     merges = system.coordinator.stats.merges
-    assert (during, len(calls), merges) == (28, 29, 43)
+    assert (during, len(calls), merges) == (9, 9, 24)
 
 
 def _record() -> None:
