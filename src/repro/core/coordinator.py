@@ -18,9 +18,9 @@ global clusters with the largest ``M_merge`` until at most
 accuracy loss.
 
 On every site update Algorithm 2 runs: each updated component checks
-``M_split`` against the reciprocal of the ``M_remerge`` value stored
-when it was merged; components that drifted away from their father are
-split out and re-merged into the sibling cluster with the largest
+``M_split`` against the ``M_remerge`` distance owed when it was merged,
+both taken to one pool; components that drifted away from their father
+are split out and re-merged into the sibling cluster with the largest
 ``M_remerge``.
 
 Sliding-window deletions (section 7) subtract weight from a site model
@@ -145,11 +145,12 @@ class Leaf:
         The component parameters as shipped.
     weight:
         Absolute mass: site mixture weight × model record counter.
-    remerge_score:
-        ``M_remerge(i, Mix)`` at the leaf's last (re)merge, against the pool
-        ``M_split`` reads (a moment merge: its father).  Algorithm 2 compares
-        ``M_split`` against its reciprocal.  A merge only records that
-        Gaussian (:meth:`merged_into`); the score is computed when first read.
+    remerge_distance:
+        The distance behind ``M_remerge(i, Mix)`` at the leaf's last
+        (re)merge, against the pool ``M_split`` reads.  Algorithm 2 splits
+        the leaf when ``M_split`` exceeds it; a distance of ``0`` or ``inf``
+        (a cluster of its own) is never tested.  A merge only records that
+        pool (:meth:`merged_into`); the distance is computed when first read.
     """
 
     site_id: int
@@ -157,7 +158,7 @@ class Leaf:
     component_index: int
     gaussian: Gaussian
     weight: float
-    remerge_score: float = float("inf")
+    remerge_distance: float = float("inf")
     _merged_into: Gaussian | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -167,23 +168,24 @@ class Leaf:
         return (self.site_id, self.model_id, self.component_index)
 
     def merged_into(self, reference: Gaussian) -> None:
-        """Owe ``remerge_score`` against ``reference`` until it is read."""
+        """Owe ``remerge_distance`` against ``reference`` until it is read."""
         self._merged_into = reference
 
 
-def _read_remerge_score(leaf: Leaf) -> float:
+def _read_remerge_distance(leaf: Leaf) -> float:
     if leaf._merged_into is not None:
-        distance = leaf.gaussian.symmetric_mahalanobis_sq(leaf._merged_into)
-        leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
-    return leaf._remerge_score
+        leaf.remerge_distance = leaf.gaussian.symmetric_mahalanobis_sq(
+            leaf._merged_into
+        )
+    return leaf._remerge_distance
 
 
-def _write_remerge_score(leaf: Leaf, score: float) -> None:
-    leaf._remerge_score, leaf._merged_into = score, None
+def _write_remerge_distance(leaf: Leaf, distance: float) -> None:
+    leaf._remerge_distance, leaf._merged_into = distance, None
 
 
 # Set after @dataclass, so its __init__, __eq__ and __repr__ use it too.
-Leaf.remerge_score = property(_read_remerge_score, _write_remerge_score)
+Leaf.remerge_distance = property(_read_remerge_distance, _write_remerge_distance)
 
 
 @dataclass
@@ -232,7 +234,7 @@ class GlobalCluster:
         self._weight = self._mixture = None
 
     def remove(self, leaf: Leaf) -> None:
-        # By identity (``==`` would compute re-merge scores); a leaf not
+        # By identity (``==`` would compute re-merge distances); a leaf not
         # in the cluster raises ValueError, as ``list.remove`` does.
         del self.leaves[[id(kept) for kept in self.leaves].index(id(leaf))]
         self._weight = self._mixture = None
@@ -276,7 +278,7 @@ def _write_father(cluster: GlobalCluster, father) -> None:
     cluster._father = father
 
 
-# As for Leaf.remerge_score: the dataclass methods read the property.
+# As for Leaf.remerge_distance: the dataclass methods read the property.
 GlobalCluster.father = property(_read_father, _write_father)
 
 
@@ -572,10 +574,10 @@ class Coordinator:
     def on_updates(self, site_id: int) -> int:
         """Algorithm 2 (``OnUpdates``) for one updated remote site.
 
-        For each leaf of the site, compare ``M_split`` against the
-        reciprocal of the stored ``M_remerge``; leaves that drifted away
-        from their father are split out and re-merged into the sibling
-        cluster with the largest ``M_remerge``.
+        For each leaf of the site, compare ``M_split`` against the owed
+        ``M_remerge`` distance, both to the cluster's pool; leaves that
+        drifted away from their father are split out and re-merged into
+        the sibling cluster with the largest ``M_remerge``.
 
         Returns the number of splits performed.
         """
@@ -584,11 +586,11 @@ class Coordinator:
             if len(cluster.leaves) < 2:
                 continue
             for leaf in list(cluster.leaves):
-                # An infinite score never splits: skip M_split for it.
-                if leaf.site_id != site_id or not np.isfinite(leaf.remerge_score):
+                # A distance of 0 or inf is never tested: skip M_split for it.
+                if leaf.site_id != site_id or not 0.0 < leaf.remerge_distance < np.inf:
                     continue
                 score = m_split(leaf.gaussian, cluster.leaf_mixture())
-                if score > 1.0 / leaf.remerge_score:
+                if score > leaf.remerge_distance:
                     with self._obs.span(
                         "coord.split",
                         site=leaf.site_id,
@@ -653,13 +655,11 @@ class Coordinator:
                 best_cluster = cluster
         if best_cluster is not None and best_distance <= self.config.attach_threshold:
             best_cluster.add(leaf)
-            leaf.remerge_score = (
-                1.0 / best_distance if best_distance > 0.0 else np.inf
-            )
+            leaf.remerge_distance = best_distance
             best_cluster.refresh_father()
         else:
             cluster = GlobalCluster(next(self._cluster_ids), leaves=[leaf])
-            leaf.remerge_score = np.inf
+            leaf.remerge_distance = np.inf
             cluster.refresh_father()
             self._clusters[cluster.cluster_id] = cluster
 
@@ -728,7 +728,7 @@ class Coordinator:
                 father=father,
             )
             # Owe against the pool M_split reads (DESIGN §17.5).
-            reference = father if moment else merged.leaf_mixture().pooled_gaussian()
+            reference = merged.leaf_mixture().pooled_gaussian()
             for leaf in merged.leaves:
                 leaf.merged_into(reference)
             self._clusters[merged.cluster_id] = merged

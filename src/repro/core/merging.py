@@ -29,8 +29,8 @@ vertex the search returns is decoded into a :class:`Gaussian`.
 
 The split-side criteria of Algorithm 2 (eq. 6) live here too:
 ``M_split(i, Mix)`` compares a component against its father mixture's
-pooled Gaussian, and ``M_remerge = 1 / M_split`` scores candidate new
-homes.
+pooled Gaussian.  ``M_remerge`` is its reciprocal; the coordinator keeps
+the distance itself and compares distances (DESIGN §17.5).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "accuracy_loss",
     "fit_merged_component",
     "m_merge",
-    "m_remerge",
     "m_split",
     "pairwise_m_merge",
     "rank_merge_pairs",
@@ -84,19 +83,6 @@ def m_split(component: Gaussian, mixture: GaussianMixture) -> float:
     Mahalanobis terms) from its father mixture and should be split out.
     """
     return component.symmetric_mahalanobis_sq(mixture.pooled_gaussian())
-
-
-def m_remerge(component: Gaussian, mixture: GaussianMixture) -> float:
-    """Re-merge criterion: reciprocal of :func:`m_split`.
-
-    Algorithm 2 merges a split component into the sibling mixture with
-    the largest ``M_remerge`` (equivalently the smallest Mahalanobis
-    distance).
-    """
-    distance = m_split(component, mixture)
-    if distance <= 1.0 / MERGE_SCORE_CAP:
-        return MERGE_SCORE_CAP
-    return 1.0 / distance
 
 
 def pairwise_m_merge(mixture: GaussianMixture) -> np.ndarray:

@@ -107,6 +107,14 @@ def _none_or_inf(value: float | None) -> float:
     return math.inf if value is None else float(value)
 
 
+def _remerge_distance(leaf_raw: Mapping) -> float:
+    """A leaf's owed distance; 1.16.0 checkpoints stored its reciprocal."""
+    if "remerge_distance" in leaf_raw:
+        return _none_or_inf(leaf_raw["remerge_distance"])
+    score = leaf_raw["remerge_score"]
+    return math.inf if not score else 1.0 / float(score)
+
+
 def _model_entry_to_dict(entry: ModelEntry) -> dict:
     payload = {
         "model_id": entry.model_id,
@@ -291,7 +299,7 @@ def snapshot_coordinator(coordinator: Coordinator) -> dict:
                         "component_index": leaf.component_index,
                         "gaussian": leaf.gaussian.to_dict(),
                         "weight": leaf.weight,
-                        "remerge_score": _finite_or_none(leaf.remerge_score),
+                        "remerge_distance": _finite_or_none(leaf.remerge_distance),
                     }
                     for leaf in cluster.leaves
                 ],
@@ -360,7 +368,7 @@ def restore_coordinator(
                     component_index=leaf_raw["component_index"],
                     gaussian=Gaussian.from_dict(leaf_raw["gaussian"]),
                     weight=leaf_raw["weight"],
-                    remerge_score=_none_or_inf(leaf_raw["remerge_score"]),
+                    remerge_distance=_remerge_distance(leaf_raw),
                 )
                 for leaf_raw in raw["leaves"]
             ],

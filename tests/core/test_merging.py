@@ -14,7 +14,6 @@ from repro.core.merging import (
     accuracy_loss,
     fit_merged_component,
     m_merge,
-    m_remerge,
     m_split,
     pairwise_m_merge,
     rank_merge_pairs,
@@ -93,13 +92,6 @@ class TestJMergeComparison:
 
 
 class TestSplitCriteria:
-    def test_m_split_reciprocal_of_m_remerge(self):
-        mixture = four_component_mixture()
-        outlier = Gaussian.spherical(np.array([30.0, 0.0]), 1.0)
-        split = m_split(outlier, mixture)
-        remerge = m_remerge(outlier, mixture)
-        assert split * remerge == pytest.approx(1.0)
-
     def test_far_component_has_large_m_split(self):
         mixture = four_component_mixture()
         near = Gaussian.spherical(np.array([5.0, 5.0]), 1.0)

@@ -40,8 +40,6 @@ CALLERS = ("src", "benchmarks", "examples")
 ALLOWED = {
     "repro.obs.server._Handler.do_GET": "http.server callback",
     "repro.obs.server._Handler.log_message": "http.server callback",
-    "repro.core.merging.m_remerge":
-        "test reference: M_split is checked as its reciprocal",
     "repro.core.chunking.lemma1_tail_bound":
         "test reference: Theorem 1's chunk size is checked against it",
     "repro.core.testing.log_density_spread":
