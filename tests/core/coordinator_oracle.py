@@ -12,10 +12,9 @@ before moment merges stopped going through ``fit_merged_component``:
   touched or not;
 * every merge, moment or simplex, calls ``fit_merged_component`` and so
   draws its Monte-Carlo sample set from the coordinator's rng;
-* every merge computes its leaves' ``M_remerge`` at once: against a
-  fresh pool of the merged leaves for a simplex merge (the Gaussian
-  ``M_split`` is measured against), against the father for a moment
-  merge.
+* every merge computes its leaves' ``M_remerge`` distance at once,
+  against a fresh pool of the merged leaves (the Gaussian ``M_split`` is
+  measured against), moment merges included.
 
 It is kept here, out of ``src/``, as the oracle of
 ``tests/core/test_coordinator_identity.py``: the pooled Gaussian is a
@@ -251,10 +250,10 @@ class OracleCoordinator:
     def on_updates(self, site_id: int) -> int:
         """Algorithm 2 (``OnUpdates``) for one updated remote site.
 
-        For each leaf of the site, compare ``M_split`` against the
-        reciprocal of the stored ``M_remerge``; leaves that drifted away
-        from their father are split out and re-merged into the sibling
-        cluster with the largest ``M_remerge``.
+        For each leaf of the site, compare ``M_split`` against the stored
+        ``M_remerge`` distance; leaves that drifted away from their father
+        are split out and re-merged into the sibling cluster with the
+        largest ``M_remerge``.
 
         Returns the number of splits performed.
         """
@@ -268,8 +267,8 @@ class OracleCoordinator:
                 if leaf.site_id != site_id:
                     continue
                 score = m_split(leaf.gaussian, cluster.leaf_mixture())
-                if np.isfinite(leaf.remerge_score) and score > (
-                    1.0 / leaf.remerge_score
+                if 0.0 < leaf.remerge_distance < np.inf and (
+                    score > leaf.remerge_distance
                 ):
                     with self._obs.span(
                         "coord.split",
@@ -341,14 +340,12 @@ class OracleCoordinator:
                 best_cluster = cluster
         if best_cluster is not None and best_distance <= self.config.attach_threshold:
             best_cluster.leaves.append(leaf)
-            leaf.remerge_score = (
-                1.0 / best_distance if best_distance > 0.0 else np.inf
-            )
+            leaf.remerge_distance = best_distance
             best_cluster.refresh_father()
         else:
             cluster = OracleCluster(cluster_id=next(self._cluster_ids))
             cluster.leaves.append(leaf)
-            leaf.remerge_score = np.inf
+            leaf.remerge_distance = np.inf
             cluster.refresh_father()
             self._clusters[cluster.cluster_id] = cluster
 
@@ -409,13 +406,11 @@ class OracleCoordinator:
             merged = OracleCluster(cluster_id=next(self._cluster_ids))
             merged.leaves = cluster_a.leaves + cluster_b.leaves
             merged.father = fit.component
-            if self.config.merge_method == "moment":
-                reference = merged.father
-            else:
-                reference = merged.leaf_mixture().pooled_gaussian()
+            reference = merged.leaf_mixture().pooled_gaussian()
             for leaf in merged.leaves:
-                distance = leaf.gaussian.symmetric_mahalanobis_sq(reference)
-                leaf.remerge_score = 1.0 / distance if distance > 0.0 else np.inf
+                leaf.remerge_distance = leaf.gaussian.symmetric_mahalanobis_sq(
+                    reference
+                )
             self._clusters[merged.cluster_id] = merged
             self.stats.merges += 1
             if self._obs.enabled:

@@ -172,7 +172,7 @@ def assert_same_state(coordinator: Coordinator, oracle: OracleCoordinator) -> No
         ]
         for leaf, reference in zip(mine.leaves, theirs.leaves):
             assert leaf.weight == reference.weight
-            assert leaf.remerge_score == reference.remerge_score
+            assert leaf.remerge_distance == reference.remerge_distance
         assert mine.weight == theirs.weight
         assert np.array_equal(mine.father.mean, theirs.father.mean)
         assert np.array_equal(mine.father.covariance, theirs.father.covariance)

@@ -1,13 +1,17 @@
-"""Re-merge scores are computed on read, and nothing else changes.
+"""Re-merge distances are computed on read, and nothing else changes.
 
-A merge records the father each leaf joined (``Leaf.merged_into``); its
-``M_remerge`` is computed the first time ``remerge_score`` is read and
-kept.  These counting pins hold that a merge cascade computes a score
-only for the leaves whose score is then read, that a checkpoint taken
-while scores are owed is byte for byte the eager coordinator's, and that
-the owed father is no part of a leaf's equality or repr.  That the
-scores themselves equal the eager ones after every message is
-``tests/core/test_coordinator_identity.py``'s oracle.
+A merge records the pool each leaf joined (``Leaf.merged_into``); its
+``M_remerge`` distance is computed the first time ``remerge_distance``
+is read and kept.  These counting pins hold that a merge cascade
+computes a distance only for the leaves whose distance is then read,
+that a checkpoint taken while distances are owed is byte for byte the
+eager coordinator's, and that the owed pool is no part of a leaf's
+equality or repr.  That the distances themselves equal the eager ones
+after every message is ``tests/core/test_coordinator_identity.py``'s
+oracle.
+
+Re-record the fixture (only for a deliberate state change) with
+``PYTHONPATH=src python -m tests.core.test_lazy_remerge``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage
 from repro.io.checkpoint import snapshot_coordinator
 
-#: ``snapshot_coordinator`` of :func:`cascade` with every score still
+#: ``snapshot_coordinator`` of :func:`cascade` with every distance still
 #: owed, as written by the coordinator that computed each at merge time.
 FIXTURE = Path(__file__).parent / "data" / "coordinator_unread_scores.json"
 
@@ -42,7 +46,7 @@ ANCHORS = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
 def cascade() -> Coordinator:
     """Six sites announce three components each under a cap of two:
     every announcement merges, and leaves of the other sites keep the
-    scores those merges owe them."""
+    distances those merges owe them."""
     rng = np.random.default_rng(2024)
     coordinator = Coordinator(
         CoordinatorConfig(max_components=2, merge_method="moment"),
@@ -84,7 +88,7 @@ def test_a_merge_cascade_computes_only_the_scores_it_reads(monkeypatch):
     calls: Counter = Counter()
     reads = {"owed": 0}
     score_of = Gaussian.symmetric_mahalanobis_sq
-    read, write = Leaf.remerge_score.fget, Leaf.remerge_score.fset
+    read, write = Leaf.remerge_distance.fget, Leaf.remerge_distance.fset
 
     def counted(self, other):
         calls[sys._getframe(1).f_code.co_name] += 1
@@ -104,24 +108,24 @@ def test_a_merge_cascade_computes_only_the_scores_it_reads(monkeypatch):
         return merge_clusters(self, id_a, id_b)
 
     monkeypatch.setattr(Gaussian, "symmetric_mahalanobis_sq", counted)
-    monkeypatch.setattr(Leaf, "remerge_score", property(counted_read, write))
+    monkeypatch.setattr(Leaf, "remerge_distance", property(counted_read, write))
     monkeypatch.setattr(Coordinator, "_merge_clusters", merge)
     coordinator = cascade()
 
     assert coordinator.stats.merges == len(merged) > 5
     assert calls["_merge_clusters"] == 0
-    # One evaluation per read of an owed score: 17, where computing one
-    # per merged leaf at merge time cost 123.
-    assert calls["_read_remerge_score"] == reads["owed"] == 17
-    assert sum(merged) == 123
+    # One evaluation per read of an owed distance: 17, where computing one
+    # per merged leaf at merge time cost 92.
+    assert calls["_read_remerge_distance"] == reads["owed"] == 17
+    assert sum(merged) == 92
 
     unread = owed(coordinator)
     assert unread
-    before = calls["_read_remerge_score"]
-    first = [leaf.remerge_score for leaf in unread]
-    assert calls["_read_remerge_score"] == before + len(unread)
-    assert [leaf.remerge_score for leaf in unread] == first  # kept
-    assert calls["_read_remerge_score"] == before + len(unread)
+    before = calls["_read_remerge_distance"]
+    first = [leaf.remerge_distance for leaf in unread]
+    assert calls["_read_remerge_distance"] == before + len(unread)
+    assert [leaf.remerge_distance for leaf in unread] == first  # kept
+    assert calls["_read_remerge_distance"] == before + len(unread)
     assert not owed(coordinator)
 
 
@@ -139,16 +143,16 @@ def test_the_owed_father_is_no_part_of_a_leaf():
     distance = gaussian.symmetric_mahalanobis_sq(father)
     owing = Leaf(1, 2, 0, gaussian, 3.5)
     owing.merged_into(father)
-    eager = Leaf(1, 2, 0, gaussian, 3.5, remerge_score=1.0 / distance)
+    eager = Leaf(1, 2, 0, gaussian, 3.5, remerge_distance=distance)
     assert "_merged_into" not in repr(owing)
     assert repr(owing) == repr(eager)
     assert owing == eager
     spec = {f.name: f for f in dataclasses.fields(Leaf)}["_merged_into"]
     assert not (spec.init or spec.repr or spec.compare)
-    # A score set outright drops whatever was owed.
+    # A distance set outright drops whatever was owed.
     owing.merged_into(father)
-    owing.remerge_score = 0.25
-    assert owing._merged_into is None and owing.remerge_score == 0.25
+    owing.remerge_distance = 0.25
+    assert owing._merged_into is None and owing.remerge_distance == 0.25
 
 
 def test_removing_a_leaf_goes_by_identity_and_rejects_a_non_member():
@@ -161,3 +165,23 @@ def test_removing_a_leaf_goes_by_identity_and_rejects_a_non_member():
     assert cluster.leaves == [member]
     cluster.remove(member)
     assert cluster.leaves == []
+
+
+def _record() -> None:
+    """Write the fixture from a coordinator that computes every owed
+    distance at merge time."""
+
+    def eager(leaf, reference):
+        leaf.remerge_distance = leaf.gaussian.symmetric_mahalanobis_sq(reference)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Leaf, "merged_into", eager)
+        coordinator = cascade()
+        assert not owed(coordinator)
+        text = json.dumps(snapshot_coordinator(coordinator), sort_keys=True)
+    FIXTURE.write_text(text + "\n")
+    print(f"recorded {FIXTURE}")
+
+
+if __name__ == "__main__":
+    _record()

@@ -105,8 +105,9 @@ def _regime(center: np.ndarray) -> GaussianMixture:
     )
 
 
-def _drift_run(monkeypatch, fit) -> CluDistream:
-    """4 sites, each jumping through three regimes; simplex merges, cap 3."""
+def _drift_run(monkeypatch, fit, jumps=(0, 1, 2), seed=11) -> CluDistream:
+    """4 sites, each jumping through ``jumps`` (400 records a regime);
+    simplex merges, cap 3."""
     monkeypatch.setattr(coordinator_module, "fit_merged_component", fit)
     config = CluDistreamConfig(
         n_sites=4,
@@ -122,20 +123,28 @@ def _drift_run(monkeypatch, fit) -> CluDistream:
     system = CluDistream(config, seed=3)
     streams = {}
     for site in range(4):
-        rng = np.random.default_rng([11, site])
+        rng = np.random.default_rng([seed, site])
         parts = [
             _regime(np.array([4.0 * site + 9.0 * jump, -2.0 * jump])).sample(
                 400, rng
             )[0]
-            for jump in range(3)
+            for jump in jumps
         ]
         streams[site] = list(np.concatenate(parts))
-    system.feed_streams(streams, max_records_per_site=1200)
+    system.feed_streams(streams, max_records_per_site=400 * len(jumps))
     return system
 
 
+def _recurring_run(monkeypatch, fit) -> CluDistream:
+    """:func:`_drift_run` with regime 0 recurring, so the sites' model-0
+    counters grow again (weight updates) and Algorithm 2 splits for a
+    real reason: a pool moved away from a leaf.  With no rounding left in
+    the split test, the three-regime drift run splits no leaf."""
+    return _drift_run(monkeypatch, fit, jumps=(0, 1, 0), seed=3)
+
+
 def _drift_end(monkeypatch, fit) -> tuple[CluDistream, GaussianMixture, int]:
-    """:func:`_drift_run`, its final global mixture and the fits it ran.
+    """:func:`_recurring_run`, its final global mixture and the fits it ran.
 
     The mixture is read while ``fit`` is still the one installed: a
     father nobody read during the run is searched by this read.
@@ -146,7 +155,7 @@ def _drift_end(monkeypatch, fit) -> tuple[CluDistream, GaussianMixture, int]:
         calls.append(1)
         return fit(*args, **kwargs)
 
-    system = _drift_run(monkeypatch, counting)
+    system = _recurring_run(monkeypatch, counting)
     return system, system.global_mixture(), len(calls)
 
 

@@ -2,11 +2,11 @@
 
 A simplex merge draws its common random numbers from the coordinator's
 generator when it merges, and runs its downhill-simplex search the first
-time the merged father is read.  Its leaves owe their re-merge scores
+time the merged father is read.  Its leaves owe their re-merge distances
 against the merged leaves' pool, so reading one searches nothing.  The
 search is a function of the pair and the drawn samples alone, so *when*
 it runs cannot move a bit: the fixture below was written by the
-coordinator that fitted every father and scored every leaf at merge
+coordinator that fitted every father and measured every leaf at merge
 time, and a coordinator that fits on read must reproduce it byte for
 byte, with snapshots taken while fits are still pending.
 
@@ -126,8 +126,8 @@ def test_a_father_overwritten_unread_is_never_searched(monkeypatch):
     state = coordinator._rng.bit_generator.state
     assert coordinator.memory_bytes() > 0 and calls == []  # size needs no search
     cluster.refresh_father()
-    for leaf in cluster.leaves:  # as _attach does: a set score drops the debt
-        leaf.remerge_score = 1.0
+    for leaf in cluster.leaves:  # as _attach does: a set distance drops the debt
+        leaf.remerge_distance = 1.0
     _text(coordinator)
     coordinator.global_mixture()
     assert coordinator.check_invariants() == []
@@ -142,7 +142,7 @@ def test_a_father_read_twice_is_searched_once(monkeypatch):
     first = cluster.father
     assert len(calls) == 1
     assert cluster.father is first
-    assert [leaf.remerge_score for leaf in cluster.leaves]  # owed: no fit
+    assert [leaf.remerge_distance for leaf in cluster.leaves]  # owed: no fit
     _text(coordinator)
     coordinator.global_mixture()
     assert len(calls) == 1
@@ -152,11 +152,10 @@ def test_a_father_read_twice_is_searched_once(monkeypatch):
 def test_reading_an_owed_score_runs_no_search(monkeypatch):
     calls = counting(monkeypatch)
     _, cluster = pending_merge()
-    score = cluster.leaves[0].remerge_score
+    distance = cluster.leaves[0].remerge_distance
     assert calls == []
     pool = cluster.leaf_mixture().pooled_gaussian()
-    expected = 1.0 / cluster.leaves[0].gaussian.symmetric_mahalanobis_sq(pool)
-    assert score == expected
+    assert distance == cluster.leaves[0].gaussian.symmetric_mahalanobis_sq(pool)
     # Reading the father then runs exactly one search.
     cluster.father
     assert len(calls) == 1
@@ -177,9 +176,9 @@ def test_the_drift_run_searches_only_the_fathers_it_reads(monkeypatch):
     during = len(calls)
     system.global_mixture()
     # 9 fathers are read while the messages are handled and none by the
-    # final read; the other 15 are overwritten unread.
+    # final read; the other 13 are overwritten unread.
     merges = system.coordinator.stats.merges
-    assert (during, len(calls), merges) == (9, 9, 24)
+    assert (during, len(calls), merges) == (9, 9, 22)
 
 
 def _record() -> None:

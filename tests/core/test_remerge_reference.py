@@ -1,13 +1,14 @@
 """Algorithm 2 tests a leaf against one father: ``M_remerge``'s is ``M_split``'s.
 
-A leaf splits out when ``M_split(i, Mix)`` exceeds ``1/M_remerge(i, Mix)``.
-``M_split`` is measured against the cluster's moment pool, so a simplex
-merge owes its leaves' ``M_remerge`` against that same pool -- the
+A leaf splits out when ``M_split(i, Mix)`` exceeds the distance behind
+``M_remerge(i, Mix)``; the leaf keeps that distance, never its
+reciprocal.  ``M_split`` is measured against the cluster's moment pool,
+so every merge owes its leaves' distance against that same pool -- the
 object ``merged.leaf_mixture().pooled_gaussian()`` caches -- and not
-against the searched vertex, which the next ``refresh_father`` replaces.
-A moment merge's father already is a moment match, and its leaves keep
-owing against it.  An owed score is a distance to a ``Gaussian``, so
-reading one never runs a downhill-simplex search (DESIGN §17.5, §17.6).
+against the searched vertex, which the next ``refresh_father`` replaces,
+nor against a moment merge's father, which equals the pool only up to
+rounding.  An owed distance is to a ``Gaussian``, so reading one never
+runs a downhill-simplex search (DESIGN §17.5, §17.6).
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def test_a_simplex_cascade_owes_every_score_against_its_clusters_pool(
     for cluster in merged_clusters(coordinator):
         pool = cluster.leaf_mixture().pooled_gaussian()
         assert all(leaf._merged_into is pool for leaf in cluster.leaves)
-    scores = [
-        leaf.remerge_score
+    distances = [
+        leaf.remerge_distance
         for cluster in coordinator.clusters
         for leaf in cluster.leaves
     ]
-    assert np.isfinite(scores).sum() > CAP
+    assert np.isfinite(distances).sum() > CAP
     assert calls == []
     # The fathers are still pending: reading them is what searches.
     for cluster in merged_clusters(coordinator):
@@ -92,14 +93,15 @@ def test_the_owed_distance_is_the_split_distance_bit_for_bit():
         for leaf in cluster.leaves:
             distance = m_split(leaf.gaussian, cluster.leaf_mixture())
             assert distance == leaf.gaussian.symmetric_mahalanobis_sq(fresh)
-            assert leaf.remerge_score == 1.0 / distance
+            assert leaf.remerge_distance == distance
 
 
-def test_a_moment_merge_owes_against_its_father():
+def test_a_moment_merge_owes_against_the_merged_pool():
     coordinator = cascade("moment")
     for cluster in merged_clusters(coordinator):
-        assert cluster.father is not cluster.leaf_mixture().pooled_gaussian()
-        assert all(leaf._merged_into is cluster.father for leaf in cluster.leaves)
+        pool = cluster.leaf_mixture().pooled_gaussian()
+        assert cluster.father is not pool
+        assert all(leaf._merged_into is pool for leaf in cluster.leaves)
 
 
 def test_a_checkpoint_with_every_score_owed_runs_at_most_one_search_per_cluster(

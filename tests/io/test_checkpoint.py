@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -228,24 +231,105 @@ class TestCoordinatorCheckpoint:
         assert clone.config == coordinator.config
         assert clone.global_mixture() == coordinator.global_mixture()
 
-    def test_infinite_remerge_scores_survive_json(self, tmp_path):
-        import json
-
+    def test_infinite_remerge_distances_survive_json(self, tmp_path):
         coordinator = self.make_coordinator()
         payload = snapshot_coordinator(coordinator)
         json.dumps(payload)  # must be strictly JSON-serialisable
         clone = restore_coordinator(payload)
-        scores = [
-            leaf.remerge_score
+        distances = [
+            leaf.remerge_distance
             for cluster in clone.clusters
             for leaf in cluster.leaves
         ]
         originals = [
-            leaf.remerge_score
+            leaf.remerge_distance
             for cluster in coordinator.clusters
             for leaf in cluster.leaves
         ]
-        assert sorted(map(str, scores)) == sorted(map(str, originals))
+        assert sorted(map(str, distances)) == sorted(map(str, originals))
+
+    @pytest.mark.parametrize("method", ["moment", "simplex"])
+    def test_a_cascade_with_every_distance_owed_round_trips_byte_for_byte(
+        self, method
+    ):
+        from tests.core.test_remerge_reference import cascade
+
+        coordinator = cascade(method)
+        assert any(
+            leaf._merged_into is not None
+            for cluster in coordinator.clusters
+            for leaf in cluster.leaves
+        )
+        text = json.dumps(snapshot_coordinator(coordinator))
+        clone = restore_coordinator(json.loads(text))
+        assert json.dumps(snapshot_coordinator(clone)) == text
+
+    def test_a_coordinator_restored_mid_stream_ends_as_the_straight_run(
+        self, monkeypatch
+    ):
+        """The recurring run's messages, split decisions included, fed
+        straight and through a JSON checkpoint taken halfway."""
+        from repro.core.merging import fit_merged_component
+        from tests.core.test_merge_fit_identity import _recurring_run
+
+        messages = []
+        handle = Coordinator.handle_message
+
+        def recording(self, message):
+            messages.append(message)
+            handle(self, message)
+
+        monkeypatch.setattr(Coordinator, "handle_message", recording)
+        _recurring_run(monkeypatch, fit_merged_component)
+        monkeypatch.setattr(Coordinator, "handle_message", handle)
+
+        def fresh() -> Coordinator:
+            return Coordinator(
+                CoordinatorConfig(max_components=3, merge_samples=256),
+                rng=np.random.default_rng(7),
+            )
+
+        straight = fresh()
+        for message in messages:
+            straight.handle_message(message)
+        half = len(messages) // 2
+        first = fresh()
+        for message in messages[:half]:
+            first.handle_message(message)
+        resumed = restore_coordinator(
+            json.loads(json.dumps(snapshot_coordinator(first)))
+        )
+        for message in messages[half:]:
+            resumed.handle_message(message)
+        assert resumed.stats.splits > first.stats.splits
+        assert json.dumps(snapshot_coordinator(resumed)) == json.dumps(
+            snapshot_coordinator(straight)
+        )
+
+    def test_a_checkpoint_with_reciprocal_scores_restores(self):
+        """1.16.0 wrote ``remerge_score``, the distance's reciprocal, with
+        ``null`` for an infinite score and ``0.0`` for an infinite
+        distance; both read as an infinite distance."""
+        from tests.core.test_lazy_remerge import cascade
+
+        coordinator = cascade()
+        payload = snapshot_coordinator(coordinator)
+        leaves = [leaf for cluster in payload["clusters"] for leaf in cluster["leaves"]]
+        distances = [leaf.pop("remerge_distance") for leaf in leaves]
+        assert len(set(distances)) > 2 and None not in distances
+        for leaf, distance in zip(leaves, distances):
+            leaf["remerge_score"] = 1.0 / distance
+        leaves[0]["remerge_score"], leaves[1]["remerge_score"] = None, 0.0
+        clone = restore_coordinator(json.loads(json.dumps(payload)))
+        restored = [
+            leaf.remerge_distance
+            for cluster in clone.clusters
+            for leaf in cluster.leaves
+        ]
+        assert restored == [math.inf, math.inf] + [
+            1.0 / (1.0 / distance) for distance in distances[2:]
+        ]
+        assert clone.global_mixture() == coordinator.global_mixture()
 
 
 class TestHistoryCheckpoint:
