@@ -233,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         "to its parent",
     )
     cluster.add_argument(
-        "--merge-method", choices=("simplex", "moment"), default="simplex",
-        help="coordinator merge refit (paper default: simplex)",
+        "--merge-method", choices=("simplex", "moment"), default="moment",
+        help="coordinator merge refit (simplex: the paper's L1 fit, "
+        "deprecated)",
     )
     cluster.add_argument(
         "--timeout", type=float, default=None,

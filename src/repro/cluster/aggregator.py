@@ -321,11 +321,7 @@ async def run_aggregator(
     """
     import os
 
-    from repro.io.checkpoint import (
-        load_aggregator,
-        load_coordinator,
-        save_aggregator,
-    )
+    from repro.io.checkpoint import load_aggregator, save_aggregator
     from repro.obs import (
         FederationCollector,
         HealthMonitor,
@@ -363,17 +359,8 @@ async def run_aggregator(
     node = arq = None
     if resume and checkpoint_dir is not None:
         path = checkpoint_dir / f"aggregator-{node_id}.json"
-        legacy = checkpoint_dir / "coordinator.json"
         if path.exists():
             node, arq = load_aggregator(path, observer=obs)
-        elif node_spec.is_root and legacy.exists():
-            print(
-                f"note: {legacy} is a 1.15.0 serve checkpoint; resuming "
-                "it without ARQ state (this reader is removed in 1.17.0)",
-                file=sys.stderr,
-            )
-            coordinator = load_coordinator(legacy, observer=obs)
-            node = InternalNode(node_id=node_id, coordinator=coordinator)
         else:
             print(
                 f"aggregator {node_id}: no checkpoint at {path}, "

@@ -123,13 +123,10 @@ def soak_spec(
     """The default soak topology: a 2-level tree over ``sites`` leaves.
 
     Tuned to keep a full 1000-site run inside a CI time budget while
-    still pushing >100k records through the tree: small chunks, a
-    modest per-site record budget, and exact moment-matching merges
-    (``merge_method="moment"``) instead of the paper's downhill-simplex
-    refit -- at 1000 sites the coordinators absorb thousands of models
-    and the simplex search, not the transport, would dominate the
-    wall-clock.  Both the tree and the flat reference share the config,
-    so the comparison stays apples-to-apples.
+    still pushing >100k records through the tree: small chunks and a
+    modest per-site record budget.  Both the tree and the flat
+    reference share the config, so the comparison stays
+    apples-to-apples.
     """
     return build_spec(
         sites,
@@ -142,7 +139,6 @@ def soak_spec(
         chunk=max(50, records_per_site // 2),
         records_per_site=records_per_site,
         p_new=0.0,
-        merge_method="moment",
     )
 
 

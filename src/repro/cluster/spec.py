@@ -135,7 +135,9 @@ class ClusterSpec:
     records_per_site: int = 2000
     p_new: float = 0.1
     upload_threshold: float = 0.05
-    merge_method: str = "simplex"
+    #: Every aggregator's :attr:`CoordinatorConfig.merge_method`: moment
+    #: pools by default; ``"simplex"`` (the paper's L1 fit) warns.
+    merge_method: str = "moment"
     telemetry_interval: float = 2.0
     incremental: bool = False
     wire_codec: str = "cds1"

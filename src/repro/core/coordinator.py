@@ -7,15 +7,17 @@ maintains a two-level tree:
   by ``(site_id, model_id, component_index)`` and weighted by the site
   mixture weight times the model's record counter;
 * **global clusters** (the paper's ``Mix`` nodes) -- groups of leaves,
-  each with a *father* component fitted by the merge machinery of
+  each with a *father* component: the moment pool of its leaves, or
+  (``merge_method="simplex"``, deprecated) the paper's L1 fit from
   :mod:`repro.core.merging`.
 
 Simply unioning all site components would give an ``r·K``-component
 global mixture -- correct but unscalable and prone to local maxima, as
 section 5.2 notes.  Instead the coordinator greedily merges the pair of
 global clusters with the largest ``M_merge`` until at most
-``max_components`` remain, fitting each father by minimising the L1
-accuracy loss.
+``max_components`` remain, pooling each merged pair's moments (the
+paper's §5.2.1 minimises an L1 accuracy loss instead; opt in with
+``merge_method="simplex"``).
 
 On every site update Algorithm 2 runs: each updated component checks
 ``M_split`` against the ``M_remerge`` distance owed when it was merged,
@@ -30,6 +32,7 @@ and drop it once the weight is non-positive.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,11 +103,12 @@ class CoordinatorConfig:
         Upper bound on global clusters; merging kicks in above it.
         ``None`` disables merging entirely (the naive ``r·K`` union).
     merge_method:
-        ``"simplex"`` (the paper's downhill-simplex fit of the father
-        component) or ``"moment"`` (exact moment matching -- the cheap
-        ablation).
+        ``"moment"`` (the default: exact moment matching, the father is
+        the pool of its leaves) or ``"simplex"`` (the paper's
+        downhill-simplex fit of the L1 accuracy loss, deprecated: it
+        leaves the coordinator in 1.18.0).
     merge_samples:
-        Monte-Carlo budget per accuracy-loss evaluation.
+        Monte-Carlo budget per accuracy-loss evaluation (simplex only).
     attach_threshold:
         A new leaf joins an existing cluster outright when its
         symmetrised Mahalanobis distance to the father is below this;
@@ -119,7 +123,7 @@ class CoordinatorConfig:
     """
 
     max_components: int | None = 5
-    merge_method: str = "simplex"
+    merge_method: str = "moment"
     merge_samples: int = 1024
     attach_threshold: float = 4.0
     tolerate_loss: bool = False
@@ -129,6 +133,14 @@ class CoordinatorConfig:
             raise ValueError("max_components must be at least 1")
         if self.merge_method not in ("simplex", "moment"):
             raise ValueError(f"unknown merge method {self.merge_method!r}")
+        if self.merge_method == "simplex":
+            warnings.warn(
+                "merge_method='simplex' is deprecated and leaves the "
+                "coordinator in 1.18.0; the paper's L1 merge fit moves to "
+                "benchmarks/paper/merging.py",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if self.attach_threshold <= 0.0:
             raise ValueError("attach_threshold must be positive")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -195,18 +197,44 @@ class TestMergeCap:
         assert coordinator.n_components >= 5
 
     def test_simplex_merge_method_works(self):
-        coordinator = Coordinator(
-            CoordinatorConfig(
+        with pytest.warns(DeprecationWarning):
+            config = CoordinatorConfig(
                 max_components=2, merge_method="simplex", merge_samples=256
-            ),
-            rng=np.random.default_rng(1),
-        )
+            )
+        coordinator = Coordinator(config, rng=np.random.default_rng(1))
         for site_id in range(4):
             center = np.array([float(site_id * 15), 0.0])
             coordinator.handle_message(
                 model_update(site_id, 0, site_mixture(center))
             )
         assert coordinator.n_components <= 2
+
+
+class TestMergeMethodDeprecation:
+    """1.17.0 makes moment pools the default and deprecates the simplex
+    (DESIGN.md section 10.3)."""
+
+    def test_the_simplex_warns_once_naming_its_removal(self):
+        with pytest.warns(DeprecationWarning, match="1.18.0") as caught:
+            CoordinatorConfig(merge_method="simplex")
+        assert len(caught) == 1
+        assert "benchmarks/paper/merging.py" in str(caught[0].message)
+
+    def test_a_spec_reaches_the_warning_through_its_config(self):
+        from repro.cluster import ClusterSpec
+
+        spec = ClusterSpec(merge_method="simplex")
+        with pytest.warns(DeprecationWarning, match="simplex"):
+            spec.coordinator_config()
+
+    def test_the_default_config_does_not_warn(self):
+        from repro.cluster import ClusterSpec
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = CoordinatorConfig()
+            spec_config = ClusterSpec().coordinator_config()
+        assert config.merge_method == spec_config.merge_method == "moment"
 
 
 class TestAlgorithm2:

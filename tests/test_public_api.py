@@ -23,7 +23,7 @@ class TestTopLevelSurface:
             assert getattr(repro, name) is not None
 
     def test_version(self):
-        assert repro.__version__ == "1.16.0"
+        assert repro.__version__ == "1.17.0"
 
     def test_packaging_reads_the_version_attribute(self):
         # One place to bump: pyproject.toml must not carry its own copy.

@@ -14,7 +14,6 @@ half is recorded once and its checkpoint directory copied per restart.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import subprocess
@@ -103,27 +102,3 @@ def test_a_replaying_site_is_applied_once(recorded, tmp_path):
         line for line in lines if line.startswith("delivery:")
     )
     assert root(lines) == root(straight)
-
-
-def test_a_1_15_0_directory_still_resumes(recorded, tmp_path):
-    # 1.15.0's serve wrote coordinator.json (the coordinator snapshot,
-    # no ARQ cursors) and manifest.json; its sites wrote no manifest.
-    straight, first = recorded
-    legacy = tmp_path / "legacy"
-    legacy.mkdir()
-    shutil.copy(first / "site-0.json", legacy)
-    aggregator = json.loads((first / "aggregator-0.json").read_text())
-    (legacy / "coordinator.json").write_text(
-        json.dumps(aggregator["coordinator"])
-    )
-    (legacy / "manifest.json").write_text(
-        json.dumps({"format": 1, "kind": "coordinator_server",
-                    "endpoints": {"tcp": {"host": "127.0.0.1", "port": 1}}})
-    )
-    flags = ["--checkpoint-dir", str(legacy), "--resume"]
-    lines, err = run(3000, serve=flags, site=flags)
-    (note,) = err.splitlines()
-    assert "coordinator.json" in note and "1.17.0" in note
-    assert root(lines) == root(straight)
-    assert coordinator_line(lines) == coordinator_line(straight)
-    assert (legacy / "aggregator-0.json").exists()
