@@ -30,6 +30,12 @@ from tests.cluster.trees import (
 )
 from tests.transport import drain_mark_contract as drain_mark
 
+#: :func:`simplex_root_run` opts in to the paper's L1 simplex merge fit,
+#: which 1.17.0 deprecates.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:merge_method='simplex':DeprecationWarning"
+)
+
 #: The root's ``snapshot_coordinator`` after :func:`simplex_root_run`.
 #: Re-record it (only for a deliberate state change) with
 #: ``PYTHONPATH=src python -m tests.cluster.test_transport_tree``.

@@ -114,7 +114,9 @@ def simplex_root_run() -> TransportTree:
     over the ``tree_lossy`` fault mix; every coordinator caps at two
     components and merges by simplex fit, so the root merges and splits
     its gateways' summaries."""
-    tree = fast_tree(MILD, CoordinatorConfig(max_components=2))
+    tree = fast_tree(
+        MILD, CoordinatorConfig(max_components=2, merge_method="simplex")
+    )
     tree.add_internal(0)
     for node_id in (1, 2):
         tree.add_internal(node_id, parent_id=0, upload_threshold=0.0)

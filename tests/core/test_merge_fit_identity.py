@@ -24,6 +24,12 @@ from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSiteConfig
 from tests.core.merge_fit_oracle import oracle_fit_merged_component
 
+#: These tests are about the paper's L1 simplex merge fit, which 1.17.0
+#: deprecates: they opt in with ``merge_method="simplex"``.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:merge_method='simplex':DeprecationWarning"
+)
+
 #: (label, gap in pooled sigmas, weight_i, diagonal inputs)
 SHAPES = (
     ("overlapping", 0.4, 0.5, False),
@@ -118,7 +124,9 @@ def _drift_run(monkeypatch, fit, jumps=(0, 1, 2), seed=11) -> CluDistream:
             em=EMConfig(n_components=2, n_init=1, max_iter=30, tol=1e-3),
             chunk_override=200,
         ),
-        coordinator=CoordinatorConfig(max_components=3, merge_samples=256),
+        coordinator=CoordinatorConfig(
+            max_components=3, merge_method="simplex", merge_samples=256
+        ),
     )
     system = CluDistream(config, seed=3)
     streams = {}

@@ -37,6 +37,12 @@ from repro.io.checkpoint import snapshot_coordinator
 from repro.obs import Observer, RingBufferSink
 from tests.core.test_merge_fit_identity import _drift_run
 
+#: These tests are about the paper's L1 simplex merge fit, which 1.17.0
+#: deprecates: they opt in with ``merge_method="simplex"``.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:merge_method='simplex':DeprecationWarning"
+)
+
 #: ``snapshot_coordinator`` of :func:`_drift_run` after every message
 #: (sha256 of the sorted-key JSON), and the last one in full.
 FIXTURE = Path(__file__).parent / "data" / "coordinator_fit_on_read.json"
@@ -100,7 +106,9 @@ def pending_merge(observer=None) -> tuple[Coordinator, GlobalCluster]:
     """Two far-apart one-leaf clusters under a cap of one: one simplex
     merge, and nothing read since."""
     coordinator = Coordinator(
-        CoordinatorConfig(max_components=1, merge_samples=128),
+        CoordinatorConfig(
+            max_components=1, merge_method="simplex", merge_samples=128
+        ),
         rng=np.random.default_rng(5),
         observer=observer,
     )

@@ -57,7 +57,7 @@ NON_DEFAULT = {
     },
     CoordinatorConfig: {
         "max_components": 7,
-        "merge_method": "moment",
+        "merge_method": "simplex",
         "merge_samples": 256,
         "attach_threshold": 3.0,
         "tolerate_loss": True,
