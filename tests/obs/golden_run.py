@@ -3,7 +3,7 @@ every view of it that ``test_goldens.py`` pins.
 
 ``tests/obs/data/golden.trace.jsonl`` is one deterministic run:
 three sites with the incremental refit ladder on a lossy ARQ channel,
-a two-component cap at the coordinator (so updates merge and split),
+a two-component cap at the coordinator (so updates merge),
 history on the coordinator (carrying the live health monitor's gauges)
 and on site 0, and an observer clocked by a counter
 (``itertools.count`` x 1e-4) so every span has a non-zero, stable
