@@ -122,16 +122,12 @@ class AggregatorServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start accepting connections (port 0 = ephemeral)."""
-        hop = self.hop
-        hop.receiver = ReliableReceiver(
-            deliver=hop.deliver,
-            send_ack=self._send_ack,
-            clock=AsyncioClock(asyncio.get_running_loop()),
-            config=self.config,
-            observer=self._obs,
-            on_telemetry=hop.on_telemetry,
+        self.hop.listen(
+            self._send_ack,
+            AsyncioClock(asyncio.get_running_loop()),
+            self.config,
         )
-        hop.restore_cursors(self._arq)
+        self.hop.restore_cursors(self._arq)
         self._server = await asyncio.start_server(self._handle, host, port)
 
     @property

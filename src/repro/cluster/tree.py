@@ -51,7 +51,7 @@ from repro.transport.clock import ManualClock
 from repro.transport.endpoint import SiteEndpoint
 from repro.transport.loopback import LoopbackTransport
 from repro.transport.lossy import FaultConfig, LossyTransport
-from repro.transport.reliability import ReliabilityConfig, ReliableReceiver
+from repro.transport.reliability import ReliabilityConfig
 
 __all__ = ["LevelStats", "TransportTree"]
 
@@ -272,7 +272,7 @@ class TransportTree(DrainMark):
                 node_id, "aggregator", level, parent_id
             )
             wiring.federate(self.federation, uplink_codec=uplink_wire_codec)
-        wiring.receiver = self._make_receiver(wiring)
+        self._listen(wiring)
         if parent_id is not None:
             self._connect_uplink(wiring)
         self._internals[node_id] = wiring
@@ -471,7 +471,7 @@ class TransportTree(DrainMark):
         wiring = self._require_internal(node_id)
         node, arq = restore_aggregator(payload, observer=self._obs)
         wiring.node = node
-        wiring.receiver = self._make_receiver(wiring)
+        self._listen(wiring)
         wiring.restore_cursors(arq)
         if wiring.edge is not None:
             wiring.edge.close()
@@ -500,17 +500,12 @@ class TransportTree(DrainMark):
             )
         return transport
 
-    def _make_receiver(self, wiring: _InternalWiring) -> ReliableReceiver:
-        receiver = ReliableReceiver(
-            deliver=wiring.deliver,
-            send_ack=wiring.transport.send_to_site,
-            clock=self.clock,
-            config=self._reliability,
-            observer=self._obs,
-            on_telemetry=wiring.on_telemetry,
+    def _listen(self, wiring: _InternalWiring) -> None:
+        """Give an aggregator its children's receiver on its subnet."""
+        receiver = wiring.listen(
+            wiring.transport.send_to_site, self.clock, self._reliability
         )
         wiring.transport.bind_coordinator(receiver.handle_datagram)
-        return receiver
 
     def _make_endpoint(
         self,

@@ -68,13 +68,11 @@ class DeliveryAccounting:
     duplicates_suppressed: int = 0
 
     @classmethod
-    def from_endpoints(
-        cls, site_endpoints, coordinator_endpoint
-    ) -> "DeliveryAccounting":
+    def from_endpoints(cls, site_endpoints, hop) -> "DeliveryAccounting":
         """The ARQ stack's counters in this model: sender statistics of
         every :class:`~repro.transport.endpoint.SiteEndpoint` summed,
-        receiver statistics of the matching
-        :class:`~repro.transport.endpoint.CoordinatorEndpoint` (``None``
+        receiver statistics of the
+        :class:`~repro.cluster.hop.AggregatorHop` they send to (``None``
         before one exists).  A payload counts once in ``attempted``
         however often it is retransmitted -- retransmitted *bytes* land
         in ``wire_bytes``.  Link-level faults are not visible from
@@ -90,8 +88,8 @@ class DeliveryAccounting:
             wire_bytes=sum(s.wire_bytes for s in senders),
             retransmissions=sum(s.retransmissions for s in senders),
         )
-        if coordinator_endpoint is not None:
-            receiver = coordinator_endpoint.receiver.stats
+        if hop is not None:
+            receiver = hop.receiver.stats
             accounting.delivered = receiver.delivered
             accounting.ack_bytes = receiver.ack_wire_bytes
             accounting.duplicates_suppressed = receiver.duplicates_suppressed

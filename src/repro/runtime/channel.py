@@ -15,9 +15,10 @@ in flight to land, e.g. before a checkpoint), ``finish`` and ``close``
   with the Figure 2 cost collector; ``submit`` advances the clock to
   each record's time;
 * :class:`TransportChannel` -- the full ARQ transport stack
-  (:mod:`repro.transport`); ``submit`` drains the reliable outboxes
-  whenever a message entered one since the last drain, so delivery
-  order equals emission order even under seeded faults.
+  (:mod:`repro.transport`) into the root of a one-level tree; ``submit``
+  drains the reliable outboxes whenever a message entered one since
+  the last drain, so delivery order equals emission order even under
+  seeded faults.
 
 Each backend honours the same :class:`~repro.runtime.faults.ChannelFaults`
 spec and reports the same :class:`~repro.runtime.accounting.DeliveryAccounting`
@@ -31,6 +32,8 @@ import warnings
 from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.coordinator import Coordinator
 from repro.core.protocol import Message
@@ -50,6 +53,8 @@ __all__ = [
 #: Clock step and safety bound of each :class:`TransportChannel` drain.
 DRAIN_STEP = 0.25
 DRAIN_LIMIT = 600.0
+#: The :class:`TransportChannel` coordinator's node id: a label no site uses.
+ROOT_ID = -1
 
 
 class Channel(ABC):
@@ -288,7 +293,9 @@ class TransportChannel(DrainMark, Channel):
     is acknowledged), so delivery order equals emission order and the
     coordinator converges to the loss-free state whatever the fault
     pattern -- the property the transport convergence suite pins down.
-    ``quiesce`` always drains.
+    ``quiesce`` always drains.  ``endpoints`` are the sites' uplinks;
+    ``hop`` is the coordinator's :class:`~repro.cluster.hop.AggregatorHop`,
+    under :data:`ROOT_ID`, that receives and applies every payload.
 
     Parameters
     ----------
@@ -334,10 +341,11 @@ class TransportChannel(DrainMark, Channel):
         self._codec_config = codec_config
         self._lossy = None
         self.endpoints = []
-        self.coordinator_endpoint = None
+        self.hop = None
 
     def open(self, sites, coordinator, observer=None):
-        from repro.transport.endpoint import connect_system
+        from repro.cluster.hop import AggregatorHop, InternalNode
+        from repro.transport.endpoint import SiteEndpoint
         from repro.transport.lossy import FaultConfig, LossyTransport
 
         observer = ensure_observer(observer)
@@ -356,19 +364,27 @@ class TransportChannel(DrainMark, Channel):
             )
             transport = self._lossy
         self._sites = list(sites)
-        self.endpoints, self.coordinator_endpoint = connect_system(
-            sites,
-            coordinator,
-            transport,
-            self._clock,
-            config=self._reliability,
-            seed=self._seed,
-            observer=observer,
-            wire_codec=self._wire_codec,
-            codec_config=self._codec_config,
+        self.hop = AggregatorHop(
+            InternalNode(ROOT_ID, coordinator), level=0, observer=observer
         )
-        for site, endpoint in zip(sites, self.endpoints):
+        receiver = self.hop.listen(
+            transport.send_to_site, self._clock, self._reliability
+        )
+        transport.bind_coordinator(receiver.handle_datagram)
+        self.endpoints = []
+        for site in sites:
+            endpoint = SiteEndpoint(
+                site.site_id,
+                transport,
+                self._clock,
+                self._reliability,
+                rng=np.random.default_rng(self._seed + 70_000 + site.site_id),
+                observer=observer,
+                wire_codec=self._wire_codec,
+                codec_config=self._codec_config,
+            )
             site._emit = self._marking(endpoint.send)
+            self.endpoints.append(endpoint)
 
     def submit(self, site, record):
         messages = site.process_record(record)
@@ -392,9 +408,7 @@ class TransportChannel(DrainMark, Channel):
             endpoint.close()
 
     def accounting(self):
-        accounting = DeliveryAccounting.from_endpoints(
-            self.endpoints, self.coordinator_endpoint
-        )
+        accounting = DeliveryAccounting.from_endpoints(self.endpoints, self.hop)
         if self._lossy is not None:
             faults = self._lossy.faults
             accounting.dropped = faults.dropped + faults.partition_drops

@@ -17,10 +17,12 @@ realistically misbehaving) links:
   monotone sequence numbers, an ack-driven outbox with exponential
   backoff + jitter retransmission, idempotent/ordered delivery (dedupe +
   reorder buffer) and heartbeats for staleness detection;
-* **endpoints** -- :class:`~repro.transport.endpoint.SiteEndpoint` /
-  :class:`~repro.transport.endpoint.CoordinatorEndpoint` plug the stack
-  into :class:`~repro.core.remote.RemoteSite` (via its ``emit`` hook) and
-  :class:`~repro.core.coordinator.Coordinator` (via ``handle_message``).
+* **endpoints** -- :class:`~repro.transport.endpoint.SiteEndpoint`
+  plugs the stack into :class:`~repro.core.remote.RemoteSite` (via its
+  ``emit`` hook); on the receiving side a
+  :class:`~repro.cluster.hop.AggregatorHop` -- the flat coordinator is
+  the root of a one-level tree -- builds the receiver with ``listen``
+  and applies every payload to its coordinator.
 
 The guarantee the stack provides: over any fault pattern that does not
 partition the link forever, every emitted synopsis is delivered to the
@@ -31,7 +33,7 @@ state is identical to a loss-free run (see
 
 from repro.transport.base import DatagramTransport, LinkStats
 from repro.transport.clock import Clock, ManualClock, TimerHandle
-from repro.transport.endpoint import CoordinatorEndpoint, SiteEndpoint
+from repro.transport.endpoint import SiteEndpoint
 from repro.transport.framing import (
     ENVELOPE_BYTES,
     KIND_ACK,
@@ -57,7 +59,6 @@ from repro.transport.wire import CodecSender
 __all__ = [
     "Clock",
     "CodecSender",
-    "CoordinatorEndpoint",
     "DatagramTransport",
     "ENVELOPE_BYTES",
     "Envelope",

@@ -1,4 +1,4 @@
-"""Endpoints: plugging the transport stack into sites and coordinator.
+"""The in-process uplink edge and the loop that settles it.
 
 A :class:`SiteEndpoint` is *the* in-process uplink edge -- of a
 :class:`~repro.core.remote.RemoteSite` behind a
@@ -9,37 +9,26 @@ the message through :mod:`repro.core.serde` and hands the bytes to a
 :class:`~repro.transport.reliability.ReliableSender`.  :func:`drain` is
 the one loop that settles such edges on a manual clock.
 
-A :class:`CoordinatorEndpoint` is the receiving half: datagrams come in
-from the transport, the
-:class:`~repro.transport.reliability.ReliableReceiver` dedupes/orders
-them, and surviving payloads are decoded back into protocol messages
-and applied via ``Coordinator.handle_message``.  It also turns the
-heartbeat stream into staleness information.
+The receiving half is the parent's
+:class:`~repro.cluster.hop.AggregatorHop` (the channel's coordinator is
+the root of a one-level tree): its ``listen`` builds the
+:class:`~repro.transport.reliability.ReliableReceiver`, and every
+surviving payload is decoded and applied in its ``deliver``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coordinator import Coordinator
 from repro.core.protocol import Message
-from repro.core.serde import CDS2Codec, CodecConfig, get_codec
+from repro.core.serde import CodecConfig, get_codec
 from repro.obs.observer import Observer, ensure_observer
 from repro.transport.base import DatagramTransport
 from repro.transport.clock import Clock, ManualClock
-from repro.transport.reliability import (
-    ReliabilityConfig,
-    ReliableReceiver,
-    ReliableSender,
-)
+from repro.transport.reliability import ReliabilityConfig, ReliableSender
 from repro.transport.wire import CodecSender
 
-__all__ = [
-    "CoordinatorEndpoint",
-    "SiteEndpoint",
-    "connect_system",
-    "drain",
-]
+__all__ = ["SiteEndpoint", "drain"]
 
 
 class SiteEndpoint:
@@ -125,118 +114,6 @@ class SiteEndpoint:
     def close(self) -> None:
         self.sender.close()
         self._transport.unbind_site(self.site_id)
-
-
-class CoordinatorEndpoint:
-    """Coordinator-side endpoint: reliable receiver + serde + staleness.
-
-    Parameters
-    ----------
-    coordinator:
-        The coordinator consuming delivered messages.
-    transport:
-        The datagram backend to bind to.
-    clock:
-        Clock used for liveness timestamps.
-    config:
-        Reliability tuning (``stale_after`` in particular).
-    observer:
-        Optional :class:`~repro.obs.observer.Observer`; deserialisation
-        is timed into ``profile.serde_decode`` and forwarded to the
-        :class:`~repro.transport.reliability.ReliableReceiver`.
-
-    Payloads decode with one :class:`~repro.core.serde.CDS2Codec`, which
-    reads CDS1 and CDS2 alike: the sender picks the wire format.
-    """
-
-    def __init__(
-        self,
-        coordinator: Coordinator,
-        transport: DatagramTransport,
-        clock: Clock,
-        config: ReliabilityConfig | None = None,
-        observer: Observer | None = None,
-    ) -> None:
-        self.coordinator = coordinator
-        self._transport = transport
-        self._obs = ensure_observer(observer)
-        self.codec = CDS2Codec()
-        self.receiver = ReliableReceiver(
-            deliver=self._deliver,
-            send_ack=transport.send_to_site,
-            clock=clock,
-            config=config,
-            observer=self._obs,
-        )
-        transport.bind_coordinator(self.receiver.handle_datagram)
-
-    def _deliver(self, site_id: int, payload: bytes, trace=None) -> None:
-        with self._obs.timer("profile.serde_decode"):
-            message = self.codec.decode(payload)
-        # Adopt the propagated context so coordinator-side spans
-        # (coord.update / coord.merge / coord.split) causally link back
-        # to the originating site's chunk-test span.
-        with self._obs.remote_parent(trace):
-            self.coordinator.handle_message(message)
-
-    # ------------------------------------------------------------------
-    # Staleness
-    # ------------------------------------------------------------------
-    def stale_sites(self, stale_after: float | None = None) -> tuple[int, ...]:
-        """Sites silent beyond the staleness timeout (and not DONE)."""
-        return self.receiver.stale_sites(stale_after)
-
-    def close(self) -> None:
-        self._transport.bind_coordinator(lambda data: None)
-
-
-# ----------------------------------------------------------------------
-# Convenience wiring
-# ----------------------------------------------------------------------
-def connect_system(
-    sites,
-    coordinator: Coordinator,
-    transport: DatagramTransport,
-    clock: Clock,
-    config: ReliabilityConfig | None = None,
-    seed: int = 0,
-    observer: Observer | None = None,
-    *,
-    wire_codec: str = "cds1",
-    codec_config: CodecConfig | None = None,
-) -> tuple[list[SiteEndpoint], CoordinatorEndpoint]:
-    """Wire ``sites`` and ``coordinator`` over one transport.
-
-    Installs a :class:`SiteEndpoint` as each site's ``emit`` hook and
-    binds a :class:`CoordinatorEndpoint`; returns both so callers can
-    inspect stats, drain outboxes and close everything down.  The
-    optional ``observer`` is shared by every endpoint, and the optional
-    ``wire_codec``/``codec_config`` select every site's serialisation
-    (see :func:`repro.core.serde.get_codec`).
-    """
-    observer = ensure_observer(observer)
-    coordinator_endpoint = CoordinatorEndpoint(
-        coordinator,
-        transport,
-        clock,
-        config,
-        observer=observer,
-    )
-    endpoints: list[SiteEndpoint] = []
-    for site in sites:
-        endpoint = SiteEndpoint(
-            site.site_id,
-            transport,
-            clock,
-            config,
-            rng=np.random.default_rng(seed + 70_000 + site.site_id),
-            observer=observer,
-            wire_codec=wire_codec,
-            codec_config=codec_config,
-        )
-        site._emit = endpoint.send
-        endpoints.append(endpoint)
-    return endpoints, coordinator_endpoint
 
 
 def drain(
