@@ -3,8 +3,8 @@
 One seeded drift workload -- a ``K=8``, ``d=8`` full-covariance mixture
 in which exactly one component moves per refit, the steady state the
 CDS2 delta encoding is designed for -- is pushed over the in-process
-delivery edge (:class:`~repro.transport.endpoint.SiteEndpoint` to
-:class:`~repro.transport.endpoint.CoordinatorEndpoint` on a loopback
+delivery edge (:class:`~repro.transport.endpoint.SiteEndpoint` to a
+root :class:`~repro.cluster.hop.AggregatorHop` on a loopback
 transport), once per codec cell (CDS1; CDS2 at f64/f32/f16, each with
 delta on and off).  Two numbers come out per cell:
 
@@ -34,14 +34,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.cluster.hop import AggregatorHop, InternalNode
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import ModelUpdateMessage
 from repro.core.serde import CodecConfig
 from repro.core.testing import average_log_likelihood
+from repro.obs.observer import ensure_observer
 from repro.streams.synthetic import random_mixture
 from repro.transport.clock import ManualClock
-from repro.transport.endpoint import CoordinatorEndpoint, SiteEndpoint
+from repro.transport.endpoint import SiteEndpoint
 from repro.transport.loopback import LoopbackTransport
 
 BASELINE = Path(__file__).resolve().parents[2] / "BENCH_comm.json"
@@ -161,7 +163,7 @@ def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
     Loopback delivery is synchronous, so acks return before ``send``
     does and every delta update gets to baseline against its immediate
     predecessor -- the steady state of a healthy edge.  The decode side
-    is the coordinator's own receiver, so ``avg_pr`` reflects what the
+    is the coordinator's own hop, so ``avg_pr`` reflects what the
     coordinator would actually see, quantisation loss included.
     """
     clock = ManualClock()
@@ -169,7 +171,10 @@ def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
     # Stands where the coordinator would: keeps what the edge decoded.
     updates: list[ModelUpdateMessage] = []
     sink = SimpleNamespace(handle_message=updates.append)
-    CoordinatorEndpoint(sink, transport, clock)
+    hop = AggregatorHop(InternalNode(-1, sink), 0, ensure_observer(None))
+    transport.bind_coordinator(
+        hop.listen(transport.send_to_site, clock).handle_datagram
+    )
     site = SiteEndpoint(
         1,
         transport,

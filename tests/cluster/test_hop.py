@@ -1,4 +1,5 @@
-"""The §7 node on its own: the upload gate's change score, and the
+"""The §7 node on its own: the upload gate's change score, the
+children's receiver every caller builds with ``listen``, and the
 telemetry routing every node holds on its hop.
 
 The node's behaviour inside a tree -- summaries reaching the root,
@@ -14,8 +15,13 @@ import pytest
 from repro.cluster.hop import mixture_change
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
-from repro.obs import NodeTelemetry
-from tests.cluster.trees import build_two_level, fast_tree, feed_leaf
+from repro.core.protocol import WeightUpdateMessage
+from repro.obs import NodeTelemetry, Observer
+from repro.transport.clock import ManualClock
+from repro.transport.endpoint import SiteEndpoint
+from repro.transport.loopback import LoopbackTransport
+from tests.cluster.trees import build_two_level, fast_tree, feed_leaf, root_hop
+from tests.transport.test_endpoint import model_update, quiet_config
 
 
 class TestMixtureChange:
@@ -38,6 +44,59 @@ class TestMixtureChange:
             + mixture_2d.components[1:],
         )
         assert mixture_change(mixture_2d, moved) > 0.1
+
+
+class TestListen:
+    """A root hop's receiver: decode, apply, and the children's liveness."""
+
+    def make_pair(self, site_id: int = 1):
+        transport = LoopbackTransport()
+        clock = ManualClock()
+        hop = root_hop(transport, clock, quiet_config(stale_after=5.0))
+        site_endpoint = SiteEndpoint(
+            site_id, transport, clock, quiet_config(stale_after=5.0)
+        )
+        return clock, hop, site_endpoint
+
+    def test_messages_are_decoded_and_applied(self):
+        _, hop, site_endpoint = self.make_pair()
+        site_endpoint.send(model_update(1, count=150))
+        coordinator = hop.node.coordinator
+        assert (1, 0) in coordinator.site_models
+        assert coordinator.site_models[(1, 0)][1] == 150
+        assert site_endpoint.outstanding() == 0  # ack came straight back
+
+    def test_stale_site_is_reported_then_recovers(self):
+        clock, hop, site_endpoint = self.make_pair()
+        site_endpoint.send(model_update(1))
+        clock.advance(10.0)
+        assert hop.receiver.stale_sites() == (1,)
+        site_endpoint.send(WeightUpdateMessage(site_id=1, model_id=0, time=2, count_delta=5))
+        assert hop.receiver.stale_sites() == ()
+
+    def test_done_sites_are_not_evicted(self):
+        # A site that sent DONE is never stale, however long it is
+        # silent, and its synopses stay in the global model.
+        clock, hop, site_endpoint = self.make_pair()
+        site_endpoint.send(model_update(1))
+        site_endpoint.finish()
+        clock.advance(100.0)
+        assert hop.receiver.stale_sites() == ()
+        assert (1, 0) in hop.node.coordinator.site_models
+
+    def test_every_hop_of_a_tree_times_its_decoding(self):
+        observer = Observer()
+        tree = fast_tree(observer=observer)
+        tree.add_internal(0)
+        tree.add_internal(1, parent_id=0, upload_threshold=0.0)
+        tree.add_leaf(10, parent_id=1)
+        feed_leaf(tree, 10, 0.0, 750, 1)
+        root, gateway = tree._internals[0], tree._internals[1]
+        delivered = [w.receiver.stats.delivered for w in (root, gateway)]
+        assert min(delivered) > 0
+        decoded = observer.registry.histogram("profile.serde_decode").count
+        assert decoded == sum(delivered)
+        tree.close()
 
 
 class TestTelemetryRouting:

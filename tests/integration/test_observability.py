@@ -28,6 +28,7 @@ from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
 from repro.obs import JsonlTraceSink, Observer, summarize_trace
 from repro.runtime import TransportChannel
+from repro.runtime.channel import ROOT_ID
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.clock import ManualClock
@@ -97,7 +98,7 @@ def traced_run(lossy: bool):
     return (
         system,
         channel.endpoints,
-        channel.coordinator_endpoint,
+        channel.hop,
         observer,
         buffer.getvalue(),
     )
@@ -118,16 +119,16 @@ def export_artifacts(name: str, trace: str, observer: Observer) -> None:
 
 @pytest.fixture(scope="module")
 def loopback_run():
-    system, endpoints, coord, observer, trace = traced_run(lossy=False)
+    system, endpoints, hop, observer, trace = traced_run(lossy=False)
     export_artifacts("loopback", trace, observer)
-    return system, endpoints, coord, observer, trace
+    return system, endpoints, hop, observer, trace
 
 
 @pytest.fixture(scope="module")
 def lossy_run():
-    system, endpoints, coord, observer, trace = traced_run(lossy=True)
+    system, endpoints, hop, observer, trace = traced_run(lossy=True)
     export_artifacts("lossy", trace, observer)
-    return system, endpoints, coord, observer, trace
+    return system, endpoints, hop, observer, trace
 
 
 class TestTraceReconstructsRun:
@@ -187,14 +188,39 @@ class TestTraceReconstructsRun:
             assert getattr(summary, field) == registry.counter(name).value
 
     def test_retransmissions_match_sender_stats(self, lossy_run):
-        _, endpoints, coord, _, trace = lossy_run
+        _, endpoints, hop, _, trace = lossy_run
         summary = summarize_trace(io.StringIO(trace))
         expected = sum(e.sender.stats.retransmissions for e in endpoints)
         assert summary.retransmissions == expected
         assert expected > 0
-        duplicates = coord.receiver.stats.duplicates_suppressed
+        duplicates = hop.receiver.stats.duplicates_suppressed
         assert summary.duplicates_suppressed == duplicates
         assert duplicates > 0
+
+    def test_each_applied_message_is_one_root_aggregate_under_its_site(
+        self, lossy_run
+    ):
+        # The channel's coordinator is the root of a one-level tree:
+        # what serve's root pins in tests/transport/test_flat_server.py.
+        system, _, hop, _, trace = lossy_run
+        spans = {
+            event["span"]: event
+            for event in map(json.loads, trace.splitlines())
+            if event["type"] == "span"
+        }
+        aggregates = [
+            span for span in spans.values()
+            if span["name"] == "cluster.aggregate"
+        ]
+        assert len(aggregates) == hop.receiver.stats.delivered
+        assert len(aggregates) == system.coordinator.stats.messages_received
+        for span in aggregates:
+            attrs = span["attrs"]
+            assert (attrs["node"], attrs["level"]) == (ROOT_ID, 0)
+            site_span = spans[span["parent"]]
+            assert site_span["name"].startswith("site.")
+            assert site_span["attrs"]["site"] == attrs["child"]
+            assert site_span["trace"] == span["trace"]
 
     def test_lossy_trace_records_faults(self, lossy_run):
         _, _, _, _, trace = lossy_run

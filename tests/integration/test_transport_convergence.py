@@ -81,7 +81,7 @@ def run_over(system: CluDistream, transport, clock):
     system.runtime(channel).run(
         make_streams(), max_records_per_site=RECORDS_PER_SITE
     )
-    return channel.endpoints, channel.coordinator_endpoint
+    return channel.endpoints, channel.hop
 
 
 @pytest.fixture(scope="module")
@@ -100,19 +100,19 @@ def runs():
 
 class TestLossyConvergesToLoopback:
     def test_faults_actually_fired(self, runs):
-        _, _, _, lossy, (site_endpoints, coordinator_endpoint) = runs
+        _, _, _, lossy, (site_endpoints, hop) = runs
         assert lossy.faults.dropped > 0
         assert lossy.faults.duplicated > 0
         report = DeliveryAccounting.from_endpoints(
-            site_endpoints, coordinator_endpoint
+            site_endpoints, hop
         )
         assert report.retransmissions > 0
         assert report.duplicates_suppressed > 0
 
     def test_every_message_was_delivered_exactly_once(self, runs):
-        _, _, _, _, (site_endpoints, coordinator_endpoint) = runs
+        _, _, _, _, (site_endpoints, hop) = runs
         report = DeliveryAccounting.from_endpoints(
-            site_endpoints, coordinator_endpoint
+            site_endpoints, hop
         )
         assert report.delivered_exactly_once
         assert report.delivered == report.attempted > N_SITES
@@ -138,9 +138,9 @@ class TestLossyConvergesToLoopback:
             assert np.array_equal(ref_mixture.weights, obs_mixture.weights)
 
     def test_wire_overhead_is_accounted(self, runs):
-        _, _, _, _, (site_endpoints, coordinator_endpoint) = runs
+        _, _, _, _, (site_endpoints, hop) = runs
         report = DeliveryAccounting.from_endpoints(
-            site_endpoints, coordinator_endpoint
+            site_endpoints, hop
         )
         assert report.wire_bytes > report.payload_bytes
         assert report.overhead_ratio > 1.0

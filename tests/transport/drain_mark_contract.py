@@ -118,13 +118,13 @@ class ChannelDriver:
         return self.channel.accounting().attempted
 
     def delivered(self) -> int:
-        return self.channel.coordinator_endpoint.receiver.stats.delivered
+        return self.channel.hop.receiver.stats.delivered
 
     def state(self):
         return (
             self.clock.now,
             self.channel.accounting(),
-            self.channel.coordinator_endpoint.receiver.stats,
+            self.channel.hop.receiver.stats,
             [endpoint.sender.stats for endpoint in self.channel.endpoints],
             json.dumps(
                 snapshot_coordinator(self.system.coordinator), sort_keys=True

@@ -1,26 +1,25 @@
-"""Tests for the site/coordinator transport endpoints."""
+"""Tests for the site transport endpoint and the drain that settles it.
+
+The receiving side is a root :class:`~repro.cluster.hop.AggregatorHop`
+(``tests/cluster/test_hop.py`` covers its ``listen``); here sites'
+endpoints are wired to one directly, as
+:class:`~repro.runtime.TransportChannel` wires them.
+"""
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.coordinator import Coordinator
 from repro.core.mixture import Gaussian, GaussianMixture
 from repro.core.protocol import ModelUpdateMessage, WeightUpdateMessage
 from repro.runtime.accounting import DeliveryAccounting
 from repro.transport.clock import ManualClock
-from repro.transport.endpoint import (
-    CoordinatorEndpoint,
-    SiteEndpoint,
-    connect_system,
-    drain,
-)
+from repro.transport.endpoint import SiteEndpoint, drain
 from repro.transport.loopback import LoopbackTransport
 from repro.transport.lossy import FaultConfig, LossyTransport
 from repro.transport.reliability import ReliabilityConfig
+from tests.cluster.trees import root_hop
 
 
 def quiet_config(**overrides) -> ReliabilityConfig:
@@ -37,6 +36,16 @@ def small_mixture(center: float = 0.0) -> GaussianMixture:
             Gaussian.spherical(np.array([center, 4.0]), 0.5),
         ),
     )
+
+
+def wire_sites(site_ids, transport, clock):
+    """Each site's endpoint, and the root hop they send to."""
+    hop = root_hop(transport, clock, quiet_config())
+    endpoints = [
+        SiteEndpoint(site_id, transport, clock, quiet_config())
+        for site_id in site_ids
+    ]
+    return endpoints, hop
 
 
 def model_update(site_id: int, model_id: int = 0, count: int = 100):
@@ -80,45 +89,6 @@ class TestSiteEndpoint:
         endpoint.close()
 
 
-class TestCoordinatorEndpoint:
-    def make_pair(self, site_id: int = 1):
-        transport = LoopbackTransport()
-        clock = ManualClock()
-        coordinator = Coordinator()
-        coordinator_endpoint = CoordinatorEndpoint(
-            coordinator, transport, clock, quiet_config(stale_after=5.0)
-        )
-        site_endpoint = SiteEndpoint(
-            site_id, transport, clock, quiet_config(stale_after=5.0)
-        )
-        return clock, coordinator, coordinator_endpoint, site_endpoint
-
-    def test_messages_are_decoded_and_applied(self):
-        _, coordinator, _, site_endpoint = self.make_pair()
-        site_endpoint.send(model_update(1, count=150))
-        assert (1, 0) in coordinator.site_models
-        assert coordinator.site_models[(1, 0)][1] == 150
-        assert site_endpoint.outstanding() == 0  # ack came straight back
-
-    def test_stale_site_is_reported_then_recovers(self):
-        clock, _, coordinator_endpoint, site_endpoint = self.make_pair()
-        site_endpoint.send(model_update(1))
-        clock.advance(10.0)
-        assert coordinator_endpoint.stale_sites() == (1,)
-        site_endpoint.send(WeightUpdateMessage(site_id=1, model_id=0, time=2, count_delta=5))
-        assert coordinator_endpoint.stale_sites() == ()
-
-    def test_done_sites_are_not_evicted(self):
-        # A site that sent DONE is never stale, however long it is
-        # silent, and its synopses stay in the global model.
-        clock, coordinator, coordinator_endpoint, site_endpoint = self.make_pair()
-        site_endpoint.send(model_update(1))
-        site_endpoint.finish()
-        clock.advance(100.0)
-        assert coordinator_endpoint.stale_sites() == ()
-        assert (1, 0) in coordinator.site_models
-
-
 class TestConnectSystemAndDrain:
     def test_emit_hooks_are_installed_and_lossy_link_drains(self):
         clock = ManualClock()
@@ -128,19 +98,13 @@ class TestConnectSystemAndDrain:
             FaultConfig(drop_rate=0.3, duplicate_rate=0.1),
             seed=7,
         )
-        coordinator = Coordinator()
-        sites = [SimpleNamespace(site_id=i, _emit=None) for i in (0, 1)]
-        endpoints, coordinator_endpoint = connect_system(
-            sites, coordinator, transport, clock, quiet_config()
-        )
-        for site in sites:
-            assert callable(site._emit)
-        for i, site in enumerate(sites):
+        endpoints, hop = wire_sites((0, 1), transport, clock)
+        for i, endpoint in enumerate(endpoints):
             for model_id in range(4):
-                site._emit(model_update(i, model_id=model_id, count=10 + model_id))
+                endpoint.send(model_update(i, model_id=model_id, count=10 + model_id))
         drain(clock, endpoints)
         assert all(e.outstanding() == 0 for e in endpoints)
-        assert len(coordinator.site_models) == 8
+        assert len(hop.node.coordinator.site_models) == 8
 
     def test_drain_raises_on_a_dead_link(self):
         clock = ManualClock()
@@ -151,12 +115,8 @@ class TestConnectSystemAndDrain:
             FaultConfig(partitions=((0.0, float("inf")),)),
             seed=0,
         )
-        coordinator = Coordinator()
-        sites = [SimpleNamespace(site_id=0, _emit=None)]
-        endpoints, _ = connect_system(
-            sites, coordinator, transport, clock, quiet_config()
-        )
-        sites[0]._emit(model_update(0))
+        endpoints, _ = wire_sites((0,), transport, clock)
+        endpoints[0].send(model_update(0))
         with pytest.raises(RuntimeError, match="drain"):
             drain(clock, endpoints, step=1.0, limit=30.0)
 
@@ -172,22 +132,16 @@ class TestDeliveryReport:
             FaultConfig(drop_rate=0.4, duplicate_rate=0.2),
             seed=13,
         )
-        coordinator = Coordinator()
-        sites = [SimpleNamespace(site_id=i, _emit=None) for i in range(3)]
-        endpoints, coordinator_endpoint = connect_system(
-            sites, coordinator, transport, clock, quiet_config()
-        )
+        endpoints, hop = wire_sites(range(3), transport, clock)
         messages = []
-        for i, site in enumerate(sites):
+        for i, endpoint in enumerate(endpoints):
             for model_id in range(5):
                 message = model_update(i, model_id=model_id, count=20)
                 messages.append(message)
-                site._emit(message)
+                endpoint.send(message)
         drain(clock, endpoints)
 
-        report = DeliveryAccounting.from_endpoints(
-            endpoints, coordinator_endpoint
-        )
+        report = DeliveryAccounting.from_endpoints(endpoints, hop)
         assert report.attempted == len(messages)
         assert report.delivered == len(messages)
         assert report.delivered_exactly_once
