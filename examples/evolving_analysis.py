@@ -3,10 +3,10 @@
 
 One remote site watches a stream that alternates between traffic
 regimes.  The event table records which model explained which span of
-the stream; afterwards we (a) replay a user window query ("what did the
-stream look like between records 3000 and 9000?"), (b) report the
-detected change points against the ground truth, and (c) run a sliding
-window with the negative-weight deletion protocol.
+the stream; afterwards we (a) read the change points off that table and
+check them against the ground truth, (b) replay a user window query
+("what did the stream look like between records 3000 and 9000?"), and
+(c) run a sliding window with the negative-weight deletion protocol.
 
 Run:  python examples/evolving_analysis.py
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import EMConfig, RemoteSite, RemoteSiteConfig
-from repro.changedetect import ChangeDetector
 from repro.streams.visual import one_dimensional_phases
 from repro.windows import SlidingWindowManager, horizon_mixture
 
@@ -33,7 +32,6 @@ def main() -> None:
         chunk_override=CHUNK,
     )
     site = RemoteSite(0, config, rng=np.random.default_rng(3))
-    detector = ChangeDetector(site)
 
     # Three regimes, repeated twice (A B C A B C) -- the repeats let the
     # multi-test strategy reactivate archived models.
@@ -44,22 +42,27 @@ def main() -> None:
         f"{phases.n_phases} phases (chunk size {CHUNK})..."
     )
     for record in phases.stream(rng):
-        for change in detector.process_record(record):
-            kind = "reactivated" if change.reactivation else "new model"
-            print(
-                f"  change detected at record {change.position}: "
-                f"model {change.old_model_id} -> {change.new_model_id} "
-                f"({kind})"
-            )
+        site.process_record(record)
 
-    true_changes = [
-        phases.horizon * i for i in range(1, phases.n_phases)
-    ]
-    hits, misses, false_alarms = detector.matches(true_changes)
-    print(
-        f"\nchange detection: {hits} hits, {misses} misses, "
-        f"{false_alarms} false alarms "
-        f"(ground truth: {len(true_changes)} changes)"
+    # Each closed event ends where a chunk failed its fit tests; the
+    # model that took over is the next event's (the current model after
+    # the last one), and it is a reactivation when it reigned before.
+    events = list(site.events)
+    successors = [event.model_id for event in events[1:]]
+    successors.append(site.current_model.model_id)
+    reigned: set[int] = set()
+    for event, successor in zip(events, successors):
+        reigned.add(event.model_id)
+        kind = "reactivated" if successor in reigned else "new model"
+        print(
+            f"  change detected at record {event.end}: "
+            f"model {event.model_id} -> {successor} ({kind})"
+        )
+    # The phases are chunk-aligned, so the detected change points are
+    # exactly the ground truth.
+    true_changes = [phases.horizon * i for i in range(1, phases.n_phases)]
+    assert site.events.change_points() == true_changes, (
+        site.events.change_points()
     )
 
     print("\n=== Event table (the stream's evolution) ===")

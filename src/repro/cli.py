@@ -623,9 +623,13 @@ def _cmd_chunk_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.cluster import make_stream
     from repro.core.cludistream import CluDistream, CluDistreamConfig
+    from repro.io.checkpoint import checkpoint_found
     from repro.runtime import DirectChannel, Runtime, SimulatedChannel
+    from repro.runtime.runtime import MANIFEST_NAME
 
     _check_checkpoint_flags(args)
     spec = _spec_from_flags(args)
@@ -646,7 +650,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     coordinator = system.coordinator
 
     channel = SimulatedChannel() if args.simulate else DirectChannel()
-    if args.resume:
+    if args.resume and checkpoint_found(
+        Path(args.checkpoint_dir) / MANIFEST_NAME, "run"
+    ):
         runtime = Runtime.resume(
             args.checkpoint_dir,
             channel,
@@ -805,6 +811,7 @@ def _cmd_site(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.cluster import make_stream
+    from repro.io.checkpoint import checkpoint_found, load_site
     from repro.streams.base import take
     from repro.transport.tcp import run_site_client
 
@@ -816,12 +823,9 @@ def _cmd_site(args: argparse.Namespace) -> int:
     target = Path(args.checkpoint_dir) if args.checkpoint_dir else None
     if target is not None:
         manifest = target / f"site-{args.site_id}.manifest.json"
-    if args.resume:
-        from repro.io.checkpoint import load_site
-
-        restored = load_site(
-            target / f"site-{args.site_id}.json", observer=observer
-        )
+        checkpoint = target / f"site-{args.site_id}.json"
+    if args.resume and checkpoint_found(checkpoint, f"site {args.site_id}"):
+        restored = load_site(checkpoint, observer=observer)
         # The seeded generator replays the original stream; hand the
         # restored site only the records beyond its recorded position.
         records = records[restored.position:]

@@ -317,7 +317,11 @@ async def run_aggregator(
     """
     import os
 
-    from repro.io.checkpoint import load_aggregator, save_aggregator
+    from repro.io.checkpoint import (
+        checkpoint_found,
+        load_aggregator,
+        save_aggregator,
+    )
     from repro.obs import (
         FederationCollector,
         HealthMonitor,
@@ -355,14 +359,8 @@ async def run_aggregator(
     node = arq = None
     if resume and checkpoint_dir is not None:
         path = checkpoint_dir / f"aggregator-{node_id}.json"
-        if path.exists():
+        if checkpoint_found(path, f"aggregator {node_id}"):
             node, arq = load_aggregator(path, observer=obs)
-        else:
-            print(
-                f"aggregator {node_id}: no checkpoint at {path}, "
-                "starting fresh",
-                file=sys.stderr,
-            )
     if node is None:
         node = InternalNode(
             node_id=node_id,

@@ -46,7 +46,7 @@ from repro.core.merging import (
     m_merge,
     m_split,
 )
-from repro.core.mixture import GaussianMixture
+from repro.core.mixture import GaussianMixture, union_by_mass
 from repro.core.protocol import (
     DeletionMessage,
     Message,
@@ -404,19 +404,7 @@ class Coordinator:
         tree), this spans everything the sites have reported since the
         landmark, including models whose distribution has long passed.
         """
-        combined: GaussianMixture | None = None
-        combined_mass = 0.0
-        for mixture, count in self._site_models.values():
-            if count <= 0:
-                continue
-            if combined is None:
-                combined = mixture
-                combined_mass = float(count)
-            else:
-                combined = combined.union(
-                    mixture, combined_mass, float(count)
-                )
-                combined_mass += float(count)
+        combined = union_by_mass(self._site_models.values())
         if combined is None:
             raise ValueError("coordinator has received no models yet")
         return combined

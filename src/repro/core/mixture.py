@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.gaussian import BYTES_PER_FLOAT, Gaussian
 from repro.numerics.linalg import LOG_2PI, batch_log_pdf, shifted_exp
 
-__all__ = ["EStep", "GaussianMixture"]
+__all__ = ["EStep", "GaussianMixture", "union_by_mass"]
 
 #: Log-density floor: records in the far tail of every component clamp
 #: here rather than producing ``-inf`` average log likelihoods.
@@ -451,3 +451,26 @@ class GaussianMixture:
             f"GaussianMixture(K={self.n_components}, dim={self.dim}, "
             f"weights={np.round(self.weights, 4)})"
         )
+
+
+def union_by_mass(
+    pairs: Iterable[tuple[GaussianMixture, float]],
+) -> GaussianMixture | None:
+    """Left-to-right :meth:`GaussianMixture.union` of ``(mixture, mass)`` pairs.
+
+    The one fold behind every section 7 answer that combines models by
+    their record mass (landmark and horizon windows, site- and
+    coordinator-side).  Pairs with a non-positive mass are skipped;
+    ``None`` when no pair is left.
+    """
+    combined: GaussianMixture | None = None
+    combined_mass = 0.0
+    for mixture, mass in pairs:
+        if mass <= 0:
+            continue
+        if combined is None:
+            combined = mixture
+        else:
+            combined = combined.union(mixture, combined_mass, float(mass))
+        combined_mass += float(mass)
+    return combined

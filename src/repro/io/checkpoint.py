@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Mapping
 
@@ -34,6 +35,7 @@ from repro.obs.history import ModelHistory
 from repro.obs.observer import Observer
 
 __all__ = [
+    "checkpoint_found",
     "load_aggregator",
     "load_coordinator",
     "load_site",
@@ -60,6 +62,15 @@ _DROPPED_KEYS = {
     "em": ("step_alpha", "incremental_steps"),
     "coordinator": ("index_candidates",),
 }
+
+
+def checkpoint_found(path: Path, node: str) -> bool:
+    """Whether a ``--resume`` node finds its checkpoint at ``path``; a
+    node without one starts fresh after one stderr line."""
+    if path.exists():
+        return True
+    print(f"{node}: no checkpoint at {path}, starting fresh", file=sys.stderr)
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ counters *are* the landmark bookkeeping, no extra state needed.
 
 from __future__ import annotations
 
-from repro.core.mixture import GaussianMixture
+from repro.core.mixture import GaussianMixture, union_by_mass
 from repro.core.remote import RemoteSite
 
 __all__ = ["landmark_mixture"]
@@ -30,19 +30,7 @@ def landmark_mixture(site: RemoteSite) -> GaussianMixture:
     models = site.all_models
     if not models:
         raise ValueError("site has no trained models yet")
-    combined: GaussianMixture | None = None
-    combined_mass = 0.0
-    for entry in models:
-        if entry.count <= 0:
-            continue
-        if combined is None:
-            combined = entry.mixture
-            combined_mass = float(entry.count)
-        else:
-            combined = combined.union(
-                entry.mixture, combined_mass, float(entry.count)
-            )
-            combined_mass += float(entry.count)
+    combined = union_by_mass((entry.mixture, entry.count) for entry in models)
     if combined is None:
         raise ValueError("all models have non-positive counters")
     return combined

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.gaussian import Gaussian
-from repro.core.mixture import GaussianMixture
+from repro.core.mixture import GaussianMixture, union_by_mass
 
 
 class TestConstruction:
@@ -237,3 +237,27 @@ class TestSerialization:
         pairs = list(mixture_2d)
         assert len(pairs) == 3
         assert pairs[0][0] == pytest.approx(0.5)
+
+
+class TestUnionByMass:
+    @staticmethod
+    def single(mean: float) -> GaussianMixture:
+        return GaussianMixture(
+            np.ones(1), (Gaussian.spherical(np.full(1, mean), 1.0),)
+        )
+
+    def test_folds_left_to_right_in_mass_order(self):
+        a, b, c = self.single(0.0), self.single(1.0), self.single(2.0)
+        folded = union_by_mass([(a, 3), (b, 1), (c, 4)])
+        by_hand = a.union(b, 3.0, 1.0).union(c, 4.0, 4.0)
+        assert folded == by_hand
+        assert np.array_equal(folded.weights, by_hand.weights)
+
+    def test_non_positive_masses_are_skipped(self):
+        a, b = self.single(0.0), self.single(1.0)
+        folded = union_by_mass([(b, 0), (a, 2), (b, -1)])
+        assert folded is a
+
+    def test_none_when_no_pair_is_left(self):
+        assert union_by_mass([]) is None
+        assert union_by_mass([(self.single(0.0), 0)]) is None

@@ -14,11 +14,13 @@ counts.  Names are resolved through imports, so ``export.to_json`` and
   (``self.method``, ``obj.method``).
 
 The top-level surface (``repro.__all__`` and the public methods of its
-classes) follows the deprecation policy of DESIGN.md section 10, so it
-is out of scope.  Everything else without a caller must either go or be
-listed in ``ALLOWED`` with its reason.
+classes) follows the deprecation policy of DESIGN.md section 10, so a
+surface callable without a caller cannot simply go: it is listed in
+``SURFACE_PENDING`` until its outcome is decided.  Everything else
+without a caller must either go or be listed in ``ALLOWED`` with its
+reason.
 
-``python -m tests.test_census`` prints the hits with their test-only
+``python -m tests.test_census`` prints both lists with their test-only
 reference counts.
 """
 
@@ -50,6 +52,34 @@ ALLOWED = {
         "the engine benchmarks/e2e/spans.py patches; goes with it (item 13)",
     "repro.obs.observer.NullObserver.span_event":
         "top-level surface: NULL_OBSERVER answers Observer.span_event",
+}
+
+#: Top-level surface callables without a non-test caller (ROADMAP item
+#: 20 decides each one's outcome under the deprecation policy).
+SURFACE_PENDING = {
+    qualname: "item 20: outcome pending"
+    for qualname in (
+        "repro.core.chunking.iter_chunks",
+        "repro.core.cludistream.CluDistream.evolving_query",
+        "repro.core.cludistream.CluDistream.site_mixtures",
+        "repro.core.cludistream.CluDistream.total_bytes_sent",
+        "repro.core.cludistream.CluDistream.total_messages_sent",
+        "repro.core.coordinator.Coordinator.check_invariants",
+        "repro.core.coordinator.Coordinator.full_mixture",
+        "repro.core.coordinator.Coordinator.landmark_mixture",
+        "repro.core.events.EventTable.retained_start",
+        "repro.core.gaussian.Gaussian.precision",
+        "repro.core.mixture.GaussianMixture.component_log_pdf",
+        "repro.core.mixture.GaussianMixture.max_component_log_likelihood",
+        "repro.core.mixture.GaussianMixture.single",
+        "repro.core.mixture.GaussianMixture.weighted_log_pdf",
+        "repro.core.mixture.GaussianMixture.with_components",
+        "repro.core.scoring.AnomalyDetector.recalibrate",
+        "repro.core.selection.select_k",
+        "repro.obs.observer.Observer.span_event",
+        "repro.runtime.accounting.DeliveryAccounting.delivered_exactly_once",
+        "repro.runtime.accounting.DeliveryAccounting.lost",
+    )
 }
 
 
@@ -267,21 +297,29 @@ def references(census: Census) -> dict[str, int]:
     return counts
 
 
-def hits(root: Path = ROOT, callers=CALLERS) -> list[Definition]:
-    """Definitions off the top-level surface with no reference in ``callers``."""
+def hits(
+    root: Path = ROOT, callers=CALLERS, on_surface: bool = False
+) -> list[Definition]:
+    """Definitions with no reference in ``callers``: those off the
+    top-level surface, or with ``on_surface`` those on it."""
     census = build(root, callers)
     surface = _surface(census)
     counts = references(census)
     return [
         definition
         for qualname, definition in sorted(census.definitions.items())
-        if qualname not in surface and not counts[qualname]
+        if (qualname in surface) == on_surface and not counts[qualname]
     ]
 
 
 @pytest.fixture(scope="module")
 def found() -> list[Definition]:
     return hits()
+
+
+@pytest.fixture(scope="module")
+def found_on_surface() -> list[Definition]:
+    return hits(on_surface=True)
 
 
 def test_every_callable_below_the_surface_has_a_caller(found):
@@ -296,6 +334,24 @@ def test_every_callable_below_the_surface_has_a_caller(found):
 def test_every_allowed_entry_is_still_a_hit(found):
     stale = sorted(set(ALLOWED) - {d.qualname for d in found})
     assert not stale, f"ALLOWED entries that now have a caller or are gone: {stale}"
+
+
+def test_every_surface_callable_has_a_caller(found_on_surface):
+    unexplained = [
+        d.qualname for d in found_on_surface if d.qualname not in SURFACE_PENDING
+    ]
+    assert not unexplained, (
+        "top-level callables with no caller in src/, benchmarks/ or "
+        "examples/ (give them one, or list them in SURFACE_PENDING):\n  "
+        + "\n  ".join(unexplained)
+    )
+
+
+def test_every_pending_surface_entry_is_still_a_hit(found_on_surface):
+    stale = sorted(set(SURFACE_PENDING) - {d.qualname for d in found_on_surface})
+    assert not stale, (
+        f"SURFACE_PENDING entries that now have a caller or are gone: {stale}"
+    )
 
 
 def test_a_resolved_name_is_not_a_method_of_the_same_name(tmp_path):
@@ -323,13 +379,18 @@ def test_a_resolved_name_is_not_a_method_of_the_same_name(tmp_path):
 
 def main() -> None:
     in_tests = references(build(ROOT, ("tests",)))
-    for definition in hits():
-        path = definition.path.relative_to(ROOT)
-        print(
-            f"{definition.qualname:<60} {path}:{definition.line}  "
-            f"tests={in_tests[definition.qualname]}  "
-            f"{ALLOWED.get(definition.qualname, '')}"
-        )
+    for title, on_surface, reasons in (
+        ("below the top-level surface", False, ALLOWED),
+        ("on the top-level surface", True, SURFACE_PENDING),
+    ):
+        print(f"# {title}")
+        for definition in hits(on_surface=on_surface):
+            path = definition.path.relative_to(ROOT)
+            print(
+                f"{definition.qualname:<60} {path}:{definition.line}  "
+                f"tests={in_tests[definition.qualname]}  "
+                f"{reasons.get(definition.qualname, '')}"
+            )
 
 
 if __name__ == "__main__":

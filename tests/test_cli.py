@@ -707,6 +707,45 @@ class TestCheckpointResume:
         assert "processed 1200 records" in out
         assert self.summary_lines(out) == uninterrupted
 
+    def test_resume_without_a_checkpoint_starts_fresh(self, tmp_path, capsys):
+        ckpt = tmp_path / "empty"
+        ckpt.mkdir()
+        status = main(
+            self.BASE
+            + ["--records", "400", "--checkpoint-dir", str(ckpt), "--resume"]
+        )
+        assert status == 0
+        captured = capsys.readouterr()
+        manifest = ckpt / "manifest.json"
+        assert captured.err.splitlines() == [
+            f"run: no checkpoint at {manifest}, starting fresh"
+        ]
+        assert "processed 800 records" in captured.out
+        assert "resumed from round" not in captured.out
+        assert manifest.exists()
+
+    def test_site_resume_without_a_checkpoint_starts_fresh(
+        self, tmp_path, capsys
+    ):
+        import socket
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        ckpt = tmp_path / "empty"
+        ckpt.mkdir()
+        status = main(
+            ["site", "--port", str(port), "--records", "100", "--chunk", "50",
+             "--checkpoint-dir", str(ckpt), "--resume"]
+        )
+        assert status == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (
+            f"site 0: no checkpoint at {ckpt / 'site-0.json'}, starting fresh"
+        )
+        assert f"cannot reach coordinator at 127.0.0.1:{port}" in err[-1]
+
 
 class TestWireCodecFlags:
     @pytest.mark.parametrize("command", ["site", "cluster"])
