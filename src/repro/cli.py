@@ -586,7 +586,8 @@ def _start_telemetry(
             coordinator.history.gauge_source = health.history_gauges
     if health is None:
         return None
-    from repro.obs import TelemetryServer, system_snapshot
+    from repro.obs import system_snapshot
+    from repro.obs.server import TelemetryServer
 
     health.bind(
         component_count=lambda: coordinator.n_components,

@@ -98,8 +98,9 @@ class Gaussian:
         per-axis variances, ``diagonal`` one flag or one per member.
         Returns the components -- each bit for bit ``Gaussian(means[j],
         covariances[j], diagonal)``, as views of shared arrays -- and the
-        ``(means, L⁻¹, log-dets)`` stacks a mixture derives the constants
-        of :func:`~repro.numerics.linalg.batch_log_pdf` from.
+        ``(means, L, log-dets)`` stacks a mixture derives the constants
+        of :func:`~repro.numerics.linalg.batch_log_pdf` from, ``L⁻¹`` at
+        its first density pass.
         """
         means = np.array(means, dtype=float, ndmin=2)
         covs = np.asarray(covariances, dtype=float)
@@ -116,19 +117,17 @@ class Gaussian:
         if flags.any():
             keep = np.eye(dim, dtype=bool) | ~flags[:, None, None]
             covs = np.where(keep, covs, 0.0)
-        covs, chols, log_dets, inverses = spd_factorize_stack(covs)
+        covs, chols, log_dets = spd_factorize_stack(covs)
         components = []
-        for mean, cov, chol, log_det, inverse, flag in zip(
-            means, covs, chols, log_dets.tolist(), inverses, flags.tolist()
+        for mean, cov, chol, log_det, flag in zip(
+            means, covs, chols, log_dets.tolist(), flags.tolist()
         ):
             component = object.__new__(cls)
             object.__setattr__(component, "diagonal", flag)
-            component._adopt(
-                mean, SPDFactors(cov, chol, log_det, _inverse_cholesky=[inverse])
-            )
+            component._adopt(mean, SPDFactors(cov, chol, log_det))
             components.append(component)
         means.setflags(write=False)
-        return tuple(components), (means, inverses, log_dets)
+        return tuple(components), (means, chols, log_dets)
 
     @classmethod
     def spherical(

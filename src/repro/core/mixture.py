@@ -24,7 +24,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.gaussian import BYTES_PER_FLOAT, Gaussian
-from repro.numerics.linalg import LOG_2PI, batch_log_pdf, shifted_exp
+from repro.numerics.linalg import (
+    LOG_2PI,
+    batch_log_pdf,
+    inverse_cholesky_stack,
+    shifted_exp,
+)
 
 __all__ = ["EStep", "GaussianMixture", "union_by_mass"]
 
@@ -221,7 +226,8 @@ class GaussianMixture:
         :func:`~repro.numerics.linalg.batch_log_pdf`.
 
         Derived once per mixture (mixtures are immutable) from the
-        ``(means, L⁻¹, log-dets)`` kernel stack :meth:`from_stacks` kept,
+        ``(means, L, log-dets)`` kernel stack :meth:`from_stacks` kept --
+        every ``L⁻¹`` from one solve, which the components then cache --
         or else from the components' cached factors, so every density
         pass -- E-step iterations, fit tests, anomaly scoring -- is the
         pass alone.  Archived models on a remote site keep theirs across
@@ -229,11 +235,17 @@ class GaussianMixture:
         covariance it has tested before.
         """
         if not self._kernel:
-            means, inverses, log_dets = self._batch[0] if self._batch else (
-                np.stack([c.mean for c in self.components]),
-                np.stack([c.factors.inverse_cholesky() for c in self.components]),
-                np.array([c.log_det for c in self.components]),
-            )
+            if self._batch:
+                means, choleskys, log_dets = self._batch[0]
+                inverses = inverse_cholesky_stack(
+                    choleskys, [c.factors for c in self.components]
+                )
+            else:
+                means = np.stack([c.mean for c in self.components])
+                inverses = np.stack(
+                    [c.factors.inverse_cholesky() for c in self.components]
+                )
+                log_dets = np.array([c.log_det for c in self.components])
             n_components, dim = means.shape
             with np.errstate(divide="ignore"):
                 log_weights = np.log(self.weights)

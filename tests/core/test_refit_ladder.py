@@ -25,6 +25,7 @@ import pytest
 import repro.core.em as em_module
 import repro.core.gaussian as gaussian_module
 import repro.core.mixture as mixture_module
+import repro.numerics.linalg as linalg_module
 from repro.core.em import INCREMENTAL_STEPS, EMConfig, fit_em, incremental_em
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
@@ -234,7 +235,8 @@ class TestFactorOnce:
 class TestOneFactorisationPerMixture:
     """A mixture's ``K`` covariances are one ``(K, d, d)`` stack to the
     regulariser: one ``cholesky`` call whatever ``K``, and the
-    whitening stack filled by ``trtrs`` itself."""
+    whitening stack filled by one triangular solve at the first density
+    pass."""
 
     @pytest.fixture(params=[2, 5])
     def fitted(self, request):
@@ -288,18 +290,26 @@ class TestOneFactorisationPerMixture:
         mixture.e_step(data)
         assert stacks["n"] == 0
 
-    def test_passing_incremental_chunk_never_calls_solve_triangular(
+    def test_passing_incremental_chunk_never_calls_a_per_component_solve(
         self, monkeypatch
     ):
-        import scipy.linalg
-
+        """The absorbed model arrives with its factor stack, and its
+        first pass forms every ``L⁻¹`` in one solve of that stack."""
         site, chunk = TestOneDensityPassPerModelAndChunk().settled_site(
             make_config()
         )
-        calls = count_calls(monkeypatch, scipy.linalg, "solve_triangular")
+        solved = []
+        real = linalg_module._solve_factor
+
+        def recording(factor, rhs):
+            solved.append(factor.shape)
+            return real(factor, rhs)
+
+        monkeypatch.setattr(linalg_module, "_solve_factor", recording)
         site.process_chunk(chunk)
         assert site.stats.n_absorbed == 1
-        assert calls["n"] == 0
+        k = site.current_model.mixture.n_components
+        assert solved == [(k, DIM, DIM)]
 
 
 class TestOneDensityPassPerModelAndChunk:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.numerics.linalg import (
     ensure_spd,
+    inverse_cholesky_stack,
     mahalanobis_sq,
     spd_factorize,
     spd_factorize_stack,
@@ -126,7 +127,8 @@ class TestStackedFactorization:
     @pytest.mark.parametrize("factorable", [False, True])
     def test_every_member_is_its_single_factorisation(self, dim, seed, factorable):
         stack = degenerate_stack(dim, seed, factorable)
-        covariances, choleskys, log_dets, inverses = spd_factorize_stack(stack)
+        covariances, choleskys, log_dets = spd_factorize_stack(stack)
+        inverses = inverse_cholesky_stack(choleskys, ())
         lifted = 0
         for j, matrix in enumerate(stack):
             single = spd_factorize(matrix)
@@ -162,15 +164,15 @@ class TestStackedFactorization:
         assert str(stacked.value) == str(single.value)
 
     def test_one_member_and_an_empty_stack(self):
-        covariances, choleskys, log_dets, inverses = spd_factorize_stack(
-            np.array([[[4.0]]])
-        )
+        covariances, choleskys, log_dets = spd_factorize_stack(np.array([[[4.0]]]))
+        inverses = inverse_cholesky_stack(choleskys, ())
         assert choleskys.tolist() == [[[2.0]]] and inverses.tolist() == [[[0.5]]]
         assert log_dets.tolist() == [np.log(4.0)]
-        assert [part.shape for part in spd_factorize_stack(np.empty((0, 2, 2)))] == [
-            (0, 2, 2), (0, 2, 2), (0,), (0, 2, 2),
-        ]
+        empty = spd_factorize_stack(np.empty((0, 2, 2)))
+        assert [part.shape for part in empty] == [(0, 2, 2), (0, 2, 2), (0,)]
+        assert inverse_cholesky_stack(empty[1], ()).shape == (0, 2, 2)
 
     def test_the_stacks_are_read_only(self):
-        for part in spd_factorize_stack(np.eye(2)[None]):
+        stacks = spd_factorize_stack(np.eye(2)[None])
+        for part in stacks + (inverse_cholesky_stack(stacks[1], ()),):
             assert not part.flags.writeable

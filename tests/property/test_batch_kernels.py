@@ -19,7 +19,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import LOG_DENSITY_FLOOR, GaussianMixture
-from repro.numerics.linalg import LOG_2PI, batch_log_pdf, mahalanobis_sq
+from repro.numerics.linalg import (
+    LOG_2PI,
+    batch_log_pdf,
+    inverse_cholesky_stack,
+    mahalanobis_sq,
+)
 from tests.numerics.density_oracle import batch_mahalanobis_sq
 
 bounded_floats = st.floats(
@@ -197,9 +202,10 @@ def test_a_stack_of_components_is_its_members_built_alone(case):
     constructor, bit for bit: Σ after the regulariser, ``L``, ``log|Σ|``,
     ``L⁻¹`` -- and with them every density the kernel stack yields."""
     means, covariances, diagonal = case
-    components, (kernel_means, whiteners, log_dets) = Gaussian.stack(
+    components, (kernel_means, choleskys, log_dets) = Gaussian.stack(
         means, covariances, diagonal
     )
+    whiteners = inverse_cholesky_stack(choleskys, [c.factors for c in components])
     alone = tuple(
         Gaussian(mean, covariance, diagonal=diagonal)
         for mean, covariance in zip(means, covariances)
@@ -210,6 +216,7 @@ def test_a_stack_of_components_is_its_members_built_alone(case):
         assert not built.mean.flags.writeable
         assert not built.covariance.flags.writeable
         assert built.factors.cholesky.tobytes() == single.factors.cholesky.tobytes()
+        assert choleskys[j].tobytes() == single.factors.cholesky.tobytes()
         assert built.log_det == single.log_det == log_dets[j]
         whitener = single.factors.inverse_cholesky()
         assert built.factors.inverse_cholesky() is not whitener

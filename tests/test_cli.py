@@ -310,9 +310,9 @@ class TestTelemetryFlags:
         import time
         import urllib.request
 
-        # _cmd_run resolves TelemetryServer from the repro.obs package
-        # at call time, so patch it there.
-        import repro.obs as obs_module
+        # _cmd_run resolves TelemetryServer from repro.obs.server at
+        # call time, so patch it there.
+        import repro.obs.server as obs_module
 
         captured: dict = {}
         scrapers: list[threading.Thread] = []
