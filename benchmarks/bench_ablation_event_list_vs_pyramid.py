@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import make_site_config, print_header, run_once
+from benchmarks.paper.baselines.pyramid import PyramidalSnapshotStore
 from repro.core.remote import RemoteSite
-from repro.obs.history import ModelHistory
 from repro.streams.synthetic import random_mixture
 
 CHUNK = 500
@@ -57,7 +57,7 @@ def ablation() -> dict:
         make_site_config(dim=DIM, k=4, chunk=CHUNK, c_max=4),
         rng=np.random.default_rng(79),
     )
-    pyramid = ModelHistory(alpha=2, capacity=1)
+    pyramid = PyramidalSnapshotStore(alpha=2, capacity=1)
 
     # Feed chunk by chunk, snapshotting the current model per tick.
     n_chunks = data.shape[0] // CHUNK

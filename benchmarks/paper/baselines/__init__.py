@@ -12,7 +12,9 @@ They are part of the reproduction, not of the system:
   locally and ships its model to the coordinator on a fixed period,
   whether or not anything changed;
 * :mod:`.kmeans` -- streaming divide-and-conquer k-means, the
-  hard-partition approach the paper's introduction argues against.
+  hard-partition approach the paper's introduction argues against;
+* :mod:`.pyramid` -- CluStream's pyramidal snapshot store, the static
+  history section 7 contrasts with the event table.
 """
 
 from benchmarks.paper.baselines.kmeans import (

@@ -309,7 +309,7 @@ async def run_aggregator(
     ``telemetry_port`` is the one telemetry switch: an aggregator that
     serves telemetry also federates -- it reports up the tree, and the
     root collects every node's reports.  ``coordinator_config`` defaults
-    to the spec's, ``history`` to a fresh store when ``spec.history``;
+    to the spec's, ``history`` to a fresh record when ``spec.history``;
     ``sinks`` are extra trace sinks and ``telemetry_hold`` keeps
     telemetry up that many seconds after the run.  SIGTERM stops the
     wait, as does SIGINT unless the process ignores it (launcher
@@ -373,10 +373,10 @@ async def run_aggregator(
             upload_threshold=spec.node_upload_threshold(node_spec),
         )
     if node.coordinator.history is None:
-        # A resumed coordinator restores its retained history from the
-        # checkpoint; only attach a fresh store when none rode along.
+        # A resumed coordinator restores its reign record from the
+        # checkpoint; only attach a fresh one when none rode along.
         if history is None and spec.history:
-            history = ModelHistory(scope="coordinator", gauge_source=None)
+            history = ModelHistory(scope="coordinator")
         node.coordinator.history = history
     history = node.coordinator.history
     if history is not None:

@@ -143,8 +143,8 @@ class ClusterSpec:
     wire_codec: str = "cds1"
     quantize: str = "f64"
     delta_encoding: bool = False
-    #: Attach a pyramidal :class:`~repro.obs.history.ModelHistory` to
-    #: every aggregator's coordinator: enables ``/history`` queries on
+    #: Attach a reign :class:`~repro.obs.history.ModelHistory` to
+    #: every node: enables ``/history`` queries on
     #: telemetry-serving nodes, history summaries on federated
     #: telemetry reports (``/cluster/history`` at the root) and
     #: time-travel state that rides checkpoints across ``--resume``.

@@ -342,11 +342,10 @@ class Coordinator:
         ``profile.merge_fit`` simplex timer.
 
     Assign a :class:`~repro.obs.history.ModelHistory` to :attr:`history`
-    to record a pyramidally-retained snapshot of the global model after
-    every handled message (tick = ``message.time``, the originating
-    site's stream position; interleaved site clocks are safe because
-    out-of-order ticks are ignored).  ``None`` (default) records nothing
-    and keeps state byte-identical.
+    to record the global model's reigns: every handled message rewrites
+    the open reign's summary, at tick ``message.time`` (the originating
+    site's stream position; the clock is the largest tick seen).
+    ``None`` (default) records nothing and keeps state byte-identical.
     """
 
     def __init__(

@@ -23,9 +23,9 @@ events observable without changing any of them:
   (:class:`HealthMonitor`) and its live paper-grounded gauges (AvgPr
   margin, component count, merge/split churn, bytes-per-record); the
   run summary, history replay, monitor and federation read views of it;
-* :mod:`repro.obs.history` -- the pyramidal :class:`ModelHistory` store
+* :mod:`repro.obs.history` -- the reign record (:class:`ModelHistory`)
   behind time-travel queries: ``model_at(t)``, drift analytics and
-  gauge series with bounded-memory retention;
+  gauge series, one summary per event-table reign;
 * :mod:`repro.obs.server` -- a stdlib HTTP telemetry server exposing
   ``/metrics``, ``/health``, ``/snapshot`` and ``/spans`` for a live
   run;
@@ -58,7 +58,6 @@ from repro.obs.health import HealthMonitor, SiteHealth, system_snapshot
 from repro.obs.history import (
     ModelHistory,
     coordinator_history_payload,
-    drift_report,
     site_history_payload,
     weight_transport,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "TruncatedTraceWarning",
     "coordinator_history_payload",
     "drift_from_trace",
-    "drift_report",
     "ensure_observer",
     "format_drift",
     "format_summary",

@@ -159,19 +159,14 @@ def _history_pane(history: dict) -> list[str]:
     and named ``[tick, value]`` series under ``"series"``; both are
     optional (a partially reachable server still gets a pane).
     """
-    lines: list[str] = ["", "  history (pyramidal retention):"]
+    lines: list[str] = ["", "  history (reign record):"]
     summary = history.get("summary") or {}
     if summary:
-        evictions = summary.get("evictions") or {}
         lines.append(
-            "    retained="
-            f"{summary.get('retained', 0)}"
-            f"/{summary.get('offered', 0)} snapshots  "
+            f"    retained={summary.get('retained', 0)} reigns  "
+            f"start={summary.get('start', 0)}  "
             f"horizon={summary.get('horizon', 0)}  "
-            f"alpha={summary.get('alpha')}^l={summary.get('capacity')}  "
-            f"evicted={evictions.get('pyramid', 0)}p"
-            f"+{evictions.get('memory', 0)}m  "
-            f"{_format_bytes(summary.get('bytes', 0))}"
+            f"evicted={summary.get('evictions', 0)}"
         )
     series = history.get("series") or {}
     for name, label in (
@@ -188,7 +183,7 @@ def _history_pane(history: dict) -> list[str]:
             f"    {label:<13} {sparkline(values)}  now={last_text}"
         )
     if len(lines) == 2:
-        lines.append("    (no snapshots retained yet)")
+        lines.append("    (no reigns recorded yet)")
     return lines
 
 

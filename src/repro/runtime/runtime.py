@@ -306,12 +306,6 @@ class Runtime:
             }
             if self.endpoints:
                 manifest["endpoints"] = self.endpoints
-            if self.coordinator.history is not None or any(
-                site.history is not None for site in self.sites
-            ):
-                # Marker only: the history state itself rides inside
-                # the site/coordinator snapshots.
-                manifest["history"] = True
             (target / MANIFEST_NAME).write_text(json.dumps(manifest))
         obs.finish_span(span)
         if obs.enabled:

@@ -216,7 +216,7 @@ async def run_site_client(
     ``site_config`` / the site rng seed are ignored.
 
     ``history`` (a :class:`~repro.obs.history.ModelHistory`) attaches a
-    pyramidal time-travel store to the site it builds; ignored when a
+    reign record to the site it builds; ignored when a
     prebuilt ``site`` is passed (a restored site carries its own).
 
     ``first_seq`` continues a checkpointed uplink sequence, so a parent

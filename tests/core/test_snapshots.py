@@ -1,10 +1,15 @@
-"""Tests for the pyramidal snapshot store."""
+"""Tests for CluStream's pyramidal snapshot store, the section 7
+baseline the event-list ablation scores (benchmarks/paper/baselines)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.history import ModelHistory as PyramidalSnapshotStore
+from benchmarks.paper.baselines.pyramid import PyramidalSnapshotStore
+
+
+def retained_ticks(store: PyramidalSnapshotStore) -> list[int]:
+    return sorted(s.tick for bucket in store._orders.values() for s in bucket)
 
 
 class TestOrderOf:
@@ -39,7 +44,7 @@ class TestRetention:
         store = PyramidalSnapshotStore(alpha=2, capacity=1)
         for tick in range(1, 65):
             store.offer(tick, tick)
-        ticks = [snapshot.tick for snapshot in store.snapshots()]
+        ticks = retained_ticks(store)
         # The most recent odd ticks survive at order 0.
         assert 63 in ticks
         # Early order-0 ticks were evicted.

@@ -354,10 +354,9 @@ class TestHistoryFederation:
     def sample_history(self) -> dict:
         return {
             "retained": 12,
-            "evictions": {"pyramid": 3, "memory": 0},
-            "bytes": 2048,
+            "evictions": 3,
+            "start": 128,
             "horizon": 400,
-            "ticks": [128, 256, 320, 400],
             "components": [[320, 3], [400, 4]],
         }
 
@@ -390,14 +389,14 @@ class TestHistoryFederation:
         ))
         collector.ingest_report(make_report(
             node_id=1, level=1,
-            history={"retained": 5, "evictions": {"pyramid": 1, "memory": 2},
-                     "bytes": 100, "horizon": 900, "ticks": [900],
-                     "components": []},
+            history={"retained": 5, "evictions": 3, "start": 700,
+                     "horizon": 900, "components": []},
         ))
         collector.ingest_report(make_report(node_id=2, level=1))  # no history
         rollup = collector.history_rollup()
         assert {entry["node"] for entry in rollup["per_node"]} == {0, 1}
         assert rollup["retained"] == 17
+        assert rollup["evictions"] == 6
         assert rollup["horizon"] == 900
 
     def test_cluster_history_endpoint(self):

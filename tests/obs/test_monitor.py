@@ -296,26 +296,22 @@ class TestHistoryPane:
     def history_state(self) -> dict:
         return {
             "summary": {
-                "retained": 9, "offered": 40, "horizon": 40,
-                "alpha": 2, "capacity": 2,
-                "evictions": {"pyramid": 4, "memory": 1},
-                "bytes": 2048,
+                "retained": 9, "start": 4, "horizon": 40, "evictions": 5,
             },
             "series": {"components": [[10, 2], [20, 3], [40, 4]]},
         }
 
     def test_dashboard_gains_a_history_pane(self):
         text = render_dashboard(sample_health(), history=self.history_state())
-        assert "history (pyramidal retention):" in text
-        assert "retained=9/40 snapshots" in text
-        assert "evicted=4p+1m" in text
+        assert "history (reign record):" in text
+        assert "retained=9 reigns  start=4  horizon=40  evicted=5" in text
 
     def test_pane_absent_without_history(self):
         assert "history" not in render_dashboard(sample_health())
 
     def test_empty_history_says_so(self):
         text = render_dashboard(sample_health(), history={})
-        assert "(no snapshots retained yet)" in text
+        assert "(no reigns recorded yet)" in text
 
     def test_cluster_dashboard_renders_rollup_sparklines(self):
         collector = sample_cluster()

@@ -141,14 +141,15 @@ class TestHistoryEndpoints:
         summary = self.fetch_json(history_server, "/history")
         assert summary["scope"] == "coordinator"
         assert summary["horizon"] == 40
-        assert summary["retained"] == len(summary["ticks"])
+        assert summary["retained"] == len(summary["reigns"]) - 1
+        assert summary["reigns"][0][0] == summary["start"] == 1
         assert "components" in summary["gauges"]
 
     def test_history_model_at(self, history_server):
         answer = self.fetch_json(history_server, "/history?t=25")
         assert answer["t"] == 25
-        assert answer["tick"] <= 25
-        assert answer["model"]["components"] >= 1
+        assert answer["start"] <= 25 < answer["end"]
+        assert answer["summary"]["components"] >= 1
 
     def test_history_drift_with_window(self, history_server):
         report = self.fetch_json(history_server, "/history/drift?t0=5&t1=35")
@@ -158,8 +159,8 @@ class TestHistoryEndpoints:
 
     def test_history_drift_defaults_to_the_retained_range(self, history_server):
         report = self.fetch_json(history_server, "/history/drift")
-        assert report["t1"] == 40
-        assert report["t0"] <= report["t1"]
+        assert report["t0"] == 1 and report["t1"] == 40
+        assert report["change_points"][-1] == 40
 
     def test_history_series(self, history_server):
         body = self.fetch_json(

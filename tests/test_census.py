@@ -67,7 +67,6 @@ SURFACE_PENDING = {
         "repro.core.coordinator.Coordinator.check_invariants",
         "repro.core.coordinator.Coordinator.full_mixture",
         "repro.core.coordinator.Coordinator.landmark_mixture",
-        "repro.core.events.EventTable.retained_start",
         "repro.core.gaussian.Gaussian.precision",
         "repro.core.mixture.GaussianMixture.component_log_pdf",
         "repro.core.mixture.GaussianMixture.max_component_log_likelihood",
