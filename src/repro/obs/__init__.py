@@ -67,7 +67,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 from repro.obs.observer import NULL_OBSERVER, Observer, ensure_observer
 from repro.obs.spans import (
@@ -113,7 +112,6 @@ __all__ = [
     "ModelHistory",
     "MultiSink",
     "NULL_OBSERVER",
-    "NULL_REGISTRY",
     "NodeTelemetry",
     "NullTraceSink",
     "Observer",

@@ -9,15 +9,11 @@ streaming :class:`Histogram` by name and bumps it; exporters
 (:mod:`repro.obs.export`) turn the whole registry into a
 Prometheus-style text dump or a JSON snapshot.
 
-Two properties matter:
-
-* **Cheap when disabled.**  A registry constructed with
-  ``enabled=False`` (or the shared :data:`NULL_REGISTRY`) hands out
-  shared no-op instruments whose mutators do nothing -- no dict
-  lookups, no per-call allocation beyond the call itself -- so
-  instrumented hot loops cost one guard check.
-* **Deterministic.**  Instruments never read clocks or randomness;
-  a run's registry contents are a pure function of the run.
+Instruments never read clocks or randomness, so a run's registry
+contents are a pure function of the run.  With observability off
+nothing reaches a registry at all: the disabled observer
+(:data:`~repro.obs.observer.NULL_OBSERVER`) answers every mutator
+itself.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
 ]
 
 #: Default histogram buckets: exponential coverage from microseconds to
@@ -168,51 +163,10 @@ class Histogram:
         return self.maximum
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        pass
-
-    def max(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
-    """Named, labelled instruments with lazy creation.
+    """Named, labelled instruments with lazy creation."""
 
-    Parameters
-    ----------
-    enabled:
-        When ``False`` every accessor returns a shared no-op instrument
-        and the registry stays permanently empty -- the cheap path for
-        production runs with observability off.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, LabelsKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelsKey], Gauge] = {}
@@ -222,8 +176,6 @@ class MetricsRegistry:
     # Instrument accessors
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: object) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
         key = (name, _labels_key(labels))
         with self._lock:
             metric = self._counters.get(key)
@@ -232,8 +184,6 @@ class MetricsRegistry:
         return metric
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
         key = (name, _labels_key(labels))
         with self._lock:
             metric = self._gauges.get(key)
@@ -247,8 +197,6 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: object,
     ) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         key = (name, _labels_key(labels))
         with self._lock:
             metric = self._histograms.get(key)
@@ -297,7 +245,3 @@ class MetricsRegistry:
                 entry["value"] = metric.value
             out[kind + "s"].append(entry)
         return out
-
-
-#: Shared disabled registry -- what the null observer hands out.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SCOPE, Span, SpanContext, SpanTracer
 from repro.obs.trace import NULL_SINK, RingBufferSink, TraceEvent, TraceSink
 
@@ -215,14 +215,15 @@ class NullObserver(Observer):
     """The disabled observer: every method is a no-op.
 
     ``enabled`` is ``False`` so instrumentation guarded by
-    ``if observer.enabled:`` skips event construction entirely; the
-    unguarded counter bumps resolve to shared null instruments.
+    ``if observer.enabled:`` skips event construction entirely, and
+    every mutator is overridden, so an unguarded counter bump returns
+    before it reaches :attr:`registry`, which stays empty.
     """
 
     enabled = False
 
     def __init__(self) -> None:
-        super().__init__(registry=NULL_REGISTRY, sink=NULL_SINK, time_source=lambda: 0.0)
+        super().__init__(sink=NULL_SINK, time_source=lambda: 0.0)
 
     def event(self, type_: str, **fields: object) -> None:  # noqa: ARG002
         pass

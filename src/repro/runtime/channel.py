@@ -195,23 +195,37 @@ class SimulatedChannel(DirectChannel):
                 DeprecationWarning,
                 stacklevel=2,
             )
+        if sample_interval <= 0.0:
+            raise ValueError("sample_interval must be positive")
         super().__init__(faults)
         self._rate = rate
         self._sample_interval = sample_interval
-        self._cost = None
+        self._times: list[float] = []
+        self._values: list[float] = []
         self.engine = None
 
     def open(self, sites, coordinator, observer=None):
-        from repro.simulation.collector import TimeSeriesCollector
         from repro.simulation.engine import SimulationEngine
 
         super().open(sites, coordinator, observer)
         self.engine = SimulationEngine(observer=observer)
-        self._cost = TimeSeriesCollector(interval=self._sample_interval)
         self._counts = {site.site_id: 0 for site in sites}
+        # The Figure 2 meter: the cumulative cost, sampled on the grid.
+        self._cost = 0.0
+        self._next_tick = self._sample_interval
+        self._times, self._values = [], []
+
+    def _meter(self, time: float) -> None:
+        """Sample the cost on every grid point up to ``time``, as a
+        per-second poller would have seen it."""
+        while self._next_tick <= time:
+            self._times.append(self._next_tick)
+            self._values.append(self._cost)
+            self._next_tick += self._sample_interval
 
     def _on_emit(self, message: Message) -> None:
-        self._cost.add(self.engine.now, message.payload_bytes())
+        self._meter(self.engine.now)
+        self._cost += message.payload_bytes()
         super()._on_emit(message)
 
     def submit(self, site, record):
@@ -226,7 +240,7 @@ class SimulatedChannel(DirectChannel):
 
     def finish(self):
         super().finish()
-        self._cost.finalize(self.engine.now)
+        self._meter(self.engine.now)
 
     @property
     def duration(self):
@@ -234,7 +248,7 @@ class SimulatedChannel(DirectChannel):
 
     def cost_series(self) -> tuple[list[float], list[float]]:
         """The per-second cumulative communication cost (Figure 2)."""
-        return self._cost.series() if self._cost is not None else ([], [])
+        return list(self._times), list(self._values)
 
 
 class DrainMark:

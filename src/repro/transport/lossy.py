@@ -34,9 +34,8 @@ class FaultConfig:
         Independent per-datagram probabilities.  A duplicated datagram
         is offered twice (each copy delayed independently); a reordered
         one is held back by ``reorder_delay`` on top of its base delay.
-    delay / delay_jitter:
-        Base propagation delay plus a uniform ``[0, delay_jitter)``
-        addition, in clock seconds.  ``delay == 0`` with no jitter
+    delay:
+        Base propagation delay, in clock seconds.  ``delay == 0``
         delivers synchronously (loopback semantics).
     reorder_delay:
         Hold-back applied to reordered datagrams.
@@ -49,7 +48,6 @@ class FaultConfig:
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
     delay: float = 0.0
-    delay_jitter: float = 0.0
     reorder_delay: float = 0.5
     partitions: tuple[tuple[float, float], ...] = ()
 
@@ -58,7 +56,7 @@ class FaultConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.delay < 0.0 or self.delay_jitter < 0.0 or self.reorder_delay < 0.0:
+        if self.delay < 0.0 or self.reorder_delay < 0.0:
             raise ValueError("delays must be non-negative")
         for start, end in self.partitions:
             if end <= start:
@@ -171,8 +169,6 @@ class LossyTransport(DatagramTransport):
                 obs.event("fault.duplicate", direction=direction)
         for _ in range(copies):
             delay = faults.delay
-            if faults.delay_jitter > 0.0:
-                delay += float(self._rng.random()) * faults.delay_jitter
             if (
                 faults.reorder_rate > 0.0
                 and self._rng.random() < faults.reorder_rate

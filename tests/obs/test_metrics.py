@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 
 
@@ -137,21 +136,3 @@ class TestRegistry:
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
-
-
-class TestDisabledRegistry:
-    def test_hands_out_shared_null_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("anything", label="x")
-        counter.inc(100)
-        assert counter.value == 0.0
-        assert registry.counter("other") is counter
-        registry.gauge("g").set(9)
-        registry.histogram("h").observe(1.0)
-        assert len(registry) == 0
-        assert list(registry.collect()) == []
-
-    def test_null_registry_singleton_is_disabled(self):
-        assert not NULL_REGISTRY.enabled
-        NULL_REGISTRY.counter("x").inc()
-        assert len(NULL_REGISTRY) == 0

@@ -17,7 +17,7 @@ from repro.core.gaussian import Gaussian
 from repro.core.merging import m_merge
 from repro.core.mixture import GaussianMixture
 from repro.numerics.linalg import mahalanobis_sq, spd_factorize
-from repro.simulation.collector import TimeSeriesCollector
+from tests.simulation.test_simulated import open_channel
 
 finite_floats = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -252,26 +252,24 @@ class TestEventTableProperties:
 
 class TestCollectorProperties:
     @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=10.0),
-                st.floats(min_value=0.0, max_value=100.0),
-            ),
-            min_size=1,
-            max_size=50,
-        )
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=60),
+        st.sampled_from([0.1, 0.25, 0.5, 1.0]),
     )
-    def test_monotone_series_for_non_negative_amounts(self, observations):
-        observations = sorted(observations, key=lambda pair: pair[0])
-        collector = TimeSeriesCollector(interval=1.0)
-        for time, amount in observations:
-            collector.add(time, amount)
-        collector.finalize(11.0)
-        _, values = collector.series()
-        assert values == sorted(values)
-        assert values[-1] == pytest.approx(
-            sum(amount for _, amount in observations)
+    def test_monotone_series_for_non_negative_amounts(self, order, interval):
+        # Three echo sites at 5 rec/s, fed in an arbitrary interleaving.
+        channel, sites, _ = open_channel(
+            n_sites=3, rate=5.0, sample_interval=interval
         )
+        for which in order:
+            channel.submit(sites[which], None)
+        channel.engine.advance(channel.duration + 2 * interval)
+        channel.finish()
+        times, values = channel.cost_series()
+        assert times == pytest.approx(
+            [interval * (tick + 1) for tick in range(len(times))]
+        )
+        assert values == sorted(values)
+        assert values[-1] == channel.accounting().payload_bytes
 
 
 class TestReservoirProperties:

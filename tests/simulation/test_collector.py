@@ -1,60 +1,61 @@
-"""Tests for the per-second time-series collector."""
+"""Tests for the per-second cost collection of the simulated channel.
+
+Section 6 of the paper collects the communication cost "every second";
+:meth:`SimulatedChannel.cost_series` is that curve.  The echo sites of
+``test_simulated`` emit one weight update of ``BYTES`` per record, and
+record ``k`` of a site is at ``k / rate`` virtual seconds.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulation.collector import TimeSeriesCollector
+from repro.runtime import SimulatedChannel
+from tests.simulation.test_simulated import BYTES, feed, open_channel
 
 
 class TestCollector:
     def test_samples_on_the_grid(self):
-        collector = TimeSeriesCollector(interval=1.0)
-        collector.add(0.5, 10.0)
-        collector.add(1.5, 5.0)
-        collector.add(3.2, 1.0)
-        collector.finalize(4.0)
-        times, values = collector.series()
+        # One site at 2 rec/s: records at 0, 0.5, ..., 3.5 s.
+        channel, sites, _ = open_channel(n_sites=1, rate=2.0)
+        feed(channel, sites, rounds=8)
+        channel.engine.advance(4.0)
+        channel.finish()
+        times, values = channel.cost_series()
         assert times == [1.0, 2.0, 3.0, 4.0]
-        assert values == [10.0, 15.0, 15.0, 16.0]
-
-    def test_total_accumulates(self):
-        collector = TimeSeriesCollector()
-        collector.add(0.1, 3.0)
-        collector.add(0.2, 4.0)
-        assert collector.total == 7.0
+        assert values == [2 * BYTES, 4 * BYTES, 6 * BYTES, 8 * BYTES]
 
     def test_series_is_monotone_for_positive_amounts(self):
-        collector = TimeSeriesCollector(interval=0.5)
-        for i in range(20):
-            collector.add(i * 0.3, 1.0)
-        collector.finalize(6.0)
-        _, values = collector.series()
+        channel, sites, _ = open_channel(n_sites=3, rate=7.0, sample_interval=0.5)
+        feed(channel, sites, rounds=40)
+        channel.finish()
+        _, values = channel.cost_series()
+        assert len(values) == 11
         assert values == sorted(values)
 
     def test_value_at_grid_lookup(self):
-        # Each grid time holds the total observed up to it.
-        collector = TimeSeriesCollector(interval=1.0)
-        collector.add(0.5, 10.0)
-        collector.finalize(3.0)
-        assert collector.series() == ([1.0, 2.0, 3.0], [10.0, 10.0, 10.0])
-
-    def test_out_of_order_observations_rejected(self):
-        collector = TimeSeriesCollector(interval=1.0)
-        collector.add(5.0, 1.0)
-        with pytest.raises(ValueError, match="time-ordered"):
-            collector.add(1.0, 1.0)
+        # Each grid time holds the total emitted before it.
+        channel, sites, _ = open_channel(n_sites=1, rate=2.0)
+        feed(channel, sites, rounds=1)
+        channel.engine.advance(3.0)
+        channel.finish()
+        assert channel.cost_series() == ([1.0, 2.0, 3.0], [BYTES] * 3)
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError, match="interval"):
-            TimeSeriesCollector(interval=0.0)
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValueError, match="interval"):
+                SimulatedChannel(sample_interval=interval)
 
     def test_quiet_periods_backfilled(self):
-        collector = TimeSeriesCollector(interval=1.0)
-        collector.add(0.5, 2.0)
-        collector.add(9.5, 1.0)
-        collector.finalize(10.0)
-        times, values = collector.series()
-        assert len(times) == 10
-        assert values[:9] == [2.0] * 9
-        assert values[9] == 3.0
+        # One record, then nothing until 9.5 s: every quiet second is
+        # sampled once the next message arrives.
+        channel, sites, _ = open_channel(n_sites=1, rate=2.0)
+        feed(channel, sites, rounds=1)
+        channel.engine.advance(9.5)
+        channel.submit(sites[0], None)
+        channel.engine.advance(10.0)
+        channel.finish()
+        times, values = channel.cost_series()
+        assert times == [float(second) for second in range(1, 11)]
+        assert values[:9] == [BYTES] * 9
+        assert values[9] == 2 * BYTES

@@ -48,8 +48,6 @@ ALLOWED = {
         "test reference: the fit test's spread is checked against it",
     "repro.core.merging.rank_merge_pairs":
         "pinned by benchmarks/e2e/spans.py (an ENTRY_POINTS span)",
-    "repro.simulation.engine.SimulationEngine.schedule_at":
-        "the engine benchmarks/e2e/spans.py patches; goes with it (item 13)",
     "repro.obs.observer.NullObserver.span_event":
         "top-level surface: NULL_OBSERVER answers Observer.span_event",
 }
