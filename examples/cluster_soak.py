@@ -52,7 +52,7 @@ def crash_and_restore(sites: int, records: int) -> None:
     def run(crash: bool) -> np.ndarray:
         tree = TransportTree.from_spec(spec)
         streams = {
-            node.node_id: list(site_records(spec, node))
+            node.node_id: list(site_records(spec, node.node_id))
             for node in spec.site_nodes
         }
         half = records // 2

@@ -84,8 +84,7 @@ class AggregatorServer:
     uplink_wire_codec / uplink_codec_config:
         Codec spoken on the uplink edge to the parent.  The sender owns
         each edge's format: the node decodes whatever its children send
-        (CDS1 or CDS2), so a mixed-codec tree just passes each node's
-        spec values here.
+        (CDS1 or CDS2).
 
     Telemetry from children reaches the hop's tap
     (:meth:`~repro.cluster.hop.AggregatorHop.on_telemetry`); route it
@@ -370,7 +369,7 @@ async def run_aggregator(
                 observer=obs,
             ),
             parent_id=node_spec.parent_id,
-            upload_threshold=spec.node_upload_threshold(node_spec),
+            upload_threshold=spec.upload_threshold,
         )
     if node.coordinator.history is None:
         # A resumed coordinator restores its reign record from the
@@ -391,8 +390,8 @@ async def run_aggregator(
         config=reliability,
         observer=observer,
         arq=arq,
-        uplink_wire_codec=spec.node_wire_codec(node_spec),
-        uplink_codec_config=spec.node_codec_config(node_spec),
+        uplink_wire_codec=spec.wire_codec,
+        uplink_codec_config=spec.codec_config(),
     )
 
     def _fail(error: str) -> int:
@@ -468,7 +467,7 @@ async def run_aggregator(
             collector,
             health=health,
             spans=spans,
-            uplink_codec=spec.node_wire_codec(node_spec),
+            uplink_codec=spec.wire_codec,
             endpoints=endpoints,
             pid=os.getpid(),
             history=(

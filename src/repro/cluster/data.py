@@ -14,24 +14,15 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.cluster.spec import ClusterSpec, NodeSpec
+from repro.cluster.spec import ClusterSpec
 
 __all__ = ["make_stream", "site_records"]
 
 
-def make_stream(spec: ClusterSpec, node: NodeSpec | int):
-    """The (infinite) record stream observed by one site.
-
-    ``node`` is a site node of ``spec`` or, for a spec read as a bare
-    parameter bundle (``nodes=()``: the flat ``run`` and ``site``
-    commands), just the site id.
-    """
-    if isinstance(node, NodeSpec):
-        kind, site_id = spec.node_stream(node), node.node_id
-    else:
-        kind, site_id = spec.stream, node
+def make_stream(spec: ClusterSpec, site_id: int):
+    """The (infinite) record stream observed by site ``site_id``."""
     rng = np.random.default_rng(spec.seed + 100 + site_id)
-    if kind == "netflow":
+    if spec.stream == "netflow":
         from repro.streams.netflow import NetflowConfig, NetflowStreamGenerator
 
         return NetflowStreamGenerator(
@@ -52,6 +43,6 @@ def make_stream(spec: ClusterSpec, node: NodeSpec | int):
     )
 
 
-def site_records(spec: ClusterSpec, node: NodeSpec) -> Iterator[np.ndarray]:
-    """The site's stream truncated to its record budget."""
-    return islice(iter(make_stream(spec, node)), spec.node_records(node))
+def site_records(spec: ClusterSpec, site_id: int) -> Iterator[np.ndarray]:
+    """The site's stream truncated to the spec's record budget."""
+    return islice(iter(make_stream(spec, site_id)), spec.records_per_site)

@@ -135,16 +135,16 @@ def _site_worker(
         asyncio.run(
             run_site_client(
                 node_id,
-                site_records(spec, node),
+                site_records(spec, node_id),
                 host,
                 port,
-                site_config=spec.site_config_for(node),
+                site_config=spec.site_config(),
                 seed=spec.seed,
                 observer=observer,
                 federation=publisher,
                 telemetry_interval=spec.telemetry_interval,
-                wire_codec=spec.node_wire_codec(node),
-                codec_config=spec.node_codec_config(node),
+                wire_codec=spec.wire_codec,
+                codec_config=spec.codec_config(),
                 history=history,
             )
         )

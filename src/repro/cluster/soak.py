@@ -172,7 +172,7 @@ def run_soak(
 
     tree = TransportTree.from_spec(spec, faults=faults)
 
-    # Flat reference: same site seeds and per-node site configs, same
+    # Flat reference: same site seeds and site config, same
     # coordinator seed as the root, every emit applied directly -- the
     # §4/§5 deployment the paper's tree is allowed to summarise but not
     # distort.
@@ -180,28 +180,26 @@ def run_soak(
         spec.coordinator_config(),
         rng=aggregator_rng(spec.seed, spec.root.node_id),
     )
-    flat_sites: dict[int, RemoteSite] = {}
-    for node in spec.site_nodes:
-        flat_sites[node.node_id] = RemoteSite(
-            node.node_id,
-            spec.site_config_for(node),
-            rng=np.random.default_rng(spec.seed + node.node_id),
+    site_ids = [n.node_id for n in spec.site_nodes]
+    flat_sites = {
+        i: RemoteSite(
+            i,
+            spec.site_config(),
+            rng=np.random.default_rng(spec.seed + i),
             emit=flat_coordinator.handle_message,
         )
+        for i in site_ids
+    }
 
     # Two independent but identically seeded stream instances per site:
     # the tree and the reference must observe byte-identical records.
-    tree_streams = {n.node_id: iter(make_stream(spec, n)) for n in spec.site_nodes}
-    flat_streams = {n.node_id: iter(make_stream(spec, n)) for n in spec.site_nodes}
+    tree_streams = {i: iter(make_stream(spec, i)) for i in site_ids}
+    flat_streams = {i: iter(make_stream(spec, i)) for i in site_ids}
 
-    budgets = {n.node_id: spec.node_records(n) for n in spec.site_nodes}
-    rounds = max(budgets.values(), default=0)
-    total = sum(budgets.values())
+    total = spec.records_per_site * len(site_ids)
     fed = 0
-    for round_index in range(rounds):
-        for node_id, budget in budgets.items():
-            if round_index >= budget:
-                continue
+    for _ in range(spec.records_per_site):
+        for node_id in site_ids:
             tree.feed(node_id, next(tree_streams[node_id]))
             flat_sites[node_id].process_record(next(flat_streams[node_id]))
             fed += 1
@@ -212,7 +210,7 @@ def run_soak(
     # Pooled holdout: fresh records from the same generators, past the
     # fed prefix, so neither mixture has seen them.
     holdout_records = []
-    for node_id in budgets:
+    for node_id in site_ids:
         stream = tree_streams[node_id]
         for _ in range(HOLDOUT_PER_SITE):
             holdout_records.append(next(stream))

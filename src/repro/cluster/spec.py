@@ -63,23 +63,10 @@ class NodeSpec:
         Requested TCP bind port for aggregators (``0`` = ephemeral; the
         actually bound port is surfaced by the launcher and recorded in
         the node's checkpoint manifest).
-    upload_threshold:
-        Aggregators only: minimal :func:`repro.cluster.hop.mixture_change`
-        score that triggers an upload to the parent.
-    stream / records:
-        Sites only: per-node overrides of the spec-wide stream kind and
-        record budget (``None`` = use the spec default).
-    incremental:
-        Sites only: per-node override of the spec-wide incremental
-        refit-ladder switch (``None`` = use the spec default).  Lets a
-        deployment pin hot leaves to the cheap warm path while keeping
-        cold-refit leaves as a quality control group.
-    wire_codec / quantize:
-        Per-node override of the wire codec spoken on this node's
-        *uplink* edge (``None`` = use the spec default).  A mixed tree
-        is legal: the sender owns each edge's format and every receiver
-        decodes both, so one WAN-facing aggregator can run ``cds2`` with
-        ``f16`` quantization while LAN leaves stay on ``cds1``.
+
+    Every node runs under the spec-wide settings (upload threshold,
+    stream, record budget, refit ladder, wire codec): the paper's tree
+    runs one algorithm at every node.
     """
 
     node_id: int
@@ -87,12 +74,6 @@ class NodeSpec:
     parent_id: int | None = None
     level: int = 0
     port: int = 0
-    upload_threshold: float | None = None
-    stream: str | None = None
-    records: int | None = None
-    incremental: bool | None = None
-    wire_codec: str | None = None
-    quantize: str | None = None
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_AGGREGATOR, ROLE_SITE):
@@ -103,11 +84,6 @@ class NodeSpec:
             raise ValueError("node ids must be non-negative")
         if not 0 <= self.port <= 65535:
             raise ValueError("port must lie in [0, 65535]")
-        if self.wire_codec is not None and self.wire_codec not in available_codecs():
-            raise ValueError(
-                f"node {self.node_id}: unknown wire codec "
-                f"{self.wire_codec!r} (available: {available_codecs()})"
-            )
 
     @property
     def is_root(self) -> bool:
@@ -162,8 +138,6 @@ class ClusterSpec:
         # the quantize level and rejects settings the codec cannot
         # honour (e.g. f16 quantization on a cds1 edge).
         get_codec(self.wire_codec, self.codec_config())
-        for node in self.nodes:
-            get_codec(self.node_wire_codec(node), self.node_codec_config(node))
         if not self.nodes:
             return
         by_id: dict[int, NodeSpec] = {}
@@ -239,39 +213,8 @@ class ClusterSpec:
             )
         )
 
-    def node_upload_threshold(self, node: NodeSpec) -> float:
-        return (
-            node.upload_threshold
-            if node.upload_threshold is not None
-            else self.upload_threshold
-        )
-
-    def node_records(self, node: NodeSpec) -> int:
-        return node.records if node.records is not None else self.records_per_site
-
-    def node_stream(self, node: NodeSpec) -> str:
-        return node.stream if node.stream is not None else self.stream
-
-    def node_incremental(self, node: NodeSpec) -> bool:
-        return (
-            node.incremental
-            if node.incremental is not None
-            else self.incremental
-        )
-
-    def node_wire_codec(self, node: NodeSpec) -> str:
-        """Codec spoken on ``node``'s uplink edge (override or default)."""
-        return node.wire_codec if node.wire_codec is not None else self.wire_codec
-
-    def node_codec_config(self, node: NodeSpec) -> CodecConfig:
-        """Codec tuning for ``node``'s uplink edge."""
-        quantize = node.quantize if node.quantize is not None else self.quantize
-        delta = self.delta_encoding and self.node_wire_codec(node) == "cds2"
-        return CodecConfig(quantize=quantize, delta=delta)
-
     def codec_config(self) -> CodecConfig:
-        """Spec-wide codec tuning (per-edge overrides via
-        :meth:`node_codec_config`)."""
+        """Codec tuning of every edge."""
         return CodecConfig(
             quantize=self.quantize,
             delta=self.delta_encoding and self.wire_codec == "cds2",
@@ -280,11 +223,8 @@ class ClusterSpec:
     # ------------------------------------------------------------------
     # Derived configs
     # ------------------------------------------------------------------
-    def site_config(self, incremental: bool | None = None) -> RemoteSiteConfig:
-        """Spec-wide site parameters (``incremental`` overrides the
-        spec default; prefer :meth:`site_config_for` per node)."""
-        if incremental is None:
-            incremental = self.incremental
+    def site_config(self) -> RemoteSiteConfig:
+        """Every site's parameters."""
         return RemoteSiteConfig(
             dim=self.dim,
             epsilon=self.epsilon,
@@ -293,14 +233,10 @@ class ClusterSpec:
                 n_components=self.clusters,
                 n_init=1,
                 max_iter=40,
-                incremental=incremental,
+                incremental=self.incremental,
             ),
             chunk_override=self.chunk,
         )
-
-    def site_config_for(self, node: NodeSpec) -> RemoteSiteConfig:
-        """Site parameters for one leaf, per-node overrides applied."""
-        return self.site_config(incremental=self.node_incremental(node))
 
     def coordinator_config(self) -> CoordinatorConfig:
         return CoordinatorConfig(
@@ -351,9 +287,7 @@ class ClusterSpec:
             raise ValueError(
                 f"unsupported cluster spec format {payload.get('format')}"
             )
-        nodes = tuple(
-            NodeSpec(**_known_fields(NodeSpec, raw)) for raw in payload["nodes"]
-        )
+        nodes = tuple(_node_from_dict(raw) for raw in payload["nodes"])
         return cls(**{**_known_fields(cls, payload), "nodes": nodes})
 
 
@@ -363,6 +297,30 @@ def aggregator_rng(seed: int, node_id: int) -> np.random.Generator:
     aggregator (``serve``'s root included) and the soak's flat
     reference, which stands in for the root."""
     return np.random.default_rng(seed + 50_000 + node_id)
+
+
+#: Per-node overrides of spec-wide settings that older spec files carry
+#: (``--write-spec`` wrote them ``null``).
+_RETIRED_NODE_KEYS = (
+    "upload_threshold",
+    "stream",
+    "records",
+    "incremental",
+    "wire_codec",
+    "quantize",
+)
+
+
+def _node_from_dict(raw: Mapping) -> NodeSpec:
+    """One node of a spec file; a retired override must be ``null``, so
+    an edited one is refused rather than silently dropped."""
+    for key in _RETIRED_NODE_KEYS:
+        if raw.get(key) is not None:
+            raise ValueError(
+                f"node {raw.get('node_id')}: per-node {key!r} is not "
+                "supported; every node runs the spec-wide setting"
+            )
+    return NodeSpec(**_known_fields(NodeSpec, raw))
 
 
 def _known_fields(cls: type, raw: Mapping) -> dict:

@@ -92,8 +92,6 @@ class _InternalWiring(AggregatorHop):
 
     #: The subnet this aggregator's children send into.
     transport: DatagramTransport
-    uplink_wire_codec: str = "cds1"
-    uplink_codec_config: CodecConfig | None = None
 
 
 @dataclass
@@ -208,18 +206,10 @@ class TransportTree(DrainMark):
             tree.add_internal(
                 agg.node_id,
                 parent_id=agg.parent_id,
-                upload_threshold=spec.node_upload_threshold(agg),
-                wire_codec=spec.node_wire_codec(agg),
-                codec_config=spec.node_codec_config(agg),
+                upload_threshold=spec.upload_threshold,
             )
         for site in spec.site_nodes:
-            tree.add_leaf(
-                site.node_id,
-                site.parent_id,
-                config=spec.site_config_for(site),
-                wire_codec=spec.node_wire_codec(site),
-                codec_config=spec.node_codec_config(site),
-            )
+            tree.add_leaf(site.node_id, site.parent_id)
         return tree
 
     def add_internal(
@@ -227,15 +217,8 @@ class TransportTree(DrainMark):
         node_id: int,
         parent_id: int | None = None,
         upload_threshold: float = 0.05,
-        *,
-        wire_codec: str | None = None,
-        codec_config: CodecConfig | None = None,
     ) -> InternalNode:
-        """Add an aggregator; ``parent_id=None`` makes it the root.
-
-        ``wire_codec``/``codec_config`` override the tree-wide codec on
-        this node's *uplink* edge only.
-        """
+        """Add an aggregator; ``parent_id=None`` makes it the root."""
         self._check_new_id(node_id)
         if parent_id is None:
             if self._root_id is not None:
@@ -254,58 +237,32 @@ class TransportTree(DrainMark):
             parent_id=parent_id,
             upload_threshold=upload_threshold,
         )
-        uplink_wire_codec = wire_codec or self._wire_codec
-        uplink_codec_config = (
-            codec_config if codec_config is not None else self._codec_config
-        )
         wiring = _InternalWiring(
             node=node,
             level=level,
             observer=self._obs,
             transport=self._make_subnet(node_id),
-            uplink_wire_codec=uplink_wire_codec,
-            uplink_codec_config=uplink_codec_config,
         )
         if self._federate:
             assert self.federation is not None
             self.federation.add_topology_node(
                 node_id, "aggregator", level, parent_id
             )
-            wiring.federate(self.federation, uplink_codec=uplink_wire_codec)
+            wiring.federate(self.federation, uplink_codec=self._wire_codec)
         self._listen(wiring)
         if parent_id is not None:
             self._connect_uplink(wiring)
         self._internals[node_id] = wiring
         return node
 
-    def add_leaf(
-        self,
-        node_id: int,
-        parent_id: int,
-        config: RemoteSiteConfig | None = None,
-        *,
-        wire_codec: str | None = None,
-        codec_config: CodecConfig | None = None,
-    ) -> RemoteSite:
-        """Add a leaf site under an aggregator; returns the site.
-
-        ``config`` overrides the tree-wide site configuration for this
-        leaf (how :meth:`from_spec` applies per-node spec overrides
-        such as ``incremental``); ``wire_codec``/``codec_config``
-        override the codec on this leaf's uplink edge.
-        """
+    def add_leaf(self, node_id: int, parent_id: int) -> RemoteSite:
+        """Add a leaf site under an aggregator; returns the site."""
         self._check_new_id(node_id)
         parent = self._require_internal(parent_id)
-        edge_codec = wire_codec or self._wire_codec
-        endpoint = self._make_endpoint(
-            node_id,
-            parent,
-            edge_codec,
-            codec_config if codec_config is not None else self._codec_config,
-        )
+        endpoint = self._make_endpoint(node_id, parent)
         site = RemoteSite(
             site_id=node_id,
-            config=config if config is not None else self._site_config,
+            config=self._site_config,
             rng=np.random.default_rng(self._seed + node_id),
             emit=self._marking(endpoint.send),
             observer=self._obs,
@@ -326,7 +283,7 @@ class TransportTree(DrainMark):
                 wiring.level,
                 uplink_stats=lambda e=endpoint: e.sender.stats,
                 codec_stats=lambda e=endpoint: e.codec_sender.stats,
-                uplink_codec=edge_codec,
+                uplink_codec=self._wire_codec,
                 records=lambda s=site: s.stats.records_seen,
                 gauges=lambda s=site: {"models": len(s.all_models)},
             )
@@ -511,8 +468,6 @@ class TransportTree(DrainMark):
         self,
         node_id: int,
         parent: _InternalWiring,
-        wire_codec: str,
-        codec_config: CodecConfig | None,
         first_seq: int = 1,
     ) -> SiteEndpoint:
         """The edge from ``node_id`` up into ``parent``'s subnet."""
@@ -523,8 +478,8 @@ class TransportTree(DrainMark):
             self._reliability,
             rng=np.random.default_rng(self._seed + 70_000 + node_id),
             observer=self._obs,
-            wire_codec=wire_codec,
-            codec_config=codec_config,
+            wire_codec=self._wire_codec,
+            codec_config=self._codec_config,
             first_seq=first_seq,
         )
         self._endpoints.append(endpoint)
@@ -537,8 +492,6 @@ class TransportTree(DrainMark):
         endpoint = self._make_endpoint(
             wiring.node.node_id,
             self._require_internal(wiring.node.parent_id),
-            wiring.uplink_wire_codec,
-            wiring.uplink_codec_config,
             first_seq,
         )
         wiring.edge = endpoint

@@ -19,16 +19,14 @@ Beyond the batch trainer, this module carries the incremental pipeline
 (DESIGN.md section 14) that the refit ladder in
 :mod:`repro.core.remote` runs before falling back to a cold fit:
 
-- :func:`fit_em` with ``warm_start=`` refines existing mixture
-  candidates (the current model, reactivation losers) instead of
-  burning ``n_init`` k-means++ restarts;
-- :func:`incremental_em` absorbs a failing chunk with a few stepwise
-  E-M passes (Cappé–Moulines stepsize ``(t+2)^{-α}``) over the
-  sufficient statistics in :mod:`repro.core.suffstats`;
+- :func:`incremental_em`, the ladder's warm rung, absorbs a failing
+  chunk with a few stepwise E-M passes (Cappé–Moulines stepsize
+  ``(t+2)^{-α}``) over the sufficient statistics in
+  :mod:`repro.core.suffstats`;
 - :func:`absorb_chunk` folds a *passing* chunk into the running stats
   in one pass, no EM iterations at all.
 
-All three are opt-in; with ``EMConfig.incremental`` left off the batch
+Both are opt-in; with ``EMConfig.incremental`` left off the batch
 path is bit-for-bit what it was before they existed.
 """
 
@@ -310,10 +308,11 @@ def fit_em(
         emitted as one ``em.fit`` trace event.
     warm_start:
         One mixture or a sequence of them to refine *instead of* the
-        ``n_init`` cold restarts -- no k-means++ seeding at all.  This
-        is the ladder's warm rung: candidates are the current model and
-        any archived models the reactivation scan already scored.
-        Mutually exclusive with ``initial``.
+        ``n_init`` cold restarts -- no k-means++ seeding at all.
+        Mutually exclusive with ``initial``.  No caller in the package
+        passes it: the refit ladder's warm rung is
+        :func:`incremental_em`, and ``RemoteSiteConfig.warm_start``
+        goes through ``initial``.
 
     Returns
     -------

@@ -75,9 +75,11 @@ class MessageFaultInjector:
     and is counted as ``delivered`` when it lands.  With a fault spec,
     :meth:`offer` may drop it, deliver it twice, or hold it back so its
     successor overtakes it; without one it is a plain pass-through.
-    The random draws mirror :class:`~repro.transport.lossy.LossyTransport`
-    (one uniform per enabled fault class per message), so the same seed
-    and rates yield the same schedule on every message-level backend.
+    It draws one uniform per enabled fault class per message, so the
+    same seed and rates yield the same schedule on every message-level
+    backend.  :class:`~repro.transport.lossy.LossyTransport` draws its
+    reorder uniform once per *copy*, so the two draw streams part after
+    the first duplicate.
 
     Parameters
     ----------

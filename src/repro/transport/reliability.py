@@ -18,7 +18,8 @@ topology:
   cumulative ack, so lost acks heal on the next retransmission.
 
 Together: each payload is delivered to the application **exactly once,
-in per-site send order**, provided the link is not partitioned forever.
+in per-site send order**, provided the link is not partitioned forever:
+a payload is retransmitted until it is acked.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ __all__ = [
     "SenderStats",
 ]
 
+#: Multiplier applied to the retransmission timeout per failed attempt.
+BACKOFF = 2.0
+#: Ceiling on the per-attempt retransmission timeout, in clock seconds.
+MAX_TIMEOUT = 10.0
+#: Receiver-side cap on buffered out-of-order payloads per site;
+#: datagrams beyond it are dropped (the sender's retransmission
+#: recovers them once the gap heals).
+REORDER_LIMIT = 1024
+
 
 @dataclass(frozen=True, kw_only=True)
 class ReliabilityConfig:
@@ -59,55 +69,35 @@ class ReliabilityConfig:
     Parameters
     ----------
     initial_timeout:
-        Retransmission timeout of the first attempt, in clock seconds.
-    backoff:
-        Multiplier applied per failed attempt (exponential backoff).
-    max_timeout:
-        Ceiling on the per-attempt timeout.
+        Retransmission timeout of the first attempt, in clock seconds;
+        at most :data:`MAX_TIMEOUT`.  Each failed attempt multiplies it
+        by :data:`BACKOFF`, up to :data:`MAX_TIMEOUT`.
     jitter:
         Uniform multiplicative jitter: each timeout is scaled by
         ``1 + U[0, jitter)``.
-    max_attempts:
-        Give up (and count a failure) after this many transmissions of
-        one payload; ``None`` retries forever -- the right default for
-        a system whose correctness proof assumes eventual delivery.
     heartbeat_interval:
         Period of site liveness beacons; ``None`` disables heartbeats.
     stale_after:
         A site is considered stale when nothing (data, heartbeat, done)
         has been heard from it for this many seconds.
-    reorder_limit:
-        Receiver-side cap on buffered out-of-order payloads per site;
-        datagrams beyond the cap are dropped (the sender's
-        retransmission recovers them once the gap heals).
     """
 
     initial_timeout: float = 0.5
-    backoff: float = 2.0
-    max_timeout: float = 10.0
     jitter: float = 0.1
-    max_attempts: int | None = None
     heartbeat_interval: float | None = 5.0
     stale_after: float = 30.0
-    reorder_limit: int = 1024
 
     def __post_init__(self) -> None:
-        if self.initial_timeout <= 0.0:
-            raise ValueError("initial_timeout must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be at least 1")
-        if self.max_timeout < self.initial_timeout:
-            raise ValueError("max_timeout must be at least initial_timeout")
+        if not 0.0 < self.initial_timeout <= MAX_TIMEOUT:
+            raise ValueError(
+                f"initial_timeout must lie in (0, {MAX_TIMEOUT}]"
+            )
         if self.jitter < 0.0:
             raise ValueError("jitter must be non-negative")
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.stale_after <= 0.0:
             raise ValueError("stale_after must be positive")
-        if self.reorder_limit < 1:
-            raise ValueError("reorder_limit must be at least 1")
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +120,6 @@ class SenderStats:
     wire_bytes: int = 0
     retransmissions: int = 0
     acked: int = 0
-    expired: int = 0
     heartbeats_sent: int = 0
     telemetry_sent: int = 0
     telemetry_bytes: int = 0
@@ -142,7 +131,7 @@ class _OutboxEntry:
     attempts: int = 1
     timer: TimerHandle | None = None
     #: Detached ``transport.delivery`` span covering this payload's
-    #: whole ARQ lifetime (send .. ack/expiry); retransmissions land on
+    #: whole ARQ lifetime (send .. ack); retransmissions land on
     #: it as span events.  ``None`` when observability is off.
     span: Span | None = None
 
@@ -166,7 +155,7 @@ class ReliableSender:
     observer:
         Optional :class:`~repro.obs.observer.Observer` emitting
         ``transport.send`` / ``transport.retransmit`` /
-        ``transport.heartbeat`` / ``transport.expired`` trace events.
+        ``transport.heartbeat`` trace events.
     first_seq:
         Sequence number of the first payload sent (keyword-only,
         default ``1``).  A process resuming from a checkpoint passes
@@ -349,20 +338,6 @@ class ReliableSender:
         if entry is None or self._closed:
             return
         obs = self._obs
-        limit = self.config.max_attempts
-        if limit is not None and entry.attempts >= limit:
-            del self._outbox[seq]
-            self.stats.expired += 1
-            if obs.enabled:
-                obs.inc("transport.expired", site=self.site_id)
-                obs.event(
-                    "transport.expired",
-                    site=self.site_id,
-                    seq=seq,
-                    attempts=entry.attempts,
-                )
-                obs.finish_span(entry.span, "expired")
-            return
         entry.attempts += 1
         self.stats.retransmissions += 1
         if obs.enabled:
@@ -380,10 +355,9 @@ class ReliableSender:
         )
 
     def _timeout_for(self, attempts: int) -> float:
-        timeout = self.config.initial_timeout * (
-            self.config.backoff ** (attempts - 1)
+        timeout = min(
+            self.config.initial_timeout * BACKOFF ** (attempts - 1), MAX_TIMEOUT
         )
-        timeout = min(timeout, self.config.max_timeout)
         if self.config.jitter > 0.0:
             timeout *= 1.0 + float(self._rng.random()) * self.config.jitter
         return timeout
@@ -484,7 +458,8 @@ class ReliableReceiver:
     clock:
         Clock used to timestamp liveness.
     config:
-        ARQ tuning (``stale_after``, ``reorder_limit``).
+        ARQ tuning (``stale_after``); the reorder buffer holds at most
+        :data:`REORDER_LIMIT` payloads per site.
     observer:
         Optional :class:`~repro.obs.observer.Observer` emitting
         ``transport.deliver`` / ``transport.duplicate`` trace events and
@@ -651,7 +626,7 @@ class ReliableReceiver:
                         flushed=len(cursor.buffer),
                     )
                 cursor.expected += 1
-        elif len(cursor.buffer) >= self.config.reorder_limit:
+        elif len(cursor.buffer) >= REORDER_LIMIT:
             self.stats.reorder_overflow_dropped += 1
         else:
             cursor.buffer[seq] = (envelope.payload, envelope.trace)

@@ -110,7 +110,7 @@ class TestSpecDrivenResume:
         def run(crash: bool) -> np.ndarray:
             tree = TransportTree.from_spec(spec)
             streams = {
-                node.node_id: list(site_records(spec, node))
+                node.node_id: list(site_records(spec, node.node_id))
                 for node in spec.site_nodes
             }
             half = 150

@@ -8,12 +8,9 @@ dozen sites so they fit the unit-test budget, and the CI smoke / manual
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.cluster.soak import SoakReport, run_soak, soak_spec
-from repro.cluster.spec import ROLE_SITE, build_spec
 from repro.transport.lossy import FaultConfig
 
 
@@ -32,7 +29,7 @@ class TestSoakSpec:
     def test_small_shape(self):
         spec = soak_spec(sites=12, fanin=4, records_per_site=120)
         assert len(spec.site_nodes) == 12
-        assert spec.node_records(spec.site_nodes[0]) == 120
+        assert spec.records_per_site == 120
 
 
 class TestRunSoak:
@@ -74,27 +71,3 @@ class TestRunSoak:
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen[-1] == (4 * 60, 4 * 60)
-
-    def test_flat_reference_follows_per_node_site_overrides(self):
-        """An ``incremental`` override on every site node is the same
-        deployment as the spec-wide switch: the tree and its flat
-        reference must both run the overridden refit ladder."""
-        params = dict(
-            records_per_site=600, chunk=100, dim=2, clusters=2, seed=3,
-            p_new=0.3,
-        )
-        spec_wide = build_spec(sites=4, fanin=2, incremental=True, **params)
-        plain = build_spec(sites=4, fanin=2, **params)
-        per_node = dataclasses.replace(
-            plain,
-            nodes=tuple(
-                dataclasses.replace(node, incremental=True)
-                if node.role == ROLE_SITE
-                else node
-                for node in plain.nodes
-            ),
-        )
-        reports = [run_soak(spec).as_dict() for spec in (spec_wide, per_node)]
-        for report in reports:
-            del report["seconds"]
-        assert reports[0] == reports[1]

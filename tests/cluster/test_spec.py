@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.cluster.spec import (
     ClusterSpec,
     NodeSpec,
@@ -11,6 +15,19 @@ from repro.cluster.spec import (
     load_spec,
     save_spec,
 )
+from repro.cluster.tree import TransportTree
+from repro.core.serde import CodecConfig
+
+#: Written by ``cludistream cluster ... --write-spec`` with these flags
+#: before the per-node overrides left: every node carries their keys as
+#: null.
+SPEC_1_17_0 = Path(__file__).parent / "data" / "spec_1.17.0.json"
+SPEC_1_17_0_FLAGS = [
+    "--sites", "6", "--fanin", "3", "--base-port", "9100",
+    "--stream", "netflow", "--records", "700", "--upload-threshold", "0.2",
+    "--incremental", "--wire-codec", "cds2", "--quantize", "f32",
+    "--delta-encoding", "--history",
+]
 
 
 class TestBuildSpec:
@@ -103,18 +120,6 @@ class TestValidation:
 
 
 class TestAccessors:
-    def test_per_node_overrides(self):
-        spec = build_spec(2, 2, records_per_site=500, upload_threshold=0.1)
-        site = spec.site_nodes[0]
-        assert spec.node_records(site) == 500
-        custom = NodeSpec(
-            node_id=99, role="site", parent_id=0,
-            level=site.level, records=7, stream="netflow",
-        )
-        assert spec.node_records(custom) == 7
-        assert spec.node_stream(custom) == "netflow"
-        assert spec.node_upload_threshold(spec.root) == 0.1
-
     def test_derived_configs(self):
         spec = build_spec(2, 2, clusters=4, dim=3, chunk=123,
                           merge_method="moment")
@@ -162,34 +167,26 @@ class TestWireCodecs:
         assert spec.wire_codec == "cds1"
         assert spec.quantize == "f64"
         assert spec.delta_encoding is False
-        assert spec.node_wire_codec(spec.site_nodes[0]) == "cds1"
+        assert spec.codec_config() == CodecConfig(quantize="f64", delta=False)
 
     def test_spec_wide_codec_flows_to_every_node(self):
         spec = build_spec(
             4, 2, wire_codec="cds2", quantize="f32", delta_encoding=True
         )
-        for node in spec.nodes:
-            assert spec.node_wire_codec(node) == "cds2"
-            config = spec.node_codec_config(node)
-            assert config.quantize == "f32"
-            assert config.delta is True
-
-    def test_per_node_override(self):
-        spec = build_spec(4, 2, quantize="f64")
-        site = spec.site_nodes[0]
-        custom = NodeSpec(
-            node_id=99, role="site", parent_id=site.parent_id,
-            level=site.level, wire_codec="cds2", quantize="f16",
-        )
-        assert spec.node_wire_codec(custom) == "cds2"
-        assert spec.node_codec_config(custom).quantize == "f16"
+        assert spec.codec_config() == CodecConfig(quantize="f32", delta=True)
+        tree = TransportTree.from_spec(spec)
+        try:
+            levels = tree.level_stats()
+        finally:
+            tree.close()
+        assert [level.level for level in levels] == [1, 2]
+        assert all(level.codecs == ("cds2",) for level in levels)
 
     def test_delta_needs_cds2(self):
         # delta_encoding on a cds1 edge silently stays off: the v1
         # codec cannot express deltas and the spec must stay loadable.
         spec = build_spec(4, 2, delta_encoding=True)
         assert spec.codec_config().delta is False
-        assert spec.node_codec_config(spec.site_nodes[0]).delta is False
 
     def test_invalid_codec_rejected_at_build_time(self):
         with pytest.raises(ValueError, match="unknown wire codec"):
@@ -212,12 +209,44 @@ class TestWireCodecs:
         payload = build_spec(4, 2).to_dict()
         for key in ("wire_codec", "quantize", "delta_encoding"):
             payload.pop(key, None)
-        for node in payload["nodes"]:
-            node.pop("wire_codec", None)
-            node.pop("quantize", None)
         spec = ClusterSpec.from_dict(payload)
         assert spec.wire_codec == "cds1"
         assert spec.delta_encoding is False
+
+
+class TestRetiredNodeOverrides:
+    """Every node runs the spec-wide settings; a spec file is outside
+    input, so a per-node override in it is refused, not dropped."""
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("upload_threshold", 0.4),
+            ("stream", "netflow"),
+            ("records", 7),
+            ("incremental", True),
+            ("wire_codec", "cds2"),
+            ("quantize", "f16"),
+        ],
+    )
+    def test_a_node_override_is_refused(self, key, value):
+        payload = build_spec(4, 2).to_dict()
+        payload["nodes"][3][key] = value
+        with pytest.raises(ValueError, match=rf"node 3\b.*'{key}'"):
+            ClusterSpec.from_dict(payload)
+
+    def test_a_1_17_0_spec_loads_as_this_build_writes_it(self, tmp_path):
+        path = tmp_path / "spec.json"
+        assert main(
+            ["cluster", *SPEC_1_17_0_FLAGS, "--write-spec", str(path)]
+        ) == 0
+        old = load_spec(SPEC_1_17_0)
+        assert old == load_spec(path)
+        assert old.to_dict() == json.loads(path.read_text())
+        assert all(
+            "incremental" in raw
+            for raw in json.loads(SPEC_1_17_0.read_text())["nodes"]
+        )
 
 
 class TestHistoryFlag:

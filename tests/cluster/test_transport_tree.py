@@ -280,24 +280,6 @@ class TestWireCodecs:
         )
         assert sum(s.bytes_saved for s in packed) > 0
 
-    def test_mixed_codec_edges_interoperate(self):
-        from repro.core.serde import CodecConfig
-
-        tree = self.codec_tree()  # tree-wide default: cds1
-        tree.add_leaf(
-            12,
-            parent_id=1,
-            wire_codec="cds2",
-            codec_config=CodecConfig(quantize="f32"),
-        )
-        feed_leaf(tree, 10, 0.0, 250, 1)
-        feed_leaf(tree, 12, 40.0, 250, 2)
-        mixture = tree.global_mixture()
-        assert mixture.n_components >= 2
-        leaf_level = tree.level_stats()[-1]
-        assert leaf_level.codecs == ("cds1", "cds2")
-        tree.close()
-
     def test_quantized_lossy_tree_still_converges(self):
         from repro.core.serde import CodecConfig
 

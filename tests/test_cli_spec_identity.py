@@ -168,5 +168,6 @@ def test_cluster_builds_what_the_parent_built(flags, tmp_path):
     )
     for node in spec.site_nodes:
         same_first_records(
-            make_stream(spec, node), parent_stream(args, spec.dim, node.node_id)
+            make_stream(spec, node.node_id),
+            parent_stream(args, spec.dim, node.node_id),
         )

@@ -37,7 +37,7 @@ from repro.io.checkpoint import snapshot_coordinator
 from repro.obs import Observer, RingBufferSink
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
-from repro.transport.reliability import ReliabilityConfig
+from repro.transport.reliability import MAX_TIMEOUT, ReliabilityConfig
 from repro.transport.tcp import SiteRunReport, run_site_client
 
 DATA = Path(__file__).parent / "data"
@@ -47,7 +47,7 @@ OBSERVED = DATA / "flat_server.observed.json"
 #: A timeout no delivery can reach, so no payload is ever retransmitted
 #: and the observed event types cannot depend on scheduling.
 RELIABILITY = ReliabilityConfig(
-    initial_timeout=30.0, max_timeout=30.0, jitter=0.0, heartbeat_interval=None
+    initial_timeout=MAX_TIMEOUT, jitter=0.0, heartbeat_interval=None
 )
 
 

@@ -13,7 +13,9 @@ from repro.transport.framing import (
     decode_envelope,
     encode_envelope,
 )
+from repro.transport import reliability
 from repro.transport.reliability import (
+    MAX_TIMEOUT,
     ReliabilityConfig,
     ReliableReceiver,
     ReliableSender,
@@ -23,8 +25,6 @@ from repro.transport.reliability import (
 def quiet_config(**overrides) -> ReliabilityConfig:
     defaults = dict(
         initial_timeout=1.0,
-        backoff=2.0,
-        max_timeout=8.0,
         jitter=0.0,
         heartbeat_interval=None,
     )
@@ -37,13 +37,10 @@ class TestConfigValidation:
         "kwargs",
         [
             {"initial_timeout": 0.0},
-            {"backoff": 0.5},
-            {"initial_timeout": 2.0, "max_timeout": 1.0},
+            {"initial_timeout": 2 * MAX_TIMEOUT},
             {"jitter": -0.1},
-            {"max_attempts": 0},
             {"heartbeat_interval": 0.0},
             {"stale_after": 0.0},
-            {"reorder_limit": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -85,11 +82,14 @@ class TestSender:
         assert sender.outstanding() == 1
 
     def test_backoff_is_capped_at_max_timeout(self):
-        clock, wire, sender = self.make(initial_timeout=1.0, max_timeout=2.0)
+        clock, wire, sender = self.make(initial_timeout=MAX_TIMEOUT / 2)
         sender.send_payload(b"x")
-        clock.advance(1.0)   # attempt 2 armed with min(2.0, 2.0)
-        clock.advance(2.0)   # attempt 3 armed with min(4.0, 2.0) = 2.0
-        clock.advance(2.0)
+        clock.advance(MAX_TIMEOUT / 2)  # attempt 2 armed with MAX_TIMEOUT
+        clock.advance(MAX_TIMEOUT)      # attempt 3 armed with min(2 x, cap)
+        assert len(wire) == 3
+        clock.advance(MAX_TIMEOUT - 1.0)
+        assert len(wire) == 3
+        clock.advance(1.0)  # uncapped, attempt 4 would wait 2 x MAX_TIMEOUT
         assert len(wire) == 4
 
     def test_jitter_stretches_the_timeout(self):
@@ -111,15 +111,6 @@ class TestSender:
         clock.advance(10.0)
         retransmitted = [decode_envelope(f).seq for f in wire[3:]]
         assert set(retransmitted) == {3}
-
-    def test_max_attempts_expires_the_entry(self):
-        clock, wire, sender = self.make(max_attempts=2)
-        sender.send_payload(b"x")
-        clock.advance(1.0)   # attempt 2
-        clock.advance(50.0)  # would be attempt 3: expired instead
-        assert len(wire) == 2
-        assert sender.stats.expired == 1
-        assert sender.outstanding() == 0
 
     def test_heartbeats_fire_on_the_interval(self):
         clock = ManualClock()
@@ -197,8 +188,9 @@ class TestReceiver:
         assert delivered == [(2, b"x"), (5, b"y")]
         assert receiver.known_sites == (2, 5)
 
-    def test_reorder_limit_drops_overflow(self):
-        _, delivered, _, receiver = self.make(reorder_limit=2)
+    def test_reorder_limit_drops_overflow(self, monkeypatch):
+        monkeypatch.setattr(reliability, "REORDER_LIMIT", 2)
+        _, delivered, _, receiver = self.make()
         receiver.handle_datagram(self.data(1, 5, b"e"))
         receiver.handle_datagram(self.data(1, 4, b"d"))
         receiver.handle_datagram(self.data(1, 3, b"c"))  # over the cap
