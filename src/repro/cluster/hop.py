@@ -9,14 +9,14 @@ The tree is one site -> coordinator hop applied recursively, so the node
 exists once.  :class:`InternalNode` is its semantics: what it absorbs,
 when it uploads, what the upload is.  :class:`AggregatorHop` is that
 node on the wire.  Whichever link carried a child's payload,
-:class:`~repro.cluster.tree.TransportTree` (in-process transport edges),
-:class:`~repro.runtime.channel.TransportChannel` (the in-process star)
+:class:`~repro.cluster.tree.TransportTree` (in-process transport edges;
+:class:`~repro.runtime.channel.TransportChannel` is its depth-1 case)
 and :class:`~repro.cluster.aggregator.AggregatorServer` (one OS process
 per node over TCP) build its receiver with :meth:`AggregatorHop.listen`,
 so every payload is decoded and applied in :meth:`AggregatorHop.deliver`
--- a flat coordinator being the root of a one-level tree.  The tree and
-the server also route the node's telemetry through it and checkpoint
-their edges with :meth:`AggregatorHop.arq_state`.
+-- a flat coordinator being the root of a one-level tree.  Both also
+route the node's telemetry through it and checkpoint their edges with
+:meth:`AggregatorHop.arq_state`.
 
 Node ids double as message ``site_id`` values on each hop, so the
 standard :mod:`repro.core.protocol` vocabulary and byte accounting work

@@ -11,8 +11,11 @@ payloads inside ``TPT1`` envelopes through a reliable sender), a
 delivering into the one :class:`~repro.cluster.hop.AggregatorHop`, and
 optional seeded fault injection per subnet.  Over loopback (the default)
 delivery is synchronous and the tree is simply the in-memory §7 network.
-The same object therefore backs three jobs:
+The same object therefore backs four jobs:
 
+* :class:`~repro.runtime.channel.TransportChannel`: a depth-1 tree over
+  the caller's link, rooted at the runtime's own coordinator with its
+  sites as leaves (``attach_internal`` / ``attach_leaf``);
 * the §7 tree suite (loopback and lossy links must produce the same
   results);
 * the aggregator crash/resume suite (an internal node is snapshotted
@@ -35,6 +38,7 @@ from repro.cluster.hop import AggregatorHop, InternalNode
 from repro.cluster.spec import aggregator_rng
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
+from repro.core.protocol import Message
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.core.serde import CodecConfig
 from repro.io.checkpoint import restore_aggregator, snapshot_aggregator
@@ -45,7 +49,6 @@ from repro.obs.federation import (
     uplink_report,
 )
 from repro.obs.observer import Observer, ensure_observer
-from repro.runtime.channel import DrainMark
 from repro.transport.base import DatagramTransport
 from repro.transport.clock import ManualClock
 from repro.transport.endpoint import SiteEndpoint
@@ -106,7 +109,7 @@ class _LeafWiring:
         return 1
 
 
-class TransportTree(DrainMark):
+class TransportTree:
     """A communication tree whose every edge is a transport link.
 
     Build the topology with :meth:`add_internal` / :meth:`add_leaf`
@@ -155,7 +158,6 @@ class TransportTree(DrainMark):
         wire_codec: str = "cds1",
         codec_config: CodecConfig | None = None,
     ) -> None:
-        super().__init__()
         self._site_config = site_config or RemoteSiteConfig()
         self._coordinator_config = coordinator_config or CoordinatorConfig()
         self._seed = seed
@@ -172,6 +174,9 @@ class TransportTree(DrainMark):
         #: Every uplink edge, leaf or aggregator: what a drain scans.
         self._endpoints: list[SiteEndpoint] = []
         self._root_id: int | None = None
+        #: A message entered an edge since a drain last returned.  While
+        #: clear, every outbox is known to be empty.
+        self._unsettled = False
         self.records_fed = 0
         self._federate = federate
         #: Root-side collector (``federate=True`` only); drives the same
@@ -219,14 +224,6 @@ class TransportTree(DrainMark):
         upload_threshold: float = 0.05,
     ) -> InternalNode:
         """Add an aggregator; ``parent_id=None`` makes it the root."""
-        self._check_new_id(node_id)
-        if parent_id is None:
-            if self._root_id is not None:
-                raise ValueError("tree already has a root")
-            level = 0
-            self._root_id = node_id
-        else:
-            level = self._require_internal(parent_id).level + 1
         node = InternalNode(
             node_id=node_id,
             coordinator=Coordinator(
@@ -237,11 +234,36 @@ class TransportTree(DrainMark):
             parent_id=parent_id,
             upload_threshold=upload_threshold,
         )
-        wiring = _InternalWiring(
-            node=node,
-            level=level,
+        self.attach_internal(node, self._make_subnet(node_id))
+        return node
+
+    def add_leaf(self, node_id: int, parent_id: int) -> RemoteSite:
+        """Add a leaf site under an aggregator; returns the site."""
+        site = RemoteSite(
+            site_id=node_id,
+            config=self._site_config,
+            rng=np.random.default_rng(self._seed + node_id),
             observer=self._obs,
-            transport=self._make_subnet(node_id),
+        )
+        self.attach_leaf(site, parent_id)
+        return site
+
+    def attach_internal(
+        self, node: InternalNode, transport: DatagramTransport
+    ) -> AggregatorHop:
+        """Wire a built aggregator whose children send into ``transport``
+        (its subnet); returns its hop."""
+        node_id, parent_id = node.node_id, node.parent_id
+        self._check_new_id(node_id)
+        if parent_id is None:
+            if self._root_id is not None:
+                raise ValueError("tree already has a root")
+            level = 0
+            self._root_id = node_id
+        else:
+            level = self._require_internal(parent_id).level + 1
+        wiring = _InternalWiring(
+            node=node, level=level, observer=self._obs, transport=transport
         )
         if self._federate:
             assert self.federation is not None
@@ -253,25 +275,16 @@ class TransportTree(DrainMark):
         if parent_id is not None:
             self._connect_uplink(wiring)
         self._internals[node_id] = wiring
-        return node
+        return wiring
 
-    def add_leaf(self, node_id: int, parent_id: int) -> RemoteSite:
-        """Add a leaf site under an aggregator; returns the site."""
+    def attach_leaf(self, site: RemoteSite, parent_id: int) -> SiteEndpoint:
+        """Wire a built site under an aggregator; returns its edge."""
+        node_id = site.site_id
         self._check_new_id(node_id)
         parent = self._require_internal(parent_id)
         endpoint = self._make_endpoint(node_id, parent)
-        site = RemoteSite(
-            site_id=node_id,
-            config=self._site_config,
-            rng=np.random.default_rng(self._seed + node_id),
-            emit=self._marking(endpoint.send),
-            observer=self._obs,
-        )
-        wiring = _LeafWiring(
-            site=site,
-            level=parent.level + 1,
-            endpoint=endpoint,
-        )
+        site._emit = self._marking(endpoint.send)
+        wiring = _LeafWiring(site, parent.level + 1, endpoint)
         if self._federate:
             assert self.federation is not None
             self.federation.add_topology_node(
@@ -288,7 +301,7 @@ class TransportTree(DrainMark):
                 gauges=lambda s=site: {"models": len(s.all_models)},
             )
         self._leaves[node_id] = wiring
-        return site
+        return endpoint
 
     # ------------------------------------------------------------------
     # Introspection
@@ -334,7 +347,7 @@ class TransportTree(DrainMark):
 
     def drain(self, step: float = 0.25, limit: float = 600.0) -> float:
         """Advance the clock until every edge's outbox is empty."""
-        return self._settle(self.clock, self._endpoints, step, limit)
+        return self._settle(step, limit)
 
     def close(self) -> None:
         """Cancel timers and release transport bindings."""
@@ -445,6 +458,30 @@ class TransportTree(DrainMark):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _marking(self, send):
+        """``send`` as an emit hook that notes there is something to drain."""
+
+        def emit(message: Message) -> None:
+            self._unsettled = True
+            send(message)
+
+        return emit
+
+    def _settle(self, step: float, limit: float) -> float:
+        """Advance the clock until every edge's outbox is empty.
+
+        Only a drain that returns clears the mark: one that raises (a
+        dead link) leaves it set.  :meth:`drain` and
+        :class:`~repro.runtime.channel.TransportChannel` settle here.
+        """
+        # Resolved on its module per call, where the e2e benchmark's
+        # recorder patches it.
+        from repro.transport.endpoint import drain
+
+        spent = drain(self.clock, self._endpoints, step=step, limit=limit)
+        self._unsettled = False
+        return spent
+
     def _make_subnet(self, node_id: int) -> DatagramTransport:
         transport: DatagramTransport = LoopbackTransport()
         if self._faults is not None:

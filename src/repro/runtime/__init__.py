@@ -3,10 +3,11 @@
 One :class:`Runtime` drives sites + coordinator over a pluggable
 :class:`Channel`; the three backends (:class:`DirectChannel`,
 :class:`SimulatedChannel`, :class:`TransportChannel`) wrap the direct
-delivery path (the simulated one adds a virtual clock and a cost meter
-to it) and the ARQ-transport path behind the same contract.  Fault injection (:class:`ChannelFaults`), accounting
-(:class:`DeliveryAccounting`) and checkpoint/resume live here, once,
-instead of three times.
+delivery path (the simulated one adds a virtual clock and a cost meter)
+and the ARQ transport, a depth-1 :class:`~repro.cluster.tree.TransportTree`,
+behind one contract.  Fault injection (:class:`ChannelFaults`),
+accounting (:class:`DeliveryAccounting`) and checkpoint/resume live
+here, once, instead of three times.
 """
 
 from repro.runtime.accounting import DeliveryAccounting

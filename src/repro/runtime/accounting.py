@@ -1,8 +1,8 @@
 """The one delivery-accounting model every delivery stack reports in.
 
-The message-level channels (with their fault injector) and the ARQ
-transport stack all count into (or are projected onto) one
-:class:`DeliveryAccounting`:
+The message-level channels (with their fault injector) count into one
+:class:`DeliveryAccounting`; the ARQ transport channel projects its
+tree's ``level_stats`` and root receiver onto it:
 
 ``attempted``
     Application messages the sites offered for transmission.  This is
@@ -66,34 +66,6 @@ class DeliveryAccounting:
     reordered: int = 0
     retransmissions: int = 0
     duplicates_suppressed: int = 0
-
-    @classmethod
-    def from_endpoints(cls, site_endpoints, hop) -> "DeliveryAccounting":
-        """The ARQ stack's counters in this model: sender statistics of
-        every :class:`~repro.transport.endpoint.SiteEndpoint` summed,
-        receiver statistics of the
-        :class:`~repro.cluster.hop.AggregatorHop` they send to (``None``
-        before one exists).  A payload counts once in ``attempted``
-        however often it is retransmitted -- retransmitted *bytes* land
-        in ``wire_bytes``.  Link-level faults are not visible from
-        endpoint statistics: ``dropped`` / ``duplicated`` / ``reordered``
-        stay zero here and
-        :meth:`repro.runtime.TransportChannel.accounting` adds them from
-        its fault injector.
-        """
-        senders = [endpoint.sender.stats for endpoint in site_endpoints]
-        accounting = cls(
-            attempted=sum(s.payloads_sent for s in senders),
-            payload_bytes=sum(s.payload_bytes for s in senders),
-            wire_bytes=sum(s.wire_bytes for s in senders),
-            retransmissions=sum(s.retransmissions for s in senders),
-        )
-        if hop is not None:
-            receiver = hop.receiver.stats
-            accounting.delivered = receiver.delivered
-            accounting.ack_bytes = receiver.ack_wire_bytes
-            accounting.duplicates_suppressed = receiver.duplicates_suppressed
-        return accounting
 
     # ------------------------------------------------------------------
     # Derived quantities

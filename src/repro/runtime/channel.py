@@ -15,10 +15,10 @@ in flight to land, e.g. before a checkpoint), ``finish`` and ``close``
   with the Figure 2 cost collector; ``submit`` advances the clock to
   each record's time;
 * :class:`TransportChannel` -- the full ARQ transport stack
-  (:mod:`repro.transport`) into the root of a one-level tree; ``submit``
-  drains the reliable outboxes whenever a message entered one since
-  the last drain, so delivery order equals emission order even under
-  seeded faults.
+  (:mod:`repro.transport`) as a depth-1 tree; ``submit`` drains the
+  reliable outboxes whenever a message entered one since the last
+  drain, so delivery order equals emission order even under seeded
+  faults.
 
 Each backend honours the same :class:`~repro.runtime.faults.ChannelFaults`
 spec and reports the same :class:`~repro.runtime.accounting.DeliveryAccounting`
@@ -33,8 +33,6 @@ from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.coordinator import Coordinator
 from repro.core.protocol import Message
 from repro.core.remote import RemoteSite
@@ -45,7 +43,6 @@ from repro.runtime.faults import ChannelFaults, MessageFaultInjector
 __all__ = [
     "Channel",
     "DirectChannel",
-    "DrainMark",
     "SimulatedChannel",
     "TransportChannel",
 ]
@@ -251,65 +248,20 @@ class SimulatedChannel(DirectChannel):
         return list(self._times), list(self._values)
 
 
-class DrainMark:
-    """The *unsettled* mark of an in-process driver of ARQ edges.
-
-    :class:`TransportChannel` and :class:`repro.cluster.tree.TransportTree`
-    settle their :class:`~repro.transport.endpoint.SiteEndpoint` edges
-    before the next record, so delivery order equals emission order.
-    With every outbox empty a drain advances nothing, so their
-    per-record paths skip it while the mark is clear.  The contract
-    (DESIGN.md section 17.4):
-
-    * *every* message entering an edge sets the mark, because each one
-      goes through a :meth:`_marking` hook -- a ``site.expire`` outside
-      the per-record call and an aggregator's re-upload from inside a
-      drain included;
-    * only a drain that *returns* clears it: one that raises (a dead
-      link) leaves it set, and the next record raises again;
-    * an explicit :meth:`_settle` always scans.
-
-    A mixin, not a helper object: the per-record path reads the mark as
-    the driver's own attribute, once per record.
-    """
-
-    def __init__(self) -> None:
-        #: A message entered an edge since a drain last returned.  While
-        #: clear, every outbox is known to be empty.
-        self._unsettled = False
-
-    def _marking(self, send):
-        """``send`` as an emit hook that notes there is something to drain."""
-
-        def emit(message: Message) -> None:
-            self._unsettled = True
-            send(message)
-
-        return emit
-
-    def _settle(self, clock, endpoints, step: float, limit: float) -> float:
-        """Advance ``clock`` until every endpoint's outbox is empty."""
-        # Resolved on its module per call, where the e2e benchmark's
-        # recorder patches it.
-        from repro.transport.endpoint import drain
-
-        spent = drain(clock, endpoints, step=step, limit=limit)
-        self._unsettled = False
-        return spent
-
-
-class TransportChannel(DrainMark, Channel):
+class TransportChannel(Channel):
     """The fault-tolerant ARQ transport stack as a runtime backend.
 
-    ``submit`` feeds the site and then, if a message entered an endpoint
-    since the last drain returned (:class:`DrainMark`), drains the
-    reliable outboxes (the manual clock is advanced until every payload
-    is acknowledged), so delivery order equals emission order and the
-    coordinator converges to the loss-free state whatever the fault
-    pattern -- the property the transport convergence suite pins down.
-    ``quiesce`` always drains.  ``endpoints`` are the sites' uplinks;
-    ``hop`` is the coordinator's :class:`~repro.cluster.hop.AggregatorHop`,
-    under :data:`ROOT_ID`, that receives and applies every payload.
+    ``open`` builds a depth-1 :class:`~repro.cluster.tree.TransportTree`:
+    the coordinator is its root, under :data:`ROOT_ID`, listening on
+    ``transport``, and every site a leaf.  ``submit`` feeds the site and
+    then, if a message entered an edge since a drain last returned (the
+    tree's mark), drains the reliable outboxes (the manual clock is
+    advanced until every payload is acknowledged), so delivery order
+    equals emission order and the coordinator converges to the
+    loss-free state whatever the fault pattern -- the property the
+    transport convergence suite pins down.  ``quiesce`` always drains.
+    ``endpoints`` are the sites' uplinks; ``hop`` is the root's
+    :class:`~repro.cluster.hop.AggregatorHop`, which applies every payload.
 
     Parameters
     ----------
@@ -319,7 +271,8 @@ class TransportChannel(DrainMark, Channel):
         The :class:`~repro.transport.clock.ManualClock` shared with the
         transport's timers.
     reliability:
-        Optional :class:`~repro.transport.reliability.ReliabilityConfig`.
+        Optional :class:`~repro.transport.reliability.ReliabilityConfig`
+        (default: ``ReliabilityConfig()``, heartbeats and jitter on).
     seed:
         Base seed for per-site retransmission jitter.
     faults:
@@ -345,7 +298,6 @@ class TransportChannel(DrainMark, Channel):
         wire_codec: str = "cds1",
         codec_config=None,
     ) -> None:
-        super().__init__()
         self._transport = transport
         self._clock = clock
         self._reliability = reliability
@@ -354,13 +306,15 @@ class TransportChannel(DrainMark, Channel):
         self._wire_codec = wire_codec
         self._codec_config = codec_config
         self._lossy = None
+        self._tree = None
         self.endpoints = []
         self.hop = None
 
     def open(self, sites, coordinator, observer=None):
-        from repro.cluster.hop import AggregatorHop, InternalNode
-        from repro.transport.endpoint import SiteEndpoint
+        from repro.cluster.hop import InternalNode
+        from repro.cluster.tree import TransportTree
         from repro.transport.lossy import FaultConfig, LossyTransport
+        from repro.transport.reliability import ReliabilityConfig
 
         observer = ensure_observer(observer)
         transport = self._transport
@@ -377,52 +331,53 @@ class TransportChannel(DrainMark, Channel):
                 observer=observer,
             )
             transport = self._lossy
-        self._sites = list(sites)
-        self.hop = AggregatorHop(
-            InternalNode(ROOT_ID, coordinator), level=0, observer=observer
+        tree = self._tree = TransportTree(
+            seed=self._seed,
+            reliability=self._reliability or ReliabilityConfig(),
+            clock=self._clock,
+            observer=observer,
+            wire_codec=self._wire_codec,
+            codec_config=self._codec_config,
         )
-        receiver = self.hop.listen(
-            transport.send_to_site, self._clock, self._reliability
+        self.hop = tree.attach_internal(
+            InternalNode(ROOT_ID, coordinator), transport
         )
-        transport.bind_coordinator(receiver.handle_datagram)
-        self.endpoints = []
-        for site in sites:
-            endpoint = SiteEndpoint(
-                site.site_id,
-                transport,
-                self._clock,
-                self._reliability,
-                rng=np.random.default_rng(self._seed + 70_000 + site.site_id),
-                observer=observer,
-                wire_codec=self._wire_codec,
-                codec_config=self._codec_config,
-            )
-            site._emit = self._marking(endpoint.send)
-            self.endpoints.append(endpoint)
+        self.endpoints = [tree.attach_leaf(site, ROOT_ID) for site in sites]
 
+    # Both settle in the tree's own step, not through its ``drain``: a
+    # channel's settles are its ``submit`` / ``quiesce`` work.
     def submit(self, site, record):
         messages = site.process_record(record)
-        if self._unsettled:
-            self._drain()
+        if self._tree._unsettled:
+            self._tree._settle(DRAIN_STEP, DRAIN_LIMIT)
         return messages
 
     def quiesce(self):
-        self._drain()
-
-    def _drain(self) -> None:
-        self._settle(self._clock, self.endpoints, DRAIN_STEP, DRAIN_LIMIT)
+        self._tree._settle(DRAIN_STEP, DRAIN_LIMIT)
 
     def finish(self):
         for endpoint in self.endpoints:
             endpoint.finish()
 
     def close(self):
-        super().close()
-        for endpoint in self.endpoints:
-            endpoint.close()
+        if self._tree is not None:
+            self._tree.close()
 
     def accounting(self):
-        accounting = DeliveryAccounting.from_endpoints(self.endpoints, self.hop)
+        """Senders off ``level_stats``, delivery off the root receiver."""
+        if self._tree is None:
+            return DeliveryAccounting()
+        levels = self._tree.level_stats()
+        receiver = self._tree.receiver_stats(ROOT_ID)
+        accounting = DeliveryAccounting(
+            attempted=sum(level.messages for level in levels),
+            delivered=receiver.delivered,
+            payload_bytes=sum(level.payload_bytes for level in levels),
+            wire_bytes=sum(level.wire_bytes for level in levels),
+            ack_bytes=receiver.ack_wire_bytes,
+            retransmissions=sum(level.retransmissions for level in levels),
+            duplicates_suppressed=receiver.duplicates_suppressed,
+        )
         if self._lossy is not None:
             faults = self._lossy.faults
             accounting.dropped = faults.dropped + faults.partition_drops

@@ -20,9 +20,10 @@ realistically misbehaving) links:
 * **endpoints** -- :class:`~repro.transport.endpoint.SiteEndpoint`
   plugs the stack into :class:`~repro.core.remote.RemoteSite` (via its
   ``emit`` hook); on the receiving side a
-  :class:`~repro.cluster.hop.AggregatorHop` -- the flat coordinator is
-  the root of a one-level tree -- builds the receiver with ``listen``
-  and applies every payload to its coordinator.
+  :class:`~repro.cluster.hop.AggregatorHop` builds the receiver with
+  ``listen`` and applies every payload to its coordinator.  In process,
+  :class:`~repro.cluster.tree.TransportTree` wires both halves; a flat
+  coordinator is the root of a depth-1 one.
 
 The guarantee the stack provides: over any fault pattern that does not
 partition the link forever, every emitted synopsis is delivered to the

@@ -1,17 +1,16 @@
 """The in-process uplink edge and the loop that settles it.
 
-A :class:`SiteEndpoint` is *the* in-process uplink edge -- of a
-:class:`~repro.core.remote.RemoteSite` behind a
-:class:`~repro.runtime.channel.TransportChannel`, and of every leaf and
-aggregator of a :class:`~repro.cluster.tree.TransportTree`: its
-:meth:`send` is shaped exactly like the site's ``emit`` hook, serialises
-the message through :mod:`repro.core.serde` and hands the bytes to a
+A :class:`SiteEndpoint` is *the* in-process uplink edge: of every leaf
+and aggregator of a :class:`~repro.cluster.tree.TransportTree`, the
+sites behind a :class:`~repro.runtime.channel.TransportChannel` (a
+depth-1 tree) included.  Its :meth:`send` is shaped exactly like the
+site's ``emit`` hook, serialises the message through
+:mod:`repro.core.serde` and hands the bytes to a
 :class:`~repro.transport.reliability.ReliableSender`.  :func:`drain` is
 the one loop that settles such edges on a manual clock.
 
 The receiving half is the parent's
-:class:`~repro.cluster.hop.AggregatorHop` (the channel's coordinator is
-the root of a one-level tree): its ``listen`` builds the
+:class:`~repro.cluster.hop.AggregatorHop`: its ``listen`` builds the
 :class:`~repro.transport.reliability.ReliableReceiver`, and every
 surviving payload is decoded and applied in its ``deliver``.
 """

@@ -31,7 +31,7 @@ MILD = FaultConfig(drop_rate=0.10, duplicate_rate=0.03, reorder_rate=0.03)
 
 def root_hop(transport, clock, config=None) -> AggregatorHop:
     """A fresh coordinator as the root of a one-level tree, listening on
-    ``transport`` -- the wiring of :class:`repro.runtime.TransportChannel`."""
+    ``transport`` -- the root :class:`repro.runtime.TransportChannel` wires."""
     hop = AggregatorHop(
         InternalNode(-1, Coordinator()), 0, ensure_observer(None)
     )

@@ -17,7 +17,6 @@ import pytest
 from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.em import EMConfig
 from repro.core.remote import RemoteSiteConfig
-from repro.runtime.accounting import DeliveryAccounting
 from repro.runtime import TransportChannel
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
@@ -75,45 +74,41 @@ def reliability() -> ReliabilityConfig:
     )
 
 
-def run_over(system: CluDistream, transport, clock):
-    """Drive ``system`` over ``transport``; returns its (closed) endpoints."""
+def run_over(system: CluDistream, transport, clock) -> TransportChannel:
+    """Drive ``system`` over ``transport``; returns its (closed) channel."""
     channel = TransportChannel(transport, clock, reliability=reliability())
     system.runtime(channel).run(
         make_streams(), max_records_per_site=RECORDS_PER_SITE
     )
-    return channel.endpoints, channel.hop
+    return channel
 
 
 @pytest.fixture(scope="module")
 def runs():
     loopback_system = make_system()
-    loopback_endpoints = run_over(
+    loopback_channel = run_over(
         loopback_system, LoopbackTransport(), ManualClock()
     )
 
     lossy_system = make_system()
     clock = ManualClock()
     lossy = LossyTransport(LoopbackTransport(), clock, FAULTS, seed=21)
-    lossy_endpoints = run_over(lossy_system, lossy, clock)
-    return loopback_system, loopback_endpoints, lossy_system, lossy, lossy_endpoints
+    lossy_channel = run_over(lossy_system, lossy, clock)
+    return loopback_system, loopback_channel, lossy_system, lossy, lossy_channel
 
 
 class TestLossyConvergesToLoopback:
     def test_faults_actually_fired(self, runs):
-        _, _, _, lossy, (site_endpoints, hop) = runs
+        _, _, _, lossy, channel = runs
         assert lossy.faults.dropped > 0
         assert lossy.faults.duplicated > 0
-        report = DeliveryAccounting.from_endpoints(
-            site_endpoints, hop
-        )
+        report = channel.accounting()
         assert report.retransmissions > 0
         assert report.duplicates_suppressed > 0
 
     def test_every_message_was_delivered_exactly_once(self, runs):
-        _, _, _, _, (site_endpoints, hop) = runs
-        report = DeliveryAccounting.from_endpoints(
-            site_endpoints, hop
-        )
+        _, _, _, _, channel = runs
+        report = channel.accounting()
         assert report.delivered_exactly_once
         assert report.delivered == report.attempted > N_SITES
 
@@ -138,9 +133,7 @@ class TestLossyConvergesToLoopback:
             assert np.array_equal(ref_mixture.weights, obs_mixture.weights)
 
     def test_wire_overhead_is_accounted(self, runs):
-        _, _, _, _, (site_endpoints, hop) = runs
-        report = DeliveryAccounting.from_endpoints(
-            site_endpoints, hop
-        )
+        _, _, _, _, channel = runs
+        report = channel.accounting()
         assert report.wire_bytes > report.payload_bytes
         assert report.overhead_ratio > 1.0

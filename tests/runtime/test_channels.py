@@ -10,10 +10,12 @@ state.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.cluster.tree import TransportTree
 from repro.core.cludistream import CluDistream, CluDistreamConfig
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig
@@ -203,10 +205,40 @@ class TestTransportFaultsHealed:
         assert coordinator_bytes(lossless) == coordinator_bytes(faulty)
 
 
+def counting(cls, name: str):
+    """``cls.name`` behind a call counter that still runs it."""
+    return mock.patch.object(
+        cls, name, autospec=True, side_effect=getattr(cls, name)
+    )
+
+
 class TestTransportDrainMark:
     """``TransportChannel.submit`` drains only when a message entered an
     endpoint since the last drain: the contract of
     ``tests/transport/drain_mark_contract.py``, for the channel."""
+
+    #: Drains of the channel driver's run, its records and one quiesce,
+    #: on either link: one per submit that sent, one for the quiesce.
+    DRAINS = 11
+
+    @pytest.mark.parametrize("link", sorted(drain_mark.LINKS))
+    def test_settles_call_the_endpoint_drain_directly(self, link, monkeypatch):
+        """What the e2e benchmark's trace counts: every settle is one
+        ``transport.endpoint.drain``, none a tree drain or feed, and
+        ``submit`` never quiesces."""
+        drains = drain_mark.count_drains(monkeypatch)
+        driver = drain_mark.ChannelDriver(drain_mark.LINKS[link])
+        with counting(TransportTree, "drain") as tree_drain, counting(
+            TransportTree, "feed"
+        ) as tree_feed, counting(TransportChannel, "quiesce") as quiesce:
+            for key, record in driver.records():
+                driver.feed(key, record)
+            assert quiesce.call_count == 0
+            driver.settle()
+        driver.close()
+        assert len(drains) == self.DRAINS
+        assert quiesce.call_count == 1
+        assert tree_drain.call_count == tree_feed.call_count == 0
 
     @pytest.mark.parametrize("link", sorted(drain_mark.LINKS))
     def test_explicit_quiesce_after_every_submit_changes_nothing(

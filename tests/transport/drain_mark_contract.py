@@ -1,12 +1,13 @@
-"""The *unsettled* mark: one contract for both of its drivers.
+"""The *unsettled* mark: one contract, through both of its callers.
 
-``TransportChannel.submit`` and ``TransportTree.feed`` settle their ARQ
-edges only when a message entered one since a drain last returned
-(``repro.runtime.channel.DrainMark``, DESIGN.md section 17.4).  The
-three contract points are written here once, parametrised by driver and
-link; ``tests/runtime/test_channels.py::TestTransportDrainMark`` runs
-them for the channel and
-``tests/cluster/test_transport_tree.py::TestDrainMark`` for the tree:
+``TransportTree`` holds the mark.  ``TransportTree.feed`` and
+``TransportChannel.submit`` (a depth-1 tree's) settle the ARQ edges
+only when a message entered one since a drain last returned (DESIGN.md
+section 17.4).  The three contract points are written here once,
+parametrised by driver and link;
+``tests/runtime/test_channels.py::TestTransportDrainMark`` runs them
+for the channel and ``tests/cluster/test_transport_tree.py::TestDrainMark``
+for the tree:
 
 1. a marked run is indistinguishable from settling after every record
    -- clock, edge and receiver statistics, final state -- over loopback

@@ -2,8 +2,9 @@
 
 The receiving side is a root :class:`~repro.cluster.hop.AggregatorHop`
 (``tests/cluster/test_hop.py`` covers its ``listen``); here sites'
-endpoints are wired to one directly, as
-:class:`~repro.runtime.TransportChannel` wires them.
+endpoints are wired to one directly, and the delivery report reads a
+:class:`~repro.runtime.TransportChannel`, which wires them the same way
+as a depth-1 :class:`~repro.cluster.tree.TransportTree`.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.coordinator import Coordinator
 from repro.core.mixture import Gaussian, GaussianMixture
 from repro.core.protocol import ModelUpdateMessage, WeightUpdateMessage
-from repro.runtime.accounting import DeliveryAccounting
+from repro.core.remote import RemoteSite, RemoteSiteConfig
+from repro.runtime import TransportChannel
 from repro.transport.clock import ManualClock
 from repro.transport.endpoint import SiteEndpoint, drain
 from repro.transport.loopback import LoopbackTransport
@@ -122,7 +125,7 @@ class TestConnectSystemAndDrain:
 
 
 class TestDeliveryReport:
-    """``DeliveryAccounting.from_endpoints``: the one delivery meter."""
+    """``TransportChannel.accounting``: the ARQ stack's delivery meter."""
 
     def test_aggregates_sender_and_receiver_stats(self):
         clock = ManualClock()
@@ -132,16 +135,20 @@ class TestDeliveryReport:
             FaultConfig(drop_rate=0.4, duplicate_rate=0.2),
             seed=13,
         )
-        endpoints, hop = wire_sites(range(3), transport, clock)
+        channel = TransportChannel(transport, clock, quiet_config())
+        channel.open(
+            [RemoteSite(i, RemoteSiteConfig(dim=2)) for i in range(3)],
+            Coordinator(),
+        )
         messages = []
-        for i, endpoint in enumerate(endpoints):
+        for i, endpoint in enumerate(channel.endpoints):
             for model_id in range(5):
                 message = model_update(i, model_id=model_id, count=20)
                 messages.append(message)
                 endpoint.send(message)
-        drain(clock, endpoints)
+        channel.quiesce()
 
-        report = DeliveryAccounting.from_endpoints(endpoints, hop)
+        report = channel.accounting()
         assert report.attempted == len(messages)
         assert report.delivered == len(messages)
         assert report.delivered_exactly_once
