@@ -87,7 +87,6 @@ class RunSummary:
     heartbeats: int = _count("transport.heartbeat")
     delivered: int = _count("transport.deliver")
     duplicates_suppressed: int = _count("transport.duplicate")
-    send_expirations: int = _count("transport.expired")
     # Fault injection
     fault_drops: int = _count("fault.drop")
     fault_duplicates: int = _count("fault.duplicate")
@@ -279,8 +278,7 @@ def format_summary(summary: RunSummary) -> str:
         f"retransmissions={summary.retransmissions} "
         f"delivered={summary.delivered} "
         f"duplicates_suppressed={summary.duplicates_suppressed} "
-        f"heartbeats={summary.heartbeats} "
-        f"expired={summary.send_expirations}"
+        f"heartbeats={summary.heartbeats}"
     )
     if (
         summary.fault_drops
