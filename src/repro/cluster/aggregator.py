@@ -7,9 +7,10 @@ aggregators -- and hands every payload to an
 node's coordinator.  When the node is not the root, the resulting
 uploads (gated on :func:`~repro.cluster.hop.mixture_change`) are
 forwarded to the parent aggregator over an *uplink*: a second TCP
-connection carrying the same ``TPT1`` envelopes through the
-:class:`~repro.transport.tcp.Uplink` a site process uses.  To its parent
-an aggregator is indistinguishable from a site.
+connection, the :class:`~repro.transport.tcp.Uplink` a site process
+uses, whose :class:`~repro.transport.endpoint.SiteEndpoint` becomes the
+hop's ``edge``.  To its parent an aggregator is indistinguishable from a
+site.
 
 :func:`run_aggregator` is the whole aggregator process around it: the
 body every :class:`~repro.cluster.launcher.ClusterLauncher` worker runs.
@@ -118,6 +119,7 @@ class AggregatorServer:
         self._done = asyncio.Event()
         self._handlers: set[asyncio.Task] = set()
         self._closing = False
+        self._uplink: Uplink | None = None
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start accepting connections (port 0 = ephemeral)."""
@@ -188,8 +190,8 @@ class AggregatorServer:
         # asyncio's stream machinery reports noisily at loop shutdown).
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
-        if self.hop.edge is not None:
-            await self.hop.edge.close()
+        if self._uplink is not None:
+            await self._uplink.close()
 
     # ------------------------------------------------------------------
     # Uplink to the parent aggregator
@@ -201,7 +203,7 @@ class AggregatorServer:
         first_seq = 1
         if self._arq is not None:
             first_seq = int(self._arq.get("uplink_next_seq", 1))
-        self.hop.edge = uplink = await Uplink.connect(
+        self._uplink = uplink = await Uplink.connect(
             self.node.node_id,
             host,
             port,
@@ -212,13 +214,14 @@ class AggregatorServer:
             codec_config=self._uplink_codec_config,
             first_seq=first_seq,
         )
-        self.hop.forward = uplink.send
+        self.hop.edge = uplink.edge
+        self.hop.forward = uplink.edge.send
 
     async def finish_uplink(self, drain_timeout: float = 60.0) -> None:
         """Drain unacked uploads, send DONE upward, half-close the
         uplink (:meth:`repro.transport.tcp.Uplink.finish`)."""
-        if self.hop.edge is not None:
-            await self.hop.edge.finish(drain_timeout)
+        if self._uplink is not None:
+            await self._uplink.finish(drain_timeout)
 
     # ------------------------------------------------------------------
     # Internals
@@ -467,7 +470,6 @@ async def run_aggregator(
             collector,
             health=health,
             spans=spans,
-            uplink_codec=spec.wire_codec,
             endpoints=endpoints,
             pid=os.getpid(),
             history=(

@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from repro.transport.clock import Clock
     from repro.transport.endpoint import SiteEndpoint
     from repro.transport.reliability import ReliabilityConfig
-    from repro.transport.tcp import Uplink
 
 __all__ = ["AggregatorHop", "InternalNode", "mixture_change"]
 
@@ -153,9 +152,8 @@ class AggregatorHop:
     ``decoder`` reads its children's payloads, CDS1 or CDS2 (each
     child's sender picks), with a per-child baseline cache;
     ``receiver`` is their ARQ receiver, once it exists.  ``edge`` is the
-    link toward the parent (a TCP :class:`~repro.transport.tcp.Uplink`
-    or an in-process :class:`~repro.transport.endpoint.SiteEndpoint`:
-    its ``sender`` is the ARQ sender, its ``codec_sender`` the codec)
+    :class:`~repro.transport.endpoint.SiteEndpoint` toward the parent
+    (in process, or inside a TCP :class:`~repro.transport.tcp.Uplink`)
     and ``forward`` the call that ships one upload through it -- both
     ``None`` at the root, and on a deployed aggregator until its parent
     connection is up (uploads made before that are gated and counted,
@@ -171,7 +169,7 @@ class AggregatorHop:
     observer: Observer
     decoder: CDS2Codec = field(default_factory=CDS2Codec, init=False)
     receiver: ReliableReceiver | None = None
-    edge: Uplink | SiteEndpoint | None = None
+    edge: SiteEndpoint | None = None
     forward: Callable[[Message], None] | None = None
     publisher: FederationPublisher | None = None
     relay: TelemetryRelay | None = None
@@ -241,7 +239,7 @@ class AggregatorHop:
         The root ingests into ``collector``; any other node relays its
         children's reports.  ``probes`` are further
         :class:`~repro.obs.federation.FederationPublisher` arguments
-        (``uplink_codec``, ``health``, ``endpoints``...).
+        (``health``, ``endpoints``...); its ``uplink`` is :attr:`edge`.
         """
         if self.node.parent_id is None:
             self.collector = collector
@@ -251,12 +249,7 @@ class AggregatorHop:
             self.node.node_id,
             "aggregator",
             self.level,
-            uplink_stats=lambda: (
-                self.edge.sender.stats if self.edge is not None else None
-            ),
-            codec_stats=lambda: (
-                self.edge.codec_sender.stats if self.edge is not None else None
-            ),
+            uplink=lambda: self.edge,
             gauges=self.gauges,
             **probes,
         )

@@ -5,8 +5,8 @@ internal node (:class:`~repro.cluster.hop.InternalNode`) runs
 coordinator merge/split over its children and uploads to its parent only
 on :func:`~repro.cluster.hop.mixture_change`.  Every tree edge is a
 real :mod:`repro.transport` link -- a
-:class:`~repro.transport.endpoint.SiteEndpoint` per child (serde-encoded
-payloads inside ``TPT1`` envelopes through a reliable sender), a
+:class:`~repro.transport.endpoint.SiteEndpoint` per child (the edge a
+TCP :class:`~repro.transport.tcp.Uplink` wraps too), a
 :class:`~repro.transport.reliability.ReliableReceiver` per aggregator
 delivering into the one :class:`~repro.cluster.hop.AggregatorHop`, and
 optional seeded fault injection per subnet.  Over loopback (the default)
@@ -24,7 +24,7 @@ The same object therefore backs four jobs:
   per-level byte accounting straight off the wire.
 
 Each aggregator owns one *subnet*: the transport instance its children
-(sites or lower aggregators) send into.
+(sites or lower aggregators) send into and get their acks from.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ class TransportTree:
             self.federation.add_topology_node(
                 node_id, "aggregator", level, parent_id
             )
-            wiring.federate(self.federation, uplink_codec=self._wire_codec)
+            wiring.federate(self.federation)
         self._listen(wiring)
         if parent_id is not None:
             self._connect_uplink(wiring)
@@ -294,9 +294,7 @@ class TransportTree:
                 node_id,
                 "site",
                 wiring.level,
-                uplink_stats=lambda e=endpoint: e.sender.stats,
-                codec_stats=lambda e=endpoint: e.codec_sender.stats,
-                uplink_codec=self._wire_codec,
+                uplink=lambda: endpoint,
                 records=lambda s=site: s.stats.records_seen,
                 gauges=lambda s=site: {"models": len(s.all_models)},
             )
@@ -350,7 +348,7 @@ class TransportTree:
         return self._settle(step, limit)
 
     def close(self) -> None:
-        """Cancel timers and release transport bindings."""
+        """Cancel timers and close the subnets."""
         for wiring in self._leaves.values():
             wiring.site._emit = None
         for endpoint in self._endpoints:
@@ -377,11 +375,7 @@ class TransportTree:
         for endpoint in self._endpoints:
             node_id = endpoint.site_id
             wiring = self._leaves.get(node_id) or self._internals[node_id]
-            codec = endpoint.codec_sender
-            edges.append((
-                wiring.level,
-                uplink_report(endpoint.sender.stats, codec.codec.name, codec.stats),
-            ))
+            edges.append((wiring.level, uplink_report(endpoint)))
         return tuple(
             LevelStats(
                 codecs=tuple(entry.pop("codecs")),
@@ -508,17 +502,19 @@ class TransportTree:
         first_seq: int = 1,
     ) -> SiteEndpoint:
         """The edge from ``node_id`` up into ``parent``'s subnet."""
+        subnet = parent.transport
         endpoint = SiteEndpoint(
             node_id,
-            parent.transport,
+            lambda data: subnet.send_to_coordinator(node_id, data),
             self.clock,
             self._reliability,
-            rng=np.random.default_rng(self._seed + 70_000 + node_id),
+            seed=self._seed,
             observer=self._obs,
             wire_codec=self._wire_codec,
             codec_config=self._codec_config,
             first_seq=first_seq,
         )
+        subnet.bind_site(node_id, endpoint.sender.handle_datagram)
         self._endpoints.append(endpoint)
         return endpoint
 

@@ -6,9 +6,9 @@ design is deliberately tree-shaped, like the data path itself:
 
 * every node runs a :class:`FederationPublisher` -- a thin sampler over
   the node's own :class:`~repro.obs.health.HealthMonitor`,
-  :class:`~repro.obs.spans.SpanCollector`, uplink
-  :class:`~repro.transport.reliability.SenderStats` and OS process
-  resources -- producing one :class:`NodeTelemetry` report per flush;
+  :class:`~repro.obs.spans.SpanCollector`, uplink edge
+  (:func:`uplink_report`) and OS process resources -- producing one
+  :class:`NodeTelemetry` report per flush;
 * reports ride the node's *existing* ARQ uplink as best-effort
   ``TELEMETRY`` envelopes (:data:`repro.transport.framing.KIND_TELEMETRY`):
   unsequenced, unacked, excluded from the section 6 wire accounting, so
@@ -220,29 +220,27 @@ class NodeTelemetry:
         )
 
 
-def uplink_report(
-    stats: object, codec: str | None = None, codec_stats: object | None = None
-) -> dict:
-    """JSON-safe view of one uplink edge.
+def uplink_report(edge) -> dict:
+    """JSON-safe view of one uplink edge's byte account.
 
-    ``stats`` is the edge's :class:`~repro.transport.reliability.SenderStats`;
-    with ``codec_stats`` (a :class:`~repro.core.serde.CodecStats`) the
-    wire codec's name and delta/quantization accounting ride along.
+    ``edge`` is a :class:`~repro.transport.endpoint.SiteEndpoint`: its
+    sender's :class:`~repro.transport.reliability.SenderStats` and its
+    wire codec's name and delta/quantization accounting.
     """
-    uplink = {
-        "payloads_sent": getattr(stats, "payloads_sent", 0),
-        "payload_bytes": getattr(stats, "payload_bytes", 0),
-        "wire_bytes": getattr(stats, "wire_bytes", 0),
-        "retransmissions": getattr(stats, "retransmissions", 0),
-        "telemetry_bytes": getattr(stats, "telemetry_bytes", 0),
+    stats = edge.sender.stats
+    codec = edge.codec_sender
+    return {
+        "payloads_sent": stats.payloads_sent,
+        "payload_bytes": stats.payload_bytes,
+        "wire_bytes": stats.wire_bytes,
+        "retransmissions": stats.retransmissions,
+        "telemetry_bytes": stats.telemetry_bytes,
+        "codec": codec.codec.name,
+        "model_updates": int(codec.stats.model_updates),
+        "delta_updates": int(codec.stats.delta_updates),
+        "delta_hit_rate": float(codec.stats.delta_hit_rate),
+        "bytes_saved": int(codec.stats.bytes_saved),
     }
-    if codec_stats is not None:
-        uplink["codec"] = codec
-        uplink["model_updates"] = int(codec_stats.model_updates)
-        uplink["delta_updates"] = int(codec_stats.delta_updates)
-        uplink["delta_hit_rate"] = float(codec_stats.delta_hit_rate)
-        uplink["bytes_saved"] = int(codec_stats.bytes_saved)
-    return uplink
 
 
 def level_rollup(
@@ -311,9 +309,12 @@ class FederationPublisher:
         The node's :class:`SpanCollector`; each flush ships only span
         events recorded since the previous flush (tracked by collector
         id cursor).
-    uplink_stats:
-        Probe returning the node's uplink ``SenderStats`` (or ``None``
-        for the root, which has no uplink).
+    uplink:
+        Probe returning the node's uplink edge, a
+        :class:`~repro.transport.endpoint.SiteEndpoint` (or ``None`` at
+        the root, which has none); reports carry its
+        :func:`uplink_report`.  An edge built after the publisher is
+        assigned here.
     gauges:
         Probe returning a small JSON-safe dict of node gauges
         (``messages_up``, ``bytes_up``, ``components``...).
@@ -335,13 +336,11 @@ class FederationPublisher:
         level: int,
         health: HealthMonitor | None = None,
         spans: SpanCollector | None = None,
-        uplink_stats: Callable[[], object | None] | None = None,
+        uplink: Callable[[], object | None] | None = None,
         gauges: Callable[[], dict] | None = None,
         records: Callable[[], int] | None = None,
         endpoints: Mapping | None = None,
         pid: int | None = None,
-        codec_stats: Callable[[], object | None] | None = None,
-        uplink_codec: str = "cds1",
         history: Callable[[], dict | None] | None = None,
     ) -> None:
         self.node_id = node_id
@@ -349,10 +348,7 @@ class FederationPublisher:
         self.level = level
         self._health = health
         self._spans = spans
-        self._uplink_stats = uplink_stats
-        self._codec_stats = codec_stats
-        #: Name of the wire codec this node's uplink edge speaks.
-        self.uplink_codec = uplink_codec
+        self.uplink = uplink
         self._gauges = gauges
         self._records = records
         self._history = history
@@ -360,24 +356,6 @@ class FederationPublisher:
         self._pid = pid if pid is not None else os.getpid()
         self._span_cursor = 0
         self._seq = 0
-
-    def bind_uplink(
-        self,
-        probe: Callable[[], object | None],
-        codec_stats: Callable[[], object | None] | None = None,
-    ) -> None:
-        """Late-bind the uplink stats probe.
-
-        For publishers built before their transport exists (a site
-        worker constructs its publisher, then
-        :func:`~repro.transport.tcp.run_site_client` creates the sender
-        and binds its stats here).  ``codec_stats`` optionally binds the
-        uplink edge's :class:`~repro.core.serde.CodecStats` probe so
-        reports carry the wire codec's delta/quantization accounting.
-        """
-        self._uplink_stats = probe
-        if codec_stats is not None:
-            self._codec_stats = codec_stats
 
     def collect(self) -> bytes:
         """Produce the next report as an encoded TELEMETRY payload."""
@@ -391,11 +369,8 @@ class FederationPublisher:
             records = int(self._records())
         elif health is not None:
             records = int(health.get("records", 0))
-        uplink: dict = {}
-        stats = self._uplink_stats() if self._uplink_stats is not None else None
-        if stats is not None:
-            codec = self._codec_stats() if self._codec_stats is not None else None
-            uplink = uplink_report(stats, self.uplink_codec, codec)
+        edge = self.uplink() if self.uplink is not None else None
+        uplink = uplink_report(edge) if edge is not None else {}
         span_fields: list[dict] = []
         if self._spans is not None:
             page = self._spans.events_since(self._span_cursor)

@@ -60,10 +60,6 @@ class DatagramTransport(ABC):
         """Register the datagram sink of one site (the ack path)."""
         self._site_callbacks[site_id] = callback
 
-    def unbind_site(self, site_id: int) -> None:
-        """Disconnect a site; datagrams addressed to it are dropped."""
-        self._site_callbacks.pop(site_id, None)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------

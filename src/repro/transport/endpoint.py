@@ -1,28 +1,31 @@
-"""The in-process uplink edge and the loop that settles it.
+"""The uplink edge and the loop that settles it.
 
-A :class:`SiteEndpoint` is *the* in-process uplink edge: of every leaf
-and aggregator of a :class:`~repro.cluster.tree.TransportTree`, the
-sites behind a :class:`~repro.runtime.channel.TransportChannel` (a
-depth-1 tree) included.  Its :meth:`send` is shaped exactly like the
-site's ``emit`` hook, serialises the message through
-:mod:`repro.core.serde` and hands the bytes to a
-:class:`~repro.transport.reliability.ReliableSender`.  :func:`drain` is
-the one loop that settles such edges on a manual clock.
+A :class:`SiteEndpoint` is *the* uplink edge of a site or aggregator,
+whatever carries its bytes: each edge of a
+:class:`~repro.cluster.tree.TransportTree` (so also of a
+:class:`~repro.runtime.channel.TransportChannel`, a depth-1 tree) over
+its parent's subnet, and each TCP :class:`~repro.transport.tcp.Uplink`
+over its socket.  Its :meth:`send` is shaped exactly like the site's
+``emit`` hook, serialises the message through the edge's codec and
+hands the bytes to a :class:`~repro.transport.reliability.ReliableSender`.
+:func:`drain` is the one loop that settles such edges on a manual clock.
 
 The receiving half is the parent's
 :class:`~repro.cluster.hop.AggregatorHop`: its ``listen`` builds the
 :class:`~repro.transport.reliability.ReliableReceiver`, and every
-surviving payload is decoded and applied in its ``deliver``.
+surviving payload is decoded and applied in its ``deliver``; whoever
+builds an edge routes the acks into ``edge.sender.handle_datagram``.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro.core.protocol import Message
 from repro.core.serde import CodecConfig, get_codec
 from repro.obs.observer import Observer, ensure_observer
-from repro.transport.base import DatagramTransport
 from repro.transport.clock import Clock, ManualClock
 from repro.transport.reliability import ReliabilityConfig, ReliableSender
 from repro.transport.wire import CodecSender
@@ -31,24 +34,25 @@ __all__ = ["SiteEndpoint", "drain"]
 
 
 class SiteEndpoint:
-    """Site-side endpoint: serde + reliable sender over a transport.
+    """One uplink edge: serde + reliable sender over ``transmit``.
 
     Use ``site._emit = endpoint.send`` (or pass ``emit=endpoint.send``
     at construction) to route a :class:`~repro.core.remote.RemoteSite`'s
-    messages through the transport.
+    messages through the edge.
 
     Parameters
     ----------
     site_id:
-        The site this endpoint speaks for.
-    transport:
-        Any :class:`~repro.transport.base.DatagramTransport`.
+        The site (or aggregator) this edge speaks for.
+    transmit:
+        Puts one envelope on the wire toward the parent.
     clock:
-        Timer service shared with the transport.
+        Timer service of the retransmission and heartbeat timers.
     config:
         Reliability tuning.
-    rng:
-        Randomness for retransmission jitter.
+    seed:
+        The deployment seed; the edge seeds its retransmission jitter
+        from it and ``site_id``, the same way on every carrier.
     observer:
         Optional :class:`~repro.obs.observer.Observer`; serialisation is
         timed into the ``profile.serde_encode`` histogram and forwarded
@@ -56,39 +60,37 @@ class SiteEndpoint:
     wire_codec / codec_config:
         The edge's serialisation (see :func:`repro.core.serde.get_codec`).
     first_seq:
-        Sequence number of the first payload; a restored aggregator
-        continues its uplink where the checkpoint left it.
+        Sequence number of the first payload; a restored node continues
+        its uplink where the checkpoint left it.
     """
 
     def __init__(
         self,
         site_id: int,
-        transport: DatagramTransport,
+        transmit: Callable[[bytes], None],
         clock: Clock,
         config: ReliabilityConfig | None = None,
-        rng: np.random.Generator | None = None,
-        observer: Observer | None = None,
         *,
+        seed: int = 0,
+        observer: Observer | None = None,
         wire_codec: str = "cds1",
         codec_config: CodecConfig | None = None,
         first_seq: int = 1,
     ) -> None:
         self.site_id = site_id
-        self._transport = transport
         self._obs = ensure_observer(observer)
         self.sender = ReliableSender(
             site_id=site_id,
-            transmit=lambda data: transport.send_to_coordinator(site_id, data),
+            transmit=transmit,
             clock=clock,
             config=config,
-            rng=rng,
+            rng=np.random.default_rng(seed + 70_000 + site_id),
             observer=self._obs,
             first_seq=first_seq,
         )
         self.codec_sender = CodecSender(
             self.sender, get_codec(wire_codec, codec_config)
         )
-        transport.bind_site(site_id, self.sender.handle_datagram)
 
     def send(self, message: Message) -> None:
         if message.site_id != self.site_id:
@@ -112,7 +114,6 @@ class SiteEndpoint:
 
     def close(self) -> None:
         self.sender.close()
-        self._transport.unbind_site(self.site_id)
 
 
 def drain(

@@ -126,9 +126,6 @@ class LossyTransport(DatagramTransport):
     def bind_site(self, site_id: int, callback) -> None:
         self._inner.bind_site(site_id, callback)
 
-    def unbind_site(self, site_id: int) -> None:
-        self._inner.unbind_site(site_id)
-
     def _transmit_to_coordinator(self, site_id: int, data: bytes) -> None:
         self._inject(
             lambda: self._inner.send_to_coordinator(site_id, data),

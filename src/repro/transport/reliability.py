@@ -174,7 +174,6 @@ class ReliableSender:
         observer: Observer | None = None,
         *,
         first_seq: int = 1,
-        on_ack: Callable[[int], None] | None = None,
     ) -> None:
         if first_seq < 1:
             raise ValueError("first_seq must be at least 1")
@@ -182,9 +181,10 @@ class ReliableSender:
         self._transmit = transmit
         self._clock = clock
         #: Cumulative-ack listener: called with the acked sequence number
-        #: whenever an ACK envelope arrives (delta codecs key their
-        #: acknowledged baselines off this).
-        self.on_ack = on_ack
+        #: whenever an ACK envelope arrives (the edge's
+        #: :class:`~repro.transport.wire.CodecSender` sets it; delta
+        #: codecs key their acknowledged baselines off this).
+        self.on_ack: Callable[[int], None] | None = None
         self.config = config or ReliabilityConfig()
         self._obs = ensure_observer(observer)
         self._rng = rng if rng is not None else np.random.default_rng(site_id)

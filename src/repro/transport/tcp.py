@@ -1,7 +1,10 @@
 """Asyncio TCP transport: the sending side of the same envelopes.
 
 Each site process runs :func:`run_site_client`; a site and an interior
-aggregator reach their parent through one :class:`Uplink`.  The parent
+aggregator reach their parent through one :class:`Uplink`: the TCP
+connection around the same :class:`~repro.transport.endpoint.SiteEndpoint`
+every in-process edge is, so the send path, the seeds and the byte
+account are the in-process ones.  The parent
 is an :class:`~repro.cluster.aggregator.AggregatorServer` -- for a flat
 deployment, the root of a one-level tree.  On the wire the byte stream
 is simply a concatenation of ``TPT1`` envelopes (the envelope's length
@@ -26,13 +29,13 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.remote import RemoteSite, RemoteSiteConfig
-from repro.core.serde import CodecConfig, get_codec
+from repro.core.serde import CodecConfig
 from repro.obs.federation import FederationPublisher
-from repro.obs.observer import Observer, ensure_observer
+from repro.obs.observer import Observer
 from repro.transport.clock import AsyncioClock
+from repro.transport.endpoint import SiteEndpoint
 from repro.transport.framing import StreamDecoder
-from repro.transport.reliability import ReliabilityConfig, ReliableSender
-from repro.transport.wire import CodecSender
+from repro.transport.reliability import ReliabilityConfig
 
 __all__ = ["SiteRunReport", "Uplink", "run_site_client"]
 
@@ -44,21 +47,20 @@ _YIELD_EVERY = 64
 
 
 class Uplink:
-    """One node's TCP edge toward its parent.
+    """One node's TCP connection toward its parent, around its edge.
 
-    Connecting builds the ARQ sender, the codec sender over it and the
-    task pumping the parent's acks back in; :meth:`finish` is the close
-    sequence.  To its parent a site and an interior aggregator are the
-    same thing, so :func:`run_site_client` and
-    :class:`~repro.cluster.aggregator.AggregatorServer` both hold one of
-    these and both end -- and fail -- the same way.
+    Connecting builds the :class:`~repro.transport.endpoint.SiteEndpoint`
+    over the socket (:attr:`edge`: send through it, read its stats off
+    it) and the task pumping the parent's acks into its sender;
+    :meth:`finish` is the close sequence.  To its parent a site and an
+    interior aggregator are the same thing, so :func:`run_site_client`
+    and :class:`~repro.cluster.aggregator.AggregatorServer` both hold
+    one of these and both end -- and fail -- the same way.
     """
 
-    def __init__(self, reader, writer, sender, codec_sender, observer) -> None:
-        self.sender: ReliableSender = sender
-        self.codec_sender: CodecSender = codec_sender
+    def __init__(self, reader, writer, edge: SiteEndpoint) -> None:
+        self.edge = edge
         self.writer: asyncio.StreamWriter = writer
-        self._obs = observer
         self._ack_task = asyncio.ensure_future(self._pump_acks(reader))
 
     @classmethod
@@ -77,23 +79,19 @@ class Uplink:
     ) -> "Uplink":
         """Open the parent connection; ``first_seq`` continues a
         checkpointed sequence (the parent's cursor survived us)."""
-        observer = ensure_observer(observer)
-        codec = get_codec(wire_codec, codec_config)
         reader, writer = await asyncio.open_connection(host, port)
-        sender = ReliableSender(
-            site_id=site_id,
-            transmit=writer.write,
-            clock=AsyncioClock(asyncio.get_running_loop()),
-            config=config,
-            rng=np.random.default_rng(seed + 70_000 + site_id),
+        edge = SiteEndpoint(
+            site_id,
+            writer.write,
+            AsyncioClock(asyncio.get_running_loop()),
+            config,
+            seed=seed,
             observer=observer,
+            wire_codec=wire_codec,
+            codec_config=codec_config,
             first_seq=first_seq,
         )
-        return cls(reader, writer, sender, CodecSender(sender, codec), observer)
-
-    def send(self, message) -> None:
-        """Ship one protocol message under the caller's current span."""
-        self.codec_sender.send(message, trace=self._obs.span_context())
+        return cls(reader, writer, edge)
 
     async def finish(self, drain_timeout: float = 60.0, final=None) -> None:
         """Drain unacked payloads, send DONE, half-close and linger.
@@ -105,7 +103,7 @@ class Uplink:
         after the drain and before DONE, so the last report covers
         every acknowledged upload.
         """
-        sender = self.sender
+        sender = self.edge.sender
         loop = asyncio.get_running_loop()
         deadline = loop.time() + drain_timeout
         while sender.outstanding() > 0:
@@ -141,7 +139,7 @@ class Uplink:
     async def close(self) -> None:
         """Release the connection (after :meth:`finish`, or instead of
         it when the run is abandoned)."""
-        self.sender.close()
+        self.edge.close()
         self._ack_task.cancel()
         await asyncio.gather(self._ack_task, return_exceptions=True)
         self.writer.close()
@@ -158,7 +156,7 @@ class Uplink:
                 if not chunk:
                     return
                 for envelope in decoder.feed(chunk):
-                    self.sender.handle_envelope(envelope)
+                    self.edge.sender.handle_envelope(envelope)
         except OSError:
             # Parent went away; finish() notices the dead pump and
             # reports the loss instead of draining forever.
@@ -223,7 +221,6 @@ async def run_site_client(
     that kept its cursor for this site (a resumed aggregator) applies
     the restored site's uploads instead of suppressing them.
     """
-    observer = ensure_observer(observer)
     loop = asyncio.get_running_loop()
     uplink = await Uplink.connect(
         site_id,
@@ -236,19 +233,16 @@ async def run_site_client(
         codec_config=codec_config,
         first_seq=first_seq,
     )
-    sender = uplink.sender
+    edge = uplink.edge
+    sender = edge.sender
     if federation is not None:
-        federation.bind_uplink(
-            lambda: sender.stats,
-            codec_stats=lambda: uplink.codec_sender.stats,
-        )
-        federation.uplink_codec = wire_codec
+        federation.uplink = lambda: edge
     if site is None:
         site = RemoteSite(
             site_id,
             site_config,
             rng=np.random.default_rng(seed + site_id),
-            emit=uplink.send,
+            emit=edge.send,
             observer=observer,
             history=history,
         )
@@ -257,7 +251,7 @@ async def run_site_client(
             raise ValueError(
                 f"restored site has id {site.site_id}, expected {site_id}"
             )
-        site._emit = uplink.send
+        site._emit = edge.send
 
     processed = 0
     next_flush = loop.time() + telemetry_interval

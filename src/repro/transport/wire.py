@@ -8,8 +8,11 @@
   :class:`~repro.core.serde.WireCodec` as it is transmitted (delta
   codecs are stateful, so encode order must equal send order);
 * the codec's ARQ hooks are wired in: each payload is bound to its
-  sequence number and the sender's cumulative acks promote delta
-  baselines (``note_sent`` / ``note_acked``).
+  sequence number and the sender's cumulative acks (its one ``on_ack``
+  listener) promote delta baselines (``note_sent`` / ``note_acked``).
+
+Every uplink edge, a :class:`~repro.transport.endpoint.SiteEndpoint`,
+holds one.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ class CodecSender:
     def __init__(self, sender: ReliableSender, codec: WireCodec) -> None:
         self._sender = sender
         self._codec = codec
-        self._chained_on_ack = sender.on_ack
-        sender.on_ack = self._on_ack
+        sender.on_ack = codec.note_acked
 
     @property
     def codec(self) -> WireCodec:
@@ -47,8 +49,3 @@ class CodecSender:
         )
         self._codec.note_sent(seq)
         return seq
-
-    def _on_ack(self, seq: int) -> None:
-        self._codec.note_acked(seq)
-        if self._chained_on_ack is not None:
-            self._chained_on_ack(seq)

@@ -22,7 +22,7 @@ machine stamp, and ``test_comm.py`` gates the checked-in table by
 *equality*: a cell that grows **or shrinks** by one byte is a wire
 format change.  Restamp it (only for a deliberate one)::
 
-    PYTHONPATH=src python tests/bench/codec_cells.py
+    PYTHONPATH=src python -m tests.bench.codec_cells
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from repro.core.testing import average_log_likelihood
 from repro.obs.observer import ensure_observer
 from repro.streams.synthetic import random_mixture
 from repro.transport.clock import ManualClock
-from repro.transport.endpoint import SiteEndpoint
 from repro.transport.loopback import LoopbackTransport
+from tests.cluster.trees import wire_edge
 
 BASELINE = Path(__file__).resolve().parents[2] / "BENCH_comm.json"
 
@@ -175,7 +175,7 @@ def run_cell(cell: CommCell, workload: CommWorkload) -> dict[str, object]:
     transport.bind_coordinator(
         hop.listen(transport.send_to_site, clock).handle_datagram
     )
-    site = SiteEndpoint(
+    site = wire_edge(
         1,
         transport,
         clock,

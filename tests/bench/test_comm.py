@@ -4,7 +4,7 @@ Every number the cells emit is a pure function of the seed -- so these
 tests pin the byte accounting exactly, including against the committed
 ``BENCH_comm.json``: if an edit to the wire formats changes any cell's
 bytes, in either direction, the baseline must be restamped deliberately
-(``PYTHONPATH=src python tests/bench/codec_cells.py``), not silently.
+(``PYTHONPATH=src python -m tests.bench.codec_cells``), not silently.
 """
 
 from __future__ import annotations

@@ -18,9 +18,14 @@ from repro.core.mixture import GaussianMixture
 from repro.core.protocol import WeightUpdateMessage
 from repro.obs import NodeTelemetry, Observer
 from repro.transport.clock import ManualClock
-from repro.transport.endpoint import SiteEndpoint
 from repro.transport.loopback import LoopbackTransport
-from tests.cluster.trees import build_two_level, fast_tree, feed_leaf, root_hop
+from tests.cluster.trees import (
+    build_two_level,
+    fast_tree,
+    feed_leaf,
+    root_hop,
+    wire_edge,
+)
 from tests.transport.test_endpoint import model_update, quiet_config
 
 
@@ -53,7 +58,7 @@ class TestListen:
         transport = LoopbackTransport()
         clock = ManualClock()
         hop = root_hop(transport, clock, quiet_config(stale_after=5.0))
-        site_endpoint = SiteEndpoint(
+        site_endpoint = wire_edge(
             site_id, transport, clock, quiet_config(stale_after=5.0)
         )
         return clock, hop, site_endpoint

@@ -6,7 +6,7 @@ loopback and lossy links), ``test_aggregator_resume.py``,
 without ``drain()``) and ``tests/transport/drain_mark_contract.py`` all
 build their trees and feed them from here; ``test_hop.py`` and
 ``tests/transport/test_endpoint.py`` build a bare one-level root with
-:func:`root_hop`.
+:func:`root_hop` and the edges sending into it with :func:`wire_edge`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSiteConfig
 from repro.obs.observer import ensure_observer
+from repro.transport.endpoint import SiteEndpoint
 from repro.transport.lossy import FaultConfig
 
 LOSSY = FaultConfig(drop_rate=0.2, duplicate_rate=0.1, delay=0.05)
@@ -39,6 +40,21 @@ def root_hop(transport, clock, config=None) -> AggregatorHop:
         hop.listen(transport.send_to_site, clock, config).handle_datagram
     )
     return hop
+
+
+def wire_edge(site_id, transport, clock, config=None, **kwargs) -> SiteEndpoint:
+    """An uplink edge from ``site_id`` into ``transport``, acks routed
+    back into its sender -- as :class:`repro.cluster.tree.TransportTree`
+    wires each of its edges into its parent's subnet."""
+    edge = SiteEndpoint(
+        site_id,
+        lambda data: transport.send_to_coordinator(site_id, data),
+        clock,
+        config,
+        **kwargs,
+    )
+    transport.bind_site(site_id, edge.sender.handle_datagram)
+    return edge
 
 
 def fast_tree(

@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.protocol import WeightUpdateMessage
 from repro.obs.federation import (
     FederationCollector,
     FederationPublisher,
@@ -16,6 +17,7 @@ from repro.obs.federation import (
     process_resources,
     publish_process_resources,
     topology_from_spec,
+    uplink_report,
 )
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
@@ -23,6 +25,9 @@ from repro.obs.observer import Observer
 from repro.obs.server import TelemetryServer
 from repro.obs.spans import SpanCollector
 from repro.obs.trace import MultiSink
+from repro.transport.clock import ManualClock
+from repro.transport.loopback import LoopbackTransport
+from tests.cluster.trees import wire_edge
 
 
 def make_report(node_id=1, seq=1, pid=100, role="site", level=2, **extra):
@@ -133,18 +138,17 @@ class TestPublisher:
         assert second.spans == ()
 
     def test_bind_uplink_late(self):
-        class Stats:
-            payloads_sent = 7
-            payload_bytes = 70
-            wire_bytes = 100
-            retransmissions = 1
-            telemetry_bytes = 0
-
+        clock = ManualClock()
+        edge = wire_edge(3, LoopbackTransport(), clock)
+        edge.send(WeightUpdateMessage(site_id=3, model_id=0, time=1, count_delta=4))
         publisher = FederationPublisher(3, "site", 2)
         assert NodeTelemetry.from_payload(publisher.collect()).uplink == {}
-        publisher.bind_uplink(lambda: Stats())
+        # An edge built after its publisher is assigned to it.
+        publisher.uplink = lambda: edge
         report = NodeTelemetry.from_payload(publisher.collect())
-        assert report.uplink["wire_bytes"] == 100
+        assert report.uplink["wire_bytes"] == edge.sender.stats.wire_bytes > 0
+        assert report.uplink == uplink_report(edge)
+        edge.close()
 
 
 class TestRelay:

@@ -36,14 +36,6 @@ class TestLoopback:
         transport.send_to_coordinator(0, b"x")  # nothing bound: no error
         transport.send_to_site(9, b"y")
 
-    def test_unbind_disconnects_a_site(self):
-        transport = LoopbackTransport()
-        received = []
-        transport.bind_site(1, received.append)
-        transport.unbind_site(1)
-        transport.send_to_site(1, b"z")
-        assert received == []
-
 
 class TestFaultConfig:
     def test_validation(self):

@@ -22,7 +22,7 @@ from repro.transport.endpoint import SiteEndpoint, drain
 from repro.transport.loopback import LoopbackTransport
 from repro.transport.lossy import FaultConfig, LossyTransport
 from repro.transport.reliability import ReliabilityConfig
-from tests.cluster.trees import root_hop
+from tests.cluster.trees import root_hop, wire_edge
 
 
 def quiet_config(**overrides) -> ReliabilityConfig:
@@ -45,7 +45,7 @@ def wire_sites(site_ids, transport, clock):
     """Each site's endpoint, and the root hop they send to."""
     hop = root_hop(transport, clock, quiet_config())
     endpoints = [
-        SiteEndpoint(site_id, transport, clock, quiet_config())
+        wire_edge(site_id, transport, clock, quiet_config())
         for site_id in site_ids
     ]
     return endpoints, hop
@@ -68,14 +68,14 @@ class TestSiteEndpoint:
         clock = ManualClock()
         received: list[bytes] = []
         transport.bind_coordinator(received.append)
-        endpoint = SiteEndpoint(3, transport, clock, quiet_config())
+        endpoint = wire_edge(3, transport, clock, quiet_config())
         endpoint.send(WeightUpdateMessage(site_id=3, model_id=0, time=1, count_delta=4))
         assert len(received) == 1
         assert endpoint.outstanding() == 1  # loopback has nobody acking
         endpoint.close()
 
     def test_rejects_messages_from_another_site(self):
-        endpoint = SiteEndpoint(
+        endpoint = wire_edge(
             3, LoopbackTransport(), ManualClock(), quiet_config()
         )
         with pytest.raises(ValueError, match="site 3"):
@@ -85,7 +85,7 @@ class TestSiteEndpoint:
         endpoint.close()
 
     def test_is_a_transport_endpoint(self):
-        endpoint = SiteEndpoint(
+        endpoint = wire_edge(
             0, LoopbackTransport(), ManualClock(), quiet_config()
         )
         assert isinstance(endpoint, SiteEndpoint)

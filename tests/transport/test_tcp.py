@@ -9,9 +9,12 @@ import pytest
 
 from repro.cluster.aggregator import AggregatorServer
 from repro.cluster.hop import InternalNode
+from repro.cluster.tree import TransportTree
 from repro.core.coordinator import Coordinator
 from repro.core.em import EMConfig
+from repro.core.protocol import WeightUpdateMessage
 from repro.core.remote import RemoteSiteConfig
+from repro.obs.federation import uplink_report
 from repro.streams.base import take
 from repro.streams.synthetic import EvolvingGaussianStream, EvolvingStreamConfig
 from repro.transport.framing import (
@@ -23,7 +26,8 @@ from repro.transport.framing import (
     encode_envelope,
 )
 from repro.transport.reliability import ReliabilityConfig
-from repro.transport.tcp import run_site_client
+from repro.transport.tcp import Uplink, run_site_client
+from tests.transport.test_endpoint import model_update
 
 
 def site_records(site_id: int, n: int = 400, dim: int = 2) -> np.ndarray:
@@ -299,3 +303,70 @@ class TestUplinkFailurePaths:
         assert error is None, repr(error)
         assert parent.first_data_seq() == 7
         assert parent.envelopes[0].seq == 7
+
+
+# ----------------------------------------------------------------------
+# One uplink edge: the TCP uplink is the in-process edge over a socket.
+# ----------------------------------------------------------------------
+def over_tcp(check, **connect):
+    """Run ``check(uplink)`` on an uplink for node 3 into a root server."""
+
+    async def scenario():
+        server = root_server(Coordinator(), config=fast_reliability())
+        await server.start()
+        uplink = await Uplink.connect(
+            3, "127.0.0.1", server.port, config=fast_reliability(), **connect
+        )
+        try:
+            return await check(uplink)
+        finally:
+            await uplink.close()
+            await server.close()
+
+    return asyncio.run(scenario())
+
+
+def tree_edge(seed: int = 0, **tree):
+    """The in-process edge of leaf 3 under a one-level tree."""
+    built = TransportTree(seed=seed, **tree)
+    built.add_internal(0)
+    built.add_leaf(3, parent_id=0)
+    return built, built._leaves[3].endpoint
+
+
+class TestOneEdge:
+    def test_an_uplink_edge_rejects_another_sites_message(self):
+        async def check(uplink):
+            with pytest.raises(ValueError, match="site 3"):
+                uplink.edge.send(
+                    WeightUpdateMessage(site_id=4, model_id=0, time=1, count_delta=1)
+                )
+            return uplink.edge.sender.stats.payloads_sent
+
+        assert over_tcp(check) == 0
+
+    def test_tcp_and_tree_edges_share_their_jitter_seed(self):
+        async def check(uplink):
+            return uplink.edge.sender._rng.bit_generator.state
+
+        tree, edge = tree_edge(seed=11)
+        assert over_tcp(check, seed=11) == edge.sender._rng.bit_generator.state
+        tree.close()
+
+    def test_uplink_report_carries_the_codec_on_both_paths(self):
+        async def check(uplink):
+            uplink.edge.send(model_update(3))
+            return uplink_report(uplink.edge)
+
+        tree, edge = tree_edge(wire_codec="cds2")
+        edge.send(model_update(3))
+        tcp, local = over_tcp(check, wire_codec="cds2"), uplink_report(edge)
+        codec_fields = (
+            "codec", "model_updates", "delta_updates", "delta_hit_rate",
+            "bytes_saved", "payloads_sent", "payload_bytes",
+        )
+        assert (tcp["codec"], tcp["model_updates"]) == ("cds2", 1)
+        assert {k: tcp[k] for k in codec_fields} == {
+            k: local[k] for k in codec_fields
+        }
+        tree.close()
