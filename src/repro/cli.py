@@ -274,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_codec_flags(cluster)
     _add_telemetry_flags(cluster)
-    # Bool only: ClusterSpec carries ``history`` as a switch.
-    _add_history_flags(cluster, knobs=False)
+    _add_history_flags(cluster)
 
     stats = sub.add_parser(
         "stats",
@@ -418,9 +417,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_history_flags(
-    parser: argparse.ArgumentParser, knobs: bool = True
-) -> None:
+def _add_history_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--history",
         action="store_true",
@@ -429,30 +426,6 @@ def _add_history_flags(
         "analytics ('cludistream stats --window T0 T1' on a trace), and "
         "a record that rides checkpoints across --resume",
     )
-    if not knobs:
-        return
-    for flag, default in (
-        ("--history-alpha", 2),
-        ("--history-capacity", 2),
-        ("--history-bytes", None),
-    ):
-        parser.add_argument(
-            flag, type=int, default=default, action=_Ignored,
-            help="ignored (the pyramid's knob; goes in 1.18.0)",
-        )
-
-
-class _Ignored(argparse.Action):
-    """A retired flag: it still parses, warns once on stderr and
-    changes nothing (DESIGN section 10.3)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"warning: {option_string} is ignored: the history keeps one "
-            "summary per model reign; the flag goes in 1.18.0",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
 
 
 class _Exit(Exception):

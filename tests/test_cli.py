@@ -840,12 +840,17 @@ class TestRemovedSubcommands:
 
 
 class TestHistoryFlags:
-    def test_run_history_knobs_default_off(self):
-        args = build_parser().parse_args(["run"])
-        assert args.history is False
-        assert args.history_alpha == 2
-        assert args.history_capacity == 2
-        assert args.history_bytes is None
+    def test_run_history_knobs_default_off(self, capsys):
+        assert build_parser().parse_args(["run"]).history is False
+        # The pyramid's knobs are gone (1.18.0): each is a usage error.
+        for command in ("run", "serve"):
+            for flag in (
+                "--history-alpha", "--history-capacity", "--history-bytes"
+            ):
+                with pytest.raises(SystemExit) as exit_info:
+                    build_parser().parse_args([command, flag, "2"])
+                assert exit_info.value.code == 2
+                assert flag in capsys.readouterr().err
 
     def test_serve_and_cluster_accept_history(self):
         assert build_parser().parse_args(
@@ -944,35 +949,6 @@ class TestHistoryFlags:
         assert status == 1
         assert "--history" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "serve"])
-    def test_retired_history_knobs_warn_and_are_ignored(self, command, capsys):
-        # The pyramid's knobs parse for one more release, each with one
-        # warning on stderr; nothing reads them.
-        args = build_parser().parse_args([
-            command, "--history", "--history-alpha", "3",
-            "--history-capacity", "1", "--history-bytes", "0",
-        ])
-        err = capsys.readouterr().err.splitlines()
-        assert err == [
-            f"warning: {flag} is ignored: the history keeps one summary "
-            "per model reign; the flag goes in 1.18.0"
-            for flag in (
-                "--history-alpha", "--history-capacity", "--history-bytes"
-            )
-        ]
-        assert args.history is True
-        assert build_parser().parse_args([command]).history_bytes is None
-        assert capsys.readouterr().err == ""
-
-    def test_a_run_with_a_retired_knob_still_runs(self, capsys):
-        status = main([
-            "run", "--history", "--history-bytes", "0", "--sites", "2",
-            "--records", "800", "--chunk", "400", "--clusters", "3",
-            "--seed", "1",
-        ])
-        assert status == 0
-        assert "--history-bytes is ignored" in capsys.readouterr().err
-
 
 class TestFlagSurface:
     """The flag surface is frozen: ``tests/data/cli_flag_surface.json``
@@ -1013,7 +989,7 @@ class TestFlagSurface:
         for command, flags in table.items():
             assert surface[command] == flags, command
         assert len(surface) == 7
-        assert sum(len(flags) for flags in surface.values()) == 97
+        assert sum(len(flags) for flags in surface.values()) == 91
 
 
 class TestContradictoryFlags:
